@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from refgame.cli import main as cli_main
-from refgame.metrics import paired_t_test
+from refgame.metrics import MetricError, paired_t_test
 from refgame.persistence import read_csv
 
 
@@ -58,7 +58,7 @@ def main() -> int:
                 f"(gen0 mean {sum(first[column]) / len(first[column]):.3f}, "
                 f"last mean {sum(last[column]) / len(last[column]):.3f})"
             )
-        except Exception as err:
+        except (ValueError, MetricError) as err:
             print(f"  {column:20s} not testable: {err}")
     return 0
 

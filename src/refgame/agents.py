@@ -156,15 +156,9 @@ class CompositionalOracle(Agent):
         )
 
 
-class RandomChooser(Agent):
-    """Produces stored signals but chooses uniformly at random; the chance
-    baseline for candidate discrimination."""
-
-    def produce_signal(self, stimulus, task, rng) -> Signal:
-        assert self.vocabulary is not None
-        if stimulus in self.vocabulary:
-            return self.vocabulary.signal_for(stimulus)
-        return _nearest_vocab_entry(self.vocabulary, stimulus).signal
+class RandomChooser(LookupOracle):
+    """Produces signals like the lookup oracle but chooses uniformly at
+    random; the chance baseline for candidate discrimination."""
 
     def choose(self, probe, candidates, task, rng, exclude=None) -> int:
         return rng.randrange(len(candidates))

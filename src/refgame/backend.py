@@ -67,7 +67,6 @@ class BackendDescriptor:
     api_key_env: str = "REFGAME_API_KEY"
     template: str = "llama3"  # template name under data/templates or a file path
     backoff_base: float = 0.5
-    max_inflight: int = 4
 
 
 def load_chat_template(name_or_path: str) -> str:
@@ -270,20 +269,12 @@ class HttpBackend(CompletionBackend):
     services that reject echo-scoring surface CapabilityUnsupported.
     """
 
-    _inflight_lock = threading.Lock()
-    _inflight: dict[str, threading.Semaphore] = {}
-
     def __init__(self, descriptor: BackendDescriptor, event_log: EventLog | None = None,
                  session: requests.Session | None = None):
         self.descriptor = descriptor
         self.event_log = event_log
         self.session = session or requests.Session()
         self.template = load_chat_template(descriptor.template)
-        with HttpBackend._inflight_lock:
-            key = descriptor.endpoint or "<default>"
-            if key not in HttpBackend._inflight:
-                HttpBackend._inflight[key] = threading.Semaphore(descriptor.max_inflight)
-            self._semaphore = HttpBackend._inflight[key]
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -295,10 +286,9 @@ class HttpBackend(CompletionBackend):
     def _post(self, payload: dict) -> dict:
         url = self.descriptor.endpoint.rstrip("/") + "/v1/completions"
         try:
-            with self._semaphore:
-                response = self.session.post(
-                    url, json=payload, headers=self._headers(), timeout=self.descriptor.timeout
-                )
+            response = self.session.post(
+                url, json=payload, headers=self._headers(), timeout=self.descriptor.timeout
+            )
         except requests.Timeout as err:
             raise BackendTimeout(str(err)) from err
         except requests.RequestException as err:

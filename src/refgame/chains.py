@@ -8,7 +8,7 @@ hand-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Callable, Sequence
 
@@ -36,14 +36,14 @@ class ChainConfig:
     master_seed: int = 0
     run: RunConfig = field(default_factory=RunConfig)
     donor_permutations: int = 1000
-    seed_language: Vocabulary | None = None  # imported generation-0 language
     # sparse per-generation RunConfig field overrides, e.g. {3: {"rounds": 2}}
     generation_overrides: dict[int, dict] = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.generations < 1:
             raise ChainError("generations must be >= 1")
-        valid_fields = set(RunConfig.__dataclass_fields__)
+        # master_seed is derived per generation, never overridden
+        valid_fields = set(RunConfig.__dataclass_fields__) - {"master_seed"}
         for generation, overrides in self.generation_overrides.items():
             unknown = set(overrides) - valid_fields
             if unknown:
@@ -126,8 +126,8 @@ def run_chain(
     """One transmission chain of ``generations`` dyad simulations.
 
     ``agent_factory(generation)`` supplies a fresh dyad per generation.
-    Generation 0 starts from a fresh random language (or the imported
-    ``seed_language``); later generations learn a derived portion of the
+    Generation 0 starts from ``training_language`` when given, else from a
+    fresh random language; later generations learn a derived portion of the
     previous donor's testing output. A failed generation aborts the chain;
     earlier records (already passed to ``on_generation``) survive.
 
@@ -140,20 +140,16 @@ def run_chain(
     if start_generation > 0 and training_language is None:
         raise ChainError("resuming a chain requires the derived training language")
     records: list[GenerationRecord] = []
-    if training_language is None:
-        training_language = config.seed_language
     for generation in range(start_generation, config.generations):
         event_log = event_log_factory(generation) if event_log_factory else None
         if event_log is not None:
             event_log.set_context(generation=generation)
         agents = agent_factory(generation)
-        settings = {
-            name: getattr(config.run, name)
-            for name in RunConfig.__dataclass_fields__
-        }
-        settings.update(config.generation_overrides.get(generation, {}))
-        settings["master_seed"] = derive_seed(config.master_seed, f"generation:{generation}")
-        run_config = RunConfig(**settings)
+        run_config = replace(
+            config.run,
+            **config.generation_overrides.get(generation, {}),
+            master_seed=derive_seed(config.master_seed, f"generation:{generation}"),
+        )
         result = run_simulation(
             run_config,
             agents,

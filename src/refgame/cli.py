@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
 from .agents import make_agent
 from .backend import BackendError, EventLog, HttpBackend, retrying
-from .chains import ChainConfig, DonorSelection, derive_training_language, run_chain, select_donor
+from .chains import ChainConfig, derive_training_language, run_chain, select_donor
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -22,7 +23,7 @@ from .config import (
     load_config,
 )
 from .domain import DomainError, Vocabulary
-from .engine import RunConfig, SimulationAborted, derive_seed, run_simulation
+from .engine import SimulationAborted, derive_seed, run_simulation
 from .metrics import (
     DEFAULT_PERMUTATIONS,
     MetricError,
@@ -37,6 +38,8 @@ from .persistence import (
     PersistenceError,
     RunManifest,
     chain_row,
+    metric_row_to_csv,
+    read_csv,
     replay_run,
     save_partial,
     save_simulation,
@@ -97,15 +100,7 @@ def _run_one_simulation(config: ExperimentConfig, run_seed: int, run_dir: Path):
     run_dir.mkdir(parents=True, exist_ok=True)
     event_log = EventLog(run_dir / "events.jsonl")
     agents = _build_agents(config, event_log)
-    run_config = RunConfig(
-        master_seed=run_seed,
-        rounds=config.run.rounds,
-        tasks_per_round=config.run.tasks_per_round,
-        candidate_count=config.run.candidate_count,
-        guessing_distractors=config.run.guessing_distractors,
-        mantel_permutations=config.run.mantel_permutations,
-        max_agent_retries=config.run.max_agent_retries,
-    )
+    run_config = replace(config.run, master_seed=run_seed)
     started = time.time()
     try:
         result = run_simulation(run_config, agents, event_log=event_log)
@@ -142,7 +137,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _seed_language_from_run(seed_dir: Path, chain_seed: int, donor_permutations: int):
+def _import_generation_zero(seed_dir: Path, chain_seed: int, donor_permutations: int):
     """Import a prior simulation as generation 0: pick its donor testing
     vocabulary and derive the next generation's training language."""
     manifest = RunManifest.load(seed_dir)
@@ -163,36 +158,6 @@ def _seed_language_from_run(seed_dir: Path, chain_seed: int, donor_permutations:
         selection.pairs, Random(derive_seed(chain_seed, "portion:1"))
     )
     return selection, language
-
-
-def _row_from_run_dir(chain_index: int, generation: int, run_dir: Path, donor_id: str) -> dict:
-    """Rebuild one chain.csv row from a persisted run directory."""
-    from .persistence import SCHEMA_VERSION, read_csv, _fmt
-
-    stored = read_csv(run_dir / "metrics.csv")
-    donor_testing = next(
-        row for row in stored if row["block"] == "testing" and row["agent"] == donor_id
-    )
-    labelling_rows = [row for row in stored if row["block"] == "labelling"]
-    comm_rows = [row for row in stored if row["block"] == "communication"]
-    learnability = sum(float(r["mean_levenshtein"]) for r in labelling_rows) / len(labelling_rows)
-    perc_com = sum(float(r["perc_com"]) for r in comm_rows) / len(comm_rows)
-    return {
-        "schema_version": str(SCHEMA_VERSION),
-        "chain": str(chain_index),
-        "generation": str(generation),
-        "donor": donor_id,
-        "learnability": _fmt(learnability),
-        "perc_com": _fmt(perc_com),
-        "topsim_z": donor_testing["topsim_z"],
-        "topsim_p": donor_testing["topsim_p"],
-        "ngram_diversity": donor_testing["ngram_diversity"],
-        "unique_signal_ratio": donor_testing["unique_signal_ratio"],
-    }
-
-
-def _imported_generation_row(chain_index: int, seed_dir: Path, selection: DonorSelection) -> dict:
-    return _row_from_run_dir(chain_index, 0, seed_dir, selection.donor_id)
 
 
 def _resume_point(chain_dir: Path, generations: int):
@@ -238,10 +203,13 @@ def cmd_chain(args: argparse.Namespace) -> int:
         start_generation = 0
         training_language = None
         if settings.seed_from:
-            selection, training_language = _seed_language_from_run(
-                Path(settings.seed_from), chain_seed, settings.donor_permutations
+            seed_dir = Path(settings.seed_from)
+            selection, training_language = _import_generation_zero(
+                seed_dir, chain_seed, settings.donor_permutations
             )
-            rows.append(_imported_generation_row(chain_index, Path(settings.seed_from), selection))
+            rows.append(
+                chain_row(chain_index, 0, selection.donor_id, read_csv(seed_dir / "metrics.csv"))
+            )
             start_generation = 1
         else:
             resumed = _resume_point(chain_dir, settings.generations)
@@ -278,7 +246,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
                 generation=record.generation,
             )
             manifest.save(gen_dir)
-            rows.append(chain_row(chain_index, record))
+            metric_rows = [metric_row_to_csv(row) for row in record.result.metric_rows]
+            rows.append(chain_row(chain_index, record.generation, record.donor_id, metric_rows))
             write_csv(chain_dir / "chain.csv", CHAIN_COLUMNS, rows)
 
         run_chain(
@@ -297,8 +266,6 @@ def cmd_chain(args: argparse.Namespace) -> int:
 def _stored_chain_rows(chain_dir: Path, chain_index: int, generations_done: int) -> list[dict]:
     """chain.csv rows for finished generations, rebuilt from the generation
     directories when the CSV is missing or behind."""
-    from .persistence import read_csv
-
     csv_path = chain_dir / "chain.csv"
     by_generation = {}
     if csv_path.exists():
@@ -311,7 +278,7 @@ def _stored_chain_rows(chain_dir: Path, chain_index: int, generations_done: int)
             continue
         gen_dir = chain_dir / f"gen{generation:02d}"
         donor_id = RunManifest.load(gen_dir).extra["donor_id"]
-        rows.append(_row_from_run_dir(chain_index, generation, gen_dir, donor_id))
+        rows.append(chain_row(chain_index, generation, donor_id, read_csv(gen_dir / "metrics.csv")))
     return rows
 
 

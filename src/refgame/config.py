@@ -35,7 +35,6 @@ class ChainSettings:
 @dataclass
 class ExperimentConfig:
     master_seed: int = 0
-    mode: str = "simulate"  # simulate | chain | metrics | replay
     count: int = 1
     agents: list[str] = field(default_factory=lambda: ["oracle:lookup", "oracle:lookup"])
     output_dir: str = "runs"
@@ -47,9 +46,6 @@ class ExperimentConfig:
         data = asdict(self)
         data["run"].pop("master_seed", None)  # derived per run, not configured
         return data
-
-
-_MODES = ("simulate", "chain", "metrics", "replay")
 
 
 def _build_section(cls, data: dict, path: str):
@@ -80,8 +76,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    if config.mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {config.mode!r}")
     if config.count < 1:
         raise ConfigError("count must be >= 1")
     if len(config.agents) != 2:

@@ -177,10 +177,6 @@ class Vocabulary:
             track_success=self.track_success,
         )
 
-    def reset_success_flags(self) -> None:
-        for entry in self.entries:
-            entry.communicative_success = 0
-
     def save(self, path: str | Path) -> None:
         lines = [format_vocab_line(e, include_success=self.track_success) for e in self.entries]
         Path(path).write_text("\n".join(lines) + "\n")

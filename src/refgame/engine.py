@@ -175,8 +175,6 @@ class SimulationResult:
     communication: CommunicationResult
     testing: dict[str, TestingResult]
     metric_rows: list[MetricRow]
-    complete: bool = True
-    failure: str | None = None
 
 
 def _context(event_log: EventLog | None, **fields) -> None:

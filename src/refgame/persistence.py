@@ -19,7 +19,6 @@ from pathlib import Path
 
 from . import __version__
 from .backend import EventLog
-from .chains import GenerationRecord
 from .domain import Stimulus, Vocabulary, split_for_train
 from .engine import (
     CommunicationResult,
@@ -192,10 +191,6 @@ class RunManifest:
                 raise DigestMismatch(f"digest mismatch for {name}: {actual} != {digest}")
 
 
-def config_dict(config: RunConfig) -> dict:
-    return asdict(config)
-
-
 def _vocab_paths(result: SimulationResult) -> dict[str, Vocabulary]:
     paths = {"vocab/initial.vocab": result.initial_language}
     for agent_id in result.agent_ids:
@@ -247,9 +242,9 @@ def save_simulation(
         if path.is_file() and path.name != "manifest.json":
             files[path.relative_to(base).as_posix()] = file_digest(path)
     manifest = RunManifest(
-        config=config_dict(result.config),
+        config=asdict(result.config),
         master_seed=result.config.master_seed,
-        status="complete" if result.complete else "incomplete",
+        status="complete",
         started=started or time.time(),
         finished=time.time(),
         files=files,
@@ -286,7 +281,7 @@ def save_partial(
         if path.is_file() and path.name != "manifest.json":
             files[path.relative_to(base).as_posix()] = file_digest(path)
     manifest = RunManifest(
-        config=config_dict(config),
+        config=asdict(config),
         master_seed=config.master_seed,
         status="incomplete",
         started=started or time.time(),
@@ -470,28 +465,35 @@ def replay_run(run_dir: str | Path, tolerance: float = 1e-9) -> ReplayReport:
     return ReplayReport(ok=not mismatches, mismatches=mismatches, rows_checked=len(stored))
 
 
-def chain_row(chain_index: int, record: GenerationRecord) -> dict:
-    """One chain-level CSV row per generation."""
-    result = record.result
-    learnability = sum(
-        result.labelling[a].mean_distance for a in result.agent_ids
-    ) / len(result.agent_ids)
-    perc_com = sum(result.communication.perc_com) / len(result.communication.perc_com)
+def chain_row(chain_index: int, generation: int, donor_id: str, metric_rows: list[dict]) -> dict:
+    """One chain-level CSV row per generation, from the generation's
+    metrics-CSV rows (in memory or read back from ``metrics.csv``).
+
+    Learnability is the mean labelling Levenshtein distance. perc_com is the
+    mean over rounds with each round counted once: the CSV repeats a round's
+    value per agent, and averaging the repeats rounds differently in the last
+    digit. The structure columns are copied from the donor's testing row.
+    """
+    labelling = [
+        float(row["mean_levenshtein"]) for row in metric_rows if row["block"] == "labelling"
+    ]
+    per_round = {
+        row["round"]: float(row["perc_com"])
+        for row in metric_rows
+        if row["block"] == "communication"
+    }
     donor_row = next(
-        row
-        for row in result.metric_rows
-        if row.block == "testing" and row.agent_id == record.donor_id
+        row for row in metric_rows if row["block"] == "testing" and row["agent"] == donor_id
     )
-    topsim = donor_row.report.topsim
     return {
         "schema_version": str(SCHEMA_VERSION),
         "chain": str(chain_index),
-        "generation": str(record.generation),
-        "donor": record.donor_id,
-        "learnability": _fmt(learnability),
-        "perc_com": _fmt(perc_com),
-        "topsim_z": _fmt(topsim.z_score if topsim else None),
-        "topsim_p": _fmt(topsim.p_value if topsim else None),
-        "ngram_diversity": _fmt(donor_row.report.ngram_diversity),
-        "unique_signal_ratio": _fmt(donor_row.report.unique_signal_ratio),
+        "generation": str(generation),
+        "donor": donor_id,
+        "learnability": _fmt(sum(labelling) / len(labelling)),
+        "perc_com": _fmt(sum(per_round.values()) / len(per_round)),
+        "topsim_z": donor_row["topsim_z"],
+        "topsim_p": donor_row["topsim_p"],
+        "ngram_diversity": donor_row["ngram_diversity"],
+        "unique_signal_ratio": donor_row["unique_signal_ratio"],
     }

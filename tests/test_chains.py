@@ -178,6 +178,11 @@ class TestRunChain:
         with pytest.raises(ChainError, match="roundz"):
             run_chain(config, lookup_factory)
 
+    def test_master_seed_override_rejected(self):
+        config = fast_chain_config(generation_overrides={0: {"master_seed": 5}})
+        with pytest.raises(ChainError, match="master_seed"):
+            run_chain(config, lookup_factory)
+
     def test_resume_requires_language(self):
         with pytest.raises(ChainError):
             run_chain(fast_chain_config(), lookup_factory, start_generation=2)

@@ -1,3 +1,4 @@
+import pytest
 import yaml
 
 from refgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_VALIDATION, main
@@ -155,8 +156,15 @@ class TestChainCommand:
         resumed_csv = (resumed_out / "chain-00" / "chain.csv").read_bytes()
         assert full_csv == resumed_csv
 
-    def test_resume_rebuilds_missing_csv_rows(self, tmp_path):
-        shared = ["--seed", "8", "--agents", "oracle:lookup,oracle:lookup", "--permutations", "60"]
+    # random oracles fail communication tasks, so perc_com is not 1.0 and the
+    # rebuilt row must average one value per round exactly as in memory
+    @pytest.mark.parametrize(
+        "agents",
+        ["oracle:lookup,oracle:lookup", "oracle:random,oracle:random"],
+        ids=["lookup", "random"],
+    )
+    def test_resume_rebuilds_missing_csv_rows(self, tmp_path, agents):
+        shared = ["--seed", "2", "--agents", agents, "--permutations", "60"]
         full_out = tmp_path / "full"
         run_cli("chain", "--chains", "1", "--generations", "3", "--out", str(full_out), *shared)
         resumed_out = tmp_path / "resumed"

@@ -244,9 +244,12 @@ class TestTestingBlock:
         test_pairs = [(s, w) for s, w in result.pairs() if s not in train]
         assert generalization_score(train_pairs, test_pairs) > 0.7
 
-    def test_lookup_extrapolation_flagged(self):
+    @pytest.mark.parametrize(
+        "agent_cls", [LookupOracle, RandomChooser], ids=["LookupOracle", "RandomChooser"]
+    )
+    def test_lookup_extrapolation_flagged(self, agent_cls):
         vocab, split = training_vocab()
-        agent = LookupOracle("A")
+        agent = agent_cls("A")
         agent.set_vocabulary(vocab.copy())
         result = run_testing_block(agent, Random(0))
         flagged = {r.stimulus for r in result.records if r.extrapolated}

@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from refgame.agents import CompositionalOracle, LookupOracle
 from refgame.backend import EventLog
-from refgame.config import ExperimentConfig, config_from_dict
+from refgame.config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from refgame.domain import Vocabulary
 from refgame.engine import RunConfig, run_simulation
 from refgame.persistence import (
@@ -202,6 +203,21 @@ class TestConfigRoundTrip:
         assert config.backend.temperature == 0.0
         assert config.chain.chains == 6
         assert config.chain.generations == 8
+
+
+CONFIG_FILES = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=[p.name for p in CONFIG_FILES])
+def test_shipped_config_loads(path):
+    config = load_config(path)
+    assert len(config.agents) == 2
+
+
+@pytest.mark.parametrize("data", [{"mode": "simulate"}, {"backend": {"max_inflight": 4}}])
+def test_removed_config_keys_rejected(data):
+    with pytest.raises(ConfigError, match="unknown key"):
+        config_from_dict(data)
 
 
 class TestChainCsvColumns:

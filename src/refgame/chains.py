@@ -42,9 +42,13 @@ class ChainConfig:
     def validate(self) -> None:
         if self.generations < 1:
             raise ChainError("generations must be >= 1")
+        if self.donor_permutations < 1:
+            raise ChainError("donor_permutations must be >= 1")
         # master_seed is derived per generation, never overridden
         valid_fields = set(RunConfig.__dataclass_fields__) - {"master_seed"}
         for generation, overrides in self.generation_overrides.items():
+            if not isinstance(overrides, dict):
+                raise ChainError(f"overrides for generation {generation} must be a mapping")
             unknown = set(overrides) - valid_fields
             if unknown:
                 raise ChainError(

@@ -21,6 +21,7 @@ from .config import (
     ExperimentConfig,
     check_backend_credentials,
     load_config,
+    validate_config,
 )
 from .domain import DomainError, Vocabulary
 from .engine import SimulationAborted, derive_seed, run_simulation
@@ -80,7 +81,9 @@ def _load_or_default(args: argparse.Namespace) -> ExperimentConfig:
         config = load_config(args.config)
     else:
         config = ExperimentConfig()
-    return _apply_overrides(config, args)
+    config = _apply_overrides(config, args)
+    validate_config(config)  # the command-line values too, before any directory is made
+    return config
 
 
 def _build_agents(config: ExperimentConfig, event_log: EventLog):

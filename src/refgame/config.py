@@ -15,7 +15,8 @@ from pathlib import Path
 import yaml
 
 from .backend import BackendDescriptor
-from .engine import RunConfig
+from .chains import ChainConfig, ChainError
+from .engine import EngineError, RunConfig
 
 
 class ConfigError(Exception):
@@ -85,7 +86,17 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError(f"unknown agent spec {spec!r}")
     if config.chain.chains < 1 or config.chain.generations < 1:
         raise ConfigError("chain.chains and chain.generations must be >= 1")
-    config.run.validate()
+    try:
+        config.run.validate()
+    except EngineError as err:
+        raise ConfigError(f"run: {err}") from err
+    try:
+        ChainConfig(
+            donor_permutations=config.chain.donor_permutations,
+            generation_overrides=config.chain.generation_overrides,
+        ).validate()
+    except ChainError as err:
+        raise ConfigError(f"chain: {err}") from err
 
 
 def check_backend_credentials(config: ExperimentConfig) -> None:

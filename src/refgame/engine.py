@@ -73,6 +73,8 @@ class RunConfig:
             raise EngineError("candidate_count must be between 2 and 15")
         if not 1 <= self.guessing_distractors <= 14:
             raise EngineError("guessing_distractors must be between 1 and 14")
+        if self.mantel_permutations < 1:
+            raise EngineError("mantel_permutations must be >= 1")
 
 
 @dataclass

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .domain import Signal, Stimulus, Vocabulary
 
@@ -117,6 +116,9 @@ def paired_t_test(x: Sequence[float], y: Sequence[float]) -> PairedTTestResult:
         raise DegenerateVarianceError("zero-variance differences")
     t = float(diffs.mean() / (sd / math.sqrt(n)))
     df = n - 1
+    # imported here: scipy.stats is most of the import time of refgame.cli
+    from scipy import stats as scipy_stats
+
     p = float(2.0 * scipy_stats.t.sf(abs(t), df))
     return PairedTTestResult(statistic=t, p_value=p, df=df)
 
@@ -196,12 +198,16 @@ def mantel_test(
     if method == "exact":
         perms = np.array(list(itertools.permutations(range(n))))
     elif method == "sampled":
+        if permutations < 1:
+            raise ValueError("sampled mantel test needs at least 1 permutation")
         gen = np.random.default_rng(rng)
-        perms = np.array([gen.permutation(n) for _ in range(permutations)])
+        # one batch draws the same rows, from the same stream, as a loop of
+        # gen.permutation(n) calls
+        perms = gen.permuted(np.tile(np.arange(n), (permutations, 1)), axis=1)
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    permuted = signal[perms[:, :, None], perms[:, None, :]][:, iu[0], iu[1]]
+    permuted = signal[perms[:, iu[0]], perms[:, iu[1]]]
     permuted_r = corr_with_sem(permuted)
     spread = float(permuted_r.std())
     if spread == 0.0:

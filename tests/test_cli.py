@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import yaml
 
+import refgame
 from refgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_VALIDATION, main
 from refgame.domain import Vocabulary
 from refgame.persistence import read_csv
@@ -62,6 +68,16 @@ class TestSimulate:
         path.write_text(yaml.safe_dump({"run": {"roundz": 4}}))
         assert run_cli("simulate", "--config", str(path)) == EXIT_VALIDATION
         assert "roundz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--rounds", "rounds must be >= 1"), ("--permutations", "mantel_permutations must be >= 1")],
+    )
+    def test_invalid_flag_value_rejected_before_writing(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "runs"
+        assert run_cli("simulate", flag, "0", "--out", str(out)) == EXIT_VALIDATION
+        assert f"error: run: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMetricsCommand:
@@ -188,6 +204,24 @@ class TestChainCommand:
         assert (out / "chain-00" / "chain.csv").read_bytes() == before
         assert (out / "chain-00" / "gen01" / "manifest.json").stat().st_mtime_ns == stamp
 
+    @pytest.mark.parametrize(
+        "chain, message",
+        [
+            ({"generation_overrides": {0: {"roundz": 2}}}, "['roundz'] for generation 0"),
+            ({"generation_overrides": {0: 5}}, "generation 0 must be a mapping"),
+            ({"donor_permutations": 0}, "donor_permutations must be >= 1"),
+        ],
+    )
+    def test_bad_chain_setting_rejected_before_writing(self, tmp_path, capsys, chain, message):
+        path = tmp_path / "chain.yaml"
+        path.write_text(yaml.safe_dump({"chain": chain}))
+        out = tmp_path / "chains"
+        code = run_cli("chain", "--config", str(path), "--out", str(out), "--permutations", "60")
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (out / "chain-00").exists()
+
     def test_seed_from_imports_generation_zero(self, tmp_path):
         sims = tmp_path / "sims"
         run_cli(
@@ -215,3 +249,15 @@ class TestChainCommand:
             r for r in seed_rows if r["block"] == "testing" and r["agent"] == donor
         )
         assert rows[0]["topsim_z"] == seed_testing["topsim_z"]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time of refgame.cli; only the
+    # paired t-test needs it, and it imports it itself
+    src = str(Path(refgame.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, refgame.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    assert loaded == "False"

@@ -15,16 +15,20 @@ from refgame.metrics import (
     DegenerateMatrixError,
     DegenerateVarianceError,
     EmptyInputError,
+    TopSimResult,
     communicative_success_rate,
     generalization_score,
     levenshtein,
+    mantel_test,
     mean_signal_length,
     ngram_diversity,
     normalized_levenshtein,
     paired_t_test,
     pearson,
     semantic_distance,
+    semantic_distance_matrix,
     semantic_similarity,
+    signal_distance_matrix,
     topsim_mantel,
     unique_signal_ratio,
     vocabulary_report,
@@ -216,6 +220,11 @@ class TestTopSimMantel:
         with pytest.raises(ValueError):
             topsim_mantel(TOY_PAIRS[:2])
 
+    def test_sampled_needs_a_permutation(self):
+        train = sample_training_set(Random(0)).train
+        with pytest.raises(ValueError, match="at least 1 permutation"):
+            topsim_mantel(generate_language(Random(0), train), permutations=0, rng=0)
+
     def test_relabeling_invariance(self):
         # applying one relabeling to both sides leaves observed r unchanged
         rng = Random(11)
@@ -243,6 +252,64 @@ class TestTopSimMantel:
         a = topsim_mantel(vocab, permutations=500, rng=42)
         b = topsim_mantel(vocab, permutations=500, rng=42)
         assert a == b
+
+
+def loop_mantel_reference(semantic, signal, permutations, gen):
+    """The sampled Mantel test as first written: one gen.permutation(n) call
+    per permutation, and a full P x n x n relabelled matrix indexed down to
+    its upper triangle afterwards."""
+    n = semantic.shape[0]
+    iu = np.triu_indices(n, k=1)
+    sem_vec = semantic[iu]
+    sig_vec = signal[iu]
+    sem_centered = sem_vec - sem_vec.mean()
+    sem_norm = math.sqrt(float(sem_centered @ sem_centered))
+
+    def corr_with_sem(vectors):
+        centered = vectors - vectors.mean(axis=1, keepdims=True)
+        norms = np.sqrt((centered * centered).sum(axis=1))
+        return (centered @ sem_centered) / (norms * sem_norm)
+
+    observed_r = float(corr_with_sem(sig_vec[None, :])[0])
+    perms = np.array([gen.permutation(n) for _ in range(permutations)])
+    permuted = signal[perms[:, :, None], perms[:, None, :]][:, iu[0], iu[1]]
+    permuted_r = corr_with_sem(permuted)
+    z = (observed_r - float(permuted_r.mean())) / float(permuted_r.std())
+    at_least = int((permuted_r >= observed_r - 1e-12).sum())
+    return TopSimResult(
+        z_score=float(z),
+        p_value=float((1 + at_least) / (len(perms) + 1)),
+        observed_r=observed_r,
+        permutations=len(perms),
+        method="sampled",
+    )
+
+
+class TestMantelBitIdentity:
+    """The batched draw and the upper-triangle gather must reproduce the
+    loop-and-full-gather Mantel test exactly: stored metrics.csv files and
+    replay of old run directories depend on every bit of Z."""
+
+    @pytest.mark.parametrize("n", [8, 15, 27])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_sampled_matches_loop_reference(self, n, seed):
+        stimuli = enumerate_stimuli()[:n]
+        vocab = generate_language(Random(seed), stimuli)
+        sem = semantic_distance_matrix([s for s, _ in vocab.pairs()])
+        sig = signal_distance_matrix([w for _, w in vocab.pairs()])
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        result = mantel_test(sem, sig, permutations=2000, rng=ours, method="sampled")
+        assert result == loop_mantel_reference(sem, sig, 2000, theirs)
+        # later draws from a shared generator stay where they were
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_golden_topsim_pinned(self, golden_train):
+        result = topsim_mantel(golden_train.pairs(), permutations=10_000, rng=0, method="sampled")
+        assert repr(result.z_score) == "7.159796628675282"
+        assert repr(result.p_value) == "9.999000099990002e-05"
+        assert repr(result.observed_r) == "0.7288486986723643"
+        assert (result.permutations, result.method) == (10_000, "sampled")
 
 
 class TestGeneralizationScore:

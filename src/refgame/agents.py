@@ -168,10 +168,10 @@ class LLMAgent(Agent):
     """Prompt-driven agent over a completion backend.
 
     Production renders the task's prompt, requests one greedy completion and
-    parses it; choice scores each candidate continuation and takes the
-    argmax of total log-probability, ties broken by lowest position in the
-    shuffled candidate order. After ``max_retries`` failed attempts the
-    failure is reported for the engine to record.
+    parses it; choice scores all candidate continuations in one backend call
+    and takes the argmax of total log-probability, ties broken by lowest
+    position in the shuffled candidate order. After ``max_retries`` failed
+    attempts the failure is reported for the engine to record.
     """
 
     def __init__(
@@ -241,8 +241,7 @@ class LLMAgent(Agent):
         for _ in range(self.max_retries):
             built = self._candidate_prompts(probe, candidates, task, rng, exclude)
             try:
-                scores = [self.backend.score(p, p.continuation) for p in built]
-                return _argmax(scores)
+                return _argmax(self.backend.score(built))
             except BackendError as err:
                 last_error = err
         raise ChoiceFailure(str(last_error)) from last_error

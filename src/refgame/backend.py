@@ -2,8 +2,10 @@
 
 Two implementations share one contract: an HTTP client for an external
 completion-style service, and an in-process scripted backend for
-deterministic offline tests. Every request/response pair is appended to the
-run's event log before the result is returned.
+deterministic offline tests. Scoring takes every candidate of a choice at
+once, so the HTTP client sends one request per choice. Every prompt's
+result is appended to the run's event log, one record per prompt in the
+order given, before the results are returned.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import requests
 
@@ -134,8 +136,10 @@ class CompletionBackend:
     """Contract shared by scripted and wire backends.
 
     complete() returns the greedy continuation text for a prompt; score()
-    returns the total log-probability of a continuation under the model.
-    Only (text, log-probability, error) ever crosses this boundary.
+    takes prompts that each carry a ``continuation`` and returns, in the same
+    order, the total log-probability of each continuation under the model.
+    A score call succeeds or fails as a whole. Only (text, log-probability,
+    error) ever crosses this boundary.
     """
 
     event_log: EventLog | None = None
@@ -143,7 +147,7 @@ class CompletionBackend:
     def complete(self, prompt: Prompt) -> str:
         raise NotImplementedError
 
-    def score(self, prompt: Prompt, continuation: str) -> float:
+    def score(self, prompts: Sequence[Prompt]) -> list[float]:
         raise NotImplementedError
 
     def _log(self, task: str, prompt_text: str, result, started: float, **extra) -> None:
@@ -166,14 +170,14 @@ class ScriptedBackend(CompletionBackend):
 
     completions maps rendered prompt text (or is a callable on the Prompt)
     to the continuation; scores maps (prompt text, continuation) or is a
-    callable on (Prompt, continuation). fail_first injects transient
-    TransportFailures for retry tests.
+    callable on the Prompt, which carries its continuation. fail_first
+    injects transient TransportFailures, one per call, for retry tests.
     """
 
     def __init__(
         self,
         completions: dict[str, str] | Callable[[Prompt], str] | None = None,
-        scores: dict[tuple[str, str], float] | Callable[[Prompt, str], float] | None = None,
+        scores: dict[tuple[str, str], float] | Callable[[Prompt], float] | None = None,
         event_log: EventLog | None = None,
         fail_first: int = 0,
     ):
@@ -203,13 +207,11 @@ class ScriptedBackend(CompletionBackend):
         self._log("complete", prompt.user_text(), text, started)
         return text
 
-    def score(self, prompt: Prompt, continuation: str) -> float:
-        started = time.monotonic()
-        self._maybe_fail()
+    def _scripted_score(self, prompt: Prompt) -> float:
         if callable(self.scores):
-            value = self.scores(prompt, continuation)
+            value = self.scores(prompt)
         elif self.scores is not None:
-            key = (prompt.user_text(), continuation)
+            key = (prompt.user_text(), prompt.continuation)
             if key not in self.scores:
                 raise MalformedServiceReply("no scripted score for continuation")
             value = self.scores[key]
@@ -217,14 +219,21 @@ class ScriptedBackend(CompletionBackend):
             raise CapabilityUnsupported("scripted backend has no score table")
         if value > 0:
             raise MalformedServiceReply(f"log-probability must be <= 0, got {value}")
-        self._log("score", prompt.user_text(), value, started, continuation=continuation)
         return float(value)
+
+    def score(self, prompts: Sequence[Prompt]) -> list[float]:
+        started = time.monotonic()
+        self._maybe_fail()
+        values = [self._scripted_score(p) for p in prompts]
+        for prompt, value in zip(prompts, values):
+            self._log("score", prompt.user_text(), value, started, continuation=prompt.continuation)
+        return values
 
 
 class RetryingBackend(CompletionBackend):
     """Wraps a backend with bounded retries and exponential backoff on
-    transient transport errors. ContextOverflow and capability errors are
-    not retried."""
+    transient transport errors; a score call is retried as a whole.
+    ContextOverflow and capability errors are not retried."""
 
     def __init__(self, inner: CompletionBackend, max_retries: int = 3, backoff_base: float = 0.5,
                  sleep: Callable[[float], None] = time.sleep):
@@ -257,16 +266,20 @@ class RetryingBackend(CompletionBackend):
     def complete(self, prompt: Prompt) -> str:
         return self._with_retries(lambda: self.inner.complete(prompt))
 
-    def score(self, prompt: Prompt, continuation: str) -> float:
-        return self._with_retries(lambda: self.inner.score(prompt, continuation))
+    def score(self, prompts: Sequence[Prompt]) -> list[float]:
+        return self._with_retries(lambda: self.inner.score(prompts))
 
 
 class HttpBackend(CompletionBackend):
     """Client for an OpenAI-style completion service.
 
     complete() posts the templated prompt for a greedy continuation. score()
-    first tries a direct scoring call (echo + logprobs with no new tokens);
-    services that reject echo-scoring surface CapabilityUnsupported.
+    checks every prompt against the context budget, then posts them all as
+    one list ``prompt`` for direct scoring (echo + logprobs with no new
+    tokens) and matches the returned choices by ``index``. Services that
+    reject echo-scoring surface CapabilityUnsupported; a reply without one
+    choice per prompt, as from a service that rejects list prompts, is a
+    MalformedServiceReply.
     """
 
     def __init__(self, descriptor: BackendDescriptor, event_log: EventLog | None = None,
@@ -330,15 +343,18 @@ class HttpBackend(CompletionBackend):
         self._log("complete", full_text, text, started)
         return text
 
-    def score(self, prompt: Prompt, continuation: str) -> float:
-        if not continuation:
-            raise ValueError("continuation must be non-empty")
-        full_text = apply_chat_template(self.template, prompt)
-        self._check_budget(full_text + continuation, 0)
+    def score(self, prompts: Sequence[Prompt]) -> list[float]:
+        full_texts = []
+        for prompt in prompts:
+            if not prompt.continuation:
+                raise ValueError("continuation must be non-empty")
+            full_text = apply_chat_template(self.template, prompt)
+            self._check_budget(full_text + prompt.continuation, 0)
+            full_texts.append(full_text)
         started = time.monotonic()
         payload = {
             "model": self.descriptor.model,
-            "prompt": full_text + continuation,
+            "prompt": [text + p.continuation for text, p in zip(full_texts, prompts)],
             "max_tokens": 0,
             "temperature": self.descriptor.temperature,
             "echo": True,
@@ -346,14 +362,32 @@ class HttpBackend(CompletionBackend):
         }
         reply = self._post(payload)
         try:
-            logprobs = reply["choices"][0]["logprobs"]
+            choices = reply["choices"]
+            by_index = {choice["index"]: choice for choice in choices}
+        except (KeyError, TypeError) as err:
+            raise MalformedServiceReply(f"missing indexed choices: {reply!r}") from err
+        if len(choices) != len(prompts) or set(by_index) != set(range(len(prompts))):
+            raise MalformedServiceReply(
+                f"expected {len(prompts)} choices indexed from 0, got {len(choices)}"
+            )
+        totals = [self._continuation_logprob(by_index[i], len(text))
+                  for i, text in enumerate(full_texts)]
+        for text, prompt, total in zip(full_texts, prompts, totals):
+            self._log("score", text, total, started, continuation=prompt.continuation)
+        return totals
+
+    @staticmethod
+    def _continuation_logprob(choice: dict, boundary: int) -> float:
+        """Sum of the echoed token log-probabilities at or past ``boundary``,
+        the length of the templated prompt before the continuation."""
+        try:
+            logprobs = choice["logprobs"]
             token_logprobs = logprobs["token_logprobs"]
             offsets = logprobs["text_offset"]
-        except (KeyError, IndexError, TypeError) as err:
+        except (KeyError, TypeError) as err:
             raise CapabilityUnsupported(
                 "service does not return echoed token log-probabilities"
             ) from err
-        boundary = len(full_text)
         total = 0.0
         counted = 0
         for offset, lp in zip(offsets, token_logprobs):
@@ -362,7 +396,6 @@ class HttpBackend(CompletionBackend):
                 counted += 1
         if counted == 0:
             raise MalformedServiceReply("no continuation tokens in echo response")
-        self._log("score", full_text, total, started, continuation=continuation)
         return total
 
 

@@ -286,12 +286,14 @@ def _stored_chain_rows(chain_dir: Path, chain_index: int, generations_done: int)
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    permutations = args.permutations or DEFAULT_PERMUTATIONS
+    if args.permutations < 1:
+        print(f"error: permutations must be >= 1, got {args.permutations}", file=sys.stderr)
+        return EXIT_VALIDATION
     train = Vocabulary.load(args.train)
     if len(train) < 3:
         print(f"error: {args.train} has {len(train)} entries, need at least 3", file=sys.stderr)
         return EXIT_VALIDATION
-    result = topsim_mantel(train.pairs(), permutations=permutations, rng=args.seed)
+    result = topsim_mantel(train.pairs(), permutations=args.permutations, rng=args.seed)
     print(f"entries: {len(train)}")
     print(f"topsim_z: {result.z_score:.4f}")
     print(f"topsim_p: {result.p_value:.6f}")

@@ -65,7 +65,10 @@ class InContextLearnerBackend:
         best = max(entries, key=lambda e: semantic_similarity(e.stimulus, target))
         return best.signal + "'}"
 
-    def score(self, prompt: Prompt, continuation: str) -> float:
+    def score(self, prompts: list[Prompt]) -> list[float]:
+        return [self._score(p) for p in prompts]
+
+    def _score(self, prompt: Prompt) -> float:
         entries = self._entries(prompt)
         if prompt.stem.endswith("'word':'"):
             # word prefilled: prefer the stored word for the stem's stimulus
@@ -78,7 +81,7 @@ class InContextLearnerBackend:
             )
             s = best.stimulus
             expected = f"{s.shape},'colour':'{s.colour}','amount':{s.amount}}}"
-        return -normalized_levenshtein(continuation, expected)
+        return -normalized_levenshtein(prompt.continuation, expected)
 
 
 class TruncatingOracle(Agent):

@@ -115,7 +115,7 @@ class TestLLMAgent:
 
     def test_argmax_scoring(self):
         values = iter([-1.0, -0.5, -2.0, -3.0])
-        backend = ScriptedBackend(scores=lambda prompt, cont: next(values))
+        backend = ScriptedBackend(scores=lambda prompt: next(values))
         agent = LLMAgent("A", backend)
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
@@ -124,12 +124,36 @@ class TestLLMAgent:
         assert chosen == 1
 
     def test_tie_breaks_to_first(self):
-        backend = ScriptedBackend(scores=lambda prompt, cont: -1.0)
+        backend = ScriptedBackend(scores=lambda prompt: -1.0)
         agent = LLMAgent("A", backend)
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
         chosen = agent.choose("hanosa", vocab.stimuli()[:4], PromptTask.LISTENING, Random(0))
         assert chosen == 0
+
+    @pytest.mark.parametrize("failures", [0, 1, 2])
+    def test_one_score_call_per_attempt(self, failures):
+        batches = []
+
+        class CountingBackend(ScriptedBackend):
+            def score(self, prompts):
+                batches.append([p.continuation for p in prompts])
+                return super().score(prompts)
+
+        backend = CountingBackend(scores=lambda prompt: -1.0, fail_first=failures)
+        agent = LLMAgent("A", backend, max_retries=3)
+        vocab = training_vocab()
+        agent.set_vocabulary(vocab)
+        candidates = vocab.stimuli()[:4]
+        rng = Random(0)
+        assert agent.choose("hanosa", candidates, PromptTask.LISTENING, rng) == 0
+        assert len(batches) == failures + 1
+        assert all(len(batch) == 4 and len(set(batch)) == 4 for batch in batches)
+        # one shared-shuffle seed is drawn per attempt
+        expected = Random(0)
+        for _ in range(failures + 1):
+            expected.getrandbits(64)
+        assert rng.getstate() == expected.getstate()
 
     def test_production_failure_after_retries(self):
         backend = ScriptedBackend(completions=lambda prompt: "```")
@@ -147,7 +171,7 @@ class TestLLMAgent:
         assert agent.produce_signal(agent.vocabulary.stimuli()[0], PromptTask.LABELLING, Random(0)) == "sutupepi"
 
     def test_choice_failure_after_retries(self):
-        def broken(prompt, cont):
+        def broken(prompt):
             raise TransportFailure("down")
 
         backend = ScriptedBackend(scores=broken)
@@ -160,7 +184,7 @@ class TestLLMAgent:
     def test_candidate_prompts_share_context(self):
         seen = []
 
-        def score(prompt, cont):
+        def score(prompt):
             seen.append(prompt.vocabulary_lines)
             return -1.0
 

@@ -1,6 +1,7 @@
 import json
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -28,6 +29,9 @@ PROMPT = Prompt(
     vocabulary_lines=("{'shape':1,'colour':'blue','amount':1,'word':'gali'}",),
     stem="{'shape':1,'colour':'blue','amount':2,'word':'",
 )
+# the four candidates of one choice: one shared context, four continuations
+CANDIDATES = [replace(PROMPT, continuation=f"{word}'}}") for word in ("gali", "nemo", "tupa", "sira")]
+SCORED = CANDIDATES[0]
 
 
 class TestScriptedBackend:
@@ -37,16 +41,16 @@ class TestScriptedBackend:
 
     def test_scores_verbatim(self):
         backend = ScriptedBackend(scores={(PROMPT.user_text(), "gali'}"): -1.25})
-        assert backend.score(PROMPT, "gali'}") == -1.25
+        assert backend.score([SCORED]) == [-1.25]
 
     def test_score_determinism(self):
-        backend = ScriptedBackend(scores=lambda p, c: -float(len(c)))
-        assert backend.score(PROMPT, "xy") == backend.score(PROMPT, "xy")
+        backend = ScriptedBackend(scores=lambda p: -float(len(p.continuation)))
+        assert backend.score(CANDIDATES) == backend.score(CANDIDATES) == [-6.0] * 4
 
     def test_positive_logprob_rejected(self):
-        backend = ScriptedBackend(scores=lambda p, c: 0.5)
+        backend = ScriptedBackend(scores=lambda p: 0.5)
         with pytest.raises(MalformedServiceReply):
-            backend.score(PROMPT, "gali'}")
+            backend.score([SCORED])
 
     def test_missing_entry(self):
         backend = ScriptedBackend(completions={})
@@ -56,7 +60,7 @@ class TestScriptedBackend:
     def test_no_score_capability(self):
         backend = ScriptedBackend(completions={})
         with pytest.raises(CapabilityUnsupported):
-            backend.score(PROMPT, "x")
+            backend.score([SCORED])
 
 
 class TestEventLog:
@@ -159,25 +163,28 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"not json")
             return
+        prompts = body["prompt"] if isinstance(body["prompt"], list) else [body["prompt"]]
         if behaviour == "no_logprobs":
-            payload = {"choices": [{"text": ""}]}
+            choices = [{"index": i, "text": ""} for i in range(len(prompts))]
         elif body.get("echo"):
-            prompt = body["prompt"]
-            # three synthetic continuation tokens of -0.5 each at the tail
-            offsets = [0, max(0, len(prompt) - 3), len(prompt) - 2, len(prompt) - 1]
-            payload = {
-                "choices": [
-                    {
-                        "text": prompt,
-                        "logprobs": {
-                            "token_logprobs": [None, -0.5, -0.5, -0.5],
-                            "text_offset": offsets,
-                        },
-                    }
-                ]
-            }
+            # three synthetic continuation tokens at the tail, each -0.5 times
+            # the prompt's position plus one, so every choice scores apart
+            choices = []
+            for i, prompt in enumerate(prompts):
+                offsets = [0, max(0, len(prompt) - 3), len(prompt) - 2, len(prompt) - 1]
+                lp = -0.5 * (i + 1)
+                choices.append({
+                    "index": i,
+                    "text": prompt,
+                    "logprobs": {"token_logprobs": [None, lp, lp, lp], "text_offset": offsets},
+                })
         else:
-            payload = {"choices": [{"text": " hanosa'}"}]}
+            choices = [{"index": i, "text": " hanosa'}"} for i in range(len(prompts))]
+        if behaviour == "reversed":
+            choices.reverse()
+        elif behaviour == "drop_choice":
+            choices.pop()
+        payload = {"choices": choices}
         data = json.dumps(payload).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -216,14 +223,65 @@ class TestHttpBackend:
     def test_score_echo_path(self, stub_server):
         endpoint, _ = stub_server
         backend = self._backend(endpoint)
-        assert backend.score(PROMPT, "gali'}") == pytest.approx(-1.5)
+        assert backend.score([SCORED]) == [pytest.approx(-1.5)]
+
+    def test_score_one_request_per_call(self, stub_server):
+        endpoint, handler = stub_server
+        backend = self._backend(endpoint)
+        scores = backend.score(CANDIDATES)
+        assert scores == pytest.approx([-1.5, -3.0, -4.5, -6.0])
+        assert len(handler.seen) == 1
+        request = handler.seen[0]
+        assert request["echo"] is True and request["max_tokens"] == 0
+        assert len(request["prompt"]) == 4
+        assert [text.endswith(p.continuation) for text, p in zip(request["prompt"], CANDIDATES)] == [True] * 4
+        calls = backend.event_log.of_kind("backend_call")
+        assert [c["continuation"] for c in calls] == [p.continuation for p in CANDIDATES]
+        assert [c["result"] for c in calls] == scores
+
+    def test_score_matches_choices_by_index(self, stub_server):
+        endpoint, handler = stub_server
+        handler.behaviour = "reversed"
+        backend = self._backend(endpoint)
+        assert backend.score(CANDIDATES) == pytest.approx([-1.5, -3.0, -4.5, -6.0])
+
+    def test_score_wrong_choice_count(self, stub_server):
+        endpoint, handler = stub_server
+        handler.behaviour = "drop_choice"
+        backend = self._backend(endpoint)
+        with pytest.raises(MalformedServiceReply):
+            backend.score(CANDIDATES)
+        assert backend.event_log.of_kind("backend_call") == []
+
+    def test_score_preflight_covers_every_candidate(self, stub_server):
+        endpoint, handler = stub_server
+        plain = apply_chat_template(load_chat_template("plain"), PROMPT)
+        budget = estimate_tokens(plain + CANDIDATES[0].continuation) + 2
+        long_one = replace(PROMPT, continuation="x" * 40 + "'}")
+        backend = self._backend(endpoint, context_budget_tokens=budget)
+        assert len(backend.score(CANDIDATES)) == 4
+        handler.seen.clear()
+        with pytest.raises(ContextOverflow):
+            backend.score(CANDIDATES[:3] + [long_one])
+        assert handler.seen == []  # no request was sent
 
     def test_score_capability_unsupported(self, stub_server):
         endpoint, handler = stub_server
         handler.behaviour = "no_logprobs"
         backend = self._backend(endpoint)
         with pytest.raises(CapabilityUnsupported):
-            backend.score(PROMPT, "gali'}")
+            backend.score(CANDIDATES)
+
+    def test_score_batch_retried_as_a_whole(self, stub_server):
+        endpoint, handler = stub_server
+        handler.failures_left = 1
+        inner = self._backend(endpoint)
+        backend = RetryingBackend(inner, max_retries=3, sleep=lambda s: None)
+        assert backend.score(CANDIDATES) == pytest.approx([-1.5, -3.0, -4.5, -6.0])
+        assert len(handler.seen) == 2
+        records = inner.event_log.records
+        assert [r["kind"] for r in records] == ["backend_retry"] + ["backend_call"] * 4
+        assert [r["continuation"] for r in records[1:]] == [p.continuation for p in CANDIDATES]
 
     def test_context_overflow_preflight(self, stub_server):
         endpoint, handler = stub_server

@@ -97,6 +97,13 @@ class TestMetricsCommand:
         assert code == EXIT_OK
         assert "gen_score[cross]:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_non_positive_permutations_rejected(self, capsys, count):
+        assert run_cli("metrics", GOLDEN_TRAIN_PATH, "--permutations", count) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"error: permutations must be >= 1, got {count}" in captured.err
+        assert captured.out == ""
+
     def test_single_entry_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "one.vocab"
         path.write_text("{'shape':1,'colour':'blue','amount':1,'word':'gali'}\n")

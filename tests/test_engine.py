@@ -19,6 +19,9 @@ from refgame.engine import (
     schedule_round,
 )
 from refgame.metrics import generalization_score, normalized_levenshtein
+from refgame.persistence import file_digest, save_simulation
+
+FULL_STACK_METRICS_SHA256 = "16511a9c6717ab972deab285ddd014305e17599302f0c80aac32c790741e029a"
 
 
 def training_vocab(seed=0):
@@ -324,7 +327,7 @@ class TestRunSimulation:
         assert "labelling" in info.value.partial
         assert "communication" not in info.value.partial
 
-    def test_full_stack_with_prompt_driven_agents(self):
+    def test_full_stack_with_prompt_driven_agents(self, tmp_path):
         # the entire protocol driven through prompts and a scripted
         # in-context-learner backend. Retrieval is perfect where the target
         # sits in context (guessing, labelling); during communication the
@@ -344,6 +347,10 @@ class TestRunSimulation:
         assert len(result.testing["A"].records) == 27
         assert not any(r.failed for r in result.testing["A"].records)
         assert not any(r.failure_mode != "none" for r in result.communication.records)
+        # pinned when each candidate was scored in a call of its own: scoring
+        # a choice's candidates in one call must not change any output byte
+        save_simulation(result, tmp_path)
+        assert file_digest(tmp_path / "metrics.csv") == FULL_STACK_METRICS_SHA256
 
     def test_repair_oracle_topsim_strictly_increases(self):
         config = RunConfig(master_seed=8, mantel_permutations=2000)
@@ -363,7 +370,7 @@ class TestExclusionInvariant:
         vocab, split = training_vocab(7)
         log = EventLog()
         backend = ScriptedBackend(
-            completions=lambda p: "gigi", scores=lambda p, c: -1.0, event_log=log
+            completions=lambda p: "gigi", scores=lambda p: -1.0, event_log=log
         )
         a, b = LLMAgent("A", backend), LLMAgent("B", backend)
         a.set_vocabulary(vocab.copy())
@@ -404,7 +411,7 @@ class TestExclusionInvariant:
         vocab, _ = training_vocab(7)
         log = EventLog()
         backend = ScriptedBackend(
-            completions=lambda p: "gigi", scores=lambda p, c: -1.0, event_log=log
+            completions=lambda p: "gigi", scores=lambda p: -1.0, event_log=log
         )
         agent = LLMAgent("A", backend)
         agent.set_vocabulary(vocab.copy())

@@ -39,6 +39,7 @@ from .persistence import (
     PersistenceError,
     RunManifest,
     chain_row,
+    load_testing_vocabulary,
     metric_row_to_csv,
     read_csv,
     replay_run,
@@ -56,7 +57,6 @@ EXIT_MISMATCH = 3
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "seed", None) is not None:
         config.master_seed = args.seed
-        config.run.master_seed = args.seed
     if getattr(args, "count", None) is not None:
         config.count = args.count
     if getattr(args, "agents", None):
@@ -100,17 +100,16 @@ def _build_agents(config: ExperimentConfig, event_log: EventLog):
 
 
 def _run_one_simulation(config: ExperimentConfig, run_seed: int, run_dir: Path):
-    run_dir.mkdir(parents=True, exist_ok=True)
-    event_log = EventLog(run_dir / "events.jsonl")
+    event_log = EventLog(run_dir / "events.jsonl")  # creates run_dir
     agents = _build_agents(config, event_log)
     run_config = replace(config.run, master_seed=run_seed)
     started = time.time()
     try:
         result = run_simulation(run_config, agents, event_log=event_log)
     except SimulationAborted as err:
-        save_partial(err.partial, run_config, run_dir, error=str(err), started=started)
+        save_partial(err.partial, run_dir, error=str(err), started=started)
         raise
-    save_simulation(result, run_dir, event_log=event_log, started=started)
+    save_simulation(result, run_dir, started=started)
     return result
 
 
@@ -147,8 +146,7 @@ def _import_generation_zero(seed_dir: Path, chain_seed: int, donor_permutations:
     manifest.verify_digests(seed_dir)
     agent_ids = tuple(manifest.extra["agent_ids"])
     testing = {
-        agent_id: Vocabulary.load(seed_dir / "vocab" / f"testing_{agent_id}.vocab").pairs()
-        for agent_id in agent_ids
+        agent_id: load_testing_vocabulary(seed_dir, agent_id).pairs() for agent_id in agent_ids
     }
     selection = select_donor(
         testing[agent_ids[0]],
@@ -163,11 +161,15 @@ def _import_generation_zero(seed_dir: Path, chain_seed: int, donor_permutations:
     return selection, language
 
 
-def _resume_point(chain_dir: Path, generations: int):
-    """Largest prefix of complete, digest-valid generation directories."""
-    done = 0
+def _gen_dir(chain_dir: Path, generation: int) -> Path:
+    return chain_dir / f"gen{generation:02d}"
+
+
+def _finished_donors(chain_dir: Path, generations: int) -> list[str]:
+    """Donor ids of the longest prefix of complete, digest-valid generations."""
+    donors = []
     for generation in range(generations):
-        gen_dir = chain_dir / f"gen{generation:02d}"
+        gen_dir = _gen_dir(chain_dir, generation)
         try:
             manifest = RunManifest.load(gen_dir)
             manifest.verify_digests(gen_dir)
@@ -175,8 +177,8 @@ def _resume_point(chain_dir: Path, generations: int):
             break
         if manifest.status != "complete" or "donor_id" not in manifest.extra:
             break
-        done += 1
-    return done
+        donors.append(manifest.extra["donor_id"])
+    return donors
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
@@ -215,58 +217,60 @@ def cmd_chain(args: argparse.Namespace) -> int:
             )
             start_generation = 1
         else:
-            resumed = _resume_point(chain_dir, settings.generations)
-            if resumed:
+            donors = _finished_donors(chain_dir, settings.generations)
+            if donors:
+                resumed = len(donors)
                 print(f"chain {chain_index}: resuming after generation {resumed - 1}")
-                last_dir = chain_dir / f"gen{resumed - 1:02d}"
-                donor_id = RunManifest.load(last_dir).extra["donor_id"]
-                donor_pairs = Vocabulary.load(
-                    last_dir / "vocab" / f"testing_{donor_id}.vocab"
-                ).pairs()
+                last_dir = _gen_dir(chain_dir, resumed - 1)
+                donor_pairs = load_testing_vocabulary(last_dir, donors[-1]).pairs()
                 training_language = derive_training_language(
                     donor_pairs, Random(derive_seed(chain_seed, f"portion:{resumed}"))
                 )
                 start_generation = resumed
-                rows.extend(_stored_chain_rows(chain_dir, chain_index, resumed))
+                rows.extend(_stored_chain_rows(chain_dir, chain_index, donors))
 
         current_log: dict[int, EventLog] = {}
 
         def event_log_factory(generation: int) -> EventLog:
-            gen_dir = chain_dir / f"gen{generation:02d}"
-            gen_dir.mkdir(parents=True, exist_ok=True)
-            current_log[generation] = EventLog(gen_dir / "events.jsonl")
+            current_log[generation] = EventLog(_gen_dir(chain_dir, generation) / "events.jsonl")
             return current_log[generation]
 
         def agent_factory(generation):
             return _build_agents(config, current_log.get(generation) or EventLog())
 
         def persist_generation(record, chain_index=chain_index, chain_dir=chain_dir, rows=rows):
-            gen_dir = chain_dir / f"gen{record.generation:02d}"
-            manifest = save_simulation(record.result, gen_dir)
-            manifest.extra.update(
-                donor_id=record.donor_id,
-                donor_degenerate=record.donor_degenerate,
-                generation=record.generation,
+            save_simulation(
+                record.result,
+                _gen_dir(chain_dir, record.generation),
+                extra={
+                    "donor_id": record.donor_id,
+                    "donor_degenerate": record.donor_degenerate,
+                    "generation": record.generation,
+                },
             )
-            manifest.save(gen_dir)
             metric_rows = [metric_row_to_csv(row) for row in record.result.metric_rows]
             rows.append(chain_row(chain_index, record.generation, record.donor_id, metric_rows))
             write_csv(chain_dir / "chain.csv", CHAIN_COLUMNS, rows)
 
-        run_chain(
-            chain_config,
-            agent_factory,
-            event_log_factory=event_log_factory,
-            on_generation=persist_generation,
-            start_generation=start_generation,
-            training_language=training_language,
-        )
+        try:
+            run_chain(
+                chain_config,
+                agent_factory,
+                event_log_factory=event_log_factory,
+                on_generation=persist_generation,
+                start_generation=start_generation,
+                training_language=training_language,
+            )
+        except SimulationAborted as err:
+            # the failed generation is the last one given an event log
+            save_partial(err.partial, _gen_dir(chain_dir, max(current_log)), error=str(err))
+            raise
         write_csv(chain_dir / "chain.csv", CHAIN_COLUMNS, rows)
         print(f"chain {chain_index}: {len(rows)} generation rows -> {chain_dir / 'chain.csv'}")
     return EXIT_OK
 
 
-def _stored_chain_rows(chain_dir: Path, chain_index: int, generations_done: int) -> list[dict]:
+def _stored_chain_rows(chain_dir: Path, chain_index: int, donors: list[str]) -> list[dict]:
     """chain.csv rows for finished generations, rebuilt from the generation
     directories when the CSV is missing or behind."""
     csv_path = chain_dir / "chain.csv"
@@ -275,13 +279,12 @@ def _stored_chain_rows(chain_dir: Path, chain_index: int, generations_done: int)
         for row in read_csv(csv_path):
             by_generation[int(row["generation"])] = row
     rows = []
-    for generation in range(generations_done):
+    for generation, donor_id in enumerate(donors):
         if generation in by_generation:
             rows.append(by_generation[generation])
             continue
-        gen_dir = chain_dir / f"gen{generation:02d}"
-        donor_id = RunManifest.load(gen_dir).extra["donor_id"]
-        rows.append(chain_row(chain_index, generation, donor_id, read_csv(gen_dir / "metrics.csv")))
+        metric_rows = read_csv(_gen_dir(chain_dir, generation) / "metrics.csv")
+        rows.append(chain_row(chain_index, generation, donor_id, metric_rows))
     return rows
 
 

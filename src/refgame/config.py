@@ -49,8 +49,8 @@ class ExperimentConfig:
         return data
 
 
-def _build_section(cls, data: dict, path: str):
-    known = set(cls.__dataclass_fields__)
+def _build_section(cls, data: dict, path: str, derived: frozenset = frozenset()):
+    known = set(cls.__dataclass_fields__) - derived
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in section '{path}'")
@@ -67,9 +67,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     run_data = data.pop("run", {}) or {}
     chain_data = data.pop("chain", {}) or {}
     backend_data = data.pop("backend", {}) or {}
-    run_data.setdefault("master_seed", data.get("master_seed", 0))
     config = _build_section(ExperimentConfig, data, "<root>")
-    config.run = _build_section(RunConfig, run_data, "run")
+    # every run derives its master seed from the root one
+    config.run = _build_section(RunConfig, run_data, "run", derived=frozenset({"master_seed"}))
     config.chain = _build_section(ChainSettings, chain_data, "chain")
     config.backend = _build_section(BackendDescriptor, backend_data, "backend")
     validate_config(config)

@@ -5,12 +5,16 @@ discrimination over the training language), a labelling block (whose
 productions become each agent's learned vocabulary), four communication
 rounds of thirty referential-game interactions with vocabulary updates, and
 a testing block producing signals for the full 27-stimulus space.
+
+A ``SimulationResult`` is the one record of a run: ``run_simulation`` fills
+it block by block, persistence saves it (complete, or as the ``partial`` of
+``SimulationAborted``) and replay rebuilds it from a run directory.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
 
@@ -40,10 +44,10 @@ class EngineError(Exception):
 
 
 class SimulationAborted(EngineError):
-    """A block failed fatally; ``partial`` holds everything completed so far
-    so the caller can persist an incomplete run."""
+    """A block failed fatally; ``partial`` is the run's result holding every
+    block both agents completed, so the caller can persist an incomplete run."""
 
-    def __init__(self, message: str, partial: dict):
+    def __init__(self, message: str, partial: SimulationResult):
         super().__init__(message)
         self.partial = partial
 
@@ -119,7 +123,6 @@ class TestingRecord:
 
 @dataclass
 class GuessingResult:
-    agent_id: str
     records: list[GuessingRecord]
 
     @property
@@ -129,7 +132,6 @@ class GuessingResult:
 
 @dataclass
 class LabellingResult:
-    agent_id: str
     records: list[LabellingRecord]
     learned: Vocabulary
 
@@ -147,7 +149,6 @@ class CommunicationResult:
 
 @dataclass
 class TestingResult:
-    agent_id: str
     records: list[TestingRecord]
 
     def pairs(self) -> list[tuple[Stimulus, Signal]]:
@@ -168,15 +169,18 @@ class MetricRow:
 
 @dataclass
 class SimulationResult:
+    """A run's record; per-agent block results are keyed by agent id. A block
+    field stays empty until both agents have finished that block."""
+
     config: RunConfig
     agent_ids: tuple[str, str]
     split: TrainTestSplit
     initial_language: Vocabulary
-    guessing: dict[str, GuessingResult]
-    labelling: dict[str, LabellingResult]
-    communication: CommunicationResult
-    testing: dict[str, TestingResult]
-    metric_rows: list[MetricRow]
+    guessing: dict[str, GuessingResult] = field(default_factory=dict)
+    labelling: dict[str, LabellingResult] = field(default_factory=dict)
+    communication: CommunicationResult | None = None
+    testing: dict[str, TestingResult] = field(default_factory=dict)
+    metric_rows: list[MetricRow] = field(default_factory=list)
 
 
 def _context(event_log: EventLog | None, **fields) -> None:
@@ -234,7 +238,7 @@ def run_guessing_block(
             correct=record.correct,
             failure_mode=record.failure_mode,
         )
-    return GuessingResult(agent_id=agent.agent_id, records=records)
+    return GuessingResult(records=records)
 
 
 def run_labelling_block(
@@ -279,7 +283,7 @@ def run_labelling_block(
             failed=failed,
         )
     agent.set_vocabulary(learned)
-    return LabellingResult(agent_id=agent.agent_id, records=records, learned=learned)
+    return LabellingResult(records=records, learned=learned)
 
 
 def schedule_round(
@@ -429,21 +433,13 @@ def run_testing_block(
             failed=record.failed,
             extrapolated=record.extrapolated,
         )
-    return TestingResult(agent_id=agent.agent_id, records=records)
+    return TestingResult(records=records)
 
 
-def compute_metric_rows(
-    config: RunConfig,
-    split: TrainTestSplit,
-    initial_language: Vocabulary,
-    guessing: dict[str, GuessingResult],
-    labelling: dict[str, LabellingResult],
-    communication: CommunicationResult,
-    testing: dict[str, TestingResult],
-    agent_ids: tuple[str, str],
-) -> list[MetricRow]:
+def compute_metric_rows(result: SimulationResult) -> list[MetricRow]:
     """All metric rows of a run. TopSim seeds derive from the master seed and
     the row context, so recomputation (replay) is reproducible."""
+    config = result.config
     permutations = config.mantel_permutations
 
     def report(pairs, label, **kwargs):
@@ -459,33 +455,33 @@ def compute_metric_rows(
             block="initial",
             round=None,
             agent_id="",
-            report=report(initial_language.pairs(), "initial"),
+            report=report(result.initial_language.pairs(), "initial"),
         )
     ]
-    for agent_id in agent_ids:
+    for agent_id in result.agent_ids:
         rows.append(
             MetricRow(
                 block="guessing",
                 round=None,
                 agent_id=agent_id,
-                report=report(initial_language.pairs(), f"guessing::{agent_id}"),
-                accuracy=guessing[agent_id].accuracy,
+                report=report(result.initial_language.pairs(), f"guessing::{agent_id}"),
+                accuracy=result.guessing[agent_id].accuracy,
             )
         )
-    for agent_id in agent_ids:
-        result = labelling[agent_id]
+    for agent_id in result.agent_ids:
+        labelling = result.labelling[agent_id]
         rows.append(
             MetricRow(
                 block="labelling",
                 round=None,
                 agent_id=agent_id,
-                report=report(result.learned.pairs(), f"labelling::{agent_id}"),
-                mean_levenshtein=result.mean_distance,
+                report=report(labelling.learned.pairs(), f"labelling::{agent_id}"),
+                mean_levenshtein=labelling.mean_distance,
             )
         )
     for round_number in range(1, config.rounds + 1):
-        for agent_id in agent_ids:
-            vocab = communication.round_vocabs[agent_id][round_number - 1]
+        for agent_id in result.agent_ids:
+            vocab = result.communication.round_vocabs[agent_id][round_number - 1]
             rows.append(
                 MetricRow(
                     block="communication",
@@ -494,13 +490,13 @@ def compute_metric_rows(
                     report=report(
                         vocab.pairs(),
                         f"communication:{round_number}:{agent_id}",
-                        perc_com=communication.perc_com[round_number - 1],
+                        perc_com=result.communication.perc_com[round_number - 1],
                     ),
                 )
             )
-    train_set = set(split.train)
-    for agent_id in agent_ids:
-        pairs = testing[agent_id].pairs()
+    train_set = set(result.split.train)
+    for agent_id in result.agent_ids:
+        pairs = result.testing[agent_id].pairs()
         train_pairs = [(s, w) for s, w in pairs if s in train_set]
         test_pairs = [(s, w) for s, w in pairs if s not in train_set]
         gen_score = None
@@ -531,7 +527,7 @@ def run_simulation(
 
     Without an explicit initial language a fresh balanced split and random
     holistic language are generated from the master seed. Fatal agent
-    failures abort with the partial result marked incomplete.
+    failures raise ``SimulationAborted`` carrying the result filled so far.
     """
     config.validate()
     agent_a, agent_b = agents
@@ -547,69 +543,55 @@ def run_simulation(
     _context(event_log, simulation=f"sim-{seed:x}")
     _emit(event_log, "run_start", master_seed=seed, agents=[agent_a.agent_id, agent_b.agent_id])
 
-    guessing: dict[str, GuessingResult] = {}
-    labelling: dict[str, LabellingResult] = {}
-    testing: dict[str, TestingResult] = {}
-    partial: dict = {"split": split, "initial_language": initial_language}
-    for agent in (agent_a, agent_b):
+    result = SimulationResult(
+        config=config,
+        agent_ids=(agent_a.agent_id, agent_b.agent_id),
+        split=split,
+        initial_language=initial_language,
+    )
+    for agent in agents:
         agent.set_vocabulary(initial_language.copy())
 
+    # each block field is assigned once both agents have finished the block
     try:
-        for agent in (agent_a, agent_b):
-            guessing[agent.agent_id] = run_guessing_block(
+        result.guessing = {
+            agent.agent_id: run_guessing_block(
                 agent,
                 initial_language,
                 Random(derive_seed(seed, f"guessing:{agent.agent_id}")),
                 distractors=config.guessing_distractors,
                 event_log=event_log,
             )
-        partial["guessing"] = guessing
-        for agent in (agent_a, agent_b):
-            labelling[agent.agent_id] = run_labelling_block(
+            for agent in agents
+        }
+        result.labelling = {
+            agent.agent_id: run_labelling_block(
                 agent,
                 initial_language,
                 Random(derive_seed(seed, f"labelling:{agent.agent_id}")),
                 event_log=event_log,
             )
-        partial["labelling"] = labelling
-        communication = run_communication_block(
+            for agent in agents
+        }
+        result.communication = run_communication_block(
             agent_a,
             agent_b,
             Random(derive_seed(seed, "communication")),
             config,
             event_log=event_log,
         )
-        partial["communication"] = communication
-        for agent in (agent_a, agent_b):
-            testing[agent.agent_id] = run_testing_block(
+        result.testing = {
+            agent.agent_id: run_testing_block(
                 agent,
                 Random(derive_seed(seed, f"testing:{agent.agent_id}")),
                 event_log=event_log,
             )
-        partial["testing"] = testing
+            for agent in agents
+        }
     except Exception as err:  # fatal backend exhaustion: partial result
         _emit(event_log, "run_aborted", error=str(err))
-        raise SimulationAborted(str(err), partial) from err
+        raise SimulationAborted(str(err), result) from err
 
-    rows = compute_metric_rows(
-        config,
-        split,
-        initial_language,
-        guessing,
-        labelling,
-        communication,
-        testing,
-        (agent_a.agent_id, agent_b.agent_id),
-    )
+    result.metric_rows = compute_metric_rows(result)
     _emit(event_log, "run_end", complete=True)
-    return SimulationResult(
-        config=config,
-        agent_ids=(agent_a.agent_id, agent_b.agent_id),
-        split=split,
-        initial_language=initial_language,
-        guessing=guessing,
-        labelling=labelling,
-        communication=communication,
-        testing=testing,
-        metric_rows=rows,
-    )
+    return result

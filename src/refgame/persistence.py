@@ -3,9 +3,12 @@
 A simulation persists as a self-contained directory: manifest (config,
 seeds, versions, file digests), an events log (one structured record per
 interaction and backend call), per-block vocabulary snapshots, and a
-metrics CSV whose rows all carry a schema version. Any completed run can be
-replayed offline: the metrics are recomputed from the logged interactions
-and snapshots and compared against the stored CSV.
+metrics CSV whose rows all carry a schema version. One writer saves a
+``SimulationResult`` whether the run completed or aborted; an aborted run
+keeps the snapshots of the blocks it finished and an ``incomplete``
+manifest. Any completed run can be replayed offline: the result is rebuilt
+from the logged interactions and snapshots, its metrics are recomputed and
+compared against the stored CSV.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .backend import EventLog
-from .domain import Stimulus, Vocabulary, split_for_train
+from .domain import Stimulus, Vocabulary, VocabularyEntry, split_for_train
 from .engine import (
     CommunicationResult,
     GuessingRecord,
@@ -191,38 +194,27 @@ class RunManifest:
                 raise DigestMismatch(f"digest mismatch for {name}: {actual} != {digest}")
 
 
-def _vocab_paths(result: SimulationResult) -> dict[str, Vocabulary]:
-    paths = {"vocab/initial.vocab": result.initial_language}
-    for agent_id in result.agent_ids:
-        paths[f"vocab/learned_{agent_id}.vocab"] = result.labelling[agent_id].learned
-    for agent_id in result.agent_ids:
-        for round_number, vocab in enumerate(result.communication.round_vocabs[agent_id], start=1):
-            paths[f"vocab/round{round_number}_{agent_id}.vocab"] = vocab
-    for agent_id in result.agent_ids:
-        testing = Vocabulary(
-            (
-                _entry(record.stimulus, record.signal)
-                for record in result.testing[agent_id].records
-                if not record.failed
-            )
-        )
-        paths[f"vocab/testing_{agent_id}.vocab"] = testing
-    return paths
+def _vocab_path(run_dir: Path, snapshot: str, agent_id: str = "") -> Path:
+    """The snapshot layout: vocab/initial.vocab, vocab/learned_A.vocab,
+    vocab/round1_A.vocab, vocab/testing_A.vocab."""
+    name = f"{snapshot}_{agent_id}" if agent_id else snapshot
+    return run_dir / "vocab" / f"{name}.vocab"
 
 
-def _entry(stimulus, signal):
-    from .domain import VocabularyEntry
+def load_testing_vocabulary(run_dir: str | Path, agent_id: str) -> Vocabulary:
+    """An agent's testing-block output as saved in a run directory."""
+    return Vocabulary.load(_vocab_path(Path(run_dir), "testing", agent_id))
 
-    return VocabularyEntry(stimulus, signal, 0)
 
-
-def save_simulation(
+def _save_run(
     result: SimulationResult,
     run_dir: str | Path,
-    event_log: EventLog | None = None,
-    started: float | None = None,
+    status: str,
+    started: float | None,
+    extra: dict,
 ) -> RunManifest:
-    """Persist a completed simulation: vocab snapshots, metrics CSV, manifest.
+    """Write every vocab snapshot the result holds, the metrics CSV when it
+    has metric rows, then the manifest with a digest of every file.
 
     The events file must already live at run_dir/events.jsonl (the engine
     writes it live through the EventLog); it is digested like every other
@@ -230,13 +222,22 @@ def save_simulation(
     """
     base = Path(run_dir)
     (base / "vocab").mkdir(parents=True, exist_ok=True)
-    for rel_path, vocab in _vocab_paths(result).items():
-        vocab.save(base / rel_path)
-    write_csv(
-        base / "metrics.csv",
-        METRICS_COLUMNS,
-        [metric_row_to_csv(row) for row in result.metric_rows],
-    )
+    result.initial_language.save(_vocab_path(base, "initial"))
+    for agent_id, labelling in result.labelling.items():
+        labelling.learned.save(_vocab_path(base, "learned", agent_id))
+    if result.communication is not None:
+        for agent_id, vocabs in result.communication.round_vocabs.items():
+            for round_number, vocab in enumerate(vocabs, start=1):
+                vocab.save(_vocab_path(base, f"round{round_number}", agent_id))
+    for agent_id, testing in result.testing.items():
+        produced = Vocabulary(VocabularyEntry(s, w) for s, w in testing.pairs())
+        produced.save(_vocab_path(base, "testing", agent_id))
+    if result.metric_rows:
+        write_csv(
+            base / "metrics.csv",
+            METRICS_COLUMNS,
+            [metric_row_to_csv(row) for row in result.metric_rows],
+        )
     files = {}
     for path in sorted(base.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
@@ -244,53 +245,40 @@ def save_simulation(
     manifest = RunManifest(
         config=asdict(result.config),
         master_seed=result.config.master_seed,
-        status="complete",
+        status=status,
         started=started or time.time(),
         finished=time.time(),
         files=files,
-        extra={"agent_ids": list(result.agent_ids)},
+        extra={"agent_ids": list(result.agent_ids), **extra},
     )
     manifest.save(base)
     return manifest
 
 
+def save_simulation(
+    result: SimulationResult,
+    run_dir: str | Path,
+    started: float | None = None,
+    extra: dict | None = None,
+) -> RunManifest:
+    """Persist a completed simulation; ``extra`` adds manifest fields."""
+    return _save_run(result, run_dir, "complete", started, extra or {})
+
+
 def save_partial(
-    partial: dict,
-    config: RunConfig,
+    partial: SimulationResult,
     run_dir: str | Path,
     error: str,
     started: float | None = None,
 ) -> RunManifest:
-    """Persist whatever an aborted simulation completed, marked incomplete.
-
-    ``partial`` is the payload of SimulationAborted: initial language and
-    split always, plus the block results that finished before the failure.
-    """
-    base = Path(run_dir)
-    (base / "vocab").mkdir(parents=True, exist_ok=True)
-    partial["initial_language"].save(base / "vocab" / "initial.vocab")
-    for agent_id, labelling in partial.get("labelling", {}).items():
-        labelling.learned.save(base / "vocab" / f"learned_{agent_id}.vocab")
-    communication = partial.get("communication")
-    if communication is not None:
-        for agent_id, vocabs in communication.round_vocabs.items():
-            for round_number, vocab in enumerate(vocabs, start=1):
-                vocab.save(base / "vocab" / f"round{round_number}_{agent_id}.vocab")
-    files = {}
-    for path in sorted(base.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            files[path.relative_to(base).as_posix()] = file_digest(path)
-    manifest = RunManifest(
-        config=asdict(config),
-        master_seed=config.master_seed,
-        status="incomplete",
-        started=started or time.time(),
-        finished=time.time(),
-        files=files,
-        extra={"error": error, "completed_blocks": sorted(set(partial) - {"split", "initial_language"})},
-    )
-    manifest.save(base)
-    return manifest
+    """Persist whatever an aborted simulation completed, marked incomplete."""
+    completed = [
+        block
+        for block in ("guessing", "labelling", "communication", "testing")
+        if getattr(partial, block)
+    ]
+    extra = {"error": error, "completed_blocks": sorted(completed)}
+    return _save_run(partial, run_dir, "incomplete", started, extra)
 
 
 def _stimulus(attrs) -> Stimulus:
@@ -298,15 +286,9 @@ def _stimulus(attrs) -> Stimulus:
     return Stimulus(int(shape), str(colour), int(amount))
 
 
-def _load_events(run_dir: Path) -> list[dict]:
-    events_path = run_dir / "events.jsonl"
-    if not events_path.exists():
-        raise PersistenceError(f"no events log in {run_dir}")
-    return EventLog.read(events_path)
-
-
-def load_run_for_replay(run_dir: str | Path):
-    """Rebuild the block results of a persisted run from its directory alone."""
+def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationResult]:
+    """Rebuild the result of a persisted run from its directory alone; its
+    metric rows are left for the caller to recompute."""
     base = Path(run_dir)
     manifest = RunManifest.load(base)
     if manifest.status != "complete":
@@ -314,17 +296,19 @@ def load_run_for_replay(run_dir: str | Path):
             f"run is marked {manifest.status!r}; only completed runs replay"
         )
     manifest.verify_digests(base)
-    config = RunConfig(**manifest.config)
-    agent_ids = tuple(manifest.extra["agent_ids"])
-    events = _load_events(base)
+    events_path = base / "events.jsonl"
+    if not events_path.exists():
+        raise PersistenceError(f"no events log in {run_dir}")
+    events = EventLog.read(events_path)
+    initial = Vocabulary.load(_vocab_path(base, "initial"))
+    result = SimulationResult(
+        config=RunConfig(**manifest.config),
+        agent_ids=tuple(manifest.extra["agent_ids"]),
+        split=split_for_train(initial.stimuli()),
+        initial_language=initial,
+    )
 
-    initial = Vocabulary.load(base / "vocab" / "initial.vocab")
-    split = split_for_train(initial.stimuli())
-
-    guessing = {}
-    labelling = {}
-    testing = {}
-    for agent_id in agent_ids:
+    for agent_id in result.agent_ids:
         guess_records = [
             GuessingRecord(
                 stimulus=_stimulus(e["stimulus"]),
@@ -336,7 +320,7 @@ def load_run_for_replay(run_dir: str | Path):
             for e in events
             if e["kind"] == "guess" and e["agent"] == agent_id
         ]
-        guessing[agent_id] = GuessingResult(agent_id=agent_id, records=guess_records)
+        result.guessing[agent_id] = GuessingResult(records=guess_records)
         label_records = [
             LabellingRecord(
                 stimulus=_stimulus(e["stimulus"]),
@@ -348,10 +332,9 @@ def load_run_for_replay(run_dir: str | Path):
             for e in events
             if e["kind"] == "label" and e["agent"] == agent_id
         ]
-        labelling[agent_id] = LabellingResult(
-            agent_id=agent_id,
+        result.labelling[agent_id] = LabellingResult(
             records=label_records,
-            learned=Vocabulary.load(base / "vocab" / f"learned_{agent_id}.vocab"),
+            learned=Vocabulary.load(_vocab_path(base, "learned", agent_id)),
         )
         test_records = [
             TestingRecord(
@@ -363,7 +346,7 @@ def load_run_for_replay(run_dir: str | Path):
             for e in events
             if e["kind"] == "testing" and e["agent"] == agent_id
         ]
-        testing[agent_id] = TestingResult(agent_id=agent_id, records=test_records)
+        result.testing[agent_id] = TestingResult(records=test_records)
 
     interactions = [
         InteractionRecord(
@@ -381,7 +364,7 @@ def load_run_for_replay(run_dir: str | Path):
         for e in events
         if e["kind"] == "interaction"
     ]
-    rounds = config.rounds
+    rounds = result.config.rounds
     perc_com = []
     for round_number in range(1, rounds + 1):
         in_round = [r for r in interactions if r.round == round_number]
@@ -390,15 +373,15 @@ def load_run_for_replay(run_dir: str | Path):
         perc_com.append(sum(r.success for r in in_round) / len(in_round))
     round_vocabs = {
         agent_id: [
-            Vocabulary.load(base / "vocab" / f"round{n}_{agent_id}.vocab")
+            Vocabulary.load(_vocab_path(base, f"round{n}", agent_id))
             for n in range(1, rounds + 1)
         ]
-        for agent_id in agent_ids
+        for agent_id in result.agent_ids
     }
-    communication = CommunicationResult(
+    result.communication = CommunicationResult(
         records=interactions, perc_com=perc_com, round_vocabs=round_vocabs
     )
-    return manifest, config, agent_ids, split, initial, guessing, labelling, communication, testing
+    return manifest, result
 
 
 @dataclass
@@ -422,21 +405,8 @@ def replay_run(run_dir: str | Path, tolerance: float = 1e-9) -> ReplayReport:
     """Offline verification: digests, then metric recomputation from the
     event log and vocabulary snapshots, compared against the stored CSV."""
     base = Path(run_dir)
-    (
-        manifest,
-        config,
-        agent_ids,
-        split,
-        initial,
-        guessing,
-        labelling,
-        communication,
-        testing,
-    ) = load_run_for_replay(base)
-    recomputed_rows = compute_metric_rows(
-        config, split, initial, guessing, labelling, communication, testing, agent_ids
-    )
-    recomputed = [metric_row_to_csv(r) for r in recomputed_rows]
+    _, result = load_run_for_replay(base)
+    recomputed = [metric_row_to_csv(r) for r in compute_metric_rows(result)]
     stored = read_csv(base / "metrics.csv")
     mismatches: list[ReplayMismatch] = []
     if len(stored) != len(recomputed):

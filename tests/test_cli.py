@@ -7,9 +7,12 @@ import pytest
 import yaml
 
 import refgame
-from refgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_VALIDATION, main
+from refgame import cli
+from refgame.agents import LookupOracle
+from refgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from refgame.domain import Vocabulary
-from refgame.persistence import read_csv
+from refgame.persistence import RunManifest, read_csv
+from refgame.prompts import PromptTask
 from tests_paths import GOLDEN_TRAIN_PATH, GOLDEN_TEST_PATH
 
 
@@ -68,6 +71,16 @@ class TestSimulate:
         path.write_text(yaml.safe_dump({"run": {"roundz": 4}}))
         assert run_cli("simulate", "--config", str(path)) == EXIT_VALIDATION
         assert "roundz" in capsys.readouterr().err
+
+    def test_run_master_seed_rejected_before_writing(self, tmp_path, capsys):
+        # every run derives its seed from the root master_seed or --seed
+        path = tmp_path / "seeded.yaml"
+        path.write_text(yaml.safe_dump({"run": {"master_seed": 7}}))
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--config", str(path), "--out", str(out)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "unknown key" in err and "master_seed" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, message",
@@ -200,6 +213,47 @@ class TestChainCommand:
         full_csv = (full_out / "chain-00" / "chain.csv").read_bytes()
         resumed_csv = (resumed_out / "chain-00" / "chain.csv").read_bytes()
         assert full_csv == resumed_csv
+
+    def test_aborted_generation_saved_incomplete_and_resumed(self, tmp_path, monkeypatch, capsys):
+        class Exploding(LookupOracle):
+            def produce_signal(self, stimulus, task, rng):
+                if task is PromptTask.SPEAKING:
+                    raise RuntimeError("service gone")
+                return super().produce_signal(stimulus, task, rng)
+
+        build_agents = cli._build_agents
+        built = []
+
+        def failing_in_generation_one(config, event_log):
+            built.append(event_log)
+            agents = build_agents(config, event_log)
+            return (Exploding("A"), agents[1]) if len(built) == 2 else agents
+
+        shared = [
+            "chain", "--chains", "1", "--generations", "3", "--seed", "8",
+            "--agents", "oracle:lookup,oracle:lookup", "--permutations", "60",
+        ]
+        out = tmp_path / "chains"
+        monkeypatch.setattr(cli, "_build_agents", failing_in_generation_one)
+        assert run_cli(*shared, "--out", str(out)) == EXIT_RUNTIME
+        assert "run aborted: service gone" in capsys.readouterr().err
+        gen_dir = out / "chain-00" / "gen01"
+        manifest = RunManifest.load(gen_dir)
+        assert manifest.status == "incomplete"
+        assert manifest.extra["completed_blocks"] == ["guessing", "labelling"]
+        assert "service gone" in manifest.extra["error"]
+        manifest.verify_digests(gen_dir)
+        assert run_cli("replay", str(gen_dir)) == EXIT_VALIDATION
+        assert "incomplete" in capsys.readouterr().err
+
+        monkeypatch.setattr(cli, "_build_agents", build_agents)
+        assert run_cli(*shared, "--out", str(out)) == EXIT_OK
+        assert "resuming after generation 0" in capsys.readouterr().out
+        assert run_cli("replay", str(gen_dir)) == EXIT_OK
+        full_out = tmp_path / "full"
+        assert run_cli(*shared, "--out", str(full_out)) == EXIT_OK
+        full_csv = (full_out / "chain-00" / "chain.csv").read_bytes()
+        assert (out / "chain-00" / "chain.csv").read_bytes() == full_csv
 
     def test_rerun_of_complete_chain_is_noop(self, tmp_path):
         shared = ["--seed", "8", "--agents", "oracle:lookup,oracle:lookup", "--permutations", "60"]

@@ -19,7 +19,7 @@ from refgame.engine import (
     schedule_round,
 )
 from refgame.metrics import generalization_score, normalized_levenshtein
-from refgame.persistence import file_digest, save_simulation
+from refgame.persistence import RunManifest, file_digest, save_partial, save_simulation
 
 FULL_STACK_METRICS_SHA256 = "16511a9c6717ab972deab285ddd014305e17599302f0c80aac32c790741e029a"
 
@@ -323,9 +323,33 @@ class TestRunSimulation:
         config = RunConfig(master_seed=0, mantel_permutations=10)
         with pytest.raises(SimulationAborted) as info:
             run_simulation(config, (a, b))
-        assert "guessing" in info.value.partial
-        assert "labelling" in info.value.partial
-        assert "communication" not in info.value.partial
+        partial = info.value.partial
+        assert set(partial.guessing) == {"A", "B"}
+        assert set(partial.labelling) == {"A", "B"}
+        assert partial.communication is None
+        assert partial.testing == {}
+        assert partial.metric_rows == []
+
+    def test_abort_in_second_agents_guessing_completes_no_block(self, tmp_path):
+        from refgame.prompts import PromptTask
+
+        class ExplodingGuesser(LookupOracle):
+            def choose(self, probe, candidates, task, rng, exclude=None):
+                if task is PromptTask.GUESSING:
+                    raise RuntimeError("backend exhausted")
+                return super().choose(probe, candidates, task, rng, exclude)
+
+        config = RunConfig(master_seed=0, mantel_permutations=10)
+        with pytest.raises(SimulationAborted) as info:
+            run_simulation(config, (LookupOracle("A"), ExplodingGuesser("B")))
+        partial = info.value.partial
+        assert partial.guessing == {}
+        assert partial.labelling == {}
+        save_partial(partial, tmp_path, error=str(info.value))
+        manifest = RunManifest.load(tmp_path)
+        assert manifest.status == "incomplete"
+        assert manifest.extra["completed_blocks"] == []
+        assert sorted(path.name for path in (tmp_path / "vocab").iterdir()) == ["initial.vocab"]
 
     def test_full_stack_with_prompt_driven_agents(self, tmp_path):
         # the entire protocol driven through prompts and a scripted

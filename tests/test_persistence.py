@@ -7,7 +7,7 @@ from refgame.agents import CompositionalOracle, LookupOracle
 from refgame.backend import EventLog
 from refgame.config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from refgame.domain import Vocabulary
-from refgame.engine import RunConfig, run_simulation
+from refgame.engine import RunConfig, compute_metric_rows, run_simulation
 from refgame.persistence import (
     CHAIN_COLUMNS,
     METRICS_COLUMNS,
@@ -15,6 +15,8 @@ from refgame.persistence import (
     RunManifest,
     SchemaVersionError,
     file_digest,
+    load_run_for_replay,
+    metric_row_to_csv,
     read_csv,
     replay_run,
     save_simulation,
@@ -30,7 +32,7 @@ def persisted_run(tmp_path, seed=13, agents=None):
         agents = (LookupOracle("A"), LookupOracle("B"))
     config = RunConfig(master_seed=seed, mantel_permutations=150)
     result = run_simulation(config, agents, event_log=event_log)
-    save_simulation(result, run_dir, event_log=event_log)
+    save_simulation(result, run_dir)
     return run_dir, result
 
 
@@ -93,6 +95,16 @@ class TestMetricsCsv:
 
 
 class TestReplay:
+    def test_loaded_result_recomputes_stored_rows(self, tmp_path):
+        run_dir, result = persisted_run(tmp_path)
+        manifest, loaded = load_run_for_replay(run_dir)
+        assert manifest.status == "complete"
+        assert loaded.agent_ids == result.agent_ids
+        assert loaded.metric_rows == []
+        recomputed = [metric_row_to_csv(row) for row in compute_metric_rows(loaded)]
+        assert recomputed == read_csv(run_dir / "metrics.csv")
+        assert recomputed == [metric_row_to_csv(row) for row in result.metric_rows]
+
     def test_untouched_run_replays_ok(self, tmp_path):
         run_dir, _ = persisted_run(tmp_path)
         report = replay_run(run_dir)
@@ -162,7 +174,7 @@ class TestPartialPersist:
         config = RunConfig(master_seed=2, mantel_permutations=20)
         with pytest.raises(SimulationAborted) as info:
             run_simulation(config, (Exploding("A"), LookupOracle("B")), event_log=event_log)
-        save_partial(info.value.partial, config, run_dir, error=str(info.value))
+        save_partial(info.value.partial, run_dir, error=str(info.value))
         return run_dir
 
     def test_incomplete_manifest_and_snapshots(self, tmp_path):
@@ -170,6 +182,7 @@ class TestPartialPersist:
         manifest = RunManifest.load(run_dir)
         assert manifest.status == "incomplete"
         assert manifest.extra["completed_blocks"] == ["guessing", "labelling"]
+        assert manifest.extra["agent_ids"] == ["A", "B"]
         assert "service gone" in manifest.extra["error"]
         manifest.verify_digests(run_dir)
         assert (run_dir / "vocab" / "initial.vocab").exists()

@@ -4,11 +4,15 @@ Each generation's dyad learns a 15-item portion of the previous
 generation's testing-block output; the donor is the agent whose 27-item
 testing vocabulary scores the higher TopSim Z. Success flags reset at every
 hand-off.
+
+``run_chain`` is the one chain runner: the directory layout, every seed
+label of a chain, resume, the ``seed_from`` import and the saves live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from random import Random
 from typing import Callable, Sequence
 
@@ -22,8 +26,19 @@ from .domain import (
     enumerate_stimuli,
     sample_training_set,
 )
-from .engine import RunConfig, SimulationResult, derive_seed, run_simulation
+from .engine import RunConfig, SimulationAborted, SimulationResult, derive_seed, run_simulation
 from .metrics import DegenerateMatrixError, topsim_mantel
+from .persistence import (
+    CHAIN_COLUMNS,
+    PersistenceError,
+    chain_row,
+    load_run_for_replay,
+    metric_row_to_csv,
+    read_csv,
+    save_partial,
+    save_simulation,
+    write_csv,
+)
 
 
 class ChainError(Exception):
@@ -32,14 +47,17 @@ class ChainError(Exception):
 
 @dataclass
 class ChainConfig:
+    chains: int = 6
     generations: int = 8
-    master_seed: int = 0
-    run: RunConfig = field(default_factory=RunConfig)
     donor_permutations: int = 1000
+    # a simulation directory imported as generation 0 of every chain
+    seed_from: str | None = None
     # sparse per-generation RunConfig field overrides, e.g. {3: {"rounds": 2}}
     generation_overrides: dict[int, dict] = field(default_factory=dict)
 
     def validate(self) -> None:
+        if self.chains < 1:
+            raise ChainError("chains must be >= 1")
         if self.generations < 1:
             raise ChainError("generations must be >= 1")
         if self.donor_permutations < 1:
@@ -71,7 +89,6 @@ class GenerationRecord:
     result: SimulationResult
     donor_id: str
     transmitted: list[tuple[Stimulus, Signal]]
-    donor_degenerate: bool = False
 
 
 def select_donor(
@@ -119,67 +136,146 @@ def derive_training_language(
     return Vocabulary(VocabularyEntry(s, signal_for[s], 0) for s in split.train)
 
 
+def chain_dir(out_dir: str | Path, chain_index: int) -> Path:
+    """The directory of chain ``chain_index`` under ``out_dir``."""
+    return Path(out_dir) / f"chain-{chain_index:02d}"
+
+
+def _generation_run_config(
+    config: ChainConfig, run: RunConfig, chain_seed: int, generation: int
+) -> RunConfig:
+    overrides = {int(g): o for g, o in config.generation_overrides.items()}
+    return replace(
+        run,
+        **overrides.get(generation, {}),
+        master_seed=derive_seed(chain_seed, f"generation:{generation}"),
+    )
+
+
+def _select_generation_donor(
+    config: ChainConfig, chain_seed: int, generation: int, result: SimulationResult
+) -> DonorSelection:
+    a_id, b_id = result.agent_ids
+    return select_donor(
+        result.testing[a_id].pairs(),
+        result.testing[b_id].pairs(),
+        result.agent_ids,
+        permutations=config.donor_permutations,
+        rng=derive_seed(chain_seed, f"donor:{generation}"),
+    )
+
+
+def _finished_generations(
+    config: ChainConfig, run: RunConfig, chain_seed: int, chain_index: int, directory: Path
+) -> tuple[list[dict], list[tuple[Stimulus, Signal]] | None]:
+    """chain.csv rows of the finished generations and the last donor's
+    testing output (None when nothing is finished): the ``seed_from`` import
+    as generation 0, then the longest prefix of complete, digest-valid
+    generation directories, each row read from ``chain.csv`` or rebuilt from
+    ``metrics.csv``. A finished generation run with another RunConfig than
+    this chain's raises ``PersistenceError``: a resume never splices in
+    another configuration's trace."""
+    rows: list[dict] = []
+    transmitted = None
+    if config.seed_from:
+        seed_dir = Path(config.seed_from)
+        _, seed_result = load_run_for_replay(seed_dir)
+        selection = _select_generation_donor(config, chain_seed, 0, seed_result)
+        rows.append(
+            chain_row(chain_index, 0, selection.donor_id, read_csv(seed_dir / "metrics.csv"))
+        )
+        transmitted = selection.pairs
+    stored = {}
+    if (directory / "chain.csv").exists():
+        stored = {int(row["generation"]): row for row in read_csv(directory / "chain.csv")}
+    for generation in range(len(rows), config.generations):
+        gen_dir = directory / f"gen{generation:02d}"
+        try:
+            manifest, result = load_run_for_replay(gen_dir)
+        except PersistenceError:
+            break
+        if "donor_id" not in manifest.extra:
+            break
+        if result.config != _generation_run_config(config, run, chain_seed, generation):
+            raise PersistenceError(f"{gen_dir} was run with another configuration")
+        donor_id = manifest.extra["donor_id"]
+        rows.append(
+            stored.get(generation)
+            or chain_row(chain_index, generation, donor_id, read_csv(gen_dir / "metrics.csv"))
+        )
+        transmitted = result.testing[donor_id].pairs()
+    return rows, transmitted
+
+
 def run_chain(
     config: ChainConfig,
-    agent_factory: Callable[[int], tuple[Agent, Agent]],
-    event_log_factory: Callable[[int], EventLog | None] | None = None,
-    on_generation: Callable[[GenerationRecord], None] | None = None,
-    start_generation: int = 0,
-    training_language: Vocabulary | None = None,
+    run: RunConfig,
+    master_seed: int,
+    chain_index: int,
+    out_dir: str | Path,
+    agent_factory: Callable[[EventLog], tuple[Agent, Agent]],
 ) -> list[GenerationRecord]:
-    """One transmission chain of ``generations`` dyad simulations.
+    """Run chain ``chain_index`` into ``chain_dir(out_dir, chain_index)``,
+    resuming after the generations already finished there; returns the
+    records of the generations this call ran.
 
-    ``agent_factory(generation)`` supplies a fresh dyad per generation.
-    Generation 0 starts from ``training_language`` when given, else from a
-    fresh random language; later generations learn a derived portion of the
-    previous donor's testing output. A failed generation aborts the chain;
-    earlier records (already passed to ``on_generation``) survive.
-
-    ``start_generation`` > 0 resumes an interrupted chain: seeds are derived
-    from global generation indices, so a resumed chain reproduces the exact
-    trace of an uninterrupted one given the same ``training_language`` for
-    the first executed generation.
+    ``agent_factory(event_log)`` builds a fresh dyad for each generation.
+    Each generation is saved, and ``chain.csv`` rewritten, as soon as it
+    finishes; one that aborts is saved as incomplete before its
+    ``SimulationAborted`` propagates. Seeds derive from the chain seed and
+    the generation index, so a resumed chain equals an uninterrupted one.
     """
     config.validate()
-    if start_generation > 0 and training_language is None:
-        raise ChainError("resuming a chain requires the derived training language")
+    chain_seed = derive_seed(master_seed, f"chain:{chain_index}")
+    directory = chain_dir(out_dir, chain_index)
+    directory.mkdir(parents=True, exist_ok=True)
+    rows, transmitted = _finished_generations(config, run, chain_seed, chain_index, directory)
+    training_language = None
+    if transmitted is not None:
+        training_language = derive_training_language(
+            transmitted, Random(derive_seed(chain_seed, f"portion:{len(rows)}"))
+        )
     records: list[GenerationRecord] = []
-    for generation in range(start_generation, config.generations):
-        event_log = event_log_factory(generation) if event_log_factory else None
-        if event_log is not None:
-            event_log.set_context(generation=generation)
-        agents = agent_factory(generation)
-        run_config = replace(
-            config.run,
-            **config.generation_overrides.get(generation, {}),
-            master_seed=derive_seed(config.master_seed, f"generation:{generation}"),
+    for generation in range(len(rows), config.generations):
+        gen_dir = directory / f"gen{generation:02d}"
+        event_log = EventLog(gen_dir / "events.jsonl")
+        event_log.set_context(generation=generation)
+        agents = agent_factory(event_log)
+        try:
+            result = run_simulation(
+                _generation_run_config(config, run, chain_seed, generation),
+                agents,
+                initial_language=training_language,
+                event_log=event_log,
+            )
+        except SimulationAborted as err:
+            save_partial(err.partial, gen_dir, error=str(err))
+            raise
+        selection = _select_generation_donor(config, chain_seed, generation, result)
+        save_simulation(
+            result,
+            gen_dir,
+            extra={
+                "donor_id": selection.donor_id,
+                "donor_degenerate": selection.degenerate,
+                "generation": generation,
+            },
         )
-        result = run_simulation(
-            run_config,
-            agents,
-            initial_language=training_language,
-            event_log=event_log,
+        metric_rows = [metric_row_to_csv(row) for row in result.metric_rows]
+        rows.append(chain_row(chain_index, generation, selection.donor_id, metric_rows))
+        write_csv(directory / "chain.csv", CHAIN_COLUMNS, rows)
+        records.append(
+            GenerationRecord(
+                generation=generation,
+                training_language=result.initial_language,
+                result=result,
+                donor_id=selection.donor_id,
+                transmitted=selection.pairs,
+            )
         )
-        selection = select_donor(
-            result.testing[result.agent_ids[0]].pairs(),
-            result.testing[result.agent_ids[1]].pairs(),
-            result.agent_ids,
-            permutations=config.donor_permutations,
-            rng=derive_seed(config.master_seed, f"donor:{generation}"),
-        )
-        record = GenerationRecord(
-            generation=generation,
-            training_language=result.initial_language,
-            result=result,
-            donor_id=selection.donor_id,
-            transmitted=selection.pairs,
-            donor_degenerate=selection.degenerate,
-        )
-        records.append(record)
-        if on_generation is not None:
-            on_generation(record)
         training_language = derive_training_language(
             selection.pairs,
-            Random(derive_seed(config.master_seed, f"portion:{generation + 1}")),
+            Random(derive_seed(chain_seed, f"portion:{generation + 1}")),
         )
+    write_csv(directory / "chain.csv", CHAIN_COLUMNS, rows)
     return records

@@ -1,5 +1,8 @@
 """Command-line surface: simulate, chain, metrics, replay.
 
+Each command parses its options, runs and prints. A chain's directory
+layout, resume and per-generation saves live in ``refgame.chains.run_chain``.
+
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime failure,
 3 verification mismatch (replay).
 """
@@ -10,12 +13,12 @@ import argparse
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
-from random import Random
 
 from .agents import make_agent
 from .backend import BackendError, EventLog, HttpBackend, retrying
-from .chains import ChainConfig, derive_training_language, run_chain, select_donor
+from .chains import chain_dir, run_chain
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -34,18 +37,11 @@ from .metrics import (
     unique_signal_ratio,
 )
 from .persistence import (
-    CHAIN_COLUMNS,
     DigestMismatch,
     PersistenceError,
-    RunManifest,
-    chain_row,
-    load_testing_vocabulary,
-    metric_row_to_csv,
-    read_csv,
     replay_run,
     save_partial,
     save_simulation,
-    write_csv,
 )
 
 EXIT_OK = 0
@@ -139,153 +135,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _import_generation_zero(seed_dir: Path, chain_seed: int, donor_permutations: int):
-    """Import a prior simulation as generation 0: pick its donor testing
-    vocabulary and derive the next generation's training language."""
-    manifest = RunManifest.load(seed_dir)
-    manifest.verify_digests(seed_dir)
-    agent_ids = tuple(manifest.extra["agent_ids"])
-    testing = {
-        agent_id: load_testing_vocabulary(seed_dir, agent_id).pairs() for agent_id in agent_ids
-    }
-    selection = select_donor(
-        testing[agent_ids[0]],
-        testing[agent_ids[1]],
-        agent_ids,
-        permutations=donor_permutations,
-        rng=derive_seed(chain_seed, "donor:0"),
-    )
-    language = derive_training_language(
-        selection.pairs, Random(derive_seed(chain_seed, "portion:1"))
-    )
-    return selection, language
-
-
-def _gen_dir(chain_dir: Path, generation: int) -> Path:
-    return chain_dir / f"gen{generation:02d}"
-
-
-def _finished_donors(chain_dir: Path, generations: int) -> list[str]:
-    """Donor ids of the longest prefix of complete, digest-valid generations."""
-    donors = []
-    for generation in range(generations):
-        gen_dir = _gen_dir(chain_dir, generation)
-        try:
-            manifest = RunManifest.load(gen_dir)
-            manifest.verify_digests(gen_dir)
-        except PersistenceError:
-            break
-        if manifest.status != "complete" or "donor_id" not in manifest.extra:
-            break
-        donors.append(manifest.extra["donor_id"])
-    return donors
-
-
 def cmd_chain(args: argparse.Namespace) -> int:
     config = _load_or_default(args)
-    out_base = Path(config.output_dir)
     settings = config.chain
     print(
         f"running {settings.chains} chain(s) x {settings.generations} generation(s), "
         f"master seed {config.master_seed}"
     )
+    agent_factory = partial(_build_agents, config)
     for chain_index in range(settings.chains):
-        chain_seed = derive_seed(config.master_seed, f"chain:{chain_index}")
-        chain_dir = out_base / f"chain-{chain_index:02d}"
-        chain_dir.mkdir(parents=True, exist_ok=True)
-        rows: list[dict] = []
-
-        chain_config = ChainConfig(
-            generations=settings.generations,
-            master_seed=chain_seed,
-            run=config.run,
-            donor_permutations=settings.donor_permutations,
-            generation_overrides={
-                int(g): dict(o) for g, o in settings.generation_overrides.items()
-            },
+        records = run_chain(
+            settings, config.run, config.master_seed, chain_index, config.output_dir, agent_factory
         )
-
-        start_generation = 0
-        training_language = None
-        if settings.seed_from:
-            seed_dir = Path(settings.seed_from)
-            selection, training_language = _import_generation_zero(
-                seed_dir, chain_seed, settings.donor_permutations
-            )
-            rows.append(
-                chain_row(chain_index, 0, selection.donor_id, read_csv(seed_dir / "metrics.csv"))
-            )
-            start_generation = 1
-        else:
-            donors = _finished_donors(chain_dir, settings.generations)
-            if donors:
-                resumed = len(donors)
-                print(f"chain {chain_index}: resuming after generation {resumed - 1}")
-                last_dir = _gen_dir(chain_dir, resumed - 1)
-                donor_pairs = load_testing_vocabulary(last_dir, donors[-1]).pairs()
-                training_language = derive_training_language(
-                    donor_pairs, Random(derive_seed(chain_seed, f"portion:{resumed}"))
-                )
-                start_generation = resumed
-                rows.extend(_stored_chain_rows(chain_dir, chain_index, donors))
-
-        current_log: dict[int, EventLog] = {}
-
-        def event_log_factory(generation: int) -> EventLog:
-            current_log[generation] = EventLog(_gen_dir(chain_dir, generation) / "events.jsonl")
-            return current_log[generation]
-
-        def agent_factory(generation):
-            return _build_agents(config, current_log.get(generation) or EventLog())
-
-        def persist_generation(record, chain_index=chain_index, chain_dir=chain_dir, rows=rows):
-            save_simulation(
-                record.result,
-                _gen_dir(chain_dir, record.generation),
-                extra={
-                    "donor_id": record.donor_id,
-                    "donor_degenerate": record.donor_degenerate,
-                    "generation": record.generation,
-                },
-            )
-            metric_rows = [metric_row_to_csv(row) for row in record.result.metric_rows]
-            rows.append(chain_row(chain_index, record.generation, record.donor_id, metric_rows))
-            write_csv(chain_dir / "chain.csv", CHAIN_COLUMNS, rows)
-
-        try:
-            run_chain(
-                chain_config,
-                agent_factory,
-                event_log_factory=event_log_factory,
-                on_generation=persist_generation,
-                start_generation=start_generation,
-                training_language=training_language,
-            )
-        except SimulationAborted as err:
-            # the failed generation is the last one given an event log
-            save_partial(err.partial, _gen_dir(chain_dir, max(current_log)), error=str(err))
-            raise
-        write_csv(chain_dir / "chain.csv", CHAIN_COLUMNS, rows)
-        print(f"chain {chain_index}: {len(rows)} generation rows -> {chain_dir / 'chain.csv'}")
+        # an imported generation 0 is not a resume
+        finished = settings.generations - len(records)
+        if finished > (1 if settings.seed_from else 0):
+            print(f"chain {chain_index}: resuming after generation {finished - 1}")
+        csv_path = chain_dir(config.output_dir, chain_index) / "chain.csv"
+        print(f"chain {chain_index}: {settings.generations} generation rows -> {csv_path}")
     return EXIT_OK
-
-
-def _stored_chain_rows(chain_dir: Path, chain_index: int, donors: list[str]) -> list[dict]:
-    """chain.csv rows for finished generations, rebuilt from the generation
-    directories when the CSV is missing or behind."""
-    csv_path = chain_dir / "chain.csv"
-    by_generation = {}
-    if csv_path.exists():
-        for row in read_csv(csv_path):
-            by_generation[int(row["generation"])] = row
-    rows = []
-    for generation, donor_id in enumerate(donors):
-        if generation in by_generation:
-            rows.append(by_generation[generation])
-            continue
-        metric_rows = read_csv(_gen_dir(chain_dir, generation) / "metrics.csv")
-        rows.append(chain_row(chain_index, generation, donor_id, metric_rows))
-    return rows
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:

@@ -24,23 +24,13 @@ class ConfigError(Exception):
 
 
 @dataclass
-class ChainSettings:
-    chains: int = 6
-    generations: int = 8
-    donor_permutations: int = 1000
-    seed_from: str | None = None
-    # sparse per-generation RunConfig overrides, e.g. {3: {rounds: 2}}
-    generation_overrides: dict = field(default_factory=dict)
-
-
-@dataclass
 class ExperimentConfig:
     master_seed: int = 0
     count: int = 1
     agents: list[str] = field(default_factory=lambda: ["oracle:lookup", "oracle:lookup"])
     output_dir: str = "runs"
     run: RunConfig = field(default_factory=RunConfig)
-    chain: ChainSettings = field(default_factory=ChainSettings)
+    chain: ChainConfig = field(default_factory=ChainConfig)
     backend: BackendDescriptor = field(default_factory=BackendDescriptor)
 
     def to_dict(self) -> dict:
@@ -70,7 +60,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     config = _build_section(ExperimentConfig, data, "<root>")
     # every run derives its master seed from the root one
     config.run = _build_section(RunConfig, run_data, "run", derived=frozenset({"master_seed"}))
-    config.chain = _build_section(ChainSettings, chain_data, "chain")
+    config.chain = _build_section(ChainConfig, chain_data, "chain")
     config.backend = _build_section(BackendDescriptor, backend_data, "backend")
     validate_config(config)
     return config
@@ -84,17 +74,12 @@ def validate_config(config: ExperimentConfig) -> None:
     for spec in config.agents:
         if spec != "llm" and not spec.startswith("oracle:"):
             raise ConfigError(f"unknown agent spec {spec!r}")
-    if config.chain.chains < 1 or config.chain.generations < 1:
-        raise ConfigError("chain.chains and chain.generations must be >= 1")
     try:
         config.run.validate()
     except EngineError as err:
         raise ConfigError(f"run: {err}") from err
     try:
-        ChainConfig(
-            donor_permutations=config.chain.donor_permutations,
-            generation_overrides=config.chain.generation_overrides,
-        ).validate()
+        config.chain.validate()
     except ChainError as err:
         raise ConfigError(f"chain: {err}") from err
 

@@ -31,6 +31,7 @@ from .domain import (
     split_for_train,
 )
 from .metrics import (
+    MetricError,
     MetricReport,
     normalized_levenshtein,
     generalization_score,
@@ -500,10 +501,10 @@ def compute_metric_rows(result: SimulationResult) -> list[MetricRow]:
         train_pairs = [(s, w) for s, w in pairs if s in train_set]
         test_pairs = [(s, w) for s, w in pairs if s not in train_set]
         gen_score = None
-        if train_pairs and test_pairs:
+        if len(pairs) >= 3 and train_pairs and test_pairs:
             try:
                 gen_score = generalization_score(train_pairs, test_pairs, pairs="cross")
-            except Exception:
+            except MetricError:
                 gen_score = None
         rows.append(
             MetricRow(

@@ -314,9 +314,9 @@ class MetricReport:
     """Structure measurements of one vocabulary snapshot."""
 
     topsim: TopSimResult | None
-    ngram_diversity: float
-    mean_signal_length: float
-    unique_signal_ratio: float
+    ngram_diversity: float | None = None
+    mean_signal_length: float | None = None
+    unique_signal_ratio: float | None = None
     perc_com: float | None = None
     gen_score: float | None = None
     degenerate: bool = False
@@ -330,7 +330,10 @@ def vocabulary_report(
     gen_score: float | None = None,
 ) -> MetricReport:
     """MetricReport over (stimulus, signal) pairs; degenerate TopSim is flagged,
-    not raised, so reporting never aborts a run."""
+    not raised, so reporting never aborts a run. Fewer than 3 pairs (failed
+    testing productions) give a degenerate report with no measurements."""
+    if len(pairs) < 3:
+        return MetricReport(topsim=None, perc_com=perc_com, gen_score=gen_score, degenerate=True)
     signals = [w for _, w in pairs]
     try:
         topsim = topsim_mantel(pairs, permutations=permutations, rng=rng)

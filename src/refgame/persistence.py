@@ -201,11 +201,6 @@ def _vocab_path(run_dir: Path, snapshot: str, agent_id: str = "") -> Path:
     return run_dir / "vocab" / f"{name}.vocab"
 
 
-def load_testing_vocabulary(run_dir: str | Path, agent_id: str) -> Vocabulary:
-    """An agent's testing-block output as saved in a run directory."""
-    return Vocabulary.load(_vocab_path(Path(run_dir), "testing", agent_id))
-
-
 def _save_run(
     result: SimulationResult,
     run_dir: str | Path,

@@ -6,11 +6,14 @@ silently zero the per-layer metrics. This test reads the benchmark's code
 and changes nothing in it.
 """
 
+import pickle
+from functools import partial
 from pathlib import Path
 
 import refgame.chains
 import refgame.cli  # noqa: F401  (loads every module the tracer wraps)
 import refgame.engine
+from refgame.config import ExperimentConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,3 +33,34 @@ def test_tracer_finds_every_wrapped_name(monkeypatch):
 def test_chains_runs_the_engine_simulation():
     # the benchmark wraps refgame.chains.run_simulation to time generations
     assert refgame.chains.run_simulation is refgame.engine.run_simulation
+
+
+def test_chain_calls_run_simulation_through_the_module(monkeypatch, tmp_path):
+    # the benchmark marks each generation by replacing the module global; a
+    # local binding would collapse oracle_chain's per-generation samples
+    calls = []
+    original = refgame.chains.run_simulation
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(refgame.chains, "run_simulation", counting)
+    config = ExperimentConfig()
+    config.run.mantel_permutations = 20
+    config.chain.generations = 2
+    config.chain.donor_permutations = 20
+    refgame.chains.run_chain(
+        config.chain, config.run, 0, 0, tmp_path, partial(refgame.cli._build_agents, config)
+    )
+    assert len(calls) == 2
+
+
+def test_chain_call_pickles():
+    # a chain is one picklable top-level call, so it can run in a worker process
+    config = ExperimentConfig()
+    call = (refgame.chains.run_chain, config.chain, config.run, partial(refgame.cli._build_agents, config))
+    restored = pickle.loads(pickle.dumps(call))
+    assert restored[0] is refgame.chains.run_chain
+    assert restored[1] == config.chain and restored[2] == config.run
+    assert restored[3].func is refgame.cli._build_agents and restored[3].args == (config,)

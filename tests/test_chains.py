@@ -12,7 +12,7 @@ from refgame.chains import (
     select_donor,
 )
 from refgame.domain import SHAPES, COLOURS, AMOUNTS, enumerate_stimuli, generate_language
-from refgame.engine import RunConfig, derive_seed
+from refgame.engine import RunConfig
 from refgame.metrics import topsim_mantel
 
 
@@ -25,17 +25,15 @@ def random_pairs(seed=0):
     return generate_language(Random(seed), enumerate_stimuli()).pairs()
 
 
-def lookup_factory(generation):
+def lookup_factory(event_log):
     return LookupOracle("A"), LookupOracle("B")
 
 
+FAST_RUN = RunConfig(mantel_permutations=60)
+
+
 def fast_chain_config(**overrides):
-    settings = dict(
-        generations=3,
-        master_seed=5,
-        run=RunConfig(mantel_permutations=60),
-        donor_permutations=60,
-    )
+    settings = dict(generations=3, donor_permutations=60)
     settings.update(overrides)
     return ChainConfig(**settings)
 
@@ -99,47 +97,47 @@ class TestDeriveTrainingLanguage:
 
 
 class TestRunChain:
-    def test_structure_and_indices(self):
-        records = run_chain(fast_chain_config(generations=4), lookup_factory)
+    def test_structure_and_indices(self, tmp_path):
+        records = run_chain(fast_chain_config(generations=4), FAST_RUN, 5, 0, tmp_path, lookup_factory)
         assert [r.generation for r in records] == [0, 1, 2, 3]
         for record in records:
             assert len(record.transmitted) == 27
             assert len(record.training_language) == 15
 
-    def test_lookup_learnability_zero(self):
-        records = run_chain(fast_chain_config(), lookup_factory)
+    def test_lookup_learnability_zero(self, tmp_path):
+        records = run_chain(fast_chain_config(), FAST_RUN, 5, 0, tmp_path, lookup_factory)
         for record in records[1:]:
             for agent_id in record.result.agent_ids:
                 assert record.result.labelling[agent_id].mean_distance == 0.0
 
-    def test_transmission_integrity(self):
-        records = run_chain(fast_chain_config(generations=4), lookup_factory)
+    def test_transmission_integrity(self, tmp_path):
+        records = run_chain(fast_chain_config(generations=4), FAST_RUN, 5, 0, tmp_path, lookup_factory)
         for previous, current in zip(records, records[1:]):
             donor_map = dict(previous.transmitted)
             for entry in current.training_language:
                 assert donor_map[entry.stimulus] == entry.signal
 
-    def test_flags_reset_each_generation(self):
-        records = run_chain(fast_chain_config(), lookup_factory)
+    def test_flags_reset_each_generation(self, tmp_path):
+        records = run_chain(fast_chain_config(), FAST_RUN, 5, 0, tmp_path, lookup_factory)
         for record in records:
             assert all(e.communicative_success == 0 for e in record.training_language)
 
-    def test_chain_determinism(self):
-        a = run_chain(fast_chain_config(), lookup_factory)
-        b = run_chain(fast_chain_config(), lookup_factory)
+    def test_chain_determinism(self, tmp_path):
+        a = run_chain(fast_chain_config(), FAST_RUN, 5, 0, tmp_path / "a", lookup_factory)
+        b = run_chain(fast_chain_config(), FAST_RUN, 5, 0, tmp_path / "b", lookup_factory)
         for ra, rb in zip(a, b):
             assert ra.donor_id == rb.donor_id
             assert ra.transmitted == rb.transmitted
             assert ra.result.communication.perc_com == rb.result.communication.perc_com
 
-    def test_compositional_donor_keeps_structure(self):
+    def test_compositional_donor_keeps_structure(self, tmp_path):
         # a dyad applying shared composition rules transmits high-TopSim output;
         # every later generation's donor stays above generation 0's random language
-        def factory(generation):
+        def factory(event_log):
             return CompositionalOracle("A"), CompositionalOracle("B")
 
-        config = fast_chain_config(generations=3, run=RunConfig(mantel_permutations=300), donor_permutations=300)
-        records = run_chain(config, factory)
+        config = fast_chain_config(generations=3, donor_permutations=300)
+        records = run_chain(config, RunConfig(mantel_permutations=300), 5, 0, tmp_path, factory)
         gen0_language_z = topsim_mantel(
             records[0].training_language, permutations=300, rng=0
         ).z_score
@@ -147,14 +145,14 @@ class TestRunChain:
             donor_z = topsim_mantel(record.transmitted, permutations=300, rng=0).z_score
             assert donor_z >= gen0_language_z
 
-    def test_truncating_learner_improves_learnability(self):
+    def test_truncating_learner_improves_learnability(self, tmp_path):
         # generation 0 struggles with long holistic signals; once the language
         # has been filtered through the 4-character bottleneck it reproduces
         # exactly
-        def factory(generation):
+        def factory(event_log):
             return TruncatingOracle("A"), TruncatingOracle("B")
 
-        records = run_chain(fast_chain_config(generations=2, master_seed=3), factory)
+        records = run_chain(fast_chain_config(generations=2), FAST_RUN, 3, 0, tmp_path, factory)
 
         def learnability(record):
             return sum(
@@ -165,41 +163,29 @@ class TestRunChain:
         assert learnability(records[1]) < learnability(records[0])
         assert learnability(records[1]) == 0.0
 
-    def test_per_generation_overrides(self):
+    def test_per_generation_overrides(self, tmp_path):
         config = fast_chain_config(
             generations=2, generation_overrides={1: {"rounds": 2}}
         )
-        records = run_chain(config, lookup_factory)
+        records = run_chain(config, FAST_RUN, 5, 0, tmp_path, lookup_factory)
         assert len(records[0].result.communication.perc_com) == 4
         assert len(records[1].result.communication.perc_com) == 2
 
-    def test_unknown_override_rejected(self):
+    def test_unknown_override_rejected(self, tmp_path):
         config = fast_chain_config(generation_overrides={0: {"roundz": 2}})
         with pytest.raises(ChainError, match="roundz"):
-            run_chain(config, lookup_factory)
+            run_chain(config, FAST_RUN, 5, 0, tmp_path, lookup_factory)
 
-    def test_master_seed_override_rejected(self):
+    def test_master_seed_override_rejected(self, tmp_path):
         config = fast_chain_config(generation_overrides={0: {"master_seed": 5}})
         with pytest.raises(ChainError, match="master_seed"):
-            run_chain(config, lookup_factory)
+            run_chain(config, FAST_RUN, 5, 0, tmp_path, lookup_factory)
 
-    def test_resume_requires_language(self):
-        with pytest.raises(ChainError):
-            run_chain(fast_chain_config(), lookup_factory, start_generation=2)
-
-    def test_resumed_chain_matches_uninterrupted(self):
+    def test_resumed_chain_matches_uninterrupted(self, tmp_path):
         config = fast_chain_config(generations=3)
-        full = run_chain(config, lookup_factory)
-        prefix = run_chain(fast_chain_config(generations=2), lookup_factory)
-        resumed = run_chain(
-            config,
-            lookup_factory,
-            start_generation=2,
-            training_language=derive_training_language(
-                prefix[-1].transmitted,
-                Random(derive_seed(config.master_seed, "portion:2")),
-            ),
-        )
+        full = run_chain(config, FAST_RUN, 5, 0, tmp_path / "full", lookup_factory)
+        run_chain(fast_chain_config(generations=2), FAST_RUN, 5, 0, tmp_path / "resumed", lookup_factory)
+        resumed = run_chain(config, FAST_RUN, 5, 0, tmp_path / "resumed", lookup_factory)
         assert len(resumed) == 1
         assert resumed[0].generation == 2
         assert resumed[0].transmitted == full[2].transmitted

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -310,6 +311,62 @@ class TestChainCommand:
             r for r in seed_rows if r["block"] == "testing" and r["agent"] == donor
         )
         assert rows[0]["topsim_z"] == seed_testing["topsim_z"]
+
+    def test_seeded_chain_resumes(self, tmp_path, capsys):
+        shared = seeded_chain_argv(tmp_path)
+        full_out, out = tmp_path / "full", tmp_path / "chains"
+        assert run_cli(*shared, "--out", str(full_out)) == EXIT_OK
+        assert run_cli(*shared, "--out", str(out)) == EXIT_OK
+        chain_dir = out / "chain-00"
+        shutil.rmtree(chain_dir / "gen02")
+        stamp = (chain_dir / "gen01" / "manifest.json").stat().st_mtime_ns
+        capsys.readouterr()
+        assert run_cli(*shared, "--out", str(out)) == EXIT_OK
+        assert "resuming after generation 1" in capsys.readouterr().out
+        assert (chain_dir / "gen01" / "manifest.json").stat().st_mtime_ns == stamp
+        full_csv = (full_out / "chain-00" / "chain.csv").read_bytes()
+        assert (chain_dir / "chain.csv").read_bytes() == full_csv
+        assert run_cli("replay", str(chain_dir / "gen02")) == EXIT_OK
+
+    def test_rerun_of_complete_seeded_chain_is_noop(self, tmp_path):
+        shared = [*seeded_chain_argv(tmp_path), "--out", str(tmp_path / "chains")]
+        assert run_cli(*shared) == EXIT_OK
+        chain_dir = tmp_path / "chains" / "chain-00"
+        before = (chain_dir / "chain.csv").read_bytes()
+        stamps = [(chain_dir / g / "manifest.json").stat().st_mtime_ns for g in ("gen01", "gen02")]
+        assert run_cli(*shared) == EXIT_OK
+        assert (chain_dir / "chain.csv").read_bytes() == before
+        assert [(chain_dir / g / "manifest.json").stat().st_mtime_ns for g in ("gen01", "gen02")] == stamps
+
+    @pytest.mark.parametrize(
+        "changed", [["--seed", "2"], ["--permutations", "100"]], ids=["seed", "permutations"]
+    )
+    def test_resume_with_another_configuration_refused(self, tmp_path, capsys, changed):
+        shared = ["chain", "--chains", "1", "--seed", "1", "--permutations", "60"]
+        out = tmp_path / "chains"
+        assert run_cli(*shared, "--generations", "2", "--out", str(out)) == EXIT_OK
+        stamps = {path: path.stat().st_mtime_ns for path in out.rglob("*") if path.is_file()}
+        capsys.readouterr()
+        code = run_cli(*shared, *changed, "--generations", "3", "--out", str(out))
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "gen00" in err and "another configuration" in err
+        assert {path: path.stat().st_mtime_ns for path in out.rglob("*") if path.is_file()} == stamps
+        assert not (out / "chain-00" / "gen02").exists()
+
+
+def seeded_chain_argv(tmp_path):
+    """A 3-generation chain command seeded from a fresh simulation."""
+    sims = tmp_path / "sims"
+    run_cli(
+        "simulate", "--seed", "3", "--agents", "oracle:lookup,oracle:lookup",
+        "--out", str(sims), "--permutations", "60",
+    )
+    return [
+        "chain", "--chains", "1", "--generations", "3", "--seed", "7",
+        "--agents", "oracle:lookup,oracle:lookup", "--seed-from", str(sims / "sim-00"),
+        "--permutations", "60",
+    ]
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+import refgame.engine as engine
 from helpers import InContextLearnerBackend, RepairOracle
 from refgame.agents import CompositionalOracle, LLMAgent, LookupOracle, RandomChooser
 from refgame.backend import EventLog, ScriptedBackend
@@ -375,6 +376,30 @@ class TestRunSimulation:
         # a choice's candidates in one call must not change any output byte
         save_simulation(result, tmp_path)
         assert file_digest(tmp_path / "metrics.csv") == FULL_STACK_METRICS_SHA256
+
+    def test_programming_error_in_gen_score_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a metric failure")
+
+        monkeypatch.setattr(engine, "generalization_score", broken)
+        config = RunConfig(master_seed=0, mantel_permutations=10)
+        with pytest.raises(TypeError, match="not a metric failure"):
+            run_simulation(config, (LookupOracle("A"), LookupOracle("B")))
+
+    def test_constant_testing_signals_leave_gen_score_empty(self):
+        from refgame.prompts import PromptTask
+
+        class ConstantSpeaker(LookupOracle):
+            def produce_signal(self, stimulus, task, rng):
+                if task is PromptTask.SPEAKING:
+                    return "gigi"
+                return super().produce_signal(stimulus, task, rng)
+
+        config = RunConfig(master_seed=0, mantel_permutations=10)
+        result = run_simulation(config, (ConstantSpeaker("A"), LookupOracle("B")))
+        testing = {row.agent_id: row.report for row in result.metric_rows if row.block == "testing"}
+        assert testing["A"].gen_score is None
+        assert testing["A"].degenerate
 
     def test_repair_oracle_topsim_strictly_increases(self):
         config = RunConfig(master_seed=8, mantel_permutations=2000)

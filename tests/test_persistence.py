@@ -3,10 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from refgame.agents import CompositionalOracle, LookupOracle
+from refgame.agents import CompositionalOracle, LookupOracle, ProductionFailure
 from refgame.backend import EventLog
 from refgame.config import ConfigError, ExperimentConfig, config_from_dict, load_config
-from refgame.domain import Vocabulary
+from refgame.domain import Vocabulary, enumerate_stimuli
 from refgame.engine import RunConfig, compute_metric_rows, run_simulation
 from refgame.persistence import (
     CHAIN_COLUMNS,
@@ -22,6 +22,7 @@ from refgame.persistence import (
     save_simulation,
     write_csv,
 )
+from refgame.prompts import PromptTask
 
 
 def persisted_run(tmp_path, seed=13, agents=None):
@@ -115,6 +116,27 @@ class TestReplay:
         run_dir, _ = persisted_run(
             tmp_path, agents=(CompositionalOracle("A"), CompositionalOracle("B"))
         )
+        assert replay_run(run_dir).ok
+
+    @pytest.mark.parametrize("kept", [0, 2])
+    def test_failed_testing_productions_give_degenerate_row(self, tmp_path, kept):
+        # fewer than 3 testing productions leave nothing to measure: the run
+        # still completes, saves and replays, with an empty degenerate row
+        kept_stimuli = set(enumerate_stimuli()[:kept])
+
+        class FailingSpeaker(LookupOracle):
+            def produce_signal(self, stimulus, task, rng):
+                if task is PromptTask.SPEAKING and stimulus not in kept_stimuli:
+                    raise ProductionFailure("no signal")
+                return super().produce_signal(stimulus, task, rng)
+
+        run_dir, _ = persisted_run(tmp_path, agents=(FailingSpeaker("A"), LookupOracle("B")))
+        rows = read_csv(run_dir / "metrics.csv")
+        testing = {row["agent"]: row for row in rows if row["block"] == "testing"}
+        assert testing["A"]["degenerate"] == "1"
+        for column in ("topsim_z", "ngram_diversity", "unique_signal_ratio", "gen_score"):
+            assert testing["A"][column] == ""
+        assert testing["B"]["degenerate"] == "0"
         assert replay_run(run_dir).ok
 
     def test_edited_event_log_fails_digest(self, tmp_path):

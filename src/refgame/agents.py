@@ -88,7 +88,21 @@ def _nearest_vocab_entry(vocab: Vocabulary, stimulus: Stimulus):
     return by_stimulus[min(ordered, key=lambda s: semantic_distance(stimulus, s))]
 
 
-class LookupOracle(Agent):
+class _Oracle(Agent):
+    """An agent that applies its production rule directly. A choice takes
+    the candidate closest, by edit distance, to the oracle's own production."""
+
+    def choose(self, probe, candidates, task, rng, exclude=None) -> int:
+        if isinstance(probe, Stimulus):  # guessing: candidates are signals
+            expected = self.produce_signal(probe, task, rng)
+            return _argmin([normalized_levenshtein(expected, c) for c in candidates])
+        # listening: candidates are stimuli; compare the heard signal with the
+        # signals this agent would produce for each candidate
+        expected = [self.produce_signal(c, task, rng) for c in candidates]
+        return _argmin([normalized_levenshtein(probe, e) for e in expected])
+
+
+class LookupOracle(_Oracle):
     """Reproduces its stored vocabulary exactly.
 
     Unseen stimuli fall back to the nearest semantic neighbour (ties broken
@@ -106,18 +120,8 @@ class LookupOracle(Agent):
     def extrapolated(self, stimulus: Stimulus) -> bool:
         return self.vocabulary is not None and stimulus not in self.vocabulary
 
-    def choose(self, probe, candidates, task, rng, exclude=None) -> int:
-        assert self.vocabulary is not None
-        if isinstance(probe, Stimulus):  # guessing: candidates are signals
-            expected = self.produce_signal(probe, task, rng)
-            return _argmin([normalized_levenshtein(expected, c) for c in candidates])
-        # listening: candidates are stimuli; compare the heard signal with the
-        # signals this agent would produce for each candidate
-        expected = [self.produce_signal(c, task, rng) for c in candidates]
-        return _argmin([normalized_levenshtein(probe, e) for e in expected])
 
-
-class CompositionalOracle(Agent):
+class CompositionalOracle(_Oracle):
     """Builds signals by concatenating per-attribute syllables, ignoring its
     vocabulary entirely; the fully rule-governed reference agent."""
 
@@ -146,14 +150,6 @@ class CompositionalOracle(Agent):
 
     def produce_signal(self, stimulus, task, rng) -> Signal:
         return self.rule_signal(stimulus)
-
-    def choose(self, probe, candidates, task, rng, exclude=None) -> int:
-        if isinstance(probe, Stimulus):
-            expected = self.rule_signal(probe)
-            return _argmin([normalized_levenshtein(expected, c) for c in candidates])
-        return _argmin(
-            [normalized_levenshtein(probe, self.rule_signal(c)) for c in candidates]
-        )
 
 
 class RandomChooser(LookupOracle):

@@ -242,14 +242,6 @@ class RetryingBackend(CompletionBackend):
         self.backoff_base = backoff_base
         self.sleep = sleep
 
-    @property
-    def event_log(self):  # noqa: D401 - delegation
-        return self.inner.event_log
-
-    @event_log.setter
-    def event_log(self, value):
-        self.inner.event_log = value
-
     def _with_retries(self, fn):
         attempt = 0
         while True:

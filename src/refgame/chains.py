@@ -221,9 +221,10 @@ def run_chain(
 
     ``agent_factory(event_log)`` builds a fresh dyad for each generation.
     Each generation is saved, and ``chain.csv`` rewritten, as soon as it
-    finishes; one that aborts is saved as incomplete before its
-    ``SimulationAborted`` propagates. Seeds derive from the chain seed and
-    the generation index, so a resumed chain equals an uninterrupted one.
+    finishes; one that aborts, or whose dyad has no complete testing output
+    to transmit, is saved as incomplete before its ``SimulationAborted``
+    propagates. Seeds derive from the chain seed and the generation index,
+    so a resumed chain equals an uninterrupted one.
     """
     config.validate()
     chain_seed = derive_seed(master_seed, f"chain:{chain_index}")
@@ -248,10 +249,13 @@ def run_chain(
                 initial_language=training_language,
                 event_log=event_log,
             )
+            try:
+                selection = _select_generation_donor(config, chain_seed, generation, result)
+            except ChainError as err:  # nothing complete to transmit
+                raise SimulationAborted(str(err), result) from err
         except SimulationAborted as err:
             save_partial(err.partial, gen_dir, error=str(err))
             raise
-        selection = _select_generation_donor(config, chain_seed, generation, result)
         save_simulation(
             result,
             gen_dir,

@@ -14,7 +14,7 @@ it block by block, persistence saves it (complete, or as the ``partial`` of
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from random import Random
 from typing import Sequence
 
@@ -33,6 +33,7 @@ from .domain import (
 from .metrics import (
     MetricError,
     MetricReport,
+    communicative_success_rate,
     normalized_levenshtein,
     generalization_score,
     vocabulary_report,
@@ -82,40 +83,85 @@ class RunConfig:
             raise EngineError("mantel_permutations must be >= 1")
 
 
+def _encode(value):
+    if isinstance(value, Stimulus):
+        return value.attributes()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(name: str, value):
+    # fixed by field name: resolving annotations per event would dominate replay
+    if name == "stimulus":
+        return Stimulus(*value)
+    if name == "candidates":
+        # guessing candidates are signals, interaction candidates stimuli
+        return tuple(Stimulus(*c) if isinstance(c, list) else c for c in value)
+    return value
+
+
+class _BlockEvent:
+    """A block record is its own ``events.jsonl`` event of kind ``KIND``: the
+    field names are the event keys, in declaration order, and stimuli are
+    written as ``[shape, colour, amount]``. A key missing from an older log
+    decodes to the field's default."""
+
+    def event(self) -> dict:
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_event(cls, event: dict):
+        return cls(
+            **{f.name: _decode(f.name, event[f.name]) for f in fields(cls) if f.name in event}
+        )
+
+
 @dataclass
-class InteractionRecord:
+class InteractionRecord(_BlockEvent):
+    KIND = "interaction"
+
     round: int  # 1-based
-    task_index: int
-    speaker_id: str
-    listener_id: str
+    task: int
+    speaker: str
+    listener: str
     stimulus: Stimulus
     signal: Signal
     candidates: tuple[Stimulus, ...]
-    chosen_index: int
+    chosen: int
     success: bool
     failure_mode: str = "none"  # none | failed-production | failed-choice
 
 
 @dataclass
-class GuessingRecord:
+class GuessingRecord(_BlockEvent):
+    KIND = "guess"
+
     stimulus: Stimulus
     candidates: tuple[Signal, ...]
-    chosen_index: int
+    chosen: int
     correct: bool
     failure_mode: str = "none"
 
 
 @dataclass
-class LabellingRecord:
+class LabellingRecord(_BlockEvent):
+    KIND = "label"
+
     stimulus: Stimulus
     truth: Signal
     produced: Signal
-    distance: float
     failed: bool = False
+
+    @property
+    def distance(self) -> float:
+        return normalized_levenshtein(self.truth, self.produced)
 
 
 @dataclass
-class TestingRecord:
+class TestingRecord(_BlockEvent):
+    KIND = "testing"
+
     stimulus: Stimulus
     signal: Signal
     failed: bool = False
@@ -144,8 +190,13 @@ class LabellingResult:
 @dataclass
 class CommunicationResult:
     records: list[InteractionRecord]
-    perc_com: list[float]  # one value per round
     round_vocabs: dict[str, list[Vocabulary]]  # agent id -> post-round snapshots
+
+    @property
+    def perc_com(self) -> list[float]:
+        """Communicative success, one value per logged round."""
+        rounds = sorted({r.round for r in self.records})
+        return [communicative_success_rate(self.records, round=n) for n in rounds]
 
 
 @dataclass
@@ -218,27 +269,19 @@ def run_guessing_block(
             record = GuessingRecord(
                 stimulus=stimulus,
                 candidates=tuple(candidates),
-                chosen_index=chosen,
+                chosen=chosen,
                 correct=candidates[chosen] == truth,
             )
         except ChoiceFailure:
             record = GuessingRecord(
                 stimulus=stimulus,
                 candidates=tuple(candidates),
-                chosen_index=-1,
+                chosen=-1,
                 correct=False,
                 failure_mode="failed-choice",
             )
         records.append(record)
-        _emit(
-            event_log,
-            "guess",
-            stimulus=stimulus.attributes(),
-            candidates=list(record.candidates),
-            chosen=record.chosen_index,
-            correct=record.correct,
-            failure_mode=record.failure_mode,
-        )
+        _emit(event_log, record.KIND, **record.event())
     return GuessingResult(records=records)
 
 
@@ -266,23 +309,14 @@ def run_labelling_block(
             produced = truth
             failed = True
         learned.update(stimulus, produced, 0)
-        records.append(
-            LabellingRecord(
-                stimulus=stimulus,
-                truth=truth,
-                produced=produced,
-                distance=normalized_levenshtein(truth, produced),
-                failed=failed,
-            )
-        )
-        _emit(
-            event_log,
-            "label",
-            stimulus=stimulus.attributes(),
+        record = LabellingRecord(
+            stimulus=stimulus,
             truth=truth,
             produced=produced,
             failed=failed,
         )
+        records.append(record)
+        _emit(event_log, record.KIND, **record.event())
     agent.set_vocabulary(learned)
     return LabellingResult(records=records, learned=learned)
 
@@ -324,12 +358,10 @@ def run_communication_block(
     agents = {agent_a.agent_id: agent_a, agent_b.agent_id: agent_b}
     train = list(agent_a.vocabulary.stimuli())
     records: list[InteractionRecord] = []
-    perc_com: list[float] = []
     round_vocabs: dict[str, list[Vocabulary]] = {agent_a.agent_id: [], agent_b.agent_id: []}
 
     for round_number in range(1, config.rounds + 1):
         tasks = schedule_round(train, rng, (agent_a.agent_id, agent_b.agent_id))
-        round_records = []
         for task_index, (speaker_id, stimulus) in enumerate(tasks):
             speaker = agents[speaker_id]
             listener = agents[[i for i in agents if i != speaker_id][0]]
@@ -364,31 +396,18 @@ def run_communication_block(
 
             record = InteractionRecord(
                 round=round_number,
-                task_index=task_index,
-                speaker_id=speaker_id,
-                listener_id=listener.agent_id,
-                stimulus=stimulus,
-                signal=signal,
-                candidates=tuple(candidates),
-                chosen_index=chosen,
-                success=success,
-                failure_mode=failure_mode,
-            )
-            round_records.append(record)
-            _emit(
-                event_log,
-                "interaction",
-                round=round_number,
                 task=task_index,
                 speaker=speaker_id,
                 listener=listener.agent_id,
-                stimulus=stimulus.attributes(),
+                stimulus=stimulus,
                 signal=signal,
-                candidates=[c.attributes() for c in candidates],
+                candidates=tuple(candidates),
                 chosen=chosen,
                 success=success,
                 failure_mode=failure_mode,
             )
+            records.append(record)
+            _emit(event_log, record.KIND, **record.event())
 
             # both vocabularies adopt the produced signal, flag = outcome
             if failure_mode != "failed-production":
@@ -396,12 +415,10 @@ def run_communication_block(
                 agent_a.vocabulary.update(stimulus, signal, flag)
                 agent_b.vocabulary.update(stimulus, signal, flag)
 
-        records.extend(round_records)
-        perc_com.append(sum(r.success for r in round_records) / len(round_records))
         round_vocabs[agent_a.agent_id].append(agent_a.vocabulary.copy())
         round_vocabs[agent_b.agent_id].append(agent_b.vocabulary.copy())
 
-    return CommunicationResult(records=records, perc_com=perc_com, round_vocabs=round_vocabs)
+    return CommunicationResult(records=records, round_vocabs=round_vocabs)
 
 
 def run_testing_block(
@@ -426,14 +443,7 @@ def run_testing_block(
         except ProductionFailure:
             record = TestingRecord(stimulus=stimulus, signal="", failed=True)
         records.append(record)
-        _emit(
-            event_log,
-            "testing",
-            stimulus=stimulus.attributes(),
-            signal=record.signal,
-            failed=record.failed,
-            extrapolated=record.extrapolated,
-        )
+        _emit(event_log, record.KIND, **record.event())
     return TestingResult(records=records)
 
 
@@ -480,6 +490,7 @@ def compute_metric_rows(result: SimulationResult) -> list[MetricRow]:
                 mean_levenshtein=labelling.mean_distance,
             )
         )
+    perc_com = result.communication.perc_com
     for round_number in range(1, config.rounds + 1):
         for agent_id in result.agent_ids:
             vocab = result.communication.round_vocabs[agent_id][round_number - 1]
@@ -491,7 +502,7 @@ def compute_metric_rows(result: SimulationResult) -> list[MetricRow]:
                     report=report(
                         vocab.pairs(),
                         f"communication:{round_number}:{agent_id}",
-                        perc_com=result.communication.perc_com[round_number - 1],
+                        perc_com=perc_com[round_number - 1],
                     ),
                 )
             )

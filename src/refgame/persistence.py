@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .backend import EventLog
-from .domain import Stimulus, Vocabulary, VocabularyEntry, split_for_train
+from .domain import Vocabulary, VocabularyEntry, split_for_train
 from .engine import (
     CommunicationResult,
     GuessingRecord,
@@ -37,7 +37,6 @@ from .engine import (
     TestingResult,
     compute_metric_rows,
 )
-from .metrics import normalized_levenshtein
 
 SCHEMA_VERSION = 1
 
@@ -276,11 +275,6 @@ def save_partial(
     return _save_run(partial, run_dir, "incomplete", started, extra)
 
 
-def _stimulus(attrs) -> Stimulus:
-    shape, colour, amount = attrs
-    return Stimulus(int(shape), str(colour), int(amount))
-
-
 def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationResult]:
     """Rebuild the result of a persisted run from its directory alone; its
     metric rows are left for the caller to recompute."""
@@ -303,69 +297,26 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
         initial_language=initial,
     )
 
+    def records(record_type, agent_id=None) -> list:
+        return [
+            record_type.from_event(e)
+            for e in events
+            if e["kind"] == record_type.KIND and (agent_id is None or e["agent"] == agent_id)
+        ]
+
     for agent_id in result.agent_ids:
-        guess_records = [
-            GuessingRecord(
-                stimulus=_stimulus(e["stimulus"]),
-                candidates=tuple(e["candidates"]),
-                chosen_index=e["chosen"],
-                correct=e["correct"],
-                failure_mode=e.get("failure_mode", "none"),
-            )
-            for e in events
-            if e["kind"] == "guess" and e["agent"] == agent_id
-        ]
-        result.guessing[agent_id] = GuessingResult(records=guess_records)
-        label_records = [
-            LabellingRecord(
-                stimulus=_stimulus(e["stimulus"]),
-                truth=e["truth"],
-                produced=e["produced"],
-                distance=normalized_levenshtein(e["truth"], e["produced"]),
-                failed=e.get("failed", False),
-            )
-            for e in events
-            if e["kind"] == "label" and e["agent"] == agent_id
-        ]
+        result.guessing[agent_id] = GuessingResult(records=records(GuessingRecord, agent_id))
         result.labelling[agent_id] = LabellingResult(
-            records=label_records,
+            records=records(LabellingRecord, agent_id),
             learned=Vocabulary.load(_vocab_path(base, "learned", agent_id)),
         )
-        test_records = [
-            TestingRecord(
-                stimulus=_stimulus(e["stimulus"]),
-                signal=e["signal"],
-                failed=e.get("failed", False),
-                extrapolated=e.get("extrapolated", False),
-            )
-            for e in events
-            if e["kind"] == "testing" and e["agent"] == agent_id
-        ]
-        result.testing[agent_id] = TestingResult(records=test_records)
+        result.testing[agent_id] = TestingResult(records=records(TestingRecord, agent_id))
 
-    interactions = [
-        InteractionRecord(
-            round=e["round"],
-            task_index=e["task"],
-            speaker_id=e["speaker"],
-            listener_id=e["listener"],
-            stimulus=_stimulus(e["stimulus"]),
-            signal=e["signal"],
-            candidates=tuple(_stimulus(c) for c in e["candidates"]),
-            chosen_index=e["chosen"],
-            success=e["success"],
-            failure_mode=e.get("failure_mode", "none"),
-        )
-        for e in events
-        if e["kind"] == "interaction"
-    ]
+    interactions = records(InteractionRecord)
     rounds = result.config.rounds
-    perc_com = []
     for round_number in range(1, rounds + 1):
-        in_round = [r for r in interactions if r.round == round_number]
-        if not in_round:
+        if not any(r.round == round_number for r in interactions):
             raise PersistenceError(f"no interactions logged for round {round_number}")
-        perc_com.append(sum(r.success for r in in_round) / len(in_round))
     round_vocabs = {
         agent_id: [
             Vocabulary.load(_vocab_path(base, f"round{n}", agent_id))
@@ -373,9 +324,7 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
         ]
         for agent_id in result.agent_ids
     }
-    result.communication = CommunicationResult(
-        records=interactions, perc_com=perc_com, round_vocabs=round_vocabs
-    )
+    result.communication = CommunicationResult(records=interactions, round_vocabs=round_vocabs)
     return manifest, result
 
 

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from enum import Enum
 from random import Random
 
-from .domain import Signal, Stimulus, Vocabulary, VocabularyEntry, format_vocab_line
+from .domain import (
+    Signal,
+    Stimulus,
+    Vocabulary,
+    VocabularyEntry,
+    VocabularyFormatError,
+    format_vocab_line,
+    parse_vocab_line,
+)
 
 MAX_PARSED_SIGNAL_LENGTH = 32
 
@@ -213,11 +221,6 @@ def parse_signal_response(raw: str) -> Signal:
     return signal
 
 
-_PROMPT_LINE_RE = re.compile(
-    r"^\{'shape':(?P<shape>[123]),'colour':'(?P<colour>blue|green|orange)',"
-    r"'amount':(?P<amount>[123]),'word':'(?P<word>[^']*)'"
-    r"(?:,'communicativeSuccess':(?P<success>[01]))?\}$"
-)
 _LISTENER_LINE_RE = re.compile(
     r"^\{'word':'(?P<word>[^']*)','shape':(?P<shape>[123]),"
     r"'colour':'(?P<colour>blue|green|orange)','amount':(?P<amount>[123]),"
@@ -227,9 +230,11 @@ _LISTENER_LINE_RE = re.compile(
 
 def parse_vocabulary_line(line: str) -> VocabularyEntry:
     """Invert render_entry / render_listener_entry for round-trip checks."""
-    match = _PROMPT_LINE_RE.match(line) or _LISTENER_LINE_RE.match(line)
-    if not match:
-        raise PromptError(f"unparseable vocabulary line: {line!r}")
-    stimulus = Stimulus(int(match["shape"]), match["colour"], int(match["amount"]))
-    success = match["success"]
-    return VocabularyEntry(stimulus, match["word"], int(success) if success else 0)
+    match = _LISTENER_LINE_RE.match(line)
+    if match:
+        stimulus = Stimulus(int(match["shape"]), match["colour"], int(match["amount"]))
+        return VocabularyEntry(stimulus, match["word"], int(match["success"]))
+    try:
+        return parse_vocab_line(line)[0]
+    except VocabularyFormatError as err:
+        raise PromptError(f"unparseable vocabulary line: {line!r}") from err

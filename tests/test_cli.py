@@ -9,9 +9,9 @@ import yaml
 
 import refgame
 from refgame import cli
-from refgame.agents import LookupOracle
+from refgame.agents import LookupOracle, ProductionFailure
 from refgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
-from refgame.domain import Vocabulary
+from refgame.domain import Vocabulary, enumerate_stimuli
 from refgame.persistence import RunManifest, read_csv
 from refgame.prompts import PromptTask
 from tests_paths import GOLDEN_TRAIN_PATH, GOLDEN_TEST_PATH
@@ -243,6 +243,54 @@ class TestChainCommand:
         assert manifest.status == "incomplete"
         assert manifest.extra["completed_blocks"] == ["guessing", "labelling"]
         assert "service gone" in manifest.extra["error"]
+        manifest.verify_digests(gen_dir)
+        assert run_cli("replay", str(gen_dir)) == EXIT_VALIDATION
+        assert "incomplete" in capsys.readouterr().err
+
+        monkeypatch.setattr(cli, "_build_agents", build_agents)
+        assert run_cli(*shared, "--out", str(out)) == EXIT_OK
+        assert "resuming after generation 0" in capsys.readouterr().out
+        assert run_cli("replay", str(gen_dir)) == EXIT_OK
+        full_out = tmp_path / "full"
+        assert run_cli(*shared, "--out", str(full_out)) == EXIT_OK
+        full_csv = (full_out / "chain-00" / "chain.csv").read_bytes()
+        assert (out / "chain-00" / "chain.csv").read_bytes() == full_csv
+
+    def test_incomplete_testing_output_aborts_generation_and_resumes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a donor must transmit all 27 testing productions; a dyad that lost
+        # one aborts its generation instead of crashing the chain
+        last = enumerate_stimuli()[-1]
+
+        class FailingLast(LookupOracle):
+            def produce_signal(self, stimulus, task, rng):
+                if stimulus == last and task is PromptTask.SPEAKING:
+                    raise ProductionFailure("no signal")
+                return super().produce_signal(stimulus, task, rng)
+
+        build_agents = cli._build_agents
+        built = []
+
+        def failing_in_generation_one(config, event_log):
+            built.append(event_log)
+            agents = build_agents(config, event_log)
+            return (FailingLast("A"), agents[1]) if len(built) == 2 else agents
+
+        shared = [
+            "chain", "--chains", "1", "--generations", "3", "--seed", "8",
+            "--agents", "oracle:lookup,oracle:lookup", "--permutations", "60",
+        ]
+        out = tmp_path / "chains"
+        monkeypatch.setattr(cli, "_build_agents", failing_in_generation_one)
+        assert run_cli(*shared, "--out", str(out)) == EXIT_RUNTIME
+        assert "run aborted: incomplete testing output for agent A" in capsys.readouterr().err
+        gen_dir = out / "chain-00" / "gen01"
+        manifest = RunManifest.load(gen_dir)
+        assert manifest.status == "incomplete"
+        assert manifest.extra["completed_blocks"] == [
+            "communication", "guessing", "labelling", "testing"
+        ]
         manifest.verify_digests(gen_dir)
         assert run_cli("replay", str(gen_dir)) == EXIT_VALIDATION
         assert "incomplete" in capsys.readouterr().err

@@ -1,10 +1,18 @@
+import json
 from random import Random
 
 import pytest
 
 import refgame.engine as engine
 from helpers import InContextLearnerBackend, RepairOracle
-from refgame.agents import CompositionalOracle, LLMAgent, LookupOracle, RandomChooser
+from refgame.agents import (
+    ChoiceFailure,
+    CompositionalOracle,
+    LLMAgent,
+    LookupOracle,
+    ProductionFailure,
+    RandomChooser,
+)
 from refgame.backend import EventLog, ScriptedBackend
 from refgame.domain import Stimulus, enumerate_stimuli, generate_language, sample_training_set
 from refgame.engine import (
@@ -20,9 +28,17 @@ from refgame.engine import (
     schedule_round,
 )
 from refgame.metrics import generalization_score, normalized_levenshtein
-from refgame.persistence import RunManifest, file_digest, save_partial, save_simulation
+from refgame.persistence import (
+    RunManifest,
+    file_digest,
+    load_run_for_replay,
+    save_partial,
+    save_simulation,
+)
+from refgame.prompts import PromptTask
 
 FULL_STACK_METRICS_SHA256 = "16511a9c6717ab972deab285ddd014305e17599302f0c80aac32c790741e029a"
+FLAKY_ORACLE_EVENTS_SHA256 = "9df8aaaf8095707e23ad34f95c61cac4c4e3d9299c1f5573c2ca63ab6f9a00fb"
 
 
 def training_vocab(seed=0):
@@ -207,7 +223,7 @@ class TestCommunicationBlock:
         result = run_communication_block(a, b, Random(3), RunConfig(rounds=1))
         for record in result.records:
             if record.failure_mode == "none":
-                assert record.success == (record.candidates[record.chosen_index] == record.stimulus)
+                assert record.success == (record.candidates[record.chosen] == record.stimulus)
 
     def test_differing_tables_match_bruteforce_replay(self):
         # speaker and listener share shape/colour syllables but not amounts;
@@ -222,13 +238,13 @@ class TestCommunicationBlock:
         oracles = {"A": a, "B": b}
         successes = 0
         for record in result.records:
-            listener = oracles[record.listener_id]
+            listener = oracles[record.listener]
             distances = [
                 normalized_levenshtein(record.signal, listener.rule_signal(c))
                 for c in record.candidates
             ]
             expected_choice = distances.index(min(distances))
-            assert record.chosen_index == expected_choice
+            assert record.chosen == expected_choice
             expected_success = record.candidates[expected_choice] == record.stimulus
             assert record.success == expected_success
             successes += expected_success
@@ -412,6 +428,93 @@ class TestRunSimulation:
         ]
         assert len(z_by_round) == 4
         assert all(earlier < later for earlier, later in zip(z_by_round, z_by_round[1:]))
+
+
+STIMULUS = Stimulus(1, "blue", 2)
+OTHER = Stimulus(3, "orange", 1)
+
+
+class FlakyOracle(CompositionalOracle):
+    """Fails every production for shape 1 at amount 3, every guess for a
+    green stimulus, and every listening choice for a signal ending in 'a'."""
+
+    def produce_signal(self, stimulus, task, rng):
+        producing = task in (PromptTask.LABELLING, PromptTask.SPEAKING)
+        if producing and stimulus.shape == 1 and stimulus.amount == 3:
+            raise ProductionFailure("no signal")
+        return super().produce_signal(stimulus, task, rng)
+
+    def choose(self, probe, candidates, task, rng, exclude=None):
+        if task is PromptTask.GUESSING and probe.colour == "green":
+            raise ChoiceFailure("no guess")
+        if task is PromptTask.LISTENING and probe.endswith("a"):
+            raise ChoiceFailure("no choice")
+        return super().choose(probe, candidates, task, rng, exclude)
+
+
+class TestBlockEvents:
+    @pytest.mark.parametrize(
+        "record",
+        [
+            engine.GuessingRecord(STIMULUS, ("gaga", "pipo"), 1, False),
+            engine.GuessingRecord(STIMULUS, ("gaga", "pipo"), -1, False, "failed-choice"),
+            engine.LabellingRecord(STIMULUS, "gaga", "gapo"),
+            engine.LabellingRecord(STIMULUS, "gaga", "gaga", failed=True),
+            engine.InteractionRecord(2, 5, "A", "B", STIMULUS, "gaga", (OTHER, STIMULUS), 1, True),
+            engine.InteractionRecord(
+                2, 6, "B", "A", STIMULUS, "", (STIMULUS, OTHER), -1, False, "failed-production"
+            ),
+            engine.TestingRecord(STIMULUS, "gaga", extrapolated=True),
+            engine.TestingRecord(STIMULUS, "", failed=True),
+        ],
+        ids=[
+            "guess", "guess-failed-choice", "label", "label-failed",
+            "interaction", "interaction-failed-production", "testing", "testing-failed",
+        ],
+    )
+    def test_record_round_trips_through_json(self, record):
+        event = json.loads(json.dumps(record.event()))
+        assert type(record).from_event(event) == record
+
+    def test_keys_missing_from_older_logs_decode_to_defaults(self):
+        context = {"block": "x", "round": None, "task": 0, "agent": "A"}
+        guess = engine.GuessingRecord.from_event(
+            {"kind": "guess", **context, "stimulus": [1, "blue", 2],
+             "candidates": ["gaga", "pipo"], "chosen": 0, "correct": True}
+        )
+        assert guess.failure_mode == "none"
+        testing = engine.TestingRecord.from_event(
+            {"kind": "testing", **context, "stimulus": [1, "blue", 2], "signal": "gaga"}
+        )
+        assert (testing.failed, testing.extrapolated) == (False, False)
+        interaction = engine.InteractionRecord.from_event(
+            {"kind": "interaction", **context, "round": 1, "speaker": "A", "listener": "B",
+             "stimulus": [1, "blue", 2], "signal": "gaga", "candidates": [[1, "blue", 2]],
+             "chosen": 0, "success": True}
+        )
+        assert interaction.failure_mode == "none"
+
+    def test_oracle_events_pinned_and_replayed(self, tmp_path):
+        # pinned when every event was spelled out by hand in the engine: the
+        # record codec must not change a byte of events.jsonl
+        log = EventLog(tmp_path / "events.jsonl")
+        config = RunConfig(master_seed=21, mantel_permutations=10)
+        result = run_simulation(config, (FlakyOracle("A"), LookupOracle("B")), event_log=log)
+        modes = {r.failure_mode for r in result.communication.records}
+        assert modes == {"none", "failed-production", "failed-choice"}
+        assert any(r.failure_mode == "failed-choice" for r in result.guessing["A"].records)
+        assert any(r.failed for r in result.labelling["A"].records)
+        assert any(r.failed for r in result.testing["A"].records)
+        assert file_digest(tmp_path / "events.jsonl") == FLAKY_ORACLE_EVENTS_SHA256
+
+        save_simulation(result, tmp_path)
+        _, loaded = load_run_for_replay(tmp_path)
+        for block in ("guessing", "labelling", "testing"):
+            for agent_id in result.agent_ids:
+                rebuilt = getattr(loaded, block)[agent_id].records
+                assert rebuilt == getattr(result, block)[agent_id].records
+        assert loaded.communication.records == result.communication.records
+        assert loaded.communication.perc_com == result.communication.perc_com
 
 
 class TestExclusionInvariant:

@@ -170,32 +170,16 @@ class LLMAgent(Agent):
     attempts the failure is reported for the engine to record.
     """
 
-    def __init__(
-        self,
-        agent_id: str,
-        backend: CompletionBackend,
-        max_retries: int = 3,
-        instructions: dict[PromptTask, str] | None = None,
-    ):
+    def __init__(self, agent_id: str, backend: CompletionBackend, max_retries: int = 3):
         super().__init__(agent_id)
         self.backend = backend
         self.max_retries = max_retries
-        self.instructions = instructions or {}
-
-    def _instruction(self, task: PromptTask, default: str) -> str:
-        return self.instructions.get(task, default)
 
     def _build_production_prompt(self, stimulus: Stimulus, task: PromptTask, rng: Random):
         assert self.vocabulary is not None
         if task is PromptTask.LABELLING:
-            return prompts.build_labelling_prompt(
-                self.vocabulary, stimulus, rng,
-                self._instruction(task, prompts.LABELLING_INSTRUCTION),
-            )
-        return prompts.build_speaker_prompt(
-            self.vocabulary, stimulus, rng,
-            self._instruction(task, prompts.SPEAKING_INSTRUCTION),
-        )
+            return prompts.build_labelling_prompt(self.vocabulary, stimulus, rng)
+        return prompts.build_speaker_prompt(self.vocabulary, stimulus, rng)
 
     def produce_signal(self, stimulus, task, rng) -> Signal:
         last_error: Exception | None = None
@@ -217,17 +201,11 @@ class LLMAgent(Agent):
         for candidate in candidates:
             fork = Random(shared_seed)
             if task is PromptTask.GUESSING:
-                built.append(
-                    prompts.build_guessing_prompt(
-                        self.vocabulary, probe, candidate, fork,
-                        self._instruction(task, prompts.LABELLING_INSTRUCTION),
-                    )
-                )
+                built.append(prompts.build_guessing_prompt(self.vocabulary, probe, candidate, fork))
             else:
                 built.append(
                     prompts.build_listener_prompt(
-                        self.vocabulary, probe, candidate, fork, exclude=exclude,
-                        instruction=self._instruction(task, prompts.LISTENING_INSTRUCTION),
+                        self.vocabulary, probe, candidate, fork, exclude=exclude
                     )
                 )
         return built

@@ -33,8 +33,8 @@ from .persistence import (
     PersistenceError,
     chain_row,
     load_run_for_replay,
-    metric_row_to_csv,
     read_csv,
+    read_metric_rows,
     save_partial,
     save_simulation,
     write_csv,
@@ -180,10 +180,12 @@ def _finished_generations(
     if config.seed_from:
         seed_dir = Path(config.seed_from)
         _, seed_result = load_run_for_replay(seed_dir)
-        selection = _select_generation_donor(config, chain_seed, 0, seed_result)
-        rows.append(
-            chain_row(chain_index, 0, selection.donor_id, read_csv(seed_dir / "metrics.csv"))
-        )
+        try:
+            selection = _select_generation_donor(config, chain_seed, 0, seed_result)
+        except ChainError as err:
+            raise PersistenceError(f"{seed_dir} cannot seed a chain: {err}") from err
+        seed_rows = read_metric_rows(seed_dir / "metrics.csv")
+        rows.append(chain_row(chain_index, 0, selection.donor_id, seed_rows))
         transmitted = selection.pairs
     stored = {}
     if (directory / "chain.csv").exists():
@@ -201,7 +203,9 @@ def _finished_generations(
         donor_id = manifest.extra["donor_id"]
         rows.append(
             stored.get(generation)
-            or chain_row(chain_index, generation, donor_id, read_csv(gen_dir / "metrics.csv"))
+            or chain_row(
+                chain_index, generation, donor_id, read_metric_rows(gen_dir / "metrics.csv")
+            )
         )
         transmitted = result.testing[donor_id].pairs()
     return rows, transmitted
@@ -265,8 +269,7 @@ def run_chain(
                 "generation": generation,
             },
         )
-        metric_rows = [metric_row_to_csv(row) for row in result.metric_rows]
-        rows.append(chain_row(chain_index, generation, selection.donor_id, metric_rows))
+        rows.append(chain_row(chain_index, generation, selection.donor_id, result.metric_rows))
         write_csv(directory / "chain.csv", CHAIN_COLUMNS, rows)
         records.append(
             GenerationRecord(

@@ -113,7 +113,7 @@ def _summary_line(name: str, result) -> str:
     rounds = " ".join(f"{v:.2f}" for v in result.communication.perc_com)
     testing_rows = [r for r in result.metric_rows if r.block == "testing"]
     topsim = " ".join(
-        f"{row.agent_id}={row.report.topsim.z_score:.2f}" if row.report.topsim else f"{row.agent_id}=degenerate"
+        f"{row.agent}={row.topsim_z:.2f}" if row.topsim_z is not None else f"{row.agent}=degenerate"
         for row in testing_rows
     )
     return f"{name}  perc_com[{rounds}]  testing_topsim_z[{topsim}]"

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import yaml
 
+from .agents import ORACLE_KINDS
 from .backend import BackendDescriptor
 from .chains import ChainConfig, ChainError
 from .engine import EngineError, RunConfig
@@ -71,9 +72,10 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("count must be >= 1")
     if len(config.agents) != 2:
         raise ConfigError("exactly two agents are required")
+    known = ["llm"] + [f"oracle:{kind}" for kind in ORACLE_KINDS]
     for spec in config.agents:
-        if spec != "llm" and not spec.startswith("oracle:"):
-            raise ConfigError(f"unknown agent spec {spec!r}")
+        if spec not in known:
+            raise ConfigError(f"unknown agent spec {spec!r}; known: {', '.join(known)}")
     try:
         config.run.validate()
     except EngineError as err:

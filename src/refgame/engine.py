@@ -32,7 +32,6 @@ from .domain import (
 )
 from .metrics import (
     MetricError,
-    MetricReport,
     communicative_success_rate,
     normalized_levenshtein,
     generalization_score,
@@ -209,14 +208,28 @@ class TestingResult:
 
 @dataclass
 class MetricRow:
-    """One metrics-CSV row: a MetricReport in its block/round/agent context."""
+    """One ``metrics.csv`` row: the field names are the columns after
+    ``schema_version``, in column order. A column the row does not measure
+    stays empty, e.g. TopSim of a degenerate snapshot or accuracy outside
+    the guessing block."""
 
     block: str
-    round: int | None
-    agent_id: str
-    report: MetricReport
+    round: int | None = None
+    agent: str = ""
+    topsim_z: float | None = None
+    topsim_p: float | None = None
+    topsim_r: float | None = None
+    permutations: int | None = None
+    mantel_method: str = ""
+    ngram_diversity: float | None = None
+    mean_signal_length: float | None = None
+    unique_signal_ratio: float | None = None
+    perc_com: float | None = None
+    gen_score: float | None = None
+    gen_score_pairs: str = ""  # "cross" whenever gen_score is set, see README
     accuracy: float | None = None
     mean_levenshtein: float | None = None
+    degenerate: bool = False
 
 
 @dataclass
@@ -317,7 +330,8 @@ def run_labelling_block(
         )
         records.append(record)
         _emit(event_log, record.KIND, **record.event())
-    agent.set_vocabulary(learned)
+    # a copy: communication updates the agent's vocabulary, not the learned snapshot
+    agent.set_vocabulary(learned.copy())
     return LabellingResult(records=records, learned=learned)
 
 
@@ -451,80 +465,65 @@ def compute_metric_rows(result: SimulationResult) -> list[MetricRow]:
     """All metric rows of a run. TopSim seeds derive from the master seed and
     the row context, so recomputation (replay) is reproducible."""
     config = result.config
-    permutations = config.mantel_permutations
 
-    def report(pairs, label, **kwargs):
-        return vocabulary_report(
+    def row(block, pairs, round=None, agent="", **measured) -> MetricRow:
+        label = block if block == "initial" else f"{block}:{round or ''}:{agent}"
+        report = vocabulary_report(
             pairs,
-            permutations=permutations,
+            permutations=config.mantel_permutations,
             rng=derive_seed(config.master_seed, f"metrics:{label}"),
-            **kwargs,
+        )
+        topsim = report.topsim
+        if topsim is not None:
+            measured.update(
+                topsim_z=topsim.z_score,
+                topsim_p=topsim.p_value,
+                topsim_r=topsim.observed_r,
+                permutations=topsim.permutations,
+                mantel_method=topsim.method,
+            )
+        return MetricRow(
+            block,
+            round,
+            agent,
+            ngram_diversity=report.ngram_diversity,
+            mean_signal_length=report.mean_signal_length,
+            unique_signal_ratio=report.unique_signal_ratio,
+            degenerate=report.degenerate,
+            **measured,
         )
 
-    rows = [
-        MetricRow(
-            block="initial",
-            round=None,
-            agent_id="",
-            report=report(result.initial_language.pairs(), "initial"),
-        )
+    initial = result.initial_language.pairs()
+    rows = [row("initial", initial)]
+    rows += [
+        row("guessing", initial, agent=a, accuracy=result.guessing[a].accuracy)
+        for a in result.agent_ids
     ]
-    for agent_id in result.agent_ids:
-        rows.append(
-            MetricRow(
-                block="guessing",
-                round=None,
-                agent_id=agent_id,
-                report=report(result.initial_language.pairs(), f"guessing::{agent_id}"),
-                accuracy=result.guessing[agent_id].accuracy,
-            )
-        )
-    for agent_id in result.agent_ids:
-        labelling = result.labelling[agent_id]
-        rows.append(
-            MetricRow(
-                block="labelling",
-                round=None,
-                agent_id=agent_id,
-                report=report(labelling.learned.pairs(), f"labelling::{agent_id}"),
-                mean_levenshtein=labelling.mean_distance,
-            )
-        )
-    perc_com = result.communication.perc_com
-    for round_number in range(1, config.rounds + 1):
-        for agent_id in result.agent_ids:
-            vocab = result.communication.round_vocabs[agent_id][round_number - 1]
-            rows.append(
-                MetricRow(
-                    block="communication",
-                    round=round_number,
-                    agent_id=agent_id,
-                    report=report(
-                        vocab.pairs(),
-                        f"communication:{round_number}:{agent_id}",
-                        perc_com=perc_com[round_number - 1],
-                    ),
-                )
-            )
+    rows += [
+        row("labelling", lab.learned.pairs(), agent=a, mean_levenshtein=lab.mean_distance)
+        for a, lab in result.labelling.items()
+    ]
+    communication = result.communication
+    rows += [
+        row("communication", vocabs[n - 1].pairs(), n, a, perc_com=communication.perc_com[n - 1])
+        for n in range(1, config.rounds + 1)
+        for a, vocabs in communication.round_vocabs.items()
+    ]
     train_set = set(result.split.train)
     for agent_id in result.agent_ids:
         pairs = result.testing[agent_id].pairs()
         train_pairs = [(s, w) for s, w in pairs if s in train_set]
         test_pairs = [(s, w) for s, w in pairs if s not in train_set]
-        gen_score = None
+        generalization = {}
         if len(pairs) >= 3 and train_pairs and test_pairs:
             try:
-                gen_score = generalization_score(train_pairs, test_pairs, pairs="cross")
+                generalization = {
+                    "gen_score": generalization_score(train_pairs, test_pairs, pairs="cross"),
+                    "gen_score_pairs": "cross",
+                }
             except MetricError:
-                gen_score = None
-        rows.append(
-            MetricRow(
-                block="testing",
-                round=None,
-                agent_id=agent_id,
-                report=report(pairs, f"testing::{agent_id}", gen_score=gen_score),
-            )
-        )
+                pass
+        rows.append(row("testing", pairs, agent=agent_id, **generalization))
     return rows
 
 

@@ -317,8 +317,6 @@ class MetricReport:
     ngram_diversity: float | None = None
     mean_signal_length: float | None = None
     unique_signal_ratio: float | None = None
-    perc_com: float | None = None
-    gen_score: float | None = None
     degenerate: bool = False
 
 
@@ -326,14 +324,12 @@ def vocabulary_report(
     pairs: Sequence[tuple[Stimulus, Signal]],
     permutations: int = DEFAULT_PERMUTATIONS,
     rng=None,
-    perc_com: float | None = None,
-    gen_score: float | None = None,
 ) -> MetricReport:
     """MetricReport over (stimulus, signal) pairs; degenerate TopSim is flagged,
     not raised, so reporting never aborts a run. Fewer than 3 pairs (failed
     testing productions) give a degenerate report with no measurements."""
     if len(pairs) < 3:
-        return MetricReport(topsim=None, perc_com=perc_com, gen_score=gen_score, degenerate=True)
+        return MetricReport(topsim=None, degenerate=True)
     signals = [w for _, w in pairs]
     try:
         topsim = topsim_mantel(pairs, permutations=permutations, rng=rng)
@@ -346,7 +342,5 @@ def vocabulary_report(
         ngram_diversity=ngram_diversity(signals),
         mean_signal_length=mean_signal_length(signals),
         unique_signal_ratio=unique_signal_ratio(signals),
-        perc_com=perc_com,
-        gen_score=gen_score,
         degenerate=degenerate,
     )

@@ -17,7 +17,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -40,26 +40,7 @@ from .engine import (
 
 SCHEMA_VERSION = 1
 
-METRICS_COLUMNS = [
-    "schema_version",
-    "block",
-    "round",
-    "agent",
-    "topsim_z",
-    "topsim_p",
-    "topsim_r",
-    "permutations",
-    "mantel_method",
-    "ngram_diversity",
-    "mean_signal_length",
-    "unique_signal_ratio",
-    "perc_com",
-    "gen_score",
-    "gen_score_pairs",
-    "accuracy",
-    "mean_levenshtein",
-    "degenerate",
-]
+METRICS_COLUMNS = ["schema_version"] + [f.name for f in fields(MetricRow)]
 
 CHAIN_COLUMNS = [
     "schema_version",
@@ -72,22 +53,6 @@ CHAIN_COLUMNS = [
     "topsim_p",
     "ngram_diversity",
     "unique_signal_ratio",
-]
-
-GEN_SCORE_PAIRS = "cross"  # pair definition used throughout, see README
-
-# Numeric fields compared during replay verification.
-_REPLAY_NUMERIC = [
-    "topsim_z",
-    "topsim_p",
-    "topsim_r",
-    "ngram_diversity",
-    "mean_signal_length",
-    "unique_signal_ratio",
-    "perc_com",
-    "gen_score",
-    "accuracy",
-    "mean_levenshtein",
 ]
 
 
@@ -114,28 +79,42 @@ def _fmt(value) -> str:
 
 
 def metric_row_to_csv(row: MetricRow) -> dict:
-    report = row.report
-    topsim = report.topsim
-    return {
-        "schema_version": str(SCHEMA_VERSION),
-        "block": row.block,
-        "round": _fmt(row.round),
-        "agent": row.agent_id,
-        "topsim_z": _fmt(topsim.z_score if topsim else None),
-        "topsim_p": _fmt(topsim.p_value if topsim else None),
-        "topsim_r": _fmt(topsim.observed_r if topsim else None),
-        "permutations": _fmt(topsim.permutations if topsim else None),
-        "mantel_method": topsim.method if topsim else "",
-        "ngram_diversity": _fmt(report.ngram_diversity),
-        "mean_signal_length": _fmt(report.mean_signal_length),
-        "unique_signal_ratio": _fmt(report.unique_signal_ratio),
-        "perc_com": _fmt(report.perc_com),
-        "gen_score": _fmt(report.gen_score),
-        "gen_score_pairs": GEN_SCORE_PAIRS if report.gen_score is not None else "",
-        "accuracy": _fmt(row.accuracy),
-        "mean_levenshtein": _fmt(row.mean_levenshtein),
-        "degenerate": "1" if report.degenerate else "0",
+    return {"schema_version": str(SCHEMA_VERSION)} | {
+        column: _fmt(getattr(row, column)) for column in METRICS_COLUMNS[1:]
     }
+
+
+_PARSERS = {"str": str, "int": int, "float": float, "bool": {"0": False, "1": True}.__getitem__}
+
+
+def _cell_parser(annotation: str):
+    """The reader of one MetricRow field's cells, from its annotation:
+    ``float | None`` reads an empty cell as None, ``bool`` reads 0 or 1."""
+    parse = _PARSERS[annotation.split(" | ")[0]]
+    if annotation.endswith("| None"):
+        return lambda cell: parse(cell) if cell else None
+    return parse
+
+
+# fixed per field once: resolving annotations per row would dominate replay
+_CELL_PARSERS = {f.name: _cell_parser(f.type) for f in fields(MetricRow)}
+
+
+def read_metric_rows(path: str | Path) -> list[MetricRow]:
+    """The rows of a ``metrics.csv``, decoded as written by ``metric_row_to_csv``."""
+    rows = []
+    for number, cells in enumerate(read_csv(path), start=1):
+        values = {}
+        for column, parse in _CELL_PARSERS.items():
+            cell = cells.get(column) or ""
+            try:
+                values[column] = parse(cell)
+            except (KeyError, ValueError):
+                raise PersistenceError(
+                    f"{path}: row {number}, column {column}: unreadable value {cell!r}"
+                ) from None
+        rows.append(MetricRow(**values))
+    return rows
 
 
 def write_csv(path: str | Path, columns: list[str], rows: list[dict]) -> None:
@@ -350,8 +329,8 @@ def replay_run(run_dir: str | Path, tolerance: float = 1e-9) -> ReplayReport:
     event log and vocabulary snapshots, compared against the stored CSV."""
     base = Path(run_dir)
     _, result = load_run_for_replay(base)
-    recomputed = [metric_row_to_csv(r) for r in compute_metric_rows(result)]
-    stored = read_csv(base / "metrics.csv")
+    recomputed = compute_metric_rows(result)
+    stored = read_metric_rows(base / "metrics.csv")
     mismatches: list[ReplayMismatch] = []
     if len(stored) != len(recomputed):
         mismatches.append(
@@ -359,45 +338,41 @@ def replay_run(run_dir: str | Path, tolerance: float = 1e-9) -> ReplayReport:
         )
         return ReplayReport(ok=False, mismatches=mismatches, rows_checked=0)
     for old, new in zip(stored, recomputed):
-        for column in METRICS_COLUMNS:
-            a, b = old.get(column, ""), new.get(column, "")
-            if column in _REPLAY_NUMERIC and a and b:
-                if abs(float(a) - float(b)) <= tolerance:
+        for column in METRICS_COLUMNS[1:]:
+            a, b = getattr(old, column), getattr(new, column)
+            if isinstance(a, float) and isinstance(b, float):
+                if abs(a - b) <= tolerance:
                     continue
             elif a == b:
                 continue
             mismatches.append(
                 ReplayMismatch(
-                    block=old.get("block", "?"),
-                    round=old.get("round", ""),
-                    agent=old.get("agent", ""),
+                    block=old.block,
+                    round=_fmt(old.round),
+                    agent=old.agent,
                     column=column,
-                    stored=a,
-                    recomputed=b,
+                    stored=_fmt(a),
+                    recomputed=_fmt(b),
                 )
             )
     return ReplayReport(ok=not mismatches, mismatches=mismatches, rows_checked=len(stored))
 
 
-def chain_row(chain_index: int, generation: int, donor_id: str, metric_rows: list[dict]) -> dict:
-    """One chain-level CSV row per generation, from the generation's
-    metrics-CSV rows (in memory or read back from ``metrics.csv``).
+def chain_row(
+    chain_index: int, generation: int, donor_id: str, metric_rows: list[MetricRow]
+) -> dict:
+    """One chain-level CSV row per generation, from the generation's metric
+    rows (in memory or read back with ``read_metric_rows``).
 
     Learnability is the mean labelling Levenshtein distance. perc_com is the
-    mean over rounds with each round counted once: the CSV repeats a round's
-    value per agent, and averaging the repeats rounds differently in the last
-    digit. The structure columns are copied from the donor's testing row.
+    mean over rounds with each round counted once: every agent's row repeats
+    its round's value, and averaging the repeats rounds differently in the
+    last digit. The structure columns are copied from the donor's testing row.
     """
-    labelling = [
-        float(row["mean_levenshtein"]) for row in metric_rows if row["block"] == "labelling"
-    ]
-    per_round = {
-        row["round"]: float(row["perc_com"])
-        for row in metric_rows
-        if row["block"] == "communication"
-    }
+    labelling = [row.mean_levenshtein for row in metric_rows if row.block == "labelling"]
+    per_round = {row.round: row.perc_com for row in metric_rows if row.block == "communication"}
     donor_row = next(
-        row for row in metric_rows if row["block"] == "testing" and row["agent"] == donor_id
+        row for row in metric_rows if row.block == "testing" and row.agent == donor_id
     )
     return {
         "schema_version": str(SCHEMA_VERSION),
@@ -406,8 +381,8 @@ def chain_row(chain_index: int, generation: int, donor_id: str, metric_rows: lis
         "donor": donor_id,
         "learnability": _fmt(sum(labelling) / len(labelling)),
         "perc_com": _fmt(sum(per_round.values()) / len(per_round)),
-        "topsim_z": donor_row["topsim_z"],
-        "topsim_p": donor_row["topsim_p"],
-        "ngram_diversity": donor_row["ngram_diversity"],
-        "unique_signal_ratio": donor_row["unique_signal_ratio"],
+        "topsim_z": _fmt(donor_row.topsim_z),
+        "topsim_p": _fmt(donor_row.topsim_p),
+        "ngram_diversity": _fmt(donor_row.ngram_diversity),
+        "unique_signal_ratio": _fmt(donor_row.unique_signal_ratio),
     }

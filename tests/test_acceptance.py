@@ -192,8 +192,8 @@ def test_criterion_06_compositional_end_to_end():
 
     perc_com_ok = result.communication.perc_com == [1.0, 1.0, 1.0, 1.0]
     testing_rows = [r for r in result.metric_rows if r.block == "testing"]
-    gen_scores = [r.report.gen_score for r in testing_rows]
-    topsim_ps = [r.report.topsim.p_value for r in testing_rows]
+    gen_scores = [r.gen_score for r in testing_rows]
+    topsim_ps = [r.topsim_p for r in testing_rows]
     gen_ok = all(g is not None and g > 0.7 for g in gen_scores)
     topsim_ok = all(p < 0.05 for p in topsim_ps)
     no_network = not log.of_kind("backend_call")

@@ -13,7 +13,9 @@ from pathlib import Path
 import refgame.chains
 import refgame.cli  # noqa: F401  (loads every module the tracer wraps)
 import refgame.engine
+import refgame.metrics
 from refgame.config import ExperimentConfig
+from refgame.domain import enumerate_stimuli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -64,3 +66,13 @@ def test_chain_call_pickles():
     assert restored[0] is refgame.chains.run_chain
     assert restored[1] == config.chain and restored[2] == config.run
     assert restored[3].func is refgame.cli._build_agents and restored[3].args == (config,)
+
+
+def test_result_hooks_find_the_attributes_they_read():
+    # spans.py reads these through getattr(..., False), so a rename would
+    # silently zero metrics.degenerate and chains.donor_degenerate
+    constant = [(stimulus, "gigi") for stimulus in enumerate_stimuli()]
+    assert refgame.metrics.vocabulary_report(constant[:2]).degenerate is True
+    selection = refgame.chains.select_donor(constant, constant, ("A", "B"), permutations=10, rng=0)
+    assert selection.degenerate is True
+    assert selection.pairs == constant

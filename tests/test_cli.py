@@ -12,7 +12,7 @@ from refgame import cli
 from refgame.agents import LookupOracle, ProductionFailure
 from refgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from refgame.domain import Vocabulary, enumerate_stimuli
-from refgame.persistence import RunManifest, read_csv
+from refgame.persistence import RunManifest, file_digest, read_csv
 from refgame.prompts import PromptTask
 from tests_paths import GOLDEN_TRAIN_PATH, GOLDEN_TEST_PATH
 
@@ -93,6 +93,14 @@ class TestSimulate:
         assert f"error: run: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "chain"])
+    def test_unknown_oracle_kind_rejected_before_writing(self, tmp_path, capsys, command):
+        out = tmp_path / "runs"
+        code = run_cli(command, "--agents", "oracle:bogus,oracle:lookup", "--out", str(out))
+        assert code == EXIT_VALIDATION
+        assert "error: unknown agent spec 'oracle:bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMetricsCommand:
     def test_golden_topsim(self, capsys):
@@ -154,6 +162,21 @@ class TestReplayCommand:
 
     def test_missing_manifest(self, tmp_path):
         assert run_cli("replay", str(tmp_path)) == EXIT_VALIDATION
+
+    def test_malformed_metrics_cell_names_file_row_and_column(self, tmp_path, capsys):
+        run_dir = self._simulate(tmp_path)
+        csv_path = run_dir / "metrics.csv"
+        lines = csv_path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[lines[0].split(",").index("ngram_diversity")] = "n/a"
+        lines[3] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        manifest = RunManifest.load(run_dir)
+        manifest.files["metrics.csv"] = file_digest(csv_path)
+        manifest.save(run_dir)
+        assert run_cli("replay", str(run_dir)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv_path}: row 3, column ngram_diversity:")
 
 
 class TestChainCommand:
@@ -359,6 +382,38 @@ class TestChainCommand:
             r for r in seed_rows if r["block"] == "testing" and r["agent"] == donor
         )
         assert rows[0]["topsim_z"] == seed_testing["topsim_z"]
+
+    def test_seed_without_complete_testing_output_refused(self, tmp_path, monkeypatch, capsys):
+        # a seed run whose agent lost a testing production has no complete
+        # output to transmit
+        last = enumerate_stimuli()[-1]
+
+        class FailingLast(LookupOracle):
+            def produce_signal(self, stimulus, task, rng):
+                if stimulus == last and task is PromptTask.SPEAKING:
+                    raise ProductionFailure("no signal")
+                return super().produce_signal(stimulus, task, rng)
+
+        build_agents = cli._build_agents
+        def failing_a(config, event_log):
+            return FailingLast("A"), build_agents(config, event_log)[1]
+
+        monkeypatch.setattr(cli, "_build_agents", failing_a)
+        sims = tmp_path / "sims"
+        code = run_cli("simulate", "--seed", "3", "--out", str(sims), "--permutations", "60")
+        assert code == EXIT_OK
+        monkeypatch.setattr(cli, "_build_agents", build_agents)
+        capsys.readouterr()
+        out = tmp_path / "chains"
+        code = run_cli(
+            "chain", "--chains", "1", "--generations", "2", "--seed-from", str(sims / "sim-00"),
+            "--out", str(out), "--permutations", "60",
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sims / 'sim-00'} cannot seed a chain: ")
+        assert "incomplete testing output for agent A" in err
+        assert not (out / "chain-00" / "gen01").exists()
 
     def test_seeded_chain_resumes(self, tmp_path, capsys):
         shared = seeded_chain_argv(tmp_path)

@@ -37,7 +37,7 @@ from refgame.persistence import (
 )
 from refgame.prompts import PromptTask
 
-FULL_STACK_METRICS_SHA256 = "16511a9c6717ab972deab285ddd014305e17599302f0c80aac32c790741e029a"
+FULL_STACK_METRICS_SHA256 = "4259787a5e92f8441850d98c716becd0f5b946d0360c667a4232cae3b2b870ec"
 FLAKY_ORACLE_EVENTS_SHA256 = "9df8aaaf8095707e23ad34f95c61cac4c4e3d9299c1f5573c2ca63ab6f9a00fb"
 
 
@@ -298,7 +298,7 @@ class TestRunSimulation:
         vocab_pair = lookup_pair(training_vocab()[0])
         config = RunConfig(master_seed=5, mantel_permutations=200)
         result = run_simulation(config, vocab_pair)
-        blocks = [(row.block, row.round, row.agent_id) for row in result.metric_rows]
+        blocks = [(row.block, row.round, row.agent) for row in result.metric_rows]
         assert blocks.count(("initial", None, "")) == 1
         assert sum(1 for b in blocks if b[0] == "guessing") == 2
         assert sum(1 for b in blocks if b[0] == "labelling") == 2
@@ -316,9 +316,21 @@ class TestRunSimulation:
         assert [r.signal for r in r1.testing["A"].records] == [
             r.signal for r in r2.testing["A"].records
         ]
-        z1 = [row.report.topsim.z_score for row in r1.metric_rows if row.report.topsim]
-        z2 = [row.report.topsim.z_score for row in r2.metric_rows if row.report.topsim]
+        z1 = [row.topsim_z for row in r1.metric_rows if row.topsim_z is not None]
+        z2 = [row.topsim_z for row in r2.metric_rows if row.topsim_z is not None]
         assert z1 == z2
+
+    def test_labelling_row_measures_the_learned_vocabulary(self):
+        # during communication the lookup agent B adopts its compositional
+        # partner's signals; its labelling row must still measure the
+        # vocabulary it labelled, which reproduces the initial language
+        config = RunConfig(master_seed=1, mantel_permutations=50)
+        result = run_simulation(config, (CompositionalOracle("A"), LookupOracle("B")))
+        rows = {(row.block, row.round, row.agent): row for row in result.metric_rows}
+        initial_r = rows["initial", None, ""].topsim_r
+        assert result.labelling["B"].learned.pairs() == result.initial_language.pairs()
+        assert rows["labelling", None, "B"].topsim_r == initial_r
+        assert rows["communication", 4, "B"].topsim_r != initial_r
 
     def test_generated_language_when_not_given(self):
         config = RunConfig(master_seed=3, mantel_permutations=50)
@@ -413,7 +425,7 @@ class TestRunSimulation:
 
         config = RunConfig(master_seed=0, mantel_permutations=10)
         result = run_simulation(config, (ConstantSpeaker("A"), LookupOracle("B")))
-        testing = {row.agent_id: row.report for row in result.metric_rows if row.block == "testing"}
+        testing = {row.agent: row for row in result.metric_rows if row.block == "testing"}
         assert testing["A"].gen_score is None
         assert testing["A"].degenerate
 
@@ -422,9 +434,9 @@ class TestRunSimulation:
         agents = (RepairOracle("A", repair_step=3), RepairOracle("B", repair_step=3))
         result = run_simulation(config, agents)
         z_by_round = [
-            row.report.topsim.z_score
+            row.topsim_z
             for row in result.metric_rows
-            if row.block == "communication" and row.agent_id == "A"
+            if row.block == "communication" and row.agent == "A"
         ]
         assert len(z_by_round) == 4
         assert all(earlier < later for earlier, later in zip(z_by_round, z_by_round[1:]))

@@ -18,6 +18,7 @@ from refgame.persistence import (
     load_run_for_replay,
     metric_row_to_csv,
     read_csv,
+    read_metric_rows,
     replay_run,
     save_simulation,
     write_csv,
@@ -87,6 +88,21 @@ class TestMetricsCsv:
         write_csv(path, METRICS_COLUMNS, [{c: "" for c in METRICS_COLUMNS} | {"schema_version": "2"}])
         with pytest.raises(SchemaVersionError):
             read_csv(path)
+
+    def test_read_back_rows_equal_the_run_rows(self, tmp_path):
+        # A's constant testing language gives a degenerate row whose empty
+        # TopSim and gen_score cells read back as None
+        class ConstantSpeaker(LookupOracle):
+            def produce_signal(self, stimulus, task, rng):
+                if task is PromptTask.SPEAKING:
+                    return "gigi"
+                return super().produce_signal(stimulus, task, rng)
+
+        run_dir, result = persisted_run(tmp_path, agents=(ConstantSpeaker("A"), LookupOracle("B")))
+        rows = read_metric_rows(run_dir / "metrics.csv")
+        assert rows == result.metric_rows
+        testing_a = next(row for row in rows if row.block == "testing" and row.agent == "A")
+        assert testing_a.degenerate and testing_a.topsim_z is None and testing_a.gen_score is None
 
     def test_gen_score_pairs_recorded(self, tmp_path):
         run_dir, _ = persisted_run(tmp_path)

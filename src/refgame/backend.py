@@ -3,9 +3,10 @@
 Two implementations share one contract: an HTTP client for an external
 completion-style service, and an in-process scripted backend for
 deterministic offline tests. Scoring takes every candidate of a choice at
-once, so the HTTP client sends one request per choice. Every prompt's
-result is appended to the run's event log, one record per prompt in the
-order given, before the results are returned.
+once, so the HTTP client sends one request per choice, and it retries its
+own transport failures and timeouts. Every prompt's result is appended to
+the run's event log, one record per prompt in the order given, before the
+results are returned.
 """
 
 from __future__ import annotations
@@ -103,29 +104,20 @@ class EventLog:
     backends and blocks append records tagged with the current context.
     """
 
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
-        self.records: list[dict] = []
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
         self.context: dict = {}
         self._lock = threading.Lock()
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text("")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path.write_text("")
 
     def set_context(self, **fields) -> None:
         self.context.update(fields)
 
-    def append(self, kind: str, **fields) -> dict:
+    def append(self, kind: str, **fields) -> None:
         record = {"kind": kind, **self.context, **fields}
-        with self._lock:
-            self.records.append(record)
-            if self.path is not None:
-                with self.path.open("a") as fh:
-                    fh.write(json.dumps(record) + "\n")
-        return record
-
-    def of_kind(self, kind: str) -> list[dict]:
-        return [r for r in self.records if r["kind"] == kind]
+        with self._lock, self.path.open("a") as fh:
+            fh.write(json.dumps(record) + "\n")
 
     @staticmethod
     def read(path: str | Path) -> list[dict]:
@@ -166,100 +158,47 @@ class CompletionBackend:
 
 
 class ScriptedBackend(CompletionBackend):
-    """Deterministic in-process backend driven by tables or callables.
+    """Deterministic in-process backend driven by callables.
 
-    completions maps rendered prompt text (or is a callable on the Prompt)
-    to the continuation; scores maps (prompt text, continuation) or is a
-    callable on the Prompt, which carries its continuation. fail_first
-    injects transient TransportFailures, one per call, for retry tests.
+    ``completions`` maps a Prompt to its continuation text; ``scores`` maps a
+    Prompt, which carries its continuation, to its log-probability. Without
+    ``completions`` every completion is a MalformedServiceReply; without
+    ``scores`` scoring is CapabilityUnsupported. A callable that raises a
+    BackendError fails the whole call, as a service would.
     """
 
     def __init__(
         self,
-        completions: dict[str, str] | Callable[[Prompt], str] | None = None,
-        scores: dict[tuple[str, str], float] | Callable[[Prompt], float] | None = None,
+        completions: Callable[[Prompt], str] | None = None,
+        scores: Callable[[Prompt], float] | None = None,
         event_log: EventLog | None = None,
-        fail_first: int = 0,
     ):
         self.completions = completions
         self.scores = scores
         self.event_log = event_log
-        self.fail_first = fail_first
-        self.calls = 0
-
-    def _maybe_fail(self):
-        self.calls += 1
-        if self.calls <= self.fail_first:
-            raise TransportFailure(f"scripted transient failure #{self.calls}")
 
     def complete(self, prompt: Prompt) -> str:
         started = time.monotonic()
-        self._maybe_fail()
-        if callable(self.completions):
-            text = self.completions(prompt)
-        elif self.completions is not None:
-            key = prompt.user_text()
-            if key not in self.completions:
-                raise MalformedServiceReply("no scripted completion for prompt")
-            text = self.completions[key]
-        else:
-            raise MalformedServiceReply("scripted backend has no completion table")
+        if self.completions is None:
+            raise MalformedServiceReply("scripted backend has no completions")
+        text = self.completions(prompt)
         self._log("complete", prompt.user_text(), text, started)
         return text
 
     def _scripted_score(self, prompt: Prompt) -> float:
-        if callable(self.scores):
-            value = self.scores(prompt)
-        elif self.scores is not None:
-            key = (prompt.user_text(), prompt.continuation)
-            if key not in self.scores:
-                raise MalformedServiceReply("no scripted score for continuation")
-            value = self.scores[key]
-        else:
-            raise CapabilityUnsupported("scripted backend has no score table")
+        if self.scores is None:
+            raise CapabilityUnsupported("scripted backend has no scores")
+        value = self.scores(prompt)
         if value > 0:
             raise MalformedServiceReply(f"log-probability must be <= 0, got {value}")
         return float(value)
 
     def score(self, prompts: Sequence[Prompt]) -> list[float]:
         started = time.monotonic()
-        self._maybe_fail()
         values = [self._scripted_score(p) for p in prompts]
         for prompt, value in zip(prompts, values):
             self._log("score", prompt.user_text(), value, started, continuation=prompt.continuation)
         return values
-
-
-class RetryingBackend(CompletionBackend):
-    """Wraps a backend with bounded retries and exponential backoff on
-    transient transport errors; a score call is retried as a whole.
-    ContextOverflow and capability errors are not retried."""
-
-    def __init__(self, inner: CompletionBackend, max_retries: int = 3, backoff_base: float = 0.5,
-                 sleep: Callable[[float], None] = time.sleep):
-        self.inner = inner
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.sleep = sleep
-
-    def _with_retries(self, fn):
-        attempt = 0
-        while True:
-            try:
-                return fn()
-            except (TransportFailure, BackendTimeout) as err:
-                attempt += 1
-                if attempt > self.max_retries:
-                    raise
-                if self.inner.event_log is not None:
-                    self.inner.event_log.append("backend_retry", attempt=attempt, error=str(err))
-                self.sleep(self.backoff_base * (2 ** (attempt - 1)))
-
-    def complete(self, prompt: Prompt) -> str:
-        return self._with_retries(lambda: self.inner.complete(prompt))
-
-    def score(self, prompts: Sequence[Prompt]) -> list[float]:
-        return self._with_retries(lambda: self.inner.score(prompts))
 
 
 class HttpBackend(CompletionBackend):
@@ -272,13 +211,18 @@ class HttpBackend(CompletionBackend):
     reject echo-scoring surface CapabilityUnsupported; a reply without one
     choice per prompt, as from a service that rejects list prompts, is a
     MalformedServiceReply.
+
+    A request that fails in transport or times out is sent again, up to
+    ``descriptor.max_retries`` times; a score call is retried as a whole.
+    Each retry appends a ``backend_retry`` record before the call's
+    ``backend_call`` records, whose ``latency`` is the answering attempt's.
+    ContextOverflow, capability and malformed-reply errors are not retried.
     """
 
-    def __init__(self, descriptor: BackendDescriptor, event_log: EventLog | None = None,
-                 session: requests.Session | None = None):
+    def __init__(self, descriptor: BackendDescriptor, event_log: EventLog | None = None):
         self.descriptor = descriptor
         self.event_log = event_log
-        self.session = session or requests.Session()
+        self.session = requests.Session()
         self.template = load_chat_template(descriptor.template)
 
     def _headers(self) -> dict:
@@ -309,6 +253,22 @@ class HttpBackend(CompletionBackend):
         except ValueError as err:
             raise MalformedServiceReply("response body is not JSON") from err
 
+    def _post_with_retries(self, payload: dict) -> tuple[dict, float]:
+        """The reply to ``payload`` and the monotonic start time of the
+        attempt that got it; retry k waits ``backoff_base * 2**(k-1)``."""
+        attempt = 0
+        while True:
+            started = time.monotonic()
+            try:
+                return self._post(payload), started
+            except (TransportFailure, BackendTimeout) as err:
+                attempt += 1
+                if attempt > self.descriptor.max_retries:
+                    raise
+                if self.event_log is not None:
+                    self.event_log.append("backend_retry", attempt=attempt, error=str(err))
+                time.sleep(self.descriptor.backoff_base * 2 ** (attempt - 1))
+
     def _check_budget(self, text: str, extra_tokens: int) -> None:
         needed = estimate_tokens(text) + extra_tokens
         if needed > self.descriptor.context_budget_tokens:
@@ -319,7 +279,6 @@ class HttpBackend(CompletionBackend):
     def complete(self, prompt: Prompt) -> str:
         full_text = apply_chat_template(self.template, prompt)
         self._check_budget(full_text, self.descriptor.max_output_tokens)
-        started = time.monotonic()
         payload = {
             "model": self.descriptor.model,
             "prompt": full_text,
@@ -327,7 +286,7 @@ class HttpBackend(CompletionBackend):
             "temperature": self.descriptor.temperature,
             "stop": list(COMPLETION_STOP_SEQUENCES),
         }
-        reply = self._post(payload)
+        reply, started = self._post_with_retries(payload)
         try:
             text = reply["choices"][0]["text"]
         except (KeyError, IndexError, TypeError) as err:
@@ -343,7 +302,6 @@ class HttpBackend(CompletionBackend):
             full_text = apply_chat_template(self.template, prompt)
             self._check_budget(full_text + prompt.continuation, 0)
             full_texts.append(full_text)
-        started = time.monotonic()
         payload = {
             "model": self.descriptor.model,
             "prompt": [text + p.continuation for text, p in zip(full_texts, prompts)],
@@ -352,7 +310,7 @@ class HttpBackend(CompletionBackend):
             "echo": True,
             "logprobs": 0,
         }
-        reply = self._post(payload)
+        reply, started = self._post_with_retries(payload)
         try:
             choices = reply["choices"]
             by_index = {choice["index"]: choice for choice in choices}
@@ -389,9 +347,3 @@ class HttpBackend(CompletionBackend):
         if counted == 0:
             raise MalformedServiceReply("no continuation tokens in echo response")
         return total
-
-
-def retrying(backend: CompletionBackend, descriptor: BackendDescriptor | None = None,
-             sleep: Callable[[float], None] = time.sleep) -> RetryingBackend:
-    d = descriptor or BackendDescriptor()
-    return RetryingBackend(backend, max_retries=d.max_retries, backoff_base=d.backoff_base, sleep=sleep)

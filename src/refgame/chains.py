@@ -233,8 +233,9 @@ def run_chain(
     config.validate()
     chain_seed = derive_seed(master_seed, f"chain:{chain_index}")
     directory = chain_dir(out_dir, chain_index)
-    directory.mkdir(parents=True, exist_ok=True)
     rows, transmitted = _finished_generations(config, run, chain_seed, chain_index, directory)
+    # made after the seed loads, so a refused seed leaves no directory behind
+    directory.mkdir(parents=True, exist_ok=True)
     training_language = None
     if transmitted is not None:
         training_language = derive_training_language(

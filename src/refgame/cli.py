@@ -17,7 +17,7 @@ from functools import partial
 from pathlib import Path
 
 from .agents import make_agent
-from .backend import BackendError, EventLog, HttpBackend, retrying
+from .backend import BackendError, EventLog, HttpBackend
 from .chains import chain_dir, run_chain
 from .config import (
     ConfigError,
@@ -86,9 +86,7 @@ def _build_agents(config: ExperimentConfig, event_log: EventLog):
     backend = None
     if any(spec == "llm" for spec in config.agents):
         check_backend_credentials(config)
-        backend = retrying(
-            HttpBackend(config.backend, event_log=event_log), config.backend
-        )
+        backend = HttpBackend(config.backend, event_log=event_log)
     return tuple(
         make_agent(spec, agent_id, backend, max_retries=config.run.max_agent_retries)
         for spec, agent_id in zip(config.agents, ("A", "B"))

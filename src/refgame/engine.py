@@ -531,7 +531,6 @@ def run_simulation(
     config: RunConfig,
     agents: tuple[Agent, Agent],
     initial_language: Vocabulary | None = None,
-    split: TrainTestSplit | None = None,
     event_log: EventLog | None = None,
 ) -> SimulationResult:
     """Guessing, labelling, communication, and testing for one dyad.
@@ -545,10 +544,9 @@ def run_simulation(
     seed = config.master_seed
 
     if initial_language is None:
-        if split is None:
-            split = sample_training_set(Random(derive_seed(seed, "split")))
+        split = sample_training_set(Random(derive_seed(seed, "split")))
         initial_language = generate_language(Random(derive_seed(seed, "language")), split.train)
-    elif split is None:
+    else:
         split = split_for_train(initial_language.stimuli())
 
     _context(event_log, simulation=f"sim-{seed:x}")

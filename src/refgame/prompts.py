@@ -12,7 +12,7 @@ be ranked.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
 
@@ -128,7 +128,6 @@ def build_labelling_prompt(
     vocab: Vocabulary,
     stimulus: Stimulus,
     rng: Random,
-    instruction: str = LABELLING_INSTRUCTION,
 ) -> Prompt:
     """Completion prompt with the full vocabulary, target stimulus included.
 
@@ -138,7 +137,7 @@ def build_labelling_prompt(
         raise StimulusMissingError(f"{stimulus} not in vocabulary")
     lines = [render_entry(e) for e in vocab]
     return Prompt(
-        system_instruction=instruction,
+        system_instruction=LABELLING_INSTRUCTION,
         vocabulary_lines=_shuffled(lines, rng),
         stem=completion_stem(stimulus),
     )
@@ -149,28 +148,21 @@ def build_guessing_prompt(
     stimulus: Stimulus,
     candidate: Signal,
     rng: Random,
-    instruction: str = LABELLING_INSTRUCTION,
 ) -> Prompt:
     """Labelling-shaped prompt prefilled with one candidate word for scoring."""
-    base = build_labelling_prompt(vocab, stimulus, rng, instruction)
-    return Prompt(
-        system_instruction=base.system_instruction,
-        vocabulary_lines=base.vocabulary_lines,
-        stem=base.stem,
-        continuation=word_continuation(candidate),
-    )
+    base = build_labelling_prompt(vocab, stimulus, rng)
+    return replace(base, continuation=word_continuation(candidate))
 
 
 def build_speaker_prompt(
     vocab: Vocabulary,
     stimulus: Stimulus,
     rng: Random,
-    instruction: str = SPEAKING_INSTRUCTION,
 ) -> Prompt:
     """Speaking prompt: success-flagged entries, current stimulus excluded."""
     lines = [render_entry(e, include_success=True) for e in vocab if e.stimulus != stimulus]
     return Prompt(
-        system_instruction=instruction,
+        system_instruction=SPEAKING_INSTRUCTION,
         vocabulary_lines=_shuffled(lines, rng),
         stem=completion_stem(stimulus),
     )
@@ -182,7 +174,6 @@ def build_listener_prompt(
     candidate: Stimulus,
     rng: Random,
     exclude: Stimulus | None = None,
-    instruction: str = LISTENING_INSTRUCTION,
 ) -> Prompt:
     """Listening prompt for one candidate meaning, entries rendered word-first.
 
@@ -193,7 +184,7 @@ def build_listener_prompt(
     """
     lines = [render_listener_entry(e) for e in vocab if e.stimulus != exclude]
     return Prompt(
-        system_instruction=instruction,
+        system_instruction=LISTENING_INSTRUCTION,
         vocabulary_lines=_shuffled(lines, rng),
         stem=listener_stem(signal),
         continuation=meaning_continuation(candidate),

@@ -3,6 +3,7 @@
 from functools import lru_cache
 
 from refgame.agents import Agent, CompositionalOracle, _argmin
+from refgame.backend import BackendDescriptor, EventLog, HttpBackend
 from refgame.domain import Stimulus, enumerate_stimuli
 from refgame.metrics import normalized_levenshtein, semantic_similarity
 from refgame.prompts import Prompt, PromptTask, parse_vocabulary_line
@@ -24,6 +25,20 @@ def recursive_levenshtein(a: str, b: str) -> int:
         )
 
     return rec(len(a), len(b))
+
+
+def http_backend(endpoint: str, log_dir, **settings) -> HttpBackend:
+    """An HttpBackend for the test stub service, logging to
+    ``log_dir/events.jsonl``; ``settings`` override descriptor fields."""
+    descriptor = BackendDescriptor(
+        **{"endpoint": endpoint, "model": "test-model", "timeout": 5.0, "template": "plain", **settings}
+    )
+    return HttpBackend(descriptor, event_log=EventLog(log_dir / "events.jsonl"))
+
+
+def logged(log: EventLog, kind: str) -> list[dict]:
+    """The records of ``kind`` in the log's ``events.jsonl``."""
+    return [r for r in EventLog.read(log.path) if r["kind"] == kind]
 
 
 class InContextLearnerBackend:

@@ -17,7 +17,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from helpers import recursive_levenshtein
+from helpers import logged, recursive_levenshtein
 from refgame.agents import CompositionalOracle, RandomChooser
 from refgame.backend import EventLog
 from refgame.cli import EXIT_OK, main as cli_main
@@ -181,10 +181,10 @@ def test_criterion_05_null_calibration():
     assert -0.2 <= mean_z <= 0.2
 
 
-def test_criterion_06_compositional_end_to_end():
+def test_criterion_06_compositional_end_to_end(tmp_path):
     """Full oracle simulation exercises every block with zero network calls."""
     started = time.monotonic()
-    log = EventLog()
+    log = EventLog(tmp_path / "events.jsonl")
     config = RunConfig(master_seed=606, mantel_permutations=10_000)
     agents = (CompositionalOracle("A"), CompositionalOracle("B"))
     result = run_simulation(config, agents, event_log=log)
@@ -196,13 +196,14 @@ def test_criterion_06_compositional_end_to_end():
     topsim_ps = [r.topsim_p for r in testing_rows]
     gen_ok = all(g is not None and g > 0.7 for g in gen_scores)
     topsim_ok = all(p < 0.05 for p in topsim_ps)
-    no_network = not log.of_kind("backend_call")
+    backend_calls = logged(log, "backend_call")
+    no_network = not backend_calls
     ok = perc_com_ok and gen_ok and topsim_ok and no_network and elapsed < 10.0
     report(
         6,
         ok,
         f"perc_com={result.communication.perc_com} gen_scores={[f'{g:.3f}' for g in gen_scores]} "
-        f"topsim_p={topsim_ps} backend_calls={len(log.of_kind('backend_call'))} in {elapsed:.2f}s",
+        f"topsim_p={topsim_ps} backend_calls={len(backend_calls)} in {elapsed:.2f}s",
     )
     assert perc_com_ok
     assert gen_ok

@@ -140,7 +140,12 @@ class TestLLMAgent:
                 batches.append([p.continuation for p in prompts])
                 return super().score(prompts)
 
-        backend = CountingBackend(scores=lambda prompt: -1.0, fail_first=failures)
+        def scores(prompt):
+            if len(batches) <= failures:
+                raise TransportFailure(f"transient failure in batch {len(batches)}")
+            return -1.0
+
+        backend = CountingBackend(scores=scores)
         agent = LLMAgent("A", backend, max_retries=3)
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
@@ -156,12 +161,13 @@ class TestLLMAgent:
         assert rng.getstate() == expected.getstate()
 
     def test_production_failure_after_retries(self):
-        backend = ScriptedBackend(completions=lambda prompt: "```")
+        prompts = []
+        backend = ScriptedBackend(completions=lambda prompt: prompts.append(prompt) or "```")
         agent = LLMAgent("A", backend, max_retries=3)
         agent.set_vocabulary(training_vocab())
         with pytest.raises(ProductionFailure):
             agent.produce_signal(agent.vocabulary.stimuli()[0], PromptTask.LABELLING, Random(0))
-        assert backend.calls == 3
+        assert len(prompts) == 3
 
     def test_transient_parse_failure_recovers(self):
         replies = iter(["{}", "sutupepi"])
@@ -206,7 +212,7 @@ class TestFactory:
     def test_llm_requires_backend(self):
         with pytest.raises(AgentError):
             make_agent("llm", "A")
-        agent = make_agent("llm", "A", backend=ScriptedBackend(completions={}))
+        agent = make_agent("llm", "A", backend=ScriptedBackend())
         assert isinstance(agent, LLMAgent)
 
     def test_unknown_specs(self):

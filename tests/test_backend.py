@@ -1,26 +1,19 @@
-import json
-import threading
-import time
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from helpers import http_backend, logged
 from refgame.backend import (
-    BackendDescriptor,
     BackendTimeout,
     CapabilityUnsupported,
     ContextOverflow,
     EventLog,
-    HttpBackend,
     MalformedServiceReply,
-    RetryingBackend,
     ScriptedBackend,
     TransportFailure,
     apply_chat_template,
     estimate_tokens,
     load_chat_template,
-    retrying,
 )
 from refgame.prompts import Prompt
 
@@ -35,14 +28,6 @@ SCORED = CANDIDATES[0]
 
 
 class TestScriptedBackend:
-    def test_completion_table(self):
-        backend = ScriptedBackend(completions={PROMPT.user_text(): "hanosa"})
-        assert backend.complete(PROMPT) == "hanosa"
-
-    def test_scores_verbatim(self):
-        backend = ScriptedBackend(scores={(PROMPT.user_text(), "gali'}"): -1.25})
-        assert backend.score([SCORED]) == [-1.25]
-
     def test_score_determinism(self):
         backend = ScriptedBackend(scores=lambda p: -float(len(p.continuation)))
         assert backend.score(CANDIDATES) == backend.score(CANDIDATES) == [-6.0] * 4
@@ -53,12 +38,12 @@ class TestScriptedBackend:
             backend.score([SCORED])
 
     def test_missing_entry(self):
-        backend = ScriptedBackend(completions={})
+        backend = ScriptedBackend()
         with pytest.raises(MalformedServiceReply):
             backend.complete(PROMPT)
 
     def test_no_score_capability(self):
-        backend = ScriptedBackend(completions={})
+        backend = ScriptedBackend(completions=lambda p: "ok")
         with pytest.raises(CapabilityUnsupported):
             backend.score([SCORED])
 
@@ -76,11 +61,11 @@ class TestEventLog:
         assert records[1]["block"] == "testing"
         assert records[1]["agent"] == "A"
 
-    def test_backend_logs_before_returning(self):
-        log = EventLog()
+    def test_backend_logs_before_returning(self, tmp_path):
+        log = EventLog(tmp_path / "events.jsonl")
         backend = ScriptedBackend(completions=lambda p: "ok", event_log=log)
         backend.complete(PROMPT)
-        calls = log.of_kind("backend_call")
+        calls = logged(backend.event_log, "backend_call")
         assert len(calls) == 1
         assert calls[0]["call"] == "complete"
         assert calls[0]["result"] == "ok"
@@ -89,30 +74,32 @@ class TestEventLog:
 
 
 class TestRetrying:
-    def test_transient_failure_then_success(self):
-        log = EventLog()
-        inner = ScriptedBackend(completions=lambda p: "ok", event_log=log, fail_first=1)
-        backend = RetryingBackend(inner, max_retries=3, sleep=lambda s: None)
-        assert backend.complete(PROMPT) == "ok"
-        assert len(log.of_kind("backend_retry")) == 1
+    def test_transient_failure_then_success(self, stub_server, tmp_path, waits):
+        endpoint, handler = stub_server
+        handler.failures_left = 1
+        backend = http_backend(endpoint, tmp_path)
+        assert backend.complete(PROMPT) == " hanosa'}"
+        records = EventLog.read(backend.event_log.path)
+        assert [r["kind"] for r in records] == ["backend_retry", "backend_call"]
+        assert (records[0]["attempt"], records[0]["error"]) == (1, "service error 503")
+        assert len(handler.seen) == 2
 
-    def test_exhaustion_raises(self):
-        inner = ScriptedBackend(completions=lambda p: "ok", fail_first=10)
-        backend = RetryingBackend(inner, max_retries=3, sleep=lambda s: None)
+    def test_exhaustion_raises(self, stub_server, tmp_path, waits):
+        endpoint, handler = stub_server
+        handler.failures_left = 10
+        backend = http_backend(endpoint, tmp_path, max_retries=2)
         with pytest.raises(TransportFailure):
             backend.complete(PROMPT)
+        assert len(handler.seen) == 2 + 1  # the first attempt and max_retries retries
+        assert [r["attempt"] for r in logged(backend.event_log, "backend_retry")] == [1, 2]
+        assert logged(backend.event_log, "backend_call") == []
 
-    def test_backoff_schedule(self):
-        waits = []
-        inner = ScriptedBackend(completions=lambda p: "ok", fail_first=3)
-        backend = RetryingBackend(inner, max_retries=3, backoff_base=0.5, sleep=waits.append)
+    def test_backoff_schedule(self, stub_server, tmp_path, waits):
+        endpoint, handler = stub_server
+        handler.failures_left = 3
+        backend = http_backend(endpoint, tmp_path, max_retries=3, backoff_base=0.5)
         backend.complete(PROMPT)
         assert waits == [0.5, 1.0, 2.0]
-
-    def test_factory_uses_descriptor(self):
-        descriptor = BackendDescriptor(max_retries=2, backoff_base=0.1)
-        backend = retrying(ScriptedBackend(completions=lambda p: "ok"), descriptor, sleep=lambda s: None)
-        assert backend.max_retries == 2
 
 
 class TestTemplates:
@@ -139,95 +126,24 @@ class TestTemplates:
         assert estimate_tokens("abcde") == 2
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    behaviour = "complete"
-    seen: list[dict] = []
-    failures_left = 0
-
-    def log_message(self, *args):
-        pass
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        type(self).seen.append(body)
-        if type(self).failures_left > 0:
-            type(self).failures_left -= 1
-            self.send_response(503)
-            self.end_headers()
-            return
-        behaviour = type(self).behaviour
-        if behaviour == "slow":
-            time.sleep(0.5)
-        if behaviour == "bad_json":
-            self.send_response(200)
-            self.end_headers()
-            self.wfile.write(b"not json")
-            return
-        prompts = body["prompt"] if isinstance(body["prompt"], list) else [body["prompt"]]
-        if behaviour == "no_logprobs":
-            choices = [{"index": i, "text": ""} for i in range(len(prompts))]
-        elif body.get("echo"):
-            # three synthetic continuation tokens at the tail, each -0.5 times
-            # the prompt's position plus one, so every choice scores apart
-            choices = []
-            for i, prompt in enumerate(prompts):
-                offsets = [0, max(0, len(prompt) - 3), len(prompt) - 2, len(prompt) - 1]
-                lp = -0.5 * (i + 1)
-                choices.append({
-                    "index": i,
-                    "text": prompt,
-                    "logprobs": {"token_logprobs": [None, lp, lp, lp], "text_offset": offsets},
-                })
-        else:
-            choices = [{"index": i, "text": " hanosa'}"} for i in range(len(prompts))]
-        if behaviour == "reversed":
-            choices.reverse()
-        elif behaviour == "drop_choice":
-            choices.pop()
-        payload = {"choices": choices}
-        data = json.dumps(payload).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(data)
-
-
-@pytest.fixture()
-def stub_server():
-    _StubHandler.behaviour = "complete"
-    _StubHandler.seen = []
-    _StubHandler.failures_left = 0
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}", _StubHandler
-    server.shutdown()
-    thread.join(timeout=2)
-
-
 class TestHttpBackend:
-    def _backend(self, endpoint, **overrides):
-        settings = dict(endpoint=endpoint, model="test-model", timeout=5.0, template="plain")
-        settings.update(overrides)
-        return HttpBackend(BackendDescriptor(**settings), event_log=EventLog())
-
-    def test_complete(self, stub_server):
+    def test_complete(self, stub_server, tmp_path):
         endpoint, handler = stub_server
-        backend = self._backend(endpoint)
+        backend = http_backend(endpoint, tmp_path)
         assert backend.complete(PROMPT) == " hanosa'}"
         request = handler.seen[-1]
         assert request["temperature"] == 0.0
         assert request["stop"] == ["\n", "'}"]
-        assert len(backend.event_log.of_kind("backend_call")) == 1
+        assert len(logged(backend.event_log, "backend_call")) == 1
 
-    def test_score_echo_path(self, stub_server):
+    def test_score_echo_path(self, stub_server, tmp_path):
         endpoint, _ = stub_server
-        backend = self._backend(endpoint)
+        backend = http_backend(endpoint, tmp_path)
         assert backend.score([SCORED]) == [pytest.approx(-1.5)]
 
-    def test_score_one_request_per_call(self, stub_server):
+    def test_score_one_request_per_call(self, stub_server, tmp_path):
         endpoint, handler = stub_server
-        backend = self._backend(endpoint)
+        backend = http_backend(endpoint, tmp_path)
         scores = backend.score(CANDIDATES)
         assert scores == pytest.approx([-1.5, -3.0, -4.5, -6.0])
         assert len(handler.seen) == 1
@@ -235,92 +151,91 @@ class TestHttpBackend:
         assert request["echo"] is True and request["max_tokens"] == 0
         assert len(request["prompt"]) == 4
         assert [text.endswith(p.continuation) for text, p in zip(request["prompt"], CANDIDATES)] == [True] * 4
-        calls = backend.event_log.of_kind("backend_call")
+        calls = logged(backend.event_log, "backend_call")
         assert [c["continuation"] for c in calls] == [p.continuation for p in CANDIDATES]
         assert [c["result"] for c in calls] == scores
 
-    def test_score_matches_choices_by_index(self, stub_server):
+    def test_score_matches_choices_by_index(self, stub_server, tmp_path):
         endpoint, handler = stub_server
         handler.behaviour = "reversed"
-        backend = self._backend(endpoint)
+        backend = http_backend(endpoint, tmp_path)
         assert backend.score(CANDIDATES) == pytest.approx([-1.5, -3.0, -4.5, -6.0])
 
-    def test_score_wrong_choice_count(self, stub_server):
+    def test_score_wrong_choice_count(self, stub_server, tmp_path):
         endpoint, handler = stub_server
         handler.behaviour = "drop_choice"
-        backend = self._backend(endpoint)
+        backend = http_backend(endpoint, tmp_path)
         with pytest.raises(MalformedServiceReply):
             backend.score(CANDIDATES)
-        assert backend.event_log.of_kind("backend_call") == []
+        assert logged(backend.event_log, "backend_call") == []
 
-    def test_score_preflight_covers_every_candidate(self, stub_server):
+    def test_score_preflight_covers_every_candidate(self, stub_server, tmp_path):
         endpoint, handler = stub_server
         plain = apply_chat_template(load_chat_template("plain"), PROMPT)
         budget = estimate_tokens(plain + CANDIDATES[0].continuation) + 2
         long_one = replace(PROMPT, continuation="x" * 40 + "'}")
-        backend = self._backend(endpoint, context_budget_tokens=budget)
+        backend = http_backend(endpoint, tmp_path, context_budget_tokens=budget)
         assert len(backend.score(CANDIDATES)) == 4
         handler.seen.clear()
         with pytest.raises(ContextOverflow):
             backend.score(CANDIDATES[:3] + [long_one])
         assert handler.seen == []  # no request was sent
 
-    def test_score_capability_unsupported(self, stub_server):
+    def test_score_capability_unsupported(self, stub_server, tmp_path):
         endpoint, handler = stub_server
         handler.behaviour = "no_logprobs"
-        backend = self._backend(endpoint)
+        backend = http_backend(endpoint, tmp_path)
         with pytest.raises(CapabilityUnsupported):
             backend.score(CANDIDATES)
 
-    def test_score_batch_retried_as_a_whole(self, stub_server):
+    def test_score_batch_retried_as_a_whole(self, stub_server, tmp_path, waits):
         endpoint, handler = stub_server
         handler.failures_left = 1
-        inner = self._backend(endpoint)
-        backend = RetryingBackend(inner, max_retries=3, sleep=lambda s: None)
+        backend = http_backend(endpoint, tmp_path)
         assert backend.score(CANDIDATES) == pytest.approx([-1.5, -3.0, -4.5, -6.0])
         assert len(handler.seen) == 2
-        records = inner.event_log.records
+        records = EventLog.read(backend.event_log.path)
         assert [r["kind"] for r in records] == ["backend_retry"] + ["backend_call"] * 4
         assert [r["continuation"] for r in records[1:]] == [p.continuation for p in CANDIDATES]
 
-    def test_context_overflow_preflight(self, stub_server):
+    def test_context_overflow_preflight(self, stub_server, tmp_path):
         endpoint, handler = stub_server
-        backend = self._backend(endpoint, context_budget_tokens=8)
+        backend = http_backend(endpoint, tmp_path, context_budget_tokens=8)
         with pytest.raises(ContextOverflow):
             backend.complete(PROMPT)
         assert handler.seen == []  # no network call was made
 
-    def test_server_error_is_transport_failure(self, stub_server):
+    def test_server_error_is_transport_failure(self, stub_server, tmp_path):
         endpoint, handler = stub_server
         handler.failures_left = 1
-        backend = self._backend(endpoint)
+        backend = http_backend(endpoint, tmp_path, max_retries=0)
         with pytest.raises(TransportFailure):
             backend.complete(PROMPT)
 
-    def test_retry_recovers_from_5xx(self, stub_server):
+    def test_retry_recovers_from_5xx(self, stub_server, tmp_path, waits):
         endpoint, handler = stub_server
         handler.failures_left = 1
-        backend = RetryingBackend(self._backend(endpoint), max_retries=3, sleep=lambda s: None)
+        backend = http_backend(endpoint, tmp_path)
         assert backend.complete(PROMPT) == " hanosa'}"
 
-    def test_bad_json_reply(self, stub_server):
+    def test_bad_json_reply(self, stub_server, tmp_path):
         endpoint, handler = stub_server
         handler.behaviour = "bad_json"
-        backend = self._backend(endpoint)
+        backend = http_backend(endpoint, tmp_path)
         with pytest.raises(MalformedServiceReply):
             backend.complete(PROMPT)
 
-    def test_timeout(self, stub_server):
+    def test_timeout(self, stub_server, tmp_path):
         endpoint, handler = stub_server
         handler.behaviour = "slow"
-        backend = self._backend(endpoint, timeout=0.1)
+        backend = http_backend(endpoint, tmp_path, timeout=0.1, max_retries=0)
         with pytest.raises(BackendTimeout):
             backend.complete(PROMPT)
 
-    def test_credential_header(self, stub_server, monkeypatch):
+    def test_credential_header(self, stub_server, tmp_path, monkeypatch):
         endpoint, handler = stub_server
         monkeypatch.setenv("REFGAME_API_KEY", "sekrit")
-        backend = self._backend(endpoint)
+        backend = http_backend(endpoint, tmp_path)
         backend.complete(PROMPT)
         # the handler does not expose headers; check via the backend's own builder
         assert backend._headers()["Authorization"] == "Bearer sekrit"

@@ -14,8 +14,11 @@ import refgame.chains
 import refgame.cli  # noqa: F401  (loads every module the tracer wraps)
 import refgame.engine
 import refgame.metrics
+from helpers import http_backend
+from refgame.backend import EventLog
 from refgame.config import ExperimentConfig
 from refgame.domain import enumerate_stimuli
+from refgame.prompts import Prompt
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -76,3 +79,20 @@ def test_result_hooks_find_the_attributes_they_read():
     selection = refgame.chains.select_donor(constant, constant, ("A", "B"), permutations=10, rng=0)
     assert selection.degenerate is True
     assert selection.pairs == constant
+
+
+def test_wire_events_the_benchmark_counts(stub_server, tmp_path, waits):
+    # run.py counts failed backend operations from backend_retry records and
+    # reads latency from backend_call records; a renamed kind or field would
+    # silently zero wire_sim's failed share or its call latencies
+    endpoint, handler = stub_server
+    handler.failures_left = 1
+    backend = http_backend(endpoint, tmp_path)
+    prompts = [Prompt("be terse", ("gali",), "word:'", continuation=f"{w}'}}") for w in ("ka", "po")]
+    backend.score(prompts)
+    records = EventLog.read(backend.event_log.path)
+    assert [r["kind"] for r in records] == ["backend_retry", "backend_call", "backend_call"]
+    assert all(isinstance(r["latency"], float) for r in records[1:])
+    # selftest.py patches _post(payload) -> reply on a client instance
+    reply = backend._post({"model": "test-model", "prompt": "word:'", "max_tokens": 4})
+    assert isinstance(reply, dict) and reply["choices"][0]["index"] == 0

@@ -355,6 +355,17 @@ class TestChainCommand:
         assert err.startswith("error: ") and message in err
         assert not (out / "chain-00").exists()
 
+    def test_seed_only_chain_writes_its_csv(self, tmp_path):
+        sims = tmp_path / "sims"
+        run_cli("simulate", "--seed", "3", "--out", str(sims), "--permutations", "60")
+        out = tmp_path / "chains"
+        code = run_cli(
+            "chain", "--chains", "1", "--generations", "1", "--seed-from", str(sims / "sim-00"),
+            "--out", str(out), "--permutations", "60",
+        )
+        assert code == EXIT_OK
+        assert [row["generation"] for row in read_csv(out / "chain-00" / "chain.csv")] == ["0"]
+
     def test_seed_from_imports_generation_zero(self, tmp_path):
         sims = tmp_path / "sims"
         run_cli(
@@ -414,6 +425,17 @@ class TestChainCommand:
         assert err.startswith(f"error: {sims / 'sim-00'} cannot seed a chain: ")
         assert "incomplete testing output for agent A" in err
         assert not (out / "chain-00" / "gen01").exists()
+
+    def test_missing_seed_leaves_no_chain_directory(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        out = tmp_path / "chains"
+        code = run_cli(
+            "chain", "--chains", "2", "--generations", "2", "--seed-from", str(missing),
+            "--out", str(out), "--permutations", "60",
+        )
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: no manifest in {missing}")
+        assert not (out / "chain-00").exists()
 
     def test_seeded_chain_resumes(self, tmp_path, capsys):
         shared = seeded_chain_argv(tmp_path)

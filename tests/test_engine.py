@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 import refgame.engine as engine
-from helpers import InContextLearnerBackend, RepairOracle
+from helpers import InContextLearnerBackend, RepairOracle, logged
 from refgame.agents import (
     ChoiceFailure,
     CompositionalOracle,
@@ -275,16 +275,16 @@ class TestTestingBlock:
         flagged = {r.stimulus for r in result.records if r.extrapolated}
         assert flagged == set(split.test)
 
-    def test_context_sizes_from_prompts(self):
+    def test_context_sizes_from_prompts(self, tmp_path):
         # train stimulus: 14 lines; test stimulus: 15 lines
         vocab, split = training_vocab()
-        log = EventLog()
+        log = EventLog(tmp_path / "events.jsonl")
         backend = ScriptedBackend(completions=lambda p: "gigi", event_log=log)
         agent = LLMAgent("A", backend)
         agent.set_vocabulary(vocab.copy())
         run_testing_block(agent, Random(0), event_log=log)
         train = set(split.train)
-        calls = log.of_kind("backend_call")
+        calls = logged(log, "backend_call")
         assert len(calls) == 27
         ordered = enumerate_stimuli()
         for call in calls:
@@ -530,9 +530,9 @@ class TestBlockEvents:
 
 
 class TestExclusionInvariant:
-    def test_no_communication_or_testing_prompt_contains_target(self):
+    def test_no_communication_or_testing_prompt_contains_target(self, tmp_path):
         vocab, split = training_vocab(7)
-        log = EventLog()
+        log = EventLog(tmp_path / "events.jsonl")
         backend = ScriptedBackend(
             completions=lambda p: "gigi", scores=lambda p: -1.0, event_log=log
         )
@@ -545,10 +545,10 @@ class TestExclusionInvariant:
 
         interactions = {
             (e["round"], e["task"]): Stimulus(*e["stimulus"])
-            for e in log.of_kind("interaction")
+            for e in logged(log, "interaction")
         }
         checked_speak = checked_listen = checked_test = 0
-        for call in log.of_kind("backend_call"):
+        for call in logged(log, "backend_call"):
             lines = call["prompt"].split("\n")
             body, stem = lines[:-1], lines[-1]
             if call["block"] == "communication" and call["call"] == "complete":
@@ -571,9 +571,9 @@ class TestExclusionInvariant:
         assert checked_listen == 30 * 4
         assert checked_test == 27
 
-    def test_labelling_and_guessing_prompts_contain_target(self):
+    def test_labelling_and_guessing_prompts_contain_target(self, tmp_path):
         vocab, _ = training_vocab(7)
-        log = EventLog()
+        log = EventLog(tmp_path / "events.jsonl")
         backend = ScriptedBackend(
             completions=lambda p: "gigi", scores=lambda p: -1.0, event_log=log
         )
@@ -582,7 +582,7 @@ class TestExclusionInvariant:
         run_labelling_block(agent, vocab, Random(0), event_log=log)
         agent.set_vocabulary(vocab.copy())
         run_guessing_block(agent, vocab, Random(0), event_log=log)
-        for call in log.of_kind("backend_call"):
+        for call in logged(log, "backend_call"):
             lines = call["prompt"].split("\n")
             body, stem = lines[:-1], lines[-1]
             prefix = stem[: stem.index("'word':'")]

@@ -18,7 +18,7 @@ from random import Random
 import pytest
 
 from refgame.agents import LLMAgent
-from refgame.backend import BackendDescriptor, HttpBackend, retrying
+from refgame.backend import BackendDescriptor, HttpBackend
 from refgame.domain import generate_language, sample_training_set
 from refgame.engine import run_guessing_block, run_labelling_block
 
@@ -36,7 +36,7 @@ def live_agent():
         model=os.environ.get("REFGAME_LIVE_MODEL", ""),
         api_key_env=os.environ.get("REFGAME_LIVE_KEY_ENV", "REFGAME_API_KEY"),
     )
-    backend = retrying(HttpBackend(descriptor), descriptor)
+    backend = HttpBackend(descriptor)
     agent = LLMAgent("live", backend)
     split = sample_training_set(Random(0))
     agent.set_vocabulary(generate_language(Random(0), split.train))

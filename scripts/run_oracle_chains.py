@@ -15,7 +15,7 @@ from pathlib import Path
 
 from refgame.cli import main as cli_main
 from refgame.metrics import MetricError, paired_t_test
-from refgame.persistence import read_csv
+from refgame.persistence import ChainRow, read_rows
 
 
 def main() -> int:
@@ -44,10 +44,10 @@ def main() -> int:
 
     first, last = {}, {}
     for chain_index in range(args.chains):
-        rows = read_csv(Path(args.out) / f"chain-{chain_index:02d}" / "chain.csv")
+        rows = read_rows(Path(args.out) / f"chain-{chain_index:02d}" / "chain.csv", ChainRow)
         for column in ("ngram_diversity", "unique_signal_ratio", "topsim_z"):
-            first.setdefault(column, []).append(float(rows[0][column]))
-            last.setdefault(column, []).append(float(rows[-1][column]))
+            first.setdefault(column, []).append(getattr(rows[0], column))
+            last.setdefault(column, []).append(getattr(rows[-1], column))
 
     print(f"\nfirst vs last generation across {args.chains} chains:")
     for column in ("ngram_diversity", "unique_signal_ratio", "topsim_z"):

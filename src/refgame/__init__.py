@@ -1,72 +1,3 @@
 """Referential-game and iterated-learning simulations over artificial languages."""
 
 __version__ = "0.1.0"
-
-from .agents import CompositionalOracle, LLMAgent, LookupOracle, RandomChooser, make_agent
-from .backend import BackendDescriptor, EventLog, HttpBackend, ScriptedBackend
-from .chains import ChainConfig, GenerationRecord, derive_training_language, run_chain, select_donor
-from .domain import (
-    Signal,
-    Stimulus,
-    TrainTestSplit,
-    Vocabulary,
-    VocabularyEntry,
-    enumerate_stimuli,
-    generate_language,
-    random_signal,
-    sample_training_set,
-)
-from .engine import RunConfig, SimulationResult, run_simulation
-from .metrics import (
-    MetricReport,
-    TopSimResult,
-    communicative_success_rate,
-    generalization_score,
-    ngram_diversity,
-    normalized_levenshtein,
-    paired_t_test,
-    pearson,
-    semantic_similarity,
-    topsim_mantel,
-)
-from .persistence import replay_run, save_simulation
-
-__all__ = [
-    "BackendDescriptor",
-    "ChainConfig",
-    "CompositionalOracle",
-    "EventLog",
-    "GenerationRecord",
-    "HttpBackend",
-    "LLMAgent",
-    "LookupOracle",
-    "MetricReport",
-    "RandomChooser",
-    "RunConfig",
-    "ScriptedBackend",
-    "Signal",
-    "SimulationResult",
-    "Stimulus",
-    "TopSimResult",
-    "TrainTestSplit",
-    "Vocabulary",
-    "VocabularyEntry",
-    "communicative_success_rate",
-    "derive_training_language",
-    "enumerate_stimuli",
-    "generalization_score",
-    "generate_language",
-    "make_agent",
-    "ngram_diversity",
-    "normalized_levenshtein",
-    "paired_t_test",
-    "pearson",
-    "random_signal",
-    "replay_run",
-    "run_chain",
-    "run_simulation",
-    "sample_training_set",
-    "select_donor",
-    "semantic_similarity",
-    "topsim_mantel",
-]

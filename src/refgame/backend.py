@@ -71,6 +71,14 @@ class BackendDescriptor:
     template: str = "llama3"  # template name under data/templates or a file path
     backoff_base: float = 0.5
 
+    def validate(self) -> None:
+        if self.timeout <= 0:
+            raise BackendError("timeout must be > 0")
+        if self.max_retries < 0:
+            raise BackendError("max_retries must be >= 0")
+        if self.backoff_base < 0:
+            raise BackendError("backoff_base must be >= 0")
+
 
 def load_chat_template(name_or_path: str) -> str:
     """A format string with {system} and {user} placeholders."""

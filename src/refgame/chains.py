@@ -11,6 +11,7 @@ label of a chain, resume, the ``seed_from`` import and the saves live here.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from random import Random
@@ -26,18 +27,17 @@ from .domain import (
     enumerate_stimuli,
     sample_training_set,
 )
-from .engine import RunConfig, SimulationAborted, SimulationResult, derive_seed, run_simulation
+from .engine import MetricRow, RunConfig, SimulationAborted, SimulationResult, derive_seed, run_simulation
 from .metrics import DegenerateMatrixError, topsim_mantel
 from .persistence import (
-    CHAIN_COLUMNS,
+    ChainRow,
     PersistenceError,
     chain_row,
     load_run_for_replay,
-    read_csv,
-    read_metric_rows,
+    read_rows,
     save_partial,
     save_simulation,
-    write_csv,
+    write_rows,
 )
 
 
@@ -167,15 +167,16 @@ def _select_generation_donor(
 
 def _finished_generations(
     config: ChainConfig, run: RunConfig, chain_seed: int, chain_index: int, directory: Path
-) -> tuple[list[dict], list[tuple[Stimulus, Signal]] | None]:
+) -> tuple[list[ChainRow], list[tuple[Stimulus, Signal]] | None]:
     """chain.csv rows of the finished generations and the last donor's
     testing output (None when nothing is finished): the ``seed_from`` import
     as generation 0, then the longest prefix of complete, digest-valid
-    generation directories, each row read from ``chain.csv`` or rebuilt from
-    ``metrics.csv``. A finished generation run with another RunConfig than
-    this chain's raises ``PersistenceError``: a resume never splices in
-    another configuration's trace."""
-    rows: list[dict] = []
+    generation directories, each row rebuilt from that generation's
+    digest-checked ``metrics.csv``; a stored ``chain.csv`` is never read.
+    A finished generation run with another RunConfig than this chain's
+    raises ``PersistenceError``: a resume never splices in another
+    configuration's trace."""
+    rows: list[ChainRow] = []
     transmitted = None
     if config.seed_from:
         seed_dir = Path(config.seed_from)
@@ -184,12 +185,9 @@ def _finished_generations(
             selection = _select_generation_donor(config, chain_seed, 0, seed_result)
         except ChainError as err:
             raise PersistenceError(f"{seed_dir} cannot seed a chain: {err}") from err
-        seed_rows = read_metric_rows(seed_dir / "metrics.csv")
+        seed_rows = read_rows(seed_dir / "metrics.csv", MetricRow)
         rows.append(chain_row(chain_index, 0, selection.donor_id, seed_rows))
         transmitted = selection.pairs
-    stored = {}
-    if (directory / "chain.csv").exists():
-        stored = {int(row["generation"]): row for row in read_csv(directory / "chain.csv")}
     for generation in range(len(rows), config.generations):
         gen_dir = directory / f"gen{generation:02d}"
         try:
@@ -201,12 +199,8 @@ def _finished_generations(
         if result.config != _generation_run_config(config, run, chain_seed, generation):
             raise PersistenceError(f"{gen_dir} was run with another configuration")
         donor_id = manifest.extra["donor_id"]
-        rows.append(
-            stored.get(generation)
-            or chain_row(
-                chain_index, generation, donor_id, read_metric_rows(gen_dir / "metrics.csv")
-            )
-        )
+        metric_rows = read_rows(gen_dir / "metrics.csv", MetricRow)
+        rows.append(chain_row(chain_index, generation, donor_id, metric_rows))
         transmitted = result.testing[donor_id].pairs()
     return rows, transmitted
 
@@ -247,6 +241,7 @@ def run_chain(
         event_log = EventLog(gen_dir / "events.jsonl")
         event_log.set_context(generation=generation)
         agents = agent_factory(event_log)
+        started = time.time()
         try:
             result = run_simulation(
                 _generation_run_config(config, run, chain_seed, generation),
@@ -259,11 +254,12 @@ def run_chain(
             except ChainError as err:  # nothing complete to transmit
                 raise SimulationAborted(str(err), result) from err
         except SimulationAborted as err:
-            save_partial(err.partial, gen_dir, error=str(err))
+            save_partial(err.partial, gen_dir, error=str(err), started=started)
             raise
         save_simulation(
             result,
             gen_dir,
+            started=started,
             extra={
                 "donor_id": selection.donor_id,
                 "donor_degenerate": selection.degenerate,
@@ -271,7 +267,7 @@ def run_chain(
             },
         )
         rows.append(chain_row(chain_index, generation, selection.donor_id, result.metric_rows))
-        write_csv(directory / "chain.csv", CHAIN_COLUMNS, rows)
+        write_rows(directory / "chain.csv", rows)
         records.append(
             GenerationRecord(
                 generation=generation,
@@ -285,5 +281,5 @@ def run_chain(
             selection.pairs,
             Random(derive_seed(chain_seed, f"portion:{generation + 1}")),
         )
-    write_csv(directory / "chain.csv", CHAIN_COLUMNS, rows)
+    write_rows(directory / "chain.csv", rows)
     return records

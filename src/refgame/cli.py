@@ -79,13 +79,13 @@ def _load_or_default(args: argparse.Namespace) -> ExperimentConfig:
         config = ExperimentConfig()
     config = _apply_overrides(config, args)
     validate_config(config)  # the command-line values too, before any directory is made
+    check_backend_credentials(config)
     return config
 
 
 def _build_agents(config: ExperimentConfig, event_log: EventLog):
     backend = None
     if any(spec == "llm" for spec in config.agents):
-        check_backend_credentials(config)
         backend = HttpBackend(config.backend, event_log=event_log)
     return tuple(
         make_agent(spec, agent_id, backend, max_retries=config.run.max_agent_retries)

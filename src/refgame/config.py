@@ -9,13 +9,13 @@ environment variable instead.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
 from .agents import ORACLE_KINDS
-from .backend import BackendDescriptor
+from .backend import BackendDescriptor, BackendError
 from .chains import ChainConfig, ChainError
 from .engine import EngineError, RunConfig
 
@@ -33,11 +33,6 @@ class ExperimentConfig:
     run: RunConfig = field(default_factory=RunConfig)
     chain: ChainConfig = field(default_factory=ChainConfig)
     backend: BackendDescriptor = field(default_factory=BackendDescriptor)
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["run"].pop("master_seed", None)  # derived per run, not configured
-        return data
 
 
 def _build_section(cls, data: dict, path: str, derived: frozenset = frozenset()):
@@ -84,6 +79,10 @@ def validate_config(config: ExperimentConfig) -> None:
         config.chain.validate()
     except ChainError as err:
         raise ConfigError(f"chain: {err}") from err
+    try:
+        config.backend.validate()
+    except BackendError as err:
+        raise ConfigError(f"backend: {err}") from err
 
 
 def check_backend_credentials(config: ExperimentConfig) -> None:

@@ -266,14 +266,6 @@ def sample_training_set(rng: Random) -> TrainTestSplit:
     raise DomainError(f"no balanced split found in {SPLIT_ATTEMPT_CAP} attempts")
 
 
-def split_for_train(train: Iterable[Stimulus]) -> TrainTestSplit:
-    """Reconstruct the split whose training set is the given 15 stimuli."""
-    chosen = set(train)
-    ordered = tuple(s for s in enumerate_stimuli() if s in chosen)
-    test = tuple(s for s in enumerate_stimuli() if s not in chosen)
-    return TrainTestSplit(train=ordered, test=test)
-
-
 def generate_language(rng: Random, stimuli: Iterable[Stimulus]) -> Vocabulary:
     """A fresh holistic language: one random signal per stimulus, pairwise distinct.
 

@@ -23,12 +23,10 @@ from .backend import EventLog
 from .domain import (
     Signal,
     Stimulus,
-    TrainTestSplit,
     Vocabulary,
     enumerate_stimuli,
     sample_training_set,
     generate_language,
-    split_for_train,
 )
 from .metrics import (
     MetricError,
@@ -239,7 +237,6 @@ class SimulationResult:
 
     config: RunConfig
     agent_ids: tuple[str, str]
-    split: TrainTestSplit
     initial_language: Vocabulary
     guessing: dict[str, GuessingResult] = field(default_factory=dict)
     labelling: dict[str, LabellingResult] = field(default_factory=dict)
@@ -509,7 +506,7 @@ def compute_metric_rows(result: SimulationResult) -> list[MetricRow]:
         for n in range(1, config.rounds + 1)
         for a, vocabs in communication.round_vocabs.items()
     ]
-    train_set = set(result.split.train)
+    train_set = set(result.initial_language.stimuli())
     for agent_id in result.agent_ids:
         pairs = result.testing[agent_id].pairs()
         train_pairs = [(s, w) for s, w in pairs if s in train_set]
@@ -546,8 +543,6 @@ def run_simulation(
     if initial_language is None:
         split = sample_training_set(Random(derive_seed(seed, "split")))
         initial_language = generate_language(Random(derive_seed(seed, "language")), split.train)
-    else:
-        split = split_for_train(initial_language.stimuli())
 
     _context(event_log, simulation=f"sim-{seed:x}")
     _emit(event_log, "run_start", master_seed=seed, agents=[agent_a.agent_id, agent_b.agent_id])
@@ -555,7 +550,6 @@ def run_simulation(
     result = SimulationResult(
         config=config,
         agent_ids=(agent_a.agent_id, agent_b.agent_id),
-        split=split,
         initial_language=initial_language,
     )
     for agent in agents:

@@ -14,6 +14,7 @@ compared against the stored CSV.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import time
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .backend import EventLog
-from .domain import Vocabulary, VocabularyEntry, split_for_train
+from .domain import Vocabulary, VocabularyEntry
 from .engine import (
     CommunicationResult,
     GuessingRecord,
@@ -39,21 +40,6 @@ from .engine import (
 )
 
 SCHEMA_VERSION = 1
-
-METRICS_COLUMNS = ["schema_version"] + [f.name for f in fields(MetricRow)]
-
-CHAIN_COLUMNS = [
-    "schema_version",
-    "chain",
-    "generation",
-    "donor",
-    "learnability",
-    "perc_com",
-    "topsim_z",
-    "topsim_p",
-    "ngram_diversity",
-    "unique_signal_ratio",
-]
 
 
 class PersistenceError(Exception):
@@ -78,17 +64,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def metric_row_to_csv(row: MetricRow) -> dict:
-    return {"schema_version": str(SCHEMA_VERSION)} | {
-        column: _fmt(getattr(row, column)) for column in METRICS_COLUMNS[1:]
-    }
-
-
 _PARSERS = {"str": str, "int": int, "float": float, "bool": {"0": False, "1": True}.__getitem__}
 
 
 def _cell_parser(annotation: str):
-    """The reader of one MetricRow field's cells, from its annotation:
+    """The reader of one row field's cells, from its annotation:
     ``float | None`` reads an empty cell as None, ``bool`` reads 0 or 1."""
     parse = _PARSERS[annotation.split(" | ")[0]]
     if annotation.endswith("| None"):
@@ -96,16 +76,35 @@ def _cell_parser(annotation: str):
     return parse
 
 
-# fixed per field once: resolving annotations per row would dominate replay
-_CELL_PARSERS = {f.name: _cell_parser(f.type) for f in fields(MetricRow)}
+# fixed per row type once: resolving annotations per row would dominate replay
+@functools.cache
+def _cell_parsers(row_type: type) -> dict:
+    return {f.name: _cell_parser(f.type) for f in fields(row_type)}
 
 
-def read_metric_rows(path: str | Path) -> list[MetricRow]:
-    """The rows of a ``metrics.csv``, decoded as written by ``metric_row_to_csv``."""
+def write_rows(path: str | Path, rows: list) -> None:
+    """Write rows of one dataclass as a CSV: ``schema_version``, then one
+    column per field, in field order."""
+    columns = [f.name for f in fields(rows[0])]
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["schema_version"] + columns)
+        for row in rows:
+            writer.writerow([SCHEMA_VERSION] + [_fmt(getattr(row, c)) for c in columns])
+
+
+def read_rows(path: str | Path, row_type: type) -> list:
+    """The rows of a CSV written by ``write_rows``, decoded as ``row_type``."""
+    parsers = _cell_parsers(row_type)
+    with Path(path).open(newline="") as fh:
+        cell_rows = list(csv.DictReader(fh))
     rows = []
-    for number, cells in enumerate(read_csv(path), start=1):
+    for number, cells in enumerate(cell_rows, start=1):
+        version = cells.get("schema_version") or ""
+        if version.split(".")[0] != str(SCHEMA_VERSION):
+            raise SchemaVersionError(f"unsupported schema version {version!r} in {path}")
         values = {}
-        for column, parse in _CELL_PARSERS.items():
+        for column, parse in parsers.items():
             cell = cells.get(column) or ""
             try:
                 values[column] = parse(cell)
@@ -113,24 +112,7 @@ def read_metric_rows(path: str | Path) -> list[MetricRow]:
                 raise PersistenceError(
                     f"{path}: row {number}, column {column}: unreadable value {cell!r}"
                 ) from None
-        rows.append(MetricRow(**values))
-    return rows
-
-
-def write_csv(path: str | Path, columns: list[str], rows: list[dict]) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def read_csv(path: str | Path) -> list[dict]:
-    with Path(path).open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
-        version = row.get("schema_version", "")
-        if version.split(".")[0] != str(SCHEMA_VERSION):
-            raise SchemaVersionError(f"unsupported schema version {version!r} in {path}")
+        rows.append(row_type(**values))
     return rows
 
 
@@ -206,11 +188,7 @@ def _save_run(
         produced = Vocabulary(VocabularyEntry(s, w) for s, w in testing.pairs())
         produced.save(_vocab_path(base, "testing", agent_id))
     if result.metric_rows:
-        write_csv(
-            base / "metrics.csv",
-            METRICS_COLUMNS,
-            [metric_row_to_csv(row) for row in result.metric_rows],
-        )
+        write_rows(base / "metrics.csv", result.metric_rows)
     files = {}
     for path in sorted(base.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
@@ -272,7 +250,6 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     result = SimulationResult(
         config=RunConfig(**manifest.config),
         agent_ids=tuple(manifest.extra["agent_ids"]),
-        split=split_for_train(initial.stimuli()),
         initial_language=initial,
     )
 
@@ -330,15 +307,16 @@ def replay_run(run_dir: str | Path, tolerance: float = 1e-9) -> ReplayReport:
     base = Path(run_dir)
     _, result = load_run_for_replay(base)
     recomputed = compute_metric_rows(result)
-    stored = read_metric_rows(base / "metrics.csv")
+    stored = read_rows(base / "metrics.csv", MetricRow)
     mismatches: list[ReplayMismatch] = []
     if len(stored) != len(recomputed):
         mismatches.append(
             ReplayMismatch("*", "", "", "row_count", str(len(stored)), str(len(recomputed)))
         )
         return ReplayReport(ok=False, mismatches=mismatches, rows_checked=0)
+    columns = [f.name for f in fields(MetricRow)]
     for old, new in zip(stored, recomputed):
-        for column in METRICS_COLUMNS[1:]:
+        for column in columns:
             a, b = getattr(old, column), getattr(new, column)
             if isinstance(a, float) and isinstance(b, float):
                 if abs(a - b) <= tolerance:
@@ -358,11 +336,27 @@ def replay_run(run_dir: str | Path, tolerance: float = 1e-9) -> ReplayReport:
     return ReplayReport(ok=not mismatches, mismatches=mismatches, rows_checked=len(stored))
 
 
+@dataclass
+class ChainRow:
+    """One ``chain.csv`` row, one per generation: the field names are the
+    columns after ``schema_version``, in column order."""
+
+    chain: int
+    generation: int
+    donor: str
+    learnability: float
+    perc_com: float
+    topsim_z: float | None
+    topsim_p: float | None
+    ngram_diversity: float | None
+    unique_signal_ratio: float | None
+
+
 def chain_row(
     chain_index: int, generation: int, donor_id: str, metric_rows: list[MetricRow]
-) -> dict:
+) -> ChainRow:
     """One chain-level CSV row per generation, from the generation's metric
-    rows (in memory or read back with ``read_metric_rows``).
+    rows (in memory or read back with ``read_rows``).
 
     Learnability is the mean labelling Levenshtein distance. perc_com is the
     mean over rounds with each round counted once: every agent's row repeats
@@ -374,15 +368,14 @@ def chain_row(
     donor_row = next(
         row for row in metric_rows if row.block == "testing" and row.agent == donor_id
     )
-    return {
-        "schema_version": str(SCHEMA_VERSION),
-        "chain": str(chain_index),
-        "generation": str(generation),
-        "donor": donor_id,
-        "learnability": _fmt(sum(labelling) / len(labelling)),
-        "perc_com": _fmt(sum(per_round.values()) / len(per_round)),
-        "topsim_z": _fmt(donor_row.topsim_z),
-        "topsim_p": _fmt(donor_row.topsim_p),
-        "ngram_diversity": _fmt(donor_row.ngram_diversity),
-        "unique_signal_ratio": _fmt(donor_row.unique_signal_ratio),
-    }
+    return ChainRow(
+        chain=chain_index,
+        generation=generation,
+        donor=donor_id,
+        learnability=sum(labelling) / len(labelling),
+        perc_com=sum(per_round.values()) / len(per_round),
+        topsim_z=donor_row.topsim_z,
+        topsim_p=donor_row.topsim_p,
+        ngram_diversity=donor_row.ngram_diversity,
+        unique_signal_ratio=donor_row.unique_signal_ratio,
+    )

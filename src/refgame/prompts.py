@@ -21,9 +21,7 @@ from .domain import (
     Stimulus,
     Vocabulary,
     VocabularyEntry,
-    VocabularyFormatError,
     format_vocab_line,
-    parse_vocab_line,
 )
 
 MAX_PARSED_SIGNAL_LENGTH = 32
@@ -211,21 +209,3 @@ def parse_signal_response(raw: str) -> Signal:
         raise UnparseableResponseError(f"parsed signal too long ({len(signal)} chars)")
     return signal
 
-
-_LISTENER_LINE_RE = re.compile(
-    r"^\{'word':'(?P<word>[^']*)','shape':(?P<shape>[123]),"
-    r"'colour':'(?P<colour>blue|green|orange)','amount':(?P<amount>[123]),"
-    r"'communicativeSuccess':(?P<success>[01])\}$"
-)
-
-
-def parse_vocabulary_line(line: str) -> VocabularyEntry:
-    """Invert render_entry / render_listener_entry for round-trip checks."""
-    match = _LISTENER_LINE_RE.match(line)
-    if match:
-        stimulus = Stimulus(int(match["shape"]), match["colour"], int(match["amount"]))
-        return VocabularyEntry(stimulus, match["word"], int(match["success"]))
-    try:
-        return parse_vocab_line(line)[0]
-    except VocabularyFormatError as err:
-        raise PromptError(f"unparseable vocabulary line: {line!r}") from err

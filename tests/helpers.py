@@ -1,12 +1,37 @@
 """Test-only agents, backends, and independent oracles."""
 
+import re
 from functools import lru_cache
 
 from refgame.agents import Agent, CompositionalOracle, _argmin
 from refgame.backend import BackendDescriptor, EventLog, HttpBackend
-from refgame.domain import Stimulus, enumerate_stimuli
+from refgame.domain import (
+    Stimulus,
+    VocabularyEntry,
+    VocabularyFormatError,
+    enumerate_stimuli,
+    parse_vocab_line,
+)
 from refgame.metrics import normalized_levenshtein, semantic_similarity
-from refgame.prompts import Prompt, PromptTask, parse_vocabulary_line
+from refgame.prompts import Prompt, PromptError, PromptTask
+
+_LISTENER_LINE_RE = re.compile(
+    r"^\{'word':'(?P<word>[^']*)','shape':(?P<shape>[123]),"
+    r"'colour':'(?P<colour>blue|green|orange)','amount':(?P<amount>[123]),"
+    r"'communicativeSuccess':(?P<success>[01])\}$"
+)
+
+
+def parse_vocabulary_line(line: str) -> VocabularyEntry:
+    """Invert render_entry / render_listener_entry for round-trip checks."""
+    match = _LISTENER_LINE_RE.match(line)
+    if match:
+        stimulus = Stimulus(int(match["shape"]), match["colour"], int(match["amount"]))
+        return VocabularyEntry(stimulus, match["word"], int(match["success"]))
+    try:
+        return parse_vocab_line(line)[0]
+    except VocabularyFormatError as err:
+        raise PromptError(f"unparseable vocabulary line: {line!r}") from err
 
 
 def recursive_levenshtein(a: str, b: str) -> int:
@@ -58,8 +83,6 @@ class InContextLearnerBackend:
 
     @staticmethod
     def _stem_stimulus(prompt: Prompt) -> Stimulus:
-        import re
-
         match = re.match(
             r"\{'shape':(\d),'colour':'(\w+)','amount':(\d),'word':'", prompt.stem
         )

@@ -30,7 +30,7 @@ from refgame.metrics import (
     paired_t_test,
     topsim_mantel,
 )
-from refgame.persistence import read_csv
+from refgame.persistence import ChainRow, read_rows
 from tests_paths import GOLDEN_TRAIN_PATH, GOLDEN_TEST_PATH
 
 
@@ -265,16 +265,16 @@ def test_criterion_09_chain_structure(tmp_path):
     gen0_ngram, gen7_ngram = [], []
     for chain_index in range(6):
         chain_dir = out / f"chain-{chain_index:02d}"
-        rows = read_csv(chain_dir / "chain.csv")
-        assert [int(r["generation"]) for r in rows] == list(range(8))
+        rows = read_rows(chain_dir / "chain.csv", ChainRow)
+        assert [r.generation for r in rows] == list(range(8))
         for row in rows[1:]:
-            if float(row["learnability"]) != 0.0:
+            if row.learnability != 0.0:
                 learnability_ok = False
-        gen0_ngram.append(float(rows[0]["ngram_diversity"]))
-        gen7_ngram.append(float(rows[7]["ngram_diversity"]))
+        gen0_ngram.append(rows[0].ngram_diversity)
+        gen7_ngram.append(rows[7].ngram_diversity)
         # transmission integrity at every hand-off
         for generation in range(7):
-            donor = rows[generation]["donor"]
+            donor = rows[generation].donor
             transmitted = dict(
                 Vocabulary.load(
                     chain_dir / f"gen{generation:02d}" / "vocab" / f"testing_{donor}.vocab"

@@ -1,19 +1,24 @@
+import time
 from random import Random
 
 import pytest
 
+import refgame.chains
 from helpers import TruncatingOracle
-from refgame.agents import CompositionalOracle, LookupOracle
+from refgame.agents import CompositionalOracle, LookupOracle, RandomChooser
 from refgame.chains import (
     ChainConfig,
     ChainError,
+    chain_dir,
     derive_training_language,
     run_chain,
     select_donor,
 )
 from refgame.domain import SHAPES, COLOURS, AMOUNTS, enumerate_stimuli, generate_language
-from refgame.engine import RunConfig
+from refgame.engine import RunConfig, SimulationAborted
 from refgame.metrics import topsim_mantel
+from refgame.persistence import ChainRow, RunManifest, chain_row, read_rows
+from refgame.prompts import PromptTask
 
 
 def compositional_pairs():
@@ -190,3 +195,42 @@ class TestRunChain:
         assert resumed[0].generation == 2
         assert resumed[0].transmitted == full[2].transmitted
         assert resumed[0].donor_id == full[2].donor_id
+
+    def test_chain_csv_reads_back_the_built_rows(self, tmp_path):
+        # random choosers fail some tasks, so perc_com is not 1.0
+        def factory(event_log):
+            return RandomChooser("A"), RandomChooser("B")
+
+        records = run_chain(fast_chain_config(), FAST_RUN, 2, 0, tmp_path, factory)
+        built = [chain_row(0, r.generation, r.donor_id, r.result.metric_rows) for r in records]
+        assert read_rows(chain_dir(tmp_path, 0) / "chain.csv", ChainRow) == built
+
+    def test_generation_manifests_record_the_simulation_start(self, tmp_path, monkeypatch):
+        class Exploding(LookupOracle):
+            def produce_signal(self, stimulus, task, rng):
+                if task is PromptTask.SPEAKING:
+                    raise RuntimeError("service gone")
+                return super().produce_signal(stimulus, task, rng)
+
+        built = []
+
+        def factory(event_log):
+            built.append(event_log)
+            return (Exploding("A") if len(built) == 2 else LookupOracle("A")), LookupOracle("B")
+
+        entered = []
+        simulate = refgame.chains.run_simulation
+
+        def timed(*args, **kwargs):
+            entered.append(time.time())
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(refgame.chains, "run_simulation", timed)
+        with pytest.raises(SimulationAborted):
+            run_chain(fast_chain_config(), FAST_RUN, 5, 0, tmp_path, factory)
+        statuses = []
+        for generation, entry in enumerate(entered):
+            manifest = RunManifest.load(chain_dir(tmp_path, 0) / f"gen{generation:02d}")
+            assert manifest.started <= entry <= manifest.finished
+            statuses.append(manifest.status)
+        assert statuses == ["complete", "incomplete"]

@@ -12,7 +12,8 @@ from refgame import cli
 from refgame.agents import LookupOracle, ProductionFailure
 from refgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from refgame.domain import Vocabulary, enumerate_stimuli
-from refgame.persistence import RunManifest, file_digest, read_csv
+from refgame.engine import MetricRow
+from refgame.persistence import ChainRow, RunManifest, file_digest, read_rows
 from refgame.prompts import PromptTask
 from tests_paths import GOLDEN_TRAIN_PATH, GOLDEN_TEST_PATH
 
@@ -59,6 +60,38 @@ class TestSimulate:
         path.write_text(yaml.safe_dump(config))
         code = run_cli("simulate", "--config", str(path))
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("command, run_dir", [("simulate", "sim-00"), ("chain", "chain-00")])
+    def test_llm_without_endpoint_writes_nothing(self, tmp_path, capsys, command, run_dir):
+        out = tmp_path / "runs"
+        assert run_cli(command, "--agents", "llm,llm", "--out", str(out)) == EXIT_VALIDATION
+        assert "llm agents need backend.endpoint" in capsys.readouterr().err
+        assert not (out / run_dir).exists()
+
+    @pytest.mark.parametrize(
+        "backend, message",
+        [
+            ({"backoff_base": -1.0}, "backoff_base must be >= 0"),
+            ({"max_retries": -1}, "max_retries must be >= 0"),
+            ({"timeout": 0}, "timeout must be > 0"),
+            ({"timeout": -5.0}, "timeout must be > 0"),
+        ],
+    )
+    def test_bad_backend_setting_rejected_before_writing(self, tmp_path, capsys, backend, message):
+        # an endpoint with nothing listening: a setting that got past
+        # validation would fail only at the first request
+        config = {
+            "agents": ["llm", "llm"],
+            "backend": {"endpoint": "http://127.0.0.1:9", "api_key_env": "", **backend},
+        }
+        path = tmp_path / "backend.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "runs"
+        code = run_cli("simulate", "--config", str(path), "--out", str(out))
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"backend: {message}" in err
+        assert not (out / "sim-00").exists()
 
     def test_invalid_yaml_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -190,8 +223,8 @@ class TestChainCommand:
         assert code == EXIT_OK
         for chain_index in range(2):
             chain_dir = out / f"chain-{chain_index:02d}"
-            rows = read_csv(chain_dir / "chain.csv")
-            assert [row["generation"] for row in rows] == ["0", "1", "2"]
+            rows = read_rows(chain_dir / "chain.csv", ChainRow)
+            assert [row.generation for row in rows] == [0, 1, 2]
             for generation in range(3):
                 assert (chain_dir / f"gen{generation:02d}" / "manifest.json").exists()
 
@@ -237,6 +270,29 @@ class TestChainCommand:
         full_csv = (full_out / "chain-00" / "chain.csv").read_bytes()
         resumed_csv = (resumed_out / "chain-00" / "chain.csv").read_bytes()
         assert full_csv == resumed_csv
+
+    def test_resume_rebuilds_edited_csv_rows(self, tmp_path):
+        # no manifest digests chain.csv: a resume rebuilds every row from the
+        # generations' metrics.csv, so a hand edit does not survive it
+        shared = [
+            "chain", "--chains", "1", "--generations", "3", "--seed", "2",
+            "--agents", "oracle:random,oracle:random", "--permutations", "60",
+        ]
+        full_out = tmp_path / "full"
+        assert run_cli(*shared, "--out", str(full_out)) == EXIT_OK
+        resumed_out = tmp_path / "resumed"
+        shutil.copytree(full_out, resumed_out)
+        chain = resumed_out / "chain-00"
+        header, *lines = (chain / "chain.csv").read_text().splitlines()
+        cells = lines[1].split(",")
+        column = header.split(",").index("perc_com")
+        assert cells[column] != "0.5"
+        cells[column] = "0.5"
+        lines[1] = ",".join(cells)
+        (chain / "chain.csv").write_text("\n".join([header, *lines]) + "\n")
+        shutil.rmtree(chain / "gen02")
+        assert run_cli(*shared, "--out", str(resumed_out)) == EXIT_OK
+        assert (chain / "chain.csv").read_bytes() == (full_out / "chain-00" / "chain.csv").read_bytes()
 
     def test_aborted_generation_saved_incomplete_and_resumed(self, tmp_path, monkeypatch, capsys):
         class Exploding(LookupOracle):
@@ -364,7 +420,7 @@ class TestChainCommand:
             "--out", str(out), "--permutations", "60",
         )
         assert code == EXIT_OK
-        assert [row["generation"] for row in read_csv(out / "chain-00" / "chain.csv")] == ["0"]
+        assert [row.generation for row in read_rows(out / "chain-00" / "chain.csv", ChainRow)] == [0]
 
     def test_seed_from_imports_generation_zero(self, tmp_path):
         sims = tmp_path / "sims"
@@ -381,18 +437,16 @@ class TestChainCommand:
         )
         assert code == EXIT_OK
         chain_dir = out / "chain-00"
-        rows = read_csv(chain_dir / "chain.csv")
-        assert [row["generation"] for row in rows] == ["0", "1", "2"]
+        rows = read_rows(chain_dir / "chain.csv", ChainRow)
+        assert [row.generation for row in rows] == [0, 1, 2]
         # generation 0 was imported, not re-run
         assert not (chain_dir / "gen00").exists()
         assert (chain_dir / "gen01").exists() and (chain_dir / "gen02").exists()
         # imported row reflects the seed run's stored metrics
-        seed_rows = read_csv(sims / "sim-00" / "metrics.csv")
-        donor = rows[0]["donor"]
-        seed_testing = next(
-            r for r in seed_rows if r["block"] == "testing" and r["agent"] == donor
-        )
-        assert rows[0]["topsim_z"] == seed_testing["topsim_z"]
+        seed_rows = read_rows(sims / "sim-00" / "metrics.csv", MetricRow)
+        donor = rows[0].donor
+        seed_testing = next(r for r in seed_rows if r.block == "testing" and r.agent == donor)
+        assert rows[0].topsim_z == seed_testing.topsim_z
 
     def test_seed_without_complete_testing_output_refused(self, tmp_path, monkeypatch, capsys):
         # a seed run whose agent lost a testing production has no complete
@@ -494,13 +548,23 @@ def seeded_chain_argv(tmp_path):
     ]
 
 
+def fresh_python(code: str) -> str:
+    """The stdout of ``code`` run by a new interpreter that imports this refgame."""
+    src = str(Path(refgame.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats is most of the import time of refgame.cli; only the
     # paired t-test needs it, and it imports it itself
-    src = str(Path(refgame.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, refgame.cli; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout.strip()
+    loaded = fresh_python("import sys, refgame.cli; print('scipy.stats' in sys.modules)")
     assert loaded == "False"
+
+
+def test_package_import_loads_no_submodule():
+    # the package re-exports nothing: importing it imports no module of it
+    code = "import sys, refgame; print(sorted(m for m in sys.modules if m.startswith('refgame.')))"
+    assert fresh_python(code) == "[]"

@@ -24,7 +24,6 @@ from refgame.domain import (
     parse_vocab_line,
     random_signal,
     sample_training_set,
-    split_for_train,
 )
 
 
@@ -122,14 +121,6 @@ class TestTrainingSplit:
         space = enumerate_stimuli()
         with pytest.raises(DomainError):
             TrainTestSplit(train=tuple(space[:14]), test=tuple(space[14:]))
-
-    def test_split_for_train_roundtrip(self):
-        split = sample_training_set(Random(1))
-        rebuilt = split_for_train(split.train)
-        assert set(rebuilt.train) == set(split.train)
-        assert rebuilt.test == tuple(
-            s for s in enumerate_stimuli() if s not in set(split.train)
-        )
 
 
 class TestGenerateLanguage:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -7,21 +8,18 @@ from refgame.agents import CompositionalOracle, LookupOracle, ProductionFailure
 from refgame.backend import EventLog
 from refgame.config import ConfigError, ExperimentConfig, config_from_dict, load_config
 from refgame.domain import Vocabulary, enumerate_stimuli
-from refgame.engine import RunConfig, compute_metric_rows, run_simulation
+from refgame.engine import MetricRow, RunConfig, compute_metric_rows, run_simulation
 from refgame.persistence import (
-    CHAIN_COLUMNS,
-    METRICS_COLUMNS,
+    ChainRow,
     DigestMismatch,
     RunManifest,
     SchemaVersionError,
     file_digest,
     load_run_for_replay,
-    metric_row_to_csv,
-    read_csv,
-    read_metric_rows,
+    read_rows,
     replay_run,
     save_simulation,
-    write_csv,
+    write_rows,
 )
 from refgame.prompts import PromptTask
 
@@ -78,16 +76,16 @@ class TestSaveAndManifest:
 class TestMetricsCsv:
     def test_schema_version_heads_every_row(self, tmp_path):
         run_dir, _ = persisted_run(tmp_path)
-        rows = read_csv(run_dir / "metrics.csv")
-        assert all(row["schema_version"] == "1" for row in rows)
-        header = (run_dir / "metrics.csv").read_text().splitlines()[0]
-        assert header.startswith("schema_version,")
+        header, *lines = (run_dir / "metrics.csv").read_text().splitlines()
+        assert header == ",".join(["schema_version"] + [f.name for f in fields(MetricRow)])
+        assert lines and all(line.startswith("1,") for line in lines)
 
     def test_unknown_major_version_rejected(self, tmp_path):
         path = tmp_path / "future.csv"
-        write_csv(path, METRICS_COLUMNS, [{c: "" for c in METRICS_COLUMNS} | {"schema_version": "2"}])
+        columns = ["schema_version"] + [f.name for f in fields(MetricRow)]
+        path.write_text(",".join(columns) + "\n2" + "," * (len(columns) - 1) + "\n")
         with pytest.raises(SchemaVersionError):
-            read_csv(path)
+            read_rows(path, MetricRow)
 
     def test_read_back_rows_equal_the_run_rows(self, tmp_path):
         # A's constant testing language gives a degenerate row whose empty
@@ -99,16 +97,16 @@ class TestMetricsCsv:
                 return super().produce_signal(stimulus, task, rng)
 
         run_dir, result = persisted_run(tmp_path, agents=(ConstantSpeaker("A"), LookupOracle("B")))
-        rows = read_metric_rows(run_dir / "metrics.csv")
+        rows = read_rows(run_dir / "metrics.csv", MetricRow)
         assert rows == result.metric_rows
         testing_a = next(row for row in rows if row.block == "testing" and row.agent == "A")
         assert testing_a.degenerate and testing_a.topsim_z is None and testing_a.gen_score is None
 
     def test_gen_score_pairs_recorded(self, tmp_path):
         run_dir, _ = persisted_run(tmp_path)
-        rows = read_csv(run_dir / "metrics.csv")
-        testing = [r for r in rows if r["block"] == "testing"]
-        assert all(r["gen_score_pairs"] == "cross" for r in testing if r["gen_score"])
+        rows = read_rows(run_dir / "metrics.csv", MetricRow)
+        testing = [r for r in rows if r.block == "testing"]
+        assert all(r.gen_score_pairs == "cross" for r in testing if r.gen_score is not None)
 
 
 class TestReplay:
@@ -118,9 +116,9 @@ class TestReplay:
         assert manifest.status == "complete"
         assert loaded.agent_ids == result.agent_ids
         assert loaded.metric_rows == []
-        recomputed = [metric_row_to_csv(row) for row in compute_metric_rows(loaded)]
-        assert recomputed == read_csv(run_dir / "metrics.csv")
-        assert recomputed == [metric_row_to_csv(row) for row in result.metric_rows]
+        recomputed = compute_metric_rows(loaded)
+        assert recomputed == read_rows(run_dir / "metrics.csv", MetricRow)
+        assert recomputed == result.metric_rows
 
     def test_untouched_run_replays_ok(self, tmp_path):
         run_dir, _ = persisted_run(tmp_path)
@@ -147,12 +145,12 @@ class TestReplay:
                 return super().produce_signal(stimulus, task, rng)
 
         run_dir, _ = persisted_run(tmp_path, agents=(FailingSpeaker("A"), LookupOracle("B")))
-        rows = read_csv(run_dir / "metrics.csv")
-        testing = {row["agent"]: row for row in rows if row["block"] == "testing"}
-        assert testing["A"]["degenerate"] == "1"
+        rows = read_rows(run_dir / "metrics.csv", MetricRow)
+        testing = {row.agent: row for row in rows if row.block == "testing"}
+        assert testing["A"].degenerate
         for column in ("topsim_z", "ngram_diversity", "unique_signal_ratio", "gen_score"):
-            assert testing["A"][column] == ""
-        assert testing["B"]["degenerate"] == "0"
+            assert getattr(testing["A"], column) is None
+        assert not testing["B"].degenerate
         assert replay_run(run_dir).ok
 
     def test_edited_event_log_fails_digest(self, tmp_path):
@@ -239,12 +237,12 @@ class TestConfigRoundTrip:
     def test_defaults_made_explicit(self, tmp_path):
         import yaml
 
-        config = ExperimentConfig()
-        data = config.to_dict()
+        data = asdict(ExperimentConfig())
+        data["run"].pop("master_seed")  # derived per run, not configured
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump(data))
         reloaded = config_from_dict(yaml.safe_load(path.read_text()))
-        assert reloaded.to_dict() == data
+        assert reloaded == ExperimentConfig()
 
     def test_paper_defaults(self):
         config = ExperimentConfig()
@@ -272,7 +270,13 @@ def test_removed_config_keys_rejected(data):
 
 
 class TestChainCsvColumns:
-    def test_expected_columns(self):
-        assert CHAIN_COLUMNS[0] == "schema_version"
+    def test_expected_columns(self, tmp_path):
+        row = ChainRow(0, 1, "A", 0.25, 0.5, None, None, 0.75, 1.0)
+        write_rows(tmp_path / "chain.csv", [row])
+        header, line = (tmp_path / "chain.csv").read_text().splitlines()
+        columns = header.split(",")
+        assert columns[0] == "schema_version"
         for name in ("generation", "learnability", "perc_com", "topsim_z", "ngram_diversity", "unique_signal_ratio"):
-            assert name in CHAIN_COLUMNS
+            assert name in columns
+        assert line == "1,0,1,A,0.25,0.5,,,0.75,1.0"
+        assert read_rows(tmp_path / "chain.csv", ChainRow) == [row]

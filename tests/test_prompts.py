@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import parse_vocabulary_line
 from refgame.domain import Stimulus, VocabularyEntry, enumerate_stimuli, generate_language, sample_training_set
 from refgame.prompts import (
     LABELLING_INSTRUCTION,
@@ -17,7 +18,6 @@ from refgame.prompts import (
     build_speaker_prompt,
     meaning_continuation,
     parse_signal_response,
-    parse_vocabulary_line,
     render_entry,
     render_listener_entry,
     word_continuation,

@@ -65,6 +65,12 @@ class ChainConfig:
         # master_seed is derived per generation, never overridden
         valid_fields = set(RunConfig.__dataclass_fields__) - {"master_seed"}
         for generation, overrides in self.generation_overrides.items():
+            try:
+                int(generation)
+            except (TypeError, ValueError):
+                raise ChainError(
+                    f"generation {generation!r} of generation_overrides is not a number"
+                ) from None
             if not isinstance(overrides, dict):
                 raise ChainError(f"overrides for generation {generation} must be a mapping")
             unknown = set(overrides) - valid_fields

@@ -9,7 +9,9 @@ environment variable instead.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import yaml
@@ -35,11 +37,33 @@ class ExperimentConfig:
     backend: BackendDescriptor = field(default_factory=BackendDescriptor)
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a YAML value fits a field annotation; an int fits a float, a
+    bool fits neither, and containers are checked by their outer type."""
+    origin = typing.get_origin(hint)
+    if origin is types.UnionType:
+        return any(_has_type(value, arg) for arg in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, origin or hint)
+
+
+def _check_types(cls, data: dict, path: str) -> None:
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        if not _has_type(value, hints[key]):
+            expected = getattr(hints[key], "__name__", hints[key])
+            raise ConfigError(f"'{key}' in section '{path}' must be {expected}, got {value!r}")
+
+
 def _build_section(cls, data: dict, path: str, derived: frozenset = frozenset()):
     known = set(cls.__dataclass_fields__) - derived
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in section '{path}'")
+    _check_types(cls, data, path)
     try:
         return cls(**data)
     except TypeError as err:
@@ -79,6 +103,13 @@ def validate_config(config: ExperimentConfig) -> None:
         config.chain.validate()
     except ChainError as err:
         raise ConfigError(f"chain: {err}") from err
+    for generation, overrides in config.chain.generation_overrides.items():
+        path = f"chain.generation_overrides.{generation}"
+        _check_types(RunConfig, overrides, path)
+        try:
+            replace(config.run, **overrides).validate()
+        except EngineError as err:
+            raise ConfigError(f"{path}: {err}") from err
     try:
         config.backend.validate()
     except BackendError as err:

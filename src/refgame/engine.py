@@ -460,8 +460,10 @@ def run_testing_block(
 
 def compute_metric_rows(result: SimulationResult) -> list[MetricRow]:
     """All metric rows of a run. TopSim seeds derive from the master seed and
-    the row context, so recomputation (replay) is reproducible."""
+    the row context, so recomputation (replay) is reproducible. Signal
+    distances are memoised for this call only."""
     config = result.config
+    distances: dict[tuple[str, str], float] = {}
 
     def row(block, pairs, round=None, agent="", **measured) -> MetricRow:
         label = block if block == "initial" else f"{block}:{round or ''}:{agent}"
@@ -469,6 +471,7 @@ def compute_metric_rows(result: SimulationResult) -> list[MetricRow]:
             pairs,
             permutations=config.mantel_permutations,
             rng=derive_seed(config.master_seed, f"metrics:{label}"),
+            memo=distances,
         )
         topsim = report.topsim
         if topsim is not None:

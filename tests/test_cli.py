@@ -106,6 +106,30 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(path)) == EXIT_VALIDATION
         assert "roundz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("run", "rounds", "4"),
+            ("run", "mantel_permutations", 10.0),
+            ("backend", "timeout", "60"),
+            ("backend", "max_retries", True),
+            ("chain", "donor_permutations", "1000"),
+        ],
+    )
+    def test_wrongly_typed_value_rejected_before_writing(self, tmp_path, capsys, section, key, value):
+        path = tmp_path / "typed.yaml"
+        path.write_text(yaml.safe_dump({section: {key: value}}))
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--config", str(path), "--out", str(out)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}'" in err and section in err
+        assert not out.exists()
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        path = tmp_path / "timeout.yaml"
+        path.write_text(yaml.safe_dump({"backend": {"timeout": 60}, "run": {"mantel_permutations": 10}}))
+        assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "runs")) == EXIT_OK
+
     def test_run_master_seed_rejected_before_writing(self, tmp_path, capsys):
         # every run derives its seed from the root master_seed or --seed
         path = tmp_path / "seeded.yaml"
@@ -399,6 +423,9 @@ class TestChainCommand:
             ({"generation_overrides": {0: {"roundz": 2}}}, "['roundz'] for generation 0"),
             ({"generation_overrides": {0: 5}}, "generation 0 must be a mapping"),
             ({"donor_permutations": 0}, "donor_permutations must be >= 1"),
+            ({"generation_overrides": {1: {"rounds": 0}}}, "generation_overrides.1: rounds must be >= 1"),
+            ({"generation_overrides": {1: {"rounds": "2"}}}, "'rounds' in section 'chain.generation_overrides.1'"),
+            ({"generation_overrides": {"x": {"rounds": 2}}}, "generation 'x' of generation_overrides is not a number"),
         ],
     )
     def test_bad_chain_setting_rejected_before_writing(self, tmp_path, capsys, chain, message):

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 import refgame.engine as engine
+import refgame.metrics as metrics
 from helpers import InContextLearnerBackend, RepairOracle, logged
 from refgame.agents import (
     ChoiceFailure,
@@ -412,6 +413,35 @@ class TestRunSimulation:
         config = RunConfig(master_seed=0, mantel_permutations=10)
         with pytest.raises(TypeError, match="not a metric failure"):
             run_simulation(config, (LookupOracle("A"), LookupOracle("B")))
+
+    def test_metric_rows_measure_each_signal_pair_once_per_call(self, monkeypatch):
+        config = RunConfig(master_seed=2, mantel_permutations=10)
+        result = run_simulation(config, (CompositionalOracle("A"), LookupOracle("B")))
+        matrices, calls, matrix_calls = [], [], []
+        real_matrix, real_levenshtein = metrics.signal_distance_matrix, metrics.levenshtein
+
+        def recording_matrix(signals, memo=None):
+            matrices.append(list(signals))
+            before = len(calls)
+            matrix = real_matrix(signals, memo)
+            matrix_calls.extend(calls[before:])
+            return matrix
+
+        def counting_levenshtein(a, b):
+            calls.append((a, b))
+            return real_levenshtein(a, b)
+
+        monkeypatch.setattr(metrics, "signal_distance_matrix", recording_matrix)
+        monkeypatch.setattr(metrics, "levenshtein", counting_levenshtein)
+        engine.compute_metric_rows(result)
+        pairs = {(s[i], s[j]) for s in matrices for i in range(len(s)) for j in range(i + 1, len(s))}
+        assert len(matrices) == len(result.metric_rows)
+        assert sorted(matrix_calls) == sorted(pairs)
+        # nothing is remembered from one call to the next
+        first = len(calls)
+        calls.clear()
+        engine.compute_metric_rows(result)
+        assert len(calls) == first
 
     def test_constant_testing_signals_leave_gen_score_empty(self):
         from refgame.prompts import PromptTask

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -12,6 +13,8 @@ from helpers import recursive_levenshtein
 from refgame.agents import CompositionalOracle
 from refgame.domain import Stimulus, enumerate_stimuli, generate_language, random_signal, sample_training_set
 from refgame.metrics import (
+    EXHAUSTIVE_MANTEL_MAX_N,
+    MANTEL_BLOCK_ROWS,
     DegenerateMatrixError,
     DegenerateVarianceError,
     EmptyInputError,
@@ -62,6 +65,25 @@ class TestLevenshtein:
     @given(short_strings, short_strings)
     def test_matches_recursive_oracle(self, a, b):
         assert levenshtein(a, b) == recursive_levenshtein(a, b)
+
+
+class TestSignalDistanceMatrix:
+    SIGNALS = ["wipi", "suka", "wipi", "ka", "sukama"]
+
+    def test_pairwise_normalized_distances(self):
+        m = signal_distance_matrix(self.SIGNALS)
+        for i, a in enumerate(self.SIGNALS):
+            for j, b in enumerate(self.SIGNALS):
+                assert m[i, j] == (0.0 if i == j else normalized_levenshtein(a, b))
+
+    def test_memo_gives_the_same_matrix_and_is_filled(self):
+        memo = {}
+        with_memo = signal_distance_matrix(self.SIGNALS, memo)
+        assert np.array_equal(with_memo, signal_distance_matrix(self.SIGNALS))
+        assert memo[("wipi", "suka")] == normalized_levenshtein("wipi", "suka")
+        # a memo entry is trusted, not measured again
+        memo[("wipi", "suka")] = 0.5
+        assert signal_distance_matrix(["wipi", "suka"], memo)[0, 1] == 0.5
 
 
 class TestSemanticSimilarity:
@@ -254,10 +276,27 @@ class TestTopSimMantel:
         assert a == b
 
 
+def mantel_matrices(n, seed):
+    """Semantic and signal distance matrices of a random language over the
+    first n stimuli."""
+    vocab = generate_language(Random(seed), enumerate_stimuli()[:n])
+    sem = semantic_distance_matrix([s for s, _ in vocab.pairs()])
+    sig = signal_distance_matrix([w for _, w in vocab.pairs()])
+    return sem, sig
+
+
 def loop_mantel_reference(semantic, signal, permutations, gen):
     """The sampled Mantel test as first written: one gen.permutation(n) call
     per permutation, and a full P x n x n relabelled matrix indexed down to
     its upper triangle afterwards."""
+    n = semantic.shape[0]
+    perms = np.array([gen.permutation(n) for _ in range(permutations)])
+    return full_gather_mantel_reference(semantic, signal, perms, "sampled")
+
+
+def full_gather_mantel_reference(semantic, signal, perms, method):
+    """The Mantel test over given permutation rows, all relabelled at once
+    as one P x n x n array and correlated in one call."""
     n = semantic.shape[0]
     iu = np.triu_indices(n, k=1)
     sem_vec = semantic[iu]
@@ -271,17 +310,20 @@ def loop_mantel_reference(semantic, signal, permutations, gen):
         return (centered @ sem_centered) / (norms * sem_norm)
 
     observed_r = float(corr_with_sem(sig_vec[None, :])[0])
-    perms = np.array([gen.permutation(n) for _ in range(permutations)])
     permuted = signal[perms[:, :, None], perms[:, None, :]][:, iu[0], iu[1]]
     permuted_r = corr_with_sem(permuted)
     z = (observed_r - float(permuted_r.mean())) / float(permuted_r.std())
     at_least = int((permuted_r >= observed_r - 1e-12).sum())
+    if method == "exact":
+        p = at_least / len(perms)
+    else:
+        p = (1 + at_least) / (len(perms) + 1)
     return TopSimResult(
         z_score=float(z),
-        p_value=float((1 + at_least) / (len(perms) + 1)),
+        p_value=float(p),
         observed_r=observed_r,
         permutations=len(perms),
-        method="sampled",
+        method=method,
     )
 
 
@@ -304,12 +346,54 @@ class TestMantelBitIdentity:
         # later draws from a shared generator stay where they were
         assert ours.bit_generator.state == theirs.bit_generator.state
 
+    # below one block, full blocks plus a tail of 1 and of 3 rows, a
+    # multiple of the block size, full blocks plus a partial block, and the
+    # paper's count
+    @pytest.mark.parametrize(
+        "permutations",
+        [
+            MANTEL_BLOCK_ROWS // 2,
+            2 * MANTEL_BLOCK_ROWS + 1,
+            2 * MANTEL_BLOCK_ROWS + 3,
+            4 * MANTEL_BLOCK_ROWS,
+            4 * MANTEL_BLOCK_ROWS + 176,
+            10_000,
+        ],
+    )
+    def test_blocks_match_full_gather(self, permutations):
+        sem, sig = mantel_matrices(27, seed=4)
+        ours = np.random.default_rng(4)
+        theirs = np.random.default_rng(4)
+        result = mantel_test(sem, sig, permutations=permutations, rng=ours, method="sampled")
+        assert result == loop_mantel_reference(sem, sig, permutations, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_exact_enumeration_crosses_blocks(self):
+        sem, sig = mantel_matrices(EXHAUSTIVE_MANTEL_MAX_N, seed=5)
+        perms = np.array(list(itertools.permutations(range(EXHAUSTIVE_MANTEL_MAX_N))))
+        assert len(perms) > MANTEL_BLOCK_ROWS
+        result = mantel_test(sem, sig, method="exact")
+        assert result == full_gather_mantel_reference(sem, sig, perms, "exact")
+
     def test_golden_topsim_pinned(self, golden_train):
         result = topsim_mantel(golden_train.pairs(), permutations=10_000, rng=0, method="sampled")
         assert repr(result.z_score) == "7.159796628675282"
         assert repr(result.p_value) == "9.999000099990002e-05"
         assert repr(result.observed_r) == "0.7288486986723643"
         assert (result.permutations, result.method) == (10_000, "sampled")
+
+
+def test_mantel_peak_memory_flat_in_permutations():
+    # peak memory must not grow with the permutation count: the permutation
+    # table and one block need ~6 MB here, all 10,000 rows at once ~83 MB
+    sem, sig = mantel_matrices(27, seed=0)
+    tracemalloc.start()
+    try:
+        mantel_test(sem, sig, permutations=10_000, rng=0, method="sampled")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 class TestGeneralizationScore:

@@ -11,6 +11,7 @@ label of a chain, resume, the ``seed_from`` import and the saves live here.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -64,13 +65,16 @@ class ChainConfig:
             raise ChainError("donor_permutations must be >= 1")
         # master_seed is derived per generation, never overridden
         valid_fields = set(RunConfig.__dataclass_fields__) - {"master_seed"}
+        # a seed_from import is generation 0, which no override can reach
+        first_run = 1 if self.seed_from else 0
         for generation, overrides in self.generation_overrides.items():
-            try:
-                int(generation)
-            except (TypeError, ValueError):
+            if type(generation) is not int:
+                raise ChainError(f"generation {generation!r} of generation_overrides is not a number")
+            if not first_run <= generation < self.generations:
                 raise ChainError(
-                    f"generation {generation!r} of generation_overrides is not a number"
-                ) from None
+                    f"generation {generation} of generation_overrides is not run: "
+                    f"the chain runs generations {first_run} to {self.generations - 1}"
+                )
             if not isinstance(overrides, dict):
                 raise ChainError(f"overrides for generation {generation} must be a mapping")
             unknown = set(overrides) - valid_fields
@@ -84,48 +88,41 @@ class ChainConfig:
 class DonorSelection:
     donor_id: str
     pairs: list[tuple[Stimulus, Signal]]
-    z_scores: dict[str, float | None]
-    degenerate: bool = False
+    degenerate: bool
 
 
 @dataclass
 class GenerationRecord:
+    """One generation this call ran. It trained on ``result.initial_language``
+    and transmitted ``result.testing[donor_id].pairs()``."""
+
     generation: int
-    training_language: Vocabulary
     result: SimulationResult
     donor_id: str
-    transmitted: list[tuple[Stimulus, Signal]]
 
 
 def select_donor(
     test_a: Sequence[tuple[Stimulus, Signal]],
     test_b: Sequence[tuple[Stimulus, Signal]],
     agent_ids: tuple[str, str],
-    permutations: int = 1000,
-    rng=None,
+    permutations: int,
+    rng,
 ) -> DonorSelection:
-    """The testing vocabulary with the higher TopSim Z wins; ties and the
-    both-degenerate case resolve to the first agent, degeneracy flagged."""
+    """The testing vocabulary with the higher TopSim Z wins. A degenerate
+    vocabulary ranks below every real Z, ties go to the first agent, and
+    ``degenerate`` flags a degenerate vocabulary on either side."""
     outputs = {agent_ids[0]: list(test_a), agent_ids[1]: list(test_b)}
     for agent_id, pairs in outputs.items():
         if len(pairs) != len(enumerate_stimuli()):
             raise ChainError(f"incomplete testing output for agent {agent_id}")
-    z_scores: dict[str, float | None] = {}
+    z_scores: dict[str, float] = {}
     for agent_id, pairs in outputs.items():
         try:
             z_scores[agent_id] = topsim_mantel(pairs, permutations=permutations, rng=rng).z_score
         except DegenerateMatrixError:
-            z_scores[agent_id] = None
-    a_id, b_id = agent_ids
-    za, zb = z_scores[a_id], z_scores[b_id]
-    if za is None and zb is None:
-        return DonorSelection(a_id, outputs[a_id], z_scores, degenerate=True)
-    if za is None:
-        return DonorSelection(b_id, outputs[b_id], z_scores, degenerate=True)
-    if zb is None:
-        return DonorSelection(a_id, outputs[a_id], z_scores, degenerate=True)
-    donor = a_id if za >= zb else b_id
-    return DonorSelection(donor, outputs[donor], z_scores)
+            z_scores[agent_id] = -math.inf
+    donor = max(agent_ids, key=z_scores.__getitem__)
+    return DonorSelection(donor, outputs[donor], degenerate=-math.inf in z_scores.values())
 
 
 def derive_training_language(
@@ -150,10 +147,9 @@ def chain_dir(out_dir: str | Path, chain_index: int) -> Path:
 def _generation_run_config(
     config: ChainConfig, run: RunConfig, chain_seed: int, generation: int
 ) -> RunConfig:
-    overrides = {int(g): o for g, o in config.generation_overrides.items()}
     return replace(
         run,
-        **overrides.get(generation, {}),
+        **config.generation_overrides.get(generation, {}),
         master_seed=derive_seed(chain_seed, f"generation:{generation}"),
     )
 
@@ -236,13 +232,13 @@ def run_chain(
     rows, transmitted = _finished_generations(config, run, chain_seed, chain_index, directory)
     # made after the seed loads, so a refused seed leaves no directory behind
     directory.mkdir(parents=True, exist_ok=True)
-    training_language = None
-    if transmitted is not None:
-        training_language = derive_training_language(
-            transmitted, Random(derive_seed(chain_seed, f"portion:{len(rows)}"))
-        )
     records: list[GenerationRecord] = []
     for generation in range(len(rows), config.generations):
+        training_language = None  # a fresh generation 0 generates its own
+        if transmitted is not None:
+            training_language = derive_training_language(
+                transmitted, Random(derive_seed(chain_seed, f"portion:{generation}"))
+            )
         gen_dir = directory / f"gen{generation:02d}"
         event_log = EventLog(gen_dir / "events.jsonl")
         event_log.set_context(generation=generation)
@@ -274,18 +270,7 @@ def run_chain(
         )
         rows.append(chain_row(chain_index, generation, selection.donor_id, result.metric_rows))
         write_rows(directory / "chain.csv", rows)
-        records.append(
-            GenerationRecord(
-                generation=generation,
-                training_language=result.initial_language,
-                result=result,
-                donor_id=selection.donor_id,
-                transmitted=selection.pairs,
-            )
-        )
-        training_language = derive_training_language(
-            selection.pairs,
-            Random(derive_seed(chain_seed, f"portion:{generation + 1}")),
-        )
+        records.append(GenerationRecord(generation, result, selection.donor_id))
+        transmitted = selection.pairs
     write_rows(directory / "chain.csv", rows)
     return records

@@ -78,7 +78,7 @@ def _load_or_default(args: argparse.Namespace) -> ExperimentConfig:
     else:
         config = ExperimentConfig()
     config = _apply_overrides(config, args)
-    validate_config(config)  # the command-line values too, before any directory is made
+    validate_config(config)  # the file and the flags together, before any directory is made
     check_backend_credentials(config)
     return config
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import yaml
 
 from .agents import ORACLE_KINDS
-from .backend import BackendDescriptor, BackendError
+from .backend import BackendDescriptor, BackendError, load_chat_template
 from .chains import ChainConfig, ChainError
 from .engine import EngineError, RunConfig
 
@@ -71,6 +71,8 @@ def _build_section(cls, data: dict, path: str, derived: frozenset = frozenset())
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Keys and value types are checked here; ranges are checked by
+    ``validate_config`` on the final config, after command-line flags."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     data = dict(data)
@@ -82,7 +84,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     config.run = _build_section(RunConfig, run_data, "run", derived=frozenset({"master_seed"}))
     config.chain = _build_section(ChainConfig, chain_data, "chain")
     config.backend = _build_section(BackendDescriptor, backend_data, "backend")
-    validate_config(config)
     return config
 
 
@@ -117,8 +118,8 @@ def validate_config(config: ExperimentConfig) -> None:
 
 
 def check_backend_credentials(config: ExperimentConfig) -> None:
-    """Pre-flight for live runs: an llm agent needs an endpoint and its
-    credential environment variable set."""
+    """Pre-flight for live runs: an llm agent needs an endpoint, its
+    credential environment variable set and a chat template that loads."""
     if not any(spec == "llm" for spec in config.agents):
         return
     if not config.backend.endpoint:
@@ -129,6 +130,10 @@ def check_backend_credentials(config: ExperimentConfig) -> None:
             f"credential environment variable {env} is not set "
             f"(export it or change backend.api_key_env)"
         )
+    try:
+        load_chat_template(config.backend.template)
+    except BackendError as err:
+        raise ConfigError(f"backend: {err}") from err
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

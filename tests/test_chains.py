@@ -34,6 +34,10 @@ def lookup_factory(event_log):
     return LookupOracle("A"), LookupOracle("B")
 
 
+def transmitted(record):
+    return record.result.testing[record.donor_id].pairs()
+
+
 FAST_RUN = RunConfig(mantel_permutations=60)
 
 
@@ -55,13 +59,19 @@ class TestSelectDonor:
         pairs = compositional_pairs()
         selection = select_donor(pairs, list(pairs), ("A", "B"), permutations=100, rng=1)
         assert selection.donor_id == "A"
+        assert not selection.degenerate
 
     def test_degenerate_side_loses(self):
         flat = [(s, "gigi") for s in enumerate_stimuli()]
         selection = select_donor(flat, random_pairs(), ("A", "B"), permutations=100, rng=0)
         assert selection.donor_id == "B"
         assert selection.degenerate
-        assert selection.z_scores["A"] is None
+
+    def test_degenerate_second_side_loses(self):
+        flat = [(s, "gigi") for s in enumerate_stimuli()]
+        selection = select_donor(random_pairs(), flat, ("A", "B"), permutations=100, rng=0)
+        assert selection.donor_id == "A"
+        assert selection.degenerate
 
     def test_both_degenerate(self):
         flat = [(s, "gigi") for s in enumerate_stimuli()]
@@ -71,7 +81,7 @@ class TestSelectDonor:
 
     def test_incomplete_output_rejected(self):
         with pytest.raises(ChainError):
-            select_donor(compositional_pairs()[:20], random_pairs(), ("A", "B"))
+            select_donor(compositional_pairs()[:20], random_pairs(), ("A", "B"), permutations=100, rng=0)
 
 
 class TestDeriveTrainingLanguage:
@@ -106,8 +116,8 @@ class TestRunChain:
         records = run_chain(fast_chain_config(generations=4), FAST_RUN, 5, 0, tmp_path, lookup_factory)
         assert [r.generation for r in records] == [0, 1, 2, 3]
         for record in records:
-            assert len(record.transmitted) == 27
-            assert len(record.training_language) == 15
+            assert len(transmitted(record)) == 27
+            assert len(record.result.initial_language) == 15
 
     def test_lookup_learnability_zero(self, tmp_path):
         records = run_chain(fast_chain_config(), FAST_RUN, 5, 0, tmp_path, lookup_factory)
@@ -118,21 +128,21 @@ class TestRunChain:
     def test_transmission_integrity(self, tmp_path):
         records = run_chain(fast_chain_config(generations=4), FAST_RUN, 5, 0, tmp_path, lookup_factory)
         for previous, current in zip(records, records[1:]):
-            donor_map = dict(previous.transmitted)
-            for entry in current.training_language:
+            donor_map = dict(transmitted(previous))
+            for entry in current.result.initial_language:
                 assert donor_map[entry.stimulus] == entry.signal
 
     def test_flags_reset_each_generation(self, tmp_path):
         records = run_chain(fast_chain_config(), FAST_RUN, 5, 0, tmp_path, lookup_factory)
         for record in records:
-            assert all(e.communicative_success == 0 for e in record.training_language)
+            assert all(e.communicative_success == 0 for e in record.result.initial_language)
 
     def test_chain_determinism(self, tmp_path):
         a = run_chain(fast_chain_config(), FAST_RUN, 5, 0, tmp_path / "a", lookup_factory)
         b = run_chain(fast_chain_config(), FAST_RUN, 5, 0, tmp_path / "b", lookup_factory)
         for ra, rb in zip(a, b):
             assert ra.donor_id == rb.donor_id
-            assert ra.transmitted == rb.transmitted
+            assert transmitted(ra) == transmitted(rb)
             assert ra.result.communication.perc_com == rb.result.communication.perc_com
 
     def test_compositional_donor_keeps_structure(self, tmp_path):
@@ -144,10 +154,10 @@ class TestRunChain:
         config = fast_chain_config(generations=3, donor_permutations=300)
         records = run_chain(config, RunConfig(mantel_permutations=300), 5, 0, tmp_path, factory)
         gen0_language_z = topsim_mantel(
-            records[0].training_language, permutations=300, rng=0
+            records[0].result.initial_language, permutations=300, rng=0
         ).z_score
         for record in records[1:]:
-            donor_z = topsim_mantel(record.transmitted, permutations=300, rng=0).z_score
+            donor_z = topsim_mantel(transmitted(record), permutations=300, rng=0).z_score
             assert donor_z >= gen0_language_z
 
     def test_truncating_learner_improves_learnability(self, tmp_path):
@@ -193,8 +203,21 @@ class TestRunChain:
         resumed = run_chain(config, FAST_RUN, 5, 0, tmp_path / "resumed", lookup_factory)
         assert len(resumed) == 1
         assert resumed[0].generation == 2
-        assert resumed[0].transmitted == full[2].transmitted
+        assert transmitted(resumed[0]) == transmitted(full[2])
         assert resumed[0].donor_id == full[2].donor_id
+
+    def test_fresh_chain_derives_each_training_language_once(self, tmp_path, monkeypatch):
+        # generation 0 generates its own language; no split is drawn after the last
+        derived = count_derivations(monkeypatch)
+        run_chain(fast_chain_config(generations=3), FAST_RUN, 5, 0, tmp_path, lookup_factory)
+        assert len(derived) == 2
+
+    def test_resumed_chain_derives_one_language_per_generation_run(self, tmp_path, monkeypatch):
+        run_chain(fast_chain_config(generations=2), FAST_RUN, 5, 0, tmp_path, lookup_factory)
+        derived = count_derivations(monkeypatch)
+        records = run_chain(fast_chain_config(generations=4), FAST_RUN, 5, 0, tmp_path, lookup_factory)
+        assert [r.generation for r in records] == [2, 3]
+        assert len(derived) == 2
 
     def test_chain_csv_reads_back_the_built_rows(self, tmp_path):
         # random choosers fail some tasks, so perc_com is not 1.0
@@ -234,3 +257,17 @@ class TestRunChain:
             assert manifest.started <= entry <= manifest.finished
             statuses.append(manifest.status)
         assert statuses == ["complete", "incomplete"]
+
+
+def count_derivations(monkeypatch):
+    """Wrap ``refgame.chains.derive_training_language``; returns the list
+    each call appends to."""
+    calls = []
+    original = refgame.chains.derive_training_language
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(refgame.chains, "derive_training_language", counting)
+    return calls

@@ -75,6 +75,7 @@ class TestSimulate:
             ({"max_retries": -1}, "max_retries must be >= 0"),
             ({"timeout": 0}, "timeout must be > 0"),
             ({"timeout": -5.0}, "timeout must be > 0"),
+            ({"template": "llama3x"}, "unknown chat template 'llama3x'"),
         ],
     )
     def test_bad_backend_setting_rejected_before_writing(self, tmp_path, capsys, backend, message):
@@ -426,6 +427,11 @@ class TestChainCommand:
             ({"generation_overrides": {1: {"rounds": 0}}}, "generation_overrides.1: rounds must be >= 1"),
             ({"generation_overrides": {1: {"rounds": "2"}}}, "'rounds' in section 'chain.generation_overrides.1'"),
             ({"generation_overrides": {"x": {"rounds": 2}}}, "generation 'x' of generation_overrides is not a number"),
+            (
+                {"generation_overrides": {8: {"rounds": 2}}},
+                "generation 8 of generation_overrides is not run: the chain runs generations 0 to 7",
+            ),
+            ({"generation_overrides": {"3": {"rounds": 2}}}, "generation '3' of generation_overrides is not a number"),
         ],
     )
     def test_bad_chain_setting_rejected_before_writing(self, tmp_path, capsys, chain, message):
@@ -436,6 +442,47 @@ class TestChainCommand:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not (out / "chain-00").exists()
+
+    def test_override_of_imported_generation_rejected(self, tmp_path, capsys):
+        # generation 0 of a seeded chain is imported, not run
+        sims = tmp_path / "sims"
+        run_cli("simulate", "--seed", "3", "--out", str(sims), "--permutations", "60")
+        path = tmp_path / "chain.yaml"
+        path.write_text(yaml.safe_dump({"chain": {"generation_overrides": {0: {"rounds": 2}}}}))
+        out = tmp_path / "chains"
+        code = run_cli(
+            "chain", "--config", str(path), "--generations", "2", "--seed-from", str(sims / "sim-00"),
+            "--out", str(out), "--permutations", "60",
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: chain: generation 0 of generation_overrides is not run: ")
+        assert "the chain runs generations 1 to 1" in err
+        assert not (out / "chain-00").exists()
+
+    def test_override_range_checked_after_flags(self, tmp_path):
+        # the file alone runs 2 generations; --generations 3 brings its
+        # override for generation 2 into range
+        chain = {"generations": 2, "generation_overrides": {2: {"rounds": 2}}}
+        path = tmp_path / "chain.yaml"
+        path.write_text(yaml.safe_dump({"chain": chain}))
+        out = tmp_path / "chains"
+        code = run_cli(
+            "chain", "--config", str(path), "--generations", "3", "--chains", "1",
+            "--out", str(out), "--permutations", "60",
+        )
+        assert code == EXIT_OK
+        rounds = [RunManifest.load(out / "chain-00" / f"gen{g:02d}").config["rounds"] for g in range(3)]
+        assert rounds == [4, 4, 2]
+
+    def test_unknown_template_writes_no_chain(self, tmp_path, capsys):
+        backend = {"endpoint": "http://127.0.0.1:9", "api_key_env": "", "template": "llama3x"}
+        path = tmp_path / "backend.yaml"
+        path.write_text(yaml.safe_dump({"agents": ["llm", "llm"], "backend": backend}))
+        out = tmp_path / "runs"
+        assert run_cli("chain", "--config", str(path), "--out", str(out)) == EXIT_VALIDATION
+        assert "error: backend: unknown chat template 'llama3x'" in capsys.readouterr().err
         assert not (out / "chain-00").exists()
 
     def test_seed_only_chain_writes_its_csv(self, tmp_path):

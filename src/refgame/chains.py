@@ -66,14 +66,14 @@ class ChainConfig:
         # master_seed is derived per generation, never overridden
         valid_fields = set(RunConfig.__dataclass_fields__) - {"master_seed"}
         # a seed_from import is generation 0, which no override can reach
-        first_run = 1 if self.seed_from else 0
+        runs = range(1 if self.seed_from else 0, self.generations)
         for generation, overrides in self.generation_overrides.items():
             if type(generation) is not int:
                 raise ChainError(f"generation {generation!r} of generation_overrides is not a number")
-            if not first_run <= generation < self.generations:
+            if generation not in runs:
+                span = f"generations {runs.start} to {runs[-1]}" if runs else "no generation"
                 raise ChainError(
-                    f"generation {generation} of generation_overrides is not run: "
-                    f"the chain runs generations {first_run} to {self.generations - 1}"
+                    f"generation {generation} of generation_overrides is not run: the chain runs {span}"
                 )
             if not isinstance(overrides, dict):
                 raise ChainError(f"overrides for generation {generation} must be a mapping")

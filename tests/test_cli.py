@@ -444,7 +444,10 @@ class TestChainCommand:
         assert err.startswith("error: ") and message in err
         assert not (out / "chain-00").exists()
 
-    def test_override_of_imported_generation_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "generations, span", [("2", "generations 1 to 1"), ("1", "no generation")], ids=["two", "one"]
+    )
+    def test_override_of_imported_generation_rejected(self, tmp_path, capsys, generations, span):
         # generation 0 of a seeded chain is imported, not run
         sims = tmp_path / "sims"
         run_cli("simulate", "--seed", "3", "--out", str(sims), "--permutations", "60")
@@ -452,13 +455,13 @@ class TestChainCommand:
         path.write_text(yaml.safe_dump({"chain": {"generation_overrides": {0: {"rounds": 2}}}}))
         out = tmp_path / "chains"
         code = run_cli(
-            "chain", "--config", str(path), "--generations", "2", "--seed-from", str(sims / "sim-00"),
+            "chain", "--config", str(path), "--generations", generations, "--seed-from", str(sims / "sim-00"),
             "--out", str(out), "--permutations", "60",
         )
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: chain: generation 0 of generation_overrides is not run: ")
-        assert "the chain runs generations 1 to 1" in err
+        assert f"the chain runs {span}" in err
         assert not (out / "chain-00").exists()
 
     def test_override_range_checked_after_flags(self, tmp_path):

@@ -60,7 +60,7 @@ def run_matrix(root: Path) -> dict[str, int]:
     # a resumed chain must write what an uninterrupted one writes
     out = root / "resumed-chain"
     resume = ("chain", "--seed", "5", "--chains", "1", "--generations", "3", "--out", str(out))
-    _run(*resume)
+    assert _run(*resume) == EXIT_OK
     shutil.rmtree(out / "chain-00" / "gen02")
     (out / "chain-00" / "chain.csv").unlink()
     codes[out.name] = _run(*resume)

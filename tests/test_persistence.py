@@ -6,7 +6,7 @@ import pytest
 
 from refgame.agents import CompositionalOracle, LookupOracle, ProductionFailure
 from refgame.backend import EventLog
-from refgame.config import ConfigError, ExperimentConfig, config_from_dict, load_config
+from refgame.config import ConfigError, ExperimentConfig, config_from_dict, load_config, validate_config
 from refgame.domain import Vocabulary, enumerate_stimuli
 from refgame.engine import MetricRow, RunConfig, compute_metric_rows, run_simulation
 from refgame.persistence import (
@@ -260,6 +260,7 @@ CONFIG_FILES = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.
 @pytest.mark.parametrize("path", CONFIG_FILES, ids=[p.name for p in CONFIG_FILES])
 def test_shipped_config_loads(path):
     config = load_config(path)
+    validate_config(config)
     assert len(config.agents) == 2
 
 

@@ -17,11 +17,12 @@ import json
 import os
 import threading
 import time
+import weakref
 from dataclasses import dataclass
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
 from typing import Callable, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .prompts import Prompt
 
@@ -78,6 +79,16 @@ class BackendDescriptor:
             raise BackendError("max_retries must be >= 0")
         if self.backoff_base < 0:
             raise BackendError("backoff_base must be >= 0")
+        if self.endpoint:  # an llm run without one fails its pre-flight
+            url = urlsplit(self.endpoint)
+            try:
+                url.port  # raises on a port that is not a number below 65536
+            except ValueError as err:
+                raise BackendError(f"endpoint {self.endpoint!r}: {err}") from err
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise BackendError(
+                    f"endpoint {self.endpoint!r} is not an http:// or https:// URL with a host"
+                )
 
 
 def load_chat_template(name_or_path: str) -> str:
@@ -110,6 +121,9 @@ class EventLog:
 
     The engine sets contextual fields (simulation id, block, round, task);
     backends and blocks append records tagged with the current context.
+    The file is opened (and emptied) once and flushed after every record,
+    so it can be read or digested while the log is open. Use it in a
+    ``with`` block, which closes it.
     """
 
     def __init__(self, path: str | Path):
@@ -117,15 +131,25 @@ class EventLog:
         self.context: dict = {}
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text("")
+        self._file = self.path.open("w")
+
+    def __enter__(self) -> EventLog:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._file.close()
 
     def set_context(self, **fields) -> None:
         self.context.update(fields)
 
     def append(self, kind: str, **fields) -> None:
-        record = {"kind": kind, **self.context, **fields}
-        with self._lock, self.path.open("a") as fh:
-            fh.write(json.dumps(record) + "\n")
+        line = json.dumps({"kind": kind, **self.context, **fields}) + "\n"
+        with self._lock:
+            self._file.write(line)
+            self._file.flush()
 
     @staticmethod
     def read(path: str | Path) -> list[dict]:
@@ -150,14 +174,19 @@ class CompletionBackend:
     def score(self, prompts: Sequence[Prompt]) -> list[float]:
         raise NotImplementedError
 
-    def _log(self, task: str, prompt_text: str, result, started: float, **extra) -> None:
+    def _log(
+        self, task: str, prompt_text: str, result, started: float, repeat: bool = False, **extra
+    ) -> None:
+        """Append a ``backend_call`` record; with ``repeat`` it keeps the
+        prompt's ``prompt_sha`` but leaves its text out."""
         if self.event_log is None:
             return
+        text = {} if repeat else {"prompt": prompt_text}
         self.event_log.append(
             "backend_call",
             call=task,
             prompt_sha=prompt_digest(prompt_text),
-            prompt=prompt_text,
+            **text,
             result=result,
             latency=time.monotonic() - started,
             timestamp=time.time(),
@@ -220,18 +249,29 @@ class HttpBackend(CompletionBackend):
     choice per prompt, as from a service that rejects list prompts, is a
     MalformedServiceReply.
 
-    A request that fails in transport or times out is sent again, up to
-    ``descriptor.max_retries`` times; a score call is retried as a whole.
+    Requests go out on one keep-alive ``http.client`` connection, HTTPS
+    when the endpoint's scheme says so, to the endpoint's path followed by
+    ``/v1/completions``. When the service has closed that connection while
+    it was idle, the request is sent once more on a new one; that is not a
+    retry. A request that fails in transport or times out is sent again, up
+    to ``descriptor.max_retries`` times; a score call is retried as a whole.
     Each retry appends a ``backend_retry`` record before the call's
     ``backend_call`` records, whose ``latency`` is the answering attempt's.
     ContextOverflow, capability and malformed-reply errors are not retried.
+    The records of a score call carry the templated prompt text only where
+    it differs from the previous record's; each keeps its ``prompt_sha``.
     """
 
     def __init__(self, descriptor: BackendDescriptor, event_log: EventLog | None = None):
         self.descriptor = descriptor
         self.event_log = event_log
-        self.session = requests.Session()
         self.template = load_chat_template(descriptor.template)
+        url = urlsplit(descriptor.endpoint)
+        self._path = url.path.rstrip("/") + "/v1/completions"
+        connection_class = HTTPSConnection if url.scheme == "https" else HTTPConnection
+        self._connection = connection_class(url.hostname, url.port, timeout=descriptor.timeout)
+        # closes the socket when the backend goes away, as a pool would
+        weakref.finalize(self, self._connection.close)
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -240,24 +280,41 @@ class HttpBackend(CompletionBackend):
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
+    def _exchange(self, body: bytes) -> tuple[int, bytes]:
+        self._connection.request("POST", self._path, body, self._headers())
+        response = self._connection.getresponse()
+        return response.status, response.read()
+
     def _post(self, payload: dict) -> dict:
-        url = self.descriptor.endpoint.rstrip("/") + "/v1/completions"
         try:
-            response = self.session.post(
-                url, json=payload, headers=self._headers(), timeout=self.descriptor.timeout
-            )
-        except requests.Timeout as err:
-            raise BackendTimeout(str(err)) from err
-        except requests.RequestException as err:
-            raise TransportFailure(str(err)) from err
-        if response.status_code >= 500:
-            raise TransportFailure(f"service error {response.status_code}")
-        if response.status_code != 200:
+            return self._reply(json.dumps(payload).encode())
+        except BackendError:
+            self._connection.close()
+            raise
+
+    def _reply(self, body: bytes) -> dict:
+        reused = self._connection.sock is not None
+        try:
+            try:
+                status, data = self._exchange(body)
+            except ConnectionError:
+                if not reused:
+                    raise
+                # the service closed the idle keep-alive connection
+                self._connection.close()
+                status, data = self._exchange(body)
+        except TimeoutError as err:
+            raise BackendTimeout(f"no reply within {self.descriptor.timeout} s") from err
+        except (OSError, HTTPException) as err:
+            raise TransportFailure(f"{type(err).__name__}: {err}") from err
+        if status >= 500:
+            raise TransportFailure(f"service error {status}")
+        if status != 200:
             raise MalformedServiceReply(
-                f"service returned {response.status_code}: {response.text[:200]}"
+                f"service returned {status}: {data[:200].decode(errors='replace')}"
             )
         try:
-            return response.json()
+            return json.loads(data)
         except ValueError as err:
             raise MalformedServiceReply("response body is not JSON") from err
 
@@ -330,8 +387,11 @@ class HttpBackend(CompletionBackend):
             )
         totals = [self._continuation_logprob(by_index[i], len(text))
                   for i, text in enumerate(full_texts)]
+        previous = None
         for text, prompt, total in zip(full_texts, prompts, totals):
-            self._log("score", text, total, started, continuation=prompt.continuation)
+            self._log("score", text, total, started, repeat=text == previous,
+                      continuation=prompt.continuation)
+            previous = text
         return totals
 
     @staticmethod

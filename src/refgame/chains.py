@@ -240,24 +240,24 @@ def run_chain(
                 transmitted, Random(derive_seed(chain_seed, f"portion:{generation}"))
             )
         gen_dir = directory / f"gen{generation:02d}"
-        event_log = EventLog(gen_dir / "events.jsonl")
-        event_log.set_context(generation=generation)
-        agents = agent_factory(event_log)
-        started = time.time()
-        try:
-            result = run_simulation(
-                _generation_run_config(config, run, chain_seed, generation),
-                agents,
-                initial_language=training_language,
-                event_log=event_log,
-            )
+        with EventLog(gen_dir / "events.jsonl") as event_log:
+            event_log.set_context(generation=generation)
+            agents = agent_factory(event_log)
+            started = time.time()
             try:
-                selection = _select_generation_donor(config, chain_seed, generation, result)
-            except ChainError as err:  # nothing complete to transmit
-                raise SimulationAborted(str(err), result) from err
-        except SimulationAborted as err:
-            save_partial(err.partial, gen_dir, error=str(err), started=started)
-            raise
+                result = run_simulation(
+                    _generation_run_config(config, run, chain_seed, generation),
+                    agents,
+                    initial_language=training_language,
+                    event_log=event_log,
+                )
+                try:
+                    selection = _select_generation_donor(config, chain_seed, generation, result)
+                except ChainError as err:  # nothing complete to transmit
+                    raise SimulationAborted(str(err), result) from err
+            except SimulationAborted as err:
+                save_partial(err.partial, gen_dir, error=str(err), started=started)
+                raise
         save_simulation(
             result,
             gen_dir,

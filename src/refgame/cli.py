@@ -94,15 +94,15 @@ def _build_agents(config: ExperimentConfig, event_log: EventLog):
 
 
 def _run_one_simulation(config: ExperimentConfig, run_seed: int, run_dir: Path):
-    event_log = EventLog(run_dir / "events.jsonl")  # creates run_dir
-    agents = _build_agents(config, event_log)
-    run_config = replace(config.run, master_seed=run_seed)
-    started = time.time()
-    try:
-        result = run_simulation(run_config, agents, event_log=event_log)
-    except SimulationAborted as err:
-        save_partial(err.partial, run_dir, error=str(err), started=started)
-        raise
+    with EventLog(run_dir / "events.jsonl") as event_log:  # creates run_dir
+        agents = _build_agents(config, event_log)
+        run_config = replace(config.run, master_seed=run_seed)
+        started = time.time()
+        try:
+            result = run_simulation(run_config, agents, event_log=event_log)
+        except SimulationAborted as err:
+            save_partial(err.partial, run_dir, error=str(err), started=started)
+            raise
     save_simulation(result, run_dir, started=started)
     return result
 

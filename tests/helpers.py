@@ -52,13 +52,19 @@ def recursive_levenshtein(a: str, b: str) -> int:
     return rec(len(a), len(b))
 
 
+# closed after each test by conftest's _close_helper_event_logs
+OPEN_EVENT_LOGS: list[EventLog] = []
+
+
 def http_backend(endpoint: str, log_dir, **settings) -> HttpBackend:
     """An HttpBackend for the test stub service, logging to
     ``log_dir/events.jsonl``; ``settings`` override descriptor fields."""
     descriptor = BackendDescriptor(
         **{"endpoint": endpoint, "model": "test-model", "timeout": 5.0, "template": "plain", **settings}
     )
-    return HttpBackend(descriptor, event_log=EventLog(log_dir / "events.jsonl"))
+    event_log = EventLog(log_dir / "events.jsonl")
+    OPEN_EVENT_LOGS.append(event_log)
+    return HttpBackend(descriptor, event_log=event_log)
 
 
 def logged(log: EventLog, kind: str) -> list[dict]:

@@ -184,10 +184,10 @@ def test_criterion_05_null_calibration():
 def test_criterion_06_compositional_end_to_end(tmp_path):
     """Full oracle simulation exercises every block with zero network calls."""
     started = time.monotonic()
-    log = EventLog(tmp_path / "events.jsonl")
     config = RunConfig(master_seed=606, mantel_permutations=10_000)
     agents = (CompositionalOracle("A"), CompositionalOracle("B"))
-    result = run_simulation(config, agents, event_log=log)
+    with EventLog(tmp_path / "events.jsonl") as log:
+        result = run_simulation(config, agents, event_log=log)
     elapsed = time.monotonic() - started
 
     perc_com_ok = result.communication.perc_com == [1.0, 1.0, 1.0, 1.0]

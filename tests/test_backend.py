@@ -1,3 +1,4 @@
+import socket
 from dataclasses import replace
 
 import pytest
@@ -14,6 +15,7 @@ from refgame.backend import (
     apply_chat_template,
     estimate_tokens,
     load_chat_template,
+    prompt_digest,
 )
 from refgame.prompts import Prompt
 
@@ -50,11 +52,11 @@ class TestScriptedBackend:
 
 class TestEventLog:
     def test_append_and_context(self, tmp_path):
-        log = EventLog(tmp_path / "events.jsonl")
-        log.set_context(block="labelling", agent="A")
-        log.append("backend_call", result="x")
-        log.set_context(block="testing")
-        log.append("backend_call", result="y")
+        with EventLog(tmp_path / "events.jsonl") as log:
+            log.set_context(block="labelling", agent="A")
+            log.append("backend_call", result="x")
+            log.set_context(block="testing")
+            log.append("backend_call", result="y")
         records = EventLog.read(tmp_path / "events.jsonl")
         assert len(records) == 2
         assert records[0]["block"] == "labelling"
@@ -62,10 +64,10 @@ class TestEventLog:
         assert records[1]["agent"] == "A"
 
     def test_backend_logs_before_returning(self, tmp_path):
-        log = EventLog(tmp_path / "events.jsonl")
-        backend = ScriptedBackend(completions=lambda p: "ok", event_log=log)
-        backend.complete(PROMPT)
-        calls = logged(backend.event_log, "backend_call")
+        with EventLog(tmp_path / "events.jsonl") as log:
+            backend = ScriptedBackend(completions=lambda p: "ok", event_log=log)
+            backend.complete(PROMPT)
+            calls = logged(backend.event_log, "backend_call")
         assert len(calls) == 1
         assert calls[0]["call"] == "complete"
         assert calls[0]["result"] == "ok"
@@ -155,6 +157,19 @@ class TestHttpBackend:
         assert [c["continuation"] for c in calls] == [p.continuation for p in CANDIDATES]
         assert [c["result"] for c in calls] == scores
 
+    def test_score_records_write_each_prompt_once(self, stub_server, tmp_path):
+        # every record keeps its prompt_sha; the text goes only where it
+        # differs from the previous record's
+        endpoint, _ = stub_server
+        backend = http_backend(endpoint, tmp_path)
+        other = replace(PROMPT, stem="{'shape':2,'colour':'blue','amount':2,'word':'", continuation="gali'}")
+        prompts = CANDIDATES[:2] + [other, CANDIDATES[2]]
+        backend.score(prompts)
+        texts = [apply_chat_template(load_chat_template("plain"), p) for p in prompts]
+        calls = logged(backend.event_log, "backend_call")
+        assert [c["prompt_sha"] for c in calls] == [prompt_digest(t) for t in texts]
+        assert [c.get("prompt") for c in calls] == [texts[0], None, texts[2], texts[3]]
+
     def test_score_matches_choices_by_index(self, stub_server, tmp_path):
         endpoint, handler = stub_server
         handler.behaviour = "reversed"
@@ -239,3 +254,78 @@ class TestHttpBackend:
         backend.complete(PROMPT)
         # the handler does not expose headers; check via the backend's own builder
         assert backend._headers()["Authorization"] == "Bearer sekrit"
+
+
+def _refused_endpoint() -> str:
+    """An http:// endpoint on a local port with nothing listening."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return f"http://127.0.0.1:{probe.getsockname()[1]}"
+
+
+class TestWireConnection:
+    """The one keep-alive connection, against an HTTP/1.1 stub."""
+
+    def test_requests_share_one_connection(self, keepalive_stub_server, tmp_path):
+        endpoint, handler = keepalive_stub_server
+        backend = http_backend(endpoint, tmp_path)
+        for _ in range(3):
+            assert backend.complete(PROMPT) == " hanosa'}"
+        backend.score(CANDIDATES)
+        assert len(handler.seen) == 4
+        assert handler.connections == 1
+
+    def test_dropped_idle_connection_reconnects_without_retry(self, keepalive_stub_server, tmp_path, waits):
+        endpoint, handler = keepalive_stub_server
+        handler.behaviour = "close"
+        backend = http_backend(endpoint, tmp_path)
+        assert [backend.complete(PROMPT) for _ in range(3)] == [" hanosa'}"] * 3
+        assert len(handler.seen) == 3 and handler.connections == 3
+        assert logged(backend.event_log, "backend_retry") == []
+        assert waits == []
+
+    def test_refused_connection_fails_after_retries(self, tmp_path, waits):
+        backend = http_backend(_refused_endpoint(), tmp_path, max_retries=2)
+        with pytest.raises(TransportFailure, match="ConnectionRefusedError"):
+            backend.complete(PROMPT)
+        assert [r["attempt"] for r in logged(backend.event_log, "backend_retry")] == [1, 2]
+        assert waits == [0.5, 1.0]
+        assert logged(backend.event_log, "backend_call") == []
+
+    @pytest.mark.parametrize("prefix", ["/api", "/api/"])
+    def test_path_prefix_kept(self, keepalive_stub_server, tmp_path, prefix):
+        endpoint, handler = keepalive_stub_server
+        backend = http_backend(endpoint + prefix, tmp_path)
+        backend.complete(PROMPT)
+        assert handler.paths == ["/api/v1/completions"]
+
+    def test_https_against_plain_service_is_transport_failure(self, keepalive_stub_server, tmp_path):
+        endpoint, _ = keepalive_stub_server
+        backend = http_backend(endpoint.replace("http://", "https://"), tmp_path, max_retries=0)
+        with pytest.raises(TransportFailure):
+            backend.complete(PROMPT)
+
+    def test_timed_out_connection_is_replaced(self, keepalive_stub_server, tmp_path):
+        # the late reply must not be read as the answer to the next request
+        endpoint, handler = keepalive_stub_server
+        handler.behaviour = "slow"
+        backend = http_backend(endpoint, tmp_path, timeout=0.1, max_retries=0)
+        with pytest.raises(BackendTimeout):
+            backend.complete(PROMPT)
+        handler.behaviour = "complete"
+        backend.descriptor.timeout = 5.0
+        assert backend.score([SCORED]) == [pytest.approx(-1.5)]
+        assert handler.connections == 2
+
+    @pytest.mark.parametrize(
+        "behaviour, message",
+        [("bad_json", "response body is not JSON"), ("not_found", "service returned 404: no such model")],
+    )
+    def test_unusable_reply_is_malformed(self, keepalive_stub_server, tmp_path, behaviour, message):
+        endpoint, handler = keepalive_stub_server
+        handler.behaviour = behaviour
+        backend = http_backend(endpoint, tmp_path)
+        with pytest.raises(MalformedServiceReply) as info:
+            backend.complete(PROMPT)
+        assert str(info.value) == message
+        assert len(handler.seen) == 1  # not retried

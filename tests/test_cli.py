@@ -1,7 +1,9 @@
+import gc
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -76,6 +78,9 @@ class TestSimulate:
             ({"timeout": 0}, "timeout must be > 0"),
             ({"timeout": -5.0}, "timeout must be > 0"),
             ({"template": "llama3x"}, "unknown chat template 'llama3x'"),
+            ({"endpoint": "localhost:8000"}, "endpoint 'localhost:8000' is not an http:// or https:// URL"),
+            ({"endpoint": "https://"}, "endpoint 'https://' is not an http:// or https:// URL with a host"),
+            ({"endpoint": "http://localhost:80a"}, "endpoint 'http://localhost:80a': Port could not be cast"),
         ],
     )
     def test_bad_backend_setting_rejected_before_writing(self, tmp_path, capsys, backend, message):
@@ -611,6 +616,36 @@ class TestChainCommand:
         assert not (out / "chain-00" / "gen02").exists()
 
 
+class TestEventLogLifecycle:
+    """Each events.jsonl a command opens is closed again, whether its run
+    completes or aborts, and its manifest digests the file on disk."""
+
+    @pytest.mark.parametrize(
+        "argv, code, runs",
+        [
+            (("simulate", "--count", "2"), EXIT_OK, 2),
+            (("chain", "--chains", "1", "--generations", "2"), EXIT_OK, 2),
+            # lookup oracles collapse the language by gen06, which aborts
+            (("chain", "--seed", "4", "--chains", "1", "--generations", "7"), EXIT_RUNTIME, 7),
+        ],
+        ids=["simulate", "chain", "aborted-chain"],
+    )
+    def test_every_handle_closed(self, tmp_path, monkeypatch, argv, code, runs):
+        unraisable = []  # a ResourceWarning raised in a finalizer lands here
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        out = tmp_path / "runs"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            assert run_cli(*argv, "--permutations", "60", "--out", str(out)) == code
+            gc.collect()
+        assert [str(u.exc_value) for u in unraisable] == []
+        run_dirs = [path.parent for path in sorted(out.rglob("manifest.json"))]
+        assert len(run_dirs) == runs
+        for run_dir in run_dirs:
+            digest = RunManifest.load(run_dir).files["events.jsonl"]
+            assert digest == file_digest(run_dir / "events.jsonl")
+
+
 def seeded_chain_argv(tmp_path):
     """A 3-generation chain command seeded from a fresh simulation."""
     sims = tmp_path / "sims"
@@ -639,6 +674,12 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     # paired t-test needs it, and it imports it itself
     loaded = fresh_python("import sys, refgame.cli; print('scipy.stats' in sys.modules)")
     assert loaded == "False"
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # the wire client is http.client; no command loads an HTTP library
+    code = "import sys, refgame.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    assert fresh_python(code) == "[]"
 
 
 def test_package_import_loads_no_submodule():

@@ -279,11 +279,11 @@ class TestTestingBlock:
     def test_context_sizes_from_prompts(self, tmp_path):
         # train stimulus: 14 lines; test stimulus: 15 lines
         vocab, split = training_vocab()
-        log = EventLog(tmp_path / "events.jsonl")
-        backend = ScriptedBackend(completions=lambda p: "gigi", event_log=log)
-        agent = LLMAgent("A", backend)
-        agent.set_vocabulary(vocab.copy())
-        run_testing_block(agent, Random(0), event_log=log)
+        with EventLog(tmp_path / "events.jsonl") as log:
+            backend = ScriptedBackend(completions=lambda p: "gigi", event_log=log)
+            agent = LLMAgent("A", backend)
+            agent.set_vocabulary(vocab.copy())
+            run_testing_block(agent, Random(0), event_log=log)
         train = set(split.train)
         calls = logged(log, "backend_call")
         assert len(calls) == 27
@@ -538,9 +538,9 @@ class TestBlockEvents:
     def test_oracle_events_pinned_and_replayed(self, tmp_path):
         # pinned when every event was spelled out by hand in the engine: the
         # record codec must not change a byte of events.jsonl
-        log = EventLog(tmp_path / "events.jsonl")
         config = RunConfig(master_seed=21, mantel_permutations=10)
-        result = run_simulation(config, (FlakyOracle("A"), LookupOracle("B")), event_log=log)
+        with EventLog(tmp_path / "events.jsonl") as log:
+            result = run_simulation(config, (FlakyOracle("A"), LookupOracle("B")), event_log=log)
         modes = {r.failure_mode for r in result.communication.records}
         assert modes == {"none", "failed-production", "failed-choice"}
         assert any(r.failure_mode == "failed-choice" for r in result.guessing["A"].records)
@@ -561,16 +561,16 @@ class TestBlockEvents:
 class TestExclusionInvariant:
     def test_no_communication_or_testing_prompt_contains_target(self, tmp_path):
         vocab, split = training_vocab(7)
-        log = EventLog(tmp_path / "events.jsonl")
-        backend = ScriptedBackend(
-            completions=lambda p: "gigi", scores=lambda p: -1.0, event_log=log
-        )
-        a, b = LLMAgent("A", backend), LLMAgent("B", backend)
-        a.set_vocabulary(vocab.copy())
-        b.set_vocabulary(vocab.copy())
         config = RunConfig(master_seed=1, rounds=1)
-        run_communication_block(a, b, Random(derive_seed(1, "communication")), config, event_log=log)
-        run_testing_block(a, Random(0), event_log=log)
+        with EventLog(tmp_path / "events.jsonl") as log:
+            backend = ScriptedBackend(
+                completions=lambda p: "gigi", scores=lambda p: -1.0, event_log=log
+            )
+            a, b = LLMAgent("A", backend), LLMAgent("B", backend)
+            a.set_vocabulary(vocab.copy())
+            b.set_vocabulary(vocab.copy())
+            run_communication_block(a, b, Random(derive_seed(1, "communication")), config, event_log=log)
+            run_testing_block(a, Random(0), event_log=log)
 
         interactions = {
             (e["round"], e["task"]): Stimulus(*e["stimulus"])
@@ -602,15 +602,15 @@ class TestExclusionInvariant:
 
     def test_labelling_and_guessing_prompts_contain_target(self, tmp_path):
         vocab, _ = training_vocab(7)
-        log = EventLog(tmp_path / "events.jsonl")
-        backend = ScriptedBackend(
-            completions=lambda p: "gigi", scores=lambda p: -1.0, event_log=log
-        )
-        agent = LLMAgent("A", backend)
-        agent.set_vocabulary(vocab.copy())
-        run_labelling_block(agent, vocab, Random(0), event_log=log)
-        agent.set_vocabulary(vocab.copy())
-        run_guessing_block(agent, vocab, Random(0), event_log=log)
+        with EventLog(tmp_path / "events.jsonl") as log:
+            backend = ScriptedBackend(
+                completions=lambda p: "gigi", scores=lambda p: -1.0, event_log=log
+            )
+            agent = LLMAgent("A", backend)
+            agent.set_vocabulary(vocab.copy())
+            run_labelling_block(agent, vocab, Random(0), event_log=log)
+            agent.set_vocabulary(vocab.copy())
+            run_guessing_block(agent, vocab, Random(0), event_log=log)
         for call in logged(log, "backend_call"):
             lines = call["prompt"].split("\n")
             body, stem = lines[:-1], lines[-1]

@@ -27,11 +27,11 @@ from refgame.prompts import PromptTask
 def persisted_run(tmp_path, seed=13, agents=None):
     run_dir = tmp_path / "run"
     run_dir.mkdir(parents=True, exist_ok=True)
-    event_log = EventLog(run_dir / "events.jsonl")
     if agents is None:
         agents = (LookupOracle("A"), LookupOracle("B"))
     config = RunConfig(master_seed=seed, mantel_permutations=150)
-    result = run_simulation(config, agents, event_log=event_log)
+    with EventLog(run_dir / "events.jsonl") as event_log:
+        result = run_simulation(config, agents, event_log=event_log)
     save_simulation(result, run_dir)
     return run_dir, result
 
@@ -206,9 +206,8 @@ class TestPartialPersist:
 
         run_dir = tmp_path / "aborted"
         run_dir.mkdir()
-        event_log = EventLog(run_dir / "events.jsonl")
         config = RunConfig(master_seed=2, mantel_permutations=20)
-        with pytest.raises(SimulationAborted) as info:
+        with EventLog(run_dir / "events.jsonl") as event_log, pytest.raises(SimulationAborted) as info:
             run_simulation(config, (Exploding("A"), LookupOracle("B")), event_log=event_log)
         save_partial(info.value.partial, run_dir, error=str(info.value))
         return run_dir

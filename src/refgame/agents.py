@@ -8,7 +8,7 @@ directly; the model-backed agent renders prompts and talks to a backend.
 from __future__ import annotations
 
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import prompts
 from .backend import BackendError, CompletionBackend
@@ -57,6 +57,22 @@ class Agent:
         exclude: Stimulus | None = None,
     ) -> int:
         raise NotImplementedError
+
+    def produce_signals(
+        self, items: Iterable[tuple[int, Stimulus]], task: PromptTask, rng: Random
+    ) -> list[Signal]:
+        """Batch form of ``produce_signal`` over ``(task index, stimulus)``
+        items: the signals of the leading tasks answered in one go. The
+        engine runs every task after them through ``produce_signal``; this
+        default answers none."""
+        return []
+
+    def choose_many(
+        self, items: Iterable[tuple[int, object, Sequence]], task: PromptTask, rng: Random
+    ) -> list[int]:
+        """Batch form of ``choose`` over ``(task index, probe, candidates)``
+        items, answered like ``produce_signals``."""
+        return []
 
     def extrapolated(self, stimulus: Stimulus) -> bool:
         """True when the last production for this stimulus fell outside the
@@ -168,6 +184,11 @@ class LLMAgent(Agent):
     and takes the argmax of total log-probability, ties broken by lowest
     position in the shuffled candidate order. After ``max_retries`` failed
     attempts the failure is reported for the engine to record.
+
+    The batch methods build every task's prompts as the per-task methods'
+    first attempt would, in task order, and send them in one backend call.
+    They answer tasks up to the first reply that does not parse, and none
+    when the call fails; the engine retries from there task by task.
     """
 
     def __init__(self, agent_id: str, backend: CompletionBackend, max_retries: int = 3):
@@ -186,7 +207,7 @@ class LLMAgent(Agent):
         for _ in range(self.max_retries):
             prompt = self._build_production_prompt(stimulus, task, rng)
             try:
-                raw = self.backend.complete(prompt)
+                raw = self.backend.complete([prompt])[0]
                 return prompts.parse_signal_response(raw)
             except (BackendError, UnparseableResponseError) as err:
                 last_error = err
@@ -219,6 +240,40 @@ class LLMAgent(Agent):
             except BackendError as err:
                 last_error = err
         raise ChoiceFailure(str(last_error)) from last_error
+
+    def produce_signals(self, items, task, rng) -> list[Signal]:
+        tasks, built = [], []
+        for task_index, stimulus in items:
+            tasks.append(task_index)
+            built.append(self._build_production_prompt(stimulus, task, rng))
+        try:
+            replies = self.backend.complete(built, tasks)
+        except BackendError:
+            return []
+        signals = []
+        for raw in replies:
+            try:
+                signals.append(prompts.parse_signal_response(raw))
+            except UnparseableResponseError:
+                break
+        return signals
+
+    def choose_many(self, items, task, rng) -> list[int]:
+        tasks, built, sizes = [], [], []
+        for task_index, probe, candidates in items:
+            candidate_prompts = self._candidate_prompts(probe, candidates, task, rng, None)
+            tasks += [task_index] * len(candidate_prompts)
+            built += candidate_prompts
+            sizes.append(len(candidate_prompts))
+        try:
+            scores = self.backend.score(built, tasks)
+        except BackendError:
+            return []
+        chosen, start = [], 0
+        for size in sizes:
+            chosen.append(_argmax(scores[start:start + size]))
+            start += size
+        return chosen
 
 
 ORACLE_KINDS = {

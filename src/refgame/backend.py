@@ -2,11 +2,11 @@
 
 Two implementations share one contract: an HTTP client for an external
 completion-style service, and an in-process scripted backend for
-deterministic offline tests. Scoring takes every candidate of a choice at
-once, so the HTTP client sends one request per choice, and it retries its
-own transport failures and timeouts. Every prompt's result is appended to
-the run's event log, one record per prompt in the order given, before the
-results are returned.
+deterministic offline tests. Completion and scoring both take a list of
+prompts and answer them in one call, so the HTTP client sends one request
+per call, and it retries its own transport failures and timeouts. Every
+prompt's result is appended to the run's event log, one record per prompt in
+the order given, before the results are returned.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
 from typing import Callable, Sequence
 from urllib.parse import urlsplit
@@ -159,32 +158,51 @@ class EventLog:
 class CompletionBackend:
     """Contract shared by scripted and wire backends.
 
-    complete() returns the greedy continuation text for a prompt; score()
-    takes prompts that each carry a ``continuation`` and returns, in the same
-    order, the total log-probability of each continuation under the model.
-    A score call succeeds or fails as a whole. Only (text, log-probability,
-    error) ever crosses this boundary.
+    complete() returns, in the order given, the greedy continuation text of
+    each prompt; score() takes prompts that each carry a ``continuation`` and
+    returns, in the same order, the total log-probability of each
+    continuation under the model. A call succeeds or fails as a whole. Only
+    (text, log-probability, error) ever crosses this boundary.
+
+    ``tasks``, when given, holds one task index per prompt; each prompt's
+    ``backend_call`` record carries its own in place of the event log's
+    context ``task``, so a call that answers several tasks of a block still
+    says which record belongs to which task.
     """
 
     event_log: EventLog | None = None
 
-    def complete(self, prompt: Prompt) -> str:
+    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[str]:
         raise NotImplementedError
 
-    def score(self, prompts: Sequence[Prompt]) -> list[float]:
+    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[float]:
         raise NotImplementedError
+
+    @staticmethod
+    def _tasks(prompts: Sequence[Prompt], tasks: Sequence[int] | None) -> Sequence[int | None]:
+        return [None] * len(prompts) if tasks is None else tasks
 
     def _log(
-        self, task: str, prompt_text: str, result, started: float, repeat: bool = False, **extra
+        self,
+        call: str,
+        prompt_text: str,
+        result,
+        started: float,
+        task: int | None = None,
+        repeat: bool = False,
+        **extra,
     ) -> None:
-        """Append a ``backend_call`` record; with ``repeat`` it keeps the
-        prompt's ``prompt_sha`` but leaves its text out."""
+        """Append a ``backend_call`` record, with ``task`` over the context's
+        when given; with ``repeat`` it keeps the prompt's ``prompt_sha`` but
+        leaves its text out."""
         if self.event_log is None:
             return
         text = {} if repeat else {"prompt": prompt_text}
+        if task is not None:
+            extra["task"] = task
         self.event_log.append(
             "backend_call",
-            call=task,
+            call=call,
             prompt_sha=prompt_digest(prompt_text),
             **text,
             result=result,
@@ -214,13 +232,14 @@ class ScriptedBackend(CompletionBackend):
         self.scores = scores
         self.event_log = event_log
 
-    def complete(self, prompt: Prompt) -> str:
+    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[str]:
         started = time.monotonic()
         if self.completions is None:
             raise MalformedServiceReply("scripted backend has no completions")
-        text = self.completions(prompt)
-        self._log("complete", prompt.user_text(), text, started)
-        return text
+        texts = [self.completions(p) for p in prompts]
+        for prompt, text, task in zip(prompts, texts, self._tasks(prompts, tasks)):
+            self._log("complete", prompt.user_text(), text, started, task)
+        return texts
 
     def _scripted_score(self, prompt: Prompt) -> float:
         if self.scores is None:
@@ -230,31 +249,33 @@ class ScriptedBackend(CompletionBackend):
             raise MalformedServiceReply(f"log-probability must be <= 0, got {value}")
         return float(value)
 
-    def score(self, prompts: Sequence[Prompt]) -> list[float]:
+    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[float]:
         started = time.monotonic()
         values = [self._scripted_score(p) for p in prompts]
-        for prompt, value in zip(prompts, values):
-            self._log("score", prompt.user_text(), value, started, continuation=prompt.continuation)
+        for prompt, value, task in zip(prompts, values, self._tasks(prompts, tasks)):
+            self._log("score", prompt.user_text(), value, started, task,
+                      continuation=prompt.continuation)
         return values
 
 
 class HttpBackend(CompletionBackend):
     """Client for an OpenAI-style completion service.
 
-    complete() posts the templated prompt for a greedy continuation. score()
-    checks every prompt against the context budget, then posts them all as
-    one list ``prompt`` for direct scoring (echo + logprobs with no new
-    tokens) and matches the returned choices by ``index``. Services that
+    Both calls check every templated prompt against the context budget,
+    then post them all as one list ``prompt`` and match the returned choices
+    by ``index``: complete() asks for greedy continuations, score() for
+    direct scoring (echo + logprobs with no new tokens). Services that
     reject echo-scoring surface CapabilityUnsupported; a reply without one
-    choice per prompt, as from a service that rejects list prompts, is a
-    MalformedServiceReply.
+    indexed choice per prompt, as from a service that rejects list prompts,
+    is a MalformedServiceReply.
 
     Requests go out on one keep-alive ``http.client`` connection, HTTPS
     when the endpoint's scheme says so, to the endpoint's path followed by
     ``/v1/completions``. When the service has closed that connection while
     it was idle, the request is sent once more on a new one; that is not a
     retry. A request that fails in transport or times out is sent again, up
-    to ``descriptor.max_retries`` times; a score call is retried as a whole.
+    to ``descriptor.max_retries`` times; a call is retried as a whole, and
+    ``descriptor.timeout`` bounds each attempt at the whole list.
     Each retry appends a ``backend_retry`` record before the call's
     ``backend_call`` records, whose ``latency`` is the answering attempt's.
     ContextOverflow, capability and malformed-reply errors are not retried.
@@ -266,6 +287,9 @@ class HttpBackend(CompletionBackend):
         self.descriptor = descriptor
         self.event_log = event_log
         self.template = load_chat_template(descriptor.template)
+        # loaded here, not with the module: oracle commands never connect
+        from http.client import HTTPConnection, HTTPSConnection
+
         url = urlsplit(descriptor.endpoint)
         self._path = url.path.rstrip("/") + "/v1/completions"
         connection_class = HTTPSConnection if url.scheme == "https" else HTTPConnection
@@ -293,6 +317,8 @@ class HttpBackend(CompletionBackend):
             raise
 
     def _reply(self, body: bytes) -> dict:
+        from http.client import HTTPException  # loaded by __init__, not with this module
+
         reused = self._connection.sock is not None
         try:
             try:
@@ -341,25 +367,41 @@ class HttpBackend(CompletionBackend):
                 f"estimated {needed} tokens exceeds budget {self.descriptor.context_budget_tokens}"
             )
 
-    def complete(self, prompt: Prompt) -> str:
-        full_text = apply_chat_template(self.template, prompt)
-        self._check_budget(full_text, self.descriptor.max_output_tokens)
+    @staticmethod
+    def _choices(reply: dict, count: int) -> list[dict]:
+        """The reply's ``count`` choices in prompt order, matched by ``index``."""
+        try:
+            choices = reply["choices"]
+            by_index = {choice["index"]: choice for choice in choices}
+        except (KeyError, TypeError) as err:
+            raise MalformedServiceReply(f"missing indexed choices: {reply!r}") from err
+        if len(choices) != count or set(by_index) != set(range(count)):
+            raise MalformedServiceReply(
+                f"expected {count} choices indexed from 0, got {len(choices)}"
+            )
+        return [by_index[i] for i in range(count)]
+
+    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[str]:
+        full_texts = [apply_chat_template(self.template, p) for p in prompts]
+        for text in full_texts:
+            self._check_budget(text, self.descriptor.max_output_tokens)
         payload = {
             "model": self.descriptor.model,
-            "prompt": full_text,
+            "prompt": full_texts,
             "max_tokens": self.descriptor.max_output_tokens,
             "temperature": self.descriptor.temperature,
             "stop": list(COMPLETION_STOP_SEQUENCES),
         }
         reply, started = self._post_with_retries(payload)
         try:
-            text = reply["choices"][0]["text"]
-        except (KeyError, IndexError, TypeError) as err:
+            texts = [choice["text"] for choice in self._choices(reply, len(prompts))]
+        except (KeyError, TypeError) as err:
             raise MalformedServiceReply(f"missing completion text: {reply!r}") from err
-        self._log("complete", full_text, text, started)
-        return text
+        for full_text, text, task in zip(full_texts, texts, self._tasks(prompts, tasks)):
+            self._log("complete", full_text, text, started, task)
+        return texts
 
-    def score(self, prompts: Sequence[Prompt]) -> list[float]:
+    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[float]:
         full_texts = []
         for prompt in prompts:
             if not prompt.continuation:
@@ -376,20 +418,12 @@ class HttpBackend(CompletionBackend):
             "logprobs": 0,
         }
         reply, started = self._post_with_retries(payload)
-        try:
-            choices = reply["choices"]
-            by_index = {choice["index"]: choice for choice in choices}
-        except (KeyError, TypeError) as err:
-            raise MalformedServiceReply(f"missing indexed choices: {reply!r}") from err
-        if len(choices) != len(prompts) or set(by_index) != set(range(len(prompts))):
-            raise MalformedServiceReply(
-                f"expected {len(prompts)} choices indexed from 0, got {len(choices)}"
-            )
-        totals = [self._continuation_logprob(by_index[i], len(text))
-                  for i, text in enumerate(full_texts)]
+        choices = self._choices(reply, len(prompts))
+        totals = [self._continuation_logprob(choice, len(text))
+                  for choice, text in zip(choices, full_texts)]
         previous = None
-        for text, prompt, total in zip(full_texts, prompts, totals):
-            self._log("score", text, total, started, repeat=text == previous,
+        for text, prompt, total, task in zip(full_texts, prompts, totals, self._tasks(prompts, tasks)):
+            self._log("score", text, total, started, task, repeat=text == previous,
                       continuation=prompt.continuation)
             previous = text
         return totals

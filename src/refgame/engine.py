@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields
 from random import Random
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .agents import Agent, ChoiceFailure, ProductionFailure
 from .backend import EventLog
@@ -255,6 +255,45 @@ def _emit(event_log: EventLog | None, kind: str, **fields) -> None:
         event_log.append(kind, **fields)
 
 
+def _batched(
+    ask: Callable[[Iterator, PromptTask, Random], list],
+    prompt_task: PromptTask,
+    draw: Callable,
+    count: int,
+    rng: Random,
+    event_log: EventLog | None,
+) -> Iterator:
+    """``(task, answer)`` for each of ``count`` tasks, in order, with the
+    event log's context ``task`` set to the task's index.
+
+    ``ask`` (an agent's batch method) is handed a generator of the tasks
+    ``draw(task_index)`` makes, which records the rng state before each
+    draw, so the task draws interleave with the agent's own as they do task
+    by task; the context ``task`` stays as the caller set it meanwhile, and
+    the backend writes each prompt's own task index. ``answer`` is the
+    batch's answer for the tasks it answered and ``None`` for the rest: from
+    the first unanswered task on the rng is put back to where that task
+    began and tasks are drawn anew as they are pulled, for the caller to run
+    one at a time."""
+    states, drawn = [], []
+
+    def tasks():
+        for task_index in range(count):
+            states.append(rng.getstate())
+            drawn.append(draw(task_index))
+            yield drawn[-1]
+
+    answers = ask(tasks(), prompt_task, rng)
+    if len(answers) < len(states):
+        rng.setstate(states[len(answers)])
+    for task_index in range(count):
+        _context(event_log, task=task_index)
+        if task_index < len(answers):
+            yield drawn[task_index], answers[task_index]
+        else:
+            yield draw(task_index), None
+
+
 def run_guessing_block(
     agent: Agent,
     vocab: Vocabulary,
@@ -267,29 +306,33 @@ def run_guessing_block(
     vocabulary includes the current stimulus."""
     order = list(vocab.stimuli())
     rng.shuffle(order)
-    records = []
-    for task_index, stimulus in enumerate(order):
-        _context(event_log, block="guessing", round=None, task=task_index, agent=agent.agent_id)
+
+    def draw(task_index):
+        stimulus = order[task_index]
         truth = vocab.signal_for(stimulus)
         others = [e.signal for e in vocab if e.stimulus != stimulus and e.signal != truth]
         candidates = [truth] + rng.sample(others, distractors)
         rng.shuffle(candidates)
-        try:
-            chosen = agent.choose(stimulus, candidates, PromptTask.GUESSING, rng)
-            record = GuessingRecord(
-                stimulus=stimulus,
-                candidates=tuple(candidates),
-                chosen=chosen,
-                correct=candidates[chosen] == truth,
-            )
-        except ChoiceFailure:
-            record = GuessingRecord(
-                stimulus=stimulus,
-                candidates=tuple(candidates),
-                chosen=-1,
-                correct=False,
-                failure_mode="failed-choice",
-            )
+        return task_index, stimulus, candidates
+
+    records = []
+    _context(event_log, block="guessing", round=None, task=None, agent=agent.agent_id)
+    tasks = _batched(agent.choose_many, PromptTask.GUESSING, draw, len(order), rng, event_log)
+    for (_, stimulus, candidates), chosen in tasks:
+        truth = vocab.signal_for(stimulus)
+        failure_mode = "none"
+        if chosen is None:
+            try:
+                chosen = agent.choose(stimulus, candidates, PromptTask.GUESSING, rng)
+            except ChoiceFailure:
+                chosen, failure_mode = -1, "failed-choice"
+        record = GuessingRecord(
+            stimulus=stimulus,
+            candidates=tuple(candidates),
+            chosen=chosen,
+            correct=failure_mode == "none" and candidates[chosen] == truth,
+            failure_mode=failure_mode,
+        )
         records.append(record)
         _emit(event_log, record.KIND, **record.event())
     return GuessingResult(records=records)
@@ -309,15 +352,19 @@ def run_labelling_block(
     rng.shuffle(order)
     learned = vocab.copy()
     records = []
-    for task_index, stimulus in enumerate(order):
-        _context(event_log, block="labelling", round=None, task=task_index, agent=agent.agent_id)
+    _context(event_log, block="labelling", round=None, task=None, agent=agent.agent_id)
+    tasks = _batched(
+        agent.produce_signals, PromptTask.LABELLING, lambda i: (i, order[i]), len(order), rng,
+        event_log,
+    )
+    for (_, stimulus), produced in tasks:
         truth = vocab.signal_for(stimulus)
-        try:
-            produced = agent.produce_signal(stimulus, PromptTask.LABELLING, rng)
-            failed = False
-        except ProductionFailure:
-            produced = truth
-            failed = True
+        failed = False
+        if produced is None:
+            try:
+                produced = agent.produce_signal(stimulus, PromptTask.LABELLING, rng)
+            except ProductionFailure:
+                produced, failed = truth, True
         learned.update(stimulus, produced, 0)
         record = LabellingRecord(
             stimulus=stimulus,
@@ -441,11 +488,17 @@ def run_testing_block(
     train vocabulary minus the current stimulus; test stimuli never appear
     in context. Failed productions are flagged for exclusion from metrics."""
     assert agent.vocabulary is not None
+    stimuli = enumerate_stimuli()
     records = []
-    for task_index, stimulus in enumerate(enumerate_stimuli()):
-        _context(event_log, block="testing", round=None, task=task_index, agent=agent.agent_id)
+    _context(event_log, block="testing", round=None, task=None, agent=agent.agent_id)
+    tasks = _batched(
+        agent.produce_signals, PromptTask.SPEAKING, lambda i: (i, stimuli[i]), len(stimuli), rng,
+        event_log,
+    )
+    for (_, stimulus), signal in tasks:
         try:
-            signal = agent.produce_signal(stimulus, PromptTask.SPEAKING, rng)
+            if signal is None:
+                signal = agent.produce_signal(stimulus, PromptTask.SPEAKING, rng)
             record = TestingRecord(
                 stimulus=stimulus,
                 signal=signal,

@@ -102,6 +102,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             choices.reverse()
         elif behaviour == "drop_choice":
             choices.pop()
+        elif behaviour == "no_index":
+            del choices[0]["index"]
         self._reply(200, json.dumps({"choices": choices}).encode())
 
 

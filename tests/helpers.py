@@ -103,20 +103,23 @@ class InContextLearnerBackend:
         assert match, prompt.stem
         return match[1]
 
-    def complete(self, prompt: Prompt) -> str:
+    def complete(self, prompts: list[Prompt], tasks=None) -> list[str]:
+        return [self._complete(p) for p in prompts]
+
+    def _complete(self, prompt: Prompt) -> str:
         entries = self._entries(prompt)
         target = self._stem_stimulus(prompt)
         best = max(entries, key=lambda e: semantic_similarity(e.stimulus, target))
         return best.signal + "'}"
 
-    def score(self, prompts: list[Prompt]) -> list[float]:
+    def score(self, prompts: list[Prompt], tasks=None) -> list[float]:
         return [self._score(p) for p in prompts]
 
     def _score(self, prompt: Prompt) -> float:
         entries = self._entries(prompt)
         if prompt.stem.endswith("'word':'"):
             # word prefilled: prefer the stored word for the stem's stimulus
-            expected = self.complete(prompt)
+            expected = self._complete(prompt)
         else:
             # meaning prefilled: prefer the meaning whose stored word matches
             heard = self._stem_word(prompt)

@@ -203,6 +203,65 @@ class TestLLMAgent:
         assert len(set(seen)) == 1
 
 
+class TestBatches:
+    def test_productions_stop_at_first_unparseable_reply(self):
+        replies = iter(["gali'}", "nemo'}", "```", "tupa'}"])
+        batches = []
+
+        class CountingBackend(ScriptedBackend):
+            def complete(self, prompts, tasks=None):
+                batches.append(list(tasks))
+                return super().complete(prompts, tasks)
+
+        agent = LLMAgent("A", CountingBackend(completions=lambda prompt: next(replies)))
+        agent.set_vocabulary(training_vocab())
+        items = list(enumerate(agent.vocabulary.stimuli()[:4]))
+        assert agent.produce_signals(iter(items), PromptTask.LABELLING, Random(0)) == ["gali", "nemo"]
+        assert batches == [[0, 1, 2, 3]]
+
+    def test_choices_in_one_call_shared_shuffle_per_task(self):
+        batches = []
+
+        def score(prompt):
+            batches.append(prompt.vocabulary_lines)
+            return -1.0 if prompt.continuation.startswith("nemo") else -2.0
+
+        agent = LLMAgent("A", ScriptedBackend(scores=score))
+        vocab = training_vocab()
+        agent.set_vocabulary(vocab)
+        stimuli = vocab.stimuli()
+        items = [(0, stimuli[0], ["gali", "nemo", "tupa"]), (1, stimuli[1], ["nemo", "sira"])]
+        rng = Random(0)
+        assert agent.choose_many(iter(items), PromptTask.GUESSING, rng) == [1, 0]
+        assert len(batches) == 5 and len(set(batches[:3])) == 1 and len(set(batches[3:])) == 1
+        expected = Random(0)
+        expected.getrandbits(64)
+        expected.getrandbits(64)
+        assert rng.getstate() == expected.getstate()  # one shared-shuffle seed per task
+
+    def test_failed_call_answers_nothing(self):
+        def broken(prompt):
+            raise TransportFailure("down")
+
+        agent = LLMAgent("A", ScriptedBackend(completions=broken, scores=broken))
+        vocab = training_vocab()
+        agent.set_vocabulary(vocab)
+        stimuli = vocab.stimuli()
+        assert agent.produce_signals(enumerate(stimuli), PromptTask.LABELLING, Random(0)) == []
+        items = [(0, stimuli[0], ["gali", "nemo"])]
+        assert agent.choose_many(iter(items), PromptTask.GUESSING, Random(0)) == []
+
+    @pytest.mark.parametrize("agent_cls", [LookupOracle, CompositionalOracle, RandomChooser])
+    def test_oracles_answer_task_by_task(self, agent_cls):
+        # an oracle's batch methods answer nothing and pull no task
+        agent = agent_cls("A")
+        agent.set_vocabulary(training_vocab())
+        tasks = iter([(0, agent.vocabulary.stimuli()[0])])
+        assert agent.produce_signals(tasks, PromptTask.LABELLING, Random(0)) == []
+        assert agent.choose_many(tasks, PromptTask.GUESSING, Random(0)) == []
+        assert next(tasks)[0] == 0
+
+
 class TestFactory:
     def test_oracle_specs(self):
         assert isinstance(make_agent("oracle:lookup", "A"), LookupOracle)

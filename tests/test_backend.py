@@ -27,6 +27,7 @@ PROMPT = Prompt(
 # the four candidates of one choice: one shared context, four continuations
 CANDIDATES = [replace(PROMPT, continuation=f"{word}'}}") for word in ("gali", "nemo", "tupa", "sira")]
 SCORED = CANDIDATES[0]
+OTHER = replace(PROMPT, stem="{'shape':2,'colour':'blue','amount':2,'word':'")
 
 
 class TestScriptedBackend:
@@ -42,7 +43,7 @@ class TestScriptedBackend:
     def test_missing_entry(self):
         backend = ScriptedBackend()
         with pytest.raises(MalformedServiceReply):
-            backend.complete(PROMPT)
+            backend.complete([PROMPT])
 
     def test_no_score_capability(self):
         backend = ScriptedBackend(completions=lambda p: "ok")
@@ -66,7 +67,7 @@ class TestEventLog:
     def test_backend_logs_before_returning(self, tmp_path):
         with EventLog(tmp_path / "events.jsonl") as log:
             backend = ScriptedBackend(completions=lambda p: "ok", event_log=log)
-            backend.complete(PROMPT)
+            backend.complete([PROMPT])
             calls = logged(backend.event_log, "backend_call")
         assert len(calls) == 1
         assert calls[0]["call"] == "complete"
@@ -80,7 +81,7 @@ class TestRetrying:
         endpoint, handler = stub_server
         handler.failures_left = 1
         backend = http_backend(endpoint, tmp_path)
-        assert backend.complete(PROMPT) == " hanosa'}"
+        assert backend.complete([PROMPT]) == [" hanosa'}"]
         records = EventLog.read(backend.event_log.path)
         assert [r["kind"] for r in records] == ["backend_retry", "backend_call"]
         assert (records[0]["attempt"], records[0]["error"]) == (1, "service error 503")
@@ -91,7 +92,7 @@ class TestRetrying:
         handler.failures_left = 10
         backend = http_backend(endpoint, tmp_path, max_retries=2)
         with pytest.raises(TransportFailure):
-            backend.complete(PROMPT)
+            backend.complete([PROMPT])
         assert len(handler.seen) == 2 + 1  # the first attempt and max_retries retries
         assert [r["attempt"] for r in logged(backend.event_log, "backend_retry")] == [1, 2]
         assert logged(backend.event_log, "backend_call") == []
@@ -100,7 +101,7 @@ class TestRetrying:
         endpoint, handler = stub_server
         handler.failures_left = 3
         backend = http_backend(endpoint, tmp_path, max_retries=3, backoff_base=0.5)
-        backend.complete(PROMPT)
+        backend.complete([PROMPT])
         assert waits == [0.5, 1.0, 2.0]
 
 
@@ -132,11 +133,45 @@ class TestHttpBackend:
     def test_complete(self, stub_server, tmp_path):
         endpoint, handler = stub_server
         backend = http_backend(endpoint, tmp_path)
-        assert backend.complete(PROMPT) == " hanosa'}"
+        assert backend.complete([PROMPT]) == [" hanosa'}"]
         request = handler.seen[-1]
         assert request["temperature"] == 0.0
         assert request["stop"] == ["\n", "'}"]
         assert len(logged(backend.event_log, "backend_call")) == 1
+
+    def test_complete_list_in_one_request(self, stub_server, tmp_path):
+        # one record per prompt, in order, each with its own task over the context's
+        endpoint, handler = stub_server
+        backend = http_backend(endpoint, tmp_path)
+        backend.event_log.set_context(block="testing", task=None, agent="A")
+        assert backend.complete([PROMPT, OTHER], tasks=[3, 4]) == [" hanosa'}"] * 2
+        assert len(handler.seen) == 1
+        template = load_chat_template("plain")
+        assert handler.seen[0]["prompt"] == [apply_chat_template(template, p) for p in (PROMPT, OTHER)]
+        calls = logged(backend.event_log, "backend_call")
+        assert [(c["block"], c["task"], c["agent"]) for c in calls] == [("testing", 3, "A"), ("testing", 4, "A")]
+        assert [c["prompt"] for c in calls] == handler.seen[0]["prompt"]
+        assert list(calls[0])[:5] == ["kind", "block", "task", "agent", "call"]
+
+    @pytest.mark.parametrize("behaviour", ["drop_choice", "no_index"])
+    def test_complete_list_reply_without_a_choice_per_prompt(self, keepalive_stub_server, tmp_path, behaviour):
+        endpoint, handler = keepalive_stub_server
+        handler.behaviour = behaviour
+        backend = http_backend(endpoint, tmp_path)
+        with pytest.raises(MalformedServiceReply):
+            backend.complete([PROMPT, OTHER])
+        assert len(handler.seen) == 1  # not retried
+        assert logged(backend.event_log, "backend_call") == []
+
+    def test_complete_preflight_covers_every_prompt(self, stub_server, tmp_path):
+        endpoint, handler = stub_server
+        long_one = replace(PROMPT, stem=PROMPT.stem + "x" * 200)
+        backend = http_backend(endpoint, tmp_path, context_budget_tokens=64)
+        assert len(backend.complete([PROMPT, OTHER])) == 2
+        handler.seen.clear()
+        with pytest.raises(ContextOverflow):
+            backend.complete([PROMPT, long_one])
+        assert handler.seen == []  # no request was sent
 
     def test_score_echo_path(self, stub_server, tmp_path):
         endpoint, _ = stub_server
@@ -162,7 +197,7 @@ class TestHttpBackend:
         # differs from the previous record's
         endpoint, _ = stub_server
         backend = http_backend(endpoint, tmp_path)
-        other = replace(PROMPT, stem="{'shape':2,'colour':'blue','amount':2,'word':'", continuation="gali'}")
+        other = replace(OTHER, continuation="gali'}")
         prompts = CANDIDATES[:2] + [other, CANDIDATES[2]]
         backend.score(prompts)
         texts = [apply_chat_template(load_chat_template("plain"), p) for p in prompts]
@@ -217,7 +252,7 @@ class TestHttpBackend:
         endpoint, handler = stub_server
         backend = http_backend(endpoint, tmp_path, context_budget_tokens=8)
         with pytest.raises(ContextOverflow):
-            backend.complete(PROMPT)
+            backend.complete([PROMPT])
         assert handler.seen == []  # no network call was made
 
     def test_server_error_is_transport_failure(self, stub_server, tmp_path):
@@ -225,33 +260,33 @@ class TestHttpBackend:
         handler.failures_left = 1
         backend = http_backend(endpoint, tmp_path, max_retries=0)
         with pytest.raises(TransportFailure):
-            backend.complete(PROMPT)
+            backend.complete([PROMPT])
 
     def test_retry_recovers_from_5xx(self, stub_server, tmp_path, waits):
         endpoint, handler = stub_server
         handler.failures_left = 1
         backend = http_backend(endpoint, tmp_path)
-        assert backend.complete(PROMPT) == " hanosa'}"
+        assert backend.complete([PROMPT]) == [" hanosa'}"]
 
     def test_bad_json_reply(self, stub_server, tmp_path):
         endpoint, handler = stub_server
         handler.behaviour = "bad_json"
         backend = http_backend(endpoint, tmp_path)
         with pytest.raises(MalformedServiceReply):
-            backend.complete(PROMPT)
+            backend.complete([PROMPT])
 
     def test_timeout(self, stub_server, tmp_path):
         endpoint, handler = stub_server
         handler.behaviour = "slow"
         backend = http_backend(endpoint, tmp_path, timeout=0.1, max_retries=0)
         with pytest.raises(BackendTimeout):
-            backend.complete(PROMPT)
+            backend.complete([PROMPT])
 
     def test_credential_header(self, stub_server, tmp_path, monkeypatch):
         endpoint, handler = stub_server
         monkeypatch.setenv("REFGAME_API_KEY", "sekrit")
         backend = http_backend(endpoint, tmp_path)
-        backend.complete(PROMPT)
+        backend.complete([PROMPT])
         # the handler does not expose headers; check via the backend's own builder
         assert backend._headers()["Authorization"] == "Bearer sekrit"
 
@@ -270,7 +305,7 @@ class TestWireConnection:
         endpoint, handler = keepalive_stub_server
         backend = http_backend(endpoint, tmp_path)
         for _ in range(3):
-            assert backend.complete(PROMPT) == " hanosa'}"
+            assert backend.complete([PROMPT]) == [" hanosa'}"]
         backend.score(CANDIDATES)
         assert len(handler.seen) == 4
         assert handler.connections == 1
@@ -279,7 +314,7 @@ class TestWireConnection:
         endpoint, handler = keepalive_stub_server
         handler.behaviour = "close"
         backend = http_backend(endpoint, tmp_path)
-        assert [backend.complete(PROMPT) for _ in range(3)] == [" hanosa'}"] * 3
+        assert [backend.complete([PROMPT]) for _ in range(3)] == [[" hanosa'}"]] * 3
         assert len(handler.seen) == 3 and handler.connections == 3
         assert logged(backend.event_log, "backend_retry") == []
         assert waits == []
@@ -287,7 +322,7 @@ class TestWireConnection:
     def test_refused_connection_fails_after_retries(self, tmp_path, waits):
         backend = http_backend(_refused_endpoint(), tmp_path, max_retries=2)
         with pytest.raises(TransportFailure, match="ConnectionRefusedError"):
-            backend.complete(PROMPT)
+            backend.complete([PROMPT])
         assert [r["attempt"] for r in logged(backend.event_log, "backend_retry")] == [1, 2]
         assert waits == [0.5, 1.0]
         assert logged(backend.event_log, "backend_call") == []
@@ -296,14 +331,14 @@ class TestWireConnection:
     def test_path_prefix_kept(self, keepalive_stub_server, tmp_path, prefix):
         endpoint, handler = keepalive_stub_server
         backend = http_backend(endpoint + prefix, tmp_path)
-        backend.complete(PROMPT)
+        backend.complete([PROMPT])
         assert handler.paths == ["/api/v1/completions"]
 
     def test_https_against_plain_service_is_transport_failure(self, keepalive_stub_server, tmp_path):
         endpoint, _ = keepalive_stub_server
         backend = http_backend(endpoint.replace("http://", "https://"), tmp_path, max_retries=0)
         with pytest.raises(TransportFailure):
-            backend.complete(PROMPT)
+            backend.complete([PROMPT])
 
     def test_timed_out_connection_is_replaced(self, keepalive_stub_server, tmp_path):
         # the late reply must not be read as the answer to the next request
@@ -311,7 +346,7 @@ class TestWireConnection:
         handler.behaviour = "slow"
         backend = http_backend(endpoint, tmp_path, timeout=0.1, max_retries=0)
         with pytest.raises(BackendTimeout):
-            backend.complete(PROMPT)
+            backend.complete([PROMPT])
         handler.behaviour = "complete"
         backend.descriptor.timeout = 5.0
         assert backend.score([SCORED]) == [pytest.approx(-1.5)]
@@ -326,6 +361,6 @@ class TestWireConnection:
         handler.behaviour = behaviour
         backend = http_backend(endpoint, tmp_path)
         with pytest.raises(MalformedServiceReply) as info:
-            backend.complete(PROMPT)
+            backend.complete([PROMPT])
         assert str(info.value) == message
         assert len(handler.seen) == 1  # not retried

@@ -12,6 +12,7 @@ import yaml
 import refgame
 from refgame import cli
 from refgame.agents import LookupOracle, ProductionFailure
+from refgame.backend import EventLog
 from refgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from refgame.domain import Vocabulary, enumerate_stimuli
 from refgame.engine import MetricRow
@@ -646,6 +647,67 @@ class TestEventLogLifecycle:
             assert digest == file_digest(run_dir / "events.jsonl")
 
 
+def wire_config(tmp_path, endpoint) -> str:
+    """A config file for an llm dyad against ``endpoint``, one round."""
+    config = {
+        "agents": ["llm", "llm"],
+        "backend": {"endpoint": endpoint, "api_key_env": "", "template": "plain"},
+        "run": {"rounds": 1, "mantel_permutations": 60},
+    }
+    path = tmp_path / "wire.yaml"
+    path.write_text(yaml.safe_dump(config))
+    return str(path)
+
+
+class TestWireRun:
+    """An llm dyad through HttpBackend against the keep-alive test stub,
+    which completes every prompt with the same word."""
+
+    def test_one_request_per_agent_per_block(self, keepalive_stub_server, tmp_path):
+        endpoint, handler = keepalive_stub_server
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--config", wire_config(tmp_path, endpoint), "--out", str(out)) == EXIT_OK
+        # 2 guessing + 2 labelling + 30 x (speaker + listener) + 2 testing
+        assert len(handler.seen) == 66
+        assert handler.connections == 1
+        assert [len(body["prompt"]) for body in handler.seen[:4]] == [60, 60, 15, 15]
+        assert [len(body["prompt"]) for body in handler.seen[-2:]] == [27, 27]
+        records = EventLog.read(out / "sim-00" / "events.jsonl")
+        for block, kind, tasks, prompts_per_task in (
+            ("guessing", "guess", 15, 4), ("labelling", "label", 15, 1), ("testing", "testing", 27, 1)
+        ):
+            for agent in ("A", "B"):
+                own = [r for r in records if r["kind"] in ("backend_call", kind)
+                       and r.get("block") == block and r.get("agent") == agent]
+                # the batch's backend_call records come before the block's records
+                assert [r["kind"] for r in own] == ["backend_call"] * (tasks * prompts_per_task) + [kind] * tasks
+                # each backend_call record carries its own task; a choice's share one
+                assert [r["task"] for r in own] == [
+                    t for t in range(tasks) for _ in range(prompts_per_task)
+                ] + list(range(tasks))
+        assert run_cli("replay", str(out / "sim-00")) == EXIT_OK
+
+    def test_collapsed_language_still_aborts(self, keepalive_stub_server, tmp_path, capsys):
+        # every agent learns the stub's one word, so generation 1 trains on a
+        # one-word language and its guessing block cannot draw distractors
+        # (the collapse crash, ROADMAP item 1); the batch is built before any
+        # request is sent, so the abort comes before any guess record
+        endpoint, handler = keepalive_stub_server
+        out = tmp_path / "chains"
+        argv = ["chain", "--config", wire_config(tmp_path, endpoint), "--generations", "2"]
+        assert run_cli(*argv, "--out", str(out)) == EXIT_RUNTIME
+        message = "Sample larger than population or is negative"
+        assert f"run aborted: {message}" in capsys.readouterr().err
+        gen01 = out / "chain-00" / "gen01"
+        manifest = RunManifest.load(gen01)
+        assert manifest.status == "incomplete"
+        assert (manifest.extra["error"], manifest.extra["completed_blocks"]) == (message, [])
+        records = EventLog.read(gen01 / "events.jsonl")
+        assert [r["kind"] for r in records] == ["run_start", "run_aborted"]
+        assert records[-1]["error"] == message
+        assert RunManifest.load(out / "chain-00" / "gen00").status == "complete"
+
+
 def seeded_chain_argv(tmp_path):
     """A 3-generation chain command seeded from a fresh simulation."""
     sims = tmp_path / "sims"
@@ -679,6 +741,12 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 def test_cli_import_leaves_requests_unloaded():
     # the wire client is http.client; no command loads an HTTP library
     code = "import sys, refgame.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    assert fresh_python(code) == "[]"
+
+
+def test_cli_import_leaves_http_client_unloaded():
+    # only HttpBackend opens a connection, and it imports http.client itself
+    code = "import sys, refgame.cli; print(sorted({'http.client', 'ssl'} & set(sys.modules)))"
     assert fresh_python(code) == "[]"
 
 

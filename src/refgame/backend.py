@@ -1,12 +1,11 @@
 """Language-model service clients: greedy completion and continuation scoring.
 
-Two implementations share one contract: an HTTP client for an external
-completion-style service, and an in-process scripted backend for
-deterministic offline tests. Completion and scoring both take a list of
-prompts and answer them in one call, so the HTTP client sends one request
-per call, and it retries its own transport failures and timeouts. Every
-prompt's result is appended to the run's event log, one record per prompt in
-the order given, before the results are returned.
+``CompletionBackend`` is the contract and ``HttpBackend``, a client for an
+external completion-style service, implements it. Completion and scoring
+both take a list of prompts and answer them in one call, so the client sends
+one request per call, and it retries its own transport failures and
+timeouts. Every prompt's result is appended to the run's event log, one
+record per prompt in the order given, before the results are returned.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import time
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 from urllib.parse import urlsplit
 
 from .prompts import Prompt
@@ -156,7 +155,8 @@ class EventLog:
 
 
 class CompletionBackend:
-    """Contract shared by scripted and wire backends.
+    """What an agent asks of a language-model service; ``HttpBackend``
+    implements it.
 
     complete() returns, in the order given, the greedy continuation text of
     each prompt; score() takes prompts that each carry a ``continuation`` and
@@ -210,52 +210,6 @@ class CompletionBackend:
             timestamp=time.time(),
             **extra,
         )
-
-
-class ScriptedBackend(CompletionBackend):
-    """Deterministic in-process backend driven by callables.
-
-    ``completions`` maps a Prompt to its continuation text; ``scores`` maps a
-    Prompt, which carries its continuation, to its log-probability. Without
-    ``completions`` every completion is a MalformedServiceReply; without
-    ``scores`` scoring is CapabilityUnsupported. A callable that raises a
-    BackendError fails the whole call, as a service would.
-    """
-
-    def __init__(
-        self,
-        completions: Callable[[Prompt], str] | None = None,
-        scores: Callable[[Prompt], float] | None = None,
-        event_log: EventLog | None = None,
-    ):
-        self.completions = completions
-        self.scores = scores
-        self.event_log = event_log
-
-    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[str]:
-        started = time.monotonic()
-        if self.completions is None:
-            raise MalformedServiceReply("scripted backend has no completions")
-        texts = [self.completions(p) for p in prompts]
-        for prompt, text, task in zip(prompts, texts, self._tasks(prompts, tasks)):
-            self._log("complete", prompt.user_text(), text, started, task)
-        return texts
-
-    def _scripted_score(self, prompt: Prompt) -> float:
-        if self.scores is None:
-            raise CapabilityUnsupported("scripted backend has no scores")
-        value = self.scores(prompt)
-        if value > 0:
-            raise MalformedServiceReply(f"log-probability must be <= 0, got {value}")
-        return float(value)
-
-    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[float]:
-        started = time.monotonic()
-        values = [self._scripted_score(p) for p in prompts]
-        for prompt, value, task in zip(prompts, values, self._tasks(prompts, tasks)):
-            self._log("score", prompt.user_text(), value, started, task,
-                      continuation=prompt.continuation)
-        return values
 
 
 class HttpBackend(CompletionBackend):
@@ -397,6 +351,8 @@ class HttpBackend(CompletionBackend):
             texts = [choice["text"] for choice in self._choices(reply, len(prompts))]
         except (KeyError, TypeError) as err:
             raise MalformedServiceReply(f"missing completion text: {reply!r}") from err
+        if not all(isinstance(text, str) for text in texts):
+            raise MalformedServiceReply(f"completion text is not a string: {reply!r}")
         for full_text, text, task in zip(full_texts, texts, self._tasks(prompts, tasks)):
             self._log("complete", full_text, text, started, task)
         return texts

@@ -199,25 +199,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    simulate = sub.add_parser("simulate", help="run dyad simulations")
-    simulate.add_argument("--config", help="YAML config file")
-    simulate.add_argument("--seed", type=int, help="master seed override")
+    # the flags that simulate and chain share
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", help="YAML config file")
+    run.add_argument("--seed", type=int, help="master seed override")
+    run.add_argument("--agents", help="comma-separated agent specs, e.g. oracle:lookup,oracle:lookup")
+    run.add_argument("--out", help="output directory")
+    run.add_argument("--permutations", type=int, help="Mantel permutation count")
+
+    simulate = sub.add_parser("simulate", parents=[run], help="run dyad simulations")
     simulate.add_argument("--count", type=int, help="number of independent simulations")
-    simulate.add_argument("--agents", help="comma-separated agent specs, e.g. oracle:lookup,oracle:lookup")
-    simulate.add_argument("--out", help="output directory")
-    simulate.add_argument("--permutations", type=int, help="Mantel permutation count")
     simulate.add_argument("--rounds", type=int, help="communication rounds")
     simulate.set_defaults(func=cmd_simulate)
 
-    chain = sub.add_parser("chain", help="run transmission chains")
-    chain.add_argument("--config", help="YAML config file")
-    chain.add_argument("--seed", type=int, help="master seed override")
+    chain = sub.add_parser("chain", parents=[run], help="run transmission chains")
     chain.add_argument("--chains", type=int, help="number of chains")
     chain.add_argument("--generations", type=int, help="generations per chain")
     chain.add_argument("--seed-from", dest="seed_from", help="simulation directory to import as generation 0")
-    chain.add_argument("--agents", help="agent specs")
-    chain.add_argument("--out", help="output directory")
-    chain.add_argument("--permutations", type=int, help="Mantel permutation count")
     chain.set_defaults(func=cmd_chain)
 
     metrics = sub.add_parser("metrics", help="compute metrics for vocabulary files")

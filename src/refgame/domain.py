@@ -33,8 +33,6 @@ MAX_SYLLABLES = 4
 # 15-subsets are plentiful so this is never hit in practice.
 SPLIT_ATTEMPT_CAP = 10_000
 
-CV_SIGNAL_RE = re.compile(rf"^(?:[{CONSONANTS}][{VOWELS}]){{{MIN_SYLLABLES},{MAX_SYLLABLES}}}$")
-
 
 class DomainError(Exception):
     """Invalid domain value or malformed vocabulary file."""
@@ -68,14 +66,10 @@ class Stimulus:
         return (self.shape, self.colour, self.amount)
 
 
-# Signals are plain strings. Freshly generated ones satisfy CV_SIGNAL_RE;
-# signals produced by a model are kept verbatim and may be arbitrary text.
+# Signals are plain strings. Freshly generated ones are 2-4 CV syllables over
+# the fixed alphabet; signals produced by a model are kept verbatim and may be
+# arbitrary text.
 Signal = str
-
-
-def is_cv_signal(text: str) -> bool:
-    """True when text is 2-4 CV syllables over the fixed alphabet."""
-    return bool(CV_SIGNAL_RE.match(text))
 
 
 def enumerate_stimuli() -> list[Stimulus]:

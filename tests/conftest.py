@@ -9,28 +9,20 @@ import pytest
 
 import helpers
 from refgame.domain import Vocabulary
+from tests_paths import GOLDEN_TEST_PATH, GOLDEN_TRAIN_PATH
 
 hypothesis.settings.register_profile("ci", max_examples=50, deadline=None)
 hypothesis.settings.load_profile("ci")
 
-GOLDEN_TRAIN = "golden_train.vocab"
-GOLDEN_TEST = "golden_test.vocab"
-
-
-def data_path(name: str) -> str:
-    from importlib import resources
-
-    return str(resources.files("refgame").joinpath(f"data/{name}"))
-
 
 @pytest.fixture(scope="session")
 def golden_train() -> Vocabulary:
-    return Vocabulary.load(data_path(GOLDEN_TRAIN))
+    return Vocabulary.load(GOLDEN_TRAIN_PATH)
 
 
 @pytest.fixture(scope="session")
 def golden_test() -> Vocabulary:
-    return Vocabulary.load(data_path(GOLDEN_TEST))
+    return Vocabulary.load(GOLDEN_TEST_PATH)
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -104,6 +96,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             choices.pop()
         elif behaviour == "no_index":
             del choices[0]["index"]
+        elif behaviour == "null_text" and not body.get("echo"):
+            for choice in choices:
+                choice["text"] = None
         self._reply(200, json.dumps({"choices": choices}).encode())
 
 

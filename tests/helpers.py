@@ -1,10 +1,21 @@
-"""Test-only agents, backends, and independent oracles."""
+"""Test doubles: scripted backends, test-only agents, and independent oracles."""
 
+import itertools
+import math
 import re
+import time
 from functools import lru_cache
+from typing import Callable, Sequence
 
-from refgame.agents import Agent, CompositionalOracle, _argmin
-from refgame.backend import BackendDescriptor, EventLog, HttpBackend
+from refgame.agents import Agent, CompositionalOracle, _argmin, _Oracle
+from refgame.backend import (
+    BackendDescriptor,
+    CapabilityUnsupported,
+    CompletionBackend,
+    EventLog,
+    HttpBackend,
+    MalformedServiceReply,
+)
 from refgame.domain import (
     Stimulus,
     VocabularyEntry,
@@ -12,7 +23,7 @@ from refgame.domain import (
     enumerate_stimuli,
     parse_vocab_line,
 )
-from refgame.metrics import normalized_levenshtein, semantic_similarity
+from refgame.metrics import normalized_levenshtein, semantic_distance, semantic_similarity
 from refgame.prompts import Prompt, PromptError, PromptTask
 
 _LISTENER_LINE_RE = re.compile(
@@ -52,6 +63,34 @@ def recursive_levenshtein(a: str, b: str) -> int:
     return rec(len(a), len(b))
 
 
+def exhaustive_mantel_oracle(pairs):
+    """Brute-force Mantel enumeration independent of the library path."""
+    stimuli = [s for s, _ in pairs]
+    signals = [w for _, w in pairs]
+    n = len(pairs)
+    sem = [[semantic_distance(a, b) for b in stimuli] for a in stimuli]
+    sig = [[normalized_levenshtein(a, b) for b in signals] for a in signals]
+
+    def upper(matrix, perm):
+        return [matrix[perm[i]][perm[j]] for i in range(n) for j in range(i + 1, n)]
+
+    def plain_pearson(x, y):
+        mx, my = sum(x) / len(x), sum(y) / len(y)
+        cov = sum((a - mx) * (b - my) for a, b in zip(x, y))
+        vx = sum((a - mx) ** 2 for a in x)
+        vy = sum((b - my) ** 2 for b in y)
+        return cov / math.sqrt(vx * vy)
+
+    base = upper(sem, list(range(n)))
+    observed = plain_pearson(base, upper(sig, list(range(n))))
+    rs = [plain_pearson(base, upper(sig, list(p))) for p in itertools.permutations(range(n))]
+    mean = sum(rs) / len(rs)
+    std = math.sqrt(sum((r - mean) ** 2 for r in rs) / len(rs))
+    z = (observed - mean) / std
+    p = sum(1 for r in rs if r >= observed - 1e-12) / len(rs)
+    return observed, z, p, mean, std
+
+
 # closed after each test by conftest's _close_helper_event_logs
 OPEN_EVENT_LOGS: list[EventLog] = []
 
@@ -72,66 +111,93 @@ def logged(log: EventLog, kind: str) -> list[dict]:
     return [r for r in EventLog.read(log.path) if r["kind"] == kind]
 
 
-class InContextLearnerBackend:
-    """Scripted backend that answers purely from the rendered prompt text.
+class ScriptedBackend(CompletionBackend):
+    """Deterministic in-process backend driven by callables.
+
+    ``completions`` maps a Prompt to its continuation text; ``scores`` maps a
+    Prompt, which carries its continuation, to its log-probability. Without
+    ``completions`` every completion is a MalformedServiceReply; without
+    ``scores`` scoring is CapabilityUnsupported. A callable that raises a
+    BackendError fails the whole call, as a service would.
+    """
+
+    def __init__(
+        self,
+        completions: Callable[[Prompt], str] | None = None,
+        scores: Callable[[Prompt], float] | None = None,
+        event_log: EventLog | None = None,
+    ):
+        self.completions = completions
+        self.scores = scores
+        self.event_log = event_log
+
+    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[str]:
+        started = time.monotonic()
+        if self.completions is None:
+            raise MalformedServiceReply("scripted backend has no completions")
+        texts = [self.completions(p) for p in prompts]
+        for prompt, text, task in zip(prompts, texts, self._tasks(prompts, tasks)):
+            self._log("complete", prompt.user_text(), text, started, task)
+        return texts
+
+    def _scripted_score(self, prompt: Prompt) -> float:
+        if self.scores is None:
+            raise CapabilityUnsupported("scripted backend has no scores")
+        value = self.scores(prompt)
+        if value > 0:
+            raise MalformedServiceReply(f"log-probability must be <= 0, got {value}")
+        return float(value)
+
+    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[float]:
+        started = time.monotonic()
+        values = [self._scripted_score(p) for p in prompts]
+        for prompt, value, task in zip(prompts, values, self._tasks(prompts, tasks)):
+            self._log("score", prompt.user_text(), value, started, task,
+                      continuation=prompt.continuation)
+        return values
+
+
+def _context_entries(prompt: Prompt) -> list[VocabularyEntry]:
+    return [parse_vocabulary_line(line) for line in prompt.vocabulary_lines]
+
+
+def _retrieve(prompt: Prompt) -> str:
+    """The word of the context entry closest in meaning to the stem's stimulus."""
+    match = re.match(r"\{'shape':(\d),'colour':'(\w+)','amount':(\d),'word':'", prompt.stem)
+    assert match, prompt.stem
+    target = Stimulus(int(match[1]), match[2], int(match[3]))
+    best = max(_context_entries(prompt), key=lambda e: semantic_similarity(e.stimulus, target))
+    return best.signal + "'}"
+
+
+def _similarity(prompt: Prompt) -> float:
+    """Minus the edit distance between the prompt's continuation and the
+    answer retrieval gives."""
+    if prompt.stem.endswith("'word':'"):
+        # word prefilled: prefer the stored word for the stem's stimulus
+        expected = _retrieve(prompt)
+    else:
+        # meaning prefilled: prefer the meaning whose stored word matches
+        match = re.match(r"\{'word':'([^']*)','shape':$", prompt.stem)
+        assert match, prompt.stem
+        heard = match[1]
+        s = min(_context_entries(prompt), key=lambda e: normalized_levenshtein(e.signal, heard)).stimulus
+        expected = f"{s.shape},'colour':'{s.colour}','amount':{s.amount}}}"
+    return -normalized_levenshtein(prompt.continuation, expected)
+
+
+def in_context_learner() -> ScriptedBackend:
+    """A backend that answers purely from the rendered prompt text.
 
     Behaves like an ideal in-context learner: completions retrieve the word
     of the context entry closest in meaning to the stem's attributes, and
     continuation scores reward similarity to the retrieved answer. Exercises
     the whole prompt/agent/engine stack without a model.
     """
-
-    event_log = None
-
-    @staticmethod
-    def _entries(prompt: Prompt):
-        return [parse_vocabulary_line(line) for line in prompt.vocabulary_lines]
-
-    @staticmethod
-    def _stem_stimulus(prompt: Prompt) -> Stimulus:
-        match = re.match(
-            r"\{'shape':(\d),'colour':'(\w+)','amount':(\d),'word':'", prompt.stem
-        )
-        assert match, prompt.stem
-        return Stimulus(int(match[1]), match[2], int(match[3]))
-
-    @staticmethod
-    def _stem_word(prompt: Prompt) -> str:
-        import re
-
-        match = re.match(r"\{'word':'([^']*)','shape':$", prompt.stem)
-        assert match, prompt.stem
-        return match[1]
-
-    def complete(self, prompts: list[Prompt], tasks=None) -> list[str]:
-        return [self._complete(p) for p in prompts]
-
-    def _complete(self, prompt: Prompt) -> str:
-        entries = self._entries(prompt)
-        target = self._stem_stimulus(prompt)
-        best = max(entries, key=lambda e: semantic_similarity(e.stimulus, target))
-        return best.signal + "'}"
-
-    def score(self, prompts: list[Prompt], tasks=None) -> list[float]:
-        return [self._score(p) for p in prompts]
-
-    def _score(self, prompt: Prompt) -> float:
-        entries = self._entries(prompt)
-        if prompt.stem.endswith("'word':'"):
-            # word prefilled: prefer the stored word for the stem's stimulus
-            expected = self._complete(prompt)
-        else:
-            # meaning prefilled: prefer the meaning whose stored word matches
-            heard = self._stem_word(prompt)
-            best = min(
-                entries, key=lambda e: normalized_levenshtein(e.signal, heard)
-            )
-            s = best.stimulus
-            expected = f"{s.shape},'colour':'{s.colour}','amount':{s.amount}}}"
-        return -normalized_levenshtein(prompt.continuation, expected)
+    return ScriptedBackend(completions=_retrieve, scores=_similarity)
 
 
-class TruncatingOracle(Agent):
+class TruncatingOracle(_Oracle):
     """Lookup-style learner whose every production is clipped to 4 characters.
 
     A transmitted language therefore converges to short signals, which this
@@ -152,14 +218,6 @@ class TruncatingOracle(Agent):
                 key=lambda e: 3 - sum(x == y for x, y in zip(e.stimulus.attributes(), stimulus.attributes())),
             ).signal
         return stored[: self.MAX_LEN]
-
-    def choose(self, probe, candidates, task, rng, exclude=None):
-        assert self.vocabulary is not None
-        if isinstance(probe, Stimulus):
-            expected = self.produce_signal(probe, task, rng)
-            return _argmin([normalized_levenshtein(expected, c) for c in candidates])
-        expected = [self.produce_signal(c, task, rng) for c in candidates]
-        return _argmin([normalized_levenshtein(probe, e) for e in expected])
 
 
 class RepairOracle(Agent):

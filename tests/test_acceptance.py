@@ -8,7 +8,6 @@ stated tolerance and marked as an expected failure rather than weakened;
 see the README for the full calibration analysis.
 """
 
-import itertools
 import math
 import time
 from pathlib import Path
@@ -17,7 +16,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from helpers import logged, recursive_levenshtein
+from helpers import exhaustive_mantel_oracle, logged, recursive_levenshtein
 from refgame.agents import CompositionalOracle, RandomChooser
 from refgame.backend import EventLog
 from refgame.cli import EXIT_OK, main as cli_main
@@ -109,34 +108,10 @@ def test_criterion_04_mantel_oracle_equivalence():
     exact = topsim_mantel(pairs, method="exact")
 
     # independent exhaustive oracle over plain-python permutations
-    from refgame.metrics import normalized_levenshtein, semantic_distance
-
-    stimuli = [s for s, _ in pairs]
-    signals = [w for _, w in pairs]
-    n = len(pairs)
-    base = [semantic_distance(a, b) for a, b in itertools.combinations(stimuli, 2)]
-
-    def upper(perm):
-        return [
-            normalized_levenshtein(signals[perm[i]], signals[perm[j]])
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-
-    def plain_pearson(x, y):
-        mx, my = sum(x) / len(x), sum(y) / len(y)
-        cov = sum((p - mx) * (q - my) for p, q in zip(x, y))
-        return cov / math.sqrt(
-            sum((p - mx) ** 2 for p in x) * sum((q - my) ** 2 for q in y)
-        )
-
-    rs = [plain_pearson(base, upper(list(p))) for p in itertools.permutations(range(n))]
-    oracle_mean = sum(rs) / len(rs)
-    oracle_std = math.sqrt(sum((r - oracle_mean) ** 2 for r in rs) / len(rs))
-    oracle_z = (rs[0] - oracle_mean) / oracle_std  # identity permutation first
+    oracle_r, oracle_z, _, _, _ = exhaustive_mantel_oracle(pairs)
     exact_matches = (
         abs(exact.z_score - oracle_z) < 1e-9
-        and abs(exact.observed_r - rs[0]) < 1e-12
+        and abs(exact.observed_r - oracle_r) < 1e-12
     )
 
     zs, ps = [], []

@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from helpers import ScriptedBackend
 from refgame.agents import (
     AgentError,
     ChoiceFailure,
@@ -12,7 +13,7 @@ from refgame.agents import (
     RandomChooser,
     make_agent,
 )
-from refgame.backend import ScriptedBackend, TransportFailure
+from refgame.backend import TransportFailure
 from refgame.domain import Stimulus, Vocabulary, VocabularyEntry, generate_language, sample_training_set
 from refgame.prompts import PromptTask
 

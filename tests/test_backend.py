@@ -3,14 +3,13 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import http_backend, logged
+from helpers import ScriptedBackend, http_backend, logged
 from refgame.backend import (
     BackendTimeout,
     CapabilityUnsupported,
     ContextOverflow,
     EventLog,
     MalformedServiceReply,
-    ScriptedBackend,
     TransportFailure,
     apply_chat_template,
     estimate_tokens,
@@ -153,7 +152,7 @@ class TestHttpBackend:
         assert [c["prompt"] for c in calls] == handler.seen[0]["prompt"]
         assert list(calls[0])[:5] == ["kind", "block", "task", "agent", "call"]
 
-    @pytest.mark.parametrize("behaviour", ["drop_choice", "no_index"])
+    @pytest.mark.parametrize("behaviour", ["drop_choice", "no_index", "null_text"])
     def test_complete_list_reply_without_a_choice_per_prompt(self, keepalive_stub_server, tmp_path, behaviour):
         endpoint, handler = keepalive_stub_server
         handler.behaviour = behaviour

@@ -17,8 +17,9 @@ from random import Random
 
 import pytest
 
+from helpers import ScriptedBackend
 from refgame.agents import LLMAgent
-from refgame.backend import ContextOverflow, EventLog, ScriptedBackend, TransportFailure
+from refgame.backend import ContextOverflow, EventLog, TransportFailure
 from refgame.domain import generate_language, sample_training_set
 from refgame.engine import run_guessing_block, run_labelling_block, run_testing_block
 from refgame.prompts import completion_stem

@@ -687,6 +687,21 @@ class TestWireRun:
                 ] + list(range(tasks))
         assert run_cli("replay", str(out / "sim-00")) == EXIT_OK
 
+    def test_null_completion_text_is_a_failed_production(self, keepalive_stub_server, tmp_path):
+        # a service that completes with "text": null answers no production;
+        # scoring still works, so guessing and testing run as before
+        endpoint, handler = keepalive_stub_server
+        handler.behaviour = "null_text"
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--config", wire_config(tmp_path, endpoint), "--out", str(out)) == EXIT_OK
+        records = EventLog.read(out / "sim-00" / "events.jsonl")
+        labels = [r for r in records if r["kind"] == "label"]
+        interactions = [r for r in records if r["kind"] == "interaction"]
+        assert len(labels) == 30 and all(r["failed"] for r in labels)
+        assert len(interactions) == 30
+        assert {r["failure_mode"] for r in interactions} == {"failed-production"}
+        assert run_cli("replay", str(out / "sim-00")) == EXIT_OK
+
     def test_collapsed_language_still_aborts(self, keepalive_stub_server, tmp_path, capsys):
         # every agent learns the stub's one word, so generation 1 trains on a
         # one-word language and its guessing block cannot draw distractors

@@ -1,4 +1,5 @@
 import itertools
+import re
 from random import Random
 
 import pytest
@@ -9,6 +10,8 @@ from refgame.domain import (
     AMOUNTS,
     COLOURS,
     CONSONANTS,
+    MAX_SYLLABLES,
+    MIN_SYLLABLES,
     SHAPES,
     VOWELS,
     DomainError,
@@ -20,11 +23,17 @@ from refgame.domain import (
     enumerate_stimuli,
     format_vocab_line,
     generate_language,
-    is_cv_signal,
     parse_vocab_line,
     random_signal,
     sample_training_set,
 )
+
+CV_SIGNAL_RE = re.compile(rf"^(?:[{CONSONANTS}][{VOWELS}]){{{MIN_SYLLABLES},{MAX_SYLLABLES}}}$")
+
+
+def is_cv_signal(text: str) -> bool:
+    """True when text is 2-4 CV syllables over the fixed alphabet."""
+    return bool(CV_SIGNAL_RE.match(text))
 
 
 class TestStimulus:

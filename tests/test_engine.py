@@ -5,7 +5,7 @@ import pytest
 
 import refgame.engine as engine
 import refgame.metrics as metrics
-from helpers import InContextLearnerBackend, RepairOracle, logged
+from helpers import RepairOracle, ScriptedBackend, in_context_learner, logged
 from refgame.agents import (
     ChoiceFailure,
     CompositionalOracle,
@@ -14,7 +14,7 @@ from refgame.agents import (
     ProductionFailure,
     RandomChooser,
 )
-from refgame.backend import EventLog, ScriptedBackend
+from refgame.backend import EventLog
 from refgame.domain import Stimulus, enumerate_stimuli, generate_language, sample_training_set
 from refgame.engine import (
     EngineError,
@@ -387,7 +387,7 @@ class TestRunSimulation:
         # target is excluded, so a pure retrieval learner lands above chance
         # but below ceiling, which is the generalisation pressure the
         # exclusion is meant to create.
-        backend = InContextLearnerBackend()
+        backend = in_context_learner()
         a, b = LLMAgent("A", backend), LLMAgent("B", backend)
         config = RunConfig(master_seed=77, mantel_permutations=100)
         result = run_simulation(config, (a, b))

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
-from helpers import recursive_levenshtein
+from helpers import exhaustive_mantel_oracle, recursive_levenshtein
 from refgame.agents import CompositionalOracle
 from refgame.domain import Stimulus, enumerate_stimuli, generate_language, random_signal, sample_training_set
 from refgame.metrics import (
@@ -169,34 +169,6 @@ class TestNgramDiversity:
     def test_hand_count_two_signals(self):
         # "ab", "ab": N=1 -> a,b,a,b (2/4); N=2 -> ab,ab (1/2); mean = 0.5
         assert ngram_diversity(["ab", "ab"]) == pytest.approx(0.5)
-
-
-def exhaustive_mantel_oracle(pairs):
-    """Brute-force Mantel enumeration independent of the library path."""
-    stimuli = [s for s, _ in pairs]
-    signals = [w for _, w in pairs]
-    n = len(pairs)
-    sem = [[semantic_distance(a, b) for b in stimuli] for a in stimuli]
-    sig = [[normalized_levenshtein(a, b) for b in signals] for a in signals]
-
-    def upper(matrix, perm):
-        return [matrix[perm[i]][perm[j]] for i in range(n) for j in range(i + 1, n)]
-
-    def plain_pearson(x, y):
-        mx, my = sum(x) / len(x), sum(y) / len(y)
-        cov = sum((a - mx) * (b - my) for a, b in zip(x, y))
-        vx = sum((a - mx) ** 2 for a in x)
-        vy = sum((b - my) ** 2 for b in y)
-        return cov / math.sqrt(vx * vy)
-
-    base = upper(sem, list(range(n)))
-    observed = plain_pearson(base, upper(sig, list(range(n))))
-    rs = [plain_pearson(base, upper(sig, list(p))) for p in itertools.permutations(range(n))]
-    mean = sum(rs) / len(rs)
-    std = math.sqrt(sum((r - mean) ** 2 for r in rs) / len(rs))
-    z = (observed - mean) / std
-    p = sum(1 for r in rs if r >= observed - 1e-12) / len(rs)
-    return observed, z, p, mean, std
 
 
 TOY_PAIRS = [

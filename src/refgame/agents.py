@@ -7,8 +7,9 @@ directly; the model-backed agent renders prompts and talks to a backend.
 
 from __future__ import annotations
 
+from itertools import islice
 from random import Random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import prompts
 from .backend import BackendError, CompletionBackend
@@ -21,21 +22,17 @@ class AgentError(Exception):
     pass
 
 
-class ProductionFailure(AgentError):
-    """Signal production failed after all retries; failure_mode failed-production."""
-
-
-class ChoiceFailure(AgentError):
-    """Candidate scoring failed after all retries; failure_mode failed-choice."""
-
-
 class Agent:
-    """Base contract: produce a signal for a stimulus, or choose among candidates.
+    """Base contract: answer a list of tasks of one kind.
 
-    For production tasks the probe is a stimulus. For choice tasks the probe
-    is a stimulus with signal candidates (guessing block) or a signal with
+    ``produce_signals`` takes ``(task index, stimulus)`` items and returns
+    signals; ``choose_many`` takes ``(task index, probe, candidates,
+    exclude)`` items and returns candidate positions. The probe is a
+    stimulus with signal candidates (guessing block) or a signal with
     stimulus candidates (listening); ``exclude`` names the entry the prompt
     context must omit, which only the engine knows for listening tasks.
+    Both return the answers of the leading tasks answered; the engine asks
+    every later task alone, as a list of one.
     """
 
     def __init__(self, agent_id: str):
@@ -45,34 +42,11 @@ class Agent:
     def set_vocabulary(self, vocab: Vocabulary) -> None:
         self.vocabulary = vocab
 
-    def produce_signal(self, stimulus: Stimulus, task: PromptTask, rng: Random) -> Signal:
+    def produce_signals(self, items, task: PromptTask, rng: Random) -> list[Signal]:
         raise NotImplementedError
 
-    def choose(
-        self,
-        probe,
-        candidates: Sequence,
-        task: PromptTask,
-        rng: Random,
-        exclude: Stimulus | None = None,
-    ) -> int:
+    def choose_many(self, items, task: PromptTask, rng: Random) -> list[int]:
         raise NotImplementedError
-
-    def produce_signals(
-        self, items: Iterable[tuple[int, Stimulus]], task: PromptTask, rng: Random
-    ) -> list[Signal]:
-        """Batch form of ``produce_signal`` over ``(task index, stimulus)``
-        items: the signals of the leading tasks answered in one go. The
-        engine runs every task after them through ``produce_signal``; this
-        default answers none."""
-        return []
-
-    def choose_many(
-        self, items: Iterable[tuple[int, object, Sequence]], task: PromptTask, rng: Random
-    ) -> list[int]:
-        """Batch form of ``choose`` over ``(task index, probe, candidates)``
-        items, answered like ``produce_signals``."""
-        return []
 
     def extrapolated(self, stimulus: Stimulus) -> bool:
         """True when the last production for this stimulus fell outside the
@@ -105,8 +79,20 @@ def _nearest_vocab_entry(vocab: Vocabulary, stimulus: Stimulus):
 
 
 class _Oracle(Agent):
-    """An agent that applies its production rule directly. A choice takes
-    the candidate closest, by edit distance, to the oracle's own production."""
+    """An agent that applies its production rule directly, through
+    ``produce_signal`` and ``choose``. It answers the first task of a list
+    only, so every task's draws and the oracle's own take turns as they do
+    task by task. A choice takes the candidate closest, by edit distance,
+    to the oracle's own production."""
+
+    def produce_signals(self, items, task, rng) -> list[Signal]:
+        return [self.produce_signal(stimulus, task, rng) for _, stimulus in islice(items, 1)]
+
+    def choose_many(self, items, task, rng) -> list[int]:
+        return [
+            self.choose(probe, candidates, task, rng, exclude)
+            for _, probe, candidates, exclude in islice(items, 1)
+        ]
 
     def choose(self, probe, candidates, task, rng, exclude=None) -> int:
         if isinstance(probe, Stimulus):  # guessing: candidates are signals
@@ -179,39 +165,23 @@ class RandomChooser(LookupOracle):
 class LLMAgent(Agent):
     """Prompt-driven agent over a completion backend.
 
-    Production renders the task's prompt, requests one greedy completion and
-    parses it; choice scores all candidate continuations in one backend call
-    and takes the argmax of total log-probability, ties broken by lowest
-    position in the shuffled candidate order. After ``max_retries`` failed
-    attempts the failure is reported for the engine to record.
-
-    The batch methods build every task's prompts as the per-task methods'
-    first attempt would, in task order, and send them in one backend call.
-    They answer tasks up to the first reply that does not parse, and none
-    when the call fails; the engine retries from there task by task.
+    Both list methods build every task's prompts in task order and send them
+    in one backend call. A production renders the task's prompt and parses
+    the greedy completion; a choice scores all candidate continuations and
+    takes the argmax of total log-probability, ties broken by lowest
+    position in the shuffled candidate order. The answers stop at the first
+    reply that does not parse, and there are none when the call fails.
     """
 
-    def __init__(self, agent_id: str, backend: CompletionBackend, max_retries: int = 3):
+    def __init__(self, agent_id: str, backend: CompletionBackend):
         super().__init__(agent_id)
         self.backend = backend
-        self.max_retries = max_retries
 
     def _build_production_prompt(self, stimulus: Stimulus, task: PromptTask, rng: Random):
         assert self.vocabulary is not None
         if task is PromptTask.LABELLING:
             return prompts.build_labelling_prompt(self.vocabulary, stimulus, rng)
         return prompts.build_speaker_prompt(self.vocabulary, stimulus, rng)
-
-    def produce_signal(self, stimulus, task, rng) -> Signal:
-        last_error: Exception | None = None
-        for _ in range(self.max_retries):
-            prompt = self._build_production_prompt(stimulus, task, rng)
-            try:
-                raw = self.backend.complete([prompt])[0]
-                return prompts.parse_signal_response(raw)
-            except (BackendError, UnparseableResponseError) as err:
-                last_error = err
-        raise ProductionFailure(str(last_error)) from last_error
 
     def _candidate_prompts(self, probe, candidates, task, rng, exclude):
         assert self.vocabulary is not None
@@ -230,16 +200,6 @@ class LLMAgent(Agent):
                     )
                 )
         return built
-
-    def choose(self, probe, candidates, task, rng, exclude=None) -> int:
-        last_error: Exception | None = None
-        for _ in range(self.max_retries):
-            built = self._candidate_prompts(probe, candidates, task, rng, exclude)
-            try:
-                return _argmax(self.backend.score(built))
-            except BackendError as err:
-                last_error = err
-        raise ChoiceFailure(str(last_error)) from last_error
 
     def produce_signals(self, items, task, rng) -> list[Signal]:
         tasks, built = [], []
@@ -260,8 +220,8 @@ class LLMAgent(Agent):
 
     def choose_many(self, items, task, rng) -> list[int]:
         tasks, built, sizes = [], [], []
-        for task_index, probe, candidates in items:
-            candidate_prompts = self._candidate_prompts(probe, candidates, task, rng, None)
+        for task_index, probe, candidates, exclude in items:
+            candidate_prompts = self._candidate_prompts(probe, candidates, task, rng, exclude)
             tasks += [task_index] * len(candidate_prompts)
             built += candidate_prompts
             sizes.append(len(candidate_prompts))
@@ -283,14 +243,13 @@ ORACLE_KINDS = {
 }
 
 
-def make_agent(spec: str, agent_id: str, backend: CompletionBackend | None = None,
-               max_retries: int = 3) -> Agent:
+def make_agent(spec: str, agent_id: str, backend: CompletionBackend | None = None) -> Agent:
     """Build an agent from a config string: ``oracle:lookup``,
     ``oracle:compositional``, ``oracle:random``, or ``llm``."""
     if spec == "llm":
         if backend is None:
             raise AgentError("llm agent requires a backend")
-        return LLMAgent(agent_id, backend, max_retries=max_retries)
+        return LLMAgent(agent_id, backend)
     if spec.startswith("oracle:"):
         kind = spec.split(":", 1)[1]
         if kind not in ORACLE_KINDS:

@@ -88,7 +88,7 @@ def _build_agents(config: ExperimentConfig, event_log: EventLog):
     if any(spec == "llm" for spec in config.agents):
         backend = HttpBackend(config.backend, event_log=event_log)
     return tuple(
-        make_agent(spec, agent_id, backend, max_retries=config.run.max_agent_retries)
+        make_agent(spec, agent_id, backend)
         for spec, agent_id in zip(config.agents, ("A", "B"))
     )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from random import Random
 from typing import Callable, Iterator, Sequence
 
-from .agents import Agent, ChoiceFailure, ProductionFailure
+from .agents import Agent
 from .backend import EventLog
 from .domain import (
     Signal,
@@ -78,6 +78,8 @@ class RunConfig:
             raise EngineError("guessing_distractors must be between 1 and 14")
         if self.mantel_permutations < 1:
             raise EngineError("mantel_permutations must be >= 1")
+        if self.max_agent_retries < 1:
+            raise EngineError("max_agent_retries must be >= 1")
 
 
 def _encode(value):
@@ -255,33 +257,45 @@ def _emit(event_log: EventLog | None, kind: str, **fields) -> None:
         event_log.append(kind, **fields)
 
 
+def _alone(ask: Callable, item: tuple, prompt_task: PromptTask, rng: Random, attempts: int):
+    """The answer to one task, asked as a list of one (``ask`` is an agent's
+    list method) up to ``attempts`` times; ``None`` when no attempt answers."""
+    for _ in range(attempts):
+        answers = ask([item], prompt_task, rng)
+        if answers:
+            return answers[0]
+    return None
+
+
 def _batched(
     ask: Callable[[Iterator, PromptTask, Random], list],
     prompt_task: PromptTask,
     draw: Callable,
     count: int,
     rng: Random,
+    attempts: int,
     event_log: EventLog | None,
 ) -> Iterator:
     """``(task, answer)`` for each of ``count`` tasks, in order, with the
-    event log's context ``task`` set to the task's index.
+    event log's context ``task`` set to the task's index; ``answer`` is
+    ``None`` for a failed task.
 
-    ``ask`` (an agent's batch method) is handed a generator of the tasks
-    ``draw(task_index)`` makes, which records the rng state before each
-    draw, so the task draws interleave with the agent's own as they do task
-    by task; the context ``task`` stays as the caller set it meanwhile, and
-    the backend writes each prompt's own task index. ``answer`` is the
-    batch's answer for the tasks it answered and ``None`` for the rest: from
-    the first unanswered task on the rng is put back to where that task
-    began and tasks are drawn anew as they are pulled, for the caller to run
-    one at a time."""
+    ``ask`` (an agent's list method) is first handed a generator of the
+    tasks ``draw(task_index)`` makes, which sets the context ``task`` and keeps
+    the rng state before each draw, so the draws interleave with the
+    agent's own as they do task by task, and sets ``task`` back to ``None``
+    once exhausted. From the first task the list left unanswered on, the
+    rng goes back to where that task began, and each task is drawn anew
+    and asked ``_alone``."""
     states, drawn = [], []
 
     def tasks():
         for task_index in range(count):
+            _context(event_log, task=task_index)
             states.append(rng.getstate())
             drawn.append(draw(task_index))
             yield drawn[-1]
+        _context(event_log, task=None)
 
     answers = ask(tasks(), prompt_task, rng)
     if len(answers) < len(states):
@@ -291,7 +305,8 @@ def _batched(
         if task_index < len(answers):
             yield drawn[task_index], answers[task_index]
         else:
-            yield draw(task_index), None
+            item = draw(task_index)
+            yield item, _alone(ask, item, prompt_task, rng, attempts)
 
 
 def run_guessing_block(
@@ -300,6 +315,7 @@ def run_guessing_block(
     rng: Random,
     distractors: int = 3,
     event_log: EventLog | None = None,
+    attempts: int = RunConfig.max_agent_retries,
 ) -> GuessingResult:
     """Each training stimulus once, in random order: pick the true signal out
     of ``distractors`` + 1 candidates drawn from other entries. The context
@@ -313,19 +329,18 @@ def run_guessing_block(
         others = [e.signal for e in vocab if e.stimulus != stimulus and e.signal != truth]
         candidates = [truth] + rng.sample(others, distractors)
         rng.shuffle(candidates)
-        return task_index, stimulus, candidates
+        return task_index, stimulus, candidates, None
 
     records = []
     _context(event_log, block="guessing", round=None, task=None, agent=agent.agent_id)
-    tasks = _batched(agent.choose_many, PromptTask.GUESSING, draw, len(order), rng, event_log)
-    for (_, stimulus, candidates), chosen in tasks:
+    tasks = _batched(
+        agent.choose_many, PromptTask.GUESSING, draw, len(order), rng, attempts, event_log
+    )
+    for (_, stimulus, candidates, _), chosen in tasks:
         truth = vocab.signal_for(stimulus)
         failure_mode = "none"
         if chosen is None:
-            try:
-                chosen = agent.choose(stimulus, candidates, PromptTask.GUESSING, rng)
-            except ChoiceFailure:
-                chosen, failure_mode = -1, "failed-choice"
+            chosen, failure_mode = -1, "failed-choice"
         record = GuessingRecord(
             stimulus=stimulus,
             candidates=tuple(candidates),
@@ -343,6 +358,7 @@ def run_labelling_block(
     vocab: Vocabulary,
     rng: Random,
     event_log: EventLog | None = None,
+    attempts: int = RunConfig.max_agent_retries,
 ) -> LabellingResult:
     """Produce a signal for every training stimulus with the full vocabulary
     (current stimulus included) in context. The productions replace the
@@ -355,16 +371,13 @@ def run_labelling_block(
     _context(event_log, block="labelling", round=None, task=None, agent=agent.agent_id)
     tasks = _batched(
         agent.produce_signals, PromptTask.LABELLING, lambda i: (i, order[i]), len(order), rng,
-        event_log,
+        attempts, event_log,
     )
     for (_, stimulus), produced in tasks:
         truth = vocab.signal_for(stimulus)
-        failed = False
-        if produced is None:
-            try:
-                produced = agent.produce_signal(stimulus, PromptTask.LABELLING, rng)
-            except ProductionFailure:
-                produced, failed = truth, True
+        failed = produced is None
+        if failed:
+            produced = truth
         learned.update(stimulus, produced, 0)
         record = LabellingRecord(
             stimulus=stimulus,
@@ -415,6 +428,7 @@ def run_communication_block(
     agent_b.vocabulary.track_success = True
     agents = {agent_a.agent_id: agent_a, agent_b.agent_id: agent_b}
     train = list(agent_a.vocabulary.stimuli())
+    attempts = config.max_agent_retries
     records: list[InteractionRecord] = []
     round_vocabs: dict[str, list[Vocabulary]] = {agent_a.agent_id: [], agent_b.agent_id: []}
 
@@ -434,23 +448,14 @@ def run_communication_block(
             candidates = [stimulus] + distractors
             rng.shuffle(candidates)
 
-            signal = ""
-            chosen = -1
-            success = False
-            failure_mode = "none"
-            try:
-                signal = speaker.produce_signal(stimulus, PromptTask.SPEAKING, rng)
-            except ProductionFailure:
-                failure_mode = "failed-production"
-            if failure_mode == "none":
+            said = (task_index, stimulus)
+            signal = _alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng, attempts)
+            chosen = None
+            if signal is not None:
                 _context(event_log, agent=listener.agent_id)
-                try:
-                    chosen = listener.choose(
-                        signal, candidates, PromptTask.LISTENING, rng, exclude=stimulus
-                    )
-                    success = candidates[chosen] == stimulus
-                except ChoiceFailure:
-                    failure_mode = "failed-choice"
+                heard = (task_index, signal, candidates, stimulus)
+                chosen = _alone(listener.choose_many, heard, PromptTask.LISTENING, rng, attempts)
+            success = chosen is not None and candidates[chosen] == stimulus
 
             record = InteractionRecord(
                 round=round_number,
@@ -458,17 +463,20 @@ def run_communication_block(
                 speaker=speaker_id,
                 listener=listener.agent_id,
                 stimulus=stimulus,
-                signal=signal,
+                signal="" if signal is None else signal,
                 candidates=tuple(candidates),
-                chosen=chosen,
+                chosen=-1 if chosen is None else chosen,
                 success=success,
-                failure_mode=failure_mode,
+                failure_mode=(
+                    "failed-production" if signal is None
+                    else "failed-choice" if chosen is None else "none"
+                ),
             )
             records.append(record)
             _emit(event_log, record.KIND, **record.event())
 
             # both vocabularies adopt the produced signal, flag = outcome
-            if failure_mode != "failed-production":
+            if signal is not None:
                 flag = 1 if success else 0
                 agent_a.vocabulary.update(stimulus, signal, flag)
                 agent_b.vocabulary.update(stimulus, signal, flag)
@@ -483,6 +491,7 @@ def run_testing_block(
     agent: Agent,
     rng: Random,
     event_log: EventLog | None = None,
+    attempts: int = RunConfig.max_agent_retries,
 ) -> TestingResult:
     """Produce a signal for all 27 stimuli, the context being the agent's
     train vocabulary minus the current stimulus; test stimuli never appear
@@ -493,19 +502,17 @@ def run_testing_block(
     _context(event_log, block="testing", round=None, task=None, agent=agent.agent_id)
     tasks = _batched(
         agent.produce_signals, PromptTask.SPEAKING, lambda i: (i, stimuli[i]), len(stimuli), rng,
-        event_log,
+        attempts, event_log,
     )
     for (_, stimulus), signal in tasks:
-        try:
-            if signal is None:
-                signal = agent.produce_signal(stimulus, PromptTask.SPEAKING, rng)
+        if signal is None:
+            record = TestingRecord(stimulus=stimulus, signal="", failed=True)
+        else:
             record = TestingRecord(
                 stimulus=stimulus,
                 signal=signal,
                 extrapolated=agent.extrapolated(stimulus),
             )
-        except ProductionFailure:
-            record = TestingRecord(stimulus=stimulus, signal="", failed=True)
         records.append(record)
         _emit(event_log, record.KIND, **record.event())
     return TestingResult(records=records)
@@ -589,8 +596,8 @@ def run_simulation(
     """Guessing, labelling, communication, and testing for one dyad.
 
     Without an explicit initial language a fresh balanced split and random
-    holistic language are generated from the master seed. Fatal agent
-    failures raise ``SimulationAborted`` carrying the result filled so far.
+    holistic language are generated from the master seed. An exception in a
+    block raises ``SimulationAborted`` carrying the result filled so far.
     """
     config.validate()
     agent_a, agent_b = agents
@@ -620,6 +627,7 @@ def run_simulation(
                 Random(derive_seed(seed, f"guessing:{agent.agent_id}")),
                 distractors=config.guessing_distractors,
                 event_log=event_log,
+                attempts=config.max_agent_retries,
             )
             for agent in agents
         }
@@ -629,6 +637,7 @@ def run_simulation(
                 initial_language,
                 Random(derive_seed(seed, f"labelling:{agent.agent_id}")),
                 event_log=event_log,
+                attempts=config.max_agent_retries,
             )
             for agent in agents
         }
@@ -644,10 +653,14 @@ def run_simulation(
                 agent,
                 Random(derive_seed(seed, f"testing:{agent.agent_id}")),
                 event_log=event_log,
+                attempts=config.max_agent_retries,
             )
             for agent in agents
         }
-    except Exception as err:  # fatal backend exhaustion: partial result
+    except Exception as err:
+        # a failed task is a record, not an exception: what lands here is a
+        # guessing draw from a collapsed language (too few distinct signals,
+        # a ValueError) or a programming error; both keep the partial result
         _emit(event_log, "run_aborted", error=str(err))
         raise SimulationAborted(str(err), result) from err
 

@@ -1,5 +1,6 @@
 """Test doubles: scripted backends, test-only agents, and independent oracles."""
 
+import hashlib
 import itertools
 import math
 import re
@@ -7,14 +8,16 @@ import time
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from refgame.agents import Agent, CompositionalOracle, _argmin, _Oracle
+from refgame.agents import CompositionalOracle, _argmin, _Oracle
 from refgame.backend import (
     BackendDescriptor,
     CapabilityUnsupported,
     CompletionBackend,
+    ContextOverflow,
     EventLog,
     HttpBackend,
     MalformedServiceReply,
+    TransportFailure,
 )
 from refgame.domain import (
     Stimulus,
@@ -118,7 +121,8 @@ class ScriptedBackend(CompletionBackend):
     Prompt, which carries its continuation, to its log-probability. Without
     ``completions`` every completion is a MalformedServiceReply; without
     ``scores`` scoring is CapabilityUnsupported. A callable that raises a
-    BackendError fails the whole call, as a service would.
+    BackendError fails the whole call, as a service would. ``requests``
+    counts the calls, failed ones included.
     """
 
     def __init__(
@@ -130,9 +134,11 @@ class ScriptedBackend(CompletionBackend):
         self.completions = completions
         self.scores = scores
         self.event_log = event_log
+        self.requests = 0
 
     def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[str]:
         started = time.monotonic()
+        self.requests += 1
         if self.completions is None:
             raise MalformedServiceReply("scripted backend has no completions")
         texts = [self.completions(p) for p in prompts]
@@ -150,6 +156,7 @@ class ScriptedBackend(CompletionBackend):
 
     def score(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[float]:
         started = time.monotonic()
+        self.requests += 1
         values = [self._scripted_score(p) for p in prompts]
         for prompt, value, task in zip(prompts, values, self._tasks(prompts, tasks)):
             self._log("score", prompt.user_text(), value, started, task,
@@ -197,6 +204,45 @@ def in_context_learner() -> ScriptedBackend:
     return ScriptedBackend(completions=_retrieve, scores=_similarity)
 
 
+SERVICE_WORDS = ("gali", "nemo", "tupa", "sira", "hoke", "mupi")
+
+
+def service(seed: int, placement: str, doomed_stem: str = "") -> ScriptedBackend:
+    """A scripted service whose replies and failures depend only on the text
+    of the prompt (and on ``seed``, which varies the service per example).
+
+    ``placement`` says where it fails: ``none``; ``unparseable``, an
+    unusable reply for about one prompt in 7 (a completion that does not
+    parse, or a positive score, which fails the call); ``call-error``, a
+    ``TransportFailure`` of the whole call for about one prompt in 17; and
+    ``always-overflow``/``always-unparseable``, every prompt whose stem is
+    ``doomed_stem``, so that stimulus's task exhausts its attempts."""
+
+    def digest(prompt) -> int:
+        text = f"{seed}|{prompt.user_text()}|{prompt.continuation}"
+        return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+    def fail(prompt) -> bool:
+        """True when this prompt's reply is unusable; raises when it fails the call."""
+        h = digest(prompt)
+        if placement == "call-error" and h % 17 == 0:
+            raise TransportFailure("service error 503")
+        if prompt.stem == doomed_stem:
+            if placement == "always-overflow":
+                raise ContextOverflow("estimated 9000 tokens exceeds budget 8192")
+            return placement == "always-unparseable"
+        return placement == "unparseable" and h % 7 == 0
+
+    def complete(prompt) -> str:
+        return "```" if fail(prompt) else SERVICE_WORDS[digest(prompt) % len(SERVICE_WORDS)] + "'}"
+
+    def score(prompt) -> float:
+        # a positive log-probability is a malformed reply, which fails the call
+        return 0.5 if fail(prompt) else -float(digest(prompt) % 1000) / 100.0
+
+    return ScriptedBackend(completions=complete, scores=score)
+
+
 class TruncatingOracle(_Oracle):
     """Lookup-style learner whose every production is clipped to 4 characters.
 
@@ -220,7 +266,7 @@ class TruncatingOracle(_Oracle):
         return stored[: self.MAX_LEN]
 
 
-class RepairOracle(Agent):
+class RepairOracle(_Oracle):
     """Regularises a growing prefix of the stimulus space round by round.
 
     Speaking productions start from the stored (holistic) vocabulary and

@@ -5,22 +5,30 @@ import pytest
 from helpers import ScriptedBackend
 from refgame.agents import (
     AgentError,
-    ChoiceFailure,
     CompositionalOracle,
     LLMAgent,
     LookupOracle,
-    ProductionFailure,
     RandomChooser,
     make_agent,
 )
 from refgame.backend import TransportFailure
 from refgame.domain import Stimulus, Vocabulary, VocabularyEntry, generate_language, sample_training_set
+from refgame.engine import RunConfig, _alone, run_communication_block
 from refgame.prompts import PromptTask
 
 
 def training_vocab(seed=0):
     split = sample_training_set(Random(seed))
     return generate_language(Random(seed), split.train)
+
+
+def communication_round(backend, max_agent_retries):
+    """One communication round of an llm dyad over ``backend``."""
+    agents = LLMAgent("A", backend), LLMAgent("B", backend)
+    for agent in agents:
+        agent.set_vocabulary(training_vocab())
+    config = RunConfig(rounds=1, max_agent_retries=max_agent_retries)
+    return run_communication_block(*agents, Random(0), config)
 
 
 class TestLookupOracle:
@@ -112,7 +120,7 @@ class TestLLMAgent:
         agent = LLMAgent("A", backend)
         agent.set_vocabulary(training_vocab())
         target = agent.vocabulary.stimuli()[0]
-        assert agent.produce_signal(target, PromptTask.LABELLING, Random(0)) == "hanosa"
+        assert agent.produce_signals([(0, target)], PromptTask.LABELLING, Random(0)) == ["hanosa"]
 
     def test_argmax_scoring(self):
         values = iter([-1.0, -0.5, -2.0, -3.0])
@@ -121,25 +129,26 @@ class TestLLMAgent:
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
         candidates = vocab.stimuli()[:4]
-        chosen = agent.choose("hanosa", candidates, PromptTask.LISTENING, Random(0), exclude=vocab.stimuli()[5])
-        assert chosen == 1
+        items = [(0, "hanosa", candidates, vocab.stimuli()[5])]
+        assert agent.choose_many(items, PromptTask.LISTENING, Random(0)) == [1]
 
     def test_tie_breaks_to_first(self):
         backend = ScriptedBackend(scores=lambda prompt: -1.0)
         agent = LLMAgent("A", backend)
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
-        chosen = agent.choose("hanosa", vocab.stimuli()[:4], PromptTask.LISTENING, Random(0))
-        assert chosen == 0
+        items = [(0, "hanosa", vocab.stimuli()[:4], None)]
+        assert agent.choose_many(items, PromptTask.LISTENING, Random(0)) == [0]
 
     @pytest.mark.parametrize("failures", [0, 1, 2])
     def test_one_score_call_per_attempt(self, failures):
+        # the engine asks a task alone, a list of one per attempt
         batches = []
 
         class CountingBackend(ScriptedBackend):
-            def score(self, prompts):
+            def score(self, prompts, tasks=None):
                 batches.append([p.continuation for p in prompts])
-                return super().score(prompts)
+                return super().score(prompts, tasks)
 
         def scores(prompt):
             if len(batches) <= failures:
@@ -147,12 +156,13 @@ class TestLLMAgent:
             return -1.0
 
         backend = CountingBackend(scores=scores)
-        agent = LLMAgent("A", backend, max_retries=3)
+        agent = LLMAgent("A", backend)
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
         candidates = vocab.stimuli()[:4]
         rng = Random(0)
-        assert agent.choose("hanosa", candidates, PromptTask.LISTENING, rng) == 0
+        item = (0, "hanosa", candidates, None)
+        assert _alone(agent.choose_many, item, PromptTask.LISTENING, rng, attempts=3) == 0
         assert len(batches) == failures + 1
         assert all(len(batch) == 4 and len(set(batch)) == 4 for batch in batches)
         # one shared-shuffle seed is drawn per attempt
@@ -162,31 +172,34 @@ class TestLLMAgent:
         assert rng.getstate() == expected.getstate()
 
     def test_production_failure_after_retries(self):
+        # every attempt of every speaker fails: each interaction costs
+        # max_agent_retries requests and is a failed production
         prompts = []
         backend = ScriptedBackend(completions=lambda prompt: prompts.append(prompt) or "```")
-        agent = LLMAgent("A", backend, max_retries=3)
-        agent.set_vocabulary(training_vocab())
-        with pytest.raises(ProductionFailure):
-            agent.produce_signal(agent.vocabulary.stimuli()[0], PromptTask.LABELLING, Random(0))
-        assert len(prompts) == 3
+        result = communication_round(backend, max_agent_retries=3)
+        assert all(r.failure_mode == "failed-production" for r in result.records)
+        assert len(prompts) == 3 * len(result.records)
 
     def test_transient_parse_failure_recovers(self):
         replies = iter(["{}", "sutupepi"])
-        backend = ScriptedBackend(completions=lambda prompt: next(replies))
-        agent = LLMAgent("A", backend, max_retries=3)
-        agent.set_vocabulary(training_vocab())
-        assert agent.produce_signal(agent.vocabulary.stimuli()[0], PromptTask.LABELLING, Random(0)) == "sutupepi"
+        backend = ScriptedBackend(
+            completions=lambda prompt: next(replies, "gali"), scores=lambda prompt: -1.0
+        )
+        result = communication_round(backend, max_agent_retries=3)
+        assert result.records[0].signal == "sutupepi"
+        assert all(r.failure_mode == "none" for r in result.records)
 
     def test_choice_failure_after_retries(self):
+        scored = []
+
         def broken(prompt):
+            scored.append(prompt)
             raise TransportFailure("down")
 
-        backend = ScriptedBackend(scores=broken)
-        agent = LLMAgent("A", backend, max_retries=2)
-        vocab = training_vocab()
-        agent.set_vocabulary(vocab)
-        with pytest.raises(ChoiceFailure):
-            agent.choose("hanosa", vocab.stimuli()[:4], PromptTask.LISTENING, Random(0))
+        backend = ScriptedBackend(completions=lambda prompt: "hanosa'}", scores=broken)
+        result = communication_round(backend, max_agent_retries=2)
+        assert all(r.failure_mode == "failed-choice" and r.chosen == -1 for r in result.records)
+        assert len(scored) == 2 * len(result.records)  # the first prompt of each attempt
 
     def test_candidate_prompts_share_context(self):
         seen = []
@@ -199,7 +212,7 @@ class TestLLMAgent:
         agent = LLMAgent("A", backend)
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
-        agent.choose("hanosa", vocab.stimuli()[:4], PromptTask.LISTENING, Random(3))
+        agent.choose_many([(0, "hanosa", vocab.stimuli()[:4], None)], PromptTask.LISTENING, Random(3))
         assert len(seen) == 4
         assert len(set(seen)) == 1
 
@@ -231,7 +244,7 @@ class TestBatches:
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
         stimuli = vocab.stimuli()
-        items = [(0, stimuli[0], ["gali", "nemo", "tupa"]), (1, stimuli[1], ["nemo", "sira"])]
+        items = [(0, stimuli[0], ["gali", "nemo", "tupa"], None), (1, stimuli[1], ["nemo", "sira"], None)]
         rng = Random(0)
         assert agent.choose_many(iter(items), PromptTask.GUESSING, rng) == [1, 0]
         assert len(batches) == 5 and len(set(batches[:3])) == 1 and len(set(batches[3:])) == 1
@@ -249,18 +262,26 @@ class TestBatches:
         agent.set_vocabulary(vocab)
         stimuli = vocab.stimuli()
         assert agent.produce_signals(enumerate(stimuli), PromptTask.LABELLING, Random(0)) == []
-        items = [(0, stimuli[0], ["gali", "nemo"])]
+        items = [(0, stimuli[0], ["gali", "nemo"], None)]
         assert agent.choose_many(iter(items), PromptTask.GUESSING, Random(0)) == []
 
     @pytest.mark.parametrize("agent_cls", [LookupOracle, CompositionalOracle, RandomChooser])
     def test_oracles_answer_task_by_task(self, agent_cls):
-        # an oracle's batch methods answer nothing and pull no task
+        # an oracle's list methods answer the first task and pull no other
         agent = agent_cls("A")
-        agent.set_vocabulary(training_vocab())
-        tasks = iter([(0, agent.vocabulary.stimuli()[0])])
-        assert agent.produce_signals(tasks, PromptTask.LABELLING, Random(0)) == []
-        assert agent.choose_many(tasks, PromptTask.GUESSING, Random(0)) == []
-        assert next(tasks)[0] == 0
+        vocab = training_vocab()
+        agent.set_vocabulary(vocab)
+        stimuli = vocab.stimuli()
+        tasks = iter([(0, stimuli[0]), (1, stimuli[1])])
+        produced = agent.produce_signals(tasks, PromptTask.LABELLING, Random(0))
+        assert produced == [agent.produce_signal(stimuli[0], PromptTask.LABELLING, Random(0))]
+        assert next(tasks)[0] == 1
+        signals = [vocab.signal_for(s) for s in stimuli[:3]]
+        choices = iter([(0, stimuli[2], signals, None), (1, stimuli[0], signals, None)])
+        chosen = agent.choose_many(choices, PromptTask.GUESSING, Random(0))
+        assert chosen == [agent.choose(stimuli[2], signals, PromptTask.GUESSING, Random(0))]
+        assert next(choices)[0] == 1
+        assert agent.produce_signals(iter([]), PromptTask.LABELLING, Random(0)) == []
 
 
 class TestFactory:

@@ -1,42 +1,41 @@
 """A block's tasks answered in one backend call give the records of the
-per-task path.
+per-task path, for at most one request more.
 
-``PerTaskAgent`` is an ``LLMAgent`` whose batch methods answer nothing, so
-the engine runs every task through ``produce_signal``/``choose``, one
-request at a time. Both agents face the same deterministic service: every
-reply and every failure is a function of the prompt text alone, whether the
-prompt is sent in a list or alone. A failure keyed on a call counter would
-not be a deterministic service, since the two paths make different calls.
+``PerTaskAgent`` is an ``LLMAgent`` that answers one task per list, so the
+engine asks every task alone, one request per attempt. Both agents face the
+same deterministic service: every reply and every failure is a function of
+the prompt text alone, whether the prompt is sent in a list or alone. A
+failure keyed on a call counter would not be a deterministic service, since
+the two paths make different calls.
 """
 
-import hashlib
 import tempfile
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from helpers import ScriptedBackend
+from helpers import service
 from refgame.agents import LLMAgent
-from refgame.backend import ContextOverflow, EventLog, TransportFailure
+from refgame.backend import EventLog
 from refgame.domain import generate_language, sample_training_set
 from refgame.engine import run_guessing_block, run_labelling_block, run_testing_block
 from refgame.prompts import completion_stem
 
 SEEDS = range(30)
 # where the service fails; "always" placements fail every prompt for one
-# stimulus, so its task exhausts the agent's retries
+# stimulus, so its task exhausts its attempts
 PLACEMENTS = ("none", "unparseable", "call-error", "always-overflow", "always-unparseable")
-WORDS = ("gali", "nemo", "tupa", "sira", "hoke", "mupi")
 
 
 class PerTaskAgent(LLMAgent):
     def produce_signals(self, items, task, rng):
-        return []
+        return super().produce_signals(islice(items, 1), task, rng)
 
     def choose_many(self, items, task, rng):
-        return []
+        return super().choose_many(islice(items, 1), task, rng)
 
 
 class CountingAgent(LLMAgent):
@@ -57,35 +56,6 @@ class CountingAgent(LLMAgent):
         return chosen
 
 
-def service(seed: int, placement: str, doomed_stem: str) -> ScriptedBackend:
-    """A scripted service whose replies and failures depend only on the text
-    of the prompt (and on ``seed``, which varies the service per example)."""
-
-    def digest(prompt) -> int:
-        text = f"{seed}|{prompt.user_text()}|{prompt.continuation}"
-        return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-    def fail(prompt) -> bool:
-        """True when this prompt's reply is unusable; raises when it fails the call."""
-        h = digest(prompt)
-        if placement == "call-error" and h % 17 == 0:
-            raise TransportFailure("service error 503")
-        if prompt.stem == doomed_stem:
-            if placement == "always-overflow":
-                raise ContextOverflow("estimated 9000 tokens exceeds budget 8192")
-            return placement == "always-unparseable"
-        return placement == "unparseable" and h % 7 == 0
-
-    def complete(prompt) -> str:
-        return "```" if fail(prompt) else WORDS[digest(prompt) % len(WORDS)] + "'}"
-
-    def score(prompt) -> float:
-        # a positive log-probability is a malformed reply, which fails the call
-        return 0.5 if fail(prompt) else -float(digest(prompt) % 1000) / 100.0
-
-    return ScriptedBackend(completions=complete, scores=score)
-
-
 @lru_cache(maxsize=None)
 def language(seed: int):
     train = sample_training_set(Random(seed)).train
@@ -93,24 +63,24 @@ def language(seed: int):
 
 
 def run_block(block: str, agent_cls, seed: int, placement: str, **agent_kwargs):
-    """The block's result, its block events, the rng state after it and the
-    agent's vocabulary."""
+    """The block's result, its block events, the rng state after it, the
+    agent's vocabulary and the number of requests sent."""
     train, vocab = language(seed)
     doomed = Random(seed).choice(train if block != "testing" else sorted(vocab.stimuli()))
     backend = service(seed, placement, completion_stem(doomed))
-    agent = agent_cls("A", backend, max_retries=2, **agent_kwargs)
+    agent = agent_cls("A", backend, **agent_kwargs)
     agent.set_vocabulary(vocab.copy())
     rng = Random(seed + 1)
     with tempfile.TemporaryDirectory() as tmp:
         with EventLog(Path(tmp) / "events.jsonl") as log:
             if block == "guessing":
-                result = run_guessing_block(agent, vocab, rng, event_log=log)
+                result = run_guessing_block(agent, vocab, rng, event_log=log, attempts=2)
             elif block == "labelling":
-                result = run_labelling_block(agent, vocab, rng, event_log=log)
+                result = run_labelling_block(agent, vocab, rng, event_log=log, attempts=2)
             else:
-                result = run_testing_block(agent, rng, event_log=log)
+                result = run_testing_block(agent, rng, event_log=log, attempts=2)
         events = EventLog.read(log.path)
-    return result, events, rng.getstate(), agent.vocabulary
+    return result, events, rng.getstate(), agent.vocabulary, backend.requests
 
 
 @pytest.mark.parametrize("block", ["guessing", "labelling", "testing"])
@@ -121,11 +91,15 @@ def test_batched_block_equals_per_task_block(block):
         for placement in PLACEMENTS:
             expected = run_block(block, PerTaskAgent, seed, placement)
             batched = run_block(block, CountingAgent, seed, placement, answered=answered)
-            result, events, state, vocab = batched
+            result, events, state, vocab, requests = batched
             assert result == expected[0], (seed, placement)
             assert events == expected[1], (seed, placement)
             assert state == expected[2], (seed, placement)
             assert vocab == expected[3], (seed, placement)
+            # the one extra request is the list that failed
+            assert requests <= expected[4] + 1, (seed, placement)
+            if placement == "none":
+                assert requests == 1, seed
             failed += sum(
                 getattr(r, "failed", False) or getattr(r, "failure_mode", "none") != "none"
                 for r in result.records

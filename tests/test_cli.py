@@ -11,7 +11,7 @@ import yaml
 
 import refgame
 from refgame import cli
-from refgame.agents import LookupOracle, ProductionFailure
+from refgame.agents import LookupOracle
 from refgame.backend import EventLog
 from refgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from refgame.domain import Vocabulary, enumerate_stimuli
@@ -155,6 +155,16 @@ class TestSimulate:
         out = tmp_path / "runs"
         assert run_cli("simulate", flag, "0", "--out", str(out)) == EXIT_VALIDATION
         assert f"error: run: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("retries", [0, -1])
+    def test_agent_retries_below_one_rejected_before_writing(self, tmp_path, capsys, retries):
+        # with no attempt a task could only fail
+        path = tmp_path / "retries.yaml"
+        path.write_text(yaml.safe_dump({"run": {"max_agent_retries": retries}}))
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--config", str(path), "--out", str(out)) == EXIT_VALIDATION
+        assert "error: run: max_agent_retries must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "chain"])
@@ -374,10 +384,11 @@ class TestChainCommand:
         last = enumerate_stimuli()[-1]
 
         class FailingLast(LookupOracle):
-            def produce_signal(self, stimulus, task, rng):
-                if stimulus == last and task is PromptTask.SPEAKING:
-                    raise ProductionFailure("no signal")
-                return super().produce_signal(stimulus, task, rng)
+            def produce_signals(self, items, task, rng):
+                item = next(iter(items))
+                if item[1] == last and task is PromptTask.SPEAKING:
+                    return []  # no signal
+                return super().produce_signals([item], task, rng)
 
         build_agents = cli._build_agents
         built = []
@@ -438,6 +449,10 @@ class TestChainCommand:
                 "generation 8 of generation_overrides is not run: the chain runs generations 0 to 7",
             ),
             ({"generation_overrides": {"3": {"rounds": 2}}}, "generation '3' of generation_overrides is not a number"),
+            (
+                {"generation_overrides": {1: {"max_agent_retries": 0}}},
+                "generation_overrides.1: max_agent_retries must be >= 1",
+            ),
         ],
     )
     def test_bad_chain_setting_rejected_before_writing(self, tmp_path, capsys, chain, message):
@@ -537,10 +552,11 @@ class TestChainCommand:
         last = enumerate_stimuli()[-1]
 
         class FailingLast(LookupOracle):
-            def produce_signal(self, stimulus, task, rng):
-                if stimulus == last and task is PromptTask.SPEAKING:
-                    raise ProductionFailure("no signal")
-                return super().produce_signal(stimulus, task, rng)
+            def produce_signals(self, items, task, rng):
+                item = next(iter(items))
+                if item[1] == last and task is PromptTask.SPEAKING:
+                    return []  # no signal
+                return super().produce_signals([item], task, rng)
 
         build_agents = cli._build_agents
         def failing_a(config, event_log):
@@ -702,6 +718,18 @@ class TestWireRun:
         assert {r["failure_mode"] for r in interactions} == {"failed-production"}
         assert run_cli("replay", str(out / "sim-00")) == EXIT_OK
 
+    def test_retried_list_request_has_no_task(self, keepalive_stub_server, tmp_path, waits):
+        # the first request, agent A's guessing list, gets one 503: its
+        # backend_retry belongs to no single task of the list
+        endpoint, handler = keepalive_stub_server
+        handler.failures_left = 1
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--config", wire_config(tmp_path, endpoint), "--out", str(out)) == EXIT_OK
+        records = EventLog.read(out / "sim-00" / "events.jsonl")
+        retries = [r for r in records if r["kind"] == "backend_retry"]
+        assert [(r["block"], r["agent"], r["task"]) for r in retries] == [("guessing", "A", None)]
+        assert waits == [0.5]
+
     def test_collapsed_language_still_aborts(self, keepalive_stub_server, tmp_path, capsys):
         # every agent learns the stub's one word, so generation 1 trains on a
         # one-word language and its guessing block cannot draw distractors
@@ -720,6 +748,7 @@ class TestWireRun:
         records = EventLog.read(gen01 / "events.jsonl")
         assert [r["kind"] for r in records] == ["run_start", "run_aborted"]
         assert records[-1]["error"] == message
+        assert (records[-1]["block"], records[-1]["task"]) == ("guessing", 0)  # the failed draw
         assert RunManifest.load(out / "chain-00" / "gen00").status == "complete"
 
 

@@ -7,11 +7,9 @@ import refgame.engine as engine
 import refgame.metrics as metrics
 from helpers import RepairOracle, ScriptedBackend, in_context_learner, logged
 from refgame.agents import (
-    ChoiceFailure,
     CompositionalOracle,
     LLMAgent,
     LookupOracle,
-    ProductionFailure,
     RandomChooser,
 )
 from refgame.backend import EventLog
@@ -167,9 +165,9 @@ class TestLabellingBlock:
                 return "```"
             return "gigi"
 
-        agent = LLMAgent("A", ScriptedBackend(completions=flaky), max_retries=2)
+        agent = LLMAgent("A", ScriptedBackend(completions=flaky))
         agent.set_vocabulary(vocab.copy())
-        result = run_labelling_block(agent, vocab, Random(0))
+        result = run_labelling_block(agent, vocab, Random(0), attempts=2)
         failed = [r for r in result.records if r.failed]
         assert len(failed) == 1
         assert failed[0].stimulus == target
@@ -476,21 +474,23 @@ OTHER = Stimulus(3, "orange", 1)
 
 
 class FlakyOracle(CompositionalOracle):
-    """Fails every production for shape 1 at amount 3, every guess for a
-    green stimulus, and every listening choice for a signal ending in 'a'."""
+    """Answers no production for shape 1 at amount 3, no guess for a green
+    stimulus, and no listening choice for a signal ending in 'a'."""
 
-    def produce_signal(self, stimulus, task, rng):
-        producing = task in (PromptTask.LABELLING, PromptTask.SPEAKING)
-        if producing and stimulus.shape == 1 and stimulus.amount == 3:
-            raise ProductionFailure("no signal")
-        return super().produce_signal(stimulus, task, rng)
+    def produce_signals(self, items, task, rng):
+        item = next(iter(items))
+        if item[1].shape == 1 and item[1].amount == 3:
+            return []
+        return super().produce_signals([item], task, rng)
 
-    def choose(self, probe, candidates, task, rng, exclude=None):
+    def choose_many(self, items, task, rng):
+        item = next(iter(items))
+        probe = item[1]
         if task is PromptTask.GUESSING and probe.colour == "green":
-            raise ChoiceFailure("no guess")
+            return []
         if task is PromptTask.LISTENING and probe.endswith("a"):
-            raise ChoiceFailure("no choice")
-        return super().choose(probe, candidates, task, rng, exclude)
+            return []
+        return super().choose_many([item], task, rng)
 
 
 class TestBlockEvents:

@@ -1,9 +1,12 @@
 """Byte identity of fixed-seed run outputs.
 
-Runs a matrix of ``simulate`` and ``chain`` commands in process and compares
-the sha256 of every ``metrics.csv``, ``chain.csv``, ``events.jsonl`` and vocab
-file with ``tests/data/identity.json``. A refactor that moves any output byte
-fails here; a change that moves bytes on purpose regenerates the file with
+Runs a matrix of ``simulate`` and ``chain`` commands in process, and llm
+dyads over the tests' scripted services, and compares the sha256 of every
+``metrics.csv``, ``chain.csv``, ``events.jsonl`` and vocab file with
+``tests/data/identity.json``. An llm run's ``events.jsonl`` is digested
+without its wall-clock ``latency`` and ``timestamp`` keys. A refactor that
+moves any output byte fails here; a change that moves bytes on purpose
+regenerates the file with
 
     PYTHONPATH=src python tests/test_identity.py
 
@@ -11,14 +14,19 @@ and says which digests moved and why. Manifests are not compared: they hold
 wall-clock timestamps.
 """
 
+import hashlib
 import json
 import shutil
 import sys
 import tempfile
 from pathlib import Path
 
+from helpers import in_context_learner, service
+from refgame.agents import LLMAgent
+from refgame.backend import EventLog
 from refgame.cli import EXIT_OK, EXIT_RUNTIME, main
-from refgame.persistence import file_digest
+from refgame.engine import RunConfig, run_simulation
+from refgame.persistence import file_digest, save_simulation
 
 IDENTITY_PATH = Path(__file__).resolve().parent / "data" / "identity.json"
 
@@ -32,6 +40,15 @@ SIMULATE_SEEDS = (0, 1, 2)
 # about seven simulations
 CHAIN_SEEDS = (0, 1)
 FAST = ("--permutations", "60")
+# llm dyads reach communication's failed productions and choices, and
+# guessing's failed choices, through the engine's per-task attempts
+LLM_BACKENDS = {
+    "in-context": lambda seed: in_context_learner(),
+    "unparseable": lambda seed: service(seed, "unparseable"),
+    "call-error": lambda seed: service(seed, "call-error"),
+}
+LLM_SEEDS = (0, 1)
+WALL_CLOCK_KEYS = ("latency", "timestamp")
 
 
 def _run(*argv) -> int:
@@ -71,16 +88,38 @@ def run_matrix(root: Path) -> dict[str, int]:
         "chain", "--seed", "4", "--chains", "1", "--generations", "7",
         "--agents", DYADS["lookup"], "--out", str(out),
     )
+    for name, make_backend in LLM_BACKENDS.items():
+        for seed in LLM_SEEDS:
+            out = root / f"llm-{name}-{seed}"
+            backend = make_backend(seed)
+            config = RunConfig(master_seed=seed, mantel_permutations=60, max_agent_retries=2)
+            with EventLog(out / "events.jsonl") as event_log:
+                backend.event_log = event_log
+                agents = (LLMAgent("A", backend), LLMAgent("B", backend))
+                result = run_simulation(config, agents, event_log=event_log)
+            save_simulation(result, out)
     return codes
+
+
+def events_digest(path: Path) -> str:
+    """sha256 of an ``events.jsonl`` whose records drop their wall-clock keys."""
+    records = [
+        {key: value for key, value in record.items() if key not in WALL_CLOCK_KEYS}
+        for record in EventLog.read(path)
+    ]
+    return hashlib.sha256("".join(json.dumps(r) + "\n" for r in records).encode()).hexdigest()
 
 
 def output_digests(root: Path) -> dict[str, str]:
     """sha256 of every compared file under ``root``, by relative path."""
-    return {
-        path.relative_to(root).as_posix(): file_digest(path)
-        for path in sorted(root.rglob("*"))
-        if path.name in ("metrics.csv", "chain.csv", "events.jsonl") or path.suffix == ".vocab"
-    }
+    digests = {}
+    for path in sorted(root.rglob("*")):
+        name = path.relative_to(root).as_posix()
+        if name.startswith("llm-") and path.name == "events.jsonl":
+            digests[name] = events_digest(path)
+        elif path.name in ("metrics.csv", "chain.csv", "events.jsonl") or path.suffix == ".vocab":
+            digests[name] = file_digest(path)
+    return digests
 
 
 def expected_codes() -> dict[str, int]:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from refgame.agents import CompositionalOracle, LookupOracle, ProductionFailure
+from refgame.agents import CompositionalOracle, LookupOracle
 from refgame.backend import EventLog
 from refgame.config import ConfigError, ExperimentConfig, config_from_dict, load_config, validate_config
 from refgame.domain import Vocabulary, enumerate_stimuli
@@ -139,10 +139,11 @@ class TestReplay:
         kept_stimuli = set(enumerate_stimuli()[:kept])
 
         class FailingSpeaker(LookupOracle):
-            def produce_signal(self, stimulus, task, rng):
-                if task is PromptTask.SPEAKING and stimulus not in kept_stimuli:
-                    raise ProductionFailure("no signal")
-                return super().produce_signal(stimulus, task, rng)
+            def produce_signals(self, items, task, rng):
+                item = next(iter(items))
+                if task is PromptTask.SPEAKING and item[1] not in kept_stimuli:
+                    return []  # no signal
+                return super().produce_signals([item], task, rng)
 
         run_dir, _ = persisted_run(tmp_path, agents=(FailingSpeaker("A"), LookupOracle("B")))
         rows = read_rows(run_dir / "metrics.csv", MetricRow)

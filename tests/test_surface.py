@@ -1,6 +1,7 @@
 """The package ships only what runs: every function, class and method that
-``src/refgame`` defines is used by the package itself or by ``scripts/``.
-Test doubles and test oracles live in ``tests/helpers.py``."""
+``src/refgame`` defines is used by the package itself or by ``scripts/``,
+and every name a module imports is named in that module. Test doubles and
+test oracles live in ``tests/helpers.py``."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,18 @@ SCRIPTS = ROOT / "scripts"
 
 def parsed(directory: Path) -> list[ast.Module]:
     return [ast.parse(path.read_text()) for path in sorted(directory.glob("*.py"))]
+
+
+def imported(module: ast.Module) -> list[str]:
+    """The names that the module's top-level imports bind, except
+    ``from __future__`` imports."""
+    names = []
+    for node in module.body:
+        if isinstance(node, ast.Import):
+            names += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
 
 
 def defined(module: ast.Module) -> list[str]:
@@ -45,3 +58,11 @@ def test_every_definition_is_used():
     used = referenced(package + parsed(SCRIPTS))
     unused = sorted({name for module in package for name in defined(module)} - used)
     assert unused == []
+
+
+def test_every_import_is_named():
+    stale = {
+        path.name: sorted(set(imported(module)) - referenced([module]))
+        for path, module in zip(sorted(PACKAGE.glob("*.py")), parsed(PACKAGE))
+    }
+    assert {name: names for name, names in stale.items() if names} == {}

@@ -17,9 +17,10 @@ import os
 import threading
 import time
 import weakref
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 from urllib.parse import urlsplit
 
 from .prompts import Prompt
@@ -114,6 +115,15 @@ def prompt_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+@dataclass
+class HeldRecords:
+    """Records an ``EventLog`` holds for one worker thread: its own context
+    and the lines it appended, in order."""
+
+    context: dict
+    lines: list[str] = field(default_factory=list)
+
+
 class EventLog:
     """Append-only structured run log, one JSON record per line.
 
@@ -122,12 +132,24 @@ class EventLog:
     The file is opened (and emptied) once and flushed after every record,
     so it can be read or digested while the log is open. Use it in a
     ``with`` block, which closes it.
+
+    A block that runs on a worker thread while the calling thread runs
+    another can have its records held: ``hold()``, called on the calling
+    thread before either block starts, returns a ``HeldRecords`` with a copy
+    of the current context. Inside ``with log.holding(held):`` the worker
+    thread's ``set_context`` updates that copy and its ``append`` adds the
+    record, tagged with the copy, to ``held`` instead of the file.
+    ``release(held)`` writes the held records after everything the calling
+    thread wrote and updates the shared context with the copy, so the file
+    and the context end as if the worker's block had run after the calling
+    thread's. Held records that are never released are dropped.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.context: dict = {}
         self._lock = threading.Lock()
+        self._local = threading.local()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._file = self.path.open("w")
 
@@ -140,14 +162,40 @@ class EventLog:
     def close(self) -> None:
         self._file.close()
 
+    def _held(self) -> HeldRecords | None:
+        return getattr(self._local, "held", None)
+
     def set_context(self, **fields) -> None:
-        self.context.update(fields)
+        held = self._held()
+        (self.context if held is None else held.context).update(fields)
 
     def append(self, kind: str, **fields) -> None:
-        line = json.dumps({"kind": kind, **self.context, **fields}) + "\n"
+        held = self._held()
+        context = self.context if held is None else held.context
+        line = json.dumps({"kind": kind, **context, **fields}) + "\n"
+        if held is not None:
+            held.lines.append(line)
+            return
         with self._lock:
             self._file.write(line)
             self._file.flush()
+
+    def hold(self) -> HeldRecords:
+        return HeldRecords(dict(self.context))
+
+    @contextmanager
+    def holding(self, held: HeldRecords) -> Iterator[None]:
+        self._local.held = held
+        try:
+            yield
+        finally:
+            self._local.held = None
+
+    def release(self, held: HeldRecords) -> None:
+        with self._lock:
+            self._file.writelines(held.lines)
+            self._file.flush()
+        self.context.update(held.context)
 
     @staticmethod
     def read(path: str | Path) -> list[dict]:
@@ -218,7 +266,9 @@ class HttpBackend(CompletionBackend):
     Both calls check every templated prompt against the context budget,
     then post them all as one list ``prompt`` and match the returned choices
     by ``index``: complete() asks for greedy continuations, score() for
-    direct scoring (echo + logprobs with no new tokens). Services that
+    direct scoring (echo + logprobs with no new tokens), summing each
+    choice's continuation log-probabilities while the reply is parsed, so
+    its token lists are never all held at once. Services that
     reject echo-scoring surface CapabilityUnsupported; a reply without one
     indexed choice per prompt, as from a service that rejects list prompts,
     is a MalformedServiceReply.
@@ -263,14 +313,14 @@ class HttpBackend(CompletionBackend):
         response = self._connection.getresponse()
         return response.status, response.read()
 
-    def _post(self, payload: dict) -> dict:
+    def _post(self, payload: dict, object_hook: Callable[[dict], dict] | None = None) -> dict:
         try:
-            return self._reply(json.dumps(payload).encode())
+            return self._reply(json.dumps(payload).encode(), object_hook)
         except BackendError:
             self._connection.close()
             raise
 
-    def _reply(self, body: bytes) -> dict:
+    def _reply(self, body: bytes, object_hook: Callable[[dict], dict] | None = None) -> dict:
         from http.client import HTTPException  # loaded by __init__, not with this module
 
         reused = self._connection.sock is not None
@@ -294,18 +344,21 @@ class HttpBackend(CompletionBackend):
                 f"service returned {status}: {data[:200].decode(errors='replace')}"
             )
         try:
-            return json.loads(data)
+            return json.loads(data, object_hook=object_hook)
         except ValueError as err:
             raise MalformedServiceReply("response body is not JSON") from err
 
-    def _post_with_retries(self, payload: dict) -> tuple[dict, float]:
-        """The reply to ``payload`` and the monotonic start time of the
+    def _post_with_retries(
+        self, payload: dict, object_hook: Callable[[dict], dict] | None = None
+    ) -> tuple[dict, float]:
+        """The reply to ``payload``, each of its JSON objects passed through
+        ``object_hook`` as it is parsed, and the monotonic start time of the
         attempt that got it; retry k waits ``backoff_base * 2**(k-1)``."""
         attempt = 0
         while True:
             started = time.monotonic()
             try:
-                return self._post(payload), started
+                return self._post(payload, object_hook), started
             except (TransportFailure, BackendTimeout) as err:
                 attempt += 1
                 if attempt > self.descriptor.max_retries:
@@ -373,10 +426,22 @@ class HttpBackend(CompletionBackend):
             "echo": True,
             "logprobs": 0,
         }
-        reply, started = self._post_with_retries(payload)
-        choices = self._choices(reply, len(prompts))
-        totals = [self._continuation_logprob(choice, len(text))
-                  for choice, text in zip(choices, full_texts)]
+        boundaries = [len(text) for text in full_texts]
+        summed: dict[int, float] = {}
+
+        def sum_choice(obj: dict) -> dict:
+            # the token lists go as soon as a choice is parsed: the two
+            # agents' guessing replies, each several MB decoded, arrive together
+            index = obj.get("index")
+            if "logprobs" in obj and type(index) is int and 0 <= index < len(boundaries):
+                summed[index] = self._continuation_logprob(obj.pop("logprobs"), boundaries[index])
+            return obj
+
+        reply, started = self._post_with_retries(payload, sum_choice)
+        self._choices(reply, len(prompts))
+        if len(summed) < len(prompts):  # a choice without log-probabilities
+            raise CapabilityUnsupported("service does not return echoed token log-probabilities")
+        totals = [summed[i] for i in range(len(prompts))]
         previous = None
         for text, prompt, total, task in zip(full_texts, prompts, totals, self._tasks(prompts, tasks)):
             self._log("score", text, total, started, task, repeat=text == previous,
@@ -385,11 +450,11 @@ class HttpBackend(CompletionBackend):
         return totals
 
     @staticmethod
-    def _continuation_logprob(choice: dict, boundary: int) -> float:
-        """Sum of the echoed token log-probabilities at or past ``boundary``,
-        the length of the templated prompt before the continuation."""
+    def _continuation_logprob(logprobs: dict | None, boundary: int) -> float:
+        """Sum of a choice's echoed token log-probabilities at or past
+        ``boundary``, the length of the templated prompt before the
+        continuation."""
         try:
-            logprobs = choice["logprobs"]
             token_logprobs = logprobs["token_logprobs"]
             offsets = logprobs["text_offset"]
         except (KeyError, TypeError) as err:

@@ -84,11 +84,10 @@ def _load_or_default(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _build_agents(config: ExperimentConfig, event_log: EventLog):
-    backend = None
-    if any(spec == "llm" for spec in config.agents):
-        backend = HttpBackend(config.backend, event_log=event_log)
+    # one backend, and so one keep-alive connection, per llm agent: the two
+    # agents' requests of a block are in flight at once
     return tuple(
-        make_agent(spec, agent_id, backend)
+        make_agent(spec, agent_id, HttpBackend(config.backend, event_log) if spec == "llm" else None)
         for spec, agent_id in zip(config.agents, ("A", "B"))
     )
 

@@ -14,6 +14,8 @@ it block by block, persistence saves it (complete, or as the ``partial`` of
 from __future__ import annotations
 
 import hashlib
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from random import Random
 from typing import Callable, Iterator, Sequence
@@ -255,6 +257,37 @@ def _context(event_log: EventLog | None, **fields) -> None:
 def _emit(event_log: EventLog | None, kind: str, **fields) -> None:
     if event_log is not None:
         event_log.append(kind, **fields)
+
+
+def _side_by_side(event_log: EventLog | None, agents: tuple[Agent, Agent], block: Callable) -> dict:
+    """``block(agent)`` for both agents at once, keyed by agent id: the first
+    agent's on this thread, the second's on a worker thread, whose event-log
+    records are held and written after the first's (``EventLog.release``).
+    When the first raises, its exception propagates and the second's records
+    are dropped, as if the second had never run; when only the second
+    raises, its records are written and then its exception is raised here."""
+    first, second = agents
+    held = event_log.hold() if event_log is not None else None
+    outcome: dict = {}
+
+    def run_second() -> None:
+        try:
+            with nullcontext() if held is None else event_log.holding(held):
+                outcome["answer"] = block(second)
+        except BaseException as err:  # raised again on the calling thread
+            outcome["error"] = err
+
+    worker = threading.Thread(target=run_second)
+    worker.start()
+    try:
+        mine = block(first)
+    finally:
+        worker.join()
+    if held is not None:
+        event_log.release(held)
+    if "error" in outcome:
+        raise outcome["error"]
+    return {first.agent_id: mine, second.agent_id: outcome["answer"]}
 
 
 def _alone(ask: Callable, item: tuple, prompt_task: PromptTask, rng: Random, attempts: int):
@@ -618,29 +651,25 @@ def run_simulation(
     for agent in agents:
         agent.set_vocabulary(initial_language.copy())
 
-    # each block field is assigned once both agents have finished the block
+    # each block field is assigned once both agents have finished the block;
+    # in guessing, labelling and testing an agent reads only its own rng and
+    # vocabulary, so the two agents run those blocks side by side
     try:
-        result.guessing = {
-            agent.agent_id: run_guessing_block(
-                agent,
-                initial_language,
-                Random(derive_seed(seed, f"guessing:{agent.agent_id}")),
-                distractors=config.guessing_distractors,
-                event_log=event_log,
-                attempts=config.max_agent_retries,
-            )
-            for agent in agents
-        }
-        result.labelling = {
-            agent.agent_id: run_labelling_block(
-                agent,
-                initial_language,
-                Random(derive_seed(seed, f"labelling:{agent.agent_id}")),
-                event_log=event_log,
-                attempts=config.max_agent_retries,
-            )
-            for agent in agents
-        }
+        result.guessing = _side_by_side(event_log, agents, lambda agent: run_guessing_block(
+            agent,
+            initial_language,
+            Random(derive_seed(seed, f"guessing:{agent.agent_id}")),
+            distractors=config.guessing_distractors,
+            event_log=event_log,
+            attempts=config.max_agent_retries,
+        ))
+        result.labelling = _side_by_side(event_log, agents, lambda agent: run_labelling_block(
+            agent,
+            initial_language,
+            Random(derive_seed(seed, f"labelling:{agent.agent_id}")),
+            event_log=event_log,
+            attempts=config.max_agent_retries,
+        ))
         result.communication = run_communication_block(
             agent_a,
             agent_b,
@@ -648,15 +677,12 @@ def run_simulation(
             config,
             event_log=event_log,
         )
-        result.testing = {
-            agent.agent_id: run_testing_block(
-                agent,
-                Random(derive_seed(seed, f"testing:{agent.agent_id}")),
-                event_log=event_log,
-                attempts=config.max_agent_retries,
-            )
-            for agent in agents
-        }
+        result.testing = _side_by_side(event_log, agents, lambda agent: run_testing_block(
+            agent,
+            Random(derive_seed(seed, f"testing:{agent.agent_id}")),
+            event_log=event_log,
+            attempts=config.max_agent_retries,
+        ))
     except Exception as err:
         # a failed task is a record, not an exception: what lands here is a
         # guessing draw from a collapsed language (too few distinct signals,

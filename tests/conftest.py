@@ -28,15 +28,21 @@ def golden_test() -> Vocabulary:
 class _StubHandler(BaseHTTPRequestHandler):
     """A local ``/v1/completions`` service for HttpBackend tests. Each
     server gets its own subclass, which records every request body in
-    ``seen`` and its path in ``paths``, counts accepted connections in
-    ``connections``, and answers the first ``failures_left`` requests with
-    503. Every reply has a Content-Length, so an HTTP/1.1 server keeps the
-    connection open; ``behaviour`` "close" drops it after each reply
-    without saying so, as a server does with an idle keep-alive
-    connection."""
+    ``seen``, its path in ``paths`` and its server-side (start, end)
+    monotonic times in ``spans``, counts accepted connections in
+    ``connections``, and answers with 503 the first ``failures_left``
+    requests and, once each, a request whose first prompt is in
+    ``fail_once``. With a ``rendezvous`` barrier, the first
+    ``rendezvous.parties`` requests each wait at it (until its timeout)
+    before they are answered. Every reply has a Content-Length, so an
+    HTTP/1.1 server keeps the connection open; ``behaviour`` "close" drops
+    it after each reply without saying so, as a server does with an idle
+    keep-alive connection. Handler threads run at once, so the counters
+    change under ``lock``."""
 
     behaviour = "complete"
     failures_left = 0
+    rendezvous = None
     timeout = 2  # a connection idle this long is closed
 
     def log_message(self, *args):
@@ -46,7 +52,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         super().setup()
         # headers and body go out in two writes; Nagle would hold the second
         self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        type(self).connections += 1
+        with type(self).lock:
+            type(self).connections += 1
 
     def _reply(self, status: int, body: bytes = b"") -> None:
         self.send_response(status)
@@ -57,11 +64,37 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.close_connection = True
 
     def do_POST(self):
+        started = time.monotonic()
+        try:
+            self._answer()
+        finally:
+            type(self).spans.append((started, time.monotonic()))
+
+    def _fails(self, body) -> bool:
+        handler = type(self)
+        prompts = body["prompt"] if isinstance(body["prompt"], list) else [body["prompt"]]
+        with handler.lock:
+            if handler.failures_left > 0:
+                handler.failures_left -= 1
+                return True
+            if prompts[0] in handler.fail_once:
+                handler.fail_once.remove(prompts[0])
+                return True
+        return False
+
+    def _answer(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        type(self).seen.append(body)
-        type(self).paths.append(self.path)
-        if type(self).failures_left > 0:
-            type(self).failures_left -= 1
+        with type(self).lock:
+            type(self).seen.append(body)
+            type(self).paths.append(self.path)
+            arrived = len(type(self).seen)
+        rendezvous = type(self).rendezvous
+        if rendezvous is not None and arrived <= rendezvous.parties:
+            try:
+                rendezvous.wait()
+            except threading.BrokenBarrierError:
+                pass  # no company within the timeout
+        if self._fails(body):
             self._reply(503)
             return
         behaviour = type(self).behaviour
@@ -111,7 +144,8 @@ def _serve(protocol_version: str):
     """Run a stub server speaking ``protocol_version``; yields its URL and
     its handler class."""
     handler = type("StubHandler", (_StubHandler,), {
-        "protocol_version": protocol_version, "seen": [], "paths": [], "connections": 0,
+        "protocol_version": protocol_version, "seen": [], "paths": [], "spans": [],
+        "connections": 0, "fail_once": set(), "lock": threading.Lock(),
     })
     server = _StubServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)

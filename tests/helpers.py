@@ -4,11 +4,12 @@ import hashlib
 import itertools
 import math
 import re
+import threading
 import time
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from refgame.agents import CompositionalOracle, _argmin, _Oracle
+from refgame.agents import CompositionalOracle, LookupOracle, _argmin, _Oracle
 from refgame.backend import (
     BackendDescriptor,
     CapabilityUnsupported,
@@ -122,7 +123,9 @@ class ScriptedBackend(CompletionBackend):
     ``completions`` every completion is a MalformedServiceReply; without
     ``scores`` scoring is CapabilityUnsupported. A callable that raises a
     BackendError fails the whole call, as a service would. ``requests``
-    counts the calls, failed ones included.
+    counts the calls, failed ones included; the two agents of a dyad may
+    share one backend and call it from two threads at once, so it counts
+    under a lock.
     """
 
     def __init__(
@@ -135,10 +138,15 @@ class ScriptedBackend(CompletionBackend):
         self.scores = scores
         self.event_log = event_log
         self.requests = 0
+        self._lock = threading.Lock()
+
+    def _count(self) -> None:
+        with self._lock:
+            self.requests += 1
 
     def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[str]:
         started = time.monotonic()
-        self.requests += 1
+        self._count()
         if self.completions is None:
             raise MalformedServiceReply("scripted backend has no completions")
         texts = [self.completions(p) for p in prompts]
@@ -156,7 +164,7 @@ class ScriptedBackend(CompletionBackend):
 
     def score(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[float]:
         started = time.monotonic()
-        self.requests += 1
+        self._count()
         values = [self._scripted_score(p) for p in prompts]
         for prompt, value, task in zip(prompts, values, self._tasks(prompts, tasks)):
             self._log("score", prompt.user_text(), value, started, task,
@@ -241,6 +249,32 @@ def service(seed: int, placement: str, doomed_stem: str = "") -> ScriptedBackend
         return 0.5 if fail(prompt) else -float(digest(prompt) % 1000) / 100.0
 
     return ScriptedBackend(completions=complete, scores=score)
+
+
+class BreakingOracle(LookupOracle):
+    """A lookup oracle whose ``breaks_at``-th list of ``task`` tasks,
+    batched or asked alone, raises ``RuntimeError("agent <id> broke")``
+    before it draws a task: an agent fault that aborts the run."""
+
+    def __init__(self, agent_id: str, task: PromptTask, breaks_at: int = 3):
+        super().__init__(agent_id)
+        self.task = task
+        self.breaks_at = breaks_at
+        self.calls = 0
+
+    def _break(self, task: PromptTask) -> None:
+        if task is self.task:
+            self.calls += 1
+            if self.calls == self.breaks_at:
+                raise RuntimeError(f"agent {self.agent_id} broke")
+
+    def produce_signals(self, items, task, rng):
+        self._break(task)
+        return super().produce_signals(items, task, rng)
+
+    def choose_many(self, items, task, rng):
+        self._break(task)
+        return super().choose_many(items, task, rng)
 
 
 class TruncatingOracle(_Oracle):

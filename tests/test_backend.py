@@ -1,4 +1,6 @@
 import socket
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -49,6 +51,26 @@ class TestScriptedBackend:
         with pytest.raises(CapabilityUnsupported):
             backend.score([SCORED])
 
+    def test_request_count_from_threads(self):
+        # both agents of a dyad may call one backend at once; a lost update
+        # would undercount
+        backend = ScriptedBackend(completions=lambda p: "ok")
+        threads = [
+            threading.Thread(target=lambda: [backend.complete([PROMPT]) for _ in range(500)])
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert backend.requests == 8 * 500
+
 
 class TestEventLog:
     def test_append_and_context(self, tmp_path):
@@ -62,6 +84,45 @@ class TestEventLog:
         assert records[0]["block"] == "labelling"
         assert records[1]["block"] == "testing"
         assert records[1]["agent"] == "A"
+
+    def test_held_records_follow_the_calling_threads(self, tmp_path):
+        # workers append to held records while this thread writes; released
+        # in turn, each worker's records follow everything written before,
+        # tagged with its own context, and the shared context ends as the
+        # last released worker left its copy
+        with EventLog(tmp_path / "events.jsonl") as log:
+            log.set_context(simulation="sim-1", agent="main")
+            helds = [log.hold() for _ in range(4)]
+
+            def work(worker, held):
+                with log.holding(held):
+                    log.set_context(agent=f"w{worker}")
+                    for n in range(300):
+                        log.append("backend_call", n=n)
+
+            threads = [threading.Thread(target=work, args=pair) for pair in enumerate(helds)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for n in range(300):
+                    log.append("backend_call", n=n)
+                for thread in threads:
+                    thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert EventLog.read(log.path)[-1] == {
+                "kind": "backend_call", "simulation": "sim-1", "agent": "main", "n": 299
+            }
+            for held in helds:
+                log.release(held)
+            assert log.context == {"simulation": "sim-1", "agent": "w3"}
+        records = EventLog.read(tmp_path / "events.jsonl")
+        assert [(r["simulation"], r["agent"], r["n"]) for r in records] == [
+            ("sim-1", agent, n) for agent in ("main", "w0", "w1", "w2", "w3") for n in range(300)
+        ]
 
     def test_backend_logs_before_returning(self, tmp_path):
         with EventLog(tmp_path / "events.jsonl") as log:

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 import yaml
 
 import refgame
+from helpers import BreakingOracle
 from refgame import cli
 from refgame.agents import LookupOracle
 from refgame.backend import EventLog
@@ -644,23 +646,74 @@ class TestEventLogLifecycle:
             (("chain", "--chains", "1", "--generations", "2"), EXIT_OK, 2),
             # lookup oracles collapse the language by gen06, which aborts
             (("chain", "--seed", "4", "--chains", "1", "--generations", "7"), EXIT_RUNTIME, 7),
+            # against the keep-alive stub: one connection per llm agent
+            (("simulate", "--config", "wire"), EXIT_OK, 1),
         ],
-        ids=["simulate", "chain", "aborted-chain"],
+        ids=["simulate", "chain", "aborted-chain", "llm-dyad"],
     )
-    def test_every_handle_closed(self, tmp_path, monkeypatch, argv, code, runs):
+    def test_every_handle_closed(self, tmp_path, monkeypatch, request, argv, code, runs):
         unraisable = []  # a ResourceWarning raised in a finalizer lands here
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        connections = []
+
+        class Recorded(cli.HttpBackend):
+            def __init__(self, *args):
+                super().__init__(*args)
+                connections.append(self._connection)
+
+        monkeypatch.setattr(cli, "HttpBackend", Recorded)
+        if "wire" in argv:
+            endpoint, _ = request.getfixturevalue("keepalive_stub_server")
+            argv = [wire_config(tmp_path, endpoint) if arg == "wire" else arg for arg in argv]
         out = tmp_path / "runs"
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
             assert run_cli(*argv, "--permutations", "60", "--out", str(out)) == code
             gc.collect()
         assert [str(u.exc_value) for u in unraisable] == []
+        assert len(connections) == (2 if "--config" in argv else 0)
+        assert all(connection.sock is None for connection in connections)  # closed
         run_dirs = [path.parent for path in sorted(out.rglob("manifest.json"))]
         assert len(run_dirs) == runs
         for run_dir in run_dirs:
             digest = RunManifest.load(run_dir).files["events.jsonl"]
             assert digest == file_digest(run_dir / "events.jsonl")
+
+
+class TestAbortInASharedBlock:
+    """Both agents run guessing and labelling at once; a run that aborts in
+    one of them leaves what it left when the agents ran one after the other:
+    an abort in agent A's block drops B's, and an abort in B's follows A's
+    whole block."""
+
+    @pytest.mark.parametrize("block", ["guessing", "labelling"])
+    @pytest.mark.parametrize("breaking", ["A", "B", "AB"])
+    def test_events_and_manifest_as_run_in_turn(self, tmp_path, monkeypatch, capsys, block, breaking):
+        task, kind = {"guessing": (PromptTask.GUESSING, "guess"),
+                      "labelling": (PromptTask.LABELLING, "label")}[block]
+        argv = ["simulate", "--seed", "6", "--agents", "oracle:lookup,oracle:lookup",
+                "--permutations", "60"]
+        assert run_cli(*argv, "--out", str(tmp_path / "clean")) == EXIT_OK
+        clean = EventLog.read(tmp_path / "clean" / "sim-00" / "events.jsonl")
+
+        def build(config, event_log):
+            return tuple(BreakingOracle(i, task) if i in breaking else LookupOracle(i) for i in "AB")
+
+        monkeypatch.setattr(cli, "_build_agents", build)
+        capsys.readouterr()
+        out = tmp_path / "runs"
+        assert run_cli(*argv, "--out", str(out)) == EXIT_RUNTIME
+        # A breaks first whenever it breaks; its third list asks task 2 alone
+        first = breaking[0]
+        assert f"run aborted: agent {first} broke" in capsys.readouterr().err
+        own = [i for i, r in enumerate(clean) if r["kind"] == kind and r["agent"] == first]
+        kept = clean[: own[1] + 1]
+        context = {key: kept[-1][key] for key in ("simulation", "block", "round", "agent")}
+        aborted = {"kind": "run_aborted", **context, "task": 2, "error": f"agent {first} broke"}
+        assert EventLog.read(out / "sim-00" / "events.jsonl") == kept + [aborted]
+        manifest = RunManifest.load(out / "sim-00")
+        assert manifest.status == "incomplete"
+        assert manifest.extra["completed_blocks"] == ([] if block == "guessing" else ["guessing"])
 
 
 def wire_config(tmp_path, endpoint) -> str:
@@ -685,7 +738,7 @@ class TestWireRun:
         assert run_cli("simulate", "--config", wire_config(tmp_path, endpoint), "--out", str(out)) == EXIT_OK
         # 2 guessing + 2 labelling + 30 x (speaker + listener) + 2 testing
         assert len(handler.seen) == 66
-        assert handler.connections == 1
+        assert handler.connections == 2  # one keep-alive connection per llm agent
         assert [len(body["prompt"]) for body in handler.seen[:4]] == [60, 60, 15, 15]
         assert [len(body["prompt"]) for body in handler.seen[-2:]] == [27, 27]
         records = EventLog.read(out / "sim-00" / "events.jsonl")
@@ -703,6 +756,19 @@ class TestWireRun:
                 ] + list(range(tasks))
         assert run_cli("replay", str(out / "sim-00")) == EXIT_OK
 
+    def test_agents_lists_in_flight_at_once(self, keepalive_stub_server, tmp_path):
+        # the first two requests, the two agents' guessing lists, each wait
+        # for the other at the stub; sent one after the other, the first
+        # would be answered only after the barrier's timeout, alone
+        endpoint, handler = keepalive_stub_server
+        handler.rendezvous = threading.Barrier(2, timeout=2)
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--config", wire_config(tmp_path, endpoint), "--out", str(out)) == EXIT_OK
+        guessing = [span for body, span in zip(handler.seen, handler.spans) if len(body["prompt"]) == 60]
+        assert len(guessing) == 2
+        (a_start, a_end), (b_start, b_end) = guessing
+        assert max(a_start, b_start) < min(a_end, b_end)
+
     def test_null_completion_text_is_a_failed_production(self, keepalive_stub_server, tmp_path):
         # a service that completes with "text": null answers no production;
         # scoring still works, so guessing and testing run as before
@@ -719,12 +785,21 @@ class TestWireRun:
         assert run_cli("replay", str(out / "sim-00")) == EXIT_OK
 
     def test_retried_list_request_has_no_task(self, keepalive_stub_server, tmp_path, waits):
-        # the first request, agent A's guessing list, gets one 503: its
-        # backend_retry belongs to no single task of the list
+        # agent A's guessing list gets one 503: its backend_retry belongs to
+        # no single task of the list. The stub picks that request by its
+        # first prompt, read from a clean run of the same seed, since both
+        # agents' guessing lists are in flight at once
         endpoint, handler = keepalive_stub_server
-        handler.failures_left = 1
+        config = wire_config(tmp_path, endpoint)
+        assert run_cli("simulate", "--config", config, "--out", str(tmp_path / "clean")) == EXIT_OK
+        first = next(
+            r for r in EventLog.read(tmp_path / "clean" / "sim-00" / "events.jsonl")
+            if r["kind"] == "backend_call" and (r["block"], r["agent"]) == ("guessing", "A")
+        )
+        handler.fail_once = {first["prompt"] + first["continuation"]}
         out = tmp_path / "runs"
-        assert run_cli("simulate", "--config", wire_config(tmp_path, endpoint), "--out", str(out)) == EXIT_OK
+        assert run_cli("simulate", "--config", config, "--out", str(out)) == EXIT_OK
+        assert handler.fail_once == set()
         records = EventLog.read(out / "sim-00" / "events.jsonl")
         retries = [r for r in records if r["kind"] == "backend_retry"]
         assert [(r["block"], r["agent"], r["task"]) for r in retries] == [("guessing", "A", None)]

@@ -1,11 +1,12 @@
 import json
+import traceback
 from random import Random
 
 import pytest
 
 import refgame.engine as engine
 import refgame.metrics as metrics
-from helpers import RepairOracle, ScriptedBackend, in_context_learner, logged
+from helpers import BreakingOracle, RepairOracle, ScriptedBackend, in_context_learner, logged
 from refgame.agents import (
     CompositionalOracle,
     LLMAgent,
@@ -377,6 +378,24 @@ class TestRunSimulation:
         assert manifest.status == "incomplete"
         assert manifest.extra["completed_blocks"] == []
         assert sorted(path.name for path in (tmp_path / "vocab").iterdir()) == ["initial.vocab"]
+
+    @pytest.mark.parametrize("breaking", ["A", "B", "AB"])
+    def test_abort_in_shared_block_keeps_cause_and_partial(self, breaking):
+        # the two agents label at once, agent B on a worker thread; the
+        # agent error that wins (A's when both break) is the cause, with
+        # the traceback of the thread that raised it
+        agents = tuple(
+            BreakingOracle(i, PromptTask.LABELLING) if i in breaking else LookupOracle(i) for i in "AB"
+        )
+        with pytest.raises(SimulationAborted) as info:
+            run_simulation(RunConfig(master_seed=2, mantel_permutations=10), agents)
+        cause = info.value.__cause__
+        assert isinstance(cause, RuntimeError) and str(cause) == f"agent {breaking[0]} broke"
+        frames = [frame.name for frame in traceback.extract_tb(cause.__traceback__)]
+        assert frames[-1] == "_break" and "run_labelling_block" in frames
+        partial = info.value.partial
+        assert set(partial.guessing) == {"A", "B"}
+        assert (partial.labelling, partial.communication, partial.testing) == ({}, None, {})
 
     def test_full_stack_with_prompt_driven_agents(self, tmp_path):
         # the entire protocol driven through prompts and a scripted

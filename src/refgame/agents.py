@@ -12,7 +12,7 @@ from random import Random
 from typing import Sequence
 
 from . import prompts
-from .backend import BackendError, CompletionBackend
+from .backend import BackendError, CompletionBackend, EventLog
 from .domain import Signal, Stimulus, Vocabulary, enumerate_stimuli
 from .metrics import normalized_levenshtein, semantic_distance
 from .prompts import PromptTask, UnparseableResponseError
@@ -31,8 +31,8 @@ class Agent:
     stimulus with signal candidates (guessing block) or a signal with
     stimulus candidates (listening); ``exclude`` names the entry the prompt
     context must omit, which only the engine knows for listening tasks.
-    Both return the answers of the leading tasks answered; the engine asks
-    every later task alone, as a list of one.
+    Both return the answers of the leading tasks answered (the engine asks
+    every later task alone, as a list of one) and log requests to ``event_log``.
     """
 
     def __init__(self, agent_id: str):
@@ -42,10 +42,12 @@ class Agent:
     def set_vocabulary(self, vocab: Vocabulary) -> None:
         self.vocabulary = vocab
 
-    def produce_signals(self, items, task: PromptTask, rng: Random) -> list[Signal]:
+    def produce_signals(self, items, task: PromptTask, rng: Random,
+                        event_log: EventLog | None) -> list[Signal]:
         raise NotImplementedError
 
-    def choose_many(self, items, task: PromptTask, rng: Random) -> list[int]:
+    def choose_many(self, items, task: PromptTask, rng: Random,
+                    event_log: EventLog | None) -> list[int]:
         raise NotImplementedError
 
     def extrapolated(self, stimulus: Stimulus) -> bool:
@@ -85,10 +87,10 @@ class _Oracle(Agent):
     task by task. A choice takes the candidate closest, by edit distance,
     to the oracle's own production."""
 
-    def produce_signals(self, items, task, rng) -> list[Signal]:
+    def produce_signals(self, items, task, rng, event_log) -> list[Signal]:
         return [self.produce_signal(stimulus, task, rng) for _, stimulus in islice(items, 1)]
 
-    def choose_many(self, items, task, rng) -> list[int]:
+    def choose_many(self, items, task, rng, event_log) -> list[int]:
         return [
             self.choose(probe, candidates, task, rng, exclude)
             for _, probe, candidates, exclude in islice(items, 1)
@@ -201,13 +203,13 @@ class LLMAgent(Agent):
                 )
         return built
 
-    def produce_signals(self, items, task, rng) -> list[Signal]:
+    def produce_signals(self, items, task, rng, event_log) -> list[Signal]:
         tasks, built = [], []
         for task_index, stimulus in items:
             tasks.append(task_index)
             built.append(self._build_production_prompt(stimulus, task, rng))
         try:
-            replies = self.backend.complete(built, tasks)
+            replies = self.backend.complete(built, tasks, event_log)
         except BackendError:
             return []
         signals = []
@@ -218,7 +220,7 @@ class LLMAgent(Agent):
                 break
         return signals
 
-    def choose_many(self, items, task, rng) -> list[int]:
+    def choose_many(self, items, task, rng, event_log) -> list[int]:
         tasks, built, sizes = [], [], []
         for task_index, probe, candidates, exclude in items:
             candidate_prompts = self._candidate_prompts(probe, candidates, task, rng, exclude)
@@ -226,7 +228,7 @@ class LLMAgent(Agent):
             built += candidate_prompts
             sizes.append(len(candidate_prompts))
         try:
-            scores = self.backend.score(built, tasks)
+            scores = self.backend.score(built, tasks, event_log)
         except BackendError:
             return []
         chosen, start = [], 0

@@ -4,23 +4,23 @@
 external completion-style service, implements it. Completion and scoring
 both take a list of prompts and answer them in one call, so the client sends
 one request per call, and it retries its own transport failures and
-timeouts. Every prompt's result is appended to the run's event log, one
-record per prompt in the order given, before the results are returned.
+timeouts. A call given an event log appends one record per prompt to it,
+in the order given, before the results are returned.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib.resources
+import io
 import json
 import os
 import threading
 import time
 import weakref
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 from urllib.parse import urlsplit
 
 from .prompts import Prompt
@@ -115,15 +115,6 @@ def prompt_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@dataclass
-class HeldRecords:
-    """Records an ``EventLog`` holds for one worker thread: its own context
-    and the lines it appended, in order."""
-
-    context: dict
-    lines: list[str] = field(default_factory=list)
-
-
 class EventLog:
     """Append-only structured run log, one JSON record per line.
 
@@ -133,25 +124,23 @@ class EventLog:
     so it can be read or digested while the log is open. Use it in a
     ``with`` block, which closes it.
 
-    A block that runs on a worker thread while the calling thread runs
-    another can have its records held: ``hold()``, called on the calling
-    thread before either block starts, returns a ``HeldRecords`` with a copy
-    of the current context. Inside ``with log.holding(held):`` the worker
-    thread's ``set_context`` updates that copy and its ``append`` adds the
-    record, tagged with the copy, to ``held`` instead of the file.
-    ``release(held)`` writes the held records after everything the calling
-    thread wrote and updates the shared context with the copy, so the file
-    and the context end as if the worker's block had run after the calling
-    thread's. Held records that are never released are dropped.
+    ``fork()`` is a log held in memory, starting from a copy of this one's
+    context, for a block run on another thread at the same time as this
+    log's. ``join(fork)`` writes the fork's lines after everything this log
+    holds and takes the fork's context, so the file and the context end as
+    if the forked block had run after the other. A fork never joined is
+    dropped.
     """
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
+    def __init__(self, path: str | Path | None = None):
+        self.path = None if path is None else Path(path)  # None: a fork
         self.context: dict = {}
         self._lock = threading.Lock()
-        self._local = threading.local()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._file = self.path.open("w")
+        if self.path is None:
+            self._file = io.StringIO()
+        else:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._file = self.path.open("w")
 
     def __enter__(self) -> EventLog:
         return self
@@ -162,40 +151,25 @@ class EventLog:
     def close(self) -> None:
         self._file.close()
 
-    def _held(self) -> HeldRecords | None:
-        return getattr(self._local, "held", None)
-
     def set_context(self, **fields) -> None:
-        held = self._held()
-        (self.context if held is None else held.context).update(fields)
+        self.context.update(fields)
 
     def append(self, kind: str, **fields) -> None:
-        held = self._held()
-        context = self.context if held is None else held.context
-        line = json.dumps({"kind": kind, **context, **fields}) + "\n"
-        if held is not None:
-            held.lines.append(line)
-            return
+        line = json.dumps({"kind": kind, **self.context, **fields}) + "\n"
         with self._lock:
             self._file.write(line)
             self._file.flush()
 
-    def hold(self) -> HeldRecords:
-        return HeldRecords(dict(self.context))
+    def fork(self) -> EventLog:
+        fork = EventLog()
+        fork.context = dict(self.context)
+        return fork
 
-    @contextmanager
-    def holding(self, held: HeldRecords) -> Iterator[None]:
-        self._local.held = held
-        try:
-            yield
-        finally:
-            self._local.held = None
-
-    def release(self, held: HeldRecords) -> None:
+    def join(self, fork: EventLog) -> None:
         with self._lock:
-            self._file.writelines(held.lines)
+            self._file.write(fork._file.getvalue())
             self._file.flush()
-        self.context.update(held.context)
+        self.context = fork.context
 
     @staticmethod
     def read(path: str | Path) -> list[dict]:
@@ -212,26 +186,27 @@ class CompletionBackend:
     continuation under the model. A call succeeds or fails as a whole. Only
     (text, log-probability, error) ever crosses this boundary.
 
-    ``tasks``, when given, holds one task index per prompt; each prompt's
-    ``backend_call`` record carries its own in place of the event log's
-    context ``task``, so a call that answers several tasks of a block still
-    says which record belongs to which task.
+    A call given an ``event_log`` appends a ``backend_call`` record to it
+    per prompt. ``tasks``, when given, holds one task index per prompt;
+    each record carries its own in place of the log's context ``task``, so
+    a call that answers several tasks says which record is whose.
     """
 
-    event_log: EventLog | None = None
-
-    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[str]:
+    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None,
+                 event_log: EventLog | None = None) -> list[str]:
         raise NotImplementedError
 
-    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[float]:
+    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None,
+              event_log: EventLog | None = None) -> list[float]:
         raise NotImplementedError
 
     @staticmethod
     def _tasks(prompts: Sequence[Prompt], tasks: Sequence[int] | None) -> Sequence[int | None]:
         return [None] * len(prompts) if tasks is None else tasks
 
+    @staticmethod
     def _log(
-        self,
+        event_log: EventLog | None,
         call: str,
         prompt_text: str,
         result,
@@ -240,15 +215,15 @@ class CompletionBackend:
         repeat: bool = False,
         **extra,
     ) -> None:
-        """Append a ``backend_call`` record, with ``task`` over the context's
-        when given; with ``repeat`` it keeps the prompt's ``prompt_sha`` but
-        leaves its text out."""
-        if self.event_log is None:
+        """Append a ``backend_call`` record to ``event_log``, with ``task``
+        over the context's when given; with ``repeat`` it keeps the prompt's
+        ``prompt_sha`` but leaves its text out."""
+        if event_log is None:
             return
         text = {} if repeat else {"prompt": prompt_text}
         if task is not None:
             extra["task"] = task
-        self.event_log.append(
+        event_log.append(
             "backend_call",
             call=call,
             prompt_sha=prompt_digest(prompt_text),
@@ -287,9 +262,8 @@ class HttpBackend(CompletionBackend):
     it differs from the previous record's; each keeps its ``prompt_sha``.
     """
 
-    def __init__(self, descriptor: BackendDescriptor, event_log: EventLog | None = None):
+    def __init__(self, descriptor: BackendDescriptor):
         self.descriptor = descriptor
-        self.event_log = event_log
         self.template = load_chat_template(descriptor.template)
         # loaded here, not with the module: oracle commands never connect
         from http.client import HTTPConnection, HTTPSConnection
@@ -348,12 +322,12 @@ class HttpBackend(CompletionBackend):
         except ValueError as err:
             raise MalformedServiceReply("response body is not JSON") from err
 
-    def _post_with_retries(
-        self, payload: dict, object_hook: Callable[[dict], dict] | None = None
-    ) -> tuple[dict, float]:
+    def _post_with_retries(self, payload: dict, event_log: EventLog | None,
+                           object_hook: Callable[[dict], dict] | None = None) -> tuple[dict, float]:
         """The reply to ``payload``, each of its JSON objects passed through
         ``object_hook`` as it is parsed, and the monotonic start time of the
-        attempt that got it; retry k waits ``backoff_base * 2**(k-1)``."""
+        attempt that got it; retry k waits ``backoff_base * 2**(k-1)`` and
+        is logged to ``event_log``."""
         attempt = 0
         while True:
             started = time.monotonic()
@@ -363,8 +337,8 @@ class HttpBackend(CompletionBackend):
                 attempt += 1
                 if attempt > self.descriptor.max_retries:
                     raise
-                if self.event_log is not None:
-                    self.event_log.append("backend_retry", attempt=attempt, error=str(err))
+                if event_log is not None:
+                    event_log.append("backend_retry", attempt=attempt, error=str(err))
                 time.sleep(self.descriptor.backoff_base * 2 ** (attempt - 1))
 
     def _check_budget(self, text: str, extra_tokens: int) -> None:
@@ -388,7 +362,8 @@ class HttpBackend(CompletionBackend):
             )
         return [by_index[i] for i in range(count)]
 
-    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[str]:
+    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None,
+                 event_log: EventLog | None = None) -> list[str]:
         full_texts = [apply_chat_template(self.template, p) for p in prompts]
         for text in full_texts:
             self._check_budget(text, self.descriptor.max_output_tokens)
@@ -399,7 +374,7 @@ class HttpBackend(CompletionBackend):
             "temperature": self.descriptor.temperature,
             "stop": list(COMPLETION_STOP_SEQUENCES),
         }
-        reply, started = self._post_with_retries(payload)
+        reply, started = self._post_with_retries(payload, event_log)
         try:
             texts = [choice["text"] for choice in self._choices(reply, len(prompts))]
         except (KeyError, TypeError) as err:
@@ -407,10 +382,11 @@ class HttpBackend(CompletionBackend):
         if not all(isinstance(text, str) for text in texts):
             raise MalformedServiceReply(f"completion text is not a string: {reply!r}")
         for full_text, text, task in zip(full_texts, texts, self._tasks(prompts, tasks)):
-            self._log("complete", full_text, text, started, task)
+            self._log(event_log, "complete", full_text, text, started, task)
         return texts
 
-    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[float]:
+    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None,
+              event_log: EventLog | None = None) -> list[float]:
         full_texts = []
         for prompt in prompts:
             if not prompt.continuation:
@@ -437,14 +413,14 @@ class HttpBackend(CompletionBackend):
                 summed[index] = self._continuation_logprob(obj.pop("logprobs"), boundaries[index])
             return obj
 
-        reply, started = self._post_with_retries(payload, sum_choice)
+        reply, started = self._post_with_retries(payload, event_log, sum_choice)
         self._choices(reply, len(prompts))
         if len(summed) < len(prompts):  # a choice without log-probabilities
             raise CapabilityUnsupported("service does not return echoed token log-probabilities")
         totals = [summed[i] for i in range(len(prompts))]
         previous = None
         for text, prompt, total, task in zip(full_texts, prompts, totals, self._tasks(prompts, tasks)):
-            self._log("score", text, total, started, task, repeat=text == previous,
+            self._log(event_log, "score", text, total, started, task, repeat=text == previous,
                       continuation=prompt.continuation)
             previous = text
         return totals

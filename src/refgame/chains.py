@@ -213,13 +213,13 @@ def run_chain(
     master_seed: int,
     chain_index: int,
     out_dir: str | Path,
-    agent_factory: Callable[[EventLog], tuple[Agent, Agent]],
+    agent_factory: Callable[[], tuple[Agent, Agent]],
 ) -> list[GenerationRecord]:
     """Run chain ``chain_index`` into ``chain_dir(out_dir, chain_index)``,
     resuming after the generations already finished there; returns the
     records of the generations this call ran.
 
-    ``agent_factory(event_log)`` builds a fresh dyad for each generation.
+    ``agent_factory()`` builds a fresh dyad for each generation.
     Each generation is saved, and ``chain.csv`` rewritten, as soon as it
     finishes; one that aborts, or whose dyad has no complete testing output
     to transmit, is saved as incomplete before its ``SimulationAborted``
@@ -240,9 +240,9 @@ def run_chain(
                 transmitted, Random(derive_seed(chain_seed, f"portion:{generation}"))
             )
         gen_dir = directory / f"gen{generation:02d}"
+        agents = agent_factory()
         with EventLog(gen_dir / "events.jsonl") as event_log:
             event_log.set_context(generation=generation)
-            agents = agent_factory(event_log)
             started = time.time()
             try:
                 result = run_simulation(

@@ -83,18 +83,18 @@ def _load_or_default(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _build_agents(config: ExperimentConfig, event_log: EventLog):
+def _build_agents(config: ExperimentConfig):
     # one backend, and so one keep-alive connection, per llm agent: the two
     # agents' requests of a block are in flight at once
     return tuple(
-        make_agent(spec, agent_id, HttpBackend(config.backend, event_log) if spec == "llm" else None)
+        make_agent(spec, agent_id, HttpBackend(config.backend) if spec == "llm" else None)
         for spec, agent_id in zip(config.agents, ("A", "B"))
     )
 
 
 def _run_one_simulation(config: ExperimentConfig, run_seed: int, run_dir: Path):
+    agents = _build_agents(config)
     with EventLog(run_dir / "events.jsonl") as event_log:  # creates run_dir
-        agents = _build_agents(config, event_log)
         run_config = replace(config.run, master_seed=run_seed)
         started = time.time()
         try:
@@ -157,6 +157,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if args.permutations < 1:
         print(f"error: permutations must be >= 1, got {args.permutations}", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.seed < 0:
+        print(f"error: seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_VALIDATION
     train = Vocabulary.load(args.train)
     if len(train) < 3:
         print(f"error: {args.train} has {len(train)} entries, need at least 3", file=sys.stderr)
@@ -177,6 +180,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    if not args.tolerance >= 0:  # also refuses nan, which no difference is within
+        print(f"error: tolerance must be >= 0, got {args.tolerance}", file=sys.stderr)
+        return EXIT_VALIDATION
     report = replay_run(args.run_dir, tolerance=args.tolerance)
     if report.ok:
         print(f"replay OK ({report.rows_checked} metric rows verified)")

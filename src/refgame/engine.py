@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from random import Random
 from typing import Callable, Iterator, Sequence
@@ -63,7 +62,6 @@ def derive_seed(master_seed: int, label: str) -> int:
 class RunConfig:
     master_seed: int = 0
     rounds: int = 4
-    tasks_per_round: int = 30
     candidate_count: int = 4  # target + 3 distractors; chance level 25%
     guessing_distractors: int = 3
     mantel_permutations: int = 10_000
@@ -72,8 +70,6 @@ class RunConfig:
     def validate(self) -> None:
         if self.rounds < 1:
             raise EngineError("rounds must be >= 1")
-        if self.tasks_per_round != 30:
-            raise EngineError("the paper schedule fixes tasks_per_round at 30 (2 x 15 stimuli)")
         if not 2 <= self.candidate_count <= 15:
             raise EngineError("candidate_count must be between 2 and 15")
         if not 1 <= self.guessing_distractors <= 14:
@@ -260,48 +256,48 @@ def _emit(event_log: EventLog | None, kind: str, **fields) -> None:
 
 
 def _side_by_side(event_log: EventLog | None, agents: tuple[Agent, Agent], block: Callable) -> dict:
-    """``block(agent)`` for both agents at once, keyed by agent id: the first
-    agent's on this thread, the second's on a worker thread, whose event-log
-    records are held and written after the first's (``EventLog.release``).
-    When the first raises, its exception propagates and the second's records
-    are dropped, as if the second had never run; when only the second
+    """``block(agent, log)`` for both agents at once, keyed by agent id: the
+    first agent's on this thread with ``event_log``, the second's on a
+    worker thread with a fork of it, which is joined after the first's
+    records. When the first raises, its exception propagates and the fork
+    is dropped, as if the second had never run; when only the second
     raises, its records are written and then its exception is raised here."""
     first, second = agents
-    held = event_log.hold() if event_log is not None else None
+    fork = None if event_log is None else event_log.fork()
     outcome: dict = {}
 
     def run_second() -> None:
         try:
-            with nullcontext() if held is None else event_log.holding(held):
-                outcome["answer"] = block(second)
+            outcome["answer"] = block(second, fork)
         except BaseException as err:  # raised again on the calling thread
             outcome["error"] = err
 
     worker = threading.Thread(target=run_second)
     worker.start()
     try:
-        mine = block(first)
+        mine = block(first, event_log)
     finally:
         worker.join()
-    if held is not None:
-        event_log.release(held)
+    if fork is not None:
+        event_log.join(fork)
     if "error" in outcome:
         raise outcome["error"]
     return {first.agent_id: mine, second.agent_id: outcome["answer"]}
 
 
-def _alone(ask: Callable, item: tuple, prompt_task: PromptTask, rng: Random, attempts: int):
+def _alone(ask: Callable, item: tuple, prompt_task: PromptTask, rng: Random, attempts: int,
+           event_log: EventLog | None):
     """The answer to one task, asked as a list of one (``ask`` is an agent's
     list method) up to ``attempts`` times; ``None`` when no attempt answers."""
     for _ in range(attempts):
-        answers = ask([item], prompt_task, rng)
+        answers = ask([item], prompt_task, rng, event_log)
         if answers:
             return answers[0]
     return None
 
 
 def _batched(
-    ask: Callable[[Iterator, PromptTask, Random], list],
+    ask: Callable[[Iterator, PromptTask, Random, EventLog | None], list],
     prompt_task: PromptTask,
     draw: Callable,
     count: int,
@@ -330,7 +326,7 @@ def _batched(
             yield drawn[-1]
         _context(event_log, task=None)
 
-    answers = ask(tasks(), prompt_task, rng)
+    answers = ask(tasks(), prompt_task, rng, event_log)
     if len(answers) < len(states):
         rng.setstate(states[len(answers)])
     for task_index in range(count):
@@ -339,7 +335,7 @@ def _batched(
             yield drawn[task_index], answers[task_index]
         else:
             item = draw(task_index)
-            yield item, _alone(ask, item, prompt_task, rng, attempts)
+            yield item, _alone(ask, item, prompt_task, rng, attempts, event_log)
 
 
 def run_guessing_block(
@@ -482,12 +478,13 @@ def run_communication_block(
             rng.shuffle(candidates)
 
             said = (task_index, stimulus)
-            signal = _alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng, attempts)
+            signal = _alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng, attempts, event_log)
             chosen = None
             if signal is not None:
                 _context(event_log, agent=listener.agent_id)
                 heard = (task_index, signal, candidates, stimulus)
-                chosen = _alone(listener.choose_many, heard, PromptTask.LISTENING, rng, attempts)
+                chosen = _alone(listener.choose_many, heard, PromptTask.LISTENING, rng, attempts,
+                                event_log)
             success = chosen is not None and candidates[chosen] == stimulus
 
             record = InteractionRecord(
@@ -655,19 +652,19 @@ def run_simulation(
     # in guessing, labelling and testing an agent reads only its own rng and
     # vocabulary, so the two agents run those blocks side by side
     try:
-        result.guessing = _side_by_side(event_log, agents, lambda agent: run_guessing_block(
+        result.guessing = _side_by_side(event_log, agents, lambda agent, log: run_guessing_block(
             agent,
             initial_language,
             Random(derive_seed(seed, f"guessing:{agent.agent_id}")),
             distractors=config.guessing_distractors,
-            event_log=event_log,
+            event_log=log,
             attempts=config.max_agent_retries,
         ))
-        result.labelling = _side_by_side(event_log, agents, lambda agent: run_labelling_block(
+        result.labelling = _side_by_side(event_log, agents, lambda agent, log: run_labelling_block(
             agent,
             initial_language,
             Random(derive_seed(seed, f"labelling:{agent.agent_id}")),
-            event_log=event_log,
+            event_log=log,
             attempts=config.max_agent_retries,
         ))
         result.communication = run_communication_block(
@@ -677,10 +674,10 @@ def run_simulation(
             config,
             event_log=event_log,
         )
-        result.testing = _side_by_side(event_log, agents, lambda agent: run_testing_block(
+        result.testing = _side_by_side(event_log, agents, lambda agent, log: run_testing_block(
             agent,
             Random(derive_seed(seed, f"testing:{agent.agent_id}")),
-            event_log=event_log,
+            event_log=log,
             attempts=config.max_agent_retries,
         ))
     except Exception as err:

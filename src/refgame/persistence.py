@@ -247,8 +247,10 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
         raise PersistenceError(f"no events log in {run_dir}")
     events = EventLog.read(events_path)
     initial = Vocabulary.load(_vocab_path(base, "initial"))
+    # older manifests name the fixed tasks_per_round, which is no longer a setting
+    config = {key: value for key, value in manifest.config.items() if key != "tasks_per_round"}
     result = SimulationResult(
-        config=RunConfig(**manifest.config),
+        config=RunConfig(**config),
         agent_ids=tuple(manifest.extra["agent_ids"]),
         initial_language=initial,
     )

@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import hypothesis
 import pytest
 
-import helpers
+from refgame.backend import EventLog
 from refgame.domain import Vocabulary
 from tests_paths import GOLDEN_TEST_PATH, GOLDEN_TRAIN_PATH
 
@@ -168,12 +168,11 @@ def keepalive_stub_server():
     yield from _serve("HTTP/1.1")
 
 
-@pytest.fixture(autouse=True)
-def _close_helper_event_logs():
-    """Close the event logs that ``helpers.http_backend`` opened for a test."""
-    yield
-    while helpers.OPEN_EVENT_LOGS:
-        helpers.OPEN_EVENT_LOGS.pop().close()
+@pytest.fixture()
+def event_log(tmp_path):
+    """An event log at ``tmp_path/events.jsonl``, closed after the test."""
+    with EventLog(tmp_path / "events.jsonl") as log:
+        yield log
 
 
 @pytest.fixture()

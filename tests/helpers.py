@@ -95,19 +95,12 @@ def exhaustive_mantel_oracle(pairs):
     return observed, z, p, mean, std
 
 
-# closed after each test by conftest's _close_helper_event_logs
-OPEN_EVENT_LOGS: list[EventLog] = []
-
-
-def http_backend(endpoint: str, log_dir, **settings) -> HttpBackend:
-    """An HttpBackend for the test stub service, logging to
-    ``log_dir/events.jsonl``; ``settings`` override descriptor fields."""
-    descriptor = BackendDescriptor(
+def http_backend(endpoint: str, **settings) -> HttpBackend:
+    """An HttpBackend for the test stub service; ``settings`` override
+    descriptor fields."""
+    return HttpBackend(BackendDescriptor(
         **{"endpoint": endpoint, "model": "test-model", "timeout": 5.0, "template": "plain", **settings}
-    )
-    event_log = EventLog(log_dir / "events.jsonl")
-    OPEN_EVENT_LOGS.append(event_log)
-    return HttpBackend(descriptor, event_log=event_log)
+    ))
 
 
 def logged(log: EventLog, kind: str) -> list[dict]:
@@ -132,11 +125,9 @@ class ScriptedBackend(CompletionBackend):
         self,
         completions: Callable[[Prompt], str] | None = None,
         scores: Callable[[Prompt], float] | None = None,
-        event_log: EventLog | None = None,
     ):
         self.completions = completions
         self.scores = scores
-        self.event_log = event_log
         self.requests = 0
         self._lock = threading.Lock()
 
@@ -144,14 +135,15 @@ class ScriptedBackend(CompletionBackend):
         with self._lock:
             self.requests += 1
 
-    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[str]:
+    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None,
+                 event_log: EventLog | None = None) -> list[str]:
         started = time.monotonic()
         self._count()
         if self.completions is None:
             raise MalformedServiceReply("scripted backend has no completions")
         texts = [self.completions(p) for p in prompts]
         for prompt, text, task in zip(prompts, texts, self._tasks(prompts, tasks)):
-            self._log("complete", prompt.user_text(), text, started, task)
+            self._log(event_log, "complete", prompt.user_text(), text, started, task)
         return texts
 
     def _scripted_score(self, prompt: Prompt) -> float:
@@ -162,12 +154,13 @@ class ScriptedBackend(CompletionBackend):
             raise MalformedServiceReply(f"log-probability must be <= 0, got {value}")
         return float(value)
 
-    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None) -> list[float]:
+    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None,
+              event_log: EventLog | None = None) -> list[float]:
         started = time.monotonic()
         self._count()
         values = [self._scripted_score(p) for p in prompts]
         for prompt, value, task in zip(prompts, values, self._tasks(prompts, tasks)):
-            self._log("score", prompt.user_text(), value, started, task,
+            self._log(event_log, "score", prompt.user_text(), value, started, task,
                       continuation=prompt.continuation)
         return values
 
@@ -268,13 +261,13 @@ class BreakingOracle(LookupOracle):
             if self.calls == self.breaks_at:
                 raise RuntimeError(f"agent {self.agent_id} broke")
 
-    def produce_signals(self, items, task, rng):
+    def produce_signals(self, items, task, rng, event_log):
         self._break(task)
-        return super().produce_signals(items, task, rng)
+        return super().produce_signals(items, task, rng, event_log)
 
-    def choose_many(self, items, task, rng):
+    def choose_many(self, items, task, rng, event_log):
         self._break(task)
-        return super().choose_many(items, task, rng)
+        return super().choose_many(items, task, rng, event_log)
 
 
 class TruncatingOracle(_Oracle):

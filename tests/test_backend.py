@@ -85,22 +85,21 @@ class TestEventLog:
         assert records[1]["block"] == "testing"
         assert records[1]["agent"] == "A"
 
-    def test_held_records_follow_the_calling_threads(self, tmp_path):
-        # workers append to held records while this thread writes; released
-        # in turn, each worker's records follow everything written before,
-        # tagged with its own context, and the shared context ends as the
-        # last released worker left its copy
+    def test_forks_join_after_the_calling_thread(self, tmp_path):
+        # workers append to forks while this thread writes; joined in turn,
+        # each fork's records follow everything written before, tagged with
+        # its own context, and the log's context ends as the last joined
+        # fork left it
         with EventLog(tmp_path / "events.jsonl") as log:
             log.set_context(simulation="sim-1", agent="main")
-            helds = [log.hold() for _ in range(4)]
+            forks = [log.fork() for _ in range(4)]
 
-            def work(worker, held):
-                with log.holding(held):
-                    log.set_context(agent=f"w{worker}")
-                    for n in range(300):
-                        log.append("backend_call", n=n)
+            def work(worker, fork):
+                fork.set_context(agent=f"w{worker}")
+                for n in range(300):
+                    fork.append("backend_call", n=n)
 
-            threads = [threading.Thread(target=work, args=pair) for pair in enumerate(helds)]
+            threads = [threading.Thread(target=work, args=pair) for pair in enumerate(forks)]
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
@@ -116,19 +115,18 @@ class TestEventLog:
             assert EventLog.read(log.path)[-1] == {
                 "kind": "backend_call", "simulation": "sim-1", "agent": "main", "n": 299
             }
-            for held in helds:
-                log.release(held)
+            for fork in forks:
+                log.join(fork)
             assert log.context == {"simulation": "sim-1", "agent": "w3"}
         records = EventLog.read(tmp_path / "events.jsonl")
         assert [(r["simulation"], r["agent"], r["n"]) for r in records] == [
             ("sim-1", agent, n) for agent in ("main", "w0", "w1", "w2", "w3") for n in range(300)
         ]
 
-    def test_backend_logs_before_returning(self, tmp_path):
-        with EventLog(tmp_path / "events.jsonl") as log:
-            backend = ScriptedBackend(completions=lambda p: "ok", event_log=log)
-            backend.complete([PROMPT])
-            calls = logged(backend.event_log, "backend_call")
+    def test_backend_logs_before_returning(self, event_log):
+        backend = ScriptedBackend(completions=lambda p: "ok")
+        backend.complete([PROMPT], event_log=event_log)
+        calls = logged(event_log, "backend_call")
         assert len(calls) == 1
         assert calls[0]["call"] == "complete"
         assert calls[0]["result"] == "ok"
@@ -137,30 +135,30 @@ class TestEventLog:
 
 
 class TestRetrying:
-    def test_transient_failure_then_success(self, stub_server, tmp_path, waits):
+    def test_transient_failure_then_success(self, stub_server, event_log, waits):
         endpoint, handler = stub_server
         handler.failures_left = 1
-        backend = http_backend(endpoint, tmp_path)
-        assert backend.complete([PROMPT]) == [" hanosa'}"]
-        records = EventLog.read(backend.event_log.path)
+        backend = http_backend(endpoint)
+        assert backend.complete([PROMPT], event_log=event_log) == [" hanosa'}"]
+        records = EventLog.read(event_log.path)
         assert [r["kind"] for r in records] == ["backend_retry", "backend_call"]
         assert (records[0]["attempt"], records[0]["error"]) == (1, "service error 503")
         assert len(handler.seen) == 2
 
-    def test_exhaustion_raises(self, stub_server, tmp_path, waits):
+    def test_exhaustion_raises(self, stub_server, event_log, waits):
         endpoint, handler = stub_server
         handler.failures_left = 10
-        backend = http_backend(endpoint, tmp_path, max_retries=2)
+        backend = http_backend(endpoint, max_retries=2)
         with pytest.raises(TransportFailure):
-            backend.complete([PROMPT])
+            backend.complete([PROMPT], event_log=event_log)
         assert len(handler.seen) == 2 + 1  # the first attempt and max_retries retries
-        assert [r["attempt"] for r in logged(backend.event_log, "backend_retry")] == [1, 2]
-        assert logged(backend.event_log, "backend_call") == []
+        assert [r["attempt"] for r in logged(event_log, "backend_retry")] == [1, 2]
+        assert logged(event_log, "backend_call") == []
 
-    def test_backoff_schedule(self, stub_server, tmp_path, waits):
+    def test_backoff_schedule(self, stub_server, waits):
         endpoint, handler = stub_server
         handler.failures_left = 3
-        backend = http_backend(endpoint, tmp_path, max_retries=3, backoff_base=0.5)
+        backend = http_backend(endpoint, max_retries=3, backoff_base=0.5)
         backend.complete([PROMPT])
         assert waits == [0.5, 1.0, 2.0]
 
@@ -190,162 +188,162 @@ class TestTemplates:
 
 
 class TestHttpBackend:
-    def test_complete(self, stub_server, tmp_path):
+    def test_complete(self, stub_server, event_log):
         endpoint, handler = stub_server
-        backend = http_backend(endpoint, tmp_path)
-        assert backend.complete([PROMPT]) == [" hanosa'}"]
+        backend = http_backend(endpoint)
+        assert backend.complete([PROMPT], event_log=event_log) == [" hanosa'}"]
         request = handler.seen[-1]
         assert request["temperature"] == 0.0
         assert request["stop"] == ["\n", "'}"]
-        assert len(logged(backend.event_log, "backend_call")) == 1
+        assert len(logged(event_log, "backend_call")) == 1
 
-    def test_complete_list_in_one_request(self, stub_server, tmp_path):
+    def test_complete_list_in_one_request(self, stub_server, event_log):
         # one record per prompt, in order, each with its own task over the context's
         endpoint, handler = stub_server
-        backend = http_backend(endpoint, tmp_path)
-        backend.event_log.set_context(block="testing", task=None, agent="A")
-        assert backend.complete([PROMPT, OTHER], tasks=[3, 4]) == [" hanosa'}"] * 2
+        backend = http_backend(endpoint)
+        event_log.set_context(block="testing", task=None, agent="A")
+        assert backend.complete([PROMPT, OTHER], tasks=[3, 4], event_log=event_log) == [" hanosa'}"] * 2
         assert len(handler.seen) == 1
         template = load_chat_template("plain")
         assert handler.seen[0]["prompt"] == [apply_chat_template(template, p) for p in (PROMPT, OTHER)]
-        calls = logged(backend.event_log, "backend_call")
+        calls = logged(event_log, "backend_call")
         assert [(c["block"], c["task"], c["agent"]) for c in calls] == [("testing", 3, "A"), ("testing", 4, "A")]
         assert [c["prompt"] for c in calls] == handler.seen[0]["prompt"]
         assert list(calls[0])[:5] == ["kind", "block", "task", "agent", "call"]
 
     @pytest.mark.parametrize("behaviour", ["drop_choice", "no_index", "null_text"])
-    def test_complete_list_reply_without_a_choice_per_prompt(self, keepalive_stub_server, tmp_path, behaviour):
+    def test_complete_list_reply_without_a_choice_per_prompt(self, keepalive_stub_server, event_log, behaviour):
         endpoint, handler = keepalive_stub_server
         handler.behaviour = behaviour
-        backend = http_backend(endpoint, tmp_path)
+        backend = http_backend(endpoint)
         with pytest.raises(MalformedServiceReply):
-            backend.complete([PROMPT, OTHER])
+            backend.complete([PROMPT, OTHER], event_log=event_log)
         assert len(handler.seen) == 1  # not retried
-        assert logged(backend.event_log, "backend_call") == []
+        assert logged(event_log, "backend_call") == []
 
-    def test_complete_preflight_covers_every_prompt(self, stub_server, tmp_path):
+    def test_complete_preflight_covers_every_prompt(self, stub_server):
         endpoint, handler = stub_server
         long_one = replace(PROMPT, stem=PROMPT.stem + "x" * 200)
-        backend = http_backend(endpoint, tmp_path, context_budget_tokens=64)
+        backend = http_backend(endpoint, context_budget_tokens=64)
         assert len(backend.complete([PROMPT, OTHER])) == 2
         handler.seen.clear()
         with pytest.raises(ContextOverflow):
             backend.complete([PROMPT, long_one])
         assert handler.seen == []  # no request was sent
 
-    def test_score_echo_path(self, stub_server, tmp_path):
+    def test_score_echo_path(self, stub_server):
         endpoint, _ = stub_server
-        backend = http_backend(endpoint, tmp_path)
+        backend = http_backend(endpoint)
         assert backend.score([SCORED]) == [pytest.approx(-1.5)]
 
-    def test_score_one_request_per_call(self, stub_server, tmp_path):
+    def test_score_one_request_per_call(self, stub_server, event_log):
         endpoint, handler = stub_server
-        backend = http_backend(endpoint, tmp_path)
-        scores = backend.score(CANDIDATES)
+        backend = http_backend(endpoint)
+        scores = backend.score(CANDIDATES, event_log=event_log)
         assert scores == pytest.approx([-1.5, -3.0, -4.5, -6.0])
         assert len(handler.seen) == 1
         request = handler.seen[0]
         assert request["echo"] is True and request["max_tokens"] == 0
         assert len(request["prompt"]) == 4
         assert [text.endswith(p.continuation) for text, p in zip(request["prompt"], CANDIDATES)] == [True] * 4
-        calls = logged(backend.event_log, "backend_call")
+        calls = logged(event_log, "backend_call")
         assert [c["continuation"] for c in calls] == [p.continuation for p in CANDIDATES]
         assert [c["result"] for c in calls] == scores
 
-    def test_score_records_write_each_prompt_once(self, stub_server, tmp_path):
+    def test_score_records_write_each_prompt_once(self, stub_server, event_log):
         # every record keeps its prompt_sha; the text goes only where it
         # differs from the previous record's
         endpoint, _ = stub_server
-        backend = http_backend(endpoint, tmp_path)
+        backend = http_backend(endpoint)
         other = replace(OTHER, continuation="gali'}")
         prompts = CANDIDATES[:2] + [other, CANDIDATES[2]]
-        backend.score(prompts)
+        backend.score(prompts, event_log=event_log)
         texts = [apply_chat_template(load_chat_template("plain"), p) for p in prompts]
-        calls = logged(backend.event_log, "backend_call")
+        calls = logged(event_log, "backend_call")
         assert [c["prompt_sha"] for c in calls] == [prompt_digest(t) for t in texts]
         assert [c.get("prompt") for c in calls] == [texts[0], None, texts[2], texts[3]]
 
-    def test_score_matches_choices_by_index(self, stub_server, tmp_path):
+    def test_score_matches_choices_by_index(self, stub_server):
         endpoint, handler = stub_server
         handler.behaviour = "reversed"
-        backend = http_backend(endpoint, tmp_path)
+        backend = http_backend(endpoint)
         assert backend.score(CANDIDATES) == pytest.approx([-1.5, -3.0, -4.5, -6.0])
 
-    def test_score_wrong_choice_count(self, stub_server, tmp_path):
+    def test_score_wrong_choice_count(self, stub_server, event_log):
         endpoint, handler = stub_server
         handler.behaviour = "drop_choice"
-        backend = http_backend(endpoint, tmp_path)
+        backend = http_backend(endpoint)
         with pytest.raises(MalformedServiceReply):
-            backend.score(CANDIDATES)
-        assert logged(backend.event_log, "backend_call") == []
+            backend.score(CANDIDATES, event_log=event_log)
+        assert logged(event_log, "backend_call") == []
 
-    def test_score_preflight_covers_every_candidate(self, stub_server, tmp_path):
+    def test_score_preflight_covers_every_candidate(self, stub_server):
         endpoint, handler = stub_server
         plain = apply_chat_template(load_chat_template("plain"), PROMPT)
         budget = estimate_tokens(plain + CANDIDATES[0].continuation) + 2
         long_one = replace(PROMPT, continuation="x" * 40 + "'}")
-        backend = http_backend(endpoint, tmp_path, context_budget_tokens=budget)
+        backend = http_backend(endpoint, context_budget_tokens=budget)
         assert len(backend.score(CANDIDATES)) == 4
         handler.seen.clear()
         with pytest.raises(ContextOverflow):
             backend.score(CANDIDATES[:3] + [long_one])
         assert handler.seen == []  # no request was sent
 
-    def test_score_capability_unsupported(self, stub_server, tmp_path):
+    def test_score_capability_unsupported(self, stub_server):
         endpoint, handler = stub_server
         handler.behaviour = "no_logprobs"
-        backend = http_backend(endpoint, tmp_path)
+        backend = http_backend(endpoint)
         with pytest.raises(CapabilityUnsupported):
             backend.score(CANDIDATES)
 
-    def test_score_batch_retried_as_a_whole(self, stub_server, tmp_path, waits):
+    def test_score_batch_retried_as_a_whole(self, stub_server, event_log, waits):
         endpoint, handler = stub_server
         handler.failures_left = 1
-        backend = http_backend(endpoint, tmp_path)
-        assert backend.score(CANDIDATES) == pytest.approx([-1.5, -3.0, -4.5, -6.0])
+        backend = http_backend(endpoint)
+        assert backend.score(CANDIDATES, event_log=event_log) == pytest.approx([-1.5, -3.0, -4.5, -6.0])
         assert len(handler.seen) == 2
-        records = EventLog.read(backend.event_log.path)
+        records = EventLog.read(event_log.path)
         assert [r["kind"] for r in records] == ["backend_retry"] + ["backend_call"] * 4
         assert [r["continuation"] for r in records[1:]] == [p.continuation for p in CANDIDATES]
 
-    def test_context_overflow_preflight(self, stub_server, tmp_path):
+    def test_context_overflow_preflight(self, stub_server):
         endpoint, handler = stub_server
-        backend = http_backend(endpoint, tmp_path, context_budget_tokens=8)
+        backend = http_backend(endpoint, context_budget_tokens=8)
         with pytest.raises(ContextOverflow):
             backend.complete([PROMPT])
         assert handler.seen == []  # no network call was made
 
-    def test_server_error_is_transport_failure(self, stub_server, tmp_path):
+    def test_server_error_is_transport_failure(self, stub_server):
         endpoint, handler = stub_server
         handler.failures_left = 1
-        backend = http_backend(endpoint, tmp_path, max_retries=0)
+        backend = http_backend(endpoint, max_retries=0)
         with pytest.raises(TransportFailure):
             backend.complete([PROMPT])
 
-    def test_retry_recovers_from_5xx(self, stub_server, tmp_path, waits):
+    def test_retry_recovers_from_5xx(self, stub_server, waits):
         endpoint, handler = stub_server
         handler.failures_left = 1
-        backend = http_backend(endpoint, tmp_path)
+        backend = http_backend(endpoint)
         assert backend.complete([PROMPT]) == [" hanosa'}"]
 
-    def test_bad_json_reply(self, stub_server, tmp_path):
+    def test_bad_json_reply(self, stub_server):
         endpoint, handler = stub_server
         handler.behaviour = "bad_json"
-        backend = http_backend(endpoint, tmp_path)
+        backend = http_backend(endpoint)
         with pytest.raises(MalformedServiceReply):
             backend.complete([PROMPT])
 
-    def test_timeout(self, stub_server, tmp_path):
+    def test_timeout(self, stub_server):
         endpoint, handler = stub_server
         handler.behaviour = "slow"
-        backend = http_backend(endpoint, tmp_path, timeout=0.1, max_retries=0)
+        backend = http_backend(endpoint, timeout=0.1, max_retries=0)
         with pytest.raises(BackendTimeout):
             backend.complete([PROMPT])
 
-    def test_credential_header(self, stub_server, tmp_path, monkeypatch):
+    def test_credential_header(self, stub_server, monkeypatch):
         endpoint, handler = stub_server
         monkeypatch.setenv("REFGAME_API_KEY", "sekrit")
-        backend = http_backend(endpoint, tmp_path)
+        backend = http_backend(endpoint)
         backend.complete([PROMPT])
         # the handler does not expose headers; check via the backend's own builder
         assert backend._headers()["Authorization"] == "Bearer sekrit"
@@ -361,50 +359,50 @@ def _refused_endpoint() -> str:
 class TestWireConnection:
     """The one keep-alive connection, against an HTTP/1.1 stub."""
 
-    def test_requests_share_one_connection(self, keepalive_stub_server, tmp_path):
+    def test_requests_share_one_connection(self, keepalive_stub_server):
         endpoint, handler = keepalive_stub_server
-        backend = http_backend(endpoint, tmp_path)
+        backend = http_backend(endpoint)
         for _ in range(3):
             assert backend.complete([PROMPT]) == [" hanosa'}"]
         backend.score(CANDIDATES)
         assert len(handler.seen) == 4
         assert handler.connections == 1
 
-    def test_dropped_idle_connection_reconnects_without_retry(self, keepalive_stub_server, tmp_path, waits):
+    def test_dropped_idle_connection_reconnects_without_retry(self, keepalive_stub_server, event_log, waits):
         endpoint, handler = keepalive_stub_server
         handler.behaviour = "close"
-        backend = http_backend(endpoint, tmp_path)
-        assert [backend.complete([PROMPT]) for _ in range(3)] == [[" hanosa'}"]] * 3
+        backend = http_backend(endpoint)
+        assert [backend.complete([PROMPT], event_log=event_log) for _ in range(3)] == [[" hanosa'}"]] * 3
         assert len(handler.seen) == 3 and handler.connections == 3
-        assert logged(backend.event_log, "backend_retry") == []
+        assert logged(event_log, "backend_retry") == []
         assert waits == []
 
-    def test_refused_connection_fails_after_retries(self, tmp_path, waits):
-        backend = http_backend(_refused_endpoint(), tmp_path, max_retries=2)
+    def test_refused_connection_fails_after_retries(self, event_log, waits):
+        backend = http_backend(_refused_endpoint(), max_retries=2)
         with pytest.raises(TransportFailure, match="ConnectionRefusedError"):
-            backend.complete([PROMPT])
-        assert [r["attempt"] for r in logged(backend.event_log, "backend_retry")] == [1, 2]
+            backend.complete([PROMPT], event_log=event_log)
+        assert [r["attempt"] for r in logged(event_log, "backend_retry")] == [1, 2]
         assert waits == [0.5, 1.0]
-        assert logged(backend.event_log, "backend_call") == []
+        assert logged(event_log, "backend_call") == []
 
     @pytest.mark.parametrize("prefix", ["/api", "/api/"])
-    def test_path_prefix_kept(self, keepalive_stub_server, tmp_path, prefix):
+    def test_path_prefix_kept(self, keepalive_stub_server, prefix):
         endpoint, handler = keepalive_stub_server
-        backend = http_backend(endpoint + prefix, tmp_path)
+        backend = http_backend(endpoint + prefix)
         backend.complete([PROMPT])
         assert handler.paths == ["/api/v1/completions"]
 
-    def test_https_against_plain_service_is_transport_failure(self, keepalive_stub_server, tmp_path):
+    def test_https_against_plain_service_is_transport_failure(self, keepalive_stub_server):
         endpoint, _ = keepalive_stub_server
-        backend = http_backend(endpoint.replace("http://", "https://"), tmp_path, max_retries=0)
+        backend = http_backend(endpoint.replace("http://", "https://"), max_retries=0)
         with pytest.raises(TransportFailure):
             backend.complete([PROMPT])
 
-    def test_timed_out_connection_is_replaced(self, keepalive_stub_server, tmp_path):
+    def test_timed_out_connection_is_replaced(self, keepalive_stub_server):
         # the late reply must not be read as the answer to the next request
         endpoint, handler = keepalive_stub_server
         handler.behaviour = "slow"
-        backend = http_backend(endpoint, tmp_path, timeout=0.1, max_retries=0)
+        backend = http_backend(endpoint, timeout=0.1, max_retries=0)
         with pytest.raises(BackendTimeout):
             backend.complete([PROMPT])
         handler.behaviour = "complete"
@@ -416,10 +414,10 @@ class TestWireConnection:
         "behaviour, message",
         [("bad_json", "response body is not JSON"), ("not_found", "service returned 404: no such model")],
     )
-    def test_unusable_reply_is_malformed(self, keepalive_stub_server, tmp_path, behaviour, message):
+    def test_unusable_reply_is_malformed(self, keepalive_stub_server, behaviour, message):
         endpoint, handler = keepalive_stub_server
         handler.behaviour = behaviour
-        backend = http_backend(endpoint, tmp_path)
+        backend = http_backend(endpoint)
         with pytest.raises(MalformedServiceReply) as info:
             backend.complete([PROMPT])
         assert str(info.value) == message

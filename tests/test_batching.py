@@ -31,11 +31,11 @@ PLACEMENTS = ("none", "unparseable", "call-error", "always-overflow", "always-un
 
 
 class PerTaskAgent(LLMAgent):
-    def produce_signals(self, items, task, rng):
-        return super().produce_signals(islice(items, 1), task, rng)
+    def produce_signals(self, items, task, rng, event_log):
+        return super().produce_signals(islice(items, 1), task, rng, event_log)
 
-    def choose_many(self, items, task, rng):
-        return super().choose_many(islice(items, 1), task, rng)
+    def choose_many(self, items, task, rng, event_log):
+        return super().choose_many(islice(items, 1), task, rng, event_log)
 
 
 class CountingAgent(LLMAgent):
@@ -45,13 +45,13 @@ class CountingAgent(LLMAgent):
         super().__init__(*args, **kwargs)
         self.answered = answered
 
-    def produce_signals(self, items, task, rng):
-        signals = super().produce_signals(items, task, rng)
+    def produce_signals(self, items, task, rng, event_log):
+        signals = super().produce_signals(items, task, rng, event_log)
         self.answered.append(len(signals))
         return signals
 
-    def choose_many(self, items, task, rng):
-        chosen = super().choose_many(items, task, rng)
+    def choose_many(self, items, task, rng, event_log):
+        chosen = super().choose_many(items, task, rng, event_log)
         self.answered.append(len(chosen))
         return chosen
 
@@ -79,7 +79,8 @@ def run_block(block: str, agent_cls, seed: int, placement: str, **agent_kwargs):
                 result = run_labelling_block(agent, vocab, rng, event_log=log, attempts=2)
             else:
                 result = run_testing_block(agent, rng, event_log=log, attempts=2)
-        events = EventLog.read(log.path)
+        # backend_call records differ by batch: one call per list or per task
+        events = [e for e in EventLog.read(log.path) if e["kind"] != "backend_call"]
     return result, events, rng.getstate(), agent.vocabulary, backend.requests
 
 

@@ -81,16 +81,16 @@ def test_result_hooks_find_the_attributes_they_read():
     assert selection.pairs == constant
 
 
-def test_wire_events_the_benchmark_counts(stub_server, tmp_path, waits):
+def test_wire_events_the_benchmark_counts(stub_server, event_log, waits):
     # run.py counts failed backend operations from backend_retry records and
     # reads latency from backend_call records; a renamed kind or field would
     # silently zero wire_sim's failed share or its call latencies
     endpoint, handler = stub_server
     handler.failures_left = 1
-    backend = http_backend(endpoint, tmp_path)
+    backend = http_backend(endpoint)
     prompts = [Prompt("be terse", ("gali",), "word:'", continuation=f"{w}'}}") for w in ("ka", "po")]
-    backend.score(prompts)
-    records = EventLog.read(backend.event_log.path)
+    backend.score(prompts, event_log=event_log)
+    records = EventLog.read(event_log.path)
     assert [r["kind"] for r in records] == ["backend_retry", "backend_call", "backend_call"]
     assert all(isinstance(r["latency"], float) for r in records[1:])
     # selftest.py patches _post(payload) -> reply on a client instance

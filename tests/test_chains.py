@@ -30,7 +30,7 @@ def random_pairs(seed=0):
     return generate_language(Random(seed), enumerate_stimuli()).pairs()
 
 
-def lookup_factory(event_log):
+def lookup_factory():
     return LookupOracle("A"), LookupOracle("B")
 
 
@@ -148,7 +148,7 @@ class TestRunChain:
     def test_compositional_donor_keeps_structure(self, tmp_path):
         # a dyad applying shared composition rules transmits high-TopSim output;
         # every later generation's donor stays above generation 0's random language
-        def factory(event_log):
+        def factory():
             return CompositionalOracle("A"), CompositionalOracle("B")
 
         config = fast_chain_config(generations=3, donor_permutations=300)
@@ -164,7 +164,7 @@ class TestRunChain:
         # generation 0 struggles with long holistic signals; once the language
         # has been filtered through the 4-character bottleneck it reproduces
         # exactly
-        def factory(event_log):
+        def factory():
             return TruncatingOracle("A"), TruncatingOracle("B")
 
         records = run_chain(fast_chain_config(generations=2), FAST_RUN, 3, 0, tmp_path, factory)
@@ -221,7 +221,7 @@ class TestRunChain:
 
     def test_chain_csv_reads_back_the_built_rows(self, tmp_path):
         # random choosers fail some tasks, so perc_com is not 1.0
-        def factory(event_log):
+        def factory():
             return RandomChooser("A"), RandomChooser("B")
 
         records = run_chain(fast_chain_config(), FAST_RUN, 2, 0, tmp_path, factory)
@@ -237,8 +237,8 @@ class TestRunChain:
 
         built = []
 
-        def factory(event_log):
-            built.append(event_log)
+        def factory():
+            built.append(1)
             return (Exploding("A") if len(built) == 2 else LookupOracle("A")), LookupOracle("B")
 
         entered = []

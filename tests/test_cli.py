@@ -149,6 +149,16 @@ class TestSimulate:
         assert "unknown key" in err and "master_seed" in err
         assert not out.exists()
 
+    def test_tasks_per_round_rejected_before_writing(self, tmp_path, capsys):
+        # a round is always 30 tasks; the key that could only say so is gone
+        path = tmp_path / "old.yaml"
+        path.write_text(yaml.safe_dump({"run": {"tasks_per_round": 30}}))
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--config", str(path), "--out", str(out)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"error: {path}: unknown key(s) ['tasks_per_round'] in section 'run'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, message",
         [("--rounds", "rounds must be >= 1"), ("--permutations", "mantel_permutations must be >= 1")],
@@ -202,6 +212,12 @@ class TestMetricsCommand:
         assert f"error: permutations must be >= 1, got {count}" in captured.err
         assert captured.out == ""
 
+    def test_negative_seed_rejected(self, capsys):
+        assert run_cli("metrics", GOLDEN_TRAIN_PATH, "--seed", "-1") == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "error: seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
+
     def test_single_entry_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "one.vocab"
         path.write_text("{'shape':1,'colour':'blue','amount':1,'word':'gali'}\n")
@@ -238,6 +254,16 @@ class TestReplayCommand:
 
     def test_missing_manifest(self, tmp_path):
         assert run_cli("replay", str(tmp_path)) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
+    def test_tolerance_below_zero_rejected(self, tmp_path, capsys, tolerance):
+        # no difference is within it, so every float column would read as a mismatch
+        run_dir = self._simulate(tmp_path)
+        capsys.readouterr()
+        assert run_cli("replay", str(run_dir), "--tolerance", tolerance) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"error: tolerance must be >= 0, got {float(tolerance)}\n"
+        assert captured.out == ""
 
     def test_malformed_metrics_cell_names_file_row_and_column(self, tmp_path, capsys):
         run_dir = self._simulate(tmp_path)
@@ -347,9 +373,9 @@ class TestChainCommand:
         build_agents = cli._build_agents
         built = []
 
-        def failing_in_generation_one(config, event_log):
-            built.append(event_log)
-            agents = build_agents(config, event_log)
+        def failing_in_generation_one(config):
+            built.append(config)
+            agents = build_agents(config)
             return (Exploding("A"), agents[1]) if len(built) == 2 else agents
 
         shared = [
@@ -386,18 +412,18 @@ class TestChainCommand:
         last = enumerate_stimuli()[-1]
 
         class FailingLast(LookupOracle):
-            def produce_signals(self, items, task, rng):
+            def produce_signals(self, items, task, rng, event_log):
                 item = next(iter(items))
                 if item[1] == last and task is PromptTask.SPEAKING:
                     return []  # no signal
-                return super().produce_signals([item], task, rng)
+                return super().produce_signals([item], task, rng, event_log)
 
         build_agents = cli._build_agents
         built = []
 
-        def failing_in_generation_one(config, event_log):
-            built.append(event_log)
-            agents = build_agents(config, event_log)
+        def failing_in_generation_one(config):
+            built.append(config)
+            agents = build_agents(config)
             return (FailingLast("A"), agents[1]) if len(built) == 2 else agents
 
         shared = [
@@ -554,15 +580,15 @@ class TestChainCommand:
         last = enumerate_stimuli()[-1]
 
         class FailingLast(LookupOracle):
-            def produce_signals(self, items, task, rng):
+            def produce_signals(self, items, task, rng, event_log):
                 item = next(iter(items))
                 if item[1] == last and task is PromptTask.SPEAKING:
                     return []  # no signal
-                return super().produce_signals([item], task, rng)
+                return super().produce_signals([item], task, rng, event_log)
 
         build_agents = cli._build_agents
-        def failing_a(config, event_log):
-            return FailingLast("A"), build_agents(config, event_log)[1]
+        def failing_a(config):
+            return FailingLast("A"), build_agents(config)[1]
 
         monkeypatch.setattr(cli, "_build_agents", failing_a)
         sims = tmp_path / "sims"
@@ -696,7 +722,7 @@ class TestAbortInASharedBlock:
         assert run_cli(*argv, "--out", str(tmp_path / "clean")) == EXIT_OK
         clean = EventLog.read(tmp_path / "clean" / "sim-00" / "events.jsonl")
 
-        def build(config, event_log):
+        def build(config):
             return tuple(BreakingOracle(i, task) if i in breaking else LookupOracle(i) for i in "AB")
 
         monkeypatch.setattr(cli, "_build_agents", build)

@@ -64,13 +64,10 @@ class TestRunConfig:
     def test_paper_defaults(self):
         config = RunConfig()
         assert config.rounds == 4
-        assert config.tasks_per_round == 30
         assert config.candidate_count == 4
         assert config.mantel_permutations == 10_000
 
     def test_validation(self):
-        with pytest.raises(EngineError):
-            RunConfig(tasks_per_round=28).validate()
         with pytest.raises(EngineError):
             RunConfig(rounds=0).validate()
 
@@ -279,7 +276,7 @@ class TestTestingBlock:
         # train stimulus: 14 lines; test stimulus: 15 lines
         vocab, split = training_vocab()
         with EventLog(tmp_path / "events.jsonl") as log:
-            backend = ScriptedBackend(completions=lambda p: "gigi", event_log=log)
+            backend = ScriptedBackend(completions=lambda p: "gigi")
             agent = LLMAgent("A", backend)
             agent.set_vocabulary(vocab.copy())
             run_testing_block(agent, Random(0), event_log=log)
@@ -496,20 +493,20 @@ class FlakyOracle(CompositionalOracle):
     """Answers no production for shape 1 at amount 3, no guess for a green
     stimulus, and no listening choice for a signal ending in 'a'."""
 
-    def produce_signals(self, items, task, rng):
+    def produce_signals(self, items, task, rng, event_log):
         item = next(iter(items))
         if item[1].shape == 1 and item[1].amount == 3:
             return []
-        return super().produce_signals([item], task, rng)
+        return super().produce_signals([item], task, rng, event_log)
 
-    def choose_many(self, items, task, rng):
+    def choose_many(self, items, task, rng, event_log):
         item = next(iter(items))
         probe = item[1]
         if task is PromptTask.GUESSING and probe.colour == "green":
             return []
         if task is PromptTask.LISTENING and probe.endswith("a"):
             return []
-        return super().choose_many([item], task, rng)
+        return super().choose_many([item], task, rng, event_log)
 
 
 class TestBlockEvents:
@@ -582,9 +579,7 @@ class TestExclusionInvariant:
         vocab, split = training_vocab(7)
         config = RunConfig(master_seed=1, rounds=1)
         with EventLog(tmp_path / "events.jsonl") as log:
-            backend = ScriptedBackend(
-                completions=lambda p: "gigi", scores=lambda p: -1.0, event_log=log
-            )
+            backend = ScriptedBackend(completions=lambda p: "gigi", scores=lambda p: -1.0)
             a, b = LLMAgent("A", backend), LLMAgent("B", backend)
             a.set_vocabulary(vocab.copy())
             b.set_vocabulary(vocab.copy())
@@ -622,9 +617,7 @@ class TestExclusionInvariant:
     def test_labelling_and_guessing_prompts_contain_target(self, tmp_path):
         vocab, _ = training_vocab(7)
         with EventLog(tmp_path / "events.jsonl") as log:
-            backend = ScriptedBackend(
-                completions=lambda p: "gigi", scores=lambda p: -1.0, event_log=log
-            )
+            backend = ScriptedBackend(completions=lambda p: "gigi", scores=lambda p: -1.0)
             agent = LLMAgent("A", backend)
             agent.set_vocabulary(vocab.copy())
             run_labelling_block(agent, vocab, Random(0), event_log=log)

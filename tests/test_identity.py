@@ -94,7 +94,6 @@ def run_matrix(root: Path) -> dict[str, int]:
             backend = make_backend(seed)
             config = RunConfig(master_seed=seed, mantel_permutations=60, max_agent_retries=2)
             with EventLog(out / "events.jsonl") as event_log:
-                backend.event_log = event_log
                 agents = (LLMAgent("A", backend), LLMAgent("B", backend))
                 result = run_simulation(config, agents, event_log=event_log)
             save_simulation(result, out)

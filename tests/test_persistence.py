@@ -139,11 +139,11 @@ class TestReplay:
         kept_stimuli = set(enumerate_stimuli()[:kept])
 
         class FailingSpeaker(LookupOracle):
-            def produce_signals(self, items, task, rng):
+            def produce_signals(self, items, task, rng, event_log):
                 item = next(iter(items))
                 if task is PromptTask.SPEAKING and item[1] not in kept_stimuli:
                     return []  # no signal
-                return super().produce_signals([item], task, rng)
+                return super().produce_signals([item], task, rng, event_log)
 
         run_dir, _ = persisted_run(tmp_path, agents=(FailingSpeaker("A"), LookupOracle("B")))
         rows = read_rows(run_dir / "metrics.csv", MetricRow)
@@ -247,7 +247,6 @@ class TestConfigRoundTrip:
     def test_paper_defaults(self):
         config = ExperimentConfig()
         assert config.run.rounds == 4
-        assert config.run.tasks_per_round == 30
         assert config.run.mantel_permutations == 10_000
         assert config.backend.temperature == 0.0
         assert config.chain.chains == 6

@@ -43,11 +43,11 @@ class Agent:
         self.vocabulary = vocab
 
     def produce_signals(self, items, task: PromptTask, rng: Random,
-                        event_log: EventLog | None) -> list[Signal]:
+                        event_log: EventLog) -> list[Signal]:
         raise NotImplementedError
 
     def choose_many(self, items, task: PromptTask, rng: Random,
-                    event_log: EventLog | None) -> list[int]:
+                    event_log: EventLog) -> list[int]:
         raise NotImplementedError
 
     def extrapolated(self, stimulus: Stimulus) -> bool:

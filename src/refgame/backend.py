@@ -4,8 +4,8 @@
 external completion-style service, implements it. Completion and scoring
 both take a list of prompts and answer them in one call, so the client sends
 one request per call, and it retries its own transport failures and
-timeouts. A call given an event log appends one record per prompt to it,
-in the order given, before the results are returned.
+timeouts. Every call appends one record per prompt to the event log it is
+given, in the order given, before the results are returned.
 """
 
 from __future__ import annotations
@@ -122,7 +122,8 @@ class EventLog:
     backends and blocks append records tagged with the current context.
     The file is opened (and emptied) once and flushed after every record,
     so it can be read or digested while the log is open. Use it in a
-    ``with`` block, which closes it.
+    ``with`` block, which closes it. ``EventLog()``, with no path, is held
+    in memory and needs no closing: a caller that wants no file passes one.
 
     ``fork()`` is a log held in memory, starting from a copy of this one's
     context, for a block run on another thread at the same time as this
@@ -133,7 +134,7 @@ class EventLog:
     """
 
     def __init__(self, path: str | Path | None = None):
-        self.path = None if path is None else Path(path)  # None: a fork
+        self.path = None if path is None else Path(path)  # None: held in memory
         self.context: dict = {}
         self._lock = threading.Lock()
         if self.path is None:
@@ -186,43 +187,35 @@ class CompletionBackend:
     continuation under the model. A call succeeds or fails as a whole. Only
     (text, log-probability, error) ever crosses this boundary.
 
-    A call given an ``event_log`` appends a ``backend_call`` record to it
-    per prompt. ``tasks``, when given, holds one task index per prompt;
-    each record carries its own in place of the log's context ``task``, so
-    a call that answers several tasks says which record is whose.
+    A call appends a ``backend_call`` record per prompt to ``event_log``.
+    ``tasks`` holds one task index per prompt; each record carries its own
+    in place of the log's context ``task``, so a call that answers several
+    tasks says which record is whose.
     """
 
-    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None,
-                 event_log: EventLog | None = None) -> list[str]:
+    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int],
+                 event_log: EventLog) -> list[str]:
         raise NotImplementedError
 
-    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None,
-              event_log: EventLog | None = None) -> list[float]:
+    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int],
+              event_log: EventLog) -> list[float]:
         raise NotImplementedError
-
-    @staticmethod
-    def _tasks(prompts: Sequence[Prompt], tasks: Sequence[int] | None) -> Sequence[int | None]:
-        return [None] * len(prompts) if tasks is None else tasks
 
     @staticmethod
     def _log(
-        event_log: EventLog | None,
+        event_log: EventLog,
         call: str,
         prompt_text: str,
         result,
         started: float,
-        task: int | None = None,
+        task: int,
         repeat: bool = False,
         **extra,
     ) -> None:
         """Append a ``backend_call`` record to ``event_log``, with ``task``
-        over the context's when given; with ``repeat`` it keeps the prompt's
+        over the context's; with ``repeat`` it keeps the prompt's
         ``prompt_sha`` but leaves its text out."""
-        if event_log is None:
-            return
         text = {} if repeat else {"prompt": prompt_text}
-        if task is not None:
-            extra["task"] = task
         event_log.append(
             "backend_call",
             call=call,
@@ -232,6 +225,7 @@ class CompletionBackend:
             latency=time.monotonic() - started,
             timestamp=time.time(),
             **extra,
+            task=task,
         )
 
 
@@ -322,7 +316,7 @@ class HttpBackend(CompletionBackend):
         except ValueError as err:
             raise MalformedServiceReply("response body is not JSON") from err
 
-    def _post_with_retries(self, payload: dict, event_log: EventLog | None,
+    def _post_with_retries(self, payload: dict, event_log: EventLog,
                            object_hook: Callable[[dict], dict] | None = None) -> tuple[dict, float]:
         """The reply to ``payload``, each of its JSON objects passed through
         ``object_hook`` as it is parsed, and the monotonic start time of the
@@ -337,8 +331,7 @@ class HttpBackend(CompletionBackend):
                 attempt += 1
                 if attempt > self.descriptor.max_retries:
                     raise
-                if event_log is not None:
-                    event_log.append("backend_retry", attempt=attempt, error=str(err))
+                event_log.append("backend_retry", attempt=attempt, error=str(err))
                 time.sleep(self.descriptor.backoff_base * 2 ** (attempt - 1))
 
     def _check_budget(self, text: str, extra_tokens: int) -> None:
@@ -362,8 +355,8 @@ class HttpBackend(CompletionBackend):
             )
         return [by_index[i] for i in range(count)]
 
-    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None,
-                 event_log: EventLog | None = None) -> list[str]:
+    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int],
+                 event_log: EventLog) -> list[str]:
         full_texts = [apply_chat_template(self.template, p) for p in prompts]
         for text in full_texts:
             self._check_budget(text, self.descriptor.max_output_tokens)
@@ -381,12 +374,12 @@ class HttpBackend(CompletionBackend):
             raise MalformedServiceReply(f"missing completion text: {reply!r}") from err
         if not all(isinstance(text, str) for text in texts):
             raise MalformedServiceReply(f"completion text is not a string: {reply!r}")
-        for full_text, text, task in zip(full_texts, texts, self._tasks(prompts, tasks)):
+        for full_text, text, task in zip(full_texts, texts, tasks):
             self._log(event_log, "complete", full_text, text, started, task)
         return texts
 
-    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None,
-              event_log: EventLog | None = None) -> list[float]:
+    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int],
+              event_log: EventLog) -> list[float]:
         full_texts = []
         for prompt in prompts:
             if not prompt.continuation:
@@ -419,7 +412,7 @@ class HttpBackend(CompletionBackend):
             raise CapabilityUnsupported("service does not return echoed token log-probabilities")
         totals = [summed[i] for i in range(len(prompts))]
         previous = None
-        for text, prompt, total, task in zip(full_texts, prompts, totals, self._tasks(prompts, tasks)):
+        for text, prompt, total, task in zip(full_texts, prompts, totals, tasks):
             self._log(event_log, "score", text, total, started, task, repeat=text == previous,
                       continuation=prompt.continuation)
             previous = text

@@ -247,7 +247,10 @@ def main(argv: list[str] | None = None) -> int:
     except DigestMismatch as err:
         print(f"verification failed: {err}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (ConfigError, FileNotFoundError, DomainError, MetricError, PersistenceError) as err:
+    except (
+        ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError, DomainError,
+        MetricError, PersistenceError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except SimulationAborted as err:

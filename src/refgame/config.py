@@ -58,7 +58,12 @@ def _check_types(cls, data: dict, path: str) -> None:
             raise ConfigError(f"'{key}' in section '{path}' must be {expected}, got {value!r}")
 
 
-def _build_section(cls, data: dict, path: str, derived: frozenset = frozenset()):
+def _build_section(cls, data, path: str, derived: frozenset = frozenset()):
+    """``cls`` from one YAML section; an empty section (``None``) is the defaults."""
+    if data is None:
+        data = {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"section '{path}' must be a mapping, got {data!r}")
     known = set(cls.__dataclass_fields__) - derived
     unknown = set(data) - known
     if unknown:
@@ -76,9 +81,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     data = dict(data)
-    run_data = data.pop("run", {}) or {}
-    chain_data = data.pop("chain", {}) or {}
-    backend_data = data.pop("backend", {}) or {}
+    run_data = data.pop("run", None)
+    chain_data = data.pop("chain", None)
+    backend_data = data.pop("backend", None)
     config = _build_section(ExperimentConfig, data, "<root>")
     # every run derives its master seed from the root one
     config.run = _build_section(RunConfig, run_data, "run", derived=frozenset({"master_seed"}))

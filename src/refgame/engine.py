@@ -245,17 +245,7 @@ class SimulationResult:
     metric_rows: list[MetricRow] = field(default_factory=list)
 
 
-def _context(event_log: EventLog | None, **fields) -> None:
-    if event_log is not None:
-        event_log.set_context(**fields)
-
-
-def _emit(event_log: EventLog | None, kind: str, **fields) -> None:
-    if event_log is not None:
-        event_log.append(kind, **fields)
-
-
-def _side_by_side(event_log: EventLog | None, agents: tuple[Agent, Agent], block: Callable) -> dict:
+def _side_by_side(event_log: EventLog, agents: tuple[Agent, Agent], block: Callable) -> dict:
     """``block(agent, log)`` for both agents at once, keyed by agent id: the
     first agent's on this thread with ``event_log``, the second's on a
     worker thread with a fork of it, which is joined after the first's
@@ -263,7 +253,7 @@ def _side_by_side(event_log: EventLog | None, agents: tuple[Agent, Agent], block
     is dropped, as if the second had never run; when only the second
     raises, its records are written and then its exception is raised here."""
     first, second = agents
-    fork = None if event_log is None else event_log.fork()
+    fork = event_log.fork()
     outcome: dict = {}
 
     def run_second() -> None:
@@ -278,15 +268,14 @@ def _side_by_side(event_log: EventLog | None, agents: tuple[Agent, Agent], block
         mine = block(first, event_log)
     finally:
         worker.join()
-    if fork is not None:
-        event_log.join(fork)
+    event_log.join(fork)
     if "error" in outcome:
         raise outcome["error"]
     return {first.agent_id: mine, second.agent_id: outcome["answer"]}
 
 
 def _alone(ask: Callable, item: tuple, prompt_task: PromptTask, rng: Random, attempts: int,
-           event_log: EventLog | None):
+           event_log: EventLog):
     """The answer to one task, asked as a list of one (``ask`` is an agent's
     list method) up to ``attempts`` times; ``None`` when no attempt answers."""
     for _ in range(attempts):
@@ -297,13 +286,13 @@ def _alone(ask: Callable, item: tuple, prompt_task: PromptTask, rng: Random, att
 
 
 def _batched(
-    ask: Callable[[Iterator, PromptTask, Random, EventLog | None], list],
+    ask: Callable[[Iterator, PromptTask, Random, EventLog], list],
     prompt_task: PromptTask,
     draw: Callable,
     count: int,
     rng: Random,
     attempts: int,
-    event_log: EventLog | None,
+    event_log: EventLog,
 ) -> Iterator:
     """``(task, answer)`` for each of ``count`` tasks, in order, with the
     event log's context ``task`` set to the task's index; ``answer`` is
@@ -320,17 +309,17 @@ def _batched(
 
     def tasks():
         for task_index in range(count):
-            _context(event_log, task=task_index)
+            event_log.set_context(task=task_index)
             states.append(rng.getstate())
             drawn.append(draw(task_index))
             yield drawn[-1]
-        _context(event_log, task=None)
+        event_log.set_context(task=None)
 
     answers = ask(tasks(), prompt_task, rng, event_log)
     if len(answers) < len(states):
         rng.setstate(states[len(answers)])
     for task_index in range(count):
-        _context(event_log, task=task_index)
+        event_log.set_context(task=task_index)
         if task_index < len(answers):
             yield drawn[task_index], answers[task_index]
         else:
@@ -342,13 +331,12 @@ def run_guessing_block(
     agent: Agent,
     vocab: Vocabulary,
     rng: Random,
-    distractors: int = 3,
-    event_log: EventLog | None = None,
-    attempts: int = RunConfig.max_agent_retries,
+    config: RunConfig,
+    event_log: EventLog,
 ) -> GuessingResult:
     """Each training stimulus once, in random order: pick the true signal out
-    of ``distractors`` + 1 candidates drawn from other entries. The context
-    vocabulary includes the current stimulus."""
+    of ``config.guessing_distractors`` + 1 candidates drawn from other
+    entries. The context vocabulary includes the current stimulus."""
     order = list(vocab.stimuli())
     rng.shuffle(order)
 
@@ -356,14 +344,15 @@ def run_guessing_block(
         stimulus = order[task_index]
         truth = vocab.signal_for(stimulus)
         others = [e.signal for e in vocab if e.stimulus != stimulus and e.signal != truth]
-        candidates = [truth] + rng.sample(others, distractors)
+        candidates = [truth] + rng.sample(others, config.guessing_distractors)
         rng.shuffle(candidates)
         return task_index, stimulus, candidates, None
 
     records = []
-    _context(event_log, block="guessing", round=None, task=None, agent=agent.agent_id)
+    event_log.set_context(block="guessing", round=None, task=None, agent=agent.agent_id)
     tasks = _batched(
-        agent.choose_many, PromptTask.GUESSING, draw, len(order), rng, attempts, event_log
+        agent.choose_many, PromptTask.GUESSING, draw, len(order), rng, config.max_agent_retries,
+        event_log,
     )
     for (_, stimulus, candidates, _), chosen in tasks:
         truth = vocab.signal_for(stimulus)
@@ -378,7 +367,7 @@ def run_guessing_block(
             failure_mode=failure_mode,
         )
         records.append(record)
-        _emit(event_log, record.KIND, **record.event())
+        event_log.append(record.KIND, **record.event())
     return GuessingResult(records=records)
 
 
@@ -386,8 +375,8 @@ def run_labelling_block(
     agent: Agent,
     vocab: Vocabulary,
     rng: Random,
-    event_log: EventLog | None = None,
-    attempts: int = RunConfig.max_agent_retries,
+    config: RunConfig,
+    event_log: EventLog,
 ) -> LabellingResult:
     """Produce a signal for every training stimulus with the full vocabulary
     (current stimulus included) in context. The productions replace the
@@ -397,10 +386,10 @@ def run_labelling_block(
     rng.shuffle(order)
     learned = vocab.copy()
     records = []
-    _context(event_log, block="labelling", round=None, task=None, agent=agent.agent_id)
+    event_log.set_context(block="labelling", round=None, task=None, agent=agent.agent_id)
     tasks = _batched(
         agent.produce_signals, PromptTask.LABELLING, lambda i: (i, order[i]), len(order), rng,
-        attempts, event_log,
+        config.max_agent_retries, event_log,
     )
     for (_, stimulus), produced in tasks:
         truth = vocab.signal_for(stimulus)
@@ -415,7 +404,7 @@ def run_labelling_block(
             failed=failed,
         )
         records.append(record)
-        _emit(event_log, record.KIND, **record.event())
+        event_log.append(record.KIND, **record.event())
     # a copy: communication updates the agent's vocabulary, not the learned snapshot
     agent.set_vocabulary(learned.copy())
     return LabellingResult(records=records, learned=learned)
@@ -445,7 +434,7 @@ def run_communication_block(
     agent_b: Agent,
     rng: Random,
     config: RunConfig,
-    event_log: EventLog | None = None,
+    event_log: EventLog,
 ) -> CommunicationResult:
     """The referential game: per task the speaker produces a signal for the
     target from its own vocabulary (target excluded from context); the
@@ -466,8 +455,7 @@ def run_communication_block(
         for task_index, (speaker_id, stimulus) in enumerate(tasks):
             speaker = agents[speaker_id]
             listener = agents[[i for i in agents if i != speaker_id][0]]
-            _context(
-                event_log,
+            event_log.set_context(
                 block="communication",
                 round=round_number,
                 task=task_index,
@@ -481,7 +469,7 @@ def run_communication_block(
             signal = _alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng, attempts, event_log)
             chosen = None
             if signal is not None:
-                _context(event_log, agent=listener.agent_id)
+                event_log.set_context(agent=listener.agent_id)
                 heard = (task_index, signal, candidates, stimulus)
                 chosen = _alone(listener.choose_many, heard, PromptTask.LISTENING, rng, attempts,
                                 event_log)
@@ -503,7 +491,7 @@ def run_communication_block(
                 ),
             )
             records.append(record)
-            _emit(event_log, record.KIND, **record.event())
+            event_log.append(record.KIND, **record.event())
 
             # both vocabularies adopt the produced signal, flag = outcome
             if signal is not None:
@@ -520,8 +508,8 @@ def run_communication_block(
 def run_testing_block(
     agent: Agent,
     rng: Random,
-    event_log: EventLog | None = None,
-    attempts: int = RunConfig.max_agent_retries,
+    config: RunConfig,
+    event_log: EventLog,
 ) -> TestingResult:
     """Produce a signal for all 27 stimuli, the context being the agent's
     train vocabulary minus the current stimulus; test stimuli never appear
@@ -529,10 +517,10 @@ def run_testing_block(
     assert agent.vocabulary is not None
     stimuli = enumerate_stimuli()
     records = []
-    _context(event_log, block="testing", round=None, task=None, agent=agent.agent_id)
+    event_log.set_context(block="testing", round=None, task=None, agent=agent.agent_id)
     tasks = _batched(
         agent.produce_signals, PromptTask.SPEAKING, lambda i: (i, stimuli[i]), len(stimuli), rng,
-        attempts, event_log,
+        config.max_agent_retries, event_log,
     )
     for (_, stimulus), signal in tasks:
         if signal is None:
@@ -544,7 +532,7 @@ def run_testing_block(
                 extrapolated=agent.extrapolated(stimulus),
             )
         records.append(record)
-        _emit(event_log, record.KIND, **record.event())
+        event_log.append(record.KIND, **record.event())
     return TestingResult(records=records)
 
 
@@ -620,10 +608,11 @@ def compute_metric_rows(result: SimulationResult) -> list[MetricRow]:
 def run_simulation(
     config: RunConfig,
     agents: tuple[Agent, Agent],
+    event_log: EventLog,
     initial_language: Vocabulary | None = None,
-    event_log: EventLog | None = None,
 ) -> SimulationResult:
-    """Guessing, labelling, communication, and testing for one dyad.
+    """Guessing, labelling, communication, and testing for one dyad, each
+    block's records appended to ``event_log``.
 
     Without an explicit initial language a fresh balanced split and random
     holistic language are generated from the master seed. An exception in a
@@ -637,8 +626,8 @@ def run_simulation(
         split = sample_training_set(Random(derive_seed(seed, "split")))
         initial_language = generate_language(Random(derive_seed(seed, "language")), split.train)
 
-    _context(event_log, simulation=f"sim-{seed:x}")
-    _emit(event_log, "run_start", master_seed=seed, agents=[agent_a.agent_id, agent_b.agent_id])
+    event_log.set_context(simulation=f"sim-{seed:x}")
+    event_log.append("run_start", master_seed=seed, agents=[agent_a.agent_id, agent_b.agent_id])
 
     result = SimulationResult(
         config=config,
@@ -648,45 +637,32 @@ def run_simulation(
     for agent in agents:
         agent.set_vocabulary(initial_language.copy())
 
+    def side_by_side(label: str, block: Callable, *inputs) -> dict:
+        return _side_by_side(event_log, agents, lambda agent, log: block(
+            agent, *inputs, Random(derive_seed(seed, f"{label}:{agent.agent_id}")), config, log
+        ))
+
     # each block field is assigned once both agents have finished the block;
     # in guessing, labelling and testing an agent reads only its own rng and
     # vocabulary, so the two agents run those blocks side by side
     try:
-        result.guessing = _side_by_side(event_log, agents, lambda agent, log: run_guessing_block(
-            agent,
-            initial_language,
-            Random(derive_seed(seed, f"guessing:{agent.agent_id}")),
-            distractors=config.guessing_distractors,
-            event_log=log,
-            attempts=config.max_agent_retries,
-        ))
-        result.labelling = _side_by_side(event_log, agents, lambda agent, log: run_labelling_block(
-            agent,
-            initial_language,
-            Random(derive_seed(seed, f"labelling:{agent.agent_id}")),
-            event_log=log,
-            attempts=config.max_agent_retries,
-        ))
+        result.guessing = side_by_side("guessing", run_guessing_block, initial_language)
+        result.labelling = side_by_side("labelling", run_labelling_block, initial_language)
         result.communication = run_communication_block(
             agent_a,
             agent_b,
             Random(derive_seed(seed, "communication")),
             config,
-            event_log=event_log,
+            event_log,
         )
-        result.testing = _side_by_side(event_log, agents, lambda agent, log: run_testing_block(
-            agent,
-            Random(derive_seed(seed, f"testing:{agent.agent_id}")),
-            event_log=log,
-            attempts=config.max_agent_retries,
-        ))
+        result.testing = side_by_side("testing", run_testing_block)
     except Exception as err:
         # a failed task is a record, not an exception: what lands here is a
         # guessing draw from a collapsed language (too few distinct signals,
         # a ValueError) or a programming error; both keep the partial result
-        _emit(event_log, "run_aborted", error=str(err))
+        event_log.append("run_aborted", error=str(err))
         raise SimulationAborted(str(err), result) from err
 
     result.metric_rows = compute_metric_rows(result)
-    _emit(event_log, "run_end", complete=True)
+    event_log.append("run_end", complete=True)
     return result

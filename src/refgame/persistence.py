@@ -138,10 +138,27 @@ class RunManifest:
 
     @classmethod
     def load(cls, run_dir: str | Path) -> "RunManifest":
+        """The manifest of ``run_dir``; one that is not a JSON object with
+        the manifest's keys raises ``PersistenceError``."""
         path = Path(run_dir) / "manifest.json"
         if not path.exists():
             raise PersistenceError(f"no manifest in {run_dir}")
-        return cls(**json.loads(path.read_text()))
+        try:
+            data = json.loads(path.read_text())
+        except ValueError as err:
+            raise PersistenceError(f"{path} is not JSON: {err}") from None
+        if not isinstance(data, dict):
+            raise PersistenceError(f"{path} is not a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise PersistenceError(f"{path}: unknown key(s) {sorted(unknown)}")
+        for key in ("config", "master_seed"):
+            if key not in data:
+                raise PersistenceError(f"{path}: no '{key}'")
+        for key in ("config", "files", "extra"):
+            if not isinstance(data.get(key, {}), dict):
+                raise PersistenceError(f"{path}: '{key}' is not a JSON object")
+        return cls(**data)
 
     def verify_digests(self, run_dir: str | Path) -> None:
         base = Path(run_dir)
@@ -249,9 +266,19 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     initial = Vocabulary.load(_vocab_path(base, "initial"))
     # older manifests name the fixed tasks_per_round, which is no longer a setting
     config = {key: value for key, value in manifest.config.items() if key != "tasks_per_round"}
+    defaults = asdict(RunConfig())
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise PersistenceError(f"unknown run setting(s) {unknown} in the manifest of {run_dir}")
+    mistyped = sorted(key for key, value in config.items() if type(value) is not type(defaults[key]))
+    if mistyped:
+        raise PersistenceError(f"run setting(s) {mistyped} of the wrong type in the manifest of {run_dir}")
+    agent_ids = manifest.extra.get("agent_ids")
+    if not (isinstance(agent_ids, list) and len(agent_ids) == 2):
+        raise PersistenceError(f"the manifest of {run_dir} names no two agent ids")
     result = SimulationResult(
         config=RunConfig(**config),
-        agent_ids=tuple(manifest.extra["agent_ids"]),
+        agent_ids=tuple(agent_ids),
         initial_language=initial,
     )
 

@@ -135,14 +135,14 @@ class ScriptedBackend(CompletionBackend):
         with self._lock:
             self.requests += 1
 
-    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None,
-                 event_log: EventLog | None = None) -> list[str]:
+    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int],
+                 event_log: EventLog) -> list[str]:
         started = time.monotonic()
         self._count()
         if self.completions is None:
             raise MalformedServiceReply("scripted backend has no completions")
         texts = [self.completions(p) for p in prompts]
-        for prompt, text, task in zip(prompts, texts, self._tasks(prompts, tasks)):
+        for prompt, text, task in zip(prompts, texts, tasks):
             self._log(event_log, "complete", prompt.user_text(), text, started, task)
         return texts
 
@@ -154,12 +154,12 @@ class ScriptedBackend(CompletionBackend):
             raise MalformedServiceReply(f"log-probability must be <= 0, got {value}")
         return float(value)
 
-    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int] | None = None,
-              event_log: EventLog | None = None) -> list[float]:
+    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int],
+              event_log: EventLog) -> list[float]:
         started = time.monotonic()
         self._count()
         values = [self._scripted_score(p) for p in prompts]
-        for prompt, value, task in zip(prompts, values, self._tasks(prompts, tasks)):
+        for prompt, value, task in zip(prompts, values, tasks):
             self._log(event_log, "score", prompt.user_text(), value, started, task,
                       continuation=prompt.continuation)
         return values

@@ -11,7 +11,7 @@ from refgame.agents import (
     RandomChooser,
     make_agent,
 )
-from refgame.backend import TransportFailure
+from refgame.backend import EventLog, TransportFailure
 from refgame.domain import Stimulus, Vocabulary, VocabularyEntry, generate_language, sample_training_set
 from refgame.engine import RunConfig, _alone, run_communication_block
 from refgame.prompts import PromptTask
@@ -28,7 +28,7 @@ def communication_round(backend, max_agent_retries):
     for agent in agents:
         agent.set_vocabulary(training_vocab())
     config = RunConfig(rounds=1, max_agent_retries=max_agent_retries)
-    return run_communication_block(*agents, Random(0), config)
+    return run_communication_block(*agents, Random(0), config, EventLog())
 
 
 class TestLookupOracle:
@@ -120,7 +120,8 @@ class TestLLMAgent:
         agent = LLMAgent("A", backend)
         agent.set_vocabulary(training_vocab())
         target = agent.vocabulary.stimuli()[0]
-        assert agent.produce_signals([(0, target)], PromptTask.LABELLING, Random(0), None) == ["hanosa"]
+        produced = agent.produce_signals([(0, target)], PromptTask.LABELLING, Random(0), EventLog())
+        assert produced == ["hanosa"]
 
     def test_argmax_scoring(self):
         values = iter([-1.0, -0.5, -2.0, -3.0])
@@ -130,7 +131,7 @@ class TestLLMAgent:
         agent.set_vocabulary(vocab)
         candidates = vocab.stimuli()[:4]
         items = [(0, "hanosa", candidates, vocab.stimuli()[5])]
-        assert agent.choose_many(items, PromptTask.LISTENING, Random(0), None) == [1]
+        assert agent.choose_many(items, PromptTask.LISTENING, Random(0), EventLog()) == [1]
 
     def test_tie_breaks_to_first(self):
         backend = ScriptedBackend(scores=lambda prompt: -1.0)
@@ -138,7 +139,7 @@ class TestLLMAgent:
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
         items = [(0, "hanosa", vocab.stimuli()[:4], None)]
-        assert agent.choose_many(items, PromptTask.LISTENING, Random(0), None) == [0]
+        assert agent.choose_many(items, PromptTask.LISTENING, Random(0), EventLog()) == [0]
 
     @pytest.mark.parametrize("failures", [0, 1, 2])
     def test_one_score_call_per_attempt(self, failures):
@@ -146,7 +147,7 @@ class TestLLMAgent:
         batches = []
 
         class CountingBackend(ScriptedBackend):
-            def score(self, prompts, tasks=None, event_log=None):
+            def score(self, prompts, tasks, event_log):
                 batches.append([p.continuation for p in prompts])
                 return super().score(prompts, tasks, event_log)
 
@@ -162,7 +163,7 @@ class TestLLMAgent:
         candidates = vocab.stimuli()[:4]
         rng = Random(0)
         item = (0, "hanosa", candidates, None)
-        assert _alone(agent.choose_many, item, PromptTask.LISTENING, rng, 3, None) == 0
+        assert _alone(agent.choose_many, item, PromptTask.LISTENING, rng, 3, EventLog()) == 0
         assert len(batches) == failures + 1
         assert all(len(batch) == 4 and len(set(batch)) == 4 for batch in batches)
         # one shared-shuffle seed is drawn per attempt
@@ -212,7 +213,8 @@ class TestLLMAgent:
         agent = LLMAgent("A", backend)
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
-        agent.choose_many([(0, "hanosa", vocab.stimuli()[:4], None)], PromptTask.LISTENING, Random(3), None)
+        items = [(0, "hanosa", vocab.stimuli()[:4], None)]
+        agent.choose_many(items, PromptTask.LISTENING, Random(3), EventLog())
         assert len(seen) == 4
         assert len(set(seen)) == 1
 
@@ -223,14 +225,15 @@ class TestBatches:
         batches = []
 
         class CountingBackend(ScriptedBackend):
-            def complete(self, prompts, tasks=None, event_log=None):
+            def complete(self, prompts, tasks, event_log):
                 batches.append(list(tasks))
                 return super().complete(prompts, tasks, event_log)
 
         agent = LLMAgent("A", CountingBackend(completions=lambda prompt: next(replies)))
         agent.set_vocabulary(training_vocab())
         items = list(enumerate(agent.vocabulary.stimuli()[:4]))
-        assert agent.produce_signals(iter(items), PromptTask.LABELLING, Random(0), None) == ["gali", "nemo"]
+        produced = agent.produce_signals(iter(items), PromptTask.LABELLING, Random(0), EventLog())
+        assert produced == ["gali", "nemo"]
         assert batches == [[0, 1, 2, 3]]
 
     def test_choices_in_one_call_shared_shuffle_per_task(self):
@@ -246,7 +249,7 @@ class TestBatches:
         stimuli = vocab.stimuli()
         items = [(0, stimuli[0], ["gali", "nemo", "tupa"], None), (1, stimuli[1], ["nemo", "sira"], None)]
         rng = Random(0)
-        assert agent.choose_many(iter(items), PromptTask.GUESSING, rng, None) == [1, 0]
+        assert agent.choose_many(iter(items), PromptTask.GUESSING, rng, EventLog()) == [1, 0]
         assert len(batches) == 5 and len(set(batches[:3])) == 1 and len(set(batches[3:])) == 1
         expected = Random(0)
         expected.getrandbits(64)
@@ -261,9 +264,9 @@ class TestBatches:
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
         stimuli = vocab.stimuli()
-        assert agent.produce_signals(enumerate(stimuli), PromptTask.LABELLING, Random(0), None) == []
+        assert agent.produce_signals(enumerate(stimuli), PromptTask.LABELLING, Random(0), EventLog()) == []
         items = [(0, stimuli[0], ["gali", "nemo"], None)]
-        assert agent.choose_many(iter(items), PromptTask.GUESSING, Random(0), None) == []
+        assert agent.choose_many(iter(items), PromptTask.GUESSING, Random(0), EventLog()) == []
 
     @pytest.mark.parametrize("agent_cls", [LookupOracle, CompositionalOracle, RandomChooser])
     def test_oracles_answer_task_by_task(self, agent_cls):
@@ -273,15 +276,15 @@ class TestBatches:
         agent.set_vocabulary(vocab)
         stimuli = vocab.stimuli()
         tasks = iter([(0, stimuli[0]), (1, stimuli[1])])
-        produced = agent.produce_signals(tasks, PromptTask.LABELLING, Random(0), None)
+        produced = agent.produce_signals(tasks, PromptTask.LABELLING, Random(0), EventLog())
         assert produced == [agent.produce_signal(stimuli[0], PromptTask.LABELLING, Random(0))]
         assert next(tasks)[0] == 1
         signals = [vocab.signal_for(s) for s in stimuli[:3]]
         choices = iter([(0, stimuli[2], signals, None), (1, stimuli[0], signals, None)])
-        chosen = agent.choose_many(choices, PromptTask.GUESSING, Random(0), None)
+        chosen = agent.choose_many(choices, PromptTask.GUESSING, Random(0), EventLog())
         assert chosen == [agent.choose(stimuli[2], signals, PromptTask.GUESSING, Random(0))]
         assert next(choices)[0] == 1
-        assert agent.produce_signals(iter([]), PromptTask.LABELLING, Random(0), None) == []
+        assert agent.produce_signals(iter([]), PromptTask.LABELLING, Random(0), EventLog()) == []
 
 
 class TestFactory:

@@ -34,29 +34,32 @@ OTHER = replace(PROMPT, stem="{'shape':2,'colour':'blue','amount':2,'word':'")
 class TestScriptedBackend:
     def test_score_determinism(self):
         backend = ScriptedBackend(scores=lambda p: -float(len(p.continuation)))
-        assert backend.score(CANDIDATES) == backend.score(CANDIDATES) == [-6.0] * 4
+        first = backend.score(CANDIDATES, [0] * 4, EventLog())
+        assert first == backend.score(CANDIDATES, [0] * 4, EventLog()) == [-6.0] * 4
 
     def test_positive_logprob_rejected(self):
         backend = ScriptedBackend(scores=lambda p: 0.5)
         with pytest.raises(MalformedServiceReply):
-            backend.score([SCORED])
+            backend.score([SCORED], [0], EventLog())
 
     def test_missing_entry(self):
         backend = ScriptedBackend()
         with pytest.raises(MalformedServiceReply):
-            backend.complete([PROMPT])
+            backend.complete([PROMPT], [0], EventLog())
 
     def test_no_score_capability(self):
         backend = ScriptedBackend(completions=lambda p: "ok")
         with pytest.raises(CapabilityUnsupported):
-            backend.score([SCORED])
+            backend.score([SCORED], [0], EventLog())
 
     def test_request_count_from_threads(self):
         # both agents of a dyad may call one backend at once; a lost update
         # would undercount
         backend = ScriptedBackend(completions=lambda p: "ok")
         threads = [
-            threading.Thread(target=lambda: [backend.complete([PROMPT]) for _ in range(500)])
+            threading.Thread(
+                target=lambda: [backend.complete([PROMPT], [0], EventLog()) for _ in range(500)]
+            )
             for _ in range(8)
         ]
         interval = sys.getswitchinterval()
@@ -125,7 +128,7 @@ class TestEventLog:
 
     def test_backend_logs_before_returning(self, event_log):
         backend = ScriptedBackend(completions=lambda p: "ok")
-        backend.complete([PROMPT], event_log=event_log)
+        backend.complete([PROMPT], [0], event_log)
         calls = logged(event_log, "backend_call")
         assert len(calls) == 1
         assert calls[0]["call"] == "complete"
@@ -139,7 +142,7 @@ class TestRetrying:
         endpoint, handler = stub_server
         handler.failures_left = 1
         backend = http_backend(endpoint)
-        assert backend.complete([PROMPT], event_log=event_log) == [" hanosa'}"]
+        assert backend.complete([PROMPT], [0], event_log) == [" hanosa'}"]
         records = EventLog.read(event_log.path)
         assert [r["kind"] for r in records] == ["backend_retry", "backend_call"]
         assert (records[0]["attempt"], records[0]["error"]) == (1, "service error 503")
@@ -150,7 +153,7 @@ class TestRetrying:
         handler.failures_left = 10
         backend = http_backend(endpoint, max_retries=2)
         with pytest.raises(TransportFailure):
-            backend.complete([PROMPT], event_log=event_log)
+            backend.complete([PROMPT], [0], event_log)
         assert len(handler.seen) == 2 + 1  # the first attempt and max_retries retries
         assert [r["attempt"] for r in logged(event_log, "backend_retry")] == [1, 2]
         assert logged(event_log, "backend_call") == []
@@ -159,7 +162,7 @@ class TestRetrying:
         endpoint, handler = stub_server
         handler.failures_left = 3
         backend = http_backend(endpoint, max_retries=3, backoff_base=0.5)
-        backend.complete([PROMPT])
+        backend.complete([PROMPT], [0], EventLog())
         assert waits == [0.5, 1.0, 2.0]
 
 
@@ -191,7 +194,7 @@ class TestHttpBackend:
     def test_complete(self, stub_server, event_log):
         endpoint, handler = stub_server
         backend = http_backend(endpoint)
-        assert backend.complete([PROMPT], event_log=event_log) == [" hanosa'}"]
+        assert backend.complete([PROMPT], [0], event_log) == [" hanosa'}"]
         request = handler.seen[-1]
         assert request["temperature"] == 0.0
         assert request["stop"] == ["\n", "'}"]
@@ -202,7 +205,7 @@ class TestHttpBackend:
         endpoint, handler = stub_server
         backend = http_backend(endpoint)
         event_log.set_context(block="testing", task=None, agent="A")
-        assert backend.complete([PROMPT, OTHER], tasks=[3, 4], event_log=event_log) == [" hanosa'}"] * 2
+        assert backend.complete([PROMPT, OTHER], [3, 4], event_log) == [" hanosa'}"] * 2
         assert len(handler.seen) == 1
         template = load_chat_template("plain")
         assert handler.seen[0]["prompt"] == [apply_chat_template(template, p) for p in (PROMPT, OTHER)]
@@ -217,7 +220,7 @@ class TestHttpBackend:
         handler.behaviour = behaviour
         backend = http_backend(endpoint)
         with pytest.raises(MalformedServiceReply):
-            backend.complete([PROMPT, OTHER], event_log=event_log)
+            backend.complete([PROMPT, OTHER], [0, 1], event_log)
         assert len(handler.seen) == 1  # not retried
         assert logged(event_log, "backend_call") == []
 
@@ -225,21 +228,21 @@ class TestHttpBackend:
         endpoint, handler = stub_server
         long_one = replace(PROMPT, stem=PROMPT.stem + "x" * 200)
         backend = http_backend(endpoint, context_budget_tokens=64)
-        assert len(backend.complete([PROMPT, OTHER])) == 2
+        assert len(backend.complete([PROMPT, OTHER], [0, 1], EventLog())) == 2
         handler.seen.clear()
         with pytest.raises(ContextOverflow):
-            backend.complete([PROMPT, long_one])
+            backend.complete([PROMPT, long_one], [0, 1], EventLog())
         assert handler.seen == []  # no request was sent
 
     def test_score_echo_path(self, stub_server):
         endpoint, _ = stub_server
         backend = http_backend(endpoint)
-        assert backend.score([SCORED]) == [pytest.approx(-1.5)]
+        assert backend.score([SCORED], [0], EventLog()) == [pytest.approx(-1.5)]
 
     def test_score_one_request_per_call(self, stub_server, event_log):
         endpoint, handler = stub_server
         backend = http_backend(endpoint)
-        scores = backend.score(CANDIDATES, event_log=event_log)
+        scores = backend.score(CANDIDATES, [0] * 4, event_log)
         assert scores == pytest.approx([-1.5, -3.0, -4.5, -6.0])
         assert len(handler.seen) == 1
         request = handler.seen[0]
@@ -257,7 +260,7 @@ class TestHttpBackend:
         backend = http_backend(endpoint)
         other = replace(OTHER, continuation="gali'}")
         prompts = CANDIDATES[:2] + [other, CANDIDATES[2]]
-        backend.score(prompts, event_log=event_log)
+        backend.score(prompts, [0] * 4, event_log)
         texts = [apply_chat_template(load_chat_template("plain"), p) for p in prompts]
         calls = logged(event_log, "backend_call")
         assert [c["prompt_sha"] for c in calls] == [prompt_digest(t) for t in texts]
@@ -267,14 +270,14 @@ class TestHttpBackend:
         endpoint, handler = stub_server
         handler.behaviour = "reversed"
         backend = http_backend(endpoint)
-        assert backend.score(CANDIDATES) == pytest.approx([-1.5, -3.0, -4.5, -6.0])
+        assert backend.score(CANDIDATES, [0] * 4, EventLog()) == pytest.approx([-1.5, -3.0, -4.5, -6.0])
 
     def test_score_wrong_choice_count(self, stub_server, event_log):
         endpoint, handler = stub_server
         handler.behaviour = "drop_choice"
         backend = http_backend(endpoint)
         with pytest.raises(MalformedServiceReply):
-            backend.score(CANDIDATES, event_log=event_log)
+            backend.score(CANDIDATES, [0] * 4, event_log)
         assert logged(event_log, "backend_call") == []
 
     def test_score_preflight_covers_every_candidate(self, stub_server):
@@ -283,10 +286,10 @@ class TestHttpBackend:
         budget = estimate_tokens(plain + CANDIDATES[0].continuation) + 2
         long_one = replace(PROMPT, continuation="x" * 40 + "'}")
         backend = http_backend(endpoint, context_budget_tokens=budget)
-        assert len(backend.score(CANDIDATES)) == 4
+        assert len(backend.score(CANDIDATES, [0] * 4, EventLog())) == 4
         handler.seen.clear()
         with pytest.raises(ContextOverflow):
-            backend.score(CANDIDATES[:3] + [long_one])
+            backend.score(CANDIDATES[:3] + [long_one], [0] * 4, EventLog())
         assert handler.seen == []  # no request was sent
 
     def test_score_capability_unsupported(self, stub_server):
@@ -294,13 +297,13 @@ class TestHttpBackend:
         handler.behaviour = "no_logprobs"
         backend = http_backend(endpoint)
         with pytest.raises(CapabilityUnsupported):
-            backend.score(CANDIDATES)
+            backend.score(CANDIDATES, [0] * 4, EventLog())
 
     def test_score_batch_retried_as_a_whole(self, stub_server, event_log, waits):
         endpoint, handler = stub_server
         handler.failures_left = 1
         backend = http_backend(endpoint)
-        assert backend.score(CANDIDATES, event_log=event_log) == pytest.approx([-1.5, -3.0, -4.5, -6.0])
+        assert backend.score(CANDIDATES, [0] * 4, event_log) == pytest.approx([-1.5, -3.0, -4.5, -6.0])
         assert len(handler.seen) == 2
         records = EventLog.read(event_log.path)
         assert [r["kind"] for r in records] == ["backend_retry"] + ["backend_call"] * 4
@@ -310,7 +313,7 @@ class TestHttpBackend:
         endpoint, handler = stub_server
         backend = http_backend(endpoint, context_budget_tokens=8)
         with pytest.raises(ContextOverflow):
-            backend.complete([PROMPT])
+            backend.complete([PROMPT], [0], EventLog())
         assert handler.seen == []  # no network call was made
 
     def test_server_error_is_transport_failure(self, stub_server):
@@ -318,33 +321,33 @@ class TestHttpBackend:
         handler.failures_left = 1
         backend = http_backend(endpoint, max_retries=0)
         with pytest.raises(TransportFailure):
-            backend.complete([PROMPT])
+            backend.complete([PROMPT], [0], EventLog())
 
     def test_retry_recovers_from_5xx(self, stub_server, waits):
         endpoint, handler = stub_server
         handler.failures_left = 1
         backend = http_backend(endpoint)
-        assert backend.complete([PROMPT]) == [" hanosa'}"]
+        assert backend.complete([PROMPT], [0], EventLog()) == [" hanosa'}"]
 
     def test_bad_json_reply(self, stub_server):
         endpoint, handler = stub_server
         handler.behaviour = "bad_json"
         backend = http_backend(endpoint)
         with pytest.raises(MalformedServiceReply):
-            backend.complete([PROMPT])
+            backend.complete([PROMPT], [0], EventLog())
 
     def test_timeout(self, stub_server):
         endpoint, handler = stub_server
         handler.behaviour = "slow"
         backend = http_backend(endpoint, timeout=0.1, max_retries=0)
         with pytest.raises(BackendTimeout):
-            backend.complete([PROMPT])
+            backend.complete([PROMPT], [0], EventLog())
 
     def test_credential_header(self, stub_server, monkeypatch):
         endpoint, handler = stub_server
         monkeypatch.setenv("REFGAME_API_KEY", "sekrit")
         backend = http_backend(endpoint)
-        backend.complete([PROMPT])
+        backend.complete([PROMPT], [0], EventLog())
         # the handler does not expose headers; check via the backend's own builder
         assert backend._headers()["Authorization"] == "Bearer sekrit"
 
@@ -363,8 +366,8 @@ class TestWireConnection:
         endpoint, handler = keepalive_stub_server
         backend = http_backend(endpoint)
         for _ in range(3):
-            assert backend.complete([PROMPT]) == [" hanosa'}"]
-        backend.score(CANDIDATES)
+            assert backend.complete([PROMPT], [0], EventLog()) == [" hanosa'}"]
+        backend.score(CANDIDATES, [0] * 4, EventLog())
         assert len(handler.seen) == 4
         assert handler.connections == 1
 
@@ -372,7 +375,7 @@ class TestWireConnection:
         endpoint, handler = keepalive_stub_server
         handler.behaviour = "close"
         backend = http_backend(endpoint)
-        assert [backend.complete([PROMPT], event_log=event_log) for _ in range(3)] == [[" hanosa'}"]] * 3
+        assert [backend.complete([PROMPT], [0], event_log) for _ in range(3)] == [[" hanosa'}"]] * 3
         assert len(handler.seen) == 3 and handler.connections == 3
         assert logged(event_log, "backend_retry") == []
         assert waits == []
@@ -380,7 +383,7 @@ class TestWireConnection:
     def test_refused_connection_fails_after_retries(self, event_log, waits):
         backend = http_backend(_refused_endpoint(), max_retries=2)
         with pytest.raises(TransportFailure, match="ConnectionRefusedError"):
-            backend.complete([PROMPT], event_log=event_log)
+            backend.complete([PROMPT], [0], event_log)
         assert [r["attempt"] for r in logged(event_log, "backend_retry")] == [1, 2]
         assert waits == [0.5, 1.0]
         assert logged(event_log, "backend_call") == []
@@ -389,14 +392,14 @@ class TestWireConnection:
     def test_path_prefix_kept(self, keepalive_stub_server, prefix):
         endpoint, handler = keepalive_stub_server
         backend = http_backend(endpoint + prefix)
-        backend.complete([PROMPT])
+        backend.complete([PROMPT], [0], EventLog())
         assert handler.paths == ["/api/v1/completions"]
 
     def test_https_against_plain_service_is_transport_failure(self, keepalive_stub_server):
         endpoint, _ = keepalive_stub_server
         backend = http_backend(endpoint.replace("http://", "https://"), max_retries=0)
         with pytest.raises(TransportFailure):
-            backend.complete([PROMPT])
+            backend.complete([PROMPT], [0], EventLog())
 
     def test_timed_out_connection_is_replaced(self, keepalive_stub_server):
         # the late reply must not be read as the answer to the next request
@@ -404,10 +407,10 @@ class TestWireConnection:
         handler.behaviour = "slow"
         backend = http_backend(endpoint, timeout=0.1, max_retries=0)
         with pytest.raises(BackendTimeout):
-            backend.complete([PROMPT])
+            backend.complete([PROMPT], [0], EventLog())
         handler.behaviour = "complete"
         backend.descriptor.timeout = 5.0
-        assert backend.score([SCORED]) == [pytest.approx(-1.5)]
+        assert backend.score([SCORED], [0], EventLog()) == [pytest.approx(-1.5)]
         assert handler.connections == 2
 
     @pytest.mark.parametrize(
@@ -419,6 +422,6 @@ class TestWireConnection:
         handler.behaviour = behaviour
         backend = http_backend(endpoint)
         with pytest.raises(MalformedServiceReply) as info:
-            backend.complete([PROMPT])
+            backend.complete([PROMPT], [0], EventLog())
         assert str(info.value) == message
         assert len(handler.seen) == 1  # not retried

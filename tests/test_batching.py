@@ -21,7 +21,7 @@ from helpers import service
 from refgame.agents import LLMAgent
 from refgame.backend import EventLog
 from refgame.domain import generate_language, sample_training_set
-from refgame.engine import run_guessing_block, run_labelling_block, run_testing_block
+from refgame.engine import RunConfig, run_guessing_block, run_labelling_block, run_testing_block
 from refgame.prompts import completion_stem
 
 SEEDS = range(30)
@@ -71,14 +71,15 @@ def run_block(block: str, agent_cls, seed: int, placement: str, **agent_kwargs):
     agent = agent_cls("A", backend, **agent_kwargs)
     agent.set_vocabulary(vocab.copy())
     rng = Random(seed + 1)
+    config = RunConfig(max_agent_retries=2)
     with tempfile.TemporaryDirectory() as tmp:
         with EventLog(Path(tmp) / "events.jsonl") as log:
             if block == "guessing":
-                result = run_guessing_block(agent, vocab, rng, event_log=log, attempts=2)
+                result = run_guessing_block(agent, vocab, rng, config, log)
             elif block == "labelling":
-                result = run_labelling_block(agent, vocab, rng, event_log=log, attempts=2)
+                result = run_labelling_block(agent, vocab, rng, config, log)
             else:
-                result = run_testing_block(agent, rng, event_log=log, attempts=2)
+                result = run_testing_block(agent, rng, config, log)
         # backend_call records differ by batch: one call per list or per task
         events = [e for e in EventLog.read(log.path) if e["kind"] != "backend_call"]
     return result, events, rng.getstate(), agent.vocabulary, backend.requests

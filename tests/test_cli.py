@@ -1,4 +1,5 @@
 import gc
+import json
 import os
 import shutil
 import subprocess
@@ -232,6 +233,23 @@ class TestMetricsCommand:
         assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["metrics", str(tmp)],
+        lambda tmp: ["simulate", "--config", str(tmp), "--out", str(tmp / "out")],
+        lambda tmp: ["metrics", str(tmp / "train.vocab" / "x")],
+    ],
+    ids=["metrics-directory", "config-directory", "metrics-under-a-file"],
+)
+def test_input_path_of_the_wrong_kind_rejected(tmp_path, capsys, argv):
+    (tmp_path / "train.vocab").write_text("")
+    assert run_cli(*argv(tmp_path)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 class TestReplayCommand:
     def _simulate(self, tmp_path):
         out = tmp_path / "runs"
@@ -263,6 +281,44 @@ class TestReplayCommand:
         assert run_cli("replay", str(run_dir), "--tolerance", tolerance) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.err == f"error: tolerance must be >= 0, got {float(tolerance)}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda manifest: "{bad", "manifest.json is not JSON: "),
+            (lambda manifest: [manifest], "manifest.json is not a JSON object"),
+            (lambda manifest: {**manifest, "oops": 1}, "manifest.json: unknown key(s) ['oops']"),
+            (
+                lambda manifest: {**manifest, "config": {**manifest["config"], "oops": 1}},
+                "unknown run setting(s) ['oops'] in the manifest of ",
+            ),
+            (
+                lambda manifest: {**manifest, "config": {**manifest["config"], "rounds": "4"}},
+                "run setting(s) ['rounds'] of the wrong type in the manifest of ",
+            ),
+            (
+                lambda manifest: {
+                    **manifest,
+                    "extra": {k: v for k, v in manifest["extra"].items() if k != "agent_ids"},
+                },
+                "names no two agent ids",
+            ),
+        ],
+        ids=[
+            "not-json", "not-an-object", "extra-key", "unknown-run-setting", "mistyped-run-setting",
+            "no-agent-ids",
+        ],
+    )
+    def test_unreadable_manifest_rejected(self, tmp_path, capsys, corrupt, message):
+        run_dir = self._simulate(tmp_path)
+        path = run_dir / "manifest.json"
+        manifest = corrupt(json.loads(path.read_text()))
+        path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("replay", str(run_dir)) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
 
     def test_malformed_metrics_cell_names_file_row_and_column(self, tmp_path, capsys):
@@ -339,6 +395,23 @@ class TestChainCommand:
         full_csv = (full_out / "chain-00" / "chain.csv").read_bytes()
         resumed_csv = (resumed_out / "chain-00" / "chain.csv").read_bytes()
         assert full_csv == resumed_csv
+
+    def test_resume_reruns_a_generation_whose_manifest_is_unreadable(self, tmp_path, capsys):
+        # like an incomplete or digest-invalid generation, it is not finished
+        shared = ["chain", "--chains", "1", "--generations", "3", "--seed", "8", "--permutations", "60"]
+        full_out, out = tmp_path / "full", tmp_path / "resumed"
+        assert run_cli(*shared, "--out", str(full_out)) == EXIT_OK
+        assert run_cli(*shared, "--out", str(out)) == EXIT_OK
+        (out / "chain-00" / "gen01" / "manifest.json").write_text("{bad")
+        capsys.readouterr()
+        assert run_cli(*shared, "--out", str(out)) == EXIT_OK
+        assert "resuming after generation 0" in capsys.readouterr().out
+        for gen in ("gen00", "gen01", "gen02"):
+            resumed = RunManifest.load(out / "chain-00" / gen)
+            assert resumed.files == RunManifest.load(full_out / "chain-00" / gen).files
+            resumed.verify_digests(out / "chain-00" / gen)
+        full_csv = (full_out / "chain-00" / "chain.csv").read_bytes()
+        assert (out / "chain-00" / "chain.csv").read_bytes() == full_csv
 
     def test_resume_rebuilds_edited_csv_rows(self, tmp_path):
         # no manifest digests chain.csv: a resume rebuilds every row from the
@@ -493,6 +566,25 @@ class TestChainCommand:
         assert err.startswith("error: ") and message in err
         assert not (out / "chain-00").exists()
 
+    @pytest.mark.parametrize("section, value", [("run", "5"), ("chain", "abc"), ("backend", "[1]")])
+    def test_section_that_is_not_a_mapping_rejected_before_writing(self, tmp_path, capsys, section, value):
+        path = tmp_path / "chain.yaml"
+        path.write_text(f"{section}: {value}\n")
+        out = tmp_path / "chains"
+        code = run_cli("chain", "--config", str(path), "--out", str(out), "--permutations", "60")
+        assert code == EXIT_VALIDATION
+        shown = repr(yaml.safe_load(value))
+        assert capsys.readouterr().err == f"error: {path}: section '{section}' must be a mapping, got {shown}\n"
+        assert not out.exists()
+
+    def test_empty_section_means_the_defaults(self, tmp_path):
+        path = tmp_path / "chain.yaml"
+        path.write_text("run:\nchain:\n")
+        out = tmp_path / "chains"
+        assert run_cli("chain", "--config", str(path), "--out", str(out), "--generations", "1",
+                       "--chains", "1", "--permutations", "60") == EXIT_OK
+        assert RunManifest.load(out / "chain-00" / "gen00").config["rounds"] == 4
+
     @pytest.mark.parametrize(
         "generations, span", [("2", "generations 1 to 1"), ("1", "no generation")], ids=["two", "one"]
     )
@@ -606,6 +698,20 @@ class TestChainCommand:
         assert err.startswith(f"error: {sims / 'sim-00'} cannot seed a chain: ")
         assert "incomplete testing output for agent A" in err
         assert not (out / "chain-00" / "gen01").exists()
+
+    def test_seed_with_unreadable_manifest_refused(self, tmp_path, capsys):
+        sims = tmp_path / "sims"
+        run_cli("simulate", "--seed", "3", "--out", str(sims), "--permutations", "60")
+        (sims / "sim-00" / "manifest.json").write_text("{bad")
+        out = tmp_path / "chains"
+        code = run_cli(
+            "chain", "--chains", "1", "--generations", "2", "--seed-from", str(sims / "sim-00"),
+            "--out", str(out), "--permutations", "60",
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sims / 'sim-00' / 'manifest.json'} is not JSON: ")
+        assert not (out / "chain-00").exists()
 
     def test_missing_seed_leaves_no_chain_directory(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"

@@ -103,7 +103,7 @@ class TestGuessingBlock:
         vocab, _ = training_vocab()
         agent = LookupOracle("A")
         agent.set_vocabulary(vocab.copy())
-        result = run_guessing_block(agent, vocab, Random(0))
+        result = run_guessing_block(agent, vocab, Random(0), RunConfig(), EventLog())
         assert result.accuracy == 1.0
         assert len(result.records) == 15
 
@@ -111,7 +111,7 @@ class TestGuessingBlock:
         vocab, _ = training_vocab()
         agent = LookupOracle("A")
         agent.set_vocabulary(vocab.copy())
-        result = run_guessing_block(agent, vocab, Random(3), distractors=3)
+        result = run_guessing_block(agent, vocab, Random(3), RunConfig(guessing_distractors=3), EventLog())
         signals = set(vocab.signals())
         for record in result.records:
             truth = vocab.signal_for(record.stimulus)
@@ -125,7 +125,7 @@ class TestGuessingBlock:
         agent.set_vocabulary(vocab.copy())
         correct = total = 0
         for seed in range(40):
-            result = run_guessing_block(agent, vocab, Random(seed))
+            result = run_guessing_block(agent, vocab, Random(seed), RunConfig(), EventLog())
             correct += sum(r.correct for r in result.records)
             total += len(result.records)
         assert abs(correct / total - 0.25) < 0.06
@@ -136,7 +136,7 @@ class TestLabellingBlock:
         vocab, _ = training_vocab()
         agent = LookupOracle("A")
         agent.set_vocabulary(vocab.copy())
-        result = run_labelling_block(agent, vocab, Random(0))
+        result = run_labelling_block(agent, vocab, Random(0), RunConfig(), EventLog())
         assert result.mean_distance == 0.0
         assert result.learned == vocab
         assert agent.vocabulary == result.learned
@@ -146,7 +146,7 @@ class TestLabellingBlock:
         backend = ScriptedBackend(completions=lambda p: "gigi")
         agent = LLMAgent("A", backend)
         agent.set_vocabulary(vocab.copy())
-        result = run_labelling_block(agent, vocab, Random(0))
+        result = run_labelling_block(agent, vocab, Random(0), RunConfig(), EventLog())
         assert all(e.signal == "gigi" for e in result.learned)
         assert len(set(result.learned.signals())) == 1
         assert result.mean_distance > 0
@@ -165,7 +165,7 @@ class TestLabellingBlock:
 
         agent = LLMAgent("A", ScriptedBackend(completions=flaky))
         agent.set_vocabulary(vocab.copy())
-        result = run_labelling_block(agent, vocab, Random(0), attempts=2)
+        result = run_labelling_block(agent, vocab, Random(0), RunConfig(max_agent_retries=2), EventLog())
         failed = [r for r in result.records if r.failed]
         assert len(failed) == 1
         assert failed[0].stimulus == target
@@ -176,14 +176,14 @@ class TestCommunicationBlock:
     def test_lookup_dyad_fully_successful(self):
         vocab, _ = training_vocab()
         a, b = lookup_pair(vocab)
-        result = run_communication_block(a, b, Random(0), RunConfig())
+        result = run_communication_block(a, b, Random(0), RunConfig(), EventLog())
         assert result.perc_com == [1.0, 1.0, 1.0, 1.0]
         assert len(result.records) == 120
 
     def test_candidate_invariants(self):
         vocab, split = training_vocab()
         a, b = lookup_pair(vocab)
-        result = run_communication_block(a, b, Random(1), RunConfig(rounds=1))
+        result = run_communication_block(a, b, Random(1), RunConfig(rounds=1), EventLog())
         train = set(split.train)
         for record in result.records:
             assert record.candidates.count(record.stimulus) == 1
@@ -194,13 +194,14 @@ class TestCommunicationBlock:
         # the four-distractor reading of the protocol stays available
         vocab, _ = training_vocab()
         a, b = lookup_pair(vocab)
-        result = run_communication_block(a, b, Random(1), RunConfig(rounds=1, candidate_count=5))
+        config = RunConfig(rounds=1, candidate_count=5)
+        result = run_communication_block(a, b, Random(1), config, EventLog())
         assert all(len(r.candidates) == 5 for r in result.records)
 
     def test_vocabulary_sync_and_flags(self):
         vocab, _ = training_vocab()
         a, b = lookup_pair(vocab)
-        result = run_communication_block(a, b, Random(2), RunConfig(rounds=1))
+        result = run_communication_block(a, b, Random(2), RunConfig(rounds=1), EventLog())
         for record in result.records:
             if record.failure_mode == "none":
                 assert a.vocabulary.signal_for(record.stimulus) == b.vocabulary.signal_for(
@@ -217,7 +218,7 @@ class TestCommunicationBlock:
     def test_success_definition(self):
         vocab, _ = training_vocab()
         a, b = lookup_pair(vocab)
-        result = run_communication_block(a, b, Random(3), RunConfig(rounds=1))
+        result = run_communication_block(a, b, Random(3), RunConfig(rounds=1), EventLog())
         for record in result.records:
             if record.failure_mode == "none":
                 assert record.success == (record.candidates[record.chosen] == record.stimulus)
@@ -231,7 +232,7 @@ class TestCommunicationBlock:
         vocab, _ = training_vocab()
         a.set_vocabulary(vocab.copy())
         b.set_vocabulary(vocab.copy())
-        result = run_communication_block(a, b, Random(4), RunConfig(rounds=2))
+        result = run_communication_block(a, b, Random(4), RunConfig(rounds=2), EventLog())
         oracles = {"A": a, "B": b}
         successes = 0
         for record in result.records:
@@ -253,7 +254,7 @@ class TestTestingBlock:
         vocab, split = training_vocab()
         agent = CompositionalOracle("A")
         agent.set_vocabulary(vocab.copy())
-        result = run_testing_block(agent, Random(0))
+        result = run_testing_block(agent, Random(0), RunConfig(), EventLog())
         assert len(result.records) == 27
         assert [r.stimulus for r in result.records] == enumerate_stimuli()
         train = set(split.train)
@@ -268,7 +269,7 @@ class TestTestingBlock:
         vocab, split = training_vocab()
         agent = agent_cls("A")
         agent.set_vocabulary(vocab.copy())
-        result = run_testing_block(agent, Random(0))
+        result = run_testing_block(agent, Random(0), RunConfig(), EventLog())
         flagged = {r.stimulus for r in result.records if r.extrapolated}
         assert flagged == set(split.test)
 
@@ -279,7 +280,7 @@ class TestTestingBlock:
             backend = ScriptedBackend(completions=lambda p: "gigi")
             agent = LLMAgent("A", backend)
             agent.set_vocabulary(vocab.copy())
-            run_testing_block(agent, Random(0), event_log=log)
+            run_testing_block(agent, Random(0), RunConfig(), log)
         train = set(split.train)
         calls = logged(log, "backend_call")
         assert len(calls) == 27
@@ -294,7 +295,7 @@ class TestRunSimulation:
     def test_structural_contract(self):
         vocab_pair = lookup_pair(training_vocab()[0])
         config = RunConfig(master_seed=5, mantel_permutations=200)
-        result = run_simulation(config, vocab_pair)
+        result = run_simulation(config, vocab_pair, EventLog())
         blocks = [(row.block, row.round, row.agent) for row in result.metric_rows]
         assert blocks.count(("initial", None, "")) == 1
         assert sum(1 for b in blocks if b[0] == "guessing") == 2
@@ -307,8 +308,8 @@ class TestRunSimulation:
 
     def test_deterministic_trace(self):
         config = RunConfig(master_seed=11, mantel_permutations=100)
-        r1 = run_simulation(config, lookup_pair(training_vocab(1)[0]))
-        r2 = run_simulation(config, lookup_pair(training_vocab(1)[0]))
+        r1 = run_simulation(config, lookup_pair(training_vocab(1)[0]), EventLog())
+        r2 = run_simulation(config, lookup_pair(training_vocab(1)[0]), EventLog())
         assert r1.communication.perc_com == r2.communication.perc_com
         assert [r.signal for r in r1.testing["A"].records] == [
             r.signal for r in r2.testing["A"].records
@@ -322,7 +323,7 @@ class TestRunSimulation:
         # partner's signals; its labelling row must still measure the
         # vocabulary it labelled, which reproduces the initial language
         config = RunConfig(master_seed=1, mantel_permutations=50)
-        result = run_simulation(config, (CompositionalOracle("A"), LookupOracle("B")))
+        result = run_simulation(config, (CompositionalOracle("A"), LookupOracle("B")), EventLog())
         rows = {(row.block, row.round, row.agent): row for row in result.metric_rows}
         initial_r = rows["initial", None, ""].topsim_r
         assert result.labelling["B"].learned.pairs() == result.initial_language.pairs()
@@ -331,8 +332,16 @@ class TestRunSimulation:
 
     def test_generated_language_when_not_given(self):
         config = RunConfig(master_seed=3, mantel_permutations=50)
-        result = run_simulation(config, (LookupOracle("A"), LookupOracle("B")))
+        result = run_simulation(config, (LookupOracle("A"), LookupOracle("B")), EventLog())
         assert len(result.initial_language) == 15
+
+    def test_guessing_distractors_reach_the_guessing_block(self, event_log):
+        config = RunConfig(master_seed=4, mantel_permutations=10, guessing_distractors=2)
+        result = run_simulation(config, (LookupOracle("A"), LookupOracle("B")), event_log=event_log)
+        guesses = logged(event_log, "guess")
+        assert len(guesses) == 2 * 15
+        assert all(len(guess["candidates"]) == 3 for guess in guesses)
+        assert all(len(r.candidates) == 3 for g in result.guessing.values() for r in g.records)
 
     def test_abort_carries_partial(self):
         from refgame.prompts import PromptTask
@@ -347,7 +356,7 @@ class TestRunSimulation:
         b = LookupOracle("B")
         config = RunConfig(master_seed=0, mantel_permutations=10)
         with pytest.raises(SimulationAborted) as info:
-            run_simulation(config, (a, b))
+            run_simulation(config, (a, b), EventLog())
         partial = info.value.partial
         assert set(partial.guessing) == {"A", "B"}
         assert set(partial.labelling) == {"A", "B"}
@@ -366,7 +375,7 @@ class TestRunSimulation:
 
         config = RunConfig(master_seed=0, mantel_permutations=10)
         with pytest.raises(SimulationAborted) as info:
-            run_simulation(config, (LookupOracle("A"), ExplodingGuesser("B")))
+            run_simulation(config, (LookupOracle("A"), ExplodingGuesser("B")), EventLog())
         partial = info.value.partial
         assert partial.guessing == {}
         assert partial.labelling == {}
@@ -385,7 +394,7 @@ class TestRunSimulation:
             BreakingOracle(i, PromptTask.LABELLING) if i in breaking else LookupOracle(i) for i in "AB"
         )
         with pytest.raises(SimulationAborted) as info:
-            run_simulation(RunConfig(master_seed=2, mantel_permutations=10), agents)
+            run_simulation(RunConfig(master_seed=2, mantel_permutations=10), agents, EventLog())
         cause = info.value.__cause__
         assert isinstance(cause, RuntimeError) and str(cause) == f"agent {breaking[0]} broke"
         frames = [frame.name for frame in traceback.extract_tb(cause.__traceback__)]
@@ -404,7 +413,7 @@ class TestRunSimulation:
         backend = in_context_learner()
         a, b = LLMAgent("A", backend), LLMAgent("B", backend)
         config = RunConfig(master_seed=77, mantel_permutations=100)
-        result = run_simulation(config, (a, b))
+        result = run_simulation(config, (a, b), EventLog())
         assert result.guessing["A"].accuracy == 1.0
         assert result.guessing["B"].accuracy == 1.0
         assert result.labelling["A"].mean_distance == 0.0
@@ -426,11 +435,11 @@ class TestRunSimulation:
         monkeypatch.setattr(engine, "generalization_score", broken)
         config = RunConfig(master_seed=0, mantel_permutations=10)
         with pytest.raises(TypeError, match="not a metric failure"):
-            run_simulation(config, (LookupOracle("A"), LookupOracle("B")))
+            run_simulation(config, (LookupOracle("A"), LookupOracle("B")), EventLog())
 
     def test_metric_rows_measure_each_signal_pair_once_per_call(self, monkeypatch):
         config = RunConfig(master_seed=2, mantel_permutations=10)
-        result = run_simulation(config, (CompositionalOracle("A"), LookupOracle("B")))
+        result = run_simulation(config, (CompositionalOracle("A"), LookupOracle("B")), EventLog())
         matrices, calls, matrix_calls = [], [], []
         real_matrix, real_levenshtein = metrics.signal_distance_matrix, metrics.levenshtein
 
@@ -467,7 +476,7 @@ class TestRunSimulation:
                 return super().produce_signal(stimulus, task, rng)
 
         config = RunConfig(master_seed=0, mantel_permutations=10)
-        result = run_simulation(config, (ConstantSpeaker("A"), LookupOracle("B")))
+        result = run_simulation(config, (ConstantSpeaker("A"), LookupOracle("B")), EventLog())
         testing = {row.agent: row for row in result.metric_rows if row.block == "testing"}
         assert testing["A"].gen_score is None
         assert testing["A"].degenerate
@@ -475,7 +484,7 @@ class TestRunSimulation:
     def test_repair_oracle_topsim_strictly_increases(self):
         config = RunConfig(master_seed=8, mantel_permutations=2000)
         agents = (RepairOracle("A", repair_step=3), RepairOracle("B", repair_step=3))
-        result = run_simulation(config, agents)
+        result = run_simulation(config, agents, EventLog())
         z_by_round = [
             row.topsim_z
             for row in result.metric_rows
@@ -583,8 +592,8 @@ class TestExclusionInvariant:
             a, b = LLMAgent("A", backend), LLMAgent("B", backend)
             a.set_vocabulary(vocab.copy())
             b.set_vocabulary(vocab.copy())
-            run_communication_block(a, b, Random(derive_seed(1, "communication")), config, event_log=log)
-            run_testing_block(a, Random(0), event_log=log)
+            run_communication_block(a, b, Random(derive_seed(1, "communication")), config, log)
+            run_testing_block(a, Random(0), config, log)
 
         interactions = {
             (e["round"], e["task"]): Stimulus(*e["stimulus"])
@@ -620,9 +629,9 @@ class TestExclusionInvariant:
             backend = ScriptedBackend(completions=lambda p: "gigi", scores=lambda p: -1.0)
             agent = LLMAgent("A", backend)
             agent.set_vocabulary(vocab.copy())
-            run_labelling_block(agent, vocab, Random(0), event_log=log)
+            run_labelling_block(agent, vocab, Random(0), RunConfig(), log)
             agent.set_vocabulary(vocab.copy())
-            run_guessing_block(agent, vocab, Random(0), event_log=log)
+            run_guessing_block(agent, vocab, Random(0), RunConfig(), log)
         for call in logged(log, "backend_call"):
             lines = call["prompt"].split("\n")
             body, stem = lines[:-1], lines[-1]

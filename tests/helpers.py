@@ -1,12 +1,18 @@
 """Test doubles: scripted backends, test-only agents, and independent oracles."""
 
 import hashlib
+import importlib.util
 import itertools
+import json
 import math
 import re
 import threading
 import time
+import urllib.request
+from contextlib import contextmanager
 from functools import lru_cache
+from http.server import ThreadingHTTPServer
+from pathlib import Path
 from typing import Callable, Sequence
 
 from refgame.agents import CompositionalOracle, LookupOracle, _argmin, _Oracle
@@ -28,7 +34,15 @@ from refgame.domain import (
     parse_vocab_line,
 )
 from refgame.metrics import normalized_levenshtein, semantic_distance, semantic_similarity
-from refgame.prompts import Prompt, PromptError, PromptTask
+from refgame.prompts import (
+    LISTENING_INSTRUCTION,
+    SPEAKING_INSTRUCTION,
+    Prompt,
+    PromptError,
+    PromptTask,
+)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 _LISTENER_LINE_RE = re.compile(
     r"^\{'word':'(?P<word>[^']*)','shape':(?P<shape>[123]),"
@@ -337,3 +351,86 @@ class RepairOracle(_Oracle):
             return _argmin([normalized_levenshtein(expected, c) for c in candidates])
         expected = [self._expected(c, rng) for c in candidates]
         return _argmin([normalized_levenshtein(probe, e) for e in expected])
+
+
+def _load_perfbench_stub():
+    """``perfbench/stub.py`` as a module, under a name of its own."""
+    spec = importlib.util.spec_from_file_location("perfbench_stub", PERFBENCH / "stub.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+perfbench_stub = _load_perfbench_stub()
+
+
+def _sha(text: str) -> int:
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+
+def _faulty_handler(base: type, counters) -> type:
+    """``base``, the benchmark stub's handler, with faults chosen by the text
+    of the templated prompt, as ``service`` chooses them:
+
+    * a score request holding a listener prompt whose digest is 0 modulo
+      240 is answered with 503, however often it is sent, so that listening
+      attempt fails once the backend's retries run out;
+    * a speaking completion is answered with an unparseable ```` ``` ````
+      when the digest of its text is 0 modulo 60 (the next attempt, shuffled
+      anew, parses), and on every attempt when the digest of its sorted
+      lines, the same for every shuffle, is 0 modulo 97.
+
+    Every other prompt gets the stub's own reply."""
+
+    def fails(prompt: str) -> bool:
+        return LISTENING_INSTRUCTION in prompt and _sha(prompt) % 240 == 0
+
+    def unparseable(prompt: str) -> bool:
+        if SPEAKING_INSTRUCTION not in prompt:
+            return False
+        return _sha(prompt) % 60 == 0 or _sha("\n".join(sorted(prompt.splitlines()))) % 97 == 0
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        prompts = body["prompt"]
+        counters.record(prompts, 0.0)
+        if body.get("echo"):
+            if any(fails(p) for p in prompts):
+                self._reply(503, {"error": "scripted failure"})
+                return
+            choices = [perfbench_stub.echo_choice(p, i) for i, p in enumerate(prompts)]
+        else:
+            choices = [perfbench_stub.completion_choice(p, i) for i, p in enumerate(prompts)]
+            for choice, prompt in zip(choices, prompts):
+                if unparseable(prompt):
+                    choice["text"] = "```"
+        self._reply(200, {"object": "text_completion", "choices": choices})
+
+    return type("FaultyHandler", (base,), {"do_POST": do_POST})
+
+
+@contextmanager
+def wire_service(faults: bool = False):
+    """``perfbench/stub.py``'s service in this process, with no injected
+    latency, and with ``faults`` those of ``_faulty_handler``; yields its
+    endpoint, whose ``/stats`` counts its connections and requests."""
+    counters = perfbench_stub.Counters()
+    handler = perfbench_stub.make_handler(counters, 0.0, 0.0)
+    if faults:
+        handler = _faulty_handler(handler, counters)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def service_stats(endpoint: str) -> dict:
+    """The ``/stats`` counters of a ``wire_service``."""
+    with urllib.request.urlopen(f"{endpoint}/stats", timeout=5) as reply:
+        return json.loads(reply.read())

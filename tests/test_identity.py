@@ -4,9 +4,17 @@ Runs a matrix of ``simulate`` and ``chain`` commands in process, and llm
 dyads over the tests' scripted services, and compares the sha256 of every
 ``metrics.csv``, ``chain.csv``, ``events.jsonl`` and vocab file with
 ``tests/data/identity.json``. An llm run's ``events.jsonl`` is digested
-without its wall-clock ``latency`` and ``timestamp`` keys. A refactor that
-moves any output byte fails here; a change that moves bytes on purpose
-regenerates the file with
+without its wall-clock ``latency`` and ``timestamp`` keys.
+
+The ``wire-`` entries of that file pin llm dyads that go through
+``HttpBackend`` to ``perfbench/stub.py``'s replies at no latency, one of
+them against faults chosen by prompt text (``helpers.wire_service``). Their
+``events.jsonl`` is pinned as two digests, its block records and its
+``backend_call``/``backend_retry`` records, so a record of another kind
+moves neither; beside them stand the requests each command sent.
+
+A refactor that moves any output byte fails here; a change that moves bytes
+on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_identity.py
 
@@ -21,7 +29,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from helpers import in_context_learner, service
+import yaml
+
+from helpers import in_context_learner, service, service_stats, wire_service
 from refgame.agents import LLMAgent
 from refgame.backend import EventLog
 from refgame.cli import EXIT_OK, EXIT_RUNTIME, main
@@ -49,6 +59,20 @@ LLM_BACKENDS = {
 }
 LLM_SEEDS = (0, 1)
 WALL_CLOCK_KEYS = ("latency", "timestamp")
+# name -> (command, rounds, whether the service injects faults). Scoring replies
+# echo every token, so a round costs about 0.4 s even at no latency: the
+# runs keep to one or two rounds. The faulted run crosses a round boundary; seed
+# 9's faults, in its first two rounds, exhaust a listener's retries twice,
+# fail one speaking attempt each in two interactions and every attempt of
+# a third.
+WIRE_RUNS = {
+    "wire-simulate-3": (("simulate", "--seed", "3"), 1, False),
+    "wire-simulate-4": (("simulate", "--seed", "4"), 1, False),
+    "wire-chain-5": (("chain", "--seed", "5", "--chains", "1", "--generations", "2"), 1, False),
+    "wire-faults-9": (("simulate", "--seed", "9"), 2, True),
+}
+BLOCK_KINDS = ("run_start", "guess", "label", "interaction", "testing", "run_end", "run_aborted")
+BACKEND_KINDS = ("backend_call", "backend_retry")
 
 
 def _run(*argv) -> int:
@@ -100,11 +124,13 @@ def run_matrix(root: Path) -> dict[str, int]:
     return codes
 
 
-def events_digest(path: Path) -> str:
-    """sha256 of an ``events.jsonl`` whose records drop their wall-clock keys."""
+def events_digest(path: Path, kinds: tuple[str, ...] | None = None) -> str:
+    """sha256 of an ``events.jsonl`` whose records drop their wall-clock
+    keys; with ``kinds``, of its records of those kinds only."""
     records = [
         {key: value for key, value in record.items() if key not in WALL_CLOCK_KEYS}
         for record in EventLog.read(path)
+        if kinds is None or record["kind"] in kinds
     ]
     return hashlib.sha256("".join(json.dumps(r) + "\n" for r in records).encode()).hexdigest()
 
@@ -121,6 +147,32 @@ def output_digests(root: Path) -> dict[str, str]:
     return digests
 
 
+def run_wire(root: Path) -> dict:
+    """Write every wire run under ``root``; returns the digests of their
+    outputs, and the requests each command sent, by relative path."""
+    root.mkdir(parents=True, exist_ok=True)
+    pinned = {}
+    for name, (argv, rounds, faults) in WIRE_RUNS.items():
+        out = root / name
+        with wire_service(faults) as endpoint:
+            config = root / f"{name}.yaml"
+            config.write_text(yaml.safe_dump({
+                "agents": ["llm", "llm"],
+                "backend": {"endpoint": endpoint, "api_key_env": "", "max_retries": 1, "backoff_base": 0.0},
+                "run": {"rounds": rounds},
+            }))
+            assert _run(*argv, "--config", str(config), "--out", str(out)) == EXIT_OK
+            pinned[f"{name}/requests"] = service_stats(endpoint)["requests"]
+        for path in sorted(out.rglob("*")):
+            key = path.relative_to(root).as_posix()
+            if path.name == "events.jsonl":
+                pinned[f"{key}#blocks"] = events_digest(path, BLOCK_KINDS)
+                pinned[f"{key}#backend"] = events_digest(path, BACKEND_KINDS)
+            elif path.name in ("metrics.csv", "chain.csv") or path.suffix == ".vocab":
+                pinned[key] = file_digest(path)
+    return pinned
+
+
 def expected_codes() -> dict[str, int]:
     codes = {f"simulate-{name}-{seed}": EXIT_OK for name in DYADS for seed in SIMULATE_SEEDS}
     codes.update({f"chain-{name}-{seed}": EXIT_OK for name in DYADS for seed in CHAIN_SEEDS})
@@ -128,10 +180,25 @@ def expected_codes() -> dict[str, int]:
     return codes
 
 
+def pinned(prefix: str = "") -> dict:
+    """The entries of ``identity.json`` whose key starts with ``wire-``
+    (``prefix`` "wire-") or not (``prefix`` "")."""
+    entries = json.loads(IDENTITY_PATH.read_text())
+    return {key: value for key, value in entries.items() if key.startswith("wire-") == bool(prefix)}
+
+
 def test_fixed_seed_outputs_are_byte_identical(tmp_path):
     assert run_matrix(tmp_path) == expected_codes()
     actual = output_digests(tmp_path)
-    expected = json.loads(IDENTITY_PATH.read_text())
+    expected = pinned()
+    assert sorted(actual) == sorted(expected)
+    moved = [path for path in expected if actual[path] != expected[path]]
+    assert moved == []
+
+
+def test_wire_outputs_are_byte_identical(tmp_path):
+    actual = run_wire(tmp_path)
+    expected = pinned("wire-")
     assert sorted(actual) == sorted(expected)
     moved = [path for path in expected if actual[path] != expected[path]]
     assert moved == []
@@ -140,10 +207,10 @@ def test_fixed_seed_outputs_are_byte_identical(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
-        codes = run_matrix(root)
+        codes = run_matrix(root / "matrix")
         if codes != expected_codes():
             sys.exit(f"unexpected exit codes: {codes}")
-        digests = output_digests(root)
+        digests = {**output_digests(root / "matrix"), **run_wire(root / "wire")}
     IDENTITY_PATH.parent.mkdir(exist_ok=True)
     IDENTITY_PATH.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"{len(digests)} digests -> {IDENTITY_PATH}")

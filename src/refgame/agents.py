@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from itertools import islice
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import prompts
-from .backend import BackendError, CompletionBackend, EventLog
+from .backend import BackendError, CompletionBackend, EventLog, PendingCompletion
 from .domain import Signal, Stimulus, Vocabulary, enumerate_stimuli
 from .metrics import normalized_levenshtein, semantic_distance
 from .prompts import PromptTask, UnparseableResponseError
@@ -33,7 +33,13 @@ class Agent:
     context must omit, which only the engine knows for listening tasks.
     Both return the answers of the leading tasks answered (the engine asks
     every later task alone, as a list of one) and log requests to ``event_log``.
+
+    An agent whose ``speaks_ahead`` is true also offers ``choose_later`` and
+    ``speak_ahead`` (see ``LLMAgent``), with which the engine overlaps a
+    listening task with the next speaking one.
     """
+
+    speaks_ahead = False
 
     def __init__(self, agent_id: str):
         self.agent_id = agent_id
@@ -173,11 +179,22 @@ class LLMAgent(Agent):
     takes the argmax of total log-probability, ties broken by lowest
     position in the shuffled candidate order. The answers stop at the first
     reply that does not parse, and there are none when the call fails.
+
+    Over a backend with ``complete_later`` (``HttpBackend``) the agent
+    speaks ahead: choose_later() builds a choice list's prompts on the
+    calling thread and asks when called, and speak_ahead() builds one
+    speaking task's prompt over each of several vocabularies and sends them
+    at once. So the agent can have two calls in flight: its listening
+    request and its next speaking request.
     """
 
     def __init__(self, agent_id: str, backend: CompletionBackend):
         super().__init__(agent_id)
         self.backend = backend
+
+    @property
+    def speaks_ahead(self) -> bool:
+        return hasattr(self.backend, "complete_later")
 
     def _build_production_prompt(self, stimulus: Stimulus, task: PromptTask, rng: Random):
         assert self.vocabulary is not None
@@ -212,30 +229,91 @@ class LLMAgent(Agent):
             replies = self.backend.complete(built, tasks, event_log)
         except BackendError:
             return []
-        signals = []
-        for raw in replies:
-            try:
-                signals.append(prompts.parse_signal_response(raw))
-            except UnparseableResponseError:
-                break
-        return signals
+        return _parsed(replies)
 
     def choose_many(self, items, task, rng, event_log) -> list[int]:
+        return self.choose_later(items, task, rng)(event_log)
+
+    def choose_later(self, items, task, rng) -> Callable[[EventLog], list[int]]:
+        """choose_many() with every prompt built now, from ``rng``, and the
+        request sent when the returned function is called with the log."""
         tasks, built, sizes = [], [], []
         for task_index, probe, candidates, exclude in items:
             candidate_prompts = self._candidate_prompts(probe, candidates, task, rng, exclude)
             tasks += [task_index] * len(candidate_prompts)
             built += candidate_prompts
             sizes.append(len(candidate_prompts))
+
+        def ask(event_log: EventLog) -> list[int]:
+            try:
+                scores = self.backend.score(built, tasks, event_log)
+            except BackendError:
+                return []
+            chosen, start = [], 0
+            for size in sizes:
+                chosen.append(_argmax(scores[start:start + size]))
+                start += size
+            return chosen
+
+        return ask
+
+    def speak_ahead(self, task_index: int, stimulus: Stimulus, vocabularies: Sequence[Vocabulary],
+                    rng: Random) -> SpeechAhead:
+        """Builds the speaking prompt for ``stimulus`` over each of
+        ``vocabularies`` from one state of ``rng``, which ends where one
+        build leaves it, and sends the distinct prompts as one completion
+        request; the answer is read from the returned ``SpeechAhead``."""
+        state = rng.getstate()
+        built = []
+        for vocabulary in vocabularies:
+            rng.setstate(state)
+            built.append(prompts.build_speaker_prompt(vocabulary, stimulus, rng))
+        distinct = list(dict.fromkeys(built))
         try:
-            scores = self.backend.score(built, tasks, event_log)
+            pending = self.backend.complete_later(distinct)
         except BackendError:
-            return []
-        chosen, start = [], 0
-        for size in sizes:
-            chosen.append(_argmax(scores[start:start + size]))
-            start += size
-        return chosen
+            pending = None
+        return SpeechAhead(task_index, [distinct.index(p) for p in built], pending)
+
+
+def _parsed(replies: Sequence[str]) -> list[Signal]:
+    """The signals of the leading replies that parse."""
+    signals = []
+    for raw in replies:
+        try:
+            signals.append(prompts.parse_signal_response(raw))
+        except UnparseableResponseError:
+            break
+    return signals
+
+
+class SpeechAhead:
+    """A speaking task's request sent by ``LLMAgent.speak_ahead``: one
+    prompt per vocabulary it was built over, identical prompts sent once.
+    Read it once: answer() keeps one vocabulary's reply, discard() none."""
+
+    def __init__(self, task_index: int, positions: list[int], pending: PendingCompletion | None):
+        self._tasks = [task_index] * (max(positions) + 1)
+        self._positions = positions  # each vocabulary's prompt in the request
+        self._pending = pending  # None: the request was refused before it was sent
+
+    def answer(self, which: int, event_log: EventLog) -> Signal | None:
+        """The signal of the reply to the prompt over vocabulary ``which``,
+        logged as a ``backend_call`` (any other prompt as discarded); None
+        when the request failed or the reply does not parse."""
+        if self._pending is None:
+            return None
+        kept = self._positions[which]
+        try:
+            replies = self._pending.texts(self._tasks, event_log, kept=kept)
+        except BackendError:
+            return None
+        return (_parsed([replies[kept]]) or [None])[0]
+
+    def discard(self, event_log: EventLog) -> None:
+        """Reads the reply and logs every prompt as discarded."""
+        if self._pending is not None:
+            self._pending.discard(self._tasks, event_log)
 
 
 ORACLE_KINDS = {

@@ -18,7 +18,8 @@ import os
 import threading
 import time
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 from urllib.parse import urlsplit
@@ -210,14 +211,15 @@ class CompletionBackend:
         started: float,
         task: int,
         repeat: bool = False,
+        kind: str = "backend_call",
         **extra,
     ) -> None:
-        """Append a ``backend_call`` record to ``event_log``, with ``task``
-        over the context's; with ``repeat`` it keeps the prompt's
-        ``prompt_sha`` but leaves its text out."""
+        """Append a ``kind`` record to ``event_log``, with ``task`` over the
+        context's; with ``repeat`` it keeps the prompt's ``prompt_sha`` but
+        leaves its text out."""
         text = {} if repeat else {"prompt": prompt_text}
         event_log.append(
-            "backend_call",
+            kind,
             call=call,
             prompt_sha=prompt_digest(prompt_text),
             **text,
@@ -227,6 +229,22 @@ class CompletionBackend:
             **extra,
             task=task,
         )
+
+
+@dataclass
+class _Sent:
+    """A request posted on ``connection`` whose reply is not read yet."""
+
+    connection: object
+    body: bytes
+    reused: bool  # the connection had carried an earlier request
+    posted: bool = True
+    started: float = field(default_factory=time.monotonic)
+
+
+def _close_all(connections: list) -> None:
+    for connection in connections:
+        connection.close()
 
 
 class HttpBackend(CompletionBackend):
@@ -240,14 +258,21 @@ class HttpBackend(CompletionBackend):
     its token lists are never all held at once. Services that
     reject echo-scoring surface CapabilityUnsupported; a reply without one
     indexed choice per prompt, as from a service that rejects list prompts,
-    is a MalformedServiceReply.
+    is a MalformedServiceReply. complete_later() sends a completion request
+    at once and reads its reply when asked, so the same backend can carry
+    another call meanwhile.
 
-    Requests go out on one keep-alive ``http.client`` connection, HTTPS
-    when the endpoint's scheme says so, to the endpoint's path followed by
-    ``/v1/completions``. When the service has closed that connection while
-    it was idle, the request is sent once more on a new one; that is not a
-    retry. A request that fails in transport or times out is sent again, up
-    to ``descriptor.max_retries`` times; a call is retried as a whole, and
+    Requests go out on keep-alive ``http.client`` connections, HTTPS when
+    the endpoint's scheme says so, to the endpoint's path followed by
+    ``/v1/completions``. Each request takes an idle connection from a pool,
+    or opens one when none is idle, and gives it back once its reply is
+    read; the pool keeps at most ``POOL_SIZE`` idle connections, so a
+    backend with at most two requests in flight at once, as an llm agent's,
+    never opens more than two. Calls may come from several threads at once.
+    When the service has closed a connection while it was idle, the request
+    is sent once more on a new one; that is not a retry. A request that
+    fails in transport or times out is sent again, up to
+    ``descriptor.max_retries`` times; a call is retried as a whole, and
     ``descriptor.timeout`` bounds each attempt at the whole list.
     Each retry appends a ``backend_retry`` record before the call's
     ``backend_call`` records, whose ``latency`` is the answering attempt's.
@@ -255,6 +280,8 @@ class HttpBackend(CompletionBackend):
     The records of a score call carry the templated prompt text only where
     it differs from the previous record's; each keeps its ``prompt_sha``.
     """
+
+    POOL_SIZE = 2
 
     def __init__(self, descriptor: BackendDescriptor):
         self.descriptor = descriptor
@@ -265,9 +292,11 @@ class HttpBackend(CompletionBackend):
         url = urlsplit(descriptor.endpoint)
         self._path = url.path.rstrip("/") + "/v1/completions"
         connection_class = HTTPSConnection if url.scheme == "https" else HTTPConnection
-        self._connection = connection_class(url.hostname, url.port, timeout=descriptor.timeout)
-        # closes the socket when the backend goes away, as a pool would
-        weakref.finalize(self, self._connection.close)
+        self._connect = partial(connection_class, url.hostname, url.port, timeout=descriptor.timeout)
+        self._idle: list = []  # most recently used last
+        self._pool_lock = threading.Lock()
+        # closes the idle sockets when the backend goes away
+        weakref.finalize(self, _close_all, self._idle)
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -276,58 +305,92 @@ class HttpBackend(CompletionBackend):
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def _exchange(self, body: bytes) -> tuple[int, bytes]:
-        self._connection.request("POST", self._path, body, self._headers())
-        response = self._connection.getresponse()
-        return response.status, response.read()
-
-    def _post(self, payload: dict, object_hook: Callable[[dict], dict] | None = None) -> dict:
+    def _send(self, body: bytes) -> _Sent:
+        """``body`` posted on a pooled connection, its reply left unread. A
+        send that fails is made again by ``_receive``."""
+        with self._pool_lock:
+            connection = self._idle.pop() if self._idle else self._connect()
+        sent = _Sent(connection, body, reused=connection.sock is not None)
         try:
-            return self._reply(json.dumps(payload).encode(), object_hook)
-        except BackendError:
-            self._connection.close()
-            raise
+            connection.request("POST", self._path, body, self._headers())
+        except OSError:
+            connection.close()
+            sent.posted = False
+        return sent
 
-    def _reply(self, body: bytes, object_hook: Callable[[dict], dict] | None = None) -> dict:
+    def _receive(self, sent: _Sent, object_hook: Callable[[dict], dict] | None = None) -> dict:
+        """The parsed reply to a ``_send``; the connection goes back to the
+        pool, closed when the exchange failed."""
         from http.client import HTTPException  # loaded by __init__, not with this module
 
-        reused = self._connection.sock is not None
+        connection = sent.connection
         try:
             try:
-                status, data = self._exchange(body)
+                status, data = self._exchange(sent)
             except ConnectionError:
-                if not reused:
+                if not sent.reused:
                     raise
                 # the service closed the idle keep-alive connection
-                self._connection.close()
-                status, data = self._exchange(body)
+                connection.close()
+                sent.posted = False
+                status, data = self._exchange(sent)
+            if status >= 500:
+                raise TransportFailure(f"service error {status}")
+            if status != 200:
+                raise MalformedServiceReply(
+                    f"service returned {status}: {data[:200].decode(errors='replace')}"
+                )
+            try:
+                return json.loads(data, object_hook=object_hook)
+            except ValueError as err:
+                raise MalformedServiceReply("response body is not JSON") from err
         except TimeoutError as err:
+            connection.close()
             raise BackendTimeout(f"no reply within {self.descriptor.timeout} s") from err
         except (OSError, HTTPException) as err:
+            connection.close()
             raise TransportFailure(f"{type(err).__name__}: {err}") from err
-        if status >= 500:
-            raise TransportFailure(f"service error {status}")
-        if status != 200:
-            raise MalformedServiceReply(
-                f"service returned {status}: {data[:200].decode(errors='replace')}"
-            )
-        try:
-            return json.loads(data, object_hook=object_hook)
-        except ValueError as err:
-            raise MalformedServiceReply("response body is not JSON") from err
+        except BackendError:
+            connection.close()
+            raise
+        finally:
+            self._give_back(connection)
+
+    def _exchange(self, sent: _Sent) -> tuple[int, bytes]:
+        if not sent.posted:
+            sent.connection.request("POST", self._path, sent.body, self._headers())
+            sent.posted = True
+        response = sent.connection.getresponse()
+        return response.status, response.read()
+
+    def _give_back(self, connection) -> None:
+        with self._pool_lock:
+            if len(self._idle) < self.POOL_SIZE:
+                self._idle.append(connection)
+                return
+        connection.close()
+
+    def _post(self, payload: dict, object_hook: Callable[[dict], dict] | None = None) -> dict:
+        return self._receive(self._send(json.dumps(payload).encode()), object_hook)
 
     def _post_with_retries(self, payload: dict, event_log: EventLog,
-                           object_hook: Callable[[dict], dict] | None = None) -> tuple[dict, float]:
+                           object_hook: Callable[[dict], dict] | None = None,
+                           sent: _Sent | None = None) -> tuple[dict, float]:
         """The reply to ``payload``, each of its JSON objects passed through
         ``object_hook`` as it is parsed, and the monotonic start time of the
-        attempt that got it; retry k waits ``backoff_base * 2**(k-1)`` and
-        is logged to ``event_log``."""
+        attempt that got it; the first attempt reads the reply to ``sent``
+        when given. Retry k waits ``backoff_base * 2**(k-1)`` and is logged
+        to ``event_log``."""
         attempt = 0
         while True:
-            started = time.monotonic()
             try:
-                return self._post(payload, object_hook), started
+                if sent is None:
+                    started = time.monotonic()
+                    return self._post(payload, object_hook), started
+                started = sent.started
+                return self._receive(sent, object_hook), started
             except (TransportFailure, BackendTimeout) as err:
+                sent = None
                 attempt += 1
                 if attempt > self.descriptor.max_retries:
                     raise
@@ -357,6 +420,11 @@ class HttpBackend(CompletionBackend):
 
     def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int],
                  event_log: EventLog) -> list[str]:
+        return self.complete_later(prompts).texts(tasks, event_log)
+
+    def complete_later(self, prompts: Sequence[Prompt]) -> PendingCompletion:
+        """complete(), with the request sent now and its reply read by the
+        returned ``PendingCompletion``."""
         full_texts = [apply_chat_template(self.template, p) for p in prompts]
         for text in full_texts:
             self._check_budget(text, self.descriptor.max_output_tokens)
@@ -367,16 +435,7 @@ class HttpBackend(CompletionBackend):
             "temperature": self.descriptor.temperature,
             "stop": list(COMPLETION_STOP_SEQUENCES),
         }
-        reply, started = self._post_with_retries(payload, event_log)
-        try:
-            texts = [choice["text"] for choice in self._choices(reply, len(prompts))]
-        except (KeyError, TypeError) as err:
-            raise MalformedServiceReply(f"missing completion text: {reply!r}") from err
-        if not all(isinstance(text, str) for text in texts):
-            raise MalformedServiceReply(f"completion text is not a string: {reply!r}")
-        for full_text, text, task in zip(full_texts, texts, tasks):
-            self._log(event_log, "complete", full_text, text, started, task)
-        return texts
+        return PendingCompletion(self, full_texts, payload, self._send(json.dumps(payload).encode()))
 
     def score(self, prompts: Sequence[Prompt], tasks: Sequence[int],
               event_log: EventLog) -> list[float]:
@@ -439,3 +498,46 @@ class HttpBackend(CompletionBackend):
         if counted == 0:
             raise MalformedServiceReply("no continuation tokens in echo response")
         return total
+
+
+class PendingCompletion:
+    """A completion request of ``HttpBackend.complete_later``, sent and not
+    yet read. Read it once, with texts() or discard(); until then it holds
+    one of the backend's connections."""
+
+    def __init__(self, backend: HttpBackend, full_texts: list[str], payload: dict, sent: _Sent):
+        self._backend = backend
+        self._full_texts = full_texts
+        self._payload = payload
+        self._sent = sent
+
+    def texts(self, tasks: Sequence[int], event_log: EventLog, kept: int | None = None) -> list[str]:
+        """What complete() returns and logs, retried as complete() is. With
+        ``kept``, only that prompt gets a ``backend_call`` record; every
+        other gets a ``backend_discarded`` one, without its text."""
+        backend = self._backend
+        reply, started = backend._post_with_retries(self._payload, event_log, sent=self._sent)
+        try:
+            texts = [choice["text"] for choice in backend._choices(reply, len(self._full_texts))]
+        except (KeyError, TypeError) as err:
+            raise MalformedServiceReply(f"missing completion text: {reply!r}") from err
+        if not all(isinstance(text, str) for text in texts):
+            raise MalformedServiceReply(f"completion text is not a string: {reply!r}")
+        for position, (full_text, text, task) in enumerate(zip(self._full_texts, texts, tasks)):
+            discarded = kept is not None and position != kept
+            backend._log(event_log, "complete", full_text, text, started, task, repeat=discarded,
+                         kind="backend_discarded" if discarded else "backend_call")
+        return texts
+
+    def discard(self, tasks: Sequence[int], event_log: EventLog) -> None:
+        """Reads the reply, once and without a retry, and logs every prompt
+        as ``backend_discarded``, with a ``result`` of None when no usable
+        reply came."""
+        try:
+            choices = self._backend._choices(self._backend._receive(self._sent), len(tasks))
+            texts = [choice.get("text") for choice in choices]
+        except BackendError:
+            texts = [None] * len(tasks)
+        for full_text, text, task in zip(self._full_texts, texts, tasks):
+            self._backend._log(event_log, "complete", full_text, text, self._sent.started, task,
+                               repeat=True, kind="backend_discarded")

@@ -440,7 +440,22 @@ def run_communication_block(
     target from its own vocabulary (target excluded from context); the
     listener picks the target out of ``candidate_count`` stimuli by scoring
     each candidate. Afterwards both agents map the target to the produced
-    signal and set its success flag to the outcome."""
+    signal and set its success flag to the outcome.
+
+    Tasks run in turn, with one exception that changes no output. The
+    listener of task t speaks task t+1, and its prompt there differs from
+    its vocabulary now only in the line of t's stimulus, by t's signal and
+    success flag. So when the listener ``speaks_ahead``, once its candidate
+    prompts are built, t+1's candidates are drawn and its speaking prompt is
+    built under both flags from one rng state (``_shuffled`` draws by line
+    count only) and sent while t's listening request is in flight: that
+    agent has two calls in flight at once. The reply for the flag that came
+    true is t+1's first speaking attempt, and its records are written where
+    t+1's turn would write them, the other prompt's as a
+    ``backend_discarded`` record. When t's listener needs a second attempt,
+    the speaking request is discarded, the rng goes back to where it was
+    before t+1's draws, and t+1 runs in turn. Nothing is asked ahead across
+    a round boundary or after a failed production."""
     assert agent_a.vocabulary is not None and agent_b.vocabulary is not None
     agent_a.vocabulary.track_success = True
     agent_b.vocabulary.track_success = True
@@ -450,8 +465,15 @@ def run_communication_block(
     records: list[InteractionRecord] = []
     round_vocabs: dict[str, list[Vocabulary]] = {agent_a.agent_id: [], agent_b.agent_id: []}
 
+    def draw_candidates(stimulus: Stimulus) -> list[Stimulus]:
+        distractors = rng.sample([s for s in train if s != stimulus], config.candidate_count - 1)
+        candidates = [stimulus] + distractors
+        rng.shuffle(candidates)
+        return candidates
+
     for round_number in range(1, config.rounds + 1):
         tasks = schedule_round(train, rng, (agent_a.agent_id, agent_b.agent_id))
+        ahead = None  # this task's candidates and speaking request, made during the last
         for task_index, (speaker_id, stimulus) in enumerate(tasks):
             speaker = agents[speaker_id]
             listener = agents[[i for i in agents if i != speaker_id][0]]
@@ -461,18 +483,43 @@ def run_communication_block(
                 task=task_index,
                 agent=speaker_id,
             )
-            distractors = rng.sample([s for s in train if s != stimulus], config.candidate_count - 1)
-            candidates = [stimulus] + distractors
-            rng.shuffle(candidates)
-
             said = (task_index, stimulus)
-            signal = _alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng, attempts, event_log)
+            if ahead is None:
+                candidates = draw_candidates(stimulus)
+                signal = _alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng, attempts,
+                                event_log)
+            else:
+                candidates, speech = ahead
+                signal = speech.answer(int(records[-1].success), event_log)
+                if signal is None:  # that reply was the first attempt
+                    signal = _alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng,
+                                    attempts - 1, event_log)
+            ahead = None
             chosen = None
             if signal is not None:
                 event_log.set_context(agent=listener.agent_id)
                 heard = (task_index, signal, candidates, stimulus)
-                chosen = _alone(listener.choose_many, heard, PromptTask.LISTENING, rng, attempts,
-                                event_log)
+                if listener.speaks_ahead and task_index + 1 < len(tasks):
+                    ask = listener.choose_later([heard], PromptTask.LISTENING, rng)
+                    before = rng.getstate()
+                    next_stimulus = tasks[task_index + 1][1]
+                    next_candidates = draw_candidates(next_stimulus)
+                    variants = [listener.vocabulary.copy() for _ in (0, 1)]
+                    for flag, variant in enumerate(variants):
+                        variant.update(stimulus, signal, flag)
+                    speech = listener.speak_ahead(task_index + 1, next_stimulus, variants, rng)
+                    answers = ask(event_log)
+                    if answers:
+                        chosen = answers[0]
+                        ahead = (next_candidates, speech)
+                    else:  # the listener needs another attempt: t+1 runs in turn
+                        speech.discard(event_log)
+                        rng.setstate(before)
+                        chosen = _alone(listener.choose_many, heard, PromptTask.LISTENING, rng,
+                                        attempts - 1, event_log)
+                else:
+                    chosen = _alone(listener.choose_many, heard, PromptTask.LISTENING, rng, attempts,
+                                    event_log)
             success = chosen is not None and candidates[chosen] == stimulus
 
             record = InteractionRecord(

@@ -276,6 +276,11 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     agent_ids = manifest.extra.get("agent_ids")
     if not (isinstance(agent_ids, list) and len(agent_ids) == 2):
         raise PersistenceError(f"the manifest of {run_dir} names no two agent ids")
+    for agent_id in agent_ids:
+        if not _vocab_path(base, "learned", agent_id).is_file():
+            raise PersistenceError(
+                f"the manifest of {run_dir} names agent {agent_id!r}, which has no snapshots in the run"
+            )
     result = SimulationResult(
         config=RunConfig(**config),
         agent_ids=tuple(agent_ids),

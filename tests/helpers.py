@@ -179,6 +179,48 @@ class ScriptedBackend(CompletionBackend):
         return values
 
 
+class SpeakingAheadBackend(ScriptedBackend):
+    """A ScriptedBackend that also offers ``complete_later``, so an
+    ``LLMAgent`` over it speaks ahead; the request is answered when its
+    reply is read. ``ahead`` lists each such read as (round, task, prompts
+    sent, "kept" or "discarded")."""
+
+    def __init__(self, completions=None, scores=None):
+        super().__init__(completions, scores)
+        self.ahead: list[tuple] = []
+
+    def complete_later(self, prompts: Sequence[Prompt]) -> "_ScriptedPending":
+        return _ScriptedPending(self, list(prompts))
+
+
+class _ScriptedPending:
+    def __init__(self, backend: SpeakingAheadBackend, prompts: list[Prompt]):
+        self.backend = backend
+        self.prompts = prompts
+        self.started = time.monotonic()
+
+    def _read(self, tasks, event_log: EventLog, how: str) -> None:
+        self.backend.ahead.append((event_log.context["round"], tasks[0], len(self.prompts), how))
+        self.backend._count()
+
+    def texts(self, tasks, event_log: EventLog, kept: int | None = None) -> list[str]:
+        self._read(tasks, event_log, "kept")
+        texts = [self.backend.completions(p) for p in self.prompts]
+        for position, (prompt, text, task) in enumerate(zip(self.prompts, texts, tasks)):
+            discarded = kept is not None and position != kept
+            self.backend._log(
+                event_log, "complete", prompt.user_text(), text, self.started, task,
+                repeat=discarded, kind="backend_discarded" if discarded else "backend_call",
+            )
+        return texts
+
+    def discard(self, tasks, event_log: EventLog) -> None:
+        self._read(tasks, event_log, "discarded")
+        for prompt, task in zip(self.prompts, tasks):
+            self.backend._log(event_log, "complete", prompt.user_text(), None, self.started, task,
+                              repeat=True, kind="backend_discarded")
+
+
 def _context_entries(prompt: Prompt) -> list[VocabularyEntry]:
     return [parse_vocabulary_line(line) for line in prompt.vocabulary_lines]
 
@@ -208,21 +250,23 @@ def _similarity(prompt: Prompt) -> float:
     return -normalized_levenshtein(prompt.continuation, expected)
 
 
-def in_context_learner() -> ScriptedBackend:
+def in_context_learner(backend: type = ScriptedBackend) -> ScriptedBackend:
     """A backend that answers purely from the rendered prompt text.
 
     Behaves like an ideal in-context learner: completions retrieve the word
     of the context entry closest in meaning to the stem's attributes, and
     continuation scores reward similarity to the retrieved answer. Exercises
-    the whole prompt/agent/engine stack without a model.
+    the whole prompt/agent/engine stack without a model. ``backend`` is the
+    class built: ScriptedBackend or SpeakingAheadBackend.
     """
-    return ScriptedBackend(completions=_retrieve, scores=_similarity)
+    return backend(completions=_retrieve, scores=_similarity)
 
 
 SERVICE_WORDS = ("gali", "nemo", "tupa", "sira", "hoke", "mupi")
 
 
-def service(seed: int, placement: str, doomed_stem: str = "") -> ScriptedBackend:
+def service(seed: int, placement: str, doomed_stem: str = "",
+            backend: type = ScriptedBackend) -> ScriptedBackend:
     """A scripted service whose replies and failures depend only on the text
     of the prompt (and on ``seed``, which varies the service per example).
 
@@ -231,7 +275,8 @@ def service(seed: int, placement: str, doomed_stem: str = "") -> ScriptedBackend
     parse, or a positive score, which fails the call); ``call-error``, a
     ``TransportFailure`` of the whole call for about one prompt in 17; and
     ``always-overflow``/``always-unparseable``, every prompt whose stem is
-    ``doomed_stem``, so that stimulus's task exhausts its attempts."""
+    ``doomed_stem``, so that stimulus's task exhausts its attempts.
+    ``backend`` is the class built, as for ``in_context_learner``."""
 
     def digest(prompt) -> int:
         text = f"{seed}|{prompt.user_text()}|{prompt.continuation}"
@@ -255,7 +300,7 @@ def service(seed: int, placement: str, doomed_stem: str = "") -> ScriptedBackend
         # a positive log-probability is a malformed reply, which fails the call
         return 0.5 if fail(prompt) else -float(digest(prompt) % 1000) / 100.0
 
-    return ScriptedBackend(completions=complete, scores=score)
+    return backend(completions=complete, scores=score)
 
 
 class BreakingOracle(LookupOracle):
@@ -431,6 +476,9 @@ def wire_service(faults: bool = False):
 
 
 def service_stats(endpoint: str) -> dict:
-    """The ``/stats`` counters of a ``wire_service``."""
+    """The ``/stats`` counters of a ``wire_service``; ``connections`` leaves
+    out the one this request opens."""
     with urllib.request.urlopen(f"{endpoint}/stats", timeout=5) as reply:
-        return json.loads(reply.read())
+        stats = json.loads(reply.read())
+    stats["connections"] -= 1
+    return stats

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import ScriptedBackend, http_backend, logged
+from helpers import ScriptedBackend, http_backend, logged, service_stats, wire_service
 from refgame.backend import (
     BackendTimeout,
     CapabilityUnsupported,
@@ -360,7 +360,7 @@ def _refused_endpoint() -> str:
 
 
 class TestWireConnection:
-    """The one keep-alive connection, against an HTTP/1.1 stub."""
+    """The pooled keep-alive connections, against an HTTP/1.1 stub."""
 
     def test_requests_share_one_connection(self, keepalive_stub_server):
         endpoint, handler = keepalive_stub_server
@@ -425,3 +425,64 @@ class TestWireConnection:
             backend.complete([PROMPT], [0], EventLog())
         assert str(info.value) == message
         assert len(handler.seen) == 1  # not retried
+
+
+class TestConnectionPool:
+    """complete_later() keeps a request in flight while the backend carries
+    another, as an llm agent does when it speaks ahead while it listens."""
+
+    def test_two_calls_in_flight_open_two_connections(self):
+        with wire_service() as endpoint:
+            backend = http_backend(endpoint)
+            for _ in range(10):
+                pending = backend.complete_later([PROMPT, OTHER])
+                backend.score(CANDIDATES, [0] * 4, EventLog())
+                pending.texts([0, 0], EventLog())
+            stats = service_stats(endpoint)
+        assert (stats["requests"], stats["connections"]) == (20, 2)
+
+    def test_kept_prompt_is_a_call_and_the_other_discarded(self, keepalive_stub_server, event_log):
+        endpoint, _ = keepalive_stub_server
+        backend = http_backend(endpoint)
+        assert backend.complete_later([PROMPT, OTHER]).texts([5, 5], event_log, kept=1) == [" hanosa'}"] * 2
+        template = load_chat_template("plain")
+        (call,) = logged(event_log, "backend_call")
+        assert (call["task"], call["prompt"]) == (5, apply_chat_template(template, OTHER))
+        (discarded,) = logged(event_log, "backend_discarded")
+        assert "prompt" not in discarded
+        assert discarded["prompt_sha"] == prompt_digest(apply_chat_template(template, PROMPT))
+        assert (discarded["task"], discarded["result"]) == (5, " hanosa'}")
+
+    def test_discarded_reply_is_read_before_its_connection_is_reused(self, event_log):
+        with wire_service() as endpoint:
+            backend = http_backend(endpoint)
+            first, other = backend.complete([PROMPT, OTHER], [0, 0], EventLog())
+            assert first != other
+            backend.complete_later([PROMPT]).discard([3], event_log)
+            # the one pooled connection answers the next request, not the discarded one
+            assert backend.complete([OTHER], [0], EventLog()) == [other]
+            assert service_stats(endpoint)["connections"] == 1
+        assert [(r["task"], r["result"]) for r in logged(event_log, "backend_discarded")] == [(3, first)]
+        assert logged(event_log, "backend_call") == []
+
+    def test_discarded_reply_that_fails_closes_its_connection(self, keepalive_stub_server, event_log, waits):
+        endpoint, handler = keepalive_stub_server
+        handler.failures_left = 1
+        backend = http_backend(endpoint)
+        backend.complete_later([PROMPT]).discard([0], event_log)
+        assert [r["result"] for r in logged(event_log, "backend_discarded")] == [None]
+        assert logged(event_log, "backend_retry") == [] and waits == []  # never retried
+        assert backend.complete([PROMPT], [0], EventLog()) == [" hanosa'}"]
+        assert (len(handler.seen), handler.connections) == (2, 2)
+
+    def test_connections_the_service_closed_reopen_without_retry(self, keepalive_stub_server, event_log, waits):
+        endpoint, handler = keepalive_stub_server
+        handler.behaviour = "close"
+        backend = http_backend(endpoint)
+        for _ in range(3):
+            pending = backend.complete_later([PROMPT])
+            backend.score([SCORED], [0], event_log)
+            assert pending.texts([0], event_log) == [" hanosa'}"]
+        assert (len(handler.seen), handler.connections) == (6, 6)
+        assert logged(event_log, "backend_retry") == []
+        assert waits == []

@@ -304,10 +304,14 @@ class TestReplayCommand:
                 },
                 "names no two agent ids",
             ),
+            (
+                lambda manifest: {**manifest, "extra": {**manifest["extra"], "agent_ids": ["A", "C"]}},
+                "names agent 'C', which has no snapshots in the run",
+            ),
         ],
         ids=[
             "not-json", "not-an-object", "extra-key", "unknown-run-setting", "mistyped-run-setting",
-            "no-agent-ids",
+            "no-agent-ids", "unknown-agent-id",
         ],
     )
     def test_unreadable_manifest_rejected(self, tmp_path, capsys, corrupt, message):
@@ -778,7 +782,7 @@ class TestEventLogLifecycle:
             (("chain", "--chains", "1", "--generations", "2"), EXIT_OK, 2),
             # lookup oracles collapse the language by gen06, which aborts
             (("chain", "--seed", "4", "--chains", "1", "--generations", "7"), EXIT_RUNTIME, 7),
-            # against the keep-alive stub: one connection per llm agent
+            # against the keep-alive stub: two connections per llm agent
             (("simulate", "--config", "wire"), EXIT_OK, 1),
         ],
         ids=["simulate", "chain", "aborted-chain", "llm-dyad"],
@@ -791,7 +795,13 @@ class TestEventLogLifecycle:
         class Recorded(cli.HttpBackend):
             def __init__(self, *args):
                 super().__init__(*args)
-                connections.append(self._connection)
+                connect = self._connect
+
+                def recorded():
+                    connections.append(connect())
+                    return connections[-1]
+
+                self._connect = recorded
 
         monkeypatch.setattr(cli, "HttpBackend", Recorded)
         if "wire" in argv:
@@ -803,7 +813,8 @@ class TestEventLogLifecycle:
             assert run_cli(*argv, "--permutations", "60", "--out", str(out)) == code
             gc.collect()
         assert [str(u.exc_value) for u in unraisable] == []
-        assert len(connections) == (2 if "--config" in argv else 0)
+        # two keep-alive connections per llm agent: it speaks ahead while it listens
+        assert len(connections) == (4 if "--config" in argv else 0)
         assert all(connection.sock is None for connection in connections)  # closed
         run_dirs = [path.parent for path in sorted(out.rglob("manifest.json"))]
         assert len(run_dirs) == runs
@@ -870,7 +881,8 @@ class TestWireRun:
         assert run_cli("simulate", "--config", wire_config(tmp_path, endpoint), "--out", str(out)) == EXIT_OK
         # 2 guessing + 2 labelling + 30 x (speaker + listener) + 2 testing
         assert len(handler.seen) == 66
-        assert handler.connections == 2  # one keep-alive connection per llm agent
+        # at most two keep-alive connections per llm agent, which speaks ahead while it listens
+        assert handler.connections <= 4
         assert [len(body["prompt"]) for body in handler.seen[:4]] == [60, 60, 15, 15]
         assert [len(body["prompt"]) for body in handler.seen[-2:]] == [27, 27]
         records = EventLog.read(out / "sim-00" / "events.jsonl")

@@ -6,7 +6,15 @@ import pytest
 
 import refgame.engine as engine
 import refgame.metrics as metrics
-from helpers import BreakingOracle, RepairOracle, ScriptedBackend, in_context_learner, logged
+from helpers import (
+    BreakingOracle,
+    RepairOracle,
+    ScriptedBackend,
+    SpeakingAheadBackend,
+    in_context_learner,
+    logged,
+    service,
+)
 from refgame.agents import (
     CompositionalOracle,
     LLMAgent,
@@ -247,6 +255,80 @@ class TestCommunicationBlock:
             assert record.success == expected_success
             successes += expected_success
         assert 0 < successes < len(result.records)  # partially discriminable
+
+
+class TestSpeakingAhead:
+    """Over a backend with ``complete_later`` the listener of task t sends
+    its speaking request for task t+1 while it listens; every block record
+    and ``backend_call`` record stays that of the run in turn."""
+
+    BACKENDS = {
+        "in-context": lambda seed, backend: in_context_learner(backend),
+        # unparseable replies, and listener calls that fail, which discard the request
+        "unparseable": lambda seed, backend: service(seed, "unparseable", backend=backend),
+    }
+
+    def communicate(self, tmp_path, name, seed, backend_class):
+        backend = self.BACKENDS[name](seed, backend_class)
+        vocab, _ = training_vocab(seed)
+        a, b = LLMAgent("A", backend), LLMAgent("B", backend)
+        a.set_vocabulary(vocab.copy())
+        b.set_vocabulary(vocab.copy())
+        path = tmp_path / f"{backend_class.__name__}.jsonl"
+        config = RunConfig(rounds=2, max_agent_retries=2)
+        with EventLog(path) as log:
+            result = run_communication_block(a, b, Random(seed), config, log)
+        records = [
+            {key: value for key, value in r.items() if key not in ("latency", "timestamp")}
+            for r in EventLog.read(path)
+        ]
+        return backend, result, (a.vocabulary, b.vocabulary), records
+
+    @pytest.mark.parametrize("name, seed", [("in-context", 0), ("unparseable", 0), ("unparseable", 3)])
+    def test_same_records_as_in_turn(self, tmp_path, name, seed):
+        _, in_turn, vocabs, records = self.communicate(tmp_path, name, seed, ScriptedBackend)
+        backend, ahead, ahead_vocabs, ahead_records = self.communicate(
+            tmp_path, name, seed, SpeakingAheadBackend
+        )
+        assert ahead.records == in_turn.records
+        assert ahead.round_vocabs == in_turn.round_vocabs and ahead_vocabs == vocabs
+        assert [r for r in ahead_records if r["kind"] != "backend_discarded"] == records
+        # one prompt-free record per discarded prompt
+        discarded = [r for r in ahead_records if r["kind"] == "backend_discarded"]
+        assert all("prompt" not in r and r["block"] == "communication" for r in discarded)
+        assert len(discarded) == sum(
+            prompts if how == "discarded" else prompts - 1 for _, _, prompts, how in backend.ahead
+        )
+        if name == "unparseable":
+            reads = {how for *_, how in backend.ahead}
+            assert reads == {"kept", "discarded"}  # some listener needed a second attempt
+            kept_unparseable = [
+                r for r in ahead_records
+                if r["kind"] == "backend_call" and r["result"] == "```" and (r["round"], r["task"]) in {
+                    (round_, task) for round_, task, _, how in backend.ahead if how == "kept"
+                }
+            ]
+            assert kept_unparseable  # a reply read ahead was a first attempt that failed
+
+    def test_which_tasks_are_asked_ahead(self, tmp_path):
+        backend, result, _, records = self.communicate(tmp_path, "in-context", 0, SpeakingAheadBackend)
+        # with no failures every listener asks the next task ahead, except
+        # across the round boundary: task 0 of each round runs in turn
+        assert [(round_, task) for round_, task, _, _ in backend.ahead] == [
+            (round_, task) for round_ in (1, 2) for task in range(1, 30)
+        ]
+        assert {how for *_, how in backend.ahead} == {"kept"}
+        # when task t+1's target is task t's stimulus, the line that differs
+        # is left out of both prompts, so the request holds one prompt
+        by_task = {(r.round, r.task): r.stimulus for r in result.records}
+        repeats = {(round_, task) for round_, task, prompts, _ in backend.ahead if prompts == 1}
+        assert repeats  # the seed has such a pair
+        assert repeats == {
+            (round_, task) for round_, task, _, _ in backend.ahead
+            if by_task[(round_, task)] == by_task[(round_, task - 1)]
+        }
+        discarded = {(r["round"], r["task"]) for r in records if r["kind"] == "backend_discarded"}
+        assert discarded == {(round_, task) for round_, task, _, _ in backend.ahead} - repeats
 
 
 class TestTestingBlock:

@@ -147,10 +147,12 @@ def output_digests(root: Path) -> dict[str, str]:
     return digests
 
 
-def run_wire(root: Path) -> dict:
+def run_wire(root: Path, stats: dict | None = None) -> dict:
     """Write every wire run under ``root``; returns the digests of their
-    outputs, and the requests each command sent, by relative path."""
+    outputs, and the requests each command sent, by relative path. With
+    ``stats``, each run's service counters are put there by its name."""
     root.mkdir(parents=True, exist_ok=True)
+    stats = {} if stats is None else stats
     pinned = {}
     for name, (argv, rounds, faults) in WIRE_RUNS.items():
         out = root / name
@@ -162,7 +164,8 @@ def run_wire(root: Path) -> dict:
                 "run": {"rounds": rounds},
             }))
             assert _run(*argv, "--config", str(config), "--out", str(out)) == EXIT_OK
-            pinned[f"{name}/requests"] = service_stats(endpoint)["requests"]
+            stats[name] = service_stats(endpoint)
+            pinned[f"{name}/requests"] = stats[name]["requests"]
         for path in sorted(out.rglob("*")):
             key = path.relative_to(root).as_posix()
             if path.name == "events.jsonl":
@@ -197,11 +200,18 @@ def test_fixed_seed_outputs_are_byte_identical(tmp_path):
 
 
 def test_wire_outputs_are_byte_identical(tmp_path):
-    actual = run_wire(tmp_path)
+    stats = {}
+    actual = run_wire(tmp_path, stats)
     expected = pinned("wire-")
     assert sorted(actual) == sorted(expected)
     moved = [path for path in expected if actual[path] != expected[path]]
     assert moved == []
+    # an llm agent speaks ahead while it listens: two keep-alive connections
+    # each, however many interactions it runs (the faults close some)
+    agents = {name: 2 * len(list((tmp_path / name).rglob("manifest.json"))) for name in WIRE_RUNS}
+    assert {name: stats[name]["connections"] for name in agents if name != "wire-faults-9"} == {
+        name: 2 * count for name, count in agents.items() if name != "wire-faults-9"
+    }
 
 
 if __name__ == "__main__":

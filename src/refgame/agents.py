@@ -261,19 +261,18 @@ class LLMAgent(Agent):
                     rng: Random) -> SpeechAhead:
         """Builds the speaking prompt for ``stimulus`` over each of
         ``vocabularies`` from one state of ``rng``, which ends where one
-        build leaves it, and sends the distinct prompts as one completion
-        request; the answer is read from the returned ``SpeechAhead``."""
+        build leaves it, and sends them as one completion request; the
+        answer is read from the returned ``SpeechAhead``."""
         state = rng.getstate()
         built = []
         for vocabulary in vocabularies:
             rng.setstate(state)
             built.append(prompts.build_speaker_prompt(vocabulary, stimulus, rng))
-        distinct = list(dict.fromkeys(built))
         try:
-            pending = self.backend.complete_later(distinct)
+            pending = self.backend.complete_later(built)
         except BackendError:
             pending = None
-        return SpeechAhead(task_index, [distinct.index(p) for p in built], pending)
+        return SpeechAhead([task_index] * len(built), pending)
 
 
 def _parsed(replies: Sequence[str]) -> list[Signal]:
@@ -288,27 +287,25 @@ def _parsed(replies: Sequence[str]) -> list[Signal]:
 
 
 class SpeechAhead:
-    """A speaking task's request sent by ``LLMAgent.speak_ahead``: one
-    prompt per vocabulary it was built over, identical prompts sent once.
-    Read it once: answer() keeps one vocabulary's reply, discard() none."""
+    """A speaking task's request sent by ``LLMAgent.speak_ahead``, one
+    prompt per vocabulary it was built over. Read it once: answer() keeps
+    one vocabulary's reply, discard() none."""
 
-    def __init__(self, task_index: int, positions: list[int], pending: PendingCompletion | None):
-        self._tasks = [task_index] * (max(positions) + 1)
-        self._positions = positions  # each vocabulary's prompt in the request
+    def __init__(self, tasks: list[int], pending: PendingCompletion | None):
+        self._tasks = tasks
         self._pending = pending  # None: the request was refused before it was sent
 
     def answer(self, which: int, event_log: EventLog) -> Signal | None:
         """The signal of the reply to the prompt over vocabulary ``which``,
-        logged as a ``backend_call`` (any other prompt as discarded); None
-        when the request failed or the reply does not parse."""
+        logged as a ``backend_call`` (the others as discarded); None when
+        the request failed or the reply does not parse."""
         if self._pending is None:
             return None
-        kept = self._positions[which]
         try:
-            replies = self._pending.texts(self._tasks, event_log, kept=kept)
+            replies = self._pending.texts(self._tasks, event_log, kept=which)
         except BackendError:
             return None
-        return (_parsed([replies[kept]]) or [None])[0]
+        return (_parsed([replies[which]]) or [None])[0]
 
     def discard(self, event_log: EventLog) -> None:
         """Reads the reply and logs every prompt as discarded."""

@@ -192,6 +192,13 @@ class CompletionBackend:
     ``tasks`` holds one task index per prompt; each record carries its own
     in place of the log's context ``task``, so a call that answers several
     tasks says which record is whose.
+
+    Two calls may be in flight at once, from two threads: the two agents of
+    an in-process dyad may share one backend. A backend may also offer
+    ``complete_later(prompts)``, which sends a completion request and
+    returns a handle to read it with later, as ``HttpBackend`` does
+    (``PendingCompletion``); an ``LLMAgent`` speaks ahead only over such a
+    backend, and then has its score call in flight while that request is.
     """
 
     def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int],

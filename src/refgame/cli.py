@@ -84,7 +84,7 @@ def _load_or_default(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _build_agents(config: ExperimentConfig):
-    # one backend, and so one keep-alive connection, per llm agent: the two
+    # one backend, with its own connection pool, per llm agent: the two
     # agents' requests of a block are in flight at once
     return tuple(
         make_agent(spec, agent_id, HttpBackend(config.backend) if spec == "llm" else None)

@@ -182,8 +182,8 @@ class ScriptedBackend(CompletionBackend):
 class SpeakingAheadBackend(ScriptedBackend):
     """A ScriptedBackend that also offers ``complete_later``, so an
     ``LLMAgent`` over it speaks ahead; the request is answered when its
-    reply is read. ``ahead`` lists each such read as (round, task, prompts
-    sent, "kept" or "discarded")."""
+    reply is read. ``ahead`` lists each such read as (round, task, whether
+    its prompts were all equal, "kept" or "discarded")."""
 
     def __init__(self, completions=None, scores=None):
         super().__init__(completions, scores)
@@ -200,7 +200,8 @@ class _ScriptedPending:
         self.started = time.monotonic()
 
     def _read(self, tasks, event_log: EventLog, how: str) -> None:
-        self.backend.ahead.append((event_log.context["round"], tasks[0], len(self.prompts), how))
+        equal = all(prompt == self.prompts[0] for prompt in self.prompts)
+        self.backend.ahead.append((event_log.context["round"], tasks[0], equal, how))
         self.backend._count()
 
     def texts(self, tasks, event_log: EventLog, kept: int | None = None) -> list[str]:

@@ -245,7 +245,7 @@ class _Sent:
     connection: object
     body: bytes
     reused: bool  # the connection had carried an earlier request
-    posted: bool = True
+    error: OSError | None = None  # raised by the send, and again by the read
     started: float = field(default_factory=time.monotonic)
 
 
@@ -313,16 +313,15 @@ class HttpBackend(CompletionBackend):
         return headers
 
     def _send(self, body: bytes) -> _Sent:
-        """``body`` posted on a pooled connection, its reply left unread. A
-        send that fails is made again by ``_receive``."""
+        """``body`` posted on a pooled connection, its reply left unread; a
+        send that fails raises when the reply is read."""
         with self._pool_lock:
             connection = self._idle.pop() if self._idle else self._connect()
         sent = _Sent(connection, body, reused=connection.sock is not None)
         try:
             connection.request("POST", self._path, body, self._headers())
-        except OSError:
-            connection.close()
-            sent.posted = False
+        except OSError as err:
+            sent.error = err
         return sent
 
     def _receive(self, sent: _Sent, object_hook: Callable[[dict], dict] | None = None) -> dict:
@@ -333,14 +332,17 @@ class HttpBackend(CompletionBackend):
         connection = sent.connection
         try:
             try:
-                status, data = self._exchange(sent)
+                if sent.error is not None:
+                    raise sent.error
+                response = connection.getresponse()
             except ConnectionError:
                 if not sent.reused:
                     raise
                 # the service closed the idle keep-alive connection
                 connection.close()
-                sent.posted = False
-                status, data = self._exchange(sent)
+                connection.request("POST", self._path, sent.body, self._headers())
+                response = connection.getresponse()
+            status, data = response.status, response.read()
             if status >= 500:
                 raise TransportFailure(f"service error {status}")
             if status != 200:
@@ -362,13 +364,6 @@ class HttpBackend(CompletionBackend):
             raise
         finally:
             self._give_back(connection)
-
-    def _exchange(self, sent: _Sent) -> tuple[int, bytes]:
-        if not sent.posted:
-            sent.connection.request("POST", self._path, sent.body, self._headers())
-            sent.posted = True
-        response = sent.connection.getresponse()
-        return response.status, response.read()
 
     def _give_back(self, connection) -> None:
         with self._pool_lock:

@@ -268,14 +268,14 @@ class TestSpeakingAhead:
         "unparseable": lambda seed, backend: service(seed, "unparseable", backend=backend),
     }
 
-    def communicate(self, tmp_path, name, seed, backend_class):
+    def communicate(self, tmp_path, name, seed, backend_class, rounds=1):
         backend = self.BACKENDS[name](seed, backend_class)
         vocab, _ = training_vocab(seed)
         a, b = LLMAgent("A", backend), LLMAgent("B", backend)
         a.set_vocabulary(vocab.copy())
         b.set_vocabulary(vocab.copy())
         path = tmp_path / f"{backend_class.__name__}.jsonl"
-        config = RunConfig(rounds=2, max_agent_retries=2)
+        config = RunConfig(rounds=rounds, max_agent_retries=2)
         with EventLog(path) as log:
             result = run_communication_block(a, b, Random(seed), config, log)
         records = [
@@ -284,7 +284,7 @@ class TestSpeakingAhead:
         ]
         return backend, result, (a.vocabulary, b.vocabulary), records
 
-    @pytest.mark.parametrize("name, seed", [("in-context", 0), ("unparseable", 0), ("unparseable", 3)])
+    @pytest.mark.parametrize("name, seed", [("in-context", 0), ("unparseable", 0), ("unparseable", 2)])
     def test_same_records_as_in_turn(self, tmp_path, name, seed):
         _, in_turn, vocabs, records = self.communicate(tmp_path, name, seed, ScriptedBackend)
         backend, ahead, ahead_vocabs, ahead_records = self.communicate(
@@ -309,7 +309,7 @@ class TestSpeakingAhead:
             assert kept_unparseable  # a reply read ahead was a first attempt that failed
 
     def test_which_tasks_are_asked_ahead(self, tmp_path):
-        backend, result, _, _ = self.communicate(tmp_path, "in-context", 0, SpeakingAheadBackend)
+        backend, result, _, _ = self.communicate(tmp_path, "in-context", 0, SpeakingAheadBackend, rounds=2)
         # with no failures every listener asks the next task ahead, except
         # across the round boundary: task 0 of each round runs in turn
         assert [(round_, task) for round_, task, _, _ in backend.ahead] == [

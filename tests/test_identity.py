@@ -59,17 +59,16 @@ LLM_BACKENDS = {
 }
 LLM_SEEDS = (0, 1)
 WALL_CLOCK_KEYS = ("latency", "timestamp")
-# name -> (command, rounds, whether the service injects faults). Scoring replies
+# name -> (command, whether the service injects faults). Scoring replies
 # echo every token, so a round costs about 0.4 s even at no latency: the
-# runs keep to one or two rounds. The faulted run crosses a round boundary; seed
-# 9's faults, in its first two rounds, exhaust a listener's retries twice,
-# fail one speaking attempt each in two interactions and every attempt of
-# a third.
+# runs keep to one round. Seed 33's faults exhaust the retries of task 12's
+# listener, fail the first speaking attempt of task 7 and every attempt of
+# task 18.
 WIRE_RUNS = {
-    "wire-simulate-3": (("simulate", "--seed", "3"), 1, False),
-    "wire-simulate-4": (("simulate", "--seed", "4"), 1, False),
-    "wire-chain-5": (("chain", "--seed", "5", "--chains", "1", "--generations", "2"), 1, False),
-    "wire-faults-9": (("simulate", "--seed", "9"), 2, True),
+    "wire-simulate-3": (("simulate", "--seed", "3"), False),
+    "wire-simulate-4": (("simulate", "--seed", "4"), False),
+    "wire-chain-5": (("chain", "--seed", "5", "--chains", "1", "--generations", "2"), False),
+    "wire-faults-33": (("simulate", "--seed", "33"), True),
 }
 BLOCK_KINDS = ("run_start", "guess", "label", "interaction", "testing", "run_end", "run_aborted")
 BACKEND_KINDS = ("backend_call", "backend_retry")
@@ -154,14 +153,14 @@ def run_wire(root: Path, stats: dict | None = None) -> dict:
     root.mkdir(parents=True, exist_ok=True)
     stats = {} if stats is None else stats
     pinned = {}
-    for name, (argv, rounds, faults) in WIRE_RUNS.items():
+    for name, (argv, faults) in WIRE_RUNS.items():
         out = root / name
         with wire_service(faults) as endpoint:
             config = root / f"{name}.yaml"
             config.write_text(yaml.safe_dump({
                 "agents": ["llm", "llm"],
                 "backend": {"endpoint": endpoint, "api_key_env": "", "max_retries": 1, "backoff_base": 0.0},
-                "run": {"rounds": rounds},
+                "run": {"rounds": 1},
             }))
             assert _run(*argv, "--config", str(config), "--out", str(out)) == EXIT_OK
             stats[name] = service_stats(endpoint)
@@ -209,8 +208,8 @@ def test_wire_outputs_are_byte_identical(tmp_path):
     # an llm agent speaks ahead while it listens: two keep-alive connections
     # each, however many interactions it runs (the faults close some)
     agents = {name: 2 * len(list((tmp_path / name).rglob("manifest.json"))) for name in WIRE_RUNS}
-    assert {name: stats[name]["connections"] for name in agents if name != "wire-faults-9"} == {
-        name: 2 * count for name, count in agents.items() if name != "wire-faults-9"
+    assert {name: stats[name]["connections"] for name in agents if name != "wire-faults-33"} == {
+        name: 2 * count for name, count in agents.items() if name != "wire-faults-33"
     }
 
 

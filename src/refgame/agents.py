@@ -305,7 +305,8 @@ class SpeechAhead:
             replies = self._pending.texts(self._tasks, event_log, kept=which)
         except BackendError:
             return None
-        return (_parsed([replies[which]]) or [None])[0]
+        signals = _parsed([replies[which]])
+        return signals[0] if signals else None
 
     def discard(self, event_log: EventLog) -> None:
         """Reads the reply and logs every prompt as discarded."""

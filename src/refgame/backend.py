@@ -21,7 +21,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 from urllib.parse import urlsplit
 
 from .prompts import Prompt
@@ -116,6 +116,10 @@ def prompt_digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+# how ``EventLog.append`` starts every line
+_KIND_PREFIX = '{"kind": "'
+
+
 class EventLog:
     """Append-only structured run log, one JSON record per line.
 
@@ -174,8 +178,26 @@ class EventLog:
         self.context = fork.context
 
     @staticmethod
-    def read(path: str | Path) -> list[dict]:
-        return [json.loads(line) for line in Path(path).read_text().splitlines() if line]
+    def read(path: str | Path, kinds: Collection[str] | None = None) -> list[dict]:
+        """Every record of the log at ``path``, or with ``kinds`` only those
+        of these kinds. ``append`` writes a record's kind first, so a line of
+        another kind is skipped without being parsed; a line that does not
+        start ``{"kind": "`` (a log not written by ``append``) is parsed to
+        learn its kind."""
+        records = []
+        for line in Path(path).read_text().splitlines():
+            if not line:
+                continue
+            if kinds is not None and line.startswith(_KIND_PREFIX):
+                end = line.find('"', len(_KIND_PREFIX))
+                kind = line[len(_KIND_PREFIX):end]
+                # an escape in the kind (or no closing quote) is left to json
+                if end > 0 and "\\" not in kind and kind not in kinds:
+                    continue
+            record = json.loads(line)
+            if kinds is None or record["kind"] in kinds:
+                records.append(record)
+        return records
 
 
 class CompletionBackend:

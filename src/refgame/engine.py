@@ -13,6 +13,7 @@ it block by block, persistence saves it (complete, or as the ``partial`` of
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 from dataclasses import dataclass, field, fields
@@ -105,13 +106,19 @@ class _BlockEvent:
     decodes to the field's default."""
 
     def event(self) -> dict:
-        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+        return {name: _encode(getattr(self, name)) for name in _field_names(type(self))}
 
     @classmethod
     def from_event(cls, event: dict):
         return cls(
-            **{f.name: _decode(f.name, event[f.name]) for f in fields(cls) if f.name in event}
+            **{name: _decode(name, event[name]) for name in _field_names(cls) if name in event}
         )
+
+
+# held once per record type: ``fields()`` on every event showed in replay profiles
+@functools.cache
+def _field_names(record_type: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(record_type))
 
 
 @dataclass

@@ -9,6 +9,7 @@ the same distance conventions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .domain import Signal, Stimulus, Vocabulary
+from .domain import Signal, Stimulus, Vocabulary, enumerate_stimuli
 
 # Exhaustive Mantel enumeration is used at or below this size (7! = 5040).
 EXHAUSTIVE_MANTEL_MAX_N = 7
@@ -45,24 +46,40 @@ class EmptyInputError(MetricError):
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Unit-cost insert/delete/substitute edit distance."""
-    if not a:
-        return len(b)
+    """Unit-cost insert/delete/substitute edit distance.
+
+    Bit-parallel (Myers 1999, in Hyyrö's 2001 formulation): bit i of ``pv``
+    and ``mv`` says whether the DP column rises or falls by one at row i of
+    the longer string, and each character of the shorter string updates the
+    whole column at once. Python ints hold any length, so there is no block
+    split; the integers are those of the O(m·n) DP.
+    """
+    if len(a) < len(b):
+        a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,
-                    current[j - 1] + 1,
-                    previous[j - 1] + (ca != cb),
-                )
-            )
-        previous = current
-    return previous[-1]
+    match: dict[str, int] = {}  # character -> the rows of ``a`` holding it
+    bit = 1
+    for char in a:
+        match[char] = match.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    pv, mv, score = mask, 0, len(a)
+    for char in b:
+        eq = match.get(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def normalized_levenshtein(a: str, b: str) -> float:
@@ -127,13 +144,21 @@ def paired_t_test(x: Sequence[float], y: Sequence[float]) -> PairedTTestResult:
     return PairedTTestResult(statistic=t, p_value=p, df=df)
 
 
+@functools.cache
+def _semantic_table() -> tuple[dict[Stimulus, int], np.ndarray]:
+    """The index of each of the 27 stimuli and their pairwise
+    ``semantic_distance`` matrix, built once."""
+    stimuli = enumerate_stimuli()
+    table = np.array([[semantic_distance(a, b) for b in stimuli] for a in stimuli], dtype=float)
+    return {s: i for i, s in enumerate(stimuli)}, table
+
+
 def semantic_distance_matrix(stimuli: Sequence[Stimulus]) -> np.ndarray:
-    n = len(stimuli)
-    m = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i, j] = m[j, i] = semantic_distance(stimuli[i], stimuli[j])
-    return m
+    # every Stimulus is one of the 27 (Stimulus.__post_init__), so the
+    # matrix is rows and columns of the full table
+    index, table = _semantic_table()
+    rows = np.array([index[s] for s in stimuli], dtype=np.intp)
+    return table[np.ix_(rows, rows)]
 
 
 def signal_distance_matrix(
@@ -232,6 +257,9 @@ def mantel_test(
     permuted_r = np.empty(len(perms))
     for start, stop in zip(bounds, bounds[1:]):
         block = perms[start:stop]
+        # block[:, iu[0]] is F-contiguous, and so are index and the gather:
+        # the row means of corr_with_sem then sum in pair order. A C-ordered
+        # gather sums otherwise and changes the last bit of r.
         index = block[:, iu[0]] * n
         index += block[:, iu[1]]
         permuted_r[start:stop] = corr_with_sem(flat[index])

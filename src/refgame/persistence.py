@@ -262,7 +262,9 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     events_path = base / "events.jsonl"
     if not events_path.exists():
         raise PersistenceError(f"no events log in {run_dir}")
-    events = EventLog.read(events_path)
+    # the digests above cover every line; only block records are decoded
+    block_types = (GuessingRecord, LabellingRecord, InteractionRecord, TestingRecord)
+    events = EventLog.read(events_path, kinds={t.KIND for t in block_types})
     initial = Vocabulary.load(_vocab_path(base, "initial"))
     # older manifests name the fixed tasks_per_round, which is no longer a setting
     config = {key: value for key, value in manifest.config.items() if key != "tasks_per_round"}

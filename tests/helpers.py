@@ -63,8 +63,30 @@ def parse_vocabulary_line(line: str) -> VocabularyEntry:
         raise PromptError(f"unparseable vocabulary line: {line!r}") from err
 
 
+def dp_levenshtein(a: str, b: str) -> int:
+    """The O(m·n) dynamic-programming edit distance that ``metrics.levenshtein``
+    computed before it became bit-parallel: the reference it must equal."""
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(
+                min(
+                    previous[j] + 1,
+                    current[j - 1] + 1,
+                    previous[j - 1] + (ca != cb),
+                )
+            )
+        previous = current
+    return previous[-1]
+
+
 def recursive_levenshtein(a: str, b: str) -> int:
-    """Plain-recursion edit distance, the independent oracle for the DP path."""
+    """Plain-recursion edit distance, an oracle independent of both kernels."""
 
     @lru_cache(maxsize=None)
     def rec(i: int, j: int) -> int:

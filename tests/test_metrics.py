@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
-from helpers import exhaustive_mantel_oracle, recursive_levenshtein
+from helpers import dp_levenshtein, exhaustive_mantel_oracle, recursive_levenshtein
 from refgame.agents import CompositionalOracle
 from refgame.domain import Stimulus, enumerate_stimuli, generate_language, random_signal, sample_training_set
 from refgame.metrics import (
@@ -38,6 +38,13 @@ from refgame.metrics import (
 )
 
 short_strings = st.text(alphabet="ghklmnpwaeiou", max_size=6)
+# small alphabets repeat characters, the last one is non-ASCII
+kernel_strings = st.one_of(
+    st.text(alphabet="ab", max_size=70),
+    st.text(alphabet="ghklmnpwaeiou", max_size=70),
+    st.text(alphabet="aé中🙂", max_size=70),
+    st.text(max_size=70),
+)
 
 
 class TestLevenshtein:
@@ -65,6 +72,21 @@ class TestLevenshtein:
     @given(short_strings, short_strings)
     def test_matches_recursive_oracle(self, a, b):
         assert levenshtein(a, b) == recursive_levenshtein(a, b)
+
+    @given(kernel_strings, kernel_strings)
+    def test_matches_dp_reference(self, a, b):
+        # above 64 characters the bit vectors are multi-word ints
+        assert levenshtein(a, b) == dp_levenshtein(a, b)
+
+    @given(kernel_strings)
+    def test_prefix_and_repeat(self, a):
+        assert levenshtein(a, a[: len(a) // 2]) == dp_levenshtein(a, a[: len(a) // 2])
+        assert levenshtein(a, a + a) == len(a)
+
+    def test_long_strings_use_every_bit(self):
+        a, b = "ab" * 35, "ba" * 35
+        assert levenshtein(a, b) == dp_levenshtein(a, b) == 2
+        assert levenshtein("x" * 70, "x" * 64) == 6
 
 
 class TestSignalDistanceMatrix:
@@ -101,6 +123,23 @@ class TestSemanticSimilarity:
         a, b = Stimulus(1, "green", 2), Stimulus(3, "green", 1)
         assert semantic_similarity(a, b) == semantic_similarity(b, a)
         assert semantic_distance(a, b) == 3 - semantic_similarity(a, b)
+
+
+class TestSemanticDistanceMatrix:
+    @given(st.lists(st.sampled_from(enumerate_stimuli()), max_size=27, unique=True)
+           | st.permutations(enumerate_stimuli()))
+    def test_matches_pairwise_distances(self, stimuli):
+        m = semantic_distance_matrix(stimuli)
+        assert m.dtype == np.float64
+        assert m.shape == (len(stimuli), len(stimuli))
+        for i, a in enumerate(stimuli):
+            assert m[i, i] == 0.0
+            for j, b in enumerate(stimuli):
+                assert m[i, j] == float(semantic_distance(a, b))
+
+    def test_repeated_stimuli(self):
+        s, t = Stimulus(1, "blue", 1), Stimulus(2, "blue", 3)
+        assert semantic_distance_matrix([s, t, s]).tolist() == [[0, 2, 0], [2, 0, 2], [0, 2, 0]]
 
 
 class TestPearson:

@@ -1,11 +1,16 @@
 import json
+import shutil
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
+import yaml
 
+from helpers import wire_service
+from refgame import engine
 from refgame.agents import CompositionalOracle, LookupOracle
 from refgame.backend import EventLog
+from refgame.cli import EXIT_OK, main
 from refgame.config import ConfigError, ExperimentConfig, config_from_dict, load_config, validate_config
 from refgame.domain import Vocabulary, enumerate_stimuli
 from refgame.engine import MetricRow, RunConfig, compute_metric_rows, run_simulation
@@ -193,6 +198,86 @@ class TestReplay:
         )
 
 
+CORPUS = Path(__file__).resolve().parent / "data" / "runs"
+CORPUS_RUNS = sorted(
+    path.parent for path in CORPUS.rglob("manifest.json")
+    if RunManifest.load(path.parent).status == "complete"
+)
+
+
+@pytest.fixture(scope="module")
+def wire_run(tmp_path_factory) -> Path:
+    """A one-round llm dyad through HttpBackend: most of its events.jsonl
+    lines are backend records, which replay does not decode."""
+    root = tmp_path_factory.mktemp("wire")
+    with wire_service() as endpoint:
+        config = root / "wire.yaml"
+        config.write_text(yaml.safe_dump({
+            "agents": ["llm", "llm"],
+            "backend": {"endpoint": endpoint, "api_key_env": "", "max_retries": 1, "backoff_base": 0.0},
+            "run": {"rounds": 1},
+        }))
+        argv = ["simulate", "--seed", "3", "--permutations", "60", "--config", str(config), "--out", str(root / "out")]
+        assert main(argv) == EXIT_OK
+    return root / "out" / "sim-00"
+
+
+def assert_records_of_full_parse(run_dir: Path) -> None:
+    """load_run_for_replay builds the block records that decoding every
+    line of events.jsonl gives."""
+    _, loaded = load_run_for_replay(run_dir)
+    events = EventLog.read(run_dir / "events.jsonl")
+
+    def records(record_type, agent_id=None) -> list:
+        return [
+            record_type.from_event(e) for e in events
+            if e["kind"] == record_type.KIND and (agent_id is None or e["agent"] == agent_id)
+        ]
+
+    for agent_id in loaded.agent_ids:
+        assert loaded.guessing[agent_id].records == records(engine.GuessingRecord, agent_id) != []
+        assert loaded.labelling[agent_id].records == records(engine.LabellingRecord, agent_id) != []
+        assert loaded.testing[agent_id].records == records(engine.TestingRecord, agent_id) != []
+    assert loaded.communication.records == records(engine.InteractionRecord) != []
+
+
+class TestBlockRecordRead:
+    @pytest.mark.parametrize("run_dir", CORPUS_RUNS, ids=[p.relative_to(CORPUS).as_posix() for p in CORPUS_RUNS])
+    def test_corpus_runs(self, run_dir):
+        assert_records_of_full_parse(run_dir)
+
+    def test_wire_run(self, wire_run):
+        kinds = {e["kind"] for e in EventLog.read(wire_run / "events.jsonl")}
+        assert "backend_call" in kinds
+        assert_records_of_full_parse(wire_run)
+
+    def test_kinds_keep_only_those_records(self, wire_run):
+        events = EventLog.read(wire_run / "events.jsonl")
+        kept = EventLog.read(wire_run / "events.jsonl", kinds={"guess", "run_end"})
+        assert kept == [e for e in events if e["kind"] in ("guess", "run_end")]
+
+    def test_lines_in_another_key_order_replay(self, wire_run, tmp_path, capsys):
+        # a line that does not start {"kind": "...", as from another writer,
+        # is decoded in full and kept only if its kind is asked for
+        run_dir = tmp_path / "reordered"
+        shutil.copytree(wire_run, run_dir)
+        events = run_dir / "events.jsonl"
+        lines = events.read_text().splitlines()
+        for kind in ("interaction", "backend_call"):
+            index = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+            lines[index] = json.dumps(dict(reversed(json.loads(lines[index]).items())))
+            assert not lines[index].startswith('{"kind"')
+        events.write_text("\n".join(lines) + "\n")
+        manifest = RunManifest.load(run_dir)
+        manifest.files["events.jsonl"] = file_digest(events)
+        manifest.save(run_dir)
+
+        assert {e["kind"] for e in EventLog.read(events, kinds={"interaction"})} == {"interaction"}
+        assert_records_of_full_parse(run_dir)
+        assert main(["replay", str(run_dir)]) == EXIT_OK
+        assert "replay OK" in capsys.readouterr().out
+
+
 class TestPartialPersist:
     def _abort(self, tmp_path):
         from refgame.engine import SimulationAborted
@@ -235,8 +320,6 @@ class TestPartialPersist:
 
 class TestConfigRoundTrip:
     def test_defaults_made_explicit(self, tmp_path):
-        import yaml
-
         data = asdict(ExperimentConfig())
         data["run"].pop("master_seed")  # derived per run, not configured
         path = tmp_path / "config.yaml"

@@ -204,21 +204,12 @@ class LLMAgent(Agent):
 
     def _candidate_prompts(self, probe, candidates, task, rng, exclude):
         assert self.vocabulary is not None
-        # one shared shuffle per task: every candidate prompt is built from an
-        # identically seeded rng so only the prefilled continuation differs
-        shared_seed = rng.getrandbits(64)
-        built = []
-        for candidate in candidates:
-            fork = Random(shared_seed)
-            if task is PromptTask.GUESSING:
-                built.append(prompts.build_guessing_prompt(self.vocabulary, probe, candidate, fork))
-            else:
-                built.append(
-                    prompts.build_listener_prompt(
-                        self.vocabulary, probe, candidate, fork, exclude=exclude
-                    )
-                )
-        return built
+        # one shared shuffle per task, from its own rng seeded by one draw:
+        # the candidate prompts differ only in the prefilled continuation
+        fork = Random(rng.getrandbits(64))
+        if task is PromptTask.GUESSING:
+            return prompts.build_guessing_prompt(self.vocabulary, probe, candidates, fork)
+        return prompts.build_listener_prompt(self.vocabulary, probe, candidates, fork, exclude=exclude)
 
     def produce_signals(self, items, task, rng, event_log) -> list[Signal]:
         tasks, built = [], []
@@ -269,10 +260,10 @@ class LLMAgent(Agent):
             rng.setstate(state)
             built.append(prompts.build_speaker_prompt(vocabulary, stimulus, rng))
         try:
-            pending = self.backend.complete_later(built)
+            pending = self.backend.complete_later(built, [task_index] * len(built))
         except BackendError:
             pending = None
-        return SpeechAhead([task_index] * len(built), pending)
+        return SpeechAhead(pending)
 
 
 def _parsed(replies: Sequence[str]) -> list[Signal]:
@@ -291,8 +282,7 @@ class SpeechAhead:
     prompt per vocabulary it was built over. Read it once: answer() keeps
     one vocabulary's reply, discard() none."""
 
-    def __init__(self, tasks: list[int], pending: PendingCompletion | None):
-        self._tasks = tasks
+    def __init__(self, pending: PendingCompletion | None):
         self._pending = pending  # None: the request was refused before it was sent
 
     def answer(self, which: int, event_log: EventLog) -> Signal | None:
@@ -302,7 +292,7 @@ class SpeechAhead:
         if self._pending is None:
             return None
         try:
-            replies = self._pending.texts(self._tasks, event_log, kept=which)
+            replies = self._pending.texts(event_log, kept=which)
         except BackendError:
             return None
         signals = _parsed([replies[which]])
@@ -311,7 +301,7 @@ class SpeechAhead:
     def discard(self, event_log: EventLog) -> None:
         """Reads the reply and logs every prompt as discarded."""
         if self._pending is not None:
-            self._pending.discard(self._tasks, event_log)
+            self._pending.discard(event_log)
 
 
 ORACLE_KINDS = {

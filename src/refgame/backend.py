@@ -217,10 +217,11 @@ class CompletionBackend:
 
     Two calls may be in flight at once, from two threads: the two agents of
     an in-process dyad may share one backend. A backend may also offer
-    ``complete_later(prompts)``, which sends a completion request and
-    returns a handle to read it with later, as ``HttpBackend`` does
-    (``PendingCompletion``); an ``LLMAgent`` speaks ahead only over such a
-    backend, and then has its score call in flight while that request is.
+    ``complete_later(prompts, tasks)``, which sends a completion request,
+    its task indices fixed with it, and returns a handle to read it with
+    later, as ``HttpBackend`` does (``PendingCompletion``); an ``LLMAgent``
+    speaks ahead only over such a backend, and then has its score call in
+    flight while that request is.
     """
 
     def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int],
@@ -299,10 +300,12 @@ class HttpBackend(CompletionBackend):
     backend with at most two requests in flight at once, as an llm agent's,
     never opens more than two. Calls may come from several threads at once.
     When the service has closed a connection while it was idle, the request
-    is sent once more on a new one; that is not a retry. A request that
-    fails in transport or times out is sent again, up to
-    ``descriptor.max_retries`` times; a call is retried as a whole, and
-    ``descriptor.timeout`` bounds each attempt at the whole list.
+    is sent once more on a new one; that is not a retry. Every request, a
+    completion, a score or one made ahead, is sent with ``_send`` and read
+    through one retrying read, which sends the same body again after a
+    transport failure or timeout, up to ``descriptor.max_retries`` times; a
+    call is retried as a whole, and ``descriptor.timeout`` bounds each
+    attempt at the whole list.
     Each retry appends a ``backend_retry`` record before the call's
     ``backend_call`` records, whose ``latency`` is the answering attempt's.
     ContextOverflow, capability and malformed-reply errors are not retried.
@@ -394,32 +397,24 @@ class HttpBackend(CompletionBackend):
                 return
         connection.close()
 
-    def _post(self, payload: dict, object_hook: Callable[[dict], dict] | None = None) -> dict:
-        return self._receive(self._send(json.dumps(payload).encode()), object_hook)
-
-    def _post_with_retries(self, payload: dict, event_log: EventLog,
-                           object_hook: Callable[[dict], dict] | None = None,
-                           sent: _Sent | None = None) -> tuple[dict, float]:
-        """The reply to ``payload``, each of its JSON objects passed through
+    def _read_with_retries(self, sent: _Sent, event_log: EventLog,
+                           object_hook: Callable[[dict], dict] | None = None) -> tuple[dict, float]:
+        """The reply to ``sent``, each of its JSON objects passed through
         ``object_hook`` as it is parsed, and the monotonic start time of the
-        attempt that got it; the first attempt reads the reply to ``sent``
-        when given. Retry k waits ``backoff_base * 2**(k-1)`` and is logged
-        to ``event_log``."""
+        attempt that got it. After a transport failure or timeout the same
+        body is sent again: retry k waits ``backoff_base * 2**(k-1)`` and is
+        logged to ``event_log``."""
         attempt = 0
         while True:
             try:
-                if sent is None:
-                    started = time.monotonic()
-                    return self._post(payload, object_hook), started
-                started = sent.started
-                return self._receive(sent, object_hook), started
+                return self._receive(sent, object_hook), sent.started
             except (TransportFailure, BackendTimeout) as err:
-                sent = None
                 attempt += 1
                 if attempt > self.descriptor.max_retries:
                     raise
                 event_log.append("backend_retry", attempt=attempt, error=str(err))
                 time.sleep(self.descriptor.backoff_base * 2 ** (attempt - 1))
+                sent = self._send(sent.body)
 
     def _check_budget(self, text: str, extra_tokens: int) -> None:
         needed = estimate_tokens(text) + extra_tokens
@@ -444,9 +439,9 @@ class HttpBackend(CompletionBackend):
 
     def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int],
                  event_log: EventLog) -> list[str]:
-        return self.complete_later(prompts).texts(tasks, event_log)
+        return self.complete_later(prompts, tasks).texts(event_log)
 
-    def complete_later(self, prompts: Sequence[Prompt]) -> PendingCompletion:
+    def complete_later(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> PendingCompletion:
         """complete(), with the request sent now and its reply read by the
         returned ``PendingCompletion``."""
         full_texts = [apply_chat_template(self.template, p) for p in prompts]
@@ -459,7 +454,7 @@ class HttpBackend(CompletionBackend):
             "temperature": self.descriptor.temperature,
             "stop": list(COMPLETION_STOP_SEQUENCES),
         }
-        return PendingCompletion(self, full_texts, payload, self._send(json.dumps(payload).encode()))
+        return PendingCompletion(self, full_texts, tasks, self._send(json.dumps(payload).encode()))
 
     def score(self, prompts: Sequence[Prompt], tasks: Sequence[int],
               event_log: EventLog) -> list[float]:
@@ -489,7 +484,8 @@ class HttpBackend(CompletionBackend):
                 summed[index] = self._continuation_logprob(obj.pop("logprobs"), boundaries[index])
             return obj
 
-        reply, started = self._post_with_retries(payload, event_log, sum_choice)
+        sent = self._send(json.dumps(payload).encode())
+        reply, started = self._read_with_retries(sent, event_log, sum_choice)
         self._choices(reply, len(prompts))
         if len(summed) < len(prompts):  # a choice without log-probabilities
             raise CapabilityUnsupported("service does not return echoed token log-probabilities")
@@ -525,43 +521,43 @@ class HttpBackend(CompletionBackend):
 
 
 class PendingCompletion:
-    """A completion request of ``HttpBackend.complete_later``, sent and not
-    yet read. Read it once, with texts() or discard(); until then it holds
-    one of the backend's connections."""
+    """A completion request of ``HttpBackend.complete_later``, sent with its
+    prompts' task indices and not yet read. Read it once, with texts() or
+    discard(); until then it holds one of the backend's connections."""
 
-    def __init__(self, backend: HttpBackend, full_texts: list[str], payload: dict, sent: _Sent):
+    def __init__(self, backend: HttpBackend, full_texts: list[str], tasks: Sequence[int], sent: _Sent):
         self._backend = backend
         self._full_texts = full_texts
-        self._payload = payload
+        self._tasks = tasks
         self._sent = sent
 
-    def texts(self, tasks: Sequence[int], event_log: EventLog, kept: int | None = None) -> list[str]:
+    def texts(self, event_log: EventLog, kept: int | None = None) -> list[str]:
         """What complete() returns and logs, retried as complete() is. With
         ``kept``, only that prompt gets a ``backend_call`` record; every
         other gets a ``backend_discarded`` one, without its text."""
         backend = self._backend
-        reply, started = backend._post_with_retries(self._payload, event_log, sent=self._sent)
+        reply, started = backend._read_with_retries(self._sent, event_log)
         try:
             texts = [choice["text"] for choice in backend._choices(reply, len(self._full_texts))]
         except (KeyError, TypeError) as err:
             raise MalformedServiceReply(f"missing completion text: {reply!r}") from err
         if not all(isinstance(text, str) for text in texts):
             raise MalformedServiceReply(f"completion text is not a string: {reply!r}")
-        for position, (full_text, text, task) in enumerate(zip(self._full_texts, texts, tasks)):
+        for position, (full_text, text, task) in enumerate(zip(self._full_texts, texts, self._tasks)):
             discarded = kept is not None and position != kept
             backend._log(event_log, "complete", full_text, text, started, task, repeat=discarded,
                          kind="backend_discarded" if discarded else "backend_call")
         return texts
 
-    def discard(self, tasks: Sequence[int], event_log: EventLog) -> None:
+    def discard(self, event_log: EventLog) -> None:
         """Reads the reply, once and without a retry, and logs every prompt
         as ``backend_discarded``, with a ``result`` of None when no usable
         reply came."""
         try:
-            choices = self._backend._choices(self._backend._receive(self._sent), len(tasks))
+            choices = self._backend._choices(self._backend._receive(self._sent), len(self._full_texts))
             texts = [choice.get("text") for choice in choices]
         except BackendError:
-            texts = [None] * len(tasks)
-        for full_text, text, task in zip(self._full_texts, texts, tasks):
+            texts = [None] * len(self._full_texts)
+        for full_text, text, task in zip(self._full_texts, texts, self._tasks):
             self._backend._log(event_log, "complete", full_text, text, self._sent.started, task,
                                repeat=True, kind="backend_discarded")

@@ -26,6 +26,7 @@ from .backend import EventLog
 from .domain import Vocabulary, VocabularyEntry
 from .engine import (
     CommunicationResult,
+    EngineError,
     GuessingRecord,
     GuessingResult,
     InteractionRecord,
@@ -275,16 +276,23 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     mistyped = sorted(key for key, value in config.items() if type(value) is not type(defaults[key]))
     if mistyped:
         raise PersistenceError(f"run setting(s) {mistyped} of the wrong type in the manifest of {run_dir}")
+    run_config = RunConfig(**config)
+    try:
+        run_config.validate()
+    except EngineError as err:
+        raise PersistenceError(f"the manifest of {run_dir} has an invalid run setting: {err}") from err
     agent_ids = manifest.extra.get("agent_ids")
     if not (isinstance(agent_ids, list) and len(agent_ids) == 2):
         raise PersistenceError(f"the manifest of {run_dir} names no two agent ids")
+    if agent_ids[0] == agent_ids[1]:
+        raise PersistenceError(f"the manifest of {run_dir} names agent {agent_ids[0]!r} twice")
     for agent_id in agent_ids:
         if not _vocab_path(base, "learned", agent_id).is_file():
             raise PersistenceError(
                 f"the manifest of {run_dir} names agent {agent_id!r}, which has no snapshots in the run"
             )
     result = SimulationResult(
-        config=RunConfig(**config),
+        config=run_config,
         agent_ids=tuple(agent_ids),
         initial_language=initial,
     )

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
+from typing import Sequence
 
 from .domain import (
     Signal,
@@ -144,12 +145,13 @@ def build_labelling_prompt(
 def build_guessing_prompt(
     vocab: Vocabulary,
     stimulus: Stimulus,
-    candidate: Signal,
+    candidates: Sequence[Signal],
     rng: Random,
-) -> Prompt:
-    """Labelling-shaped prompt prefilled with one candidate word for scoring."""
+) -> list[Prompt]:
+    """Labelling-shaped prompts for scoring, one per candidate word and
+    prefilled with it; all share one context order, built once."""
     base = build_labelling_prompt(vocab, stimulus, rng)
-    return replace(base, continuation=word_continuation(candidate))
+    return [replace(base, continuation=word_continuation(candidate)) for candidate in candidates]
 
 
 def build_speaker_prompt(
@@ -169,24 +171,23 @@ def build_speaker_prompt(
 def build_listener_prompt(
     vocab: Vocabulary,
     signal: Signal,
-    candidate: Stimulus,
+    candidates: Sequence[Stimulus],
     rng: Random,
     exclude: Stimulus | None = None,
-) -> Prompt:
-    """Listening prompt for one candidate meaning, entries rendered word-first.
+) -> list[Prompt]:
+    """Listening prompts, one per candidate meaning, entries rendered
+    word-first; all share one context order, built once.
 
     ``exclude`` removes the current target's entry from the context; the
     engine passes the target here since the listening agent itself does not
-    know it. Candidates share one context order when built with equal rng
-    states.
+    know it.
     """
     lines = [render_listener_entry(e) for e in vocab if e.stimulus != exclude]
-    return Prompt(
-        system_instruction=LISTENING_INSTRUCTION,
-        vocabulary_lines=_shuffled(lines, rng),
-        stem=listener_stem(signal),
-        continuation=meaning_continuation(candidate),
-    )
+    context = _shuffled(lines, rng)
+    return [
+        Prompt(LISTENING_INSTRUCTION, context, listener_stem(signal), meaning_continuation(candidate))
+        for candidate in candidates
+    ]
 
 
 _STRIP_CHARS = " \t\r\n'\"`{}()[]"

@@ -211,25 +211,26 @@ class SpeakingAheadBackend(ScriptedBackend):
         super().__init__(completions, scores)
         self.ahead: list[tuple] = []
 
-    def complete_later(self, prompts: Sequence[Prompt]) -> "_ScriptedPending":
-        return _ScriptedPending(self, list(prompts))
+    def complete_later(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> "_ScriptedPending":
+        return _ScriptedPending(self, list(prompts), list(tasks))
 
 
 class _ScriptedPending:
-    def __init__(self, backend: SpeakingAheadBackend, prompts: list[Prompt]):
+    def __init__(self, backend: SpeakingAheadBackend, prompts: list[Prompt], tasks: list[int]):
         self.backend = backend
         self.prompts = prompts
+        self.tasks = tasks
         self.started = time.monotonic()
 
-    def _read(self, tasks, event_log: EventLog, how: str) -> None:
+    def _read(self, event_log: EventLog, how: str) -> None:
         equal = all(prompt == self.prompts[0] for prompt in self.prompts)
-        self.backend.ahead.append((event_log.context["round"], tasks[0], equal, how))
+        self.backend.ahead.append((event_log.context["round"], self.tasks[0], equal, how))
         self.backend._count()
 
-    def texts(self, tasks, event_log: EventLog, kept: int | None = None) -> list[str]:
-        self._read(tasks, event_log, "kept")
+    def texts(self, event_log: EventLog, kept: int | None = None) -> list[str]:
+        self._read(event_log, "kept")
         texts = [self.backend.completions(p) for p in self.prompts]
-        for position, (prompt, text, task) in enumerate(zip(self.prompts, texts, tasks)):
+        for position, (prompt, text, task) in enumerate(zip(self.prompts, texts, self.tasks)):
             discarded = kept is not None and position != kept
             self.backend._log(
                 event_log, "complete", prompt.user_text(), text, self.started, task,
@@ -237,9 +238,9 @@ class _ScriptedPending:
             )
         return texts
 
-    def discard(self, tasks, event_log: EventLog) -> None:
-        self._read(tasks, event_log, "discarded")
-        for prompt, task in zip(self.prompts, tasks):
+    def discard(self, event_log: EventLog) -> None:
+        self._read(event_log, "discarded")
+        for prompt, task in zip(self.prompts, self.tasks):
             self.backend._log(event_log, "complete", prompt.user_text(), None, self.started, task,
                               repeat=True, kind="backend_discarded")
 

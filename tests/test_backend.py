@@ -147,6 +147,7 @@ class TestRetrying:
         assert [r["kind"] for r in records] == ["backend_retry", "backend_call"]
         assert (records[0]["attempt"], records[0]["error"]) == (1, "service error 503")
         assert len(handler.seen) == 2
+        assert handler.seen[1] == handler.seen[0]  # the retry re-sends the same body
 
     def test_exhaustion_raises(self, stub_server, event_log, waits):
         endpoint, handler = stub_server
@@ -305,6 +306,7 @@ class TestHttpBackend:
         backend = http_backend(endpoint)
         assert backend.score(CANDIDATES, [0] * 4, event_log) == pytest.approx([-1.5, -3.0, -4.5, -6.0])
         assert len(handler.seen) == 2
+        assert handler.seen[1] == handler.seen[0]  # the retry re-sends the same body
         records = EventLog.read(event_log.path)
         assert [r["kind"] for r in records] == ["backend_retry"] + ["backend_call"] * 4
         assert [r["continuation"] for r in records[1:]] == [p.continuation for p in CANDIDATES]
@@ -435,16 +437,16 @@ class TestConnectionPool:
         with wire_service() as endpoint:
             backend = http_backend(endpoint)
             for _ in range(10):
-                pending = backend.complete_later([PROMPT, OTHER])
+                pending = backend.complete_later([PROMPT, OTHER], [0, 0])
                 backend.score(CANDIDATES, [0] * 4, EventLog())
-                pending.texts([0, 0], EventLog())
+                pending.texts(EventLog())
             stats = service_stats(endpoint)
         assert (stats["requests"], stats["connections"]) == (20, 2)
 
     def test_kept_prompt_is_a_call_and_the_other_discarded(self, keepalive_stub_server, event_log):
         endpoint, _ = keepalive_stub_server
         backend = http_backend(endpoint)
-        assert backend.complete_later([PROMPT, OTHER]).texts([5, 5], event_log, kept=1) == [" hanosa'}"] * 2
+        assert backend.complete_later([PROMPT, OTHER], [5, 5]).texts(event_log, kept=1) == [" hanosa'}"] * 2
         template = load_chat_template("plain")
         (call,) = logged(event_log, "backend_call")
         assert (call["task"], call["prompt"]) == (5, apply_chat_template(template, OTHER))
@@ -458,7 +460,7 @@ class TestConnectionPool:
             backend = http_backend(endpoint)
             first, other = backend.complete([PROMPT, OTHER], [0, 0], EventLog())
             assert first != other
-            backend.complete_later([PROMPT]).discard([3], event_log)
+            backend.complete_later([PROMPT], [3]).discard(event_log)
             # the one pooled connection answers the next request, not the discarded one
             assert backend.complete([OTHER], [0], EventLog()) == [other]
             assert service_stats(endpoint)["connections"] == 1
@@ -469,7 +471,7 @@ class TestConnectionPool:
         endpoint, handler = keepalive_stub_server
         handler.failures_left = 1
         backend = http_backend(endpoint)
-        backend.complete_later([PROMPT]).discard([0], event_log)
+        backend.complete_later([PROMPT], [0]).discard(event_log)
         assert [r["result"] for r in logged(event_log, "backend_discarded")] == [None]
         assert logged(event_log, "backend_retry") == [] and waits == []  # never retried
         assert backend.complete([PROMPT], [0], EventLog()) == [" hanosa'}"]
@@ -480,9 +482,9 @@ class TestConnectionPool:
         handler.behaviour = "close"
         backend = http_backend(endpoint)
         for _ in range(3):
-            pending = backend.complete_later([PROMPT])
+            pending = backend.complete_later([PROMPT], [0])
             backend.score([SCORED], [0], event_log)
-            assert pending.texts([0], event_log) == [" hanosa'}"]
+            assert pending.texts(event_log) == [" hanosa'}"]
         assert (len(handler.seen), handler.connections) == (6, 6)
         assert logged(event_log, "backend_retry") == []
         assert waits == []

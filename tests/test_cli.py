@@ -308,10 +308,27 @@ class TestReplayCommand:
                 lambda manifest: {**manifest, "extra": {**manifest["extra"], "agent_ids": ["A", "C"]}},
                 "names agent 'C', which has no snapshots in the run",
             ),
+            (
+                lambda manifest: {**manifest, "config": {**manifest["config"], "mantel_permutations": 0}},
+                "has an invalid run setting: mantel_permutations must be >= 1",
+            ),
+            (
+                lambda manifest: {**manifest, "config": {**manifest["config"], "max_agent_retries": 0}},
+                "has an invalid run setting: max_agent_retries must be >= 1",
+            ),
+            (
+                lambda manifest: {**manifest, "config": {**manifest["config"], "candidate_count": 99}},
+                "has an invalid run setting: candidate_count must be between 2 and 15",
+            ),
+            (
+                lambda manifest: {**manifest, "extra": {**manifest["extra"], "agent_ids": ["A", "A"]}},
+                "names agent 'A' twice",
+            ),
         ],
         ids=[
             "not-json", "not-an-object", "extra-key", "unknown-run-setting", "mistyped-run-setting",
-            "no-agent-ids", "unknown-agent-id",
+            "no-agent-ids", "unknown-agent-id", "no-permutations", "no-agent-retries",
+            "too-many-candidates", "repeated-agent-id",
         ],
     )
     def test_unreadable_manifest_rejected(self, tmp_path, capsys, corrupt, message):
@@ -401,21 +418,29 @@ class TestChainCommand:
         assert full_csv == resumed_csv
 
     def test_resume_reruns_a_generation_whose_manifest_is_unreadable(self, tmp_path, capsys):
-        # like an incomplete or digest-invalid generation, it is not finished
+        # like an incomplete or digest-invalid generation, it is not finished;
+        # neither is one whose manifest holds an out-of-range run setting
         shared = ["chain", "--chains", "1", "--generations", "3", "--seed", "8", "--permutations", "60"]
         full_out, out = tmp_path / "full", tmp_path / "resumed"
         assert run_cli(*shared, "--out", str(full_out)) == EXIT_OK
         assert run_cli(*shared, "--out", str(out)) == EXIT_OK
-        (out / "chain-00" / "gen01" / "manifest.json").write_text("{bad")
-        capsys.readouterr()
-        assert run_cli(*shared, "--out", str(out)) == EXIT_OK
-        assert "resuming after generation 0" in capsys.readouterr().out
-        for gen in ("gen00", "gen01", "gen02"):
-            resumed = RunManifest.load(out / "chain-00" / gen)
-            assert resumed.files == RunManifest.load(full_out / "chain-00" / gen).files
-            resumed.verify_digests(out / "chain-00" / gen)
-        full_csv = (full_out / "chain-00" / "chain.csv").read_bytes()
-        assert (out / "chain-00" / "chain.csv").read_bytes() == full_csv
+        def out_of_range(text):
+            manifest = json.loads(text)
+            manifest["config"]["mantel_permutations"] = 0
+            return json.dumps(manifest)
+
+        for generation, corrupt in ((1, lambda text: "{bad"), (2, out_of_range)):
+            path = out / "chain-00" / f"gen{generation:02d}" / "manifest.json"
+            path.write_text(corrupt(path.read_text()))
+            capsys.readouterr()
+            assert run_cli(*shared, "--out", str(out)) == EXIT_OK
+            assert f"resuming after generation {generation - 1}" in capsys.readouterr().out
+            for gen in ("gen00", "gen01", "gen02"):
+                resumed = RunManifest.load(out / "chain-00" / gen)
+                assert resumed.files == RunManifest.load(full_out / "chain-00" / gen).files
+                resumed.verify_digests(out / "chain-00" / gen)
+            full_csv = (full_out / "chain-00" / "chain.csv").read_bytes()
+            assert (out / "chain-00" / "chain.csv").read_bytes() == full_csv
 
     def test_resume_rebuilds_edited_csv_rows(self, tmp_path):
         # no manifest digests chain.csv: a resume rebuilds every row from the

@@ -464,15 +464,22 @@ class TestRunSimulation:
         assert sorted(path.name for path in (tmp_path / "vocab").iterdir()) == ["initial.vocab"]
 
     @pytest.mark.parametrize("breaking", ["A", "B", "AB"])
-    def test_abort_in_shared_block_keeps_cause_and_partial(self, breaking):
+    def test_abort_in_shared_block_keeps_cause_and_partial(self, breaking, tmp_path):
         # the two agents label at once, agent B on a worker thread; the
         # agent error that wins (A's when both break) is the cause, with
         # the traceback of the thread that raised it
         agents = tuple(
             BreakingOracle(i, PromptTask.LABELLING) if i in breaking else LookupOracle(i) for i in "AB"
         )
-        with pytest.raises(SimulationAborted) as info:
-            run_simulation(RunConfig(master_seed=2, mantel_permutations=10), agents, EventLog())
+        path = tmp_path / "events.jsonl"
+        with EventLog(path) as event_log, pytest.raises(SimulationAborted) as info:
+            run_simulation(RunConfig(master_seed=2, mantel_permutations=10), agents, event_log)
+        # an agent that breaks at its third list has logged two labels; B's
+        # follow all 15 of A's, and when A raises none of B's are written
+        records = EventLog.read(path)
+        labels = [r["agent"] for r in records if r["kind"] == "label"]
+        assert labels == (["A"] * 2 if "A" in breaking else ["A"] * 15 + ["B"] * 2)
+        assert [r["kind"] for r in records[-len(labels) - 1:]] == ["label"] * len(labels) + ["run_aborted"]
         cause = info.value.__cause__
         assert isinstance(cause, RuntimeError) and str(cause) == f"agent {breaking[0]} broke"
         frames = [frame.name for frame in traceback.extract_tb(cause.__traceback__)]

@@ -98,9 +98,13 @@ class TestLabellingPrompt:
     def test_guessing_prefills_word(self):
         vocab = sample_vocab()
         target = vocab.stimuli()[0]
-        prompt = build_guessing_prompt(vocab, target, "hanosa", Random(1))
-        assert prompt.continuation == "hanosa'}"
+        prompt, other = build_guessing_prompt(vocab, target, ["hanosa", "gali"], Random(1))
+        assert (prompt.continuation, other.continuation) == ("hanosa'}", "gali'}")
         assert word_continuation("hanosa") == "hanosa'}"
+        # one context, shuffled as a labelling prompt from the same rng state
+        labelling = build_labelling_prompt(vocab, target, Random(1))
+        assert prompt.vocabulary_lines is other.vocabulary_lines
+        assert prompt.vocabulary_lines == labelling.vocabulary_lines
 
 
 class TestSpeakerPrompt:
@@ -134,7 +138,7 @@ class TestListenerPrompt:
     def test_word_first_lines_and_stem(self):
         vocab = sample_vocab()
         candidate = vocab.stimuli()[2]
-        prompt = build_listener_prompt(vocab, "hanosa", candidate, Random(1))
+        (prompt,) = build_listener_prompt(vocab, "hanosa", [candidate], Random(1))
         assert all(line.startswith("{'word':'") for line in prompt.vocabulary_lines)
         assert prompt.stem == "{'word':'hanosa','shape':"
 
@@ -145,7 +149,7 @@ class TestListenerPrompt:
     def test_exclusion(self):
         vocab = sample_vocab()
         target = vocab.stimuli()[4]
-        prompt = build_listener_prompt(vocab, "hanosa", vocab.stimuli()[0], Random(1), exclude=target)
+        (prompt,) = build_listener_prompt(vocab, "hanosa", [vocab.stimuli()[0]], Random(1), exclude=target)
         assert len(prompt.vocabulary_lines) == 14
         excluded_fragment = f"'shape':{target.shape},'colour':'{target.colour}','amount':{target.amount}"
         assert not any(excluded_fragment in line for line in prompt.vocabulary_lines)
@@ -153,10 +157,7 @@ class TestListenerPrompt:
     def test_one_prompt_per_candidate_shared_context(self):
         vocab = sample_vocab()
         candidates = vocab.stimuli()[:4]
-        prompts = [
-            build_listener_prompt(vocab, "hanosa", c, Random(77), exclude=vocab.stimuli()[5])
-            for c in candidates
-        ]
+        prompts = build_listener_prompt(vocab, "hanosa", candidates, Random(77), exclude=vocab.stimuli()[5])
         assert len(prompts) == 4
         assert len({p.vocabulary_lines for p in prompts}) == 1
         assert len({p.continuation for p in prompts}) == 4

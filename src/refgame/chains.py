@@ -168,16 +168,19 @@ def _select_generation_donor(
 
 
 def _finished_generations(
-    config: ChainConfig, run: RunConfig, chain_seed: int, chain_index: int, directory: Path
+    config: ChainConfig, run: RunConfig, chain_seed: int, chain_index: int, directory: Path,
+    agent_specs: list[str] | None,
 ) -> tuple[list[ChainRow], list[tuple[Stimulus, Signal]] | None]:
     """chain.csv rows of the finished generations and the last donor's
     testing output (None when nothing is finished): the ``seed_from`` import
     as generation 0, then the longest prefix of complete, digest-valid
     generation directories, each row rebuilt from that generation's
     digest-checked ``metrics.csv``; a stored ``chain.csv`` is never read.
-    A finished generation run with another RunConfig than this chain's
-    raises ``PersistenceError``: a resume never splices in another
-    configuration's trace."""
+    A finished generation run with another RunConfig than this chain's,
+    or whose manifest records other ``agent_specs``, raises
+    ``PersistenceError``: a resume never splices in another
+    configuration's trace. A manifest that records no specs is not
+    checked for them."""
     rows: list[ChainRow] = []
     transmitted = None
     if config.seed_from:
@@ -200,6 +203,12 @@ def _finished_generations(
             break
         if result.config != _generation_run_config(config, run, chain_seed, generation):
             raise PersistenceError(f"{gen_dir} was run with another configuration")
+        recorded = manifest.extra.get("agent_specs", agent_specs)
+        if agent_specs is not None and recorded != agent_specs:
+            raise PersistenceError(
+                f"{gen_dir} was run with another configuration: "
+                f"agent_specs {recorded}, not {agent_specs}"
+            )
         donor_id = manifest.extra["donor_id"]
         metric_rows = read_rows(gen_dir / "metrics.csv", MetricRow)
         rows.append(chain_row(chain_index, generation, donor_id, metric_rows))
@@ -214,12 +223,15 @@ def run_chain(
     chain_index: int,
     out_dir: str | Path,
     agent_factory: Callable[[], tuple[Agent, Agent]],
+    agent_specs: list[str] | None = None,
 ) -> list[GenerationRecord]:
     """Run chain ``chain_index`` into ``chain_dir(out_dir, chain_index)``,
     resuming after the generations already finished there; returns the
     records of the generations this call ran.
 
-    ``agent_factory()`` builds a fresh dyad for each generation.
+    ``agent_factory()`` builds a fresh dyad for each generation; when
+    ``agent_specs`` names the specs it builds from (``make_agent``'s), each
+    finished generation's manifest records them and a resume checks them.
     Each generation is saved, and ``chain.csv`` rewritten, as soon as it
     finishes; one that aborts, or whose dyad has no complete testing output
     to transmit, is saved as incomplete before its ``SimulationAborted``
@@ -229,7 +241,9 @@ def run_chain(
     config.validate()
     chain_seed = derive_seed(master_seed, f"chain:{chain_index}")
     directory = chain_dir(out_dir, chain_index)
-    rows, transmitted = _finished_generations(config, run, chain_seed, chain_index, directory)
+    rows, transmitted = _finished_generations(
+        config, run, chain_seed, chain_index, directory, agent_specs
+    )
     # made after the seed loads, so a refused seed leaves no directory behind
     directory.mkdir(parents=True, exist_ok=True)
     records: list[GenerationRecord] = []
@@ -266,6 +280,7 @@ def run_chain(
                 "donor_id": selection.donor_id,
                 "donor_degenerate": selection.degenerate,
                 "generation": generation,
+                **({} if agent_specs is None else {"agent_specs": agent_specs}),
             },
         )
         rows.append(chain_row(chain_index, generation, selection.donor_id, result.metric_rows))

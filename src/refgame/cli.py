@@ -142,7 +142,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
     agent_factory = partial(_build_agents, config)
     for chain_index in range(settings.chains):
         records = run_chain(
-            settings, config.run, config.master_seed, chain_index, config.output_dir, agent_factory
+            settings, config.run, config.master_seed, chain_index, config.output_dir, agent_factory,
+            agent_specs=config.agents,
         )
         # an imported generation 0 is not a resume
         finished = settings.generations - len(records)

@@ -232,16 +232,16 @@ class TrainTestSplit:
             raise DomainError("train and test must partition the 27-stimulus space")
 
 
-def _is_balanced(train: list[Stimulus]) -> bool:
-    for values, key in (
-        (SHAPES, lambda s: s.shape),
-        (COLOURS, lambda s: s.colour),
-        (AMOUNTS, lambda s: s.amount),
-    ):
-        for value in values:
-            if sum(1 for s in train if key(s) == value) != PER_VALUE_TRAIN_COUNT:
-                return False
-    return True
+# Position i of enumerate_stimuli() as 9 packed 4-bit counters, one per
+# attribute value (shapes, then colours, then amounts); a value occurs at most
+# 9 times in the space, so a sum of positions never carries between fields.
+_PACKED_ATTRIBUTE_COUNTS = tuple(
+    (1 << 4 * SHAPES.index(s.shape))
+    + (1 << 4 * (3 + COLOURS.index(s.colour)))
+    + (1 << 4 * (6 + AMOUNTS.index(s.amount)))
+    for s in enumerate_stimuli()
+)
+_BALANCED_COUNTS = sum(PER_VALUE_TRAIN_COUNT << 4 * k for k in range(9))
 
 
 def sample_training_set(rng: Random) -> TrainTestSplit:
@@ -251,12 +251,15 @@ def sample_training_set(rng: Random) -> TrainTestSplit:
     the rng stream, capped at SPLIT_ATTEMPT_CAP attempts.
     """
     space = enumerate_stimuli()
+    positions = range(len(space))
     for _ in range(SPLIT_ATTEMPT_CAP):
-        train = rng.sample(space, TRAIN_SIZE)
-        if _is_balanced(train):
-            chosen = set(train)
-            test = tuple(s for s in space if s not in chosen)
-            return TrainTestSplit(train=tuple(train), test=test)
+        # random.sample picks by position, so sampling positions draws the
+        # same subsets as sampling the stimuli themselves
+        picks = rng.sample(positions, TRAIN_SIZE)
+        if sum(map(_PACKED_ATTRIBUTE_COUNTS.__getitem__, picks)) == _BALANCED_COUNTS:
+            chosen = set(picks)
+            test = tuple(s for i, s in enumerate(space) if i not in chosen)
+            return TrainTestSplit(train=tuple(space[i] for i in picks), test=test)
     raise DomainError(f"no balanced split found in {SPLIT_ATTEMPT_CAP} attempts")
 
 

@@ -22,9 +22,11 @@ from .domain import Signal, Stimulus, Vocabulary, enumerate_stimuli
 # Exhaustive Mantel enumeration is used at or below this size (7! = 5040).
 EXHAUSTIVE_MANTEL_MAX_N = 7
 DEFAULT_PERMUTATIONS = 10_000
-# Permutation rows gathered and correlated at a time: keeps the working set
-# in cache and peak memory flat in the permutation count. 256 measured
-# fastest at n = 15 and 27 among 128-2048 (2 vCPU host, one BLAS thread).
+# Permutations (columns of the permutation array) gathered and correlated at
+# a time: keeps the working set in cache and peak memory flat in the
+# permutation count. Among 128-2048, 128-512 measured within noise of each
+# other at n = 15 and 27 and 1024-2048 slower; 256 was fastest or tied at
+# n = 15 (2 vCPU host, one BLAS thread).
 MANTEL_BLOCK_ROWS = 256
 NGRAM_ORDERS = (1, 2, 3, 4, 5)
 
@@ -224,9 +226,10 @@ def mantel_test(
 
     sem_centered = sem_vec - sem_vec.mean()
     sem_norm = math.sqrt(float(sem_centered @ sem_centered))
+    pairs = len(sem_vec)
 
     def corr_with_sem(vectors: np.ndarray) -> np.ndarray:
-        centered = vectors - vectors.mean(axis=1, keepdims=True)
+        centered = vectors - np.add.reduce(vectors, axis=1, keepdims=True) / pairs
         norms = np.sqrt((centered * centered).sum(axis=1))
         return (centered @ sem_centered) / (norms * sem_norm)
 
@@ -234,35 +237,41 @@ def mantel_test(
 
     if method == "auto":
         method = "exact" if n <= EXHAUSTIVE_MANTEL_MAX_N else "sampled"
+    # column c of perms is permutation c
     if method == "exact":
-        perms = np.array(list(itertools.permutations(range(n))))
+        perms = np.ascontiguousarray(np.array(list(itertools.permutations(range(n)))).T)
     elif method == "sampled":
         if permutations < 1:
             raise ValueError("sampled mantel test needs at least 1 permutation")
         gen = np.random.default_rng(rng)
-        # one batch draws the same rows, from the same stream, as a loop of
-        # gen.permutation(n) calls
-        perms = gen.permuted(np.tile(np.arange(n), (permutations, 1)), axis=1)
+        # shuffling the columns in place draws the same permutations, from
+        # the same stream, as a loop of gen.permutation(n) calls
+        perms = np.tile(np.arange(n)[:, None], (1, permutations))
+        gen.permuted(perms, axis=0, out=perms)
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    # Each row's r is computed from that row alone, so blocks give the bits
-    # of one gather of all rows, with one exception: BLAS sums a call of 1-3
-    # rows in another order, so such a tail joins the block before it. The
-    # mean, std and count below still run over the whole vector.
+    # Each permutation's r is computed from its column alone, so blocks give
+    # the bits of one gather of all columns, with one exception: BLAS sums a
+    # call of 1-3 permutations in another order, so such a tail joins the
+    # block before it. The mean, std and count below still run over the whole
+    # vector.
+    count = perms.shape[1]
     flat = signal.ravel()
-    bounds = list(range(0, len(perms), MANTEL_BLOCK_ROWS)) + [len(perms)]
+    row_repeats = np.arange(n - 1, 0, -1)
+    bounds = list(range(0, count, MANTEL_BLOCK_ROWS)) + [count]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] < 4:
         del bounds[-2]
-    permuted_r = np.empty(len(perms))
+    permuted_r = np.empty(count)
     for start, stop in zip(bounds, bounds[1:]):
-        block = perms[start:stop]
-        # block[:, iu[0]] is F-contiguous, and so are index and the gather:
-        # the row means of corr_with_sem then sum in pair order. A C-ordered
-        # gather sums otherwise and changes the last bit of r.
-        index = block[:, iu[0]] * n
-        index += block[:, iu[1]]
-        permuted_r[start:stop] = corr_with_sem(flat[index])
+        block = perms[:, start:stop]
+        # index is a pairs x block C-array, built from whole rows of block;
+        # its gather's transpose is F-contiguous, so the row means of
+        # corr_with_sem sum in pair order. A C-ordered block x pairs gather
+        # sums otherwise and changes the last bit of r.
+        index = np.repeat(block[:-1] * n, row_repeats, axis=0)
+        index += block[iu[1]]
+        permuted_r[start:stop] = corr_with_sem(flat[index].T)
     spread = float(permuted_r.std())
     if spread == 0.0:
         raise DegenerateMatrixError("permutation distribution has zero variance")
@@ -271,14 +280,14 @@ def mantel_test(
     at_least = int((permuted_r >= observed_r - 1e-12).sum())
     if method == "exact":
         # the identity permutation is part of the enumeration
-        p = at_least / len(perms)
+        p = at_least / count
     else:
-        p = (1 + at_least) / (len(perms) + 1)
+        p = (1 + at_least) / (count + 1)
     return TopSimResult(
         z_score=float(z),
         p_value=float(p),
         observed_r=observed_r,
-        permutations=len(perms),
+        permutations=count,
         method=method,
     )
 

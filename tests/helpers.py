@@ -27,7 +27,15 @@ from refgame.backend import (
     TransportFailure,
 )
 from refgame.domain import (
+    AMOUNTS,
+    COLOURS,
+    PER_VALUE_TRAIN_COUNT,
+    SHAPES,
+    SPLIT_ATTEMPT_CAP,
+    TRAIN_SIZE,
+    DomainError,
     Stimulus,
+    TrainTestSplit,
     VocabularyEntry,
     VocabularyFormatError,
     enumerate_stimuli,
@@ -129,6 +137,31 @@ def exhaustive_mantel_oracle(pairs):
     z = (observed - mean) / std
     p = sum(1 for r in rs if r >= observed - 1e-12) / len(rs)
     return observed, z, p, mean, std
+
+
+def stimulus_sampling_training_set(rng) -> TrainTestSplit:
+    """The balanced split as first written: rejection sampling over
+    rng.sample of the stimuli themselves, each subset's balance counted
+    value by value."""
+    def is_balanced(train):
+        for values, key in (
+            (SHAPES, lambda s: s.shape),
+            (COLOURS, lambda s: s.colour),
+            (AMOUNTS, lambda s: s.amount),
+        ):
+            for value in values:
+                if sum(1 for s in train if key(s) == value) != PER_VALUE_TRAIN_COUNT:
+                    return False
+        return True
+
+    space = enumerate_stimuli()
+    for _ in range(SPLIT_ATTEMPT_CAP):
+        train = rng.sample(space, TRAIN_SIZE)
+        if is_balanced(train):
+            chosen = set(train)
+            test = tuple(s for s in space if s not in chosen)
+            return TrainTestSplit(train=tuple(train), test=test)
+    raise DomainError(f"no balanced split found in {SPLIT_ATTEMPT_CAP} attempts")
 
 
 def http_backend(endpoint: str, **settings) -> HttpBackend:

@@ -780,7 +780,9 @@ class TestChainCommand:
         assert [(chain_dir / g / "manifest.json").stat().st_mtime_ns for g in ("gen01", "gen02")] == stamps
 
     @pytest.mark.parametrize(
-        "changed", [["--seed", "2"], ["--permutations", "100"]], ids=["seed", "permutations"]
+        "changed",
+        [["--seed", "2"], ["--permutations", "100"], ["--agents", "oracle:random,oracle:random"]],
+        ids=["seed", "permutations", "agents"],
     )
     def test_resume_with_another_configuration_refused(self, tmp_path, capsys, changed):
         shared = ["chain", "--chains", "1", "--seed", "1", "--permutations", "60"]

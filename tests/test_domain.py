@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import stimulus_sampling_training_set
 from refgame.domain import (
     AMOUNTS,
     COLOURS,
@@ -125,6 +126,12 @@ class TestTrainingSplit:
 
     def test_deterministic(self):
         assert sample_training_set(Random(7)) == sample_training_set(Random(7))
+
+    def test_same_split_and_stream_as_sampling_stimuli(self):
+        for seed in range(300):
+            ours, theirs = Random(seed), Random(seed)
+            assert sample_training_set(ours) == stimulus_sampling_training_set(theirs)
+            assert ours.getstate() == theirs.getstate()
 
     def test_split_shape_validated(self):
         space = enumerate_stimuli()

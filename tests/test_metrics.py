@@ -338,6 +338,35 @@ def full_gather_mantel_reference(semantic, signal, perms, method):
     )
 
 
+@st.composite
+def tied_distance_matrices(draw):
+    """Symmetric semantic (values 0-3) and signal (values k/9) matrices over
+    3-27 items, small n as often as large. Each draws its values up to a
+    drawn cap, so ties are common and a cap of 0 gives a zero-variance
+    matrix."""
+    n = draw(st.integers(3, EXHAUSTIVE_MANTEL_MAX_N) | st.integers(EXHAUSTIVE_MANTEL_MAX_N + 1, 27))
+    pairs = n * (n - 1) // 2
+    iu = np.triu_indices(n, k=1)
+
+    def symmetric(top, scale):
+        values = draw(st.lists(st.integers(0, top), min_size=pairs, max_size=pairs))
+        m = np.zeros((n, n))
+        m[iu] = np.array(values) / scale
+        return m + m.T
+
+    semantic = symmetric(draw(st.sampled_from([3, 2, 1, 0])), 1)
+    return semantic, symmetric(draw(st.sampled_from(range(9, -1, -1))), 9)
+
+
+# a tail alone, one and two blocks give or take a tail, and any count up to
+# about ten blocks
+mantel_counts = st.one_of(
+    st.integers(1, 3),
+    st.sampled_from([k * MANTEL_BLOCK_ROWS + d for k in (1, 2) for d in (-3, -1, 0, 1, 3)]),
+    st.integers(1, 2600),
+)
+
+
 class TestMantelBitIdentity:
     """The batched draw and the upper-triangle gather must reproduce the
     loop-and-full-gather Mantel test exactly: stored metrics.csv files and
@@ -377,6 +406,36 @@ class TestMantelBitIdentity:
         theirs = np.random.default_rng(4)
         result = mantel_test(sem, sig, permutations=permutations, rng=ours, method="sampled")
         assert result == loop_mantel_reference(sem, sig, permutations, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @given(tied_distance_matrices(), mantel_counts, st.sampled_from(["sampled", "auto"]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_references_on_tied_matrices(self, matrices, permutations, method, seed):
+        sem, sig = matrices
+        n = sem.shape[0]
+        iu = np.triu_indices(n, k=1)
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        if np.ptp(sig[iu]) == 0.0 or np.ptp(sem[iu]) == 0.0:
+            which = "signal" if np.ptp(sig[iu]) == 0.0 else "semantic"
+            with pytest.raises(DegenerateMatrixError, match=f"^{which} distance matrix"):
+                mantel_test(sem, sig, permutations=permutations, rng=ours, method=method)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            return
+        try:
+            if method == "auto" and n <= EXHAUSTIVE_MANTEL_MAX_N:
+                perms = np.array(list(itertools.permutations(range(n))))
+                expected = full_gather_mantel_reference(sem, sig, perms, "exact")
+            else:
+                expected = loop_mantel_reference(sem, sig, permutations, theirs)
+        except ZeroDivisionError:
+            expected = None  # the permuted r all have one value
+        if expected is not None:
+            result = mantel_test(sem, sig, permutations=permutations, rng=ours, method=method)
+            assert result == expected
+        else:
+            with pytest.raises(DegenerateMatrixError, match="^permutation distribution"):
+                mantel_test(sem, sig, permutations=permutations, rng=ours, method=method)
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_exact_enumeration_crosses_blocks(self):

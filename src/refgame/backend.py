@@ -79,6 +79,11 @@ class BackendDescriptor:
             raise BackendError("max_retries must be >= 0")
         if self.backoff_base < 0:
             raise BackendError("backoff_base must be >= 0")
+        # no signal fits a completion of no tokens, and no prompt a budget of none
+        if self.max_output_tokens < 1:
+            raise BackendError("max_output_tokens must be >= 1")
+        if self.context_budget_tokens < 1:
+            raise BackendError("context_budget_tokens must be >= 1")
         if self.endpoint:  # an llm run without one fails its pre-flight
             url = urlsplit(self.endpoint)
             try:

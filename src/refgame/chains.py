@@ -28,15 +28,13 @@ from .domain import (
     enumerate_stimuli,
     sample_training_set,
 )
-from .engine import MetricRow, RunConfig, SimulationAborted, SimulationResult, derive_seed, run_simulation
+from .engine import RunConfig, SimulationAborted, SimulationResult, derive_seed, run_simulation
 from .metrics import DegenerateMatrixError, topsim_mantel
 from .persistence import (
     ChainRow,
     PersistenceError,
     chain_row,
     load_run_for_replay,
-    read_rows,
-    save_partial,
     save_simulation,
     write_rows,
 )
@@ -174,8 +172,9 @@ def _finished_generations(
     """chain.csv rows of the finished generations and the last donor's
     testing output (None when nothing is finished): the ``seed_from`` import
     as generation 0, then the longest prefix of complete, digest-valid
-    generation directories, each row rebuilt from that generation's
-    digest-checked ``metrics.csv``; a stored ``chain.csv`` is never read.
+    generation directories whose manifest names one of their agents as
+    donor, each row rebuilt from that generation's digest-checked metric
+    rows; a stored ``chain.csv`` is never read.
     A finished generation run with another RunConfig than this chain's,
     or whose manifest records other ``agent_specs``, raises
     ``PersistenceError``: a resume never splices in another
@@ -190,8 +189,7 @@ def _finished_generations(
             selection = _select_generation_donor(config, chain_seed, 0, seed_result)
         except ChainError as err:
             raise PersistenceError(f"{seed_dir} cannot seed a chain: {err}") from err
-        seed_rows = read_rows(seed_dir / "metrics.csv", MetricRow)
-        rows.append(chain_row(chain_index, 0, selection.donor_id, seed_rows))
+        rows.append(chain_row(chain_index, 0, selection.donor_id, seed_result.metric_rows))
         transmitted = selection.pairs
     for generation in range(len(rows), config.generations):
         gen_dir = directory / f"gen{generation:02d}"
@@ -199,7 +197,8 @@ def _finished_generations(
             manifest, result = load_run_for_replay(gen_dir)
         except PersistenceError:
             break
-        if "donor_id" not in manifest.extra:
+        donor_id = manifest.extra.get("donor_id")
+        if donor_id not in result.agent_ids:
             break
         if result.config != _generation_run_config(config, run, chain_seed, generation):
             raise PersistenceError(f"{gen_dir} was run with another configuration")
@@ -209,9 +208,7 @@ def _finished_generations(
                 f"{gen_dir} was run with another configuration: "
                 f"agent_specs {recorded}, not {agent_specs}"
             )
-        donor_id = manifest.extra["donor_id"]
-        metric_rows = read_rows(gen_dir / "metrics.csv", MetricRow)
-        rows.append(chain_row(chain_index, generation, donor_id, metric_rows))
+        rows.append(chain_row(chain_index, generation, donor_id, result.metric_rows))
         transmitted = result.testing[donor_id].pairs()
     return rows, transmitted
 
@@ -270,7 +267,7 @@ def run_chain(
                 except ChainError as err:  # nothing complete to transmit
                     raise SimulationAborted(str(err), result) from err
             except SimulationAborted as err:
-                save_partial(err.partial, gen_dir, error=str(err), started=started)
+                save_simulation(err.partial, gen_dir, started=started, error=str(err))
                 raise
         save_simulation(
             result,

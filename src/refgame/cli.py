@@ -40,7 +40,6 @@ from .persistence import (
     DigestMismatch,
     PersistenceError,
     replay_run,
-    save_partial,
     save_simulation,
 )
 
@@ -100,7 +99,7 @@ def _run_one_simulation(config: ExperimentConfig, run_seed: int, run_dir: Path):
         try:
             result = run_simulation(run_config, agents, event_log=event_log)
         except SimulationAborted as err:
-            save_partial(err.partial, run_dir, error=str(err), started=started)
+            save_simulation(err.partial, run_dir, started=started, error=str(err))
             raise
     save_simulation(result, run_dir, started=started)
     return result

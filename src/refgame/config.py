@@ -142,9 +142,10 @@ def check_backend_credentials(config: ExperimentConfig) -> None:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    text = Path(path).read_text()
     try:
-        data = yaml.safe_load(text) or {}
+        data = yaml.safe_load(Path(path).read_text()) or {}
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path} cannot be decoded: {err}") from None
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         location = f"line {mark.line + 1}" if mark is not None else "unknown line"

@@ -177,9 +177,13 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as err:
+            raise VocabularyFormatError(f"{path} cannot be decoded: {err}") from None
         entries: list[VocabularyEntry] = []
         flags: list[bool] = []
-        for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for number, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             entry, had_success = parse_vocab_line(line, line_number=number)

@@ -3,12 +3,12 @@
 A simulation persists as a self-contained directory: manifest (config,
 seeds, versions, file digests), an events log (one structured record per
 interaction and backend call), per-block vocabulary snapshots, and a
-metrics CSV whose rows all carry a schema version. One writer saves a
-``SimulationResult`` whether the run completed or aborted; an aborted run
-keeps the snapshots of the blocks it finished and an ``incomplete``
-manifest. Any completed run can be replayed offline: the result is rebuilt
-from the logged interactions and snapshots, its metrics are recomputed and
-compared against the stored CSV.
+metrics CSV whose rows all carry a schema version. ``save_simulation``
+writes one, complete or aborted; an aborted run keeps the snapshots of the
+blocks it finished and an ``incomplete`` manifest. ``load_run_for_replay``
+reads a completed one back, stored metric rows included: ``replay_run``
+compares them with rows recomputed from the logged interactions and
+snapshots, and a chain resume builds its ``chain.csv`` rows from them.
 """
 
 from __future__ import annotations
@@ -95,10 +95,15 @@ def write_rows(path: str | Path, rows: list) -> None:
 
 
 def read_rows(path: str | Path, row_type: type) -> list:
-    """The rows of a CSV written by ``write_rows``, decoded as ``row_type``."""
+    """The rows of a CSV written by ``write_rows``, decoded as ``row_type``;
+    a file that is missing or cannot be read or parsed raises
+    ``PersistenceError``."""
     parsers = _cell_parsers(row_type)
-    with Path(path).open(newline="") as fh:
-        cell_rows = list(csv.DictReader(fh))
+    try:
+        with Path(path).open(newline="") as fh:
+            cell_rows = list(csv.DictReader(fh))
+    except (FileNotFoundError, UnicodeDecodeError, csv.Error) as err:
+        raise PersistenceError(f"{path} cannot be read: {err}") from None
     rows = []
     for number, cells in enumerate(cell_rows, start=1):
         version = cells.get("schema_version") or ""
@@ -179,19 +184,22 @@ def _vocab_path(run_dir: Path, snapshot: str, agent_id: str = "") -> Path:
     return run_dir / "vocab" / f"{name}.vocab"
 
 
-def _save_run(
+def save_simulation(
     result: SimulationResult,
     run_dir: str | Path,
-    status: str,
-    started: float | None,
-    extra: dict,
+    started: float | None = None,
+    extra: dict | None = None,
+    error: str | None = None,
 ) -> RunManifest:
-    """Write every vocab snapshot the result holds, the metrics CSV when it
-    has metric rows, then the manifest with a digest of every file.
+    """Persist a simulation: every vocab snapshot the result holds, the
+    metrics CSV when it has metric rows, then the manifest with a digest of
+    every file; ``extra`` adds manifest fields.
 
-    The events file must already live at run_dir/events.jsonl (the engine
-    writes it live through the EventLog); it is digested like every other
-    artifact.
+    With ``error`` set the result is an aborted run's partial one: the
+    manifest is marked ``incomplete`` and records the ``error`` and the
+    ``completed_blocks``. The events file must already live at
+    run_dir/events.jsonl (the engine writes it live through the EventLog);
+    it is digested like every other artifact.
     """
     base = Path(run_dir)
     (base / "vocab").mkdir(parents=True, exist_ok=True)
@@ -211,48 +219,28 @@ def _save_run(
     for path in sorted(base.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
             files[path.relative_to(base).as_posix()] = file_digest(path)
+    extra = {"agent_ids": list(result.agent_ids), **(extra or {})}
+    if error is not None:
+        blocks = ("guessing", "labelling", "communication", "testing")
+        extra.update(error=error, completed_blocks=sorted(b for b in blocks if getattr(result, b)))
     manifest = RunManifest(
         config=asdict(result.config),
         master_seed=result.config.master_seed,
-        status=status,
+        status="complete" if error is None else "incomplete",
         started=started or time.time(),
         finished=time.time(),
         files=files,
-        extra={"agent_ids": list(result.agent_ids), **extra},
+        extra=extra,
     )
     manifest.save(base)
     return manifest
 
 
-def save_simulation(
-    result: SimulationResult,
-    run_dir: str | Path,
-    started: float | None = None,
-    extra: dict | None = None,
-) -> RunManifest:
-    """Persist a completed simulation; ``extra`` adds manifest fields."""
-    return _save_run(result, run_dir, "complete", started, extra or {})
-
-
-def save_partial(
-    partial: SimulationResult,
-    run_dir: str | Path,
-    error: str,
-    started: float | None = None,
-) -> RunManifest:
-    """Persist whatever an aborted simulation completed, marked incomplete."""
-    completed = [
-        block
-        for block in ("guessing", "labelling", "communication", "testing")
-        if getattr(partial, block)
-    ]
-    extra = {"error": error, "completed_blocks": sorted(completed)}
-    return _save_run(partial, run_dir, "incomplete", started, extra)
-
-
 def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationResult]:
-    """Rebuild the result of a persisted run from its directory alone; its
-    metric rows are left for the caller to recompute."""
+    """Rebuild the result of a completed run from its directory alone,
+    after checking every file digest: the blocks from the event log and
+    the snapshots, and ``metric_rows`` as stored in ``metrics.csv``. A
+    directory that cannot be read back raises ``PersistenceError``."""
     base = Path(run_dir)
     manifest = RunManifest.load(base)
     if manifest.status != "complete":
@@ -295,6 +283,7 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
         config=run_config,
         agent_ids=tuple(agent_ids),
         initial_language=initial,
+        metric_rows=read_rows(base / "metrics.csv", MetricRow),
     )
 
     def records(record_type, agent_id=None) -> list:
@@ -348,10 +337,8 @@ class ReplayReport:
 def replay_run(run_dir: str | Path, tolerance: float = 1e-9) -> ReplayReport:
     """Offline verification: digests, then metric recomputation from the
     event log and vocabulary snapshots, compared against the stored CSV."""
-    base = Path(run_dir)
-    _, result = load_run_for_replay(base)
-    recomputed = compute_metric_rows(result)
-    stored = read_rows(base / "metrics.csv", MetricRow)
+    _, result = load_run_for_replay(run_dir)
+    stored, recomputed = result.metric_rows, compute_metric_rows(result)
     mismatches: list[ReplayMismatch] = []
     if len(stored) != len(recomputed):
         mismatches.append(
@@ -400,7 +387,7 @@ def chain_row(
     chain_index: int, generation: int, donor_id: str, metric_rows: list[MetricRow]
 ) -> ChainRow:
     """One chain-level CSV row per generation, from the generation's metric
-    rows (in memory or read back with ``read_rows``).
+    rows (in memory or loaded by ``load_run_for_replay``).
 
     Learnability is the mean labelling Levenshtein distance. perc_com is the
     mean over rounds with each round counted once: every agent's row repeats

@@ -55,6 +55,20 @@ class TestSimulate:
             outs.append((out / "sim-00" / "metrics.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_aborted_run_manifest_records_error_and_blocks(self, tmp_path, monkeypatch):
+        def build(config):
+            return BreakingOracle("A", PromptTask.LABELLING), LookupOracle("B")
+
+        monkeypatch.setattr(cli, "_build_agents", build)
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--seed", "6", "--permutations", "60", "--out", str(out)) == EXIT_RUNTIME
+        manifest = RunManifest.load(out / "sim-00")
+        assert manifest.status == "incomplete"
+        assert manifest.extra == {
+            "agent_ids": ["A", "B"], "error": "agent A broke", "completed_blocks": ["guessing"],
+        }
+        manifest.verify_digests(out / "sim-00")
+
     def test_llm_without_credentials_fails_preflight(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REFGAME_API_KEY", raising=False)
         config = {
@@ -81,6 +95,9 @@ class TestSimulate:
             ({"max_retries": -1}, "max_retries must be >= 0"),
             ({"timeout": 0}, "timeout must be > 0"),
             ({"timeout": -5.0}, "timeout must be > 0"),
+            ({"max_output_tokens": 0}, "max_output_tokens must be >= 1"),
+            ({"context_budget_tokens": 0}, "context_budget_tokens must be >= 1"),
+            ({"context_budget_tokens": -8}, "context_budget_tokens must be >= 1"),
             ({"template": "llama3x"}, "unknown chat template 'llama3x'"),
             ({"endpoint": "localhost:8000"}, "endpoint 'localhost:8000' is not an http:// or https:// URL"),
             ({"endpoint": "https://"}, "endpoint 'https://' is not an http:// or https:// URL with a host"),
@@ -248,6 +265,23 @@ def test_input_path_of_the_wrong_kind_rejected(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda path: ["metrics", str(path)],
+        lambda path: ["simulate", "--config", str(path), "--out", str(path.parent / "out")],
+    ],
+    ids=["metrics", "config"],
+)
+def test_input_file_that_does_not_decode_rejected(tmp_path, capsys, argv):
+    path = tmp_path / "latin-1.txt"
+    path.write_bytes("agents: [caf\xe9]\n".encode("latin-1"))
+    assert run_cli(*argv(path)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path} cannot be decoded: ") and captured.out == ""
+    assert list(tmp_path.iterdir()) == [path]
 
 
 class TestReplayCommand:
@@ -419,7 +453,9 @@ class TestChainCommand:
 
     def test_resume_reruns_a_generation_whose_manifest_is_unreadable(self, tmp_path, capsys):
         # like an incomplete or digest-invalid generation, it is not finished;
-        # neither is one whose manifest holds an out-of-range run setting
+        # neither is one whose manifest holds an out-of-range run setting or
+        # names a donor it does not have, nor one whose metrics.csv cannot be
+        # read back under a manifest that digests it
         shared = ["chain", "--chains", "1", "--generations", "3", "--seed", "8", "--permutations", "60"]
         full_out, out = tmp_path / "full", tmp_path / "resumed"
         assert run_cli(*shared, "--out", str(full_out)) == EXIT_OK
@@ -429,7 +465,34 @@ class TestChainCommand:
             manifest["config"]["mantel_permutations"] = 0
             return json.dumps(manifest)
 
-        for generation, corrupt in ((1, lambda text: "{bad"), (2, out_of_range)):
+        def unknown_donor(text):
+            manifest = json.loads(text)
+            manifest["extra"]["donor_id"] = "Z"
+            return json.dumps(manifest)
+
+        # metrics.csv changed under a manifest that digests the change
+        def metrics_of(data):
+            def corrupt(text):
+                manifest = json.loads(text)
+                metrics = out / "chain-00" / "gen02" / "metrics.csv"
+                metrics.write_bytes(data)
+                manifest["files"]["metrics.csv"] = file_digest(metrics)
+                return json.dumps(manifest)
+
+            return corrupt
+
+        def no_metrics(text):
+            manifest = json.loads(text)
+            (out / "chain-00" / "gen02" / "metrics.csv").unlink()
+            del manifest["files"]["metrics.csv"]
+            return json.dumps(manifest)
+
+        cases = (
+            (1, lambda text: "{bad"), (2, out_of_range), (1, unknown_donor),
+            (2, metrics_of(b"schema_version,block\n9,testing\n")),
+            (2, metrics_of(b"schema_version,block\n1,caf\xe9\n")), (2, no_metrics),
+        )
+        for generation, corrupt in cases:
             path = out / "chain-00" / f"gen{generation:02d}" / "manifest.json"
             path.write_text(corrupt(path.read_text()))
             capsys.readouterr()
@@ -505,6 +568,29 @@ class TestChainCommand:
         assert run_cli(*shared, "--out", str(full_out)) == EXIT_OK
         full_csv = (full_out / "chain-00" / "chain.csv").read_bytes()
         assert (out / "chain-00" / "chain.csv").read_bytes() == full_csv
+
+    def test_aborted_generation_manifest_has_no_donor_fields(self, tmp_path, monkeypatch):
+        build_agents = cli._build_agents
+        built = []
+
+        def failing_in_generation_one(config):
+            built.append(config)
+            if len(built) == 2:
+                return BreakingOracle("A", PromptTask.LABELLING), LookupOracle("B")
+            return build_agents(config)
+
+        monkeypatch.setattr(cli, "_build_agents", failing_in_generation_one)
+        out = tmp_path / "chains"
+        argv = ["chain", "--chains", "1", "--generations", "2", "--seed", "8", "--permutations", "60"]
+        assert run_cli(*argv, "--out", str(out)) == EXIT_RUNTIME
+        assert {"donor_id", "donor_degenerate", "generation"} <= set(
+            RunManifest.load(out / "chain-00" / "gen00").extra
+        )
+        manifest = RunManifest.load(out / "chain-00" / "gen01")
+        assert manifest.status == "incomplete"
+        assert manifest.extra == {
+            "agent_ids": ["A", "B"], "error": "agent A broke", "completed_blocks": ["guessing"],
+        }
 
     def test_incomplete_testing_output_aborts_generation_and_resumes(
         self, tmp_path, monkeypatch, capsys

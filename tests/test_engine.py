@@ -40,7 +40,6 @@ from refgame.persistence import (
     RunManifest,
     file_digest,
     load_run_for_replay,
-    save_partial,
     save_simulation,
 )
 from refgame.prompts import PromptTask
@@ -457,7 +456,7 @@ class TestRunSimulation:
         partial = info.value.partial
         assert partial.guessing == {}
         assert partial.labelling == {}
-        save_partial(partial, tmp_path, error=str(info.value))
+        save_simulation(partial, tmp_path, error=str(info.value))
         manifest = RunManifest.load(tmp_path)
         assert manifest.status == "incomplete"
         assert manifest.extra["completed_blocks"] == []

@@ -120,7 +120,7 @@ class TestReplay:
         manifest, loaded = load_run_for_replay(run_dir)
         assert manifest.status == "complete"
         assert loaded.agent_ids == result.agent_ids
-        assert loaded.metric_rows == []
+        assert loaded.metric_rows == result.metric_rows
         recomputed = compute_metric_rows(loaded)
         assert recomputed == read_rows(run_dir / "metrics.csv", MetricRow)
         assert recomputed == result.metric_rows
@@ -281,7 +281,7 @@ class TestBlockRecordRead:
 class TestPartialPersist:
     def _abort(self, tmp_path):
         from refgame.engine import SimulationAborted
-        from refgame.persistence import save_partial
+        from refgame.persistence import save_simulation
         from refgame.prompts import PromptTask
 
         class Exploding(LookupOracle):
@@ -295,7 +295,7 @@ class TestPartialPersist:
         config = RunConfig(master_seed=2, mantel_permutations=20)
         with EventLog(run_dir / "events.jsonl") as event_log, pytest.raises(SimulationAborted) as info:
             run_simulation(config, (Exploding("A"), LookupOracle("B")), event_log=event_log)
-        save_partial(info.value.partial, run_dir, error=str(info.value))
+        save_simulation(info.value.partial, run_dir, error=str(info.value))
         return run_dir
 
     def test_incomplete_manifest_and_snapshots(self, tmp_path):

@@ -95,13 +95,13 @@ class TestSimulate:
             ({"max_retries": -1}, "max_retries must be >= 0"),
             ({"timeout": 0}, "timeout must be > 0"),
             ({"timeout": -5.0}, "timeout must be > 0"),
-            ({"max_output_tokens": 0}, "max_output_tokens must be >= 1"),
-            ({"context_budget_tokens": 0}, "context_budget_tokens must be >= 1"),
-            ({"context_budget_tokens": -8}, "context_budget_tokens must be >= 1"),
             ({"template": "llama3x"}, "unknown chat template 'llama3x'"),
             ({"endpoint": "localhost:8000"}, "endpoint 'localhost:8000' is not an http:// or https:// URL"),
             ({"endpoint": "https://"}, "endpoint 'https://' is not an http:// or https:// URL with a host"),
             ({"endpoint": "http://localhost:80a"}, "endpoint 'http://localhost:80a': Port could not be cast"),
+            ({"max_output_tokens": 0}, "max_output_tokens must be >= 1"),
+            ({"context_budget_tokens": 0}, "context_budget_tokens must be >= 1"),
+            ({"context_budget_tokens": -8}, "context_budget_tokens must be >= 1"),
         ],
     )
     def test_bad_backend_setting_rejected_before_writing(self, tmp_path, capsys, backend, message):

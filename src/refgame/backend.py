@@ -85,8 +85,8 @@ class BackendDescriptor:
         if self.context_budget_tokens < 1:
             raise BackendError("context_budget_tokens must be >= 1")
         if self.endpoint:  # an llm run without one fails its pre-flight
-            url = urlsplit(self.endpoint)
             try:
+                url = urlsplit(self.endpoint)  # raises on a malformed IPv6 host
                 url.port  # raises on a port that is not a number below 65536
             except ValueError as err:
                 raise BackendError(f"endpoint {self.endpoint!r}: {err}") from err
@@ -188,9 +188,10 @@ class EventLog:
         of these kinds. ``append`` writes a record's kind first, so a line of
         another kind is skipped without being parsed; a line that does not
         start ``{"kind": "`` (a log not written by ``append``) is parsed to
-        learn its kind."""
+        learn its kind. A parsed line that is not a JSON object with a string
+        kind raises ``ValueError``."""
         records = []
-        for line in Path(path).read_text().splitlines():
+        for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
             if not line:
                 continue
             if kinds is not None and line.startswith(_KIND_PREFIX):
@@ -199,7 +200,12 @@ class EventLog:
                 # an escape in the kind (or no closing quote) is left to json
                 if end > 0 and "\\" not in kind and kind not in kinds:
                     continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except ValueError:
+                record = None
+            if not (isinstance(record, dict) and isinstance(record.get("kind"), str)):
+                raise ValueError(f"line {number} is not a JSON object with a string kind")
             if kinds is None or record["kind"] in kinds:
                 records.append(record)
         return records

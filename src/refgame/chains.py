@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
 from typing import Callable, Sequence
@@ -51,8 +51,6 @@ class ChainConfig:
     donor_permutations: int = 1000
     # a simulation directory imported as generation 0 of every chain
     seed_from: str | None = None
-    # sparse per-generation RunConfig field overrides, e.g. {3: {"rounds": 2}}
-    generation_overrides: dict[int, dict] = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.chains < 1:
@@ -61,25 +59,6 @@ class ChainConfig:
             raise ChainError("generations must be >= 1")
         if self.donor_permutations < 1:
             raise ChainError("donor_permutations must be >= 1")
-        # master_seed is derived per generation, never overridden
-        valid_fields = set(RunConfig.__dataclass_fields__) - {"master_seed"}
-        # a seed_from import is generation 0, which no override can reach
-        runs = range(1 if self.seed_from else 0, self.generations)
-        for generation, overrides in self.generation_overrides.items():
-            if type(generation) is not int:
-                raise ChainError(f"generation {generation!r} of generation_overrides is not a number")
-            if generation not in runs:
-                span = f"generations {runs.start} to {runs[-1]}" if runs else "no generation"
-                raise ChainError(
-                    f"generation {generation} of generation_overrides is not run: the chain runs {span}"
-                )
-            if not isinstance(overrides, dict):
-                raise ChainError(f"overrides for generation {generation} must be a mapping")
-            unknown = set(overrides) - valid_fields
-            if unknown:
-                raise ChainError(
-                    f"unknown RunConfig override(s) {sorted(unknown)} for generation {generation}"
-                )
 
 
 @dataclass
@@ -142,14 +121,8 @@ def chain_dir(out_dir: str | Path, chain_index: int) -> Path:
     return Path(out_dir) / f"chain-{chain_index:02d}"
 
 
-def _generation_run_config(
-    config: ChainConfig, run: RunConfig, chain_seed: int, generation: int
-) -> RunConfig:
-    return replace(
-        run,
-        **config.generation_overrides.get(generation, {}),
-        master_seed=derive_seed(chain_seed, f"generation:{generation}"),
-    )
+def _generation_run_config(run: RunConfig, chain_seed: int, generation: int) -> RunConfig:
+    return replace(run, master_seed=derive_seed(chain_seed, f"generation:{generation}"))
 
 
 def _select_generation_donor(
@@ -174,7 +147,8 @@ def _finished_generations(
     as generation 0, then the longest prefix of complete, digest-valid
     generation directories whose manifest names one of their agents as
     donor, each row rebuilt from that generation's digest-checked metric
-    rows; a stored ``chain.csv`` is never read.
+    rows (rows ``chain_row`` refuses end the prefix); a stored
+    ``chain.csv`` is never read.
     A finished generation run with another RunConfig than this chain's,
     or whose manifest records other ``agent_specs``, raises
     ``PersistenceError``: a resume never splices in another
@@ -187,9 +161,9 @@ def _finished_generations(
         _, seed_result = load_run_for_replay(seed_dir)
         try:
             selection = _select_generation_donor(config, chain_seed, 0, seed_result)
-        except ChainError as err:
+            rows.append(chain_row(chain_index, 0, selection.donor_id, seed_result.metric_rows))
+        except (ChainError, PersistenceError) as err:
             raise PersistenceError(f"{seed_dir} cannot seed a chain: {err}") from err
-        rows.append(chain_row(chain_index, 0, selection.donor_id, seed_result.metric_rows))
         transmitted = selection.pairs
     for generation in range(len(rows), config.generations):
         gen_dir = directory / f"gen{generation:02d}"
@@ -200,7 +174,7 @@ def _finished_generations(
         donor_id = manifest.extra.get("donor_id")
         if donor_id not in result.agent_ids:
             break
-        if result.config != _generation_run_config(config, run, chain_seed, generation):
+        if result.config != _generation_run_config(run, chain_seed, generation):
             raise PersistenceError(f"{gen_dir} was run with another configuration")
         recorded = manifest.extra.get("agent_specs", agent_specs)
         if agent_specs is not None and recorded != agent_specs:
@@ -208,7 +182,10 @@ def _finished_generations(
                 f"{gen_dir} was run with another configuration: "
                 f"agent_specs {recorded}, not {agent_specs}"
             )
-        rows.append(chain_row(chain_index, generation, donor_id, result.metric_rows))
+        try:
+            rows.append(chain_row(chain_index, generation, donor_id, result.metric_rows))
+        except PersistenceError:
+            break
         transmitted = result.testing[donor_id].pairs()
     return rows, transmitted
 
@@ -257,7 +234,7 @@ def run_chain(
             started = time.time()
             try:
                 result = run_simulation(
-                    _generation_run_config(config, run, chain_seed, generation),
+                    _generation_run_config(run, chain_seed, generation),
                     agents,
                     initial_language=training_language,
                     event_log=event_log,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import types
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
@@ -109,13 +109,6 @@ def validate_config(config: ExperimentConfig) -> None:
         config.chain.validate()
     except ChainError as err:
         raise ConfigError(f"chain: {err}") from err
-    for generation, overrides in config.chain.generation_overrides.items():
-        path = f"chain.generation_overrides.{generation}"
-        _check_types(RunConfig, overrides, path)
-        try:
-            replace(config.run, **overrides).validate()
-        except EngineError as err:
-            raise ConfigError(f"{path}: {err}") from err
     try:
         config.backend.validate()
     except BackendError as err:

@@ -18,7 +18,7 @@ import functools
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -236,6 +236,15 @@ def save_simulation(
     return manifest
 
 
+# the keys each block record must carry: its agent and every field without a default
+_REQUIRED_KEYS = {
+    t.KIND: {"agent"} | {
+        f.name for f in fields(t) if f.default is MISSING and f.default_factory is MISSING
+    }
+    for t in (GuessingRecord, LabellingRecord, InteractionRecord, TestingRecord)
+}
+
+
 def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationResult]:
     """Rebuild the result of a completed run from its directory alone,
     after checking every file digest: the blocks from the event log and
@@ -252,8 +261,16 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     if not events_path.exists():
         raise PersistenceError(f"no events log in {run_dir}")
     # the digests above cover every line; only block records are decoded
-    block_types = (GuessingRecord, LabellingRecord, InteractionRecord, TestingRecord)
-    events = EventLog.read(events_path, kinds={t.KIND for t in block_types})
+    try:
+        events = EventLog.read(events_path, kinds=_REQUIRED_KEYS.keys())
+    except ValueError as err:  # a line that is not a record, or text that does not decode
+        raise PersistenceError(f"{events_path} cannot be read: {err}") from None
+    for event in events:
+        missing = _REQUIRED_KEYS[event["kind"]] - event.keys()
+        if missing:
+            raise PersistenceError(
+                f"{events_path}: a {event['kind']!r} record lacks key(s) {sorted(missing)}"
+            )
     initial = Vocabulary.load(_vocab_path(base, "initial"))
     # older manifests name the fixed tasks_per_round, which is no longer a setting
     config = {key: value for key, value in manifest.config.items() if key != "tasks_per_round"}
@@ -393,12 +410,19 @@ def chain_row(
     mean over rounds with each round counted once: every agent's row repeats
     its round's value, and averaging the repeats rounds differently in the
     last digit. The structure columns are copied from the donor's testing row.
+    Rows without a labelling row, a communication row or the donor's testing
+    row raise ``PersistenceError``.
     """
     labelling = [row.mean_levenshtein for row in metric_rows if row.block == "labelling"]
     per_round = {row.round: row.perc_com for row in metric_rows if row.block == "communication"}
     donor_row = next(
-        row for row in metric_rows if row.block == "testing" and row.agent == donor_id
+        (row for row in metric_rows if row.block == "testing" and row.agent == donor_id), None
     )
+    if not labelling or not per_round or donor_row is None:
+        raise PersistenceError(
+            f"the metric rows lack a labelling row, a communication row "
+            f"or donor {donor_id}'s testing row"
+        )
     return ChainRow(
         chain=chain_index,
         generation=generation,

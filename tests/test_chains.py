@@ -178,24 +178,6 @@ class TestRunChain:
         assert learnability(records[1]) < learnability(records[0])
         assert learnability(records[1]) == 0.0
 
-    def test_per_generation_overrides(self, tmp_path):
-        config = fast_chain_config(
-            generations=2, generation_overrides={1: {"rounds": 2}}
-        )
-        records = run_chain(config, FAST_RUN, 5, 0, tmp_path, lookup_factory)
-        assert len(records[0].result.communication.perc_com) == 4
-        assert len(records[1].result.communication.perc_com) == 2
-
-    def test_unknown_override_rejected(self, tmp_path):
-        config = fast_chain_config(generation_overrides={0: {"roundz": 2}})
-        with pytest.raises(ChainError, match="roundz"):
-            run_chain(config, FAST_RUN, 5, 0, tmp_path, lookup_factory)
-
-    def test_master_seed_override_rejected(self, tmp_path):
-        config = fast_chain_config(generation_overrides={0: {"master_seed": 5}})
-        with pytest.raises(ChainError, match="master_seed"):
-            run_chain(config, FAST_RUN, 5, 0, tmp_path, lookup_factory)
-
     def test_resumed_chain_matches_uninterrupted(self, tmp_path):
         config = fast_chain_config(generations=3)
         full = run_chain(config, FAST_RUN, 5, 0, tmp_path / "full", lookup_factory)

@@ -102,6 +102,7 @@ class TestSimulate:
             ({"max_output_tokens": 0}, "max_output_tokens must be >= 1"),
             ({"context_budget_tokens": 0}, "context_budget_tokens must be >= 1"),
             ({"context_budget_tokens": -8}, "context_budget_tokens must be >= 1"),
+            ({"endpoint": "http://[::1"}, "endpoint 'http://[::1': Invalid IPv6 URL"),
         ],
     )
     def test_bad_backend_setting_rejected_before_writing(self, tmp_path, capsys, backend, message):
@@ -376,6 +377,35 @@ class TestReplayCommand:
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("not json", " cannot be read: line 237 is not a JSON object with a string kind"),
+            ('{"kind": 5}', " cannot be read: line 237 is not a JSON object with a string kind"),
+            (
+                '{"kind": "guess", "agent": "A"}',
+                ": a 'guess' record lacks key(s) ['candidates', 'chosen', 'correct', 'stimulus']",
+            ),
+            (
+                '{"kind": "testing", "stimulus": [1, "blue", 1], "signal": "gapa"}',
+                ": a 'testing' record lacks key(s) ['agent']",
+            ),
+        ],
+        ids=["not-json", "kind-not-a-string", "guess-without-fields", "testing-without-agent"],
+    )
+    def test_malformed_event_line_names_file(self, tmp_path, capsys, line, message):
+        run_dir = self._simulate(tmp_path)
+        events = run_dir / "events.jsonl"
+        assert len(events.read_text().splitlines()) == 236
+        with events.open("a") as fh:
+            fh.write(line + "\n")
+        manifest = RunManifest.load(run_dir)
+        manifest.files["events.jsonl"] = file_digest(events)
+        manifest.save(run_dir)
+        capsys.readouterr()
+        assert run_cli("replay", str(run_dir)) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {events}{message}\n"
+
     def test_malformed_metrics_cell_names_file_row_and_column(self, tmp_path, capsys):
         run_dir = self._simulate(tmp_path)
         csv_path = run_dir / "metrics.csv"
@@ -455,7 +485,8 @@ class TestChainCommand:
         # like an incomplete or digest-invalid generation, it is not finished;
         # neither is one whose manifest holds an out-of-range run setting or
         # names a donor it does not have, nor one whose metrics.csv cannot be
-        # read back under a manifest that digests it
+        # read back or holds no rows, or whose events.jsonl holds a record
+        # that cannot be rebuilt, under a manifest that digests it
         shared = ["chain", "--chains", "1", "--generations", "3", "--seed", "8", "--permutations", "60"]
         full_out, out = tmp_path / "full", tmp_path / "resumed"
         assert run_cli(*shared, "--out", str(full_out)) == EXIT_OK
@@ -470,13 +501,13 @@ class TestChainCommand:
             manifest["extra"]["donor_id"] = "Z"
             return json.dumps(manifest)
 
-        # metrics.csv changed under a manifest that digests the change
-        def metrics_of(data):
+        # a file of gen02 changed under a manifest that digests the change
+        def rewritten(name, edit):
             def corrupt(text):
                 manifest = json.loads(text)
-                metrics = out / "chain-00" / "gen02" / "metrics.csv"
-                metrics.write_bytes(data)
-                manifest["files"]["metrics.csv"] = file_digest(metrics)
+                path = out / "chain-00" / "gen02" / name
+                path.write_bytes(edit(path.read_bytes()))
+                manifest["files"][name] = file_digest(path)
                 return json.dumps(manifest)
 
             return corrupt
@@ -489,8 +520,11 @@ class TestChainCommand:
 
         cases = (
             (1, lambda text: "{bad"), (2, out_of_range), (1, unknown_donor),
-            (2, metrics_of(b"schema_version,block\n9,testing\n")),
-            (2, metrics_of(b"schema_version,block\n1,caf\xe9\n")), (2, no_metrics),
+            (2, rewritten("metrics.csv", lambda data: b"schema_version,block\n9,testing\n")),
+            (2, rewritten("metrics.csv", lambda data: b"schema_version,block\n1,caf\xe9\n")),
+            (2, no_metrics),
+            (2, rewritten("metrics.csv", lambda data: data.splitlines(keepends=True)[0])),
+            (2, rewritten("events.jsonl", lambda data: data + b'{"kind": "guess", "agent": "A"}\n')),
         )
         for generation, corrupt in cases:
             path = out / "chain-00" / f"gen{generation:02d}" / "manifest.json"
@@ -651,26 +685,7 @@ class TestChainCommand:
         assert (out / "chain-00" / "chain.csv").read_bytes() == before
         assert (out / "chain-00" / "gen01" / "manifest.json").stat().st_mtime_ns == stamp
 
-    @pytest.mark.parametrize(
-        "chain, message",
-        [
-            ({"generation_overrides": {0: {"roundz": 2}}}, "['roundz'] for generation 0"),
-            ({"generation_overrides": {0: 5}}, "generation 0 must be a mapping"),
-            ({"donor_permutations": 0}, "donor_permutations must be >= 1"),
-            ({"generation_overrides": {1: {"rounds": 0}}}, "generation_overrides.1: rounds must be >= 1"),
-            ({"generation_overrides": {1: {"rounds": "2"}}}, "'rounds' in section 'chain.generation_overrides.1'"),
-            ({"generation_overrides": {"x": {"rounds": 2}}}, "generation 'x' of generation_overrides is not a number"),
-            (
-                {"generation_overrides": {8: {"rounds": 2}}},
-                "generation 8 of generation_overrides is not run: the chain runs generations 0 to 7",
-            ),
-            ({"generation_overrides": {"3": {"rounds": 2}}}, "generation '3' of generation_overrides is not a number"),
-            (
-                {"generation_overrides": {1: {"max_agent_retries": 0}}},
-                "generation_overrides.1: max_agent_retries must be >= 1",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("chain, message", [({"donor_permutations": 0}, "donor_permutations must be >= 1")])
     def test_bad_chain_setting_rejected_before_writing(self, tmp_path, capsys, chain, message):
         path = tmp_path / "chain.yaml"
         path.write_text(yaml.safe_dump({"chain": chain}))
@@ -700,40 +715,16 @@ class TestChainCommand:
                        "--chains", "1", "--permutations", "60") == EXIT_OK
         assert RunManifest.load(out / "chain-00" / "gen00").config["rounds"] == 4
 
-    @pytest.mark.parametrize(
-        "generations, span", [("2", "generations 1 to 1"), ("1", "no generation")], ids=["two", "one"]
-    )
-    def test_override_of_imported_generation_rejected(self, tmp_path, capsys, generations, span):
-        # generation 0 of a seeded chain is imported, not run
-        sims = tmp_path / "sims"
-        run_cli("simulate", "--seed", "3", "--out", str(sims), "--permutations", "60")
+    def test_generation_overrides_rejected_before_writing(self, tmp_path, capsys):
+        # every generation runs the run settings; no section names a generation
         path = tmp_path / "chain.yaml"
-        path.write_text(yaml.safe_dump({"chain": {"generation_overrides": {0: {"rounds": 2}}}}))
+        path.write_text(yaml.safe_dump({"chain": {"generation_overrides": {1: {"rounds": 2}}}}))
         out = tmp_path / "chains"
-        code = run_cli(
-            "chain", "--config", str(path), "--generations", generations, "--seed-from", str(sims / "sim-00"),
-            "--out", str(out), "--permutations", "60",
-        )
+        code = run_cli("chain", "--config", str(path), "--out", str(out), "--permutations", "60")
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err.startswith("error: chain: generation 0 of generation_overrides is not run: ")
-        assert f"the chain runs {span}" in err
+        assert err == f"error: {path}: unknown key(s) ['generation_overrides'] in section 'chain'\n"
         assert not (out / "chain-00").exists()
-
-    def test_override_range_checked_after_flags(self, tmp_path):
-        # the file alone runs 2 generations; --generations 3 brings its
-        # override for generation 2 into range
-        chain = {"generations": 2, "generation_overrides": {2: {"rounds": 2}}}
-        path = tmp_path / "chain.yaml"
-        path.write_text(yaml.safe_dump({"chain": chain}))
-        out = tmp_path / "chains"
-        code = run_cli(
-            "chain", "--config", str(path), "--generations", "3", "--chains", "1",
-            "--out", str(out), "--permutations", "60",
-        )
-        assert code == EXIT_OK
-        rounds = [RunManifest.load(out / "chain-00" / f"gen{g:02d}").config["rounds"] for g in range(3)]
-        assert rounds == [4, 4, 2]
 
     def test_unknown_template_writes_no_chain(self, tmp_path, capsys):
         backend = {"endpoint": "http://127.0.0.1:9", "api_key_env": "", "template": "llama3x"}

@@ -95,13 +95,14 @@ def _run_one_simulation(config: ExperimentConfig, run_seed: int, run_dir: Path):
     agents = _build_agents(config)
     with EventLog(run_dir / "events.jsonl") as event_log:  # creates run_dir
         run_config = replace(config.run, master_seed=run_seed)
+        extra = {"agent_specs": config.agents}
         started = time.time()
         try:
             result = run_simulation(run_config, agents, event_log=event_log)
         except SimulationAborted as err:
-            save_simulation(err.partial, run_dir, started=started, error=str(err))
+            save_simulation(err.partial, run_dir, started=started, extra=extra, error=str(err))
             raise
-    save_simulation(result, run_dir, started=started)
+    save_simulation(result, run_dir, started=started, extra=extra)
     return result
 
 

@@ -24,9 +24,11 @@ EXHAUSTIVE_MANTEL_MAX_N = 7
 DEFAULT_PERMUTATIONS = 10_000
 # Permutations (columns of the permutation array) gathered and correlated at
 # a time: keeps the working set in cache and peak memory flat in the
-# permutation count. Among 128-2048, 128-512 measured within noise of each
-# other at n = 15 and 27 and 1024-2048 slower; 256 was fastest or tied at
-# n = 15 (2 vCPU host, one BLAS thread).
+# permutation count. The width must keep OpenBLAS's dgemv row grouping, which
+# takes the rows of a call 4 at a time: against one gemv over all
+# permutations (one BLAS thread, 40 random cases of n = 8-27 and 300-5000
+# permutations), widths 255, 257 and 1170 changed the last bits of 6, 3 and
+# 1 results, while 64, 100, 128, 200, 256, 512, 1024 and 4096 changed none.
 MANTEL_BLOCK_ROWS = 256
 NGRAM_ORDERS = (1, 2, 3, 4, 5)
 
@@ -237,19 +239,23 @@ def mantel_test(
 
     if method == "auto":
         method = "exact" if n <= EXHAUSTIVE_MANTEL_MAX_N else "sampled"
-    # column c of perms is permutation c
+    # row c of rows is permutation c
     if method == "exact":
-        perms = np.ascontiguousarray(np.array(list(itertools.permutations(range(n)))).T)
+        rows = np.array(list(itertools.permutations(range(n))))
     elif method == "sampled":
         if permutations < 1:
             raise ValueError("sampled mantel test needs at least 1 permutation")
         gen = np.random.default_rng(rng)
-        # shuffling the columns in place draws the same permutations, from
-        # the same stream, as a loop of gen.permutation(n) calls
-        perms = np.tile(np.arange(n)[:, None], (1, permutations))
-        gen.permuted(perms, axis=0, out=perms)
+        # shuffling the rows in place draws the same permutations, from the
+        # same stream, as a loop of gen.permutation(n) calls
+        rows = np.tile(np.arange(n), (permutations, 1))
+        gen.permuted(rows, axis=1, out=rows)
     else:
         raise ValueError(f"unknown method {method!r}")
+    # column c of perms is permutation c, in the narrowest type that holds
+    # every gather index n*p_i + p_j < n*n (uint8 up to n = 15)
+    perms = rows.T.astype(np.min_scalar_type(n * n), order="C")
+    del rows
 
     # Each permutation's r is computed from its column alone, so blocks give
     # the bits of one gather of all columns, with one exception: BLAS sums a
@@ -262,16 +268,30 @@ def mantel_test(
     bounds = list(range(0, count, MANTEL_BLOCK_ROWS)) + [count]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] < 4:
         del bounds[-2]
+    buffer = np.empty(pairs * max(b - a for a, b in zip(bounds, bounds[1:])))
     permuted_r = np.empty(count)
     for start, stop in zip(bounds, bounds[1:]):
         block = perms[:, start:stop]
-        # index is a pairs x block C-array, built from whole rows of block;
-        # its gather's transpose is F-contiguous, so the row means of
-        # corr_with_sem sum in pair order. A C-ordered block x pairs gather
-        # sums otherwise and changes the last bit of r.
         index = np.repeat(block[:-1] * n, row_repeats, axis=0)
         index += block[iu[1]]
-        permuted_r[start:stop] = corr_with_sem(flat[index].T)
+        # gathered is a pairs x block C-array: its column c is permutation
+        # c's relabelled upper triangle. Every index is below n*n, so "wrap"
+        # never wraps; with "raise", take gathers into a temporary and copies
+        # it into out.
+        gathered = buffer[: index.size].reshape(index.shape)
+        np.take(flat, index, out=gathered, mode="wrap")
+        # The float operations of correlating the transpose of one gather of
+        # all columns, in the same order and on the same layout: each column's
+        # mean and squared norm sum in pair order (a C-ordered block x pairs
+        # gather sums otherwise and changes the last bit of r), and the dot
+        # is the same gemv.
+        means = np.add.reduce(gathered, axis=0)
+        means /= pairs
+        gathered -= means
+        dots = gathered.T @ sem_centered
+        np.multiply(gathered, gathered, out=gathered)
+        norms = np.sqrt(np.add.reduce(gathered, axis=0))
+        permuted_r[start:stop] = dots / (norms * sem_norm)
     spread = float(permuted_r.std())
     if spread == 0.0:
         raise DegenerateMatrixError("permutation distribution has zero variance")

@@ -20,10 +20,11 @@ import json
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .backend import EventLog
-from .domain import Vocabulary, VocabularyEntry
+from .domain import DomainError, Stimulus, Vocabulary, VocabularyEntry
 from .engine import (
     CommunicationResult,
     EngineError,
@@ -236,12 +237,33 @@ def save_simulation(
     return manifest
 
 
-# the keys each block record must carry: its agent and every field without a default
-_REQUIRED_KEYS = {
-    t.KIND: {"agent"} | {
-        f.name for f in fields(t) if f.default is MISSING and f.default_factory is MISSING
+def _value_test(hint) -> Callable[[object], bool]:
+    """Whether a JSON value decodes to a block-record field of type ``hint``;
+    a stimulus is written as ``[shape, colour, amount]``."""
+    if hint is Stimulus:
+        return lambda value: type(value) is list and len(value) == 3
+    if get_origin(hint) is tuple:
+        item = _value_test(get_args(hint)[0])
+        return lambda value: type(value) is list and all(map(item, value))
+    return lambda value: type(value) is hint
+
+
+def _record_schema(record_type) -> tuple[set[str], tuple[tuple[str, Callable, str], ...]]:
+    """The keys a block record must carry (its agent and every field without
+    a default), and the name, value test and annotation of each key it may
+    carry."""
+    hints = get_type_hints(record_type)
+    required = {"agent"} | {
+        f.name for f in fields(record_type) if f.default is MISSING and f.default_factory is MISSING
     }
-    for t in (GuessingRecord, LabellingRecord, InteractionRecord, TestingRecord)
+    tests = (("agent", _value_test(str), "str"),) + tuple(
+        (f.name, _value_test(hints[f.name]), f.type) for f in fields(record_type)
+    )
+    return required, tests
+
+
+_RECORD_SCHEMAS = {
+    t.KIND: _record_schema(t) for t in (GuessingRecord, LabellingRecord, InteractionRecord, TestingRecord)
 }
 
 
@@ -262,15 +284,21 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
         raise PersistenceError(f"no events log in {run_dir}")
     # the digests above cover every line; only block records are decoded
     try:
-        events = EventLog.read(events_path, kinds=_REQUIRED_KEYS.keys())
+        events = EventLog.read(events_path, kinds=_RECORD_SCHEMAS.keys())
     except ValueError as err:  # a line that is not a record, or text that does not decode
         raise PersistenceError(f"{events_path} cannot be read: {err}") from None
     for event in events:
-        missing = _REQUIRED_KEYS[event["kind"]] - event.keys()
+        kind = event["kind"]
+        required, tests = _RECORD_SCHEMAS[kind]
+        missing = required - event.keys()
         if missing:
-            raise PersistenceError(
-                f"{events_path}: a {event['kind']!r} record lacks key(s) {sorted(missing)}"
-            )
+            raise PersistenceError(f"{events_path}: a {kind!r} record lacks key(s) {sorted(missing)}")
+        for name, test, annotation in tests:
+            if name in event and not test(event[name]):
+                raise PersistenceError(
+                    f"{events_path}: a {kind!r} record has {name!r}: {json.dumps(event[name])}, "
+                    f"not of type {annotation}"
+                )
     initial = Vocabulary.load(_vocab_path(base, "initial"))
     # older manifests name the fixed tasks_per_round, which is no longer a setting
     config = {key: value for key, value in manifest.config.items() if key != "tasks_per_round"}
@@ -304,11 +332,14 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     )
 
     def records(record_type, agent_id=None) -> list:
-        return [
-            record_type.from_event(e)
-            for e in events
-            if e["kind"] == record_type.KIND and (agent_id is None or e["agent"] == agent_id)
-        ]
+        try:
+            return [
+                record_type.from_event(e)
+                for e in events
+                if e["kind"] == record_type.KIND and (agent_id is None or e["agent"] == agent_id)
+            ]
+        except DomainError as err:  # a [shape, colour, amount] that is no stimulus
+            raise PersistenceError(f"{events_path}: a {record_type.KIND!r} record: {err}") from None
 
     for agent_id in result.agent_ids:
         result.guessing[agent_id] = GuessingResult(records=records(GuessingRecord, agent_id))

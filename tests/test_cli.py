@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -55,6 +56,16 @@ class TestSimulate:
             outs.append((out / "sim-00" / "metrics.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_manifest_records_agent_specs(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert run_cli(
+            "simulate", "--seed", "6", "--agents", "oracle:lookup,oracle:random",
+            "--out", str(out), "--permutations", "60",
+        ) == EXIT_OK
+        manifest = RunManifest.load(out / "sim-00")
+        assert manifest.extra == {"agent_ids": ["A", "B"], "agent_specs": ["oracle:lookup", "oracle:random"]}
+        assert run_cli("replay", str(out / "sim-00")) == EXIT_OK
+
     def test_aborted_run_manifest_records_error_and_blocks(self, tmp_path, monkeypatch):
         def build(config):
             return BreakingOracle("A", PromptTask.LABELLING), LookupOracle("B")
@@ -65,7 +76,8 @@ class TestSimulate:
         manifest = RunManifest.load(out / "sim-00")
         assert manifest.status == "incomplete"
         assert manifest.extra == {
-            "agent_ids": ["A", "B"], "error": "agent A broke", "completed_blocks": ["guessing"],
+            "agent_ids": ["A", "B"], "agent_specs": ["oracle:lookup", "oracle:lookup"],
+            "error": "agent A broke", "completed_blocks": ["guessing"],
         }
         manifest.verify_digests(out / "sim-00")
 
@@ -390,8 +402,39 @@ class TestReplayCommand:
                 '{"kind": "testing", "stimulus": [1, "blue", 1], "signal": "gapa"}',
                 ": a 'testing' record lacks key(s) ['agent']",
             ),
+            (
+                '{"kind": "label", "agent": "A", "stimulus": [1, "blue", 1], "truth": "gapa", "produced": 5}',
+                ": a 'label' record has 'produced': 5, not of type Signal",
+            ),
+            (
+                '{"kind": "testing", "agent": "A", "stimulus": [1, "blue"], "signal": "gapa"}',
+                ": a 'testing' record has 'stimulus': [1, \"blue\"], not of type Stimulus",
+            ),
+            (
+                '{"kind": "testing", "agent": "A", "stimulus": [9, "blue", 1], "signal": "gapa"}',
+                ": a 'testing' record: shape must be in (1, 2, 3), got 9",
+            ),
+            (
+                '{"kind": "guess", "agent": "A", "stimulus": [1, "blue", 1], "candidates": ["gapa", 5],'
+                ' "chosen": 0, "correct": true}',
+                ": a 'guess' record has 'candidates': [\"gapa\", 5], not of type tuple[Signal, ...]",
+            ),
+            (
+                '{"kind": "guess", "agent": "A", "stimulus": [1, "blue", 1], "candidates": ["gapa"],'
+                ' "chosen": true, "correct": true}',
+                ": a 'guess' record has 'chosen': true, not of type int",
+            ),
+            (
+                '{"kind": "testing", "agent": "A", "stimulus": [1, "blue", 1], "signal": "gapa",'
+                ' "failed": "no"}',
+                ": a 'testing' record has 'failed': \"no\", not of type bool",
+            ),
         ],
-        ids=["not-json", "kind-not-a-string", "guess-without-fields", "testing-without-agent"],
+        ids=[
+            "not-json", "kind-not-a-string", "guess-without-fields", "testing-without-agent",
+            "label-produced-not-a-string", "testing-stimulus-too-short", "testing-stimulus-unknown",
+            "guess-candidate-not-a-string", "guess-chosen-not-an-int", "testing-failed-not-a-bool",
+        ],
     )
     def test_malformed_event_line_names_file(self, tmp_path, capsys, line, message):
         run_dir = self._simulate(tmp_path)
@@ -486,7 +529,8 @@ class TestChainCommand:
         # neither is one whose manifest holds an out-of-range run setting or
         # names a donor it does not have, nor one whose metrics.csv cannot be
         # read back or holds no rows, or whose events.jsonl holds a record
-        # that cannot be rebuilt, under a manifest that digests it
+        # that cannot be rebuilt or a value of the wrong type or range, under
+        # a manifest that digests it
         shared = ["chain", "--chains", "1", "--generations", "3", "--seed", "8", "--permutations", "60"]
         full_out, out = tmp_path / "full", tmp_path / "resumed"
         assert run_cli(*shared, "--out", str(full_out)) == EXIT_OK
@@ -525,6 +569,14 @@ class TestChainCommand:
             (2, no_metrics),
             (2, rewritten("metrics.csv", lambda data: data.splitlines(keepends=True)[0])),
             (2, rewritten("events.jsonl", lambda data: data + b'{"kind": "guess", "agent": "A"}\n')),
+            # the first label record's produced signal made 5, and the first
+            # record's shape made 9
+            (2, rewritten(
+                "events.jsonl", lambda data: data.replace(b'"produced": "', b'"produced": 5, "_": "', 1)
+            )),
+            (2, rewritten(
+                "events.jsonl", lambda data: re.sub(rb'"stimulus": \[\d', b'"stimulus": [9', data, count=1)
+            )),
         )
         for generation, corrupt in cases:
             path = out / "chain-00" / f"gen{generation:02d}" / "manifest.json"

@@ -372,7 +372,9 @@ class TestMantelBitIdentity:
     loop-and-full-gather Mantel test exactly: stored metrics.csv files and
     replay of old run directories depend on every bit of Z."""
 
-    @pytest.mark.parametrize("n", [8, 15, 27])
+    # the gather index is uint8 up to n = 15 (n*n = 225) and uint16 from
+    # n = 16 (256) to 27
+    @pytest.mark.parametrize("n", [8, 15, 16, 27])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_sampled_matches_loop_reference(self, n, seed):
         stimuli = enumerate_stimuli()[:n]
@@ -387,8 +389,8 @@ class TestMantelBitIdentity:
         assert ours.bit_generator.state == theirs.bit_generator.state
 
     # below one block, full blocks plus a tail of 1 and of 3 rows, a
-    # multiple of the block size, full blocks plus a partial block, and the
-    # paper's count
+    # multiple of the block size, full blocks plus a partial block, the
+    # donor-selection count and the paper's count
     @pytest.mark.parametrize(
         "permutations",
         [
@@ -397,6 +399,7 @@ class TestMantelBitIdentity:
             2 * MANTEL_BLOCK_ROWS + 3,
             4 * MANTEL_BLOCK_ROWS,
             4 * MANTEL_BLOCK_ROWS + 176,
+            1_000,
             10_000,
         ],
     )
@@ -407,6 +410,18 @@ class TestMantelBitIdentity:
         result = mantel_test(sem, sig, permutations=permutations, rng=ours, method="sampled")
         assert result == loop_mantel_reference(sem, sig, permutations, theirs)
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_two_calls_in_a_row_share_the_generator(self):
+        # chains.select_donor tests both agents' vocabularies with one rng; a
+        # Generator passed there makes the second test draw where the first
+        # stopped
+        ours = np.random.default_rng(6)
+        theirs = np.random.default_rng(6)
+        for seed in (6, 7):
+            sem, sig = mantel_matrices(27, seed)
+            result = mantel_test(sem, sig, permutations=1_000, rng=ours, method="sampled")
+            assert result == loop_mantel_reference(sem, sig, 1_000, theirs)
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
     @given(tied_distance_matrices(), mantel_counts, st.sampled_from(["sampled", "auto"]),
            st.integers(0, 2**32 - 1))

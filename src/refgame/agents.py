@@ -81,9 +81,8 @@ def _argmax(values: Sequence[float]) -> int:
 def _nearest_vocab_entry(vocab: Vocabulary, stimulus: Stimulus):
     """Entry of the semantically closest stored stimulus; ties resolve to the
     first in canonical stimulus order."""
-    by_stimulus = {e.stimulus: e for e in vocab}
-    ordered = [s for s in enumerate_stimuli() if s in by_stimulus]
-    return by_stimulus[min(ordered, key=lambda s: semantic_distance(stimulus, s))]
+    ordered = [s for s in enumerate_stimuli() if s in vocab]
+    return vocab.entry_for(min(ordered, key=lambda s: semantic_distance(stimulus, s)))
 
 
 class _Oracle(Agent):
@@ -104,12 +103,19 @@ class _Oracle(Agent):
 
     def choose(self, probe, candidates, task, rng, exclude=None) -> int:
         if isinstance(probe, Stimulus):  # guessing: candidates are signals
-            expected = self.produce_signal(probe, task, rng)
-            return _argmin([normalized_levenshtein(expected, c) for c in candidates])
+            return _closest(self.produce_signal(probe, task, rng), candidates)
         # listening: candidates are stimuli; compare the heard signal with the
         # signals this agent would produce for each candidate
-        expected = [self.produce_signal(c, task, rng) for c in candidates]
-        return _argmin([normalized_levenshtein(probe, e) for e in expected])
+        return _closest(probe, [self.produce_signal(c, task, rng) for c in candidates])
+
+
+def _closest(signal: Signal, others: Sequence[Signal]) -> int:
+    """Position of the first of ``others`` at the least normalized edit
+    distance from ``signal``. An equal signal is at distance 0, the least
+    there is, so the first equal one is that position."""
+    if signal in others:
+        return others.index(signal)
+    return _argmin([normalized_levenshtein(signal, o) for o in others])
 
 
 class LookupOracle(_Oracle):

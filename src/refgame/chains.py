@@ -205,7 +205,8 @@ def run_chain(
 
     ``agent_factory()`` builds a fresh dyad for each generation; when
     ``agent_specs`` names the specs it builds from (``make_agent``'s), each
-    finished generation's manifest records them and a resume checks them.
+    generation's manifest, finished or aborted, records them and a resume
+    checks them.
     Each generation is saved, and ``chain.csv`` rewritten, as soon as it
     finishes; one that aborts, or whose dyad has no complete testing output
     to transmit, is saved as incomplete before its ``SimulationAborted``
@@ -228,6 +229,7 @@ def run_chain(
                 transmitted, Random(derive_seed(chain_seed, f"portion:{generation}"))
             )
         gen_dir = directory / f"gen{generation:02d}"
+        specs = {} if agent_specs is None else {"agent_specs": agent_specs}
         agents = agent_factory()
         with EventLog(gen_dir / "events.jsonl") as event_log:
             event_log.set_context(generation=generation)
@@ -244,7 +246,7 @@ def run_chain(
                 except ChainError as err:  # nothing complete to transmit
                     raise SimulationAborted(str(err), result) from err
             except SimulationAborted as err:
-                save_simulation(err.partial, gen_dir, started=started, error=str(err))
+                save_simulation(err.partial, gen_dir, started=started, error=str(err), extra=specs)
                 raise
         save_simulation(
             result,
@@ -254,7 +256,7 @@ def run_chain(
                 "donor_id": selection.donor_id,
                 "donor_degenerate": selection.degenerate,
                 "generation": generation,
-                **({} if agent_specs is None else {"agent_specs": agent_specs}),
+                **specs,
             },
         )
         rows.append(chain_row(chain_index, generation, selection.donor_id, result.metric_rows))

@@ -10,6 +10,7 @@ generations.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
@@ -48,22 +49,26 @@ class VocabularyFormatError(DomainError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True, order=True)
-class Stimulus:
-    shape: int
-    colour: str
-    amount: int
+class Stimulus(namedtuple("Stimulus", ("shape", "colour", "amount"))):
+    """A ``(shape, colour, amount)`` triple from the 3x3x3 space.
 
-    def __post_init__(self):
-        if self.shape not in SHAPES:
-            raise DomainError(f"shape must be in {SHAPES}, got {self.shape!r}")
-        if self.colour not in COLOURS:
-            raise DomainError(f"colour must be in {COLOURS}, got {self.colour!r}")
-        if self.amount not in AMOUNTS:
-            raise DomainError(f"amount must be in {AMOUNTS}, got {self.amount!r}")
+    A tuple of its three fields, with their names: equality, hash and
+    ordering are those of that tuple (so a Stimulus equals the plain tuple
+    of its fields), ``json.dumps`` writes it as ``[shape, colour, amount]``,
+    and the repr is ``Stimulus(shape=1, colour='blue', amount=1)``.
+    Constructing one outside the space raises ``DomainError``.
+    """
 
-    def attributes(self) -> tuple[int, str, int]:
-        return (self.shape, self.colour, self.amount)
+    __slots__ = ()
+
+    def __new__(cls, shape: int, colour: str, amount: int):
+        if shape not in SHAPES:
+            raise DomainError(f"shape must be in {SHAPES}, got {shape!r}")
+        if colour not in COLOURS:
+            raise DomainError(f"colour must be in {COLOURS}, got {colour!r}")
+        if amount not in AMOUNTS:
+            raise DomainError(f"amount must be in {AMOUNTS}, got {amount!r}")
+        return tuple.__new__(cls, (shape, colour, amount))
 
 
 # Signals are plain strings. Freshly generated ones are 2-4 CV syllables over
@@ -72,14 +77,14 @@ class Stimulus:
 Signal = str
 
 
+_STIMULUS_SPACE = tuple(
+    Stimulus(shape, colour, amount) for shape in SHAPES for colour in COLOURS for amount in AMOUNTS
+)
+
+
 def enumerate_stimuli() -> list[Stimulus]:
     """All 27 stimuli in canonical order: shape-major, then colour, then amount."""
-    return [
-        Stimulus(shape, colour, amount)
-        for shape in SHAPES
-        for colour in COLOURS
-        for amount in AMOUNTS
-    ]
+    return list(_STIMULUS_SPACE)
 
 
 def random_signal(rng: Random) -> Signal:
@@ -114,11 +119,12 @@ class Vocabulary:
     def __init__(self, entries: Iterable[VocabularyEntry] = (), track_success: bool = False):
         self.entries: list[VocabularyEntry] = list(entries)
         self.track_success = track_success
-        seen: set[Stimulus] = set()
+        # stimulus -> its entry, the same objects as in ``entries``
+        self._by_stimulus: dict[Stimulus, VocabularyEntry] = {}
         for entry in self.entries:
-            if entry.stimulus in seen:
+            if entry.stimulus in self._by_stimulus:
                 raise DomainError(f"duplicate stimulus {entry.stimulus}")
-            seen.add(entry.stimulus)
+            self._by_stimulus[entry.stimulus] = entry
         if len(self.entries) > STIMULUS_SPACE_SIZE:
             raise DomainError(f"vocabulary has {len(self.entries)} entries, max {STIMULUS_SPACE_SIZE}")
 
@@ -129,7 +135,7 @@ class Vocabulary:
         return iter(self.entries)
 
     def __contains__(self, stimulus: Stimulus) -> bool:
-        return any(e.stimulus == stimulus for e in self.entries)
+        return stimulus in self._by_stimulus
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vocabulary):
@@ -146,24 +152,23 @@ class Vocabulary:
         return [(e.stimulus, e.signal) for e in self.entries]
 
     def entry_for(self, stimulus: Stimulus) -> VocabularyEntry:
-        for entry in self.entries:
-            if entry.stimulus == stimulus:
-                return entry
-        raise KeyError(stimulus)
+        return self._by_stimulus[stimulus]
 
     def signal_for(self, stimulus: Stimulus) -> Signal:
-        return self.entry_for(stimulus).signal
+        return self._by_stimulus[stimulus].signal
 
     def update(self, stimulus: Stimulus, signal: Signal, communicative_success: int) -> None:
         """Set the entry for stimulus to (signal, flag), appending if absent."""
-        for entry in self.entries:
-            if entry.stimulus == stimulus:
-                entry.signal = signal
-                entry.communicative_success = communicative_success
-                return
+        entry = self._by_stimulus.get(stimulus)
+        if entry is not None:
+            entry.signal = signal
+            entry.communicative_success = communicative_success
+            return
         if len(self.entries) >= STIMULUS_SPACE_SIZE:
             raise DomainError("vocabulary full")
-        self.entries.append(VocabularyEntry(stimulus, signal, communicative_success))
+        entry = VocabularyEntry(stimulus, signal, communicative_success)
+        self.entries.append(entry)
+        self._by_stimulus[stimulus] = entry
 
     def copy(self) -> "Vocabulary":
         return Vocabulary(
@@ -248,18 +253,38 @@ _PACKED_ATTRIBUTE_COUNTS = tuple(
 _BALANCED_COUNTS = sum(PER_VALUE_TRAIN_COUNT << 4 * k for k in range(9))
 
 
+# (pool size, bits per draw) of each draw of ``Random.sample(range(27), 15)``
+_SAMPLE_DRAWS = tuple(
+    (size, size.bit_length())
+    for size in range(STIMULUS_SPACE_SIZE, STIMULUS_SPACE_SIZE - TRAIN_SIZE, -1)
+)
+
+
 def sample_training_set(rng: Random) -> TrainTestSplit:
     """Uniform balanced split: each attribute value occurs exactly 5 times in train.
 
     Rejection sampling over uniform 15-subsets; restarts deterministically from
     the rng stream, capped at SPLIT_ATTEMPT_CAP attempts.
+
+    Each attempt is ``rng.sample(enumerate_stimuli(), 15)`` written out:
+    CPython's pool algorithm for a population this small, each position
+    drawn by ``getrandbits`` with the rejection loop of ``Random._randbelow``.
+    So the split, and the state ``rng`` is left in, are those of that call;
+    the domain tests check this against ``Random.sample`` on the
+    interpreter they run on.
     """
     space = enumerate_stimuli()
-    positions = range(len(space))
+    positions = list(range(len(space)))
+    getrandbits = rng.getrandbits
     for _ in range(SPLIT_ATTEMPT_CAP):
-        # random.sample picks by position, so sampling positions draws the
-        # same subsets as sampling the stimuli themselves
-        picks = rng.sample(positions, TRAIN_SIZE)
+        pool = positions.copy()
+        picks = []
+        for size, bits in _SAMPLE_DRAWS:
+            j = getrandbits(bits)
+            while j >= size:
+                j = getrandbits(bits)
+            picks.append(pool[j])
+            pool[j] = pool[size - 1]
         if sum(map(_PACKED_ATTRIBUTE_COUNTS.__getitem__, picks)) == _BALANCED_COUNTS:
             chosen = set(picks)
             test = tuple(s for i, s in enumerate(space) if i not in chosen)

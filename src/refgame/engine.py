@@ -81,14 +81,6 @@ class RunConfig:
             raise EngineError("max_agent_retries must be >= 1")
 
 
-def _encode(value):
-    if isinstance(value, Stimulus):
-        return value.attributes()
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
-    return value
-
-
 def _decode(name: str, value):
     # fixed by field name: resolving annotations per event would dominate replay
     if name == "stimulus":
@@ -102,11 +94,12 @@ def _decode(name: str, value):
 class _BlockEvent:
     """A block record is its own ``events.jsonl`` event of kind ``KIND``: the
     field names are the event keys, in declaration order, and stimuli are
-    written as ``[shape, colour, amount]``. A key missing from an older log
-    decodes to the field's default."""
+    written as ``[shape, colour, amount]`` (a ``Stimulus`` is a tuple, which
+    ``json`` writes as a list). A key missing from an older log decodes to
+    the field's default."""
 
     def event(self) -> dict:
-        return {name: _encode(getattr(self, name)) for name in _field_names(type(self))}
+        return {name: getattr(self, name) for name in _field_names(type(self))}
 
     @classmethod
     def from_event(cls, event: dict):
@@ -253,13 +246,22 @@ class SimulationResult:
 
 
 def _side_by_side(event_log: EventLog, agents: tuple[Agent, Agent], block: Callable) -> dict:
-    """``block(agent, log)`` for both agents at once, keyed by agent id: the
-    first agent's on this thread with ``event_log``, the second's on a
-    worker thread with a fork of it, which is joined after the first's
-    records. When the first raises, its exception propagates and the fork
-    is dropped, as if the second had never run; when only the second
+    """``block(agent, log)`` for both agents, keyed by agent id, the first
+    agent's records written before the second's. When either agent
+    ``speaks_ahead`` (its requests wait on a server), the first's block runs
+    on this thread with ``event_log`` and the second's on a worker thread
+    with a fork of it, which is joined after the first's records. Otherwise
+    there is nothing to wait on and the blocks run in turn on this thread,
+    the second from the log context the first started with. Either way,
+    when the first raises, its exception propagates and the second's
+    records are dropped, as if it had never run; when only the second
     raises, its records are written and then its exception is raised here."""
     first, second = agents
+    if not (first.speaks_ahead or second.speaks_ahead):
+        context = dict(event_log.context)
+        mine = block(first, event_log)
+        event_log.context = context
+        return {first.agent_id: mine, second.agent_id: block(second, event_log)}
     fork = event_log.fork()
     outcome: dict = {}
 
@@ -644,18 +646,19 @@ def compute_metric_rows(result: SimulationResult) -> list[MetricRow]:
     train_set = set(result.initial_language.stimuli())
     for agent_id in result.agent_ids:
         pairs = result.testing[agent_id].pairs()
+        # measured after the row, so its signal pairs are in the memo
+        testing = row("testing", pairs, agent=agent_id)
         train_pairs = [(s, w) for s, w in pairs if s in train_set]
         test_pairs = [(s, w) for s, w in pairs if s not in train_set]
-        generalization = {}
         if len(pairs) >= 3 and train_pairs and test_pairs:
             try:
-                generalization = {
-                    "gen_score": generalization_score(train_pairs, test_pairs, pairs="cross"),
-                    "gen_score_pairs": "cross",
-                }
+                testing.gen_score = generalization_score(
+                    train_pairs, test_pairs, pairs="cross", memo=distances
+                )
+                testing.gen_score_pairs = "cross"
             except MetricError:
                 pass
-        rows.append(row("testing", pairs, agent=agent_id, **generalization))
+        rows.append(testing)
     return rows
 
 

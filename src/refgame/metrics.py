@@ -58,6 +58,8 @@ def levenshtein(a: str, b: str) -> int:
     whole column at once. Python ints hold any length, so there is no block
     split; the integers are those of the O(m·n) DP.
     """
+    if a == b:
+        return 0
     if len(a) < len(b):
         a, b = b, a
     if not b:
@@ -96,7 +98,7 @@ def normalized_levenshtein(a: str, b: str) -> float:
 
 def semantic_similarity(a: Stimulus, b: Stimulus) -> int:
     """Number of equal attributes among shape, colour, amount."""
-    return sum(x == y for x, y in zip(a.attributes(), b.attributes()))
+    return (a.shape == b.shape) + (a.colour == b.colour) + (a.amount == b.amount)
 
 
 def semantic_distance(a: Stimulus, b: Stimulus) -> int:
@@ -158,7 +160,7 @@ def _semantic_table() -> tuple[dict[Stimulus, int], np.ndarray]:
 
 
 def semantic_distance_matrix(stimuli: Sequence[Stimulus]) -> np.ndarray:
-    # every Stimulus is one of the 27 (Stimulus.__post_init__), so the
+    # every Stimulus is one of the 27 (Stimulus.__new__), so the
     # matrix is rows and columns of the full table
     index, table = _semantic_table()
     rows = np.array([index[s] for s in stimuli], dtype=np.intp)
@@ -171,17 +173,36 @@ def signal_distance_matrix(
     """Pairwise normalized Levenshtein distances. ``memo`` maps an ordered
     signal pair to its distance; a pair is measured only when it is missing,
     so one memo shared by several matrices measures each pair once."""
+    n = len(signals)
+    rows, cols = _upper_triangle(n)  # row-major, as the pairs below
+    m = np.zeros((n, n))
+    m[rows, cols] = m[cols, rows] = _distances(
+        [(signals[i], signals[j]) for i in range(n) for j in range(i + 1, n)], memo
+    )
+    return m
+
+
+@functools.cache
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, read-only and built once per ``n``: the
+    call costs about as much as filling a matrix of 15 signals from a warm
+    memo."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _distances(
+    pairs: Sequence[tuple[Signal, Signal]], memo: dict[tuple[Signal, Signal], float] | None
+) -> list[float]:
+    """``normalized_levenshtein`` of each signal pair, measured only when
+    it is missing from ``memo`` and then added there."""
     if memo is None:
         memo = {}
-    n = len(signals)
-    m = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = (signals[i], signals[j])
-            if pair not in memo:
-                memo[pair] = normalized_levenshtein(*pair)
-            m[i, j] = m[j, i] = memo[pair]
-    return m
+    for pair in pairs:
+        if pair not in memo:
+            memo[pair] = normalized_levenshtein(*pair)
+    return [memo[pair] for pair in pairs]
 
 
 @dataclass(frozen=True)
@@ -218,7 +239,7 @@ def mantel_test(
         raise ValueError("matrices must be square and equally sized")
     if n < 3:
         raise ValueError("mantel test needs at least 3 items")
-    iu = np.triu_indices(n, k=1)
+    iu = _upper_triangle(n)
     sem_vec = semantic[iu]
     sig_vec = signal[iu]
     if np.ptp(sig_vec) == 0.0:
@@ -340,9 +361,7 @@ def ngram_diversity(signals: Sequence[str], orders: Sequence[int] = NGRAM_ORDERS
     """
     fractions = []
     for n in orders:
-        grams: list[str] = []
-        for signal in signals:
-            grams.extend(signal[i : i + n] for i in range(len(signal) - n + 1))
+        grams = [signal[i : i + n] for signal in signals for i in range(len(signal) - n + 1)]
         if grams:
             fractions.append(len(set(grams)) / len(grams))
     if not fractions:
@@ -354,11 +373,13 @@ def generalization_score(
     train: Sequence[tuple[Stimulus, Signal]],
     test: Sequence[tuple[Stimulus, Signal]],
     pairs: str = "cross",
+    memo: dict[tuple[Signal, Signal], float] | None = None,
 ) -> float:
     """Correlation between semantic and signal distances over stimulus pairs.
 
     pairs="cross" uses all train x test pairs; pairs="all" uses every
-    unordered pair within the pooled train+test items.
+    unordered pair within the pooled train+test items. memo is as for
+    signal_distance_matrix.
     """
     if not train or not test:
         raise EmptyInputError("train and test must be non-empty")
@@ -369,7 +390,7 @@ def generalization_score(
     else:
         raise ValueError(f"unknown pair definition {pairs!r}")
     sem = [semantic_distance(a[0], b[0]) for a, b in pair_list]
-    sig = [normalized_levenshtein(a[1], b[1]) for a, b in pair_list]
+    sig = _distances([(a[1], b[1]) for a, b in pair_list], memo)
     return pearson(sem, sig)
 
 

@@ -10,6 +10,7 @@ import threading
 import time
 import urllib.request
 from contextlib import contextmanager
+from dataclasses import make_dataclass
 from functools import lru_cache
 from http.server import ThreadingHTTPServer
 from pathlib import Path
@@ -69,6 +70,13 @@ def parse_vocabulary_line(line: str) -> VocabularyEntry:
         return parse_vocab_line(line)[0]
     except VocabularyFormatError as err:
         raise PromptError(f"unparseable vocabulary line: {line!r}") from err
+
+
+# Stimulus as it was before it became a tuple, a frozen and ordered
+# dataclass: the reference for its equality, hash, order and repr
+DataclassStimulus = make_dataclass(
+    "Stimulus", [("shape", int), ("colour", str), ("amount", int)], frozen=True, order=True
+)
 
 
 def dp_levenshtein(a: str, b: str) -> int:
@@ -404,7 +412,7 @@ class TruncatingOracle(_Oracle):
             ordered = [e for e in self.vocabulary]
             stored = min(
                 ordered,
-                key=lambda e: 3 - sum(x == y for x, y in zip(e.stimulus.attributes(), stimulus.attributes())),
+                key=lambda e: 3 - sum(x == y for x, y in zip(e.stimulus, stimulus)),
             ).signal
         return stored[: self.MAX_LEN]
 

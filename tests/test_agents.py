@@ -1,10 +1,14 @@
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import ScriptedBackend
 from refgame.agents import (
     AgentError,
+    _argmin,
+    _closest,
     CompositionalOracle,
     LLMAgent,
     LookupOracle,
@@ -14,6 +18,7 @@ from refgame.agents import (
 from refgame.backend import EventLog, TransportFailure
 from refgame.domain import Stimulus, Vocabulary, VocabularyEntry, generate_language, sample_training_set
 from refgame.engine import RunConfig, _alone, run_communication_block
+from refgame.metrics import normalized_levenshtein
 from refgame.prompts import PromptTask
 
 
@@ -79,6 +84,15 @@ class TestLookupOracle:
         candidates = [vocab.stimuli()[7], vocab.stimuli()[2], vocab.stimuli()[11]]
         chosen = oracle.choose(vocab.signal_for(target), candidates, PromptTask.LISTENING, Random(0))
         assert candidates[chosen] == target
+
+
+# short strings over few letters, so equal and near signals are common
+signals = st.text(alphabet="gaku", max_size=4)
+
+
+@given(signals, st.lists(signals, min_size=1, max_size=6))
+def test_closest_is_the_argmin_of_edit_distances(signal, others):
+    assert _closest(signal, others) == _argmin([normalized_levenshtein(signal, o) for o in others])
 
 
 class TestCompositionalOracle:

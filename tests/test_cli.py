@@ -676,6 +676,7 @@ class TestChainCommand:
         assert manifest.status == "incomplete"
         assert manifest.extra == {
             "agent_ids": ["A", "B"], "error": "agent A broke", "completed_blocks": ["guessing"],
+            "agent_specs": ["oracle:lookup", "oracle:lookup"],
         }
 
     def test_incomplete_testing_output_aborts_generation_and_resumes(

@@ -1,4 +1,6 @@
 import itertools
+import json
+import pickle
 import re
 from random import Random
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import stimulus_sampling_training_set
+from helpers import DataclassStimulus, stimulus_sampling_training_set
 from refgame.domain import (
     AMOUNTS,
     COLOURS,
@@ -40,7 +42,7 @@ def is_cv_signal(text: str) -> bool:
 class TestStimulus:
     def test_valid_fields(self):
         s = Stimulus(2, "orange", 3)
-        assert s.attributes() == (2, "orange", 3)
+        assert (s.shape, s.colour, s.amount) == tuple(s) == (2, "orange", 3)
 
     @pytest.mark.parametrize(
         "shape,colour,amount",
@@ -49,6 +51,33 @@ class TestStimulus:
     def test_out_of_domain_rejected(self, shape, colour, amount):
         with pytest.raises(DomainError):
             Stimulus(shape, colour, amount)
+        with pytest.raises(DomainError):
+            Stimulus(shape=shape, colour=colour, amount=amount)
+
+    def test_same_equality_hash_order_and_repr_as_the_dataclass(self):
+        space = enumerate_stimuli()
+        old = [DataclassStimulus(*s) for s in space]
+        for s, o in zip(space, old):
+            assert (hash(s), repr(s), str(s)) == (hash(o), repr(o), str(o))
+            for t, p in zip(space, old):
+                assert (s == t, s != t, s < t, s <= t, s > t, s >= t) == (
+                    o == p, o != p, o < p, o <= p, o > p, o >= p
+                )
+        shuffled = list(space)
+        Random(0).shuffle(shuffled)
+        assert [DataclassStimulus(*s) for s in sorted(shuffled)] == sorted(old)
+
+    def test_pickle_round_trip(self):
+        for s in enumerate_stimuli():
+            back = pickle.loads(pickle.dumps(s))
+            assert back == s and type(back) is Stimulus
+
+    def test_is_a_tuple_written_as_a_list(self):
+        s = Stimulus(2, "orange", 3)
+        assert s == (2, "orange", 3) and hash(s) == hash((2, "orange", 3))
+        assert json.dumps({"stimulus": s, "candidates": (s, s)}) == (
+            '{"stimulus": [2, "orange", 3], "candidates": [[2, "orange", 3], [2, "orange", 3]]}'
+        )
 
 
 class TestEnumeration:
@@ -179,6 +208,46 @@ class TestVocabulary:
         clone = vocab.copy()
         clone.update(Stimulus(1, "blue", 1), "gigi", 0)
         assert vocab.signal_for(Stimulus(1, "blue", 1)) == "nafa"
+
+
+# a vocabulary's entries as stimulus positions and signals, then updates
+# (position, signal, flag) and copies (None), in order
+vocabulary_histories = st.tuples(
+    st.dictionaries(st.integers(0, 26), st.sampled_from(["gali", "nemo", "puwa"]), max_size=27),
+    st.lists(
+        st.none() | st.tuples(st.integers(0, 26), st.sampled_from(["gali", "wete", ""]), st.integers(0, 1)),
+        max_size=40,
+    ),
+)
+
+
+class TestVocabularyIndex:
+    @given(vocabulary_histories)
+    def test_lookups_match_a_linear_scan(self, history):
+        space = enumerate_stimuli()
+        initial, steps = history
+        vocab = Vocabulary(VocabularyEntry(space[i], w) for i, w in initial.items())
+        seen = [vocab]
+        for step in steps:
+            if step is None:
+                vocab = vocab.copy()
+                seen.append(vocab)
+            else:
+                i, signal, flag = step
+                vocab.update(space[i], signal, flag)
+        # every copy still answers from its own entries
+        for each in seen:
+            for stimulus in space:
+                scan = [e for e in each.entries if e.stimulus == stimulus]
+                assert (stimulus in each) == bool(scan)
+                if scan:
+                    assert each.entry_for(stimulus) is scan[0]
+                    assert each.signal_for(stimulus) == scan[0].signal
+                else:
+                    with pytest.raises(KeyError):
+                        each.entry_for(stimulus)
+                    with pytest.raises(KeyError):
+                        each.signal_for(stimulus)
 
 
 class TestVocabularyFile:

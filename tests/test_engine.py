@@ -1,4 +1,5 @@
 import json
+import threading
 import traceback
 from random import Random
 
@@ -464,9 +465,9 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("breaking", ["A", "B", "AB"])
     def test_abort_in_shared_block_keeps_cause_and_partial(self, breaking, tmp_path):
-        # the two agents label at once, agent B on a worker thread; the
-        # agent error that wins (A's when both break) is the cause, with
-        # the traceback of the thread that raised it
+        # the two agents label side by side, oracles in turn on one thread;
+        # the agent error that wins (A's when both break) is the cause, with
+        # the traceback of the block that raised it
         agents = tuple(
             BreakingOracle(i, PromptTask.LABELLING) if i in breaking else LookupOracle(i) for i in "AB"
         )
@@ -580,6 +581,75 @@ class TestRunSimulation:
 
 STIMULUS = Stimulus(1, "blue", 2)
 OTHER = Stimulus(3, "orange", 1)
+
+
+class WaitingOracle(LookupOracle):
+    """A lookup oracle that says it speaks ahead, so its dyad's blocks take
+    the worker thread."""
+
+    speaks_ahead = True
+
+
+def no_threads(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", refuse)
+
+
+class TestSideBySide:
+    """``_side_by_side`` runs a dyad's blocks in turn on the calling thread
+    unless an agent speaks ahead; both paths write the same log and keep
+    one error contract."""
+
+    DYADS = {"in turn": LookupOracle, "worker thread": WaitingOracle}
+
+    def side_by_side(self, kind, failing=""):
+        log = EventLog()
+        log.set_context(simulation="s", block=None)
+
+        def block(agent, event_log):
+            # a context key only this agent sets: the other's block must not see it
+            event_log.set_context(block=f"block-{agent.agent_id}", **{agent.agent_id: True})
+            for step in range(3):
+                event_log.append("step", agent=agent.agent_id, step=step)
+                if step == 1 and agent.agent_id in failing:
+                    raise RuntimeError(f"agent {agent.agent_id} broke")
+            return agent.agent_id.lower()
+
+        agents = (self.DYADS[kind]("A"), self.DYADS[kind]("B"))
+        try:
+            answer = engine._side_by_side(log, agents, block)
+        except RuntimeError as err:
+            answer = str(err)
+        return answer, [json.loads(line) for line in log._file.getvalue().splitlines()], log.context
+
+    def test_oracle_dyad_starts_no_thread(self, monkeypatch):
+        no_threads(monkeypatch)
+        config = RunConfig(master_seed=3, mantel_permutations=10)
+        run_simulation(config, (LookupOracle("A"), CompositionalOracle("B")), EventLog())
+        with pytest.raises(AssertionError, match="a thread was started"):
+            self.side_by_side("worker thread")
+
+    @pytest.mark.parametrize("failing", ["", "A", "B", "AB"])
+    def test_paths_agree(self, failing, monkeypatch):
+        threaded = self.side_by_side("worker thread", failing)
+        no_threads(monkeypatch)
+        assert self.side_by_side("in turn", failing) == threaded
+
+    @pytest.mark.parametrize("kind", sorted(DYADS))
+    def test_error_contract(self, kind):
+        def outcome(failing=""):
+            answer, records, _ = self.side_by_side(kind, failing)
+            return answer, [(r["agent"], r["step"], r["block"], "A" in r, "B" in r) for r in records]
+
+        a = [("A", step, "block-A", True, False) for step in range(3)]
+        b = [("B", step, "block-B", False, True) for step in range(3)]
+        assert outcome() == ({"A": "a", "B": "b"}, a + b)
+        # the first raises: the second's records are dropped
+        assert outcome("A") == outcome("AB") == ("agent A broke", a[:2])
+        # only the second raises: its records are written, then it raises
+        assert outcome("B") == ("agent B broke", a + b[:2])
 
 
 class FlakyOracle(CompositionalOracle):

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -305,9 +309,21 @@ def loop_mantel_reference(semantic, signal, permutations, gen):
     return full_gather_mantel_reference(semantic, signal, perms, "sampled")
 
 
+def kernel_slices(count):
+    """The permutation slices ``mantel_test`` correlates one gemv at a time:
+    ``MANTEL_BLOCK_ROWS`` wide, a tail of 1-3 joined to the slice before it."""
+    bounds = list(range(0, count, MANTEL_BLOCK_ROWS)) + [count]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] < 4:
+        del bounds[-2]
+    return list(zip(bounds, bounds[1:]))
+
+
 def full_gather_mantel_reference(semantic, signal, perms, method):
     """The Mantel test over given permutation rows, all relabelled at once
-    as one P x n x n array and correlated in one call."""
+    as one P x n x n array and correlated in one call, except for the dot
+    products. OpenBLAS splits one gemv across its threads and the split
+    moves the last bits, so the gemv runs over the kernel's slices, which
+    gives the kernel's bits under any thread count."""
     n = semantic.shape[0]
     iu = np.triu_indices(n, k=1)
     sem_vec = semantic[iu]
@@ -318,7 +334,8 @@ def full_gather_mantel_reference(semantic, signal, perms, method):
     def corr_with_sem(vectors):
         centered = vectors - vectors.mean(axis=1, keepdims=True)
         norms = np.sqrt((centered * centered).sum(axis=1))
-        return (centered @ sem_centered) / (norms * sem_norm)
+        dots = [centered[start:stop] @ sem_centered for start, stop in kernel_slices(len(vectors))]
+        return np.concatenate(dots) / (norms * sem_norm)
 
     observed_r = float(corr_with_sem(sig_vec[None, :])[0])
     permuted = signal[perms[:, :, None], perms[:, None, :]][:, iu[0], iu[1]]
@@ -410,6 +427,27 @@ class TestMantelBitIdentity:
         result = mantel_test(sem, sig, permutations=permutations, rng=ours, method="sampled")
         assert result == loop_mantel_reference(sem, sig, permutations, theirs)
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+    # one gemv over all 3,002 permutations, split across two OpenBLAS
+    # threads, ends Z in ...816 where the kernel's 256-wide gemvs give
+    # ...8165. OpenBLAS reads its thread count when it loads, so each count
+    # runs in a process of its own.
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_matches_loop_reference_under_blas_threads(self, threads):
+        code = (
+            "import numpy as np\n"
+            "from test_metrics import loop_mantel_reference, mantel_matrices\n"
+            "from refgame.metrics import mantel_test\n"
+            "sem, sig = mantel_matrices(27, 743845)\n"
+            "ours = mantel_test(sem, sig, permutations=3002, rng=np.random.default_rng(743845))\n"
+            "theirs = loop_mantel_reference(sem, sig, 3002, np.random.default_rng(743845))\n"
+            "assert ours == theirs, (ours, theirs)\n"
+        )
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_two_calls_in_a_row_share_the_generator(self):
         # chains.select_donor tests both agents' vocabularies with one rng; a

@@ -56,7 +56,8 @@ class Stimulus(namedtuple("Stimulus", ("shape", "colour", "amount"))):
     ordering are those of that tuple (so a Stimulus equals the plain tuple
     of its fields), ``json.dumps`` writes it as ``[shape, colour, amount]``,
     and the repr is ``Stimulus(shape=1, colour='blue', amount=1)``.
-    Constructing one outside the space raises ``DomainError``.
+    Constructing one outside the space raises ``DomainError``, also through
+    ``_make`` and so ``_replace`` and ``copy.replace``.
     """
 
     __slots__ = ()
@@ -69,6 +70,10 @@ class Stimulus(namedtuple("Stimulus", ("shape", "colour", "amount"))):
         if amount not in AMOUNTS:
             raise DomainError(f"amount must be in {AMOUNTS}, got {amount!r}")
         return tuple.__new__(cls, (shape, colour, amount))
+
+    @classmethod
+    def _make(cls, iterable) -> Stimulus:
+        return cls(*iterable)
 
 
 # Signals are plain strings. Freshly generated ones are 2-4 CV syllables over

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from random import Random
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 from .agents import Agent
 from .backend import EventLog
 from .domain import (
+    DomainError,
     Signal,
     Stimulus,
     Vocabulary,
@@ -81,37 +83,57 @@ class RunConfig:
             raise EngineError("max_agent_retries must be >= 1")
 
 
-def _decode(name: str, value):
-    # fixed by field name: resolving annotations per event would dominate replay
-    if name == "stimulus":
-        return Stimulus(*value)
-    if name == "candidates":
-        # guessing candidates are signals, interaction candidates stimuli
-        return tuple(Stimulus(*c) if isinstance(c, list) else c for c in value)
-    return value
-
-
 class _BlockEvent:
     """A block record is its own ``events.jsonl`` event of kind ``KIND``: the
     field names are the event keys, in declaration order, and stimuli are
     written as ``[shape, colour, amount]`` (a ``Stimulus`` is a tuple, which
-    ``json`` writes as a list). A key missing from an older log decodes to
-    the field's default."""
+    ``json`` writes as a list). ``from_event``, the one decoder of such an
+    event, reads a key missing from an older log as the field's default and
+    raises ``DomainError`` on a missing key without a default, a value of
+    another JSON type than its field's, or a stimulus outside the space."""
 
     def event(self) -> dict:
-        return {name: getattr(self, name) for name in _field_names(type(self))}
+        return dict(vars(self))  # a dataclass's fields, in declaration order
 
     @classmethod
     def from_event(cls, event: dict):
-        return cls(
-            **{name: _decode(name, event[name]) for name in _field_names(cls) if name in event}
+        required, codecs = _field_codecs(cls)
+        missing = required - event.keys()
+        if missing:
+            raise DomainError(f"a {cls.KIND!r} record lacks key(s) {sorted(missing)}")
+        for name, annotation, test, _ in codecs:
+            if name in event and not test(event[name]):
+                raise DomainError(
+                    f"a {cls.KIND!r} record has {name!r}: {json.dumps(event[name])}, "
+                    f"not of type {annotation}"
+                )
+        try:
+            return cls(**{name: decode(event[name]) for name, _, _, decode in codecs if name in event})
+        except DomainError as err:  # a [shape, colour, amount] that is no stimulus
+            raise DomainError(f"a {cls.KIND!r} record: {err}") from None
+
+
+def _codec(hint) -> tuple[Callable, Callable]:
+    """A field's JSON type test and decoder, from its annotation: a stimulus
+    and a tuple are written as lists, any other value as itself."""
+    if hint is Stimulus:
+        return (lambda value: type(value) is list and len(value) == 3), Stimulus._make
+    if get_origin(hint) is tuple:
+        test, decode = _codec(get_args(hint)[0])
+        return (
+            lambda value: type(value) is list and all(map(test, value)),
+            lambda value: tuple(map(decode, value)),
         )
+    return (lambda value: type(value) is hint), lambda value: value
 
 
-# held once per record type: ``fields()`` on every event showed in replay profiles
 @functools.cache
-def _field_names(record_type: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(record_type))
+def _field_codecs(record_type: type) -> tuple[frozenset[str], tuple]:
+    """The keys an event must carry and each field's name, annotation, type
+    test and decoder, resolved once per type: per event it would dominate replay."""
+    hints = get_type_hints(record_type)
+    required = frozenset(f.name for f in fields(record_type) if f.default is MISSING)
+    return required, tuple((f.name, f.type, *_codec(hints[f.name])) for f in fields(record_type))
 
 
 @dataclass

@@ -9,6 +9,7 @@ blocks it finished and an ``incomplete`` manifest. ``load_run_for_replay``
 reads a completed one back, stored metric rows included: ``replay_run``
 compares them with rows recomputed from the logged interactions and
 snapshots, and a chain resume builds its ``chain.csv`` rows from them.
+Block records are decoded by their ``engine`` type's ``from_event``.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ import functools
 import hashlib
 import json
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .backend import EventLog
-from .domain import DomainError, Stimulus, Vocabulary, VocabularyEntry
+from .domain import DomainError, Vocabulary, VocabularyEntry
 from .engine import (
     CommunicationResult,
     EngineError,
@@ -237,41 +237,12 @@ def save_simulation(
     return manifest
 
 
-def _value_test(hint) -> Callable[[object], bool]:
-    """Whether a JSON value decodes to a block-record field of type ``hint``;
-    a stimulus is written as ``[shape, colour, amount]``."""
-    if hint is Stimulus:
-        return lambda value: type(value) is list and len(value) == 3
-    if get_origin(hint) is tuple:
-        item = _value_test(get_args(hint)[0])
-        return lambda value: type(value) is list and all(map(item, value))
-    return lambda value: type(value) is hint
-
-
-def _record_schema(record_type) -> tuple[set[str], tuple[tuple[str, Callable, str], ...]]:
-    """The keys a block record must carry (its agent and every field without
-    a default), and the name, value test and annotation of each key it may
-    carry."""
-    hints = get_type_hints(record_type)
-    required = {"agent"} | {
-        f.name for f in fields(record_type) if f.default is MISSING and f.default_factory is MISSING
-    }
-    tests = (("agent", _value_test(str), "str"),) + tuple(
-        (f.name, _value_test(hints[f.name]), f.type) for f in fields(record_type)
-    )
-    return required, tests
-
-
-_RECORD_SCHEMAS = {
-    t.KIND: _record_schema(t) for t in (GuessingRecord, LabellingRecord, InteractionRecord, TestingRecord)
-}
-
-
 def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationResult]:
     """Rebuild the result of a completed run from its directory alone,
-    after checking every file digest: the blocks from the event log and
-    the snapshots, and ``metric_rows`` as stored in ``metrics.csv``. A
-    directory that cannot be read back raises ``PersistenceError``."""
+    after checking every file digest: the blocks from the event log, each
+    block record decoded once by its type's ``from_event``, the snapshots,
+    and ``metric_rows`` as stored in ``metrics.csv``. A directory that
+    cannot be read back raises ``PersistenceError``."""
     base = Path(run_dir)
     manifest = RunManifest.load(base)
     if manifest.status != "complete":
@@ -283,22 +254,28 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     if not events_path.exists():
         raise PersistenceError(f"no events log in {run_dir}")
     # the digests above cover every line; only block records are decoded
+    record_types = {t.KIND: t for t in (GuessingRecord, LabellingRecord, InteractionRecord, TestingRecord)}
     try:
-        events = EventLog.read(events_path, kinds=_RECORD_SCHEMAS.keys())
+        events = EventLog.read(events_path, kinds=record_types.keys())
     except ValueError as err:  # a line that is not a record, or text that does not decode
         raise PersistenceError(f"{events_path} cannot be read: {err}") from None
+    # each block record decoded once and filed under its kind and agent; the
+    # interactions of both agents stay one list, in log order
+    records: dict[tuple[str, str | None], list] = {}
     for event in events:
         kind = event["kind"]
-        required, tests = _RECORD_SCHEMAS[kind]
-        missing = required - event.keys()
-        if missing:
-            raise PersistenceError(f"{events_path}: a {kind!r} record lacks key(s) {sorted(missing)}")
-        for name, test, annotation in tests:
-            if name in event and not test(event[name]):
-                raise PersistenceError(
-                    f"{events_path}: a {kind!r} record has {name!r}: {json.dumps(event[name])}, "
-                    f"not of type {annotation}"
-                )
+        if "agent" not in event:
+            raise PersistenceError(f"{events_path}: a {kind!r} record lacks key(s) ['agent']")
+        agent = event["agent"]
+        if type(agent) is not str:
+            raise PersistenceError(
+                f"{events_path}: a {kind!r} record has 'agent': {json.dumps(agent)}, not of type str"
+            )
+        try:
+            record = record_types[kind].from_event(event)
+        except DomainError as err:
+            raise PersistenceError(f"{events_path}: {err}") from None
+        records.setdefault((kind, None if kind == InteractionRecord.KIND else agent), []).append(record)
     initial = Vocabulary.load(_vocab_path(base, "initial"))
     # older manifests name the fixed tasks_per_round, which is no longer a setting
     config = {key: value for key, value in manifest.config.items() if key != "tasks_per_round"}
@@ -331,25 +308,15 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
         metric_rows=read_rows(base / "metrics.csv", MetricRow),
     )
 
-    def records(record_type, agent_id=None) -> list:
-        try:
-            return [
-                record_type.from_event(e)
-                for e in events
-                if e["kind"] == record_type.KIND and (agent_id is None or e["agent"] == agent_id)
-            ]
-        except DomainError as err:  # a [shape, colour, amount] that is no stimulus
-            raise PersistenceError(f"{events_path}: a {record_type.KIND!r} record: {err}") from None
-
     for agent_id in result.agent_ids:
-        result.guessing[agent_id] = GuessingResult(records=records(GuessingRecord, agent_id))
+        result.guessing[agent_id] = GuessingResult(records=records.get((GuessingRecord.KIND, agent_id), []))
         result.labelling[agent_id] = LabellingResult(
-            records=records(LabellingRecord, agent_id),
+            records=records.get((LabellingRecord.KIND, agent_id), []),
             learned=Vocabulary.load(_vocab_path(base, "learned", agent_id)),
         )
-        result.testing[agent_id] = TestingResult(records=records(TestingRecord, agent_id))
+        result.testing[agent_id] = TestingResult(records=records.get((TestingRecord.KIND, agent_id), []))
 
-    interactions = records(InteractionRecord)
+    interactions = records.get((InteractionRecord.KIND, None), [])
     rounds = result.config.rounds
     for round_number in range(1, rounds + 1):
         if not any(r.round == round_number for r in interactions):

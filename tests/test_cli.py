@@ -138,7 +138,7 @@ class TestSimulate:
         path.write_text("mode: simulate\nagents: [oracle:lookup\n")
         code = run_cli("simulate", "--config", str(path))
         assert code == EXIT_VALIDATION
-        assert "line" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {path}: YAML error at line 3: ")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "typo.yaml"
@@ -429,11 +429,17 @@ class TestReplayCommand:
                 ' "failed": "no"}',
                 ": a 'testing' record has 'failed': \"no\", not of type bool",
             ),
+            (
+                '{"kind": "guess", "agent": 5, "stimulus": [1, "blue", 1], "candidates": ["gapa"],'
+                ' "chosen": 0, "correct": true}',
+                ": a 'guess' record has 'agent': 5, not of type str",
+            ),
         ],
         ids=[
             "not-json", "kind-not-a-string", "guess-without-fields", "testing-without-agent",
             "label-produced-not-a-string", "testing-stimulus-too-short", "testing-stimulus-unknown",
             "guess-candidate-not-a-string", "guess-chosen-not-an-int", "testing-failed-not-a-bool",
+            "guess-agent-not-a-string",
         ],
     )
     def test_malformed_event_line_names_file(self, tmp_path, capsys, line, message):

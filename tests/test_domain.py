@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import pickle
@@ -66,6 +67,21 @@ class TestStimulus:
         shuffled = list(space)
         Random(0).shuffle(shuffled)
         assert [DataclassStimulus(*s) for s in sorted(shuffled)] == sorted(old)
+
+    def test_every_constructor_checks_the_space(self):
+        s = Stimulus(1, "blue", 1)
+        assert s._replace(amount=3) == Stimulus(1, "blue", 3)
+        assert type(s._replace(amount=3)) is type(Stimulus._make([2, "green", 2])) is Stimulus
+        with pytest.raises(DomainError, match="shape must be"):
+            s._replace(shape=9)
+        with pytest.raises(DomainError, match="shape must be"):
+            Stimulus._make((9, "red", 7))
+        with pytest.raises(DomainError, match="colour must be"):
+            Stimulus._make((1, "red", 1))
+        if hasattr(copy, "replace"):  # Python 3.13 and later
+            with pytest.raises(DomainError, match="amount must be"):
+                copy.replace(s, amount=0)
+        assert copy.copy(s) == copy.deepcopy(s) == s
 
     def test_pickle_round_trip(self):
         for s in enumerate_stimuli():

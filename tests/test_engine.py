@@ -1,9 +1,12 @@
 import json
+import re
 import threading
 import traceback
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import refgame.engine as engine
 import refgame.metrics as metrics
@@ -23,7 +26,7 @@ from refgame.agents import (
     RandomChooser,
 )
 from refgame.backend import EventLog
-from refgame.domain import Stimulus, enumerate_stimuli, generate_language, sample_training_set
+from refgame.domain import DomainError, Stimulus, enumerate_stimuli, generate_language, sample_training_set
 from refgame.engine import (
     EngineError,
     RunConfig,
@@ -582,6 +585,36 @@ class TestRunSimulation:
 STIMULUS = Stimulus(1, "blue", 2)
 OTHER = Stimulus(3, "orange", 1)
 
+STIMULI = st.sampled_from(enumerate_stimuli())
+SIGNALS = st.text(max_size=8)  # a model's signal may be any text
+FAILURE_MODES = st.sampled_from(["none", "failed-production", "failed-choice"])
+BLOCK_RECORDS = st.one_of(
+    st.builds(
+        engine.GuessingRecord, STIMULI, st.lists(SIGNALS, max_size=4).map(tuple),
+        st.integers(-1, 3), st.booleans(), FAILURE_MODES,
+    ),
+    st.builds(engine.LabellingRecord, STIMULI, SIGNALS, SIGNALS, st.booleans()),
+    st.builds(
+        engine.InteractionRecord, st.integers(1, 4), st.integers(0, 29), st.sampled_from("AB"),
+        st.sampled_from("AB"), STIMULI, SIGNALS, st.lists(STIMULI, max_size=4).map(tuple),
+        st.integers(-1, 3), st.booleans(), FAILURE_MODES,
+    ),
+    st.builds(engine.TestingRecord, STIMULI, SIGNALS, st.booleans(), st.booleans()),
+)
+_JSON_SCALARS = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.text(max_size=4),
+}
+# a value of each JSON type, keyed by the type json.loads gives it
+JSON_VALUES = {
+    **_JSON_SCALARS,
+    list: st.lists(st.one_of(*_JSON_SCALARS.values()), max_size=3),
+    dict: st.dictionaries(st.text(max_size=3), st.one_of(*_JSON_SCALARS.values()), max_size=2),
+}
+
 
 class WaitingOracle(LookupOracle):
     """A lookup oracle that says it speaks ahead, so its dyad's blocks take
@@ -695,6 +728,20 @@ class TestBlockEvents:
     def test_record_round_trips_through_json(self, record):
         event = json.loads(json.dumps(record.event()))
         assert type(record).from_event(event) == record
+
+    @given(st.data())
+    def test_codec_of_every_record_type(self, data):
+        record = data.draw(BLOCK_RECORDS)
+        event = json.loads(json.dumps({"kind": record.KIND, "agent": "A", **record.event()}))
+        # the reprs tell a Stimulus from a plain tuple and a tuple from a list
+        assert repr(type(record).from_event(event)) == repr(record)
+        # every field, with a value of every other JSON type in turn
+        for name in sorted(event.keys() - {"kind", "agent"}):
+            for json_type in [t for t in JSON_VALUES if t is not type(event[name])]:
+                value = json.loads(json.dumps(data.draw(JSON_VALUES[json_type])))
+                expected = f"a {record.KIND!r} record has {name!r}: {json.dumps(value)}, not of type "
+                with pytest.raises(DomainError, match="^" + re.escape(expected)):
+                    type(record).from_event({**event, name: value})
 
     def test_keys_missing_from_older_logs_decode_to_defaults(self):
         context = {"block": "x", "round": None, "task": 0, "agent": "A"}

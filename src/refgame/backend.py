@@ -512,7 +512,8 @@ class HttpBackend(CompletionBackend):
     def _continuation_logprob(logprobs: dict | None, boundary: int) -> float:
         """Sum of a choice's echoed token log-probabilities at or past
         ``boundary``, the length of the templated prompt before the
-        continuation."""
+        continuation. Lists that do not hold numbers (or None for a token
+        without one) are a MalformedServiceReply."""
         try:
             token_logprobs = logprobs["token_logprobs"]
             offsets = logprobs["text_offset"]
@@ -520,12 +521,19 @@ class HttpBackend(CompletionBackend):
             raise CapabilityUnsupported(
                 "service does not return echoed token log-probabilities"
             ) from err
+        if type(token_logprobs) is not list or type(offsets) is not list:
+            raise MalformedServiceReply("echoed token_logprobs or text_offset is not a list")
         total = 0.0
         counted = 0
-        for offset, lp in zip(offsets, token_logprobs):
-            if offset >= boundary and lp is not None:
-                total += lp
-                counted += 1
+        try:
+            for offset, lp in zip(offsets, token_logprobs):
+                if offset >= boundary and lp is not None:
+                    if type(lp) is not float and type(lp) is not int:
+                        raise MalformedServiceReply(f"echoed log-probability {lp!r} is not a number")
+                    total += lp
+                    counted += 1
+        except TypeError as err:  # an offset that is not a number
+            raise MalformedServiceReply(f"echoed text offset is not a number: {err}") from None
         if counted == 0:
             raise MalformedServiceReply("no continuation tokens in echo response")
         return total

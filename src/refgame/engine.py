@@ -17,8 +17,9 @@ import functools
 import hashlib
 import json
 import threading
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from random import Random
+from types import UnionType
 from typing import Callable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 from .agents import Agent
@@ -85,55 +86,83 @@ class RunConfig:
 
 class _BlockEvent:
     """A block record is its own ``events.jsonl`` event of kind ``KIND``: the
-    field names are the event keys, in declaration order, and stimuli are
-    written as ``[shape, colour, amount]`` (a ``Stimulus`` is a tuple, which
-    ``json`` writes as a list). ``from_event``, the one decoder of such an
-    event, reads a key missing from an older log as the field's default and
-    raises ``DomainError`` on a missing key without a default, a value of
-    another JSON type than its field's, or a stimulus outside the space."""
+    field names are the event keys, in declaration order, and a stimulus is
+    written as its ``[shape, colour, amount]`` list."""
+
+    # what EventLog.set_context adds to every event, which decoding sets aside
+    CONTEXT_KEYS = frozenset({"kind", "simulation", "generation", "block", "round", "task", "agent"})
 
     def event(self) -> dict:
         return dict(vars(self))  # a dataclass's fields, in declaration order
 
     @classmethod
     def from_event(cls, event: dict):
-        required, codecs = _field_codecs(cls)
-        missing = required - event.keys()
-        if missing:
-            raise DomainError(f"a {cls.KIND!r} record lacks key(s) {sorted(missing)}")
-        for name, annotation, test, _ in codecs:
-            if name in event and not test(event[name]):
-                raise DomainError(
-                    f"a {cls.KIND!r} record has {name!r}: {json.dumps(event[name])}, "
-                    f"not of type {annotation}"
-                )
-        try:
-            return cls(**{name: decode(event[name]) for name, _, _, decode in codecs if name in event})
-        except DomainError as err:  # a [shape, colour, amount] that is no stimulus
-            raise DomainError(f"a {cls.KIND!r} record: {err}") from None
+        return decode_fields(cls, event, f"a {cls.KIND!r} record")
 
 
-def _codec(hint) -> tuple[Callable, Callable]:
-    """A field's JSON type test and decoder, from its annotation: a stimulus
-    and a tuple are written as lists, any other value as itself."""
+def decode_fields(cls: type, data, where: str):
+    """The dataclass ``cls`` from a mapping read from outside, which a
+    refusal (``DomainError``) names as ``where``: a missing key takes its
+    field's default or is refused, a key that is no field (nor one of the
+    ``CONTEXT_KEYS``) is refused, and each value must fit ``_codec``'s rule."""
+    if type(data) is not dict:
+        raise DomainError(f"{where} is a {type(data).__name__}, not a mapping")
+    required, known, codecs = _field_codecs(cls)
+    if missing := required - data.keys():
+        raise DomainError(f"{where} lacks key(s) {sorted(missing)}")
+    if not known.issuperset(data):
+        raise DomainError(f"{where} has unknown key(s) {sorted(data.keys() - known, key=str)}")
+    values = {}
+    for name, annotation, test, decode in codecs:
+        if name in data:
+            if not test(value := data[name]):
+                shown = json.dumps(value, default=repr)  # repr: a YAML date, say, has no JSON form
+                raise DomainError(f"{where} has {name!r}: {shown}, not of type {annotation}")
+            values[name] = value if decode is None else decode(value)
+    return cls(**values)
+
+
+_STIMULI = frozenset(enumerate_stimuli())
+
+
+def _codec(hint, name: str) -> tuple[Callable, Callable | None]:
+    """Field ``name``'s type test and decoder (None: the value as read). A
+    bool fits only ``bool``, an int also ``float``; a list, a tuple (a JSON
+    list) or a dict fits when each element does, a union (kept as read) when
+    one arm does; a stimulus is a ``[shape, colour, amount]`` list, and a
+    dataclass is decoded from its section, None meaning its defaults."""
+    origin, args = get_origin(hint), get_args(hint)
     if hint is Stimulus:
-        return (lambda value: type(value) is list and len(value) == 3), Stimulus._make
-    if get_origin(hint) is tuple:
-        test, decode = _codec(get_args(hint)[0])
-        return (
-            lambda value: type(value) is list and all(map(test, value)),
-            lambda value: tuple(map(decode, value)),
+        types = (int, str, int)
+        return (lambda v: type(v) is list and tuple(map(type, v)) == types and tuple(v) in _STIMULI), (
+            Stimulus._make
         )
-    return (lambda value: type(value) is hint), lambda value: value
+    if origin is tuple or origin is list:
+        test, decode = _codec(args[0], name)
+        return (lambda v: type(v) is list and all(map(test, v))), (
+            origin if decode is None else lambda v: origin(map(decode, v))
+        )
+    if origin is dict:
+        test = _codec(args[1], name)[0]
+        return (lambda v: type(v) is dict and all(map(test, v.values()))), None
+    if origin is UnionType:
+        tests = [_codec(arg, name)[0] for arg in args]
+        return (lambda v: any(test(v) for test in tests)), None
+    if is_dataclass(hint):
+        section = f"section {name!r}"
+        return (lambda v: v is None or type(v) is dict), lambda v: decode_fields(hint, v or {}, section)
+    types = (int, float) if hint is float else (hint,)
+    return (lambda v: type(v) in types), None
 
 
 @functools.cache
-def _field_codecs(record_type: type) -> tuple[frozenset[str], tuple]:
-    """The keys an event must carry and each field's name, annotation, type
-    test and decoder, resolved once per type: per event it would dominate replay."""
-    hints = get_type_hints(record_type)
-    required = frozenset(f.name for f in fields(record_type) if f.default is MISSING)
-    return required, tuple((f.name, f.type, *_codec(hints[f.name])) for f in fields(record_type))
+def _field_codecs(cls: type) -> tuple[frozenset[str], frozenset[str], tuple]:
+    """The keys a mapping must and may carry, and each field's name, annotation,
+    test and decoder, resolved once per type: per record it would dominate replay."""
+    hints = get_type_hints(cls)
+    required = frozenset(f.name for f in fields(cls) if f.default is f.default_factory is MISSING)
+    known = frozenset(f.name for f in fields(cls)) | getattr(cls, "CONTEXT_KEYS", frozenset())
+    return required, known, tuple((f.name, f.type, *_codec(hints[f.name], f.name)) for f in fields(cls))
 
 
 @dataclass

@@ -20,7 +20,7 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 from . import __version__
 from .backend import EventLog
@@ -39,6 +39,7 @@ from .engine import (
     TestingRecord,
     TestingResult,
     compute_metric_rows,
+    decode_fields,
 )
 
 SCHEMA_VERSION = 1
@@ -145,8 +146,8 @@ class RunManifest:
 
     @classmethod
     def load(cls, run_dir: str | Path) -> "RunManifest":
-        """The manifest of ``run_dir``; one that is not a JSON object with
-        the manifest's keys raises ``PersistenceError``."""
+        """The manifest of ``run_dir``; one that ``decode_fields`` refuses, or
+        that names a file outside ``run_dir``, raises ``PersistenceError``."""
         path = Path(run_dir) / "manifest.json"
         if not path.exists():
             raise PersistenceError(f"no manifest in {run_dir}")
@@ -154,18 +155,17 @@ class RunManifest:
             data = json.loads(path.read_text())
         except ValueError as err:
             raise PersistenceError(f"{path} is not JSON: {err}") from None
-        if not isinstance(data, dict):
-            raise PersistenceError(f"{path} is not a JSON object")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise PersistenceError(f"{path}: unknown key(s) {sorted(unknown)}")
-        for key in ("config", "master_seed"):
-            if key not in data:
-                raise PersistenceError(f"{path}: no '{key}'")
-        for key in ("config", "files", "extra"):
-            if not isinstance(data.get(key, {}), dict):
-                raise PersistenceError(f"{path}: '{key}' is not a JSON object")
-        return cls(**data)
+        try:
+            manifest = decode_fields(cls, data, "the manifest")
+        except DomainError as err:
+            raise PersistenceError(f"{path}: {err}") from None
+        for name in manifest.files:
+            relative = PurePosixPath(name)
+            if relative.is_absolute() or ".." in relative.parts or not relative.parts:
+                raise PersistenceError(
+                    f"{path}: the manifest has 'files' entry {json.dumps(name)}, outside the run directory"
+                )
+        return manifest
 
     def verify_digests(self, run_dir: str | Path) -> None:
         base = Path(run_dir)
@@ -242,7 +242,10 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     after checking every file digest: the blocks from the event log, each
     block record decoded once by its type's ``from_event``, the snapshots,
     and ``metric_rows`` as stored in ``metrics.csv``. A directory that
-    cannot be read back raises ``PersistenceError``."""
+    cannot be read back raises ``PersistenceError``, and so does a block
+    record of another agent than the manifest's, an interaction outside
+    the run's rounds or of another dyad, or a choice that is neither -1
+    nor a position among the candidates."""
     base = Path(run_dir)
     manifest = RunManifest.load(base)
     if manifest.status != "complete":
@@ -250,49 +253,18 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
             f"run is marked {manifest.status!r}; only completed runs replay"
         )
     manifest.verify_digests(base)
-    events_path = base / "events.jsonl"
-    if not events_path.exists():
-        raise PersistenceError(f"no events log in {run_dir}")
-    # the digests above cover every line; only block records are decoded
-    record_types = {t.KIND: t for t in (GuessingRecord, LabellingRecord, InteractionRecord, TestingRecord)}
-    try:
-        events = EventLog.read(events_path, kinds=record_types.keys())
-    except ValueError as err:  # a line that is not a record, or text that does not decode
-        raise PersistenceError(f"{events_path} cannot be read: {err}") from None
-    # each block record decoded once and filed under its kind and agent; the
-    # interactions of both agents stay one list, in log order
-    records: dict[tuple[str, str | None], list] = {}
-    for event in events:
-        kind = event["kind"]
-        if "agent" not in event:
-            raise PersistenceError(f"{events_path}: a {kind!r} record lacks key(s) ['agent']")
-        agent = event["agent"]
-        if type(agent) is not str:
-            raise PersistenceError(
-                f"{events_path}: a {kind!r} record has 'agent': {json.dumps(agent)}, not of type str"
-            )
-        try:
-            record = record_types[kind].from_event(event)
-        except DomainError as err:
-            raise PersistenceError(f"{events_path}: {err}") from None
-        records.setdefault((kind, None if kind == InteractionRecord.KIND else agent), []).append(record)
-    initial = Vocabulary.load(_vocab_path(base, "initial"))
     # older manifests name the fixed tasks_per_round, which is no longer a setting
     config = {key: value for key, value in manifest.config.items() if key != "tasks_per_round"}
-    defaults = asdict(RunConfig())
-    unknown = sorted(set(config) - set(defaults))
-    if unknown:
-        raise PersistenceError(f"unknown run setting(s) {unknown} in the manifest of {run_dir}")
-    mistyped = sorted(key for key, value in config.items() if type(value) is not type(defaults[key]))
-    if mistyped:
-        raise PersistenceError(f"run setting(s) {mistyped} of the wrong type in the manifest of {run_dir}")
-    run_config = RunConfig(**config)
+    try:
+        run_config = decode_fields(RunConfig, config, "the manifest's config")
+    except DomainError as err:
+        raise PersistenceError(f"{base / 'manifest.json'}: {err}") from None
     try:
         run_config.validate()
     except EngineError as err:
         raise PersistenceError(f"the manifest of {run_dir} has an invalid run setting: {err}") from err
     agent_ids = manifest.extra.get("agent_ids")
-    if not (isinstance(agent_ids, list) and len(agent_ids) == 2):
+    if not (type(agent_ids) is list and len(agent_ids) == 2 and all(type(a) is str for a in agent_ids)):
         raise PersistenceError(f"the manifest of {run_dir} names no two agent ids")
     if agent_ids[0] == agent_ids[1]:
         raise PersistenceError(f"the manifest of {run_dir} names agent {agent_ids[0]!r} twice")
@@ -301,10 +273,42 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
             raise PersistenceError(
                 f"the manifest of {run_dir} names agent {agent_id!r}, which has no snapshots in the run"
             )
+    events_path = base / "events.jsonl"
+    # the digests above cover every line; only block records are decoded
+    record_types = {t.KIND: t for t in (GuessingRecord, LabellingRecord, InteractionRecord, TestingRecord)}
+    try:
+        events = EventLog.read(events_path, kinds=record_types.keys())
+    except (FileNotFoundError, ValueError) as err:  # no log, a line that is no record, bad text
+        raise PersistenceError(f"{events_path} cannot be read: {err}") from None
+    # each block record decoded once and filed under its kind and agent; the
+    # interactions of both agents stay one list, in log order
+    dyad, ids = {tuple(agent_ids), tuple(reversed(agent_ids))}, json.dumps(agent_ids)
+    rounds = run_config.rounds
+    records: dict[tuple[str, str | None], list] = {}
+    for event in events:
+        kind, agent = event["kind"], event.get("agent")
+        try:
+            record = record_types[kind].from_event(event)
+        except DomainError as err:
+            raise PersistenceError(f"{events_path}: {err}") from None
+        interaction = kind == InteractionRecord.KIND
+        if agent not in agent_ids:
+            problem = f"'agent': {json.dumps(agent)}, not one of the run's agents {ids}"
+        elif interaction and not 1 <= record.round <= rounds:
+            problem = f"'round': {record.round}, not in 1..{rounds}"
+        elif interaction and (record.speaker, record.listener) not in dyad:
+            speaker, listener = json.dumps(record.speaker), json.dumps(record.listener)
+            problem = f"'speaker': {speaker} and 'listener': {listener}, not the run's agents {ids}"
+        elif hasattr(record, "chosen") and not -1 <= record.chosen < len(record.candidates):
+            problem = f"'chosen': {record.chosen}, not -1 or one of {len(record.candidates)} positions"
+        else:
+            records.setdefault((kind, None if interaction else agent), []).append(record)
+            continue
+        raise PersistenceError(f"{events_path}: a {kind!r} record has {problem}")
     result = SimulationResult(
         config=run_config,
         agent_ids=tuple(agent_ids),
-        initial_language=initial,
+        initial_language=Vocabulary.load(_vocab_path(base, "initial")),
         metric_rows=read_rows(base / "metrics.csv", MetricRow),
     )
 
@@ -317,7 +321,6 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
         result.testing[agent_id] = TestingResult(records=records.get((TestingRecord.KIND, agent_id), []))
 
     interactions = records.get((InteractionRecord.KIND, None), [])
-    rounds = result.config.rounds
     for round_number in range(1, rounds + 1):
         if not any(r.round == round_number for r in interactions):
             raise PersistenceError(f"no interactions logged for round {round_number}")

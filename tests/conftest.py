@@ -37,10 +37,12 @@ class _StubHandler(BaseHTTPRequestHandler):
     before they are answered. Every reply has a Content-Length, so an
     HTTP/1.1 server keeps the connection open; ``behaviour`` "close" drops
     it after each reply without saying so, as a server does with an idle
-    keep-alive connection. Handler threads run at once, so the counters
+    keep-alive connection. ``echo_logprobs``, when set, is the ``logprobs``
+    of every echoed choice. Handler threads run at once, so the counters
     change under ``lock``."""
 
     behaviour = "complete"
+    echo_logprobs = None
     failures_left = 0
     rendezvous = None
     timeout = 2  # a connection idle this long is closed
@@ -116,11 +118,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             for i, prompt in enumerate(prompts):
                 offsets = [0, max(0, len(prompt) - 3), len(prompt) - 2, len(prompt) - 1]
                 lp = -0.5 * (i + 1)
-                choices.append({
-                    "index": i,
-                    "text": prompt,
-                    "logprobs": {"token_logprobs": [None, lp, lp, lp], "text_offset": offsets},
-                })
+                logprobs = {"token_logprobs": [None, lp, lp, lp], "text_offset": offsets}
+                choices.append({"index": i, "text": prompt, "logprobs": type(self).echo_logprobs or logprobs})
         else:
             choices = [{"index": i, "text": " hanosa'}"} for i in range(len(prompts))]
         if behaviour == "reversed":

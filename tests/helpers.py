@@ -16,6 +16,8 @@ from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Sequence
 
+import yaml
+
 from refgame.agents import CompositionalOracle, LookupOracle, _argmin, _Oracle
 from refgame.backend import (
     BackendDescriptor,
@@ -52,6 +54,9 @@ from refgame.prompts import (
 )
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the pure-Python YAML loader, and libyaml's when it is installed, which
+# refgame.config then uses: tests that read config files run under each
+YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
 
 _LISTENER_LINE_RE = re.compile(
     r"^\{'word':'(?P<word>[^']*)','shape':(?P<shape>[123]),"

@@ -300,6 +300,24 @@ class TestHttpBackend:
         with pytest.raises(CapabilityUnsupported):
             backend.score(CANDIDATES, [0] * 4, EventLog())
 
+    @pytest.mark.parametrize(
+        "logprobs",
+        [
+            {"token_logprobs": [None, "x"], "text_offset": [0, 10**6]},
+            {"token_logprobs": [None, True], "text_offset": [0, 10**6]},
+            {"token_logprobs": [None, -1.0], "text_offset": [0, "1000000"]},
+            {"token_logprobs": "x", "text_offset": [10**6]},
+            {"token_logprobs": [None, -1.0], "text_offset": 0},
+        ],
+        ids=["string-logprob", "true-logprob", "string-offset", "logprobs-not-a-list", "offsets-not-a-list"],
+    )
+    def test_malformed_echo_reply(self, stub_server, logprobs):
+        # each of these used to raise TypeError or be summed as a number
+        endpoint, handler = stub_server
+        handler.echo_logprobs = logprobs
+        with pytest.raises(MalformedServiceReply):
+            http_backend(endpoint).score(CANDIDATES, [0] * 4, EventLog())
+
     def test_score_batch_retried_as_a_whole(self, stub_server, event_log, waits):
         endpoint, handler = stub_server
         handler.failures_left = 1

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import refgame
-from helpers import BreakingOracle
+from helpers import YAML_LOADERS, BreakingOracle
 from refgame import cli
 from refgame.agents import LookupOracle
 from refgame.backend import EventLog
@@ -133,12 +133,14 @@ class TestSimulate:
         assert err.startswith("error: ") and f"backend: {message}" in err
         assert not (out / "sim-00").exists()
 
-    def test_invalid_yaml_reports_line(self, tmp_path, capsys):
+    def test_invalid_yaml_reports_line(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "bad.yaml"
         path.write_text("mode: simulate\nagents: [oracle:lookup\n")
-        code = run_cli("simulate", "--config", str(path))
-        assert code == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith(f"error: {path}: YAML error at line 3: ")
+        for loader in YAML_LOADERS:
+            monkeypatch.setattr("refgame.config._SAFE_LOADER", loader)
+            code = run_cli("simulate", "--config", str(path))
+            assert code == EXIT_VALIDATION
+            assert capsys.readouterr().err.startswith(f"error: {path}: YAML error at line 3: ")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "typo.yaml"
@@ -187,7 +189,7 @@ class TestSimulate:
         out = tmp_path / "runs"
         assert run_cli("simulate", "--config", str(path), "--out", str(out)) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert f"error: {path}: unknown key(s) ['tasks_per_round'] in section 'run'" in err
+        assert f"error: {path}: section 'run' has unknown key(s) ['tasks_per_round']" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -334,15 +336,15 @@ class TestReplayCommand:
         "corrupt, message",
         [
             (lambda manifest: "{bad", "manifest.json is not JSON: "),
-            (lambda manifest: [manifest], "manifest.json is not a JSON object"),
-            (lambda manifest: {**manifest, "oops": 1}, "manifest.json: unknown key(s) ['oops']"),
+            (lambda manifest: [manifest], "manifest.json: the manifest is a list, not a mapping"),
+            (lambda manifest: {**manifest, "oops": 1}, "manifest.json: the manifest has unknown key(s) ['oops']"),
             (
                 lambda manifest: {**manifest, "config": {**manifest["config"], "oops": 1}},
-                "unknown run setting(s) ['oops'] in the manifest of ",
+                "manifest.json: the manifest's config has unknown key(s) ['oops']",
             ),
             (
                 lambda manifest: {**manifest, "config": {**manifest["config"], "rounds": "4"}},
-                "run setting(s) ['rounds'] of the wrong type in the manifest of ",
+                "manifest.json: the manifest's config has 'rounds': \"4\", not of type int",
             ),
             (
                 lambda manifest: {
@@ -371,11 +373,28 @@ class TestReplayCommand:
                 lambda manifest: {**manifest, "extra": {**manifest["extra"], "agent_ids": ["A", "A"]}},
                 "names agent 'A' twice",
             ),
+            (
+                lambda manifest: {**manifest, "master_seed": "x"},
+                "manifest.json: the manifest has 'master_seed': \"x\", not of type int",
+            ),
+            (
+                lambda manifest: {**manifest, "started": "yesterday"},
+                "manifest.json: the manifest has 'started': \"yesterday\", not of type float",
+            ),
+            (
+                lambda manifest: {k: v for k, v in manifest.items() if k != "master_seed"},
+                "manifest.json: the manifest lacks key(s) ['master_seed']",
+            ),
+            (
+                lambda manifest: {**manifest, "files": {**manifest["files"], "metrics.csv": 5}},
+                "manifest.json: the manifest has 'files': ",
+            ),
         ],
         ids=[
             "not-json", "not-an-object", "extra-key", "unknown-run-setting", "mistyped-run-setting",
             "no-agent-ids", "unknown-agent-id", "no-permutations", "no-agent-retries",
-            "too-many-candidates", "repeated-agent-id",
+            "too-many-candidates", "repeated-agent-id", "master-seed-not-an-int",
+            "started-not-a-number", "no-master-seed", "digest-not-a-string",
         ],
     )
     def test_unreadable_manifest_rejected(self, tmp_path, capsys, corrupt, message):
@@ -400,7 +419,7 @@ class TestReplayCommand:
             ),
             (
                 '{"kind": "testing", "stimulus": [1, "blue", 1], "signal": "gapa"}',
-                ": a 'testing' record lacks key(s) ['agent']",
+                ": a 'testing' record has 'agent': null, not one of the run's agents [\"A\", \"B\"]",
             ),
             (
                 '{"kind": "label", "agent": "A", "stimulus": [1, "blue", 1], "truth": "gapa", "produced": 5}',
@@ -412,7 +431,7 @@ class TestReplayCommand:
             ),
             (
                 '{"kind": "testing", "agent": "A", "stimulus": [9, "blue", 1], "signal": "gapa"}',
-                ": a 'testing' record: shape must be in (1, 2, 3), got 9",
+                ": a 'testing' record has 'stimulus': [9, \"blue\", 1], not of type Stimulus",
             ),
             (
                 '{"kind": "guess", "agent": "A", "stimulus": [1, "blue", 1], "candidates": ["gapa", 5],'
@@ -432,7 +451,7 @@ class TestReplayCommand:
             (
                 '{"kind": "guess", "agent": 5, "stimulus": [1, "blue", 1], "candidates": ["gapa"],'
                 ' "chosen": 0, "correct": true}',
-                ": a 'guess' record has 'agent': 5, not of type str",
+                ": a 'guess' record has 'agent': 5, not one of the run's agents [\"A\", \"B\"]",
             ),
         ],
         ids=[
@@ -454,6 +473,86 @@ class TestReplayCommand:
         capsys.readouterr()
         assert run_cli("replay", str(run_dir)) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {events}{message}\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (
+                '{"kind": "testing", "agent": "Z", "stimulus": [1, "blue", 1], "signal": "gapa"}',
+                "a 'testing' record has 'agent': \"Z\", not one of the run's agents [\"A\", \"B\"]",
+            ),
+            (
+                '{"kind": "interaction", "agent": "A", "round": 9, "task": 0, "speaker": "Q", "listener": "A",'
+                ' "stimulus": [1, "blue", 1], "signal": "gapa", "candidates": [[1, "blue", 1]], "chosen": 3,'
+                ' "success": false}',
+                "a 'interaction' record has 'round': 9, not in 1..4",
+            ),
+            (
+                '{"kind": "interaction", "agent": "A", "round": 1, "task": 0, "speaker": "Q", "listener": "A",'
+                ' "stimulus": [1, "blue", 1], "signal": "gapa", "candidates": [[1, "blue", 1]], "chosen": 0,'
+                ' "success": true}',
+                "a 'interaction' record has 'speaker': \"Q\" and 'listener': \"A\", "
+                "not the run's agents [\"A\", \"B\"]",
+            ),
+            (
+                '{"kind": "interaction", "agent": "A", "round": 1, "task": 0, "speaker": "A", "listener": "A",'
+                ' "stimulus": [1, "blue", 1], "signal": "gapa", "candidates": [[1, "blue", 1]], "chosen": 0,'
+                ' "success": true}',
+                "a 'interaction' record has 'speaker': \"A\" and 'listener': \"A\", "
+                "not the run's agents [\"A\", \"B\"]",
+            ),
+            (
+                '{"kind": "interaction", "agent": "A", "round": 1, "task": 0, "speaker": "B", "listener": "A",'
+                ' "stimulus": [1, "blue", 1], "signal": "gapa", "candidates": [[1, "blue", 1]], "chosen": 3,'
+                ' "success": false}',
+                "a 'interaction' record has 'chosen': 3, not -1 or one of 1 positions",
+            ),
+            (
+                '{"kind": "guess", "agent": "B", "stimulus": [1, "blue", 1], "candidates": ["gapa", "pipo"],'
+                ' "chosen": -2, "correct": false}',
+                "a 'guess' record has 'chosen': -2, not -1 or one of 2 positions",
+            ),
+            (
+                '{"kind": "label", "agent": "A", "stimulus": [1, "blue", 1], "truth": "gapa", "produced": "gapa",'
+                ' "score": 1}',
+                "a 'label' record has unknown key(s) ['score']",
+            ),
+        ],
+        ids=[
+            "testing-of-another-agent", "interaction-of-round-9", "interaction-of-another-speaker",
+            "interaction-with-itself", "interaction-chosen-past-candidates", "guess-chosen-below-minus-one",
+            "label-with-unknown-key",
+        ],
+    )
+    def test_foreign_block_record_refused(self, tmp_path, capsys, line, message):
+        # each line is a well-typed record that is not this run's
+        run_dir = self._simulate(tmp_path)
+        events = run_dir / "events.jsonl"
+        with events.open("a") as fh:
+            fh.write(line + "\n")
+        manifest = RunManifest.load(run_dir)
+        manifest.files["events.jsonl"] = file_digest(events)
+        manifest.save(run_dir)
+        capsys.readouterr()
+        assert run_cli("replay", str(run_dir)) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {events}: {message}\n"
+
+    @pytest.mark.parametrize("name", ["/etc/hostname", "../outside.txt", "vocab/../../outside.txt"])
+    def test_manifest_file_outside_the_run_refused(self, tmp_path, capsys, name):
+        # a file is refused before it is hashed, so a right digest does not
+        # help and a wrong one prints no digest of it
+        run_dir = self._simulate(tmp_path)
+        (run_dir.parent / "outside.txt").write_text("not part of the run\n")
+        outside = run_dir / name
+        for digest in ([file_digest(outside)] if outside.is_file() else []) + ["0" * 64]:
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            manifest["files"][name] = digest
+            (run_dir / "manifest.json").write_text(json.dumps(manifest))
+            capsys.readouterr()
+            assert run_cli("replay", str(run_dir)) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            expected = f"the manifest has 'files' entry {json.dumps(name)}, outside the run directory\n"
+            assert captured.err == f"error: {run_dir / 'manifest.json'}: {expected}"
 
     def test_malformed_metrics_cell_names_file_row_and_column(self, tmp_path, capsys):
         run_dir = self._simulate(tmp_path)
@@ -762,8 +861,10 @@ class TestChainCommand:
         out = tmp_path / "chains"
         code = run_cli("chain", "--config", str(path), "--out", str(out), "--permutations", "60")
         assert code == EXIT_VALIDATION
-        shown = repr(yaml.safe_load(value))
-        assert capsys.readouterr().err == f"error: {path}: section '{section}' must be a mapping, got {shown}\n"
+        shown = json.dumps(yaml.safe_load(value))
+        section_type = {"run": "RunConfig", "chain": "ChainConfig", "backend": "BackendDescriptor"}[section]
+        expected = f"error: {path}: the config root has '{section}': {shown}, not of type {section_type}\n"
+        assert capsys.readouterr().err == expected
         assert not out.exists()
 
     def test_empty_section_means_the_defaults(self, tmp_path):
@@ -782,7 +883,7 @@ class TestChainCommand:
         code = run_cli("chain", "--config", str(path), "--out", str(out), "--permutations", "60")
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err == f"error: {path}: unknown key(s) ['generation_overrides'] in section 'chain'\n"
+        assert err == f"error: {path}: section 'chain' has unknown key(s) ['generation_overrides']\n"
         assert not (out / "chain-00").exists()
 
     def test_unknown_template_writes_no_chain(self, tmp_path, capsys):
@@ -1089,6 +1190,20 @@ class TestWireRun:
         assert len(labels) == 30 and all(r["failed"] for r in labels)
         assert len(interactions) == 30
         assert {r["failure_mode"] for r in interactions} == {"failed-production"}
+        assert run_cli("replay", str(out / "sim-00")) == EXIT_OK
+
+    def test_malformed_echo_reply_is_a_failed_choice(self, keepalive_stub_server, tmp_path):
+        # a log-probability that is no number fails every choice; the
+        # productions still work, so the run completes and replays
+        endpoint, handler = keepalive_stub_server
+        handler.echo_logprobs = {"token_logprobs": [None, "x"], "text_offset": [0, 10**6]}
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--config", wire_config(tmp_path, endpoint), "--out", str(out)) == EXIT_OK
+        records = EventLog.read(out / "sim-00" / "events.jsonl")
+        guesses = [r for r in records if r["kind"] == "guess"]
+        interactions = [r for r in records if r["kind"] == "interaction"]
+        assert len(guesses) == 30 and {r["failure_mode"] for r in guesses} == {"failed-choice"}
+        assert {r["failure_mode"] for r in interactions} == {"failed-choice"}
         assert run_cli("replay", str(out / "sim-00")) == EXIT_OK
 
     def test_retried_list_request_has_no_task(self, keepalive_stub_server, tmp_path, waits):

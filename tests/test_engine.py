@@ -2,6 +2,8 @@ import json
 import re
 import threading
 import traceback
+from dataclasses import asdict, fields
+from functools import partial
 from random import Random
 
 import pytest
@@ -25,7 +27,9 @@ from refgame.agents import (
     LookupOracle,
     RandomChooser,
 )
-from refgame.backend import EventLog
+from refgame.backend import BackendDescriptor, EventLog
+from refgame.chains import ChainConfig
+from refgame.config import ExperimentConfig
 from refgame.domain import DomainError, Stimulus, enumerate_stimuli, generate_language, sample_training_set
 from refgame.engine import (
     EngineError,
@@ -616,6 +620,50 @@ JSON_VALUES = {
 }
 
 
+def every_field(cls, **given):
+    """``cls`` with every field drawn: from ``given``, or by its annotation."""
+    return st.builds(cls, **{f.name: given.get(f.name, ...) for f in fields(cls)})
+
+
+SECTIONS = {"RunConfig": RunConfig, "ChainConfig": ChainConfig, "BackendDescriptor": BackendDescriptor}
+# every type decode_fields reads from a config file, a manifest or an event log
+DECODED = st.one_of(
+    BLOCK_RECORDS,
+    *(every_field(section) for section in SECTIONS.values()),
+    every_field(
+        ExperimentConfig, run=every_field(RunConfig), chain=every_field(ChainConfig),
+        backend=every_field(BackendDescriptor),
+    ),
+    every_field(RunManifest, config=JSON_VALUES[dict], extra=JSON_VALUES[dict]),
+)
+# the JSON types that fit each annotation: an int also fits a float, and None
+# an optional value or a section, whose defaults it means
+FITTING = {
+    "bool": {bool}, "int": {int}, "float": {int, float}, "str": {str}, "Signal": {str},
+    "str | None": {str, type(None)}, "dict": {dict}, "dict[str, str]": {dict}, "list[str]": {list},
+    "Stimulus": {list}, "tuple[Signal, ...]": {list}, "tuple[Stimulus, ...]": {list},
+    **{name: {dict, type(None)} for name in SECTIONS},
+}
+# a value of the right JSON type with an element of the wrong one
+WRONG_ELEMENTS = {
+    "list[str]": [["oracle:lookup", 5]],
+    "tuple[Signal, ...]": [["gaga", None]],
+    "tuple[Stimulus, ...]": [[[1, "blue", 2], "gaga"], [[1, "blue", 2.0]]],
+    "Stimulus": [[1, "blue"], [True, "blue", 2], [1.0, "blue", 2], [1, "blue", "2"], [9, "blue", 2]],
+    "dict[str, str]": [{"events.jsonl": 5}],
+}
+
+
+def field_slots(cls: type, where: str):
+    """(section, field, annotation, where) of each field of ``cls`` and of
+    its sections; ``section`` is None for a field of ``cls`` itself."""
+    for f in fields(cls):
+        yield None, f.name, f.type, where
+        if f.type in SECTIONS:
+            for g in fields(SECTIONS[f.type]):
+                yield f.name, g.name, g.type, f"section {f.name!r}"
+
+
 class WaitingOracle(LookupOracle):
     """A lookup oracle that says it speaks ahead, so its dyad's blocks take
     the worker thread."""
@@ -731,17 +779,33 @@ class TestBlockEvents:
 
     @given(st.data())
     def test_codec_of_every_record_type(self, data):
-        record = data.draw(BLOCK_RECORDS)
-        event = json.loads(json.dumps({"kind": record.KIND, "agent": "A", **record.event()}))
+        # every decoded type: the block records, the config and its
+        # sections, and the run manifest
+        value = data.draw(DECODED)
+        cls = type(value)
+        if isinstance(value, engine._BlockEvent):
+            decoded = json.loads(json.dumps({"kind": value.KIND, "agent": "A", **asdict(value)}))
+            decode, where = cls.from_event, f"a {value.KIND!r} record"
+        else:
+            decoded, where = json.loads(json.dumps(asdict(value))), "the mapping"
+            decode = partial(engine.decode_fields, cls, where=where)
         # the reprs tell a Stimulus from a plain tuple and a tuple from a list
-        assert repr(type(record).from_event(event)) == repr(record)
-        # every field, with a value of every other JSON type in turn
-        for name in sorted(event.keys() - {"kind", "agent"}):
-            for json_type in [t for t in JSON_VALUES if t is not type(event[name])]:
-                value = json.loads(json.dumps(data.draw(JSON_VALUES[json_type])))
-                expected = f"a {record.KIND!r} record has {name!r}: {json.dumps(value)}, not of type "
-                with pytest.raises(DomainError, match="^" + re.escape(expected)):
-                    type(record).from_event({**event, name: value})
+        assert repr(decode(decoded)) == repr(value)
+        for section, name, annotation, named in field_slots(cls, where):
+            wrong = [
+                json.loads(json.dumps(data.draw(JSON_VALUES[json_type])))
+                for json_type in JSON_VALUES if json_type not in FITTING[annotation]
+            ]
+            # a value of each other JSON type, and an element of the wrong type
+            for bad in wrong + WRONG_ELEMENTS.get(annotation, []):
+                changed = {**decoded}
+                if section is None:
+                    changed[name] = bad
+                else:
+                    changed[section] = {**decoded[section], name: bad}
+                expected = f"{named} has {name!r}: {json.dumps(bad)}, not of type {annotation}"
+                with pytest.raises(DomainError, match="^" + re.escape(expected) + "$"):
+                    decode(changed)
 
     def test_keys_missing_from_older_logs_decode_to_defaults(self):
         context = {"block": "x", "round": None, "task": 0, "agent": "A"}

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from helpers import wire_service
+from helpers import YAML_LOADERS, wire_service
 from refgame import engine
 from refgame.agents import CompositionalOracle, LookupOracle
 from refgame.backend import EventLog
@@ -340,10 +340,12 @@ CONFIG_FILES = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.
 
 
 @pytest.mark.parametrize("path", CONFIG_FILES, ids=[p.name for p in CONFIG_FILES])
-def test_shipped_config_loads(path):
-    config = load_config(path)
-    validate_config(config)
-    assert len(config.agents) == 2
+def test_shipped_config_loads(path, monkeypatch):
+    for loader in YAML_LOADERS:
+        monkeypatch.setattr("refgame.config._SAFE_LOADER", loader)
+        config = load_config(path)
+        validate_config(config)
+        assert len(config.agents) == 2
 
 
 @pytest.mark.parametrize("data", [{"mode": "simulate"}, {"backend": {"max_inflight": 4}}])

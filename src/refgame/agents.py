@@ -12,7 +12,7 @@ from random import Random
 from typing import Callable, Sequence
 
 from . import prompts
-from .backend import BackendError, CompletionBackend, EventLog, PendingCompletion
+from .backend import BackendError, CompletionBackend, EventLog
 from .domain import Signal, Stimulus, Vocabulary, enumerate_stimuli
 from .metrics import normalized_levenshtein, semantic_distance
 from .prompts import PromptTask, UnparseableResponseError
@@ -62,20 +62,13 @@ class Agent:
         return False
 
 
+# min and max keep the first least or greatest value; a NaN is kept only when first
 def _argmin(values: Sequence[float]) -> int:
-    best = 0
-    for i, v in enumerate(values):
-        if v < values[best]:
-            best = i
-    return best
+    return min(range(len(values)), key=values.__getitem__)
 
 
 def _argmax(values: Sequence[float]) -> int:
-    best = 0
-    for i, v in enumerate(values):
-        if v > values[best]:
-            best = i
-    return best
+    return max(range(len(values)), key=values.__getitem__)
 
 
 def _nearest_vocab_entry(vocab: Vocabulary, stimulus: Stimulus):
@@ -188,10 +181,11 @@ class LLMAgent(Agent):
 
     Over a backend with ``complete_later`` (``HttpBackend``) the agent
     speaks ahead: choose_later() builds a choice list's prompts on the
-    calling thread and asks when called, and speak_ahead() builds one
-    speaking task's prompt over each of several vocabularies and sends them
-    at once. So the agent can have two calls in flight: its listening
-    request and its next speaking request.
+    calling thread and returns the function that asks and reads the reply,
+    and speak_ahead() builds one speaking task's prompt over each of
+    several vocabularies, sends them at once and returns the functions that
+    read the reply. So the agent can have two calls in flight: its
+    listening request and its next speaking request.
     """
 
     def __init__(self, agent_id: str, backend: CompletionBackend):
@@ -254,12 +248,18 @@ class LLMAgent(Agent):
 
         return ask
 
-    def speak_ahead(self, task_index: int, stimulus: Stimulus, vocabularies: Sequence[Vocabulary],
-                    rng: Random) -> SpeechAhead:
+    def speak_ahead(
+        self, task_index: int, stimulus: Stimulus, vocabularies: Sequence[Vocabulary], rng: Random
+    ) -> tuple[Callable[[int, EventLog], Signal | None], Callable[[EventLog], None]]:
         """Builds the speaking prompt for ``stimulus`` over each of
         ``vocabularies`` from one state of ``rng``, which ends where one
-        build leaves it, and sends them as one completion request; the
-        answer is read from the returned ``SpeechAhead``."""
+        build leaves it, and sends them as one completion request. Of the
+        two functions returned, call one once: ``answer(which, event_log)``
+        reads the reply and returns the signal of the one to the prompt over
+        vocabulary ``which``, logged as a ``backend_call`` (the others as
+        discarded), or None when the request failed or that reply does not
+        parse; ``discard(event_log)`` reads it and logs every prompt as
+        discarded."""
         state = rng.getstate()
         built = []
         for vocabulary in vocabularies:
@@ -267,9 +267,18 @@ class LLMAgent(Agent):
             built.append(prompts.build_speaker_prompt(vocabulary, stimulus, rng))
         try:
             pending = self.backend.complete_later(built, [task_index] * len(built))
-        except BackendError:
-            pending = None
-        return SpeechAhead(pending)
+        except BackendError:  # refused before it was sent
+            return (lambda which, event_log: None), (lambda event_log: None)
+
+        def answer(which: int, event_log: EventLog) -> Signal | None:
+            try:
+                replies = pending.texts(event_log, kept=which)
+            except BackendError:
+                return None
+            signals = _parsed([replies[which]])
+            return signals[0] if signals else None
+
+        return answer, pending.discard
 
 
 def _parsed(replies: Sequence[str]) -> list[Signal]:
@@ -281,33 +290,6 @@ def _parsed(replies: Sequence[str]) -> list[Signal]:
         except UnparseableResponseError:
             break
     return signals
-
-
-class SpeechAhead:
-    """A speaking task's request sent by ``LLMAgent.speak_ahead``, one
-    prompt per vocabulary it was built over. Read it once: answer() keeps
-    one vocabulary's reply, discard() none."""
-
-    def __init__(self, pending: PendingCompletion | None):
-        self._pending = pending  # None: the request was refused before it was sent
-
-    def answer(self, which: int, event_log: EventLog) -> Signal | None:
-        """The signal of the reply to the prompt over vocabulary ``which``,
-        logged as a ``backend_call`` (the others as discarded); None when
-        the request failed or the reply does not parse."""
-        if self._pending is None:
-            return None
-        try:
-            replies = self._pending.texts(event_log, kept=which)
-        except BackendError:
-            return None
-        signals = _parsed([replies[which]])
-        return signals[0] if signals else None
-
-    def discard(self, event_log: EventLog) -> None:
-        """Reads the reply and logs every prompt as discarded."""
-        if self._pending is not None:
-            self._pending.discard(event_log)
 
 
 ORACLE_KINDS = {

@@ -18,7 +18,7 @@ import os
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Collection, Sequence
@@ -136,11 +136,11 @@ class EventLog:
     in memory and needs no closing: a caller that wants no file passes one.
 
     ``fork()`` is a log held in memory, starting from a copy of this one's
-    context, for a block run on another thread at the same time as this
-    log's. ``join(fork)`` writes the fork's lines after everything this log
-    holds and takes the fork's context, so the file and the context end as
-    if the forked block had run after the other. A fork never joined is
-    dropped.
+    context, for a block whose records belong after those this log gets
+    meanwhile, beside them or after them. ``join(fork)`` writes the fork's
+    lines after everything this log holds and takes the fork's context, so
+    the file and the context end as if the forked block had run after the
+    other. A fork never joined is dropped.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -230,7 +230,8 @@ class CompletionBackend:
     an in-process dyad may share one backend. A backend may also offer
     ``complete_later(prompts, tasks)``, which sends a completion request,
     its task indices fixed with it, and returns a handle to read it with
-    later, as ``HttpBackend`` does (``PendingCompletion``); an ``LLMAgent``
+    later, as ``HttpBackend`` does: its handle is the ``PendingCompletion``
+    that each of its requests is, a score or a completion. An ``LLMAgent``
     speaks ahead only over such a backend, and then has its score call in
     flight while that request is.
     """
@@ -272,17 +273,6 @@ class CompletionBackend:
         )
 
 
-@dataclass
-class _Sent:
-    """A request posted on ``connection`` whose reply is not read yet."""
-
-    connection: object
-    body: bytes
-    reused: bool  # the connection had carried an earlier request
-    error: OSError | None = None  # raised by the send, and again by the read
-    started: float = field(default_factory=time.monotonic)
-
-
 def _close_all(connections: list) -> None:
     for connection in connections:
         connection.close()
@@ -312,11 +302,11 @@ class HttpBackend(CompletionBackend):
     never opens more than two. Calls may come from several threads at once.
     When the service has closed a connection while it was idle, the request
     is sent once more on a new one; that is not a retry. Every request, a
-    completion, a score or one made ahead, is sent with ``_send`` and read
-    through one retrying read, which sends the same body again after a
-    transport failure or timeout, up to ``descriptor.max_retries`` times; a
-    call is retried as a whole, and ``descriptor.timeout`` bounds each
-    attempt at the whole list.
+    completion, a score or one made ahead, is one ``PendingCompletion``,
+    sent with ``_send`` and read through one retrying read, which sends the
+    same body again after a transport failure or timeout, up to
+    ``descriptor.max_retries`` times; a call is retried as a whole, and
+    ``descriptor.timeout`` bounds each attempt at the whole list.
     Each retry appends a ``backend_retry`` record before the call's
     ``backend_call`` records, whose ``latency`` is the answering attempt's.
     ContextOverflow, capability and malformed-reply errors are not retried.
@@ -348,35 +338,37 @@ class HttpBackend(CompletionBackend):
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def _send(self, body: bytes) -> _Sent:
-        """``body`` posted on a pooled connection, its reply left unread; a
-        send that fails raises when the reply is read."""
+    def _send(self, request: PendingCompletion) -> PendingCompletion:
+        """``request`` with its body posted on a pooled connection and its
+        reply left unread; a send that fails raises when the reply is read."""
         with self._pool_lock:
             connection = self._idle.pop() if self._idle else self._connect()
-        sent = _Sent(connection, body, reused=connection.sock is not None)
+        request.connection, request.reused = connection, connection.sock is not None
+        request.error, request.started = None, time.monotonic()
         try:
-            connection.request("POST", self._path, body, self._headers())
+            connection.request("POST", self._path, request.body, self._headers())
         except OSError as err:
-            sent.error = err
-        return sent
+            request.error = err
+        return request
 
-    def _receive(self, sent: _Sent, object_hook: Callable[[dict], dict] | None = None) -> dict:
+    def _receive(self, request: PendingCompletion,
+                 object_hook: Callable[[dict], dict] | None = None) -> dict:
         """The parsed reply to a ``_send``; the connection goes back to the
         pool, closed when the exchange failed."""
         from http.client import HTTPException  # loaded by __init__, not with this module
 
-        connection = sent.connection
+        connection = request.connection
         try:
             try:
-                if sent.error is not None:
-                    raise sent.error
+                if request.error is not None:
+                    raise request.error
                 response = connection.getresponse()
             except ConnectionError:
-                if not sent.reused:
+                if not request.reused:
                     raise
                 # the service closed the idle keep-alive connection
                 connection.close()
-                connection.request("POST", self._path, sent.body, self._headers())
+                connection.request("POST", self._path, request.body, self._headers())
                 response = connection.getresponse()
             status, data = response.status, response.read()
             if status >= 500:
@@ -408,24 +400,24 @@ class HttpBackend(CompletionBackend):
                 return
         connection.close()
 
-    def _read_with_retries(self, sent: _Sent, event_log: EventLog,
-                           object_hook: Callable[[dict], dict] | None = None) -> tuple[dict, float]:
-        """The reply to ``sent``, each of its JSON objects passed through
-        ``object_hook`` as it is parsed, and the monotonic start time of the
-        attempt that got it. After a transport failure or timeout the same
-        body is sent again: retry k waits ``backoff_base * 2**(k-1)`` and is
-        logged to ``event_log``."""
+    def _read_with_retries(self, request: PendingCompletion, event_log: EventLog,
+                           object_hook: Callable[[dict], dict] | None = None) -> dict:
+        """The reply to ``request``, each of its JSON objects passed through
+        ``object_hook`` as it is parsed; ``request.started`` is then the
+        monotonic start time of the attempt that got it. After a transport
+        failure or timeout the same body is sent again: retry k waits
+        ``backoff_base * 2**(k-1)`` and is logged to ``event_log``."""
         attempt = 0
         while True:
             try:
-                return self._receive(sent, object_hook), sent.started
+                return self._receive(request, object_hook)
             except (TransportFailure, BackendTimeout) as err:
                 attempt += 1
                 if attempt > self.descriptor.max_retries:
                     raise
                 event_log.append("backend_retry", attempt=attempt, error=str(err))
                 time.sleep(self.descriptor.backoff_base * 2 ** (attempt - 1))
-                sent = self._send(sent.body)
+                self._send(request)
 
     def _check_budget(self, text: str, extra_tokens: int) -> None:
         needed = estimate_tokens(text) + extra_tokens
@@ -465,7 +457,7 @@ class HttpBackend(CompletionBackend):
             "temperature": self.descriptor.temperature,
             "stop": list(COMPLETION_STOP_SEQUENCES),
         }
-        return PendingCompletion(self, full_texts, tasks, self._send(json.dumps(payload).encode()))
+        return self._send(PendingCompletion(self, json.dumps(payload).encode(), full_texts, tasks))
 
     def score(self, prompts: Sequence[Prompt], tasks: Sequence[int],
               event_log: EventLog) -> list[float]:
@@ -495,15 +487,14 @@ class HttpBackend(CompletionBackend):
                 summed[index] = self._continuation_logprob(obj.pop("logprobs"), boundaries[index])
             return obj
 
-        sent = self._send(json.dumps(payload).encode())
-        reply, started = self._read_with_retries(sent, event_log, sum_choice)
-        self._choices(reply, len(prompts))
+        request = self._send(PendingCompletion(self, json.dumps(payload).encode(), full_texts, tasks))
+        self._choices(self._read_with_retries(request, event_log, sum_choice), len(prompts))
         if len(summed) < len(prompts):  # a choice without log-probabilities
             raise CapabilityUnsupported("service does not return echoed token log-probabilities")
         totals = [summed[i] for i in range(len(prompts))]
         previous = None
         for text, prompt, total, task in zip(full_texts, prompts, totals, tasks):
-            self._log(event_log, "score", text, total, started, task, repeat=text == previous,
+            self._log(event_log, "score", text, total, request.started, task, repeat=text == previous,
                       continuation=prompt.continuation)
             previous = text
         return totals
@@ -540,31 +531,35 @@ class HttpBackend(CompletionBackend):
 
 
 class PendingCompletion:
-    """A completion request of ``HttpBackend.complete_later``, sent with its
-    prompts' task indices and not yet read. Read it once, with texts() or
-    discard(); until then it holds one of the backend's connections."""
+    """One request of an ``HttpBackend``: its body, the templated texts of
+    its prompts and their task indices, and, once ``_send`` has posted it,
+    the connection it went out on, whether that connection had carried an
+    earlier request, the send's error (raised again by the read) and the
+    attempt's start time. ``complete_later`` returns it unread: read it once,
+    with texts() or discard(); until then it holds one of the backend's
+    connections."""
 
-    def __init__(self, backend: HttpBackend, full_texts: list[str], tasks: Sequence[int], sent: _Sent):
+    def __init__(self, backend: HttpBackend, body: bytes, full_texts: list[str], tasks: Sequence[int]):
         self._backend = backend
-        self._full_texts = full_texts
-        self._tasks = tasks
-        self._sent = sent
+        self.body = body
+        self.full_texts = full_texts
+        self.tasks = tasks
 
     def texts(self, event_log: EventLog, kept: int | None = None) -> list[str]:
         """What complete() returns and logs, retried as complete() is. With
         ``kept``, only that prompt gets a ``backend_call`` record; every
         other gets a ``backend_discarded`` one, without its text."""
         backend = self._backend
-        reply, started = backend._read_with_retries(self._sent, event_log)
+        reply = backend._read_with_retries(self, event_log)
         try:
-            texts = [choice["text"] for choice in backend._choices(reply, len(self._full_texts))]
+            texts = [choice["text"] for choice in backend._choices(reply, len(self.full_texts))]
         except (KeyError, TypeError) as err:
             raise MalformedServiceReply(f"missing completion text: {reply!r}") from err
         if not all(isinstance(text, str) for text in texts):
             raise MalformedServiceReply(f"completion text is not a string: {reply!r}")
-        for position, (full_text, text, task) in enumerate(zip(self._full_texts, texts, self._tasks)):
+        for position, (full_text, text, task) in enumerate(zip(self.full_texts, texts, self.tasks)):
             discarded = kept is not None and position != kept
-            backend._log(event_log, "complete", full_text, text, started, task, repeat=discarded,
+            backend._log(event_log, "complete", full_text, text, self.started, task, repeat=discarded,
                          kind="backend_discarded" if discarded else "backend_call")
         return texts
 
@@ -573,10 +568,10 @@ class PendingCompletion:
         as ``backend_discarded``, with a ``result`` of None when no usable
         reply came."""
         try:
-            choices = self._backend._choices(self._backend._receive(self._sent), len(self._full_texts))
+            choices = self._backend._choices(self._backend._receive(self), len(self.full_texts))
             texts = [choice.get("text") for choice in choices]
         except BackendError:
-            texts = [None] * len(self._full_texts)
-        for full_text, text, task in zip(self._full_texts, texts, self._tasks):
-            self._backend._log(event_log, "complete", full_text, text, self._sent.started, task,
+            texts = [None] * len(self.full_texts)
+        for full_text, text, task in zip(self.full_texts, texts, self.tasks):
+            self._backend._log(event_log, "complete", full_text, text, self.started, task,
                                repeat=True, kind="backend_discarded")

@@ -156,15 +156,12 @@ def cmd_chain(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     if args.permutations < 1:
-        print(f"error: permutations must be >= 1, got {args.permutations}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"permutations must be >= 1, got {args.permutations}")
     if args.seed < 0:
-        print(f"error: seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     train = Vocabulary.load(args.train)
     if len(train) < 3:
-        print(f"error: {args.train} has {len(train)} entries, need at least 3", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise MetricError(f"{args.train} has {len(train)} entries, need at least 3")
     result = topsim_mantel(train.pairs(), permutations=args.permutations, rng=args.seed)
     print(f"entries: {len(train)}")
     print(f"topsim_z: {result.z_score:.4f}")
@@ -182,8 +179,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     if not args.tolerance >= 0:  # also refuses nan, which no difference is within
-        print(f"error: tolerance must be >= 0, got {args.tolerance}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"tolerance must be >= 0, got {args.tolerance}")
     report = replay_run(args.run_dir, tolerance=args.tolerance)
     if report.ok:
         print(f"replay OK ({report.rows_checked} metric rows verified)")

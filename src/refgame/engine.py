@@ -297,37 +297,35 @@ class SimulationResult:
 
 
 def _side_by_side(event_log: EventLog, agents: tuple[Agent, Agent], block: Callable) -> dict:
-    """``block(agent, log)`` for both agents, keyed by agent id, the first
-    agent's records written before the second's. When either agent
-    ``speaks_ahead`` (its requests wait on a server), the first's block runs
-    on this thread with ``event_log`` and the second's on a worker thread
-    with a fork of it, which is joined after the first's records. Otherwise
-    there is nothing to wait on and the blocks run in turn on this thread,
-    the second from the log context the first started with. Either way,
-    when the first raises, its exception propagates and the second's
-    records are dropped, as if it had never run; when only the second
-    raises, its records are written and then its exception is raised here."""
+    """``block(agent, log)`` for both agents, keyed by agent id: the first's
+    with ``event_log``, the second's with a fork of it joined after the
+    first's records, so the log reads as if the blocks ran in turn. When
+    either agent ``speaks_ahead`` (its requests wait on a server), the
+    second's block runs on a worker thread beside the first's; otherwise it
+    runs after the first's on this thread. Either way, when the first
+    raises, its exception propagates and the second's records are dropped,
+    as if it had never run; when only the second raises, its records are
+    written and then its exception is raised here."""
     first, second = agents
-    if not (first.speaks_ahead or second.speaks_ahead):
-        context = dict(event_log.context)
-        mine = block(first, event_log)
-        event_log.context = context
-        return {first.agent_id: mine, second.agent_id: block(second, event_log)}
     fork = event_log.fork()
     outcome: dict = {}
 
     def run_second() -> None:
         try:
             outcome["answer"] = block(second, fork)
-        except BaseException as err:  # raised again on the calling thread
+        except BaseException as err:  # raised again once the fork is joined
             outcome["error"] = err
 
-    worker = threading.Thread(target=run_second)
-    worker.start()
-    try:
+    if first.speaks_ahead or second.speaks_ahead:
+        worker = threading.Thread(target=run_second)
+        worker.start()
+        try:
+            mine = block(first, event_log)
+        finally:
+            worker.join()
+    else:
         mine = block(first, event_log)
-    finally:
-        worker.join()
+        run_second()
     event_log.join(fork)
     if "error" in outcome:
         raise outcome["error"]
@@ -549,8 +547,8 @@ def run_communication_block(
                 signal = _alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng, attempts,
                                 event_log)
             else:
-                candidates, speech = ahead
-                signal = speech.answer(int(records[-1].success), event_log)
+                candidates, answer = ahead
+                signal = answer(int(records[-1].success), event_log)
                 if signal is None:  # that reply was the first attempt
                     signal = _alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng,
                                     attempts - 1, event_log)
@@ -567,13 +565,13 @@ def run_communication_block(
                     variants = [listener.vocabulary.copy() for _ in (0, 1)]
                     for flag, variant in enumerate(variants):
                         variant.update(stimulus, signal, flag)
-                    speech = listener.speak_ahead(task_index + 1, next_stimulus, variants, rng)
+                    answer, discard = listener.speak_ahead(task_index + 1, next_stimulus, variants, rng)
                     answers = ask(event_log)
                     if answers:
                         chosen = answers[0]
-                        ahead = (next_candidates, speech)
+                        ahead = (next_candidates, answer)
                     else:  # the listener needs another attempt: t+1 runs in turn
-                        speech.discard(event_log)
+                        discard(event_log)
                         rng.setstate(before)
                         chosen = _alone(listener.choose_many, heard, PromptTask.LISTENING, rng,
                                         attempts - 1, event_log)

@@ -242,10 +242,11 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     after checking every file digest: the blocks from the event log, each
     block record decoded once by its type's ``from_event``, the snapshots,
     and ``metric_rows`` as stored in ``metrics.csv``. A directory that
-    cannot be read back raises ``PersistenceError``, and so does a block
-    record of another agent than the manifest's, an interaction outside
-    the run's rounds or of another dyad, or a choice that is neither -1
-    nor a position among the candidates."""
+    cannot be read back raises ``PersistenceError``, and so does a file
+    read here that the manifest does not digest, a block record of another
+    agent than the manifest's, an interaction outside the run's rounds or
+    of another dyad, or a guess or interaction whose choice contradicts
+    its failure mode or outcome (see ``_choice_problem``)."""
     base = Path(run_dir)
     manifest = RunManifest.load(base)
     if manifest.status != "complete":
@@ -273,6 +274,15 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
             raise PersistenceError(
                 f"the manifest of {run_dir} names agent {agent_id!r}, which has no snapshots in the run"
             )
+    rounds = run_config.rounds
+    read = [Path("events.jsonl"), Path("metrics.csv"), _vocab_path(Path(), "initial")] + [
+        _vocab_path(Path(), snapshot, agent_id)
+        for agent_id in agent_ids for snapshot in ["learned", *(f"round{n}" for n in range(1, rounds + 1))]
+    ]
+    for path in read:  # every file read below is one whose digest was checked above
+        if path.as_posix() not in manifest.files:
+            raise PersistenceError(f"the manifest of {run_dir} has no digest of {path.as_posix()}")
+    initial = Vocabulary.load(_vocab_path(base, "initial"))
     events_path = base / "events.jsonl"
     # the digests above cover every line; only block records are decoded
     record_types = {t.KIND: t for t in (GuessingRecord, LabellingRecord, InteractionRecord, TestingRecord)}
@@ -283,7 +293,6 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     # each block record decoded once and filed under its kind and agent; the
     # interactions of both agents stay one list, in log order
     dyad, ids = {tuple(agent_ids), tuple(reversed(agent_ids))}, json.dumps(agent_ids)
-    rounds = run_config.rounds
     records: dict[tuple[str, str | None], list] = {}
     for event in events:
         kind, agent = event["kind"], event.get("agent")
@@ -299,16 +308,14 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
         elif interaction and (record.speaker, record.listener) not in dyad:
             speaker, listener = json.dumps(record.speaker), json.dumps(record.listener)
             problem = f"'speaker': {speaker} and 'listener': {listener}, not the run's agents {ids}"
-        elif hasattr(record, "chosen") and not -1 <= record.chosen < len(record.candidates):
-            problem = f"'chosen': {record.chosen}, not -1 or one of {len(record.candidates)} positions"
-        else:
+        elif not (problem := _choice_problem(record, initial)):
             records.setdefault((kind, None if interaction else agent), []).append(record)
             continue
         raise PersistenceError(f"{events_path}: a {kind!r} record has {problem}")
     result = SimulationResult(
         config=run_config,
         agent_ids=tuple(agent_ids),
-        initial_language=Vocabulary.load(_vocab_path(base, "initial")),
+        initial_language=initial,
         metric_rows=read_rows(base / "metrics.csv", MetricRow),
     )
 
@@ -333,6 +340,33 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     }
     result.communication = CommunicationResult(records=interactions, round_vocabs=round_vocabs)
     return manifest, result
+
+
+def _choice_problem(record, initial: Vocabulary) -> str:
+    """What a guess or interaction record's choice contradicts, or "" (as
+    for a record without one): ``chosen`` is -1 or a position among the
+    candidates, -1 exactly when ``failure_mode`` is not "none", and
+    ``success`` (``correct``) says whether the chosen candidate is the
+    stimulus (the initial language's signal for it, which a guess's
+    stimulus must have)."""
+    if not hasattr(record, "chosen"):
+        return ""
+    chosen, candidates = record.chosen, record.candidates
+    if not -1 <= chosen < len(candidates):
+        return f"'chosen': {chosen}, not -1 or one of {len(candidates)} positions"
+    if (chosen == -1) != (record.failure_mode != "none"):
+        failure_mode = json.dumps(record.failure_mode)
+        return f"'chosen': {chosen} and 'failure_mode': {failure_mode}, not -1 exactly on a failure"
+    if isinstance(record, InteractionRecord):
+        name, target = "success", record.stimulus
+    elif record.stimulus in initial:
+        name, target = "correct", initial.signal_for(record.stimulus)
+    else:
+        return f"'stimulus': {json.dumps(record.stimulus)}, not in the initial language"
+    given = getattr(record, name)
+    if given != (chosen != -1 and candidates[chosen] == target):
+        return f"{name!r}: {json.dumps(given)}, not {json.dumps(not given)} for 'chosen': {chosen}"
+    return ""
 
 
 @dataclass

@@ -389,12 +389,26 @@ class TestReplayCommand:
                 lambda manifest: {**manifest, "files": {**manifest["files"], "metrics.csv": 5}},
                 "manifest.json: the manifest has 'files': ",
             ),
+            (
+                lambda manifest: {**manifest, "files": {
+                    name: digest for name, digest in manifest["files"].items()
+                    if name not in ("events.jsonl", "metrics.csv", "vocab/learned_A.vocab")
+                }},
+                "has no digest of events.jsonl",
+            ),
+            (
+                lambda manifest: {**manifest, "files": {
+                    name: digest for name, digest in manifest["files"].items() if name != "vocab/round4_B.vocab"
+                }},
+                "has no digest of vocab/round4_B.vocab",
+            ),
         ],
         ids=[
             "not-json", "not-an-object", "extra-key", "unknown-run-setting", "mistyped-run-setting",
             "no-agent-ids", "unknown-agent-id", "no-permutations", "no-agent-retries",
             "too-many-candidates", "repeated-agent-id", "master-seed-not-an-int",
             "started-not-a-number", "no-master-seed", "digest-not-a-string",
+            "events-log-not-digested", "round-snapshot-not-digested",
         ],
     )
     def test_unreadable_manifest_rejected(self, tmp_path, capsys, corrupt, message):
@@ -517,11 +531,55 @@ class TestReplayCommand:
                 ' "score": 1}',
                 "a 'label' record has unknown key(s) ['score']",
             ),
+            # seed 4's initial language maps [1, "blue", 1] to "maluli" and has no [1, "green", 2]
+            (
+                '{"kind": "guess", "agent": "A", "stimulus": [1, "blue", 1], "candidates": ["maluli", "mapi"],'
+                ' "chosen": 0, "correct": true, "failure_mode": "failed-choice"}',
+                "a 'guess' record has 'chosen': 0 and 'failure_mode': \"failed-choice\", "
+                "not -1 exactly on a failure",
+            ),
+            (
+                '{"kind": "interaction", "agent": "B", "round": 1, "task": 0, "speaker": "A", "listener": "B",'
+                ' "stimulus": [1, "blue", 1], "signal": "maluli", "candidates": [[1, "blue", 1], [1, "blue", 2]],'
+                ' "chosen": -1, "success": false}',
+                "a 'interaction' record has 'chosen': -1 and 'failure_mode': \"none\", "
+                "not -1 exactly on a failure",
+            ),
+            (
+                '{"kind": "guess", "agent": "B", "stimulus": [1, "green", 2], "candidates": ["maluli", "mapi"],'
+                ' "chosen": 0, "correct": false}',
+                "a 'guess' record has 'stimulus': [1, \"green\", 2], not in the initial language",
+            ),
+            (
+                '{"kind": "guess", "agent": "A", "stimulus": [1, "blue", 1], "candidates": ["mapi", "maluli"],'
+                ' "chosen": 0, "correct": true}',
+                "a 'guess' record has 'correct': true, not false for 'chosen': 0",
+            ),
+            (
+                '{"kind": "guess", "agent": "A", "stimulus": [1, "blue", 1], "candidates": ["mapi", "maluli"],'
+                ' "chosen": 1, "correct": false}',
+                "a 'guess' record has 'correct': false, not true for 'chosen': 1",
+            ),
+            (
+                '{"kind": "interaction", "agent": "B", "round": 1, "task": 0, "speaker": "A", "listener": "B",'
+                ' "stimulus": [1, "blue", 1], "signal": "maluli", "candidates": [[1, "blue", 2], [1, "blue", 1]],'
+                ' "chosen": 0, "success": true}',
+                "a 'interaction' record has 'success': true, not false for 'chosen': 0",
+            ),
+            (
+                '{"kind": "interaction", "agent": "B", "round": 1, "task": 0, "speaker": "A", "listener": "B",'
+                ' "stimulus": [1, "blue", 1], "signal": "maluli", "candidates": [[1, "blue", 2], [1, "blue", 1]],'
+                ' "chosen": -1, "success": true, "failure_mode": "failed-choice"}',
+                "a 'interaction' record has 'success': true, not false for 'chosen': -1",
+            ),
         ],
         ids=[
             "testing-of-another-agent", "interaction-of-round-9", "interaction-of-another-speaker",
             "interaction-with-itself", "interaction-chosen-past-candidates", "guess-chosen-below-minus-one",
-            "label-with-unknown-key",
+            "label-with-unknown-key", "guess-chosen-on-a-failure", "interaction-unchosen-without-failure",
+            "guess-of-a-stimulus-outside-the-language", "guess-correct-on-a-wrong-choice",
+            "guess-wrong-on-the-right-choice", "interaction-success-on-a-wrong-choice",
+            "interaction-success-without-a-choice",
         ],
     )
     def test_foreign_block_record_refused(self, tmp_path, capsys, line, message):
@@ -536,6 +594,39 @@ class TestReplayCommand:
         capsys.readouterr()
         assert run_cli("replay", str(run_dir)) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {events}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "kind, outcome, flippable",
+        [
+            ("interaction", "success", lambda event: event["round"] == 1),
+            ("guess", "correct", lambda event: event["agent"] == "A"),
+        ],
+        ids=["interactions-of-round-1", "guesses-of-agent-A"],
+    )
+    def test_outcome_flips_that_cancel_refused(self, tmp_path, capsys, kind, outcome, flippable):
+        # one record of each outcome flipped in place: the rate stays, and so do the metric rows
+        out = tmp_path / "runs"
+        assert run_cli(
+            "simulate", "--seed", "0", "--agents", "oracle:random,oracle:random",
+            "--out", str(out), "--permutations", "60",
+        ) == EXIT_OK
+        run_dir = out / "sim-00"
+        events = run_dir / "events.jsonl"
+        lines = events.read_text().splitlines()
+        flipped = set()
+        for number, event in enumerate(map(json.loads, lines)):
+            if event["kind"] == kind and flippable(event) and event[outcome] not in flipped:
+                flipped.add(event[outcome])
+                event[outcome] = not event[outcome]
+                lines[number] = json.dumps(event)
+        assert flipped == {True, False}
+        events.write_text("\n".join(lines) + "\n")
+        manifest = RunManifest.load(run_dir)
+        manifest.files["events.jsonl"] = file_digest(events)
+        manifest.save(run_dir)
+        capsys.readouterr()
+        assert run_cli("replay", str(run_dir)) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {events}: a {kind!r} record has {outcome!r}: ")
 
     @pytest.mark.parametrize("name", ["/etc/hostname", "../outside.txt", "vocab/../../outside.txt"])
     def test_manifest_file_outside_the_run_refused(self, tmp_path, capsys, name):

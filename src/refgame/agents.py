@@ -34,9 +34,10 @@ class Agent:
     Both return the answers of the leading tasks answered (the engine asks
     every later task alone, as a list of one) and log requests to ``event_log``.
 
-    An agent whose ``speaks_ahead`` is true also offers ``choose_later`` and
+    An agent whose ``speaks_ahead`` is true also offers ``listen_ahead`` and
     ``speak_ahead`` (see ``LLMAgent``), with which the engine overlaps a
-    listening task with the next speaking one.
+    listening task with the next speaking one, and with the next
+    interaction's listening on a predicted outcome.
     """
 
     speaks_ahead = False
@@ -179,13 +180,13 @@ class LLMAgent(Agent):
     position in the shuffled candidate order. The answers stop at the first
     reply that does not parse, and there are none when the call fails.
 
-    Over a backend with ``complete_later`` (``HttpBackend``) the agent
-    speaks ahead: choose_later() builds a choice list's prompts on the
-    calling thread and returns the function that asks and reads the reply,
-    and speak_ahead() builds one speaking task's prompt over each of
-    several vocabularies, sends them at once and returns the functions that
-    read the reply. So the agent can have two calls in flight: its
-    listening request and its next speaking request.
+    Over a backend with ``complete_later`` and ``score_later``
+    (``HttpBackend``) the agent speaks ahead: listen_ahead() builds a
+    choice list's prompts and sends them at once, and speak_ahead() builds
+    one speaking task's prompt over each of several vocabularies and sends
+    them as one request; each returns the ``Reply`` to read the answer
+    from. The engine keeps at most four of an agent's requests in flight:
+    its listening and next speaking requests, and the two it is discarding.
     """
 
     def __init__(self, agent_id: str, backend: CompletionBackend):
@@ -194,7 +195,7 @@ class LLMAgent(Agent):
 
     @property
     def speaks_ahead(self) -> bool:
-        return hasattr(self.backend, "complete_later")
+        return hasattr(self.backend, "complete_later") and hasattr(self.backend, "score_later")
 
     def _build_production_prompt(self, stimulus: Stimulus, task: PromptTask, rng: Random):
         assert self.vocabulary is not None
@@ -222,12 +223,9 @@ class LLMAgent(Agent):
             return []
         return _parsed(replies)
 
-    def choose_many(self, items, task, rng, event_log) -> list[int]:
-        return self.choose_later(items, task, rng)(event_log)
-
-    def choose_later(self, items, task, rng) -> Callable[[EventLog], list[int]]:
-        """choose_many() with every prompt built now, from ``rng``, and the
-        request sent when the returned function is called with the log."""
+    def _choice_list(self, items, task, rng) -> tuple[list, list[int], Callable]:
+        """A choice list's prompts, their task indices, and the function from
+        their scores to the chosen positions."""
         tasks, built, sizes = [], [], []
         for task_index, probe, candidates, exclude in items:
             candidate_prompts = self._candidate_prompts(probe, candidates, task, rng, exclude)
@@ -235,50 +233,83 @@ class LLMAgent(Agent):
             built += candidate_prompts
             sizes.append(len(candidate_prompts))
 
-        def ask(event_log: EventLog) -> list[int]:
-            try:
-                scores = self.backend.score(built, tasks, event_log)
-            except BackendError:
-                return []
-            chosen, start = [], 0
+        def chosen(scores: list[float], kept=None) -> list[int]:
+            positions, start = [], 0
             for size in sizes:
-                chosen.append(_argmax(scores[start:start + size]))
+                positions.append(_argmax(scores[start:start + size]))
                 start += size
-            return chosen
+            return positions
 
-        return ask
+        return built, tasks, chosen
 
-    def speak_ahead(
-        self, task_index: int, stimulus: Stimulus, vocabularies: Sequence[Vocabulary], rng: Random
-    ) -> tuple[Callable[[int, EventLog], Signal | None], Callable[[EventLog], None]]:
+    def choose_many(self, items, task, rng, event_log) -> list[int]:
+        built, tasks, chosen = self._choice_list(items, task, rng)
+        try:
+            return chosen(self.backend.score(built, tasks, event_log))
+        except BackendError:
+            return []
+
+    def listen_ahead(self, items, task, rng) -> Reply:
+        """choose_many(), with the request sent now and its answer read from
+        the returned ``Reply``, [] when the request fails."""
+        built, tasks, chosen = self._choice_list(items, task, rng)
+        return Reply(lambda: self.backend.score_later(built, tasks), chosen, [])
+
+    def speak_ahead(self, task_index: int, stimulus: Stimulus, vocabularies: Sequence[Vocabulary],
+                    rng: Random) -> Reply:
         """Builds the speaking prompt for ``stimulus`` over each of
         ``vocabularies`` from one state of ``rng``, which ends where one
-        build leaves it, and sends them as one completion request. Of the
-        two functions returned, call one once: ``answer(which, event_log)``
-        reads the reply and returns the signal of the one to the prompt over
-        vocabulary ``which``, logged as a ``backend_call`` (the others as
-        discarded), or None when the request failed or that reply does not
-        parse; ``discard(event_log)`` reads it and logs every prompt as
-        discarded."""
+        build leaves it, and sends them as one completion request. Read with
+        ``kept`` the position of one vocabulary, the returned ``Reply`` gives
+        the signal of the reply to the prompt over it, whose record is a
+        ``backend_call`` (the others' are discarded), or None when the
+        request failed or that reply does not parse."""
         state = rng.getstate()
         built = []
         for vocabulary in vocabularies:
             rng.setstate(state)
             built.append(prompts.build_speaker_prompt(vocabulary, stimulus, rng))
-        try:
-            pending = self.backend.complete_later(built, [task_index] * len(built))
-        except BackendError:  # refused before it was sent
-            return (lambda which, event_log: None), (lambda event_log: None)
 
-        def answer(which: int, event_log: EventLog) -> Signal | None:
-            try:
-                replies = pending.texts(event_log, kept=which)
-            except BackendError:
-                return None
-            signals = _parsed([replies[which]])
+        def signal(replies: list[str], kept: int) -> Signal | None:
+            signals = _parsed([replies[kept]])
             return signals[0] if signals else None
 
-        return answer, pending.discard
+        return Reply(lambda: self.backend.complete_later(built, [task_index] * len(built)), signal, None)
+
+
+class Reply:
+    """An agent's request sent ahead, and its reading of the answer: what
+    ``answer(results, kept)`` makes of the backend's results, or ``failed``
+    when the request failed or was refused before it was sent. Read it
+    once, with read() or discard(), after peek() if wanted."""
+
+    def __init__(self, send: Callable, answer: Callable, failed):
+        try:
+            self._pending = send()
+        except BackendError:  # refused before it was sent: nothing to read or log
+            self._pending = None
+        self._answer, self._failed = answer, failed
+
+    def peek(self, kept: int | None = None):
+        """The answer, from a reply received now and logged by nothing."""
+        results = None if self._pending is None else self._pending.peek()
+        return self._failed if results is None else self._answer(results, kept)
+
+    def read(self, event_log: EventLog, kept: int | None = None):
+        """The answer, its request's records logged (with ``kept`` only that
+        prompt's as a ``backend_call``)."""
+        if self._pending is None:
+            return self._failed
+        try:
+            results = self._pending.read(event_log, kept)
+        except BackendError:
+            return self._failed
+        return self._answer(results, kept)
+
+    def discard(self, event_log: EventLog) -> None:
+        """Reads the reply and logs every prompt as ``backend_discarded``."""
+        if self._pending is not None:
+            self._pending.discard(event_log)
 
 
 def _parsed(replies: Sequence[str]) -> list[Signal]:

@@ -228,12 +228,12 @@ class CompletionBackend:
 
     Two calls may be in flight at once, from two threads: the two agents of
     an in-process dyad may share one backend. A backend may also offer
-    ``complete_later(prompts, tasks)``, which sends a completion request,
-    its task indices fixed with it, and returns a handle to read it with
-    later, as ``HttpBackend`` does: its handle is the ``PendingCompletion``
-    that each of its requests is, a score or a completion. An ``LLMAgent``
-    speaks ahead only over such a backend, and then has its score call in
-    flight while that request is.
+    ``complete_later(prompts, tasks)`` and ``score_later(prompts, tasks)``,
+    which send a request, its task indices fixed with it, and return a
+    handle to read it with later, as ``HttpBackend`` does: its handle is the
+    ``PendingCompletion`` that each of its requests is, a score or a
+    completion. An ``LLMAgent`` speaks and listens ahead only over a backend
+    with both, and then has up to four requests in flight.
     """
 
     def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int],
@@ -289,24 +289,26 @@ class HttpBackend(CompletionBackend):
     its token lists are never all held at once. Services that
     reject echo-scoring surface CapabilityUnsupported; a reply without one
     indexed choice per prompt, as from a service that rejects list prompts,
-    is a MalformedServiceReply. complete_later() sends a completion request
-    at once and reads its reply when asked, so the same backend can carry
-    another call meanwhile.
+    is a MalformedServiceReply. complete_later() and score_later() send a
+    request at once and read its reply when asked, so the same backend can
+    carry other requests meanwhile.
 
     Requests go out on keep-alive ``http.client`` connections, HTTPS when
     the endpoint's scheme says so, to the endpoint's path followed by
     ``/v1/completions``. Each request takes an idle connection from a pool,
     or opens one when none is idle, and gives it back once its reply is
     read; the pool keeps at most ``POOL_SIZE`` idle connections, so a
-    backend with at most two requests in flight at once, as an llm agent's,
-    never opens more than two. Calls may come from several threads at once.
-    When the service has closed a connection while it was idle, the request
-    is sent once more on a new one; that is not a retry. Every request, a
-    completion, a score or one made ahead, is one ``PendingCompletion``,
-    sent with ``_send`` and read through one retrying read, which sends the
-    same body again after a transport failure or timeout, up to
-    ``descriptor.max_retries`` times; a call is retried as a whole, and
-    ``descriptor.timeout`` bounds each attempt at the whole list.
+    backend with at most four requests in flight at once, as an llm
+    agent's (its listening and speaking requests, and the two of a wrong
+    prediction it discards), never opens more than four. Calls may come
+    from several threads at once. When the service has closed a connection
+    while it was idle, the request is sent once more on a new one; that is
+    not a retry. Every request, a completion, a score or one made ahead, is
+    one ``PendingCompletion``, sent with ``_send`` and read through one
+    retrying read, which sends the same body again after a transport
+    failure or timeout, up to ``descriptor.max_retries`` times; a call is
+    retried as a whole, and ``descriptor.timeout`` bounds each attempt at
+    the whole list.
     Each retry appends a ``backend_retry`` record before the call's
     ``backend_call`` records, whose ``latency`` is the answering attempt's.
     ContextOverflow, capability and malformed-reply errors are not retried.
@@ -314,7 +316,7 @@ class HttpBackend(CompletionBackend):
     it differs from the previous record's; each keeps its ``prompt_sha``.
     """
 
-    POOL_SIZE = 2
+    POOL_SIZE = 4
 
     def __init__(self, descriptor: BackendDescriptor):
         self.descriptor = descriptor
@@ -344,7 +346,7 @@ class HttpBackend(CompletionBackend):
         with self._pool_lock:
             connection = self._idle.pop() if self._idle else self._connect()
         request.connection, request.reused = connection, connection.sock is not None
-        request.error, request.started = None, time.monotonic()
+        request.error, request.outcome, request.started = None, None, time.monotonic()
         try:
             connection.request("POST", self._path, request.body, self._headers())
         except OSError as err:
@@ -400,25 +402,6 @@ class HttpBackend(CompletionBackend):
                 return
         connection.close()
 
-    def _read_with_retries(self, request: PendingCompletion, event_log: EventLog,
-                           object_hook: Callable[[dict], dict] | None = None) -> dict:
-        """The reply to ``request``, each of its JSON objects passed through
-        ``object_hook`` as it is parsed; ``request.started`` is then the
-        monotonic start time of the attempt that got it. After a transport
-        failure or timeout the same body is sent again: retry k waits
-        ``backoff_base * 2**(k-1)`` and is logged to ``event_log``."""
-        attempt = 0
-        while True:
-            try:
-                return self._receive(request, object_hook)
-            except (TransportFailure, BackendTimeout) as err:
-                attempt += 1
-                if attempt > self.descriptor.max_retries:
-                    raise
-                event_log.append("backend_retry", attempt=attempt, error=str(err))
-                time.sleep(self.descriptor.backoff_base * 2 ** (attempt - 1))
-                self._send(request)
-
     def _check_budget(self, text: str, extra_tokens: int) -> None:
         needed = estimate_tokens(text) + extra_tokens
         if needed > self.descriptor.context_budget_tokens:
@@ -442,7 +425,7 @@ class HttpBackend(CompletionBackend):
 
     def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int],
                  event_log: EventLog) -> list[str]:
-        return self.complete_later(prompts, tasks).texts(event_log)
+        return self.complete_later(prompts, tasks).read(event_log)
 
     def complete_later(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> PendingCompletion:
         """complete(), with the request sent now and its reply read by the
@@ -461,6 +444,11 @@ class HttpBackend(CompletionBackend):
 
     def score(self, prompts: Sequence[Prompt], tasks: Sequence[int],
               event_log: EventLog) -> list[float]:
+        return self.score_later(prompts, tasks).read(event_log)
+
+    def score_later(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> PendingCompletion:
+        """score(), with the request sent now and its reply read by the
+        returned ``PendingCompletion``."""
         full_texts = []
         for prompt in prompts:
             if not prompt.continuation:
@@ -476,28 +464,8 @@ class HttpBackend(CompletionBackend):
             "echo": True,
             "logprobs": 0,
         }
-        boundaries = [len(text) for text in full_texts]
-        summed: dict[int, float] = {}
-
-        def sum_choice(obj: dict) -> dict:
-            # the token lists go as soon as a choice is parsed: the two
-            # agents' guessing replies, each several MB decoded, arrive together
-            index = obj.get("index")
-            if "logprobs" in obj and type(index) is int and 0 <= index < len(boundaries):
-                summed[index] = self._continuation_logprob(obj.pop("logprobs"), boundaries[index])
-            return obj
-
-        request = self._send(PendingCompletion(self, json.dumps(payload).encode(), full_texts, tasks))
-        self._choices(self._read_with_retries(request, event_log, sum_choice), len(prompts))
-        if len(summed) < len(prompts):  # a choice without log-probabilities
-            raise CapabilityUnsupported("service does not return echoed token log-probabilities")
-        totals = [summed[i] for i in range(len(prompts))]
-        previous = None
-        for text, prompt, total, task in zip(full_texts, prompts, totals, tasks):
-            self._log(event_log, "score", text, total, request.started, task, repeat=text == previous,
-                      continuation=prompt.continuation)
-            previous = text
-        return totals
+        body, continuations = json.dumps(payload).encode(), [p.continuation for p in prompts]
+        return self._send(PendingCompletion(self, body, full_texts, tasks, continuations))
 
     @staticmethod
     def _continuation_logprob(logprobs: dict | None, boundary: int) -> float:
@@ -514,10 +482,21 @@ class HttpBackend(CompletionBackend):
             ) from err
         if type(token_logprobs) is not list or type(offsets) is not list:
             raise MalformedServiceReply("echoed token_logprobs or text_offset is not a list")
+        # the continuation is the tail of the echo: the loop below starts at
+        # the tail whose offsets are all at or past the boundary when every
+        # offset before it is below, and checks every token otherwise
+        start = min(len(offsets), len(token_logprobs))
+        try:
+            while start and offsets[start - 1] >= boundary:
+                start -= 1
+            if start and not max(offsets[:start]) < boundary:  # a NaN max is not below
+                start = 0
+        except TypeError:  # an offset that is not a number, which the loop reports
+            start = 0
         total = 0.0
         counted = 0
         try:
-            for offset, lp in zip(offsets, token_logprobs):
+            for offset, lp in zip(offsets[start:], token_logprobs[start:]):
                 if offset >= boundary and lp is not None:
                     if type(lp) is not float and type(lp) is not int:
                         raise MalformedServiceReply(f"echoed log-probability {lp!r} is not a number")
@@ -531,47 +510,120 @@ class HttpBackend(CompletionBackend):
 
 
 class PendingCompletion:
-    """One request of an ``HttpBackend``: its body, the templated texts of
-    its prompts and their task indices, and, once ``_send`` has posted it,
-    the connection it went out on, whether that connection had carried an
-    earlier request, the send's error (raised again by the read) and the
-    attempt's start time. ``complete_later`` returns it unread: read it once,
-    with texts() or discard(); until then it holds one of the backend's
-    connections."""
+    """One request of an ``HttpBackend``, a completion or (with
+    ``continuations``) a score: its body, the templated texts of its prompts
+    and their task indices, and, once ``_send`` has posted it, the
+    connection it went out on, whether that connection had carried an
+    earlier request, the send's error (raised again by the read), the
+    attempt's start time and, once received, its outcome. ``complete_later``
+    and ``score_later`` return it unread: read it once, with read() or
+    discard(), after peek() if wanted; until then it holds one of the
+    backend's connections."""
 
-    def __init__(self, backend: HttpBackend, body: bytes, full_texts: list[str], tasks: Sequence[int]):
+    def __init__(self, backend: HttpBackend, body: bytes, full_texts: list[str], tasks: Sequence[int],
+                 continuations: list[str] | None = None):
         self._backend = backend
         self.body = body
         self.full_texts = full_texts
         self.tasks = tasks
+        self.continuations = continuations
+        self._summed: dict[int, float] = {}
 
-    def texts(self, event_log: EventLog, kept: int | None = None) -> list[str]:
-        """What complete() returns and logs, retried as complete() is. With
-        ``kept``, only that prompt gets a ``backend_call`` record; every
-        other gets a ``backend_discarded`` one, without its text."""
-        backend = self._backend
-        reply = backend._read_with_retries(self, event_log)
+    def _sum_choice(self, obj: dict) -> dict:
+        # the token lists go as soon as a choice is parsed: the two agents'
+        # guessing replies, each several MB decoded, arrive together
+        index = obj.get("index")
+        if "logprobs" in obj and type(index) is int and 0 <= index < len(self.full_texts):
+            boundary = len(self.full_texts[index])
+            self._summed[index] = self._backend._continuation_logprob(obj.pop("logprobs"), boundary)
+        return obj
+
+    def _receive(self) -> dict:
+        """The reply to the attempt in flight, received at the first call
+        only: a later one returns it, or raises its error, again."""
+        if self.outcome is None:
+            try:
+                hook = None if self.continuations is None else self._sum_choice
+                self.outcome = self._backend._receive(self, hook)
+            except BackendError as err:
+                self.outcome = err
+        if isinstance(self.outcome, BackendError):
+            raise self.outcome
+        return self.outcome
+
+    def _reply(self, event_log: EventLog) -> dict:
+        """The reply; ``started`` is then the monotonic start time of the
+        attempt that got it. After a transport failure or timeout the same
+        body is sent again: retry k waits ``backoff_base * 2**(k-1)`` and is
+        logged to ``event_log``."""
+        descriptor = self._backend.descriptor
+        attempt = 0
+        while True:
+            try:
+                return self._receive()
+            except (TransportFailure, BackendTimeout) as err:
+                attempt += 1
+                if attempt > descriptor.max_retries:
+                    raise
+                event_log.append("backend_retry", attempt=attempt, error=str(err))
+                time.sleep(descriptor.backoff_base * 2 ** (attempt - 1))
+                self._backend._send(self)
+
+    def _results(self, reply: dict) -> list:
+        """A completion's texts or a score's totals, in prompt order."""
+        choices = self._backend._choices(reply, len(self.full_texts))
+        if self.continuations is not None:
+            if len(self._summed) < len(choices):  # a choice without log-probabilities
+                raise CapabilityUnsupported("service does not return echoed token log-probabilities")
+            return [self._summed[i] for i in range(len(choices))]
         try:
-            texts = [choice["text"] for choice in backend._choices(reply, len(self.full_texts))]
+            texts = [choice["text"] for choice in choices]
         except (KeyError, TypeError) as err:
             raise MalformedServiceReply(f"missing completion text: {reply!r}") from err
         if not all(isinstance(text, str) for text in texts):
             raise MalformedServiceReply(f"completion text is not a string: {reply!r}")
-        for position, (full_text, text, task) in enumerate(zip(self.full_texts, texts, self.tasks)):
-            discarded = kept is not None and position != kept
-            backend._log(event_log, "complete", full_text, text, self.started, task, repeat=discarded,
-                         kind="backend_discarded" if discarded else "backend_call")
         return texts
+
+    def _log(self, event_log: EventLog, results: list, kept: int | None = None,
+             discarded: bool = False) -> None:
+        """A ``backend_call`` record per prompt, or with ``kept`` for that
+        prompt only, every other (and with ``discarded`` every one) getting
+        a ``backend_discarded`` record without its text. A score's records
+        carry the text only where it differs from the previous record's."""
+        scoring = self.continuations is not None
+        call, previous = "score" if scoring else "complete", None
+        for position, (full_text, result, task) in enumerate(zip(self.full_texts, results, self.tasks)):
+            dropped = discarded or (kept is not None and position != kept)
+            extra = {"continuation": self.continuations[position]} if scoring else {}
+            self._backend._log(
+                event_log, call, full_text, result, self.started, task,
+                repeat=dropped or (scoring and full_text == previous),
+                kind="backend_discarded" if dropped else "backend_call", **extra,
+            )
+            previous = full_text
+
+    def read(self, event_log: EventLog, kept: int | None = None) -> list:
+        """What complete() or score() returns and logs, retried as they are,
+        with ``kept`` logged as ``_log`` says."""
+        results = self._results(self._reply(event_log))
+        self._log(event_log, results, kept)
+        return results
+
+    def peek(self) -> list | None:
+        """What read() would return, received now from the attempt in flight
+        and logged by nothing; None when that attempt failed. A later read()
+        or discard() starts from this attempt, as it would have."""
+        try:
+            return self._results(self._receive())
+        except BackendError:
+            return None
 
     def discard(self, event_log: EventLog) -> None:
         """Reads the reply, once and without a retry, and logs every prompt
         as ``backend_discarded``, with a ``result`` of None when no usable
         reply came."""
         try:
-            choices = self._backend._choices(self._backend._receive(self), len(self.full_texts))
-            texts = [choice.get("text") for choice in choices]
+            results = self._results(self._receive())
         except BackendError:
-            texts = [None] * len(self.full_texts)
-        for full_text, text, task in zip(self.full_texts, texts, self.tasks):
-            self._backend._log(event_log, "complete", full_text, text, self.started, task,
-                               repeat=True, kind="backend_discarded")
+            results = [None] * len(self.full_texts)
+        self._log(event_log, results, discarded=True)

@@ -20,9 +20,9 @@ import threading
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from random import Random
 from types import UnionType
-from typing import Callable, Iterator, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Iterator, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
-from .agents import Agent
+from .agents import Agent, Reply
 from .backend import EventLog
 from .domain import (
     DomainError,
@@ -487,6 +487,17 @@ def schedule_round(
     return tasks
 
 
+class _Overlap(NamedTuple):
+    """Listener t's first listening request and its speaking request for
+    t+1, both sent, with t+1's candidates and the rng state before they
+    were drawn."""
+
+    listening: Reply
+    before: tuple
+    next_candidates: list[Stimulus]
+    speaking: Reply
+
+
 def run_communication_block(
     agent_a: Agent,
     agent_b: Agent,
@@ -500,20 +511,30 @@ def run_communication_block(
     each candidate. Afterwards both agents map the target to the produced
     signal and set its success flag to the outcome.
 
-    Tasks run in turn, with one exception that changes no output. The
-    listener of task t speaks task t+1, and its prompt there differs from
-    its vocabulary now only in the line of t's stimulus, by t's signal and
-    success flag. So when the listener ``speaks_ahead``, once its candidate
-    prompts are built, t+1's candidates are drawn and its speaking prompt is
-    built under both flags from one rng state (``_shuffled`` draws by line
-    count only) and sent while t's listening request is in flight: that
-    agent has two calls in flight at once. The reply for the flag that came
-    true is t+1's first speaking attempt, and its records are written where
-    t+1's turn would write them, the other prompt's as a
-    ``backend_discarded`` record. When t's listener needs a second attempt,
-    the speaking request is discarded, the rng goes back to where it was
-    before t+1's draws, and t+1 runs in turn. Nothing is asked ahead across
-    a round boundary or after a failed production."""
+    Tasks run in turn, with two overlaps that change no output, both taken
+    when the listener ``speaks_ahead``. First, the listener of task t speaks
+    task t+1, and its prompt there differs from its vocabulary now only in
+    the line of t's stimulus, by t's signal and success flag. So once its
+    listening request is sent, t+1's candidates are drawn and its speaking
+    prompt is built under both flags from one rng state (``_shuffled``
+    draws by line count only) and sent too: the reply for the flag that
+    came true is t+1's first speaking attempt, the other prompt's record a
+    ``backend_discarded`` one. Second, while t's listening request is in
+    flight, the engine predicts t's flag (the block's majority outcome so
+    far, failure on a tie) and reads t+1's speaking reply under it; when
+    that parses, the speaker of t takes t's update under the prediction
+    and makes t+1's overlap at once: its listening request and its
+    speaking request for t+2, with the draws t+1 would make. A right
+    prediction makes them t+1's first attempts, byte for byte; a wrong one
+    puts the rng back to before those draws, makes t+1's overlap again,
+    and then reads and discards the two replies. Records are written where
+    the run in turn writes them, after these sends.
+
+    The fall-backs: when t's listener needs a second attempt, whatever was
+    sent ahead is discarded, the rng goes back to before t+1's draws, and
+    t+1 runs in turn; a speaking reply read ahead that fails or does not
+    parse is t+1's first attempt, and no prediction is made on it. Nothing
+    is asked ahead across a round boundary or after a failed production."""
     assert agent_a.vocabulary is not None and agent_b.vocabulary is not None
     agent_a.vocabulary.track_success = True
     agent_b.vocabulary.track_success = True
@@ -529,9 +550,24 @@ def run_communication_block(
         rng.shuffle(candidates)
         return candidates
 
+    def overlap(listener: Agent, heard: tuple, next_index: int) -> _Overlap:
+        listening = listener.listen_ahead([heard], PromptTask.LISTENING, rng)
+        before = rng.getstate()
+        next_stimulus = tasks[next_index][1]
+        next_candidates = draw_candidates(next_stimulus)
+        _, signal, _, stimulus = heard
+        variants = [listener.vocabulary.copy() for _ in (0, 1)]
+        for flag, variant in enumerate(variants):
+            variant.update(stimulus, signal, flag)
+        speaking = listener.speak_ahead(next_index, next_stimulus, variants, rng)
+        return _Overlap(listening, before, next_candidates, speaking)
+
     for round_number in range(1, config.rounds + 1):
         tasks = schedule_round(train, rng, (agent_a.agent_id, agent_b.agent_id))
-        ahead = None  # this task's candidates and speaking request, made during the last
+        # this task's candidates, speaking reply and the flag to read it
+        # under, and its overlap when that was made on a right prediction
+        ahead = None
+        stale: list[Reply] = []  # discarded once the next requests are sent
         for task_index, (speaker_id, stimulus) in enumerate(tasks):
             speaker = agents[speaker_id]
             listener = agents[[i for i in agents if i != speaker_id][0]]
@@ -542,13 +578,14 @@ def run_communication_block(
                 agent=speaker_id,
             )
             said = (task_index, stimulus)
+            sent = None
             if ahead is None:
                 candidates = draw_candidates(stimulus)
                 signal = _alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng, attempts,
                                 event_log)
             else:
-                candidates, answer = ahead
-                signal = answer(int(records[-1].success), event_log)
+                candidates, speaking, flag, sent = ahead
+                signal = speaking.read(event_log, flag)
                 if signal is None:  # that reply was the first attempt
                     signal = _alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng,
                                     attempts - 1, event_log)
@@ -557,27 +594,40 @@ def run_communication_block(
             if signal is not None:
                 event_log.set_context(agent=listener.agent_id)
                 heard = (task_index, signal, candidates, stimulus)
-                if listener.speaks_ahead and task_index + 1 < len(tasks):
-                    ask = listener.choose_later([heard], PromptTask.LISTENING, rng)
-                    before = rng.getstate()
-                    next_stimulus = tasks[task_index + 1][1]
-                    next_candidates = draw_candidates(next_stimulus)
-                    variants = [listener.vocabulary.copy() for _ in (0, 1)]
-                    for flag, variant in enumerate(variants):
-                        variant.update(stimulus, signal, flag)
-                    answer, discard = listener.speak_ahead(task_index + 1, next_stimulus, variants, rng)
-                    answers = ask(event_log)
-                    if answers:
-                        chosen = answers[0]
-                        ahead = (next_candidates, answer)
-                    else:  # the listener needs another attempt: t+1 runs in turn
-                        discard(event_log)
-                        rng.setstate(before)
-                        chosen = _alone(listener.choose_many, heard, PromptTask.LISTENING, rng,
-                                        attempts - 1, event_log)
-                else:
-                    chosen = _alone(listener.choose_many, heard, PromptTask.LISTENING, rng, attempts,
-                                    event_log)
+                if sent is None and listener.speaks_ahead and task_index + 1 < len(tasks):
+                    sent = overlap(listener, heard, task_index + 1)
+            for reply in stale:
+                reply.discard(event_log)
+            stale = []
+            if sent is not None:
+                predicted = next_sent = None
+                if speaker.speaks_ahead and task_index + 2 < len(tasks):
+                    # t's flag predicted: the block's majority outcome so far, failure on a tie
+                    flag = int(2 * sum(r.success for r in records) > len(records))
+                    next_signal = sent.speaking.peek(flag)
+                    if next_signal is not None:
+                        predicted, mark = flag, rng.getstate()
+                        speaker.vocabulary.update(stimulus, signal, flag)  # t's record updates it again
+                        next_task = (task_index + 1, next_signal, sent.next_candidates, tasks[task_index + 1][1])
+                        next_sent = overlap(speaker, next_task, task_index + 2)
+                answers = sent.listening.read(event_log)
+                if answers:
+                    chosen = answers[0]
+                    flag = int(candidates[chosen] == stimulus)
+                    if next_sent is not None and predicted != flag:  # t+1's overlap is made anew
+                        rng.setstate(mark)
+                        stale, next_sent = [next_sent.listening, next_sent.speaking], None
+                    ahead = (sent.next_candidates, sent.speaking, flag, next_sent)
+                else:  # the listener needs another attempt: t+1 runs in turn
+                    stale = [sent.speaking]
+                    if next_sent is not None:
+                        stale += [next_sent.listening, next_sent.speaking]
+                    rng.setstate(sent.before)
+                    chosen = _alone(listener.choose_many, heard, PromptTask.LISTENING, rng,
+                                    attempts - 1, event_log)
+            elif signal is not None:
+                chosen = _alone(listener.choose_many, heard, PromptTask.LISTENING, rng, attempts,
+                                event_log)
             success = chosen is not None and candidates[chosen] == stimulus
 
             record = InteractionRecord(

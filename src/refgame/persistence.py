@@ -245,8 +245,8 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     cannot be read back raises ``PersistenceError``, and so does a file
     read here that the manifest does not digest, a block record of another
     agent than the manifest's, an interaction outside the run's rounds or
-    of another dyad, or a guess or interaction whose choice contradicts
-    its failure mode or outcome (see ``_choice_problem``)."""
+    of another dyad, or a record whose fields contradict each other (see
+    ``_record_problem``)."""
     base = Path(run_dir)
     manifest = RunManifest.load(base)
     if manifest.status != "complete":
@@ -308,7 +308,7 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
         elif interaction and (record.speaker, record.listener) not in dyad:
             speaker, listener = json.dumps(record.speaker), json.dumps(record.listener)
             problem = f"'speaker': {speaker} and 'listener': {listener}, not the run's agents {ids}"
-        elif not (problem := _choice_problem(record, initial)):
+        elif not (problem := _record_problem(record, initial)):
             records.setdefault((kind, None if interaction else agent), []).append(record)
             continue
         raise PersistenceError(f"{events_path}: a {kind!r} record has {problem}")
@@ -342,20 +342,51 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     return manifest, result
 
 
-def _choice_problem(record, initial: Vocabulary) -> str:
-    """What a guess or interaction record's choice contradicts, or "" (as
-    for a record without one): ``chosen`` is -1 or a position among the
-    candidates, -1 exactly when ``failure_mode`` is not "none", and
-    ``success`` (``correct``) says whether the chosen candidate is the
-    stimulus (the initial language's signal for it, which a guess's
-    stimulus must have)."""
-    if not hasattr(record, "chosen"):
+# the failure modes a record of each kind can have
+_FAILURE_MODES = {
+    GuessingRecord.KIND: ["none", "failed-choice"],
+    InteractionRecord.KIND: ["none", "failed-production", "failed-choice"],
+}
+
+
+def _record_problem(record, initial: Vocabulary) -> str:
+    """What a block record's fields contradict, or "". A failed label keeps
+    its ``truth`` as ``produced``; a failed testing record has no signal and
+    is not ``extrapolated``, and an extrapolated one is of a stimulus
+    outside the initial language, whose every stimulus the agent stores. A
+    guess or interaction has a ``failure_mode`` of its kind; an
+    interaction's signal is empty exactly on a failed production; ``chosen``
+    is -1 or a position among the candidates, -1 exactly when
+    ``failure_mode`` is not "none", and ``success`` (``correct``) says
+    whether the chosen candidate is the stimulus (the initial language's
+    signal for it, which a guess's stimulus must have)."""
+    if isinstance(record, LabellingRecord):
+        if record.failed and record.produced != record.truth:
+            produced, truth = json.dumps(record.produced), json.dumps(record.truth)
+            return f"'failed': true and 'produced': {produced}, not its 'truth' {truth}"
         return ""
+    if isinstance(record, TestingRecord):
+        if record.failed and (record.signal or record.extrapolated):
+            signal, extrapolated = json.dumps(record.signal), json.dumps(record.extrapolated)
+            return (f"'failed': true with 'signal': {signal} and 'extrapolated': {extrapolated}, "
+                    'not "" and false')
+        if record.extrapolated and record.stimulus in initial:
+            stimulus = json.dumps(record.stimulus)
+            return f"'extrapolated': true for 'stimulus': {stimulus}, in the initial language"
+        return ""
+    failure_mode, modes = record.failure_mode, _FAILURE_MODES[record.KIND]
+    if failure_mode not in modes:
+        return f"'failure_mode': {json.dumps(failure_mode)}, not one of {json.dumps(modes)}"
+    failed_production = failure_mode == "failed-production"
+    if isinstance(record, InteractionRecord) and (record.signal == "") != failed_production:
+        signal = json.dumps(record.signal)
+        return (f"'signal': {signal} and 'failure_mode': {json.dumps(failure_mode)}, "
+                "not empty exactly on a failed production")
     chosen, candidates = record.chosen, record.candidates
     if not -1 <= chosen < len(candidates):
         return f"'chosen': {chosen}, not -1 or one of {len(candidates)} positions"
-    if (chosen == -1) != (record.failure_mode != "none"):
-        failure_mode = json.dumps(record.failure_mode)
+    if (chosen == -1) != (failure_mode != "none"):
+        failure_mode = json.dumps(failure_mode)
         return f"'chosen': {chosen} and 'failure_mode': {failure_mode}, not -1 exactly on a failure"
     if isinstance(record, InteractionRecord):
         name, target = "success", record.stimulus

@@ -21,6 +21,7 @@ import yaml
 from refgame.agents import CompositionalOracle, LookupOracle, _argmin, _Oracle
 from refgame.backend import (
     BackendDescriptor,
+    BackendError,
     CapabilityUnsupported,
     CompletionBackend,
     ContextOverflow,
@@ -190,6 +191,34 @@ def logged(log: EventLog, kind: str) -> list[dict]:
     return [r for r in EventLog.read(log.path) if r["kind"] == kind]
 
 
+def looped_continuation_logprob(logprobs: dict | None, boundary: int) -> float:
+    """``HttpBackend._continuation_logprob`` as it was before it read only the
+    echo's tail, walking every token: the reference it must equal."""
+    try:
+        token_logprobs = logprobs["token_logprobs"]
+        offsets = logprobs["text_offset"]
+    except (KeyError, TypeError) as err:
+        raise CapabilityUnsupported(
+            "service does not return echoed token log-probabilities"
+        ) from err
+    if type(token_logprobs) is not list or type(offsets) is not list:
+        raise MalformedServiceReply("echoed token_logprobs or text_offset is not a list")
+    total = 0.0
+    counted = 0
+    try:
+        for offset, lp in zip(offsets, token_logprobs):
+            if offset >= boundary and lp is not None:
+                if type(lp) is not float and type(lp) is not int:
+                    raise MalformedServiceReply(f"echoed log-probability {lp!r} is not a number")
+                total += lp
+                counted += 1
+    except TypeError as err:  # an offset that is not a number
+        raise MalformedServiceReply(f"echoed text offset is not a number: {err}") from None
+    if counted == 0:
+        raise MalformedServiceReply("no continuation tokens in echo response")
+    return total
+
+
 class ScriptedBackend(CompletionBackend):
     """Deterministic in-process backend driven by callables.
 
@@ -248,47 +277,90 @@ class ScriptedBackend(CompletionBackend):
 
 
 class SpeakingAheadBackend(ScriptedBackend):
-    """A ScriptedBackend that also offers ``complete_later``, so an
-    ``LLMAgent`` over it speaks ahead; the request is answered when its
-    reply is read. ``ahead`` lists each such read as (round, task, whether
-    its prompts were all equal, "kept" or "discarded")."""
+    """A ScriptedBackend that also offers ``complete_later`` and
+    ``score_later``, so an ``LLMAgent`` over it speaks ahead; a request is
+    answered when its reply is first received (peeked or read). ``ahead``
+    lists each read of a completion request as (round, task, whether its
+    prompts were all equal, "kept" or "discarded"), ``listened`` each read
+    of a score request as (round, task, "kept" or "discarded"), and
+    ``timeline``, which a test may share with an event log, each send as
+    ("sent", call, task)."""
 
     def __init__(self, completions=None, scores=None):
         super().__init__(completions, scores)
         self.ahead: list[tuple] = []
+        self.listened: list[tuple] = []
+        self.timeline: list[tuple] = []
 
     def complete_later(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> "_ScriptedPending":
-        return _ScriptedPending(self, list(prompts), list(tasks))
+        return _ScriptedPending(self, list(prompts), list(tasks), "complete")
+
+    def score_later(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> "_ScriptedPending":
+        return _ScriptedPending(self, list(prompts), list(tasks), "score")
 
 
 class _ScriptedPending:
-    def __init__(self, backend: SpeakingAheadBackend, prompts: list[Prompt], tasks: list[int]):
+    def __init__(self, backend: SpeakingAheadBackend, prompts: list[Prompt], tasks: list[int], call: str):
         self.backend = backend
         self.prompts = prompts
         self.tasks = tasks
+        self.call = call
         self.started = time.monotonic()
+        self.outcome = None
+        backend.timeline.append(("sent", call, tasks[0]))
 
-    def _read(self, event_log: EventLog, how: str) -> None:
-        equal = all(prompt == self.prompts[0] for prompt in self.prompts)
-        self.backend.ahead.append((event_log.context["round"], self.tasks[0], equal, how))
-        self.backend._count()
+    def _receive(self) -> list:
+        if self.outcome is None:
+            self.backend._count()
+            try:
+                if self.call == "score":
+                    self.outcome = [self.backend._scripted_score(p) for p in self.prompts]
+                else:
+                    if self.backend.completions is None:
+                        raise MalformedServiceReply("scripted backend has no completions")
+                    self.outcome = [self.backend.completions(p) for p in self.prompts]
+            except BackendError as err:
+                self.outcome = err
+        if isinstance(self.outcome, BackendError):
+            raise self.outcome
+        return self.outcome
 
-    def texts(self, event_log: EventLog, kept: int | None = None) -> list[str]:
-        self._read(event_log, "kept")
-        texts = [self.backend.completions(p) for p in self.prompts]
-        for position, (prompt, text, task) in enumerate(zip(self.prompts, texts, self.tasks)):
-            discarded = kept is not None and position != kept
+    def _note(self, event_log: EventLog, how: str) -> None:
+        round_, task = event_log.context["round"], self.tasks[0]
+        if self.call == "score":
+            self.backend.listened.append((round_, task, how))
+        else:
+            equal = all(prompt == self.prompts[0] for prompt in self.prompts)
+            self.backend.ahead.append((round_, task, equal, how))
+
+    def _log(self, event_log: EventLog, results: list, kept: int | None, discarded: bool) -> None:
+        for position, (prompt, result, task) in enumerate(zip(self.prompts, results, self.tasks)):
+            dropped = discarded or (kept is not None and position != kept)
+            extra = {"continuation": prompt.continuation} if self.call == "score" else {}
             self.backend._log(
-                event_log, "complete", prompt.user_text(), text, self.started, task,
-                repeat=discarded, kind="backend_discarded" if discarded else "backend_call",
+                event_log, self.call, prompt.user_text(), result, self.started, task,
+                repeat=dropped, kind="backend_discarded" if dropped else "backend_call", **extra,
             )
-        return texts
+
+    def read(self, event_log: EventLog, kept: int | None = None) -> list:
+        self._note(event_log, "kept")
+        results = self._receive()
+        self._log(event_log, results, kept, discarded=False)
+        return results
+
+    def peek(self) -> list | None:
+        try:
+            return self._receive()
+        except BackendError:
+            return None
 
     def discard(self, event_log: EventLog) -> None:
-        self._read(event_log, "discarded")
-        for prompt, task in zip(self.prompts, self.tasks):
-            self.backend._log(event_log, "complete", prompt.user_text(), None, self.started, task,
-                              repeat=True, kind="backend_discarded")
+        self._note(event_log, "discarded")
+        try:
+            results = self._receive()
+        except BackendError:
+            results = [None] * len(self.prompts)
+        self._log(event_log, results, None, discarded=True)
 
 
 def _context_entries(prompt: Prompt) -> list[VocabularyEntry]:

@@ -572,6 +572,55 @@ class TestReplayCommand:
                 ' "chosen": -1, "success": true, "failure_mode": "failed-choice"}',
                 "a 'interaction' record has 'success': true, not false for 'chosen': -1",
             ),
+            (
+                '{"kind": "interaction", "agent": "B", "round": 1, "task": 0, "speaker": "A", "listener": "B",'
+                ' "stimulus": [1, "blue", 1], "signal": "maluli", "candidates": [[1, "blue", 2], [1, "blue", 1]],'
+                ' "chosen": -1, "success": false, "failure_mode": "bogus"}',
+                "a 'interaction' record has 'failure_mode': \"bogus\", "
+                "not one of [\"none\", \"failed-production\", \"failed-choice\"]",
+            ),
+            (
+                '{"kind": "guess", "agent": "A", "stimulus": [1, "blue", 1], "candidates": ["maluli", "mapi"],'
+                ' "chosen": -1, "correct": false, "failure_mode": "failed-production"}',
+                "a 'guess' record has 'failure_mode': \"failed-production\", "
+                "not one of [\"none\", \"failed-choice\"]",
+            ),
+            (
+                '{"kind": "interaction", "agent": "B", "round": 1, "task": 0, "speaker": "A", "listener": "B",'
+                ' "stimulus": [1, "blue", 1], "signal": "maluli", "candidates": [[1, "blue", 2], [1, "blue", 1]],'
+                ' "chosen": -1, "success": false, "failure_mode": "failed-production"}',
+                "a 'interaction' record has 'signal': \"maluli\" and 'failure_mode': \"failed-production\", "
+                "not empty exactly on a failed production",
+            ),
+            (
+                '{"kind": "interaction", "agent": "B", "round": 1, "task": 0, "speaker": "A", "listener": "B",'
+                ' "stimulus": [1, "blue", 1], "signal": "", "candidates": [[1, "blue", 2], [1, "blue", 1]],'
+                ' "chosen": 1, "success": true}',
+                "a 'interaction' record has 'signal': \"\" and 'failure_mode': \"none\", "
+                "not empty exactly on a failed production",
+            ),
+            (
+                '{"kind": "label", "agent": "A", "stimulus": [1, "blue", 1], "truth": "maluli", "produced": "mapi",'
+                ' "failed": true}',
+                "a 'label' record has 'failed': true and 'produced': \"mapi\", not its 'truth' \"maluli\"",
+            ),
+            (
+                '{"kind": "testing", "agent": "A", "stimulus": [1, "green", 2], "signal": "mapi", "failed": true}',
+                "a 'testing' record has 'failed': true with 'signal': \"mapi\" and 'extrapolated': false, "
+                "not \"\" and false",
+            ),
+            (
+                '{"kind": "testing", "agent": "A", "stimulus": [1, "green", 2], "signal": "", "failed": true,'
+                ' "extrapolated": true}',
+                "a 'testing' record has 'failed': true with 'signal': \"\" and 'extrapolated': true, "
+                "not \"\" and false",
+            ),
+            (
+                '{"kind": "testing", "agent": "A", "stimulus": [1, "blue", 1], "signal": "maluli",'
+                ' "extrapolated": true}',
+                "a 'testing' record has 'extrapolated': true for 'stimulus': [1, \"blue\", 1], "
+                "in the initial language",
+            ),
         ],
         ids=[
             "testing-of-another-agent", "interaction-of-round-9", "interaction-of-another-speaker",
@@ -579,7 +628,10 @@ class TestReplayCommand:
             "label-with-unknown-key", "guess-chosen-on-a-failure", "interaction-unchosen-without-failure",
             "guess-of-a-stimulus-outside-the-language", "guess-correct-on-a-wrong-choice",
             "guess-wrong-on-the-right-choice", "interaction-success-on-a-wrong-choice",
-            "interaction-success-without-a-choice",
+            "interaction-success-without-a-choice", "interaction-of-an-unknown-failure-mode",
+            "guess-of-a-failed-production", "failed-production-with-a-signal", "production-without-a-signal",
+            "failed-label-unlike-its-truth", "failed-testing-with-a-signal", "failed-testing-extrapolated",
+            "testing-extrapolated-in-the-language",
         ],
     )
     def test_foreign_block_record_refused(self, tmp_path, capsys, line, message):
@@ -1137,7 +1189,7 @@ class TestEventLogLifecycle:
             (("chain", "--chains", "1", "--generations", "2"), EXIT_OK, 2),
             # lookup oracles collapse the language by gen06, which aborts
             (("chain", "--seed", "4", "--chains", "1", "--generations", "7"), EXIT_RUNTIME, 7),
-            # against the keep-alive stub: two connections per llm agent
+            # against the keep-alive stub: four connections per llm agent
             (("simulate", "--config", "wire"), EXIT_OK, 1),
         ],
         ids=["simulate", "chain", "aborted-chain", "llm-dyad"],
@@ -1168,8 +1220,9 @@ class TestEventLogLifecycle:
             assert run_cli(*argv, "--permutations", "60", "--out", str(out)) == code
             gc.collect()
         assert [str(u.exc_value) for u in unraisable] == []
-        # two keep-alive connections per llm agent: it speaks ahead while it listens
-        assert len(connections) == (4 if "--config" in argv else 0)
+        # four keep-alive connections per llm agent: its listening and
+        # speaking requests, and the two of a wrong prediction it discards
+        assert len(connections) == (8 if "--config" in argv else 0)
         assert all(connection.sock is None for connection in connections)  # closed
         run_dirs = [path.parent for path in sorted(out.rglob("manifest.json"))]
         assert len(run_dirs) == runs
@@ -1234,13 +1287,17 @@ class TestWireRun:
         endpoint, handler = keepalive_stub_server
         out = tmp_path / "runs"
         assert run_cli("simulate", "--config", wire_config(tmp_path, endpoint), "--out", str(out)) == EXIT_OK
-        # 2 guessing + 2 labelling + 30 x (speaker + listener) + 2 testing
-        assert len(handler.seen) == 66
-        # at most two keep-alive connections per llm agent, which speaks ahead while it listens
-        assert handler.connections <= 4
+        records = EventLog.read(out / "sim-00" / "events.jsonl")
+        # 2 guessing + 2 labelling + 30 x (speaker + listener) + 2 testing,
+        # and the listening and speaking requests sent on each of 11 wrong
+        # predictions, whose 4 listening prompts are discarded
+        wrong = sum(r["kind"] == "backend_discarded" and r["call"] == "score" for r in records) / 4
+        assert (len(handler.seen), wrong) == (66 + 2 * 11, 11)
+        # at most four keep-alive connections per llm agent: its listening
+        # and speaking requests, and the two of a wrong prediction
+        assert handler.connections <= 8
         assert [len(body["prompt"]) for body in handler.seen[:4]] == [60, 60, 15, 15]
         assert [len(body["prompt"]) for body in handler.seen[-2:]] == [27, 27]
-        records = EventLog.read(out / "sim-00" / "events.jsonl")
         for block, kind, tasks, prompts_per_task in (
             ("guessing", "guess", 15, 4), ("labelling", "label", 15, 1), ("testing", "testing", 27, 1)
         ):

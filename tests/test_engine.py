@@ -7,13 +7,14 @@ from functools import partial
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refgame.engine as engine
 import refgame.metrics as metrics
 from helpers import (
     BreakingOracle,
+    SERVICE_WORDS,
     RepairOracle,
     ScriptedBackend,
     SpeakingAheadBackend,
@@ -27,7 +28,7 @@ from refgame.agents import (
     LookupOracle,
     RandomChooser,
 )
-from refgame.backend import BackendDescriptor, EventLog
+from refgame.backend import BackendDescriptor, BackendError, EventLog
 from refgame.chains import ChainConfig
 from refgame.config import ExperimentConfig
 from refgame.domain import DomainError, Stimulus, enumerate_stimuli, generate_language, sample_training_set
@@ -50,7 +51,7 @@ from refgame.persistence import (
     load_run_for_replay,
     save_simulation,
 )
-from refgame.prompts import PromptTask
+from refgame.prompts import PromptTask, completion_stem, listener_stem
 
 FULL_STACK_METRICS_SHA256 = "4259787a5e92f8441850d98c716becd0f5b946d0360c667a4232cae3b2b870ec"
 FLAKY_ORACLE_EVENTS_SHA256 = "9df8aaaf8095707e23ad34f95c61cac4c4e3d9299c1f5573c2ca63ab6f9a00fb"
@@ -264,46 +265,116 @@ class TestCommunicationBlock:
         assert 0 < successes < len(result.records)  # partially discriminable
 
 
+class InTurnBackend(ScriptedBackend):
+    """A ScriptedBackend that notes each score call that fails as (round, task)."""
+
+    def __init__(self, completions=None, scores=None):
+        super().__init__(completions, scores)
+        self.failed_scores: list[tuple] = []
+
+    def score(self, prompts, tasks, event_log):
+        try:
+            return super().score(prompts, tasks, event_log)
+        except BackendError:
+            self.failed_scores.append((event_log.context["round"], tasks[0]))
+            raise
+
+
+class TimelineLog(EventLog):
+    """An event log that notes each record in ``timeline`` as (kind, round,
+    task), beside the sends a ``SpeakingAheadBackend`` notes there."""
+
+    def __init__(self, path, timeline: list):
+        super().__init__(path)
+        self.timeline = timeline
+
+    def append(self, kind, **fields):
+        super().append(kind, **fields)
+        self.timeline.append((kind, self.context["round"], fields.get("task", self.context["task"])))
+
+
+def predicted(records) -> bool:
+    """The outcome predicted for the next interaction: the majority so far, failure on a tie."""
+    return 2 * sum(r.success for r in records) > len(records)
+
+
+def speculative_sends(timeline) -> list[tuple]:
+    """(round, task) of each listening request sent before the interaction
+    record of the task before it, that is, on a predicted outcome."""
+    sends, round_, written = [], None, set()
+    for entry in timeline:
+        if entry[0] == "sent":
+            if entry[1] == "score" and entry[2] > 0 and (round_, entry[2] - 1) not in written:
+                sends.append((round_, entry[2]))
+        else:
+            round_ = entry[1]
+            if entry[0] == "interaction":
+                written.add((entry[1], entry[2]))
+    return sends
+
+
 class TestSpeakingAhead:
-    """Over a backend with ``complete_later`` the listener of task t sends
-    its speaking request for task t+1 while it listens; every block record
-    and ``backend_call`` record stays that of the run in turn."""
+    """Over a backend with ``complete_later`` and ``score_later`` the
+    listener of task t sends its speaking request for t+1 while it listens,
+    and on t's predicted outcome the speaker of t sends t+1's listening
+    request and its speaking request for t+2; every block record and
+    ``backend_call`` record stays that of the run in turn."""
 
     BACKENDS = {
         "in-context": lambda seed, backend: in_context_learner(backend),
         # unparseable replies, and listener calls that fail, which discard the request
         "unparseable": lambda seed, backend: service(seed, "unparseable", backend=backend),
+        # every listening request of a heard word fails: failed choices
+        "doomed-listening": lambda seed, backend: service(
+            seed, "always-unparseable", listener_stem(SERVICE_WORDS[seed % 6]), backend
+        ),
+        # every speaking request for one stimulus fails: failed productions
+        "doomed-speaking": lambda seed, backend: service(
+            seed, "always-unparseable", completion_stem(training_vocab(seed)[0].stimuli()[seed % 15]),
+            backend,
+        ),
     }
 
-    def communicate(self, tmp_path, name, seed, backend_class, rounds=1):
+    def communicate(self, path, name, seed, backend_class, rounds=1):
         backend = self.BACKENDS[name](seed, backend_class)
         vocab, _ = training_vocab(seed)
         a, b = LLMAgent("A", backend), LLMAgent("B", backend)
         a.set_vocabulary(vocab.copy())
         b.set_vocabulary(vocab.copy())
-        path = tmp_path / f"{backend_class.__name__}.jsonl"
+        path = path / f"{backend_class.__name__}.jsonl"
         config = RunConfig(rounds=rounds, max_agent_retries=2)
-        with EventLog(path) as log:
-            result = run_communication_block(a, b, Random(seed), config, log)
+        rng = Random(seed)
+        timeline = getattr(backend, "timeline", [])
+        with TimelineLog(path, timeline) as log:
+            result = run_communication_block(a, b, rng, config, log)
         records = [
             {key: value for key, value in r.items() if key not in ("latency", "timestamp")}
             for r in EventLog.read(path)
         ]
-        return backend, result, (a.vocabulary, b.vocabulary), records
+        return backend, result, (a.vocabulary, b.vocabulary, rng.getstate()), records
+
+    @staticmethod
+    def discarded_prompts(backend) -> int:
+        """One discarded record per prompt of a request read as discarded, and
+        per unkept prompt (of two) of a speaking request read ahead."""
+        return (
+            sum(2 if how == "discarded" else 1 for *_, how in backend.ahead)
+            + sum(4 for *_, how in backend.listened if how == "discarded")
+        )
 
     @pytest.mark.parametrize("name, seed", [("in-context", 0), ("unparseable", 0), ("unparseable", 2)])
     def test_same_records_as_in_turn(self, tmp_path, name, seed):
-        _, in_turn, vocabs, records = self.communicate(tmp_path, name, seed, ScriptedBackend)
-        backend, ahead, ahead_vocabs, ahead_records = self.communicate(
+        _, in_turn, state, records = self.communicate(tmp_path, name, seed, ScriptedBackend)
+        backend, ahead, ahead_state, ahead_records = self.communicate(
             tmp_path, name, seed, SpeakingAheadBackend
         )
         assert ahead.records == in_turn.records
-        assert ahead.round_vocabs == in_turn.round_vocabs and ahead_vocabs == vocabs
+        assert ahead.round_vocabs == in_turn.round_vocabs and ahead_state == state
         assert [r for r in ahead_records if r["kind"] != "backend_discarded"] == records
         # one prompt-free record per discarded prompt
         discarded = [r for r in ahead_records if r["kind"] == "backend_discarded"]
         assert all("prompt" not in r and r["block"] == "communication" for r in discarded)
-        assert len(discarded) == sum(2 if how == "discarded" else 1 for *_, how in backend.ahead)
+        assert len(discarded) == self.discarded_prompts(backend)
         if name == "unparseable":
             reads = {how for *_, how in backend.ahead}
             assert reads == {"kept", "discarded"}  # some listener needed a second attempt
@@ -315,22 +386,97 @@ class TestSpeakingAhead:
             ]
             assert kept_unparseable  # a reply read ahead was a first attempt that failed
 
+    @pytest.mark.parametrize("speaking_ahead", ["A", "B"])
+    def test_dyad_with_an_oracle_runs_in_turn_beside_it(self, tmp_path, speaking_ahead):
+        # only the llm agent asks ahead, and only when it listens
+        def communicate(backend_class):
+            llm = LLMAgent(speaking_ahead, service(3, "unparseable", backend=backend_class))
+            oracle = LookupOracle("B" if speaking_ahead == "A" else "A")
+            vocab, _ = training_vocab(3)
+            for agent in (llm, oracle):
+                agent.set_vocabulary(vocab.copy())
+            path = tmp_path / f"{backend_class.__name__}.jsonl"
+            dyad = (llm, oracle) if speaking_ahead == "A" else (oracle, llm)
+            with EventLog(path) as log:
+                config = RunConfig(rounds=2, max_agent_retries=2)
+                result = run_communication_block(*dyad, Random(3), config, log)
+            kept = [r for r in EventLog.read(path) if r["kind"] != "backend_discarded"]
+            return result, [{k: v for k, v in r.items() if k not in ("latency", "timestamp")} for r in kept]
+
+        in_turn, records = communicate(ScriptedBackend)
+        ahead, ahead_records = communicate(SpeakingAheadBackend)
+        assert ahead.records == in_turn.records and ahead_records == records
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        name=st.sampled_from(["unparseable", "doomed-listening", "doomed-speaking"]),
+    )
+    def test_same_run_as_in_turn(self, tmp_path_factory, seed, name):
+        path = tmp_path_factory.mktemp("ahead")
+        in_turn_backend, in_turn, state, records = self.communicate(path, name, seed, InTurnBackend, rounds=2)
+        backend, ahead, ahead_state, ahead_records = self.communicate(
+            path, name, seed, SpeakingAheadBackend, rounds=2
+        )
+        # the block records, backend_call records, rng and vocabularies of the run in turn
+        assert ahead.records == in_turn.records
+        assert ahead.round_vocabs == in_turn.round_vocabs and ahead_state == state
+        assert [r for r in ahead_records if r["kind"] != "backend_discarded"] == records
+        assert sum(r["kind"] == "backend_discarded" for r in ahead_records) == self.discarded_prompts(backend)
+        # a listening request sent on a prediction is discarded exactly when
+        # the prediction was wrong or the listener before needed another attempt
+        by_task = {(r.round, r.task): r for r in in_turn.records}
+        speculated = speculative_sends(backend.timeline)
+        retried = {
+            (r.round, r.task) for r in in_turn.records
+            if r.signal and r.task + 1 < 30 and (r.round, r.task) in in_turn_backend.failed_scores
+        }
+        dropped = set()
+        for round_, task in speculated:
+            earlier = [r for r in in_turn.records if (r.round, r.task) < (round_, task - 1)]
+            if predicted(earlier) != by_task[(round_, task - 1)].success or (round_, task - 1) in retried:
+                dropped.add((round_, task))
+        assert {(round_, task) for round_, task, how in backend.listened if how == "discarded"} == dropped
+        assert all(task + 1 < 30 for _, task in speculated)  # t+2 is in the round
+        # each drop costs the two requests sent on it, each retry the speaking request sent ahead
+        assert backend.requests - in_turn_backend.requests == 2 * len(dropped) + len(retried)
+
+    def test_listening_sent_before_the_record_it_predicts(self, tmp_path):
+        backend, result, _, _ = self.communicate(tmp_path, "in-context", 0, SpeakingAheadBackend)
+        timeline = backend.timeline
+        right = [
+            task for _, task in speculative_sends(timeline)
+            if predicted(result.records[:task - 1]) == result.records[task - 1].success
+        ]
+        assert right
+        for task in right:
+            # sent, then task-1's record, then the records of its speaker and its listener
+            sent = timeline.index(("sent", "score", task))
+            written = timeline.index(("interaction", 1, task - 1))
+            assert sent < written < timeline.index(("backend_call", 1, task))
+            assert {how for _, t, how in backend.listened if t == task} == {"kept"}
+
     def test_which_tasks_are_asked_ahead(self, tmp_path):
         backend, result, _, _ = self.communicate(tmp_path, "in-context", 0, SpeakingAheadBackend, rounds=2)
         # with no failures every listener asks the next task ahead, except
         # across the round boundary: task 0 of each round runs in turn
-        assert [(round_, task) for round_, task, _, _ in backend.ahead] == [
-            (round_, task) for round_ in (1, 2) for task in range(1, 30)
-        ]
-        assert {how for *_, how in backend.ahead} == {"kept"}
+        kept = [(round_, task) for round_, task, _, how in backend.ahead if how == "kept"]
+        assert kept == [(round_, task) for round_ in (1, 2) for task in range(1, 30)]
+        # the speaking requests discarded are those sent on a wrong prediction
+        records = result.records
+        wrong = {
+            (r.round, r.task + 2) for n, r in enumerate(records)
+            if r.task + 2 < 30 and predicted(records[:n]) != r.success
+        }
+        assert wrong  # the seed has a wrong prediction
+        assert {(round_, task) for round_, task, _, how in backend.ahead if how == "discarded"} == wrong
         # when task t+1's target is task t's stimulus, the line that differs
         # is left out of both prompts, which are then equal
-        by_task = {(r.round, r.task): r.stimulus for r in result.records}
-        repeats = {(round_, task) for round_, task, equal, _ in backend.ahead if equal}
+        by_task = {(r.round, r.task): r.stimulus for r in records}
+        repeats = {(round_, task) for round_, task, equal, how in backend.ahead if equal and how == "kept"}
         assert repeats  # the seed has such a pair
         assert repeats == {
-            (round_, task) for round_, task, _, _ in backend.ahead
-            if by_task[(round_, task)] == by_task[(round_, task - 1)]
+            (round_, task) for round_, task in kept if by_task[(round_, task)] == by_task[(round_, task - 1)]
         }
 
 
@@ -429,7 +575,7 @@ class TestRunSimulation:
         assert all(len(r.candidates) == 3 for g in result.guessing.values() for r in g.records)
 
     def test_abort_carries_partial(self):
-        from refgame.prompts import PromptTask
+        from refgame.prompts import PromptTask, completion_stem, listener_stem
 
         class Exploding(LookupOracle):
             def produce_signal(self, stimulus, task, rng):
@@ -450,7 +596,7 @@ class TestRunSimulation:
         assert partial.metric_rows == []
 
     def test_abort_in_second_agents_guessing_completes_no_block(self, tmp_path):
-        from refgame.prompts import PromptTask
+        from refgame.prompts import PromptTask, completion_stem, listener_stem
 
         class ExplodingGuesser(LookupOracle):
             def choose(self, probe, candidates, task, rng, exclude=None):
@@ -559,7 +705,7 @@ class TestRunSimulation:
         assert len(calls) == first
 
     def test_constant_testing_signals_leave_gen_score_empty(self):
-        from refgame.prompts import PromptTask
+        from refgame.prompts import PromptTask, completion_stem, listener_stem
 
         class ConstantSpeaker(LookupOracle):
             def produce_signal(self, stimulus, task, rng):

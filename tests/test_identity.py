@@ -205,11 +205,13 @@ def test_wire_outputs_are_byte_identical(tmp_path):
     assert sorted(actual) == sorted(expected)
     moved = [path for path in expected if actual[path] != expected[path]]
     assert moved == []
-    # an llm agent speaks ahead while it listens: two keep-alive connections
-    # each, however many interactions it runs (the faults close some)
+    # an llm agent has at most four requests in flight, its listening and
+    # speaking requests and the two of a wrong prediction it discards: four
+    # keep-alive connections each, however many interactions it runs (the
+    # faults close some)
     agents = {name: 2 * len(list((tmp_path / name).rglob("manifest.json"))) for name in WIRE_RUNS}
     assert {name: stats[name]["connections"] for name in agents if name != "wire-faults-33"} == {
-        name: 2 * count for name, count in agents.items() if name != "wire-faults-33"
+        name: 4 * count for name, count in agents.items() if name != "wire-faults-33"
     }
 
 

@@ -482,21 +482,10 @@ class HttpBackend(CompletionBackend):
             ) from err
         if type(token_logprobs) is not list or type(offsets) is not list:
             raise MalformedServiceReply("echoed token_logprobs or text_offset is not a list")
-        # the continuation is the tail of the echo: the loop below starts at
-        # the tail whose offsets are all at or past the boundary when every
-        # offset before it is below, and checks every token otherwise
-        start = min(len(offsets), len(token_logprobs))
-        try:
-            while start and offsets[start - 1] >= boundary:
-                start -= 1
-            if start and not max(offsets[:start]) < boundary:  # a NaN max is not below
-                start = 0
-        except TypeError:  # an offset that is not a number, which the loop reports
-            start = 0
         total = 0.0
         counted = 0
         try:
-            for offset, lp in zip(offsets[start:], token_logprobs[start:]):
+            for offset, lp in zip(offsets, token_logprobs):
                 if offset >= boundary and lp is not None:
                     if type(lp) is not float and type(lp) is not int:
                         raise MalformedServiceReply(f"echoed log-probability {lp!r} is not a number")

@@ -520,21 +520,21 @@ def run_communication_block(
     draws by line count only) and sent too: the reply for the flag that
     came true is t+1's first speaking attempt, the other prompt's record a
     ``backend_discarded`` one. Second, while t's listening request is in
-    flight, the engine predicts t's flag (the block's majority outcome so
-    far, failure on a tie) and reads t+1's speaking reply under it; when
-    that parses, the speaker of t takes t's update under the prediction
-    and makes t+1's overlap at once: its listening request and its
-    speaking request for t+2, with the draws t+1 would make. A right
-    prediction makes them t+1's first attempts, byte for byte; a wrong one
-    puts the rng back to before those draws, makes t+1's overlap again,
-    and then reads and discards the two replies. Records are written where
-    the run in turn writes them, after these sends.
+    flight, the engine predicts that t fails and reads t+1's speaking reply
+    under that flag; when it parses, the speaker of t takes t's update as a
+    failure and makes t+1's overlap at once: its listening request and its
+    speaking request for t+2, with the draws t+1 would make. When t fails they are t+1's first attempts, byte for byte;
+    when t succeeds the rng goes back to before those draws, t+1's overlap
+    is made again, and then the two replies are read and logged as
+    discarded, under the speaker of t that sent them. Records are written
+    where the run in turn writes them, after these sends.
 
     The fall-backs: when t's listener needs a second attempt, whatever was
-    sent ahead is discarded, the rng goes back to before t+1's draws, and
-    t+1 runs in turn; a speaking reply read ahead that fails or does not
-    parse is t+1's first attempt, and no prediction is made on it. Nothing
-    is asked ahead across a round boundary or after a failed production."""
+    sent ahead is discarded at once, under the agent that sent it, the rng
+    goes back to before t+1's draws, and t+1 runs in turn; a speaking reply
+    read ahead that fails or does not parse is t+1's first attempt, and no
+    prediction is made on it. Nothing is asked ahead across a round
+    boundary or after a failed production."""
     assert agent_a.vocabulary is not None and agent_b.vocabulary is not None
     agent_a.vocabulary.track_success = True
     agent_b.vocabulary.track_success = True
@@ -562,12 +562,22 @@ def run_communication_block(
         speaking = listener.speak_ahead(next_index, next_stimulus, variants, rng)
         return _Overlap(listening, before, next_candidates, speaking)
 
+    def discard(owner: str, replies: list[Reply]) -> None:
+        """Reads ``replies`` and logs them as discarded, under ``owner``, the
+        agent that sent them."""
+        agent = event_log.context["agent"]
+        event_log.set_context(agent=owner)
+        for reply in replies:
+            reply.discard(event_log)
+        event_log.set_context(agent=agent)
+
     for round_number in range(1, config.rounds + 1):
         tasks = schedule_round(train, rng, (agent_a.agent_id, agent_b.agent_id))
         # this task's candidates, speaking reply and the flag to read it
         # under, and its overlap when that was made on a right prediction
         ahead = None
-        stale: list[Reply] = []  # discarded once the next requests are sent
+        # a wrong prediction's requests and their sender, discarded once the right ones are sent
+        stale: tuple[str, list[Reply]] | None = None
         for task_index, (speaker_id, stimulus) in enumerate(tasks):
             speaker = agents[speaker_id]
             listener = agents[[i for i in agents if i != speaker_id][0]]
@@ -596,32 +606,30 @@ def run_communication_block(
                 heard = (task_index, signal, candidates, stimulus)
                 if sent is None and listener.speaks_ahead and task_index + 1 < len(tasks):
                     sent = overlap(listener, heard, task_index + 1)
-            for reply in stale:
-                reply.discard(event_log)
-            stale = []
+            if stale is not None:
+                discard(*stale)
+                stale = None
             if sent is not None:
-                predicted = next_sent = None
+                next_sent = None
                 if speaker.speaks_ahead and task_index + 2 < len(tasks):
-                    # t's flag predicted: the block's majority outcome so far, failure on a tie
-                    flag = int(2 * sum(r.success for r in records) > len(records))
-                    next_signal = sent.speaking.peek(flag)
+                    next_signal = sent.speaking.peek(0)  # t predicted to fail
                     if next_signal is not None:
-                        predicted, mark = flag, rng.getstate()
-                        speaker.vocabulary.update(stimulus, signal, flag)  # t's record updates it again
+                        mark = rng.getstate()
+                        speaker.vocabulary.update(stimulus, signal, 0)  # t's record updates it again
                         next_task = (task_index + 1, next_signal, sent.next_candidates, tasks[task_index + 1][1])
                         next_sent = overlap(speaker, next_task, task_index + 2)
                 answers = sent.listening.read(event_log)
                 if answers:
                     chosen = answers[0]
                     flag = int(candidates[chosen] == stimulus)
-                    if next_sent is not None and predicted != flag:  # t+1's overlap is made anew
+                    if next_sent is not None and flag:  # t succeeded: t+1's overlap is made anew
                         rng.setstate(mark)
-                        stale, next_sent = [next_sent.listening, next_sent.speaking], None
+                        stale, next_sent = (speaker_id, [next_sent.listening, next_sent.speaking]), None
                     ahead = (sent.next_candidates, sent.speaking, flag, next_sent)
                 else:  # the listener needs another attempt: t+1 runs in turn
-                    stale = [sent.speaking]
+                    discard(listener.agent_id, [sent.speaking])
                     if next_sent is not None:
-                        stale += [next_sent.listening, next_sent.speaking]
+                        discard(speaker_id, [next_sent.listening, next_sent.speaking])
                     rng.setstate(sent.before)
                     chosen = _alone(listener.choose_many, heard, PromptTask.LISTENING, rng,
                                     attempts - 1, event_log)

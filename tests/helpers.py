@@ -191,34 +191,6 @@ def logged(log: EventLog, kind: str) -> list[dict]:
     return [r for r in EventLog.read(log.path) if r["kind"] == kind]
 
 
-def looped_continuation_logprob(logprobs: dict | None, boundary: int) -> float:
-    """``HttpBackend._continuation_logprob`` as it was before it read only the
-    echo's tail, walking every token: the reference it must equal."""
-    try:
-        token_logprobs = logprobs["token_logprobs"]
-        offsets = logprobs["text_offset"]
-    except (KeyError, TypeError) as err:
-        raise CapabilityUnsupported(
-            "service does not return echoed token log-probabilities"
-        ) from err
-    if type(token_logprobs) is not list or type(offsets) is not list:
-        raise MalformedServiceReply("echoed token_logprobs or text_offset is not a list")
-    total = 0.0
-    counted = 0
-    try:
-        for offset, lp in zip(offsets, token_logprobs):
-            if offset >= boundary and lp is not None:
-                if type(lp) is not float and type(lp) is not int:
-                    raise MalformedServiceReply(f"echoed log-probability {lp!r} is not a number")
-                total += lp
-                counted += 1
-    except TypeError as err:  # an offset that is not a number
-        raise MalformedServiceReply(f"echoed text offset is not a number: {err}") from None
-    if counted == 0:
-        raise MalformedServiceReply("no continuation tokens in echo response")
-    return total
-
-
 class ScriptedBackend(CompletionBackend):
     """Deterministic in-process backend driven by callables.
 

@@ -1,24 +1,13 @@
 import socket
-import struct
 import sys
 import threading
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from helpers import (
-    ScriptedBackend,
-    http_backend,
-    logged,
-    looped_continuation_logprob,
-    service_stats,
-    wire_service,
-)
+from helpers import ScriptedBackend, http_backend, logged, service_stats, wire_service
 from refgame.backend import (
     BackendTimeout,
-    HttpBackend,
     CapabilityUnsupported,
     ContextOverflow,
     EventLog,
@@ -328,51 +317,6 @@ class TestHttpBackend:
         handler.echo_logprobs = logprobs
         with pytest.raises(MalformedServiceReply):
             http_backend(endpoint).score(CANDIDATES, [0] * 4, EventLog())
-
-    # offsets: mostly ascending numbers, some NaN, bool, str or None; log-
-    # probabilities: mostly floats, some None, int, bool or str
-    OFFSETS = st.one_of(
-        st.integers(0, 60), st.floats(0, 60), st.just(float("nan")), st.booleans(), st.text(max_size=2),
-        st.none(),
-    )
-    LOGPROBS = st.one_of(
-        st.floats(-20, 0), st.floats(allow_nan=True), st.none(), st.integers(-5, 0), st.booleans(),
-        st.text(max_size=2),
-    )
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        data=st.data(),
-        length=st.integers(0, 30),
-        boundary=st.integers(-1, 61),
-        extra=st.integers(-3, 3),
-        mess=st.integers(0, 3),
-    )
-    def test_continuation_logprob_equals_the_loop(self, data, length, boundary, extra, mess):
-        # well-formed echoes (sorted numeric offsets) most of the time;
-        # ``mess`` draws some offsets and log-probabilities of any type,
-        # unsorted, and lists of unequal length
-        offsets = sorted(data.draw(st.lists(st.integers(0, 60), min_size=length, max_size=length)))
-        logprobs = data.draw(st.lists(st.floats(-20, 0) | st.none(), min_size=length, max_size=length))
-        if mess:
-            for _ in range(data.draw(st.integers(1, 4))):
-                if offsets:
-                    offsets[data.draw(st.integers(0, len(offsets) - 1))] = data.draw(self.OFFSETS)
-                if logprobs:
-                    logprobs[data.draw(st.integers(0, len(logprobs) - 1))] = data.draw(self.LOGPROBS)
-            if mess > 1:
-                offsets = data.draw(st.permutations(offsets))
-            if mess > 2:
-                logprobs = logprobs[:max(0, len(logprobs) + extra)] if extra < 0 else logprobs + [-1.0] * extra
-        echoed = {"token_logprobs": logprobs, "text_offset": offsets}
-
-        def outcome(function):
-            try:
-                return "total", struct.pack("<d", function(echoed, boundary))
-            except Exception as err:
-                return type(err), str(err)
-
-        assert outcome(HttpBackend._continuation_logprob) == outcome(looped_continuation_logprob)
 
     def test_score_batch_retried_as_a_whole(self, stub_server, event_log, waits):
         endpoint, handler = stub_server

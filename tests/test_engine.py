@@ -293,11 +293,6 @@ class TimelineLog(EventLog):
         self.timeline.append((kind, self.context["round"], fields.get("task", self.context["task"])))
 
 
-def predicted(records) -> bool:
-    """The outcome predicted for the next interaction: the majority so far, failure on a tie."""
-    return 2 * sum(r.success for r in records) > len(records)
-
-
 def speculative_sends(timeline) -> list[tuple]:
     """(round, task) of each listening request sent before the interaction
     record of the task before it, that is, on a predicted outcome."""
@@ -316,9 +311,9 @@ def speculative_sends(timeline) -> list[tuple]:
 class TestSpeakingAhead:
     """Over a backend with ``complete_later`` and ``score_later`` the
     listener of task t sends its speaking request for t+1 while it listens,
-    and on t's predicted outcome the speaker of t sends t+1's listening
-    request and its speaking request for t+2; every block record and
-    ``backend_call`` record stays that of the run in turn."""
+    and on the prediction that t fails the speaker of t sends t+1's
+    listening request and its speaking request for t+2; every block record
+    and ``backend_call`` record stays that of the run in turn."""
 
     BACKENDS = {
         "in-context": lambda seed, backend: in_context_learner(backend),
@@ -423,19 +418,24 @@ class TestSpeakingAhead:
         assert ahead.round_vocabs == in_turn.round_vocabs and ahead_state == state
         assert [r for r in ahead_records if r["kind"] != "backend_discarded"] == records
         assert sum(r["kind"] == "backend_discarded" for r in ahead_records) == self.discarded_prompts(backend)
-        # a listening request sent on a prediction is discarded exactly when
-        # the prediction was wrong or the listener before needed another attempt
+        # each discarded record is logged under the agent that sent its
+        # request: the speaker of its task for a completion, the listener for a score
         by_task = {(r.round, r.task): r for r in in_turn.records}
+        for r in ahead_records:
+            if r["kind"] == "backend_discarded":
+                interaction = by_task[(r["round"], r["task"])]
+                assert r["agent"] == (interaction.speaker if r["call"] == "complete" else interaction.listener)
+        # a listening request sent on a prediction is discarded exactly when
+        # the interaction before succeeded or its listener needed another attempt
         speculated = speculative_sends(backend.timeline)
         retried = {
             (r.round, r.task) for r in in_turn.records
             if r.signal and r.task + 1 < 30 and (r.round, r.task) in in_turn_backend.failed_scores
         }
-        dropped = set()
-        for round_, task in speculated:
-            earlier = [r for r in in_turn.records if (r.round, r.task) < (round_, task - 1)]
-            if predicted(earlier) != by_task[(round_, task - 1)].success or (round_, task - 1) in retried:
-                dropped.add((round_, task))
+        dropped = {
+            (round_, task) for round_, task in speculated
+            if by_task[(round_, task - 1)].success or (round_, task - 1) in retried
+        }
         assert {(round_, task) for round_, task, how in backend.listened if how == "discarded"} == dropped
         assert all(task + 1 < 30 for _, task in speculated)  # t+2 is in the round
         # each drop costs the two requests sent on it, each retry the speaking request sent ahead
@@ -444,10 +444,7 @@ class TestSpeakingAhead:
     def test_listening_sent_before_the_record_it_predicts(self, tmp_path):
         backend, result, _, _ = self.communicate(tmp_path, "in-context", 0, SpeakingAheadBackend)
         timeline = backend.timeline
-        right = [
-            task for _, task in speculative_sends(timeline)
-            if predicted(result.records[:task - 1]) == result.records[task - 1].success
-        ]
+        right = [task for _, task in speculative_sends(timeline) if not result.records[task - 1].success]
         assert right
         for task in right:
             # sent, then task-1's record, then the records of its speaker and its listener
@@ -462,12 +459,10 @@ class TestSpeakingAhead:
         # across the round boundary: task 0 of each round runs in turn
         kept = [(round_, task) for round_, task, _, how in backend.ahead if how == "kept"]
         assert kept == [(round_, task) for round_ in (1, 2) for task in range(1, 30)]
-        # the speaking requests discarded are those sent on a wrong prediction
+        # the speaking requests discarded are those sent on a wrong
+        # prediction, when the interaction two tasks before succeeded
         records = result.records
-        wrong = {
-            (r.round, r.task + 2) for n, r in enumerate(records)
-            if r.task + 2 < 30 and predicted(records[:n]) != r.success
-        }
+        wrong = {(r.round, r.task + 2) for r in records if r.task + 2 < 30 and r.success}
         assert wrong  # the seed has a wrong prediction
         assert {(round_, task) for round_, task, _, how in backend.ahead if how == "discarded"} == wrong
         # when task t+1's target is task t's stimulus, the line that differs
@@ -575,7 +570,7 @@ class TestRunSimulation:
         assert all(len(r.candidates) == 3 for g in result.guessing.values() for r in g.records)
 
     def test_abort_carries_partial(self):
-        from refgame.prompts import PromptTask, completion_stem, listener_stem
+        from refgame.prompts import PromptTask
 
         class Exploding(LookupOracle):
             def produce_signal(self, stimulus, task, rng):
@@ -596,7 +591,7 @@ class TestRunSimulation:
         assert partial.metric_rows == []
 
     def test_abort_in_second_agents_guessing_completes_no_block(self, tmp_path):
-        from refgame.prompts import PromptTask, completion_stem, listener_stem
+        from refgame.prompts import PromptTask
 
         class ExplodingGuesser(LookupOracle):
             def choose(self, probe, candidates, task, rng, exclude=None):
@@ -705,7 +700,7 @@ class TestRunSimulation:
         assert len(calls) == first
 
     def test_constant_testing_signals_leave_gen_score_empty(self):
-        from refgame.prompts import PromptTask, completion_stem, listener_stem
+        from refgame.prompts import PromptTask
 
         class ConstantSpeaker(LookupOracle):
             def produce_signal(self, stimulus, task, rng):

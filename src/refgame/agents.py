@@ -182,11 +182,12 @@ class LLMAgent(Agent):
 
     Over a backend with ``complete_later`` and ``score_later``
     (``HttpBackend``) the agent speaks ahead: listen_ahead() builds a
-    choice list's prompts and sends them at once, and speak_ahead() builds
-    one speaking task's prompt over each of several vocabularies and sends
-    them as one request; each returns the ``Reply`` to read the answer
-    from. The engine keeps at most four of an agent's requests in flight:
-    its listening and next speaking requests, and the two it is discarding.
+    choice list's prompts and returns the function that sends them, and
+    speak_ahead() builds one speaking task's prompt over each of several
+    vocabularies and sends them as one request; each request's ``Reply``
+    is what the answer is read from. The engine keeps at most four of an
+    agent's requests in flight: its listening and next speaking requests,
+    and the two it is discarding.
     """
 
     def __init__(self, agent_id: str, backend: CompletionBackend):
@@ -249,11 +250,14 @@ class LLMAgent(Agent):
         except BackendError:
             return []
 
-    def listen_ahead(self, items, task, rng) -> Reply:
-        """choose_many(), with the request sent now and its answer read from
-        the returned ``Reply``, [] when the request fails."""
+    def listen_ahead(self, items, task, rng) -> Callable[[], Reply]:
+        """choose_many(), with the prompts built (and their draws made) now
+        and the request sent by the returned function, which gives the
+        ``Reply`` to read the answer from, [] when the request fails. The
+        engine sends the speaking request built after it first: speaking
+        replies are the communication block's critical chain."""
         built, tasks, chosen = self._choice_list(items, task, rng)
-        return Reply(lambda: self.backend.score_later(built, tasks), chosen, [])
+        return lambda: Reply(lambda: self.backend.score_later(built, tasks), chosen, [])
 
     def speak_ahead(self, task_index: int, stimulus: Stimulus, vocabularies: Sequence[Vocabulary],
                     rng: Random) -> Reply:

@@ -250,15 +250,16 @@ class CompletionBackend:
         call: str,
         prompt_text: str,
         result,
-        started: float,
+        latency: float,
         task: int,
         repeat: bool = False,
         kind: str = "backend_call",
         **extra,
     ) -> None:
         """Append a ``kind`` record to ``event_log``, with ``task`` over the
-        context's; with ``repeat`` it keeps the prompt's ``prompt_sha`` but
-        leaves its text out."""
+        context's and ``latency`` the request's round trip in seconds; with
+        ``repeat`` it keeps the prompt's ``prompt_sha`` but leaves its text
+        out."""
         text = {} if repeat else {"prompt": prompt_text}
         event_log.append(
             kind,
@@ -266,7 +267,7 @@ class CompletionBackend:
             prompt_sha=prompt_digest(prompt_text),
             **text,
             result=result,
-            latency=time.monotonic() - started,
+            latency=latency,
             timestamp=time.time(),
             **extra,
             task=task,
@@ -310,7 +311,9 @@ class HttpBackend(CompletionBackend):
     retried as a whole, and ``descriptor.timeout`` bounds each attempt at
     the whole list.
     Each retry appends a ``backend_retry`` record before the call's
-    ``backend_call`` records, whose ``latency`` is the answering attempt's.
+    ``backend_call`` records, whose ``latency`` is the answering attempt's
+    round trip: from its send to its reply's arrival, however much later
+    the reply is read.
     ContextOverflow, capability and malformed-reply errors are not retried.
     The records of a score call carry the templated prompt text only where
     it differs from the previous record's; each keeps its ``prompt_sha``.
@@ -504,10 +507,10 @@ class PendingCompletion:
     and their task indices, and, once ``_send`` has posted it, the
     connection it went out on, whether that connection had carried an
     earlier request, the send's error (raised again by the read), the
-    attempt's start time and, once received, its outcome. ``complete_later``
-    and ``score_later`` return it unread: read it once, with read() or
-    discard(), after peek() if wanted; until then it holds one of the
-    backend's connections."""
+    attempt's start time and, once received, its outcome and arrival time.
+    ``complete_later`` and ``score_later`` return it unread: read it once,
+    with read() or discard(), after peek() if wanted; until then it holds
+    one of the backend's connections."""
 
     def __init__(self, backend: HttpBackend, body: bytes, full_texts: list[str], tasks: Sequence[int],
                  continuations: list[str] | None = None):
@@ -536,15 +539,16 @@ class PendingCompletion:
                 self.outcome = self._backend._receive(self, hook)
             except BackendError as err:
                 self.outcome = err
+            self.arrived = time.monotonic()
         if isinstance(self.outcome, BackendError):
             raise self.outcome
         return self.outcome
 
     def _reply(self, event_log: EventLog) -> dict:
-        """The reply; ``started`` is then the monotonic start time of the
-        attempt that got it. After a transport failure or timeout the same
-        body is sent again: retry k waits ``backoff_base * 2**(k-1)`` and is
-        logged to ``event_log``."""
+        """The reply; ``started`` and ``arrived`` are then the monotonic send
+        and arrival times of the attempt that got it. After a transport
+        failure or timeout the same body is sent again: retry k waits
+        ``backoff_base * 2**(k-1)`` and is logged to ``event_log``."""
         descriptor = self._backend.descriptor
         attempt = 0
         while True:
@@ -585,7 +589,7 @@ class PendingCompletion:
             dropped = discarded or (kept is not None and position != kept)
             extra = {"continuation": self.continuations[position]} if scoring else {}
             self._backend._log(
-                event_log, call, full_text, result, self.started, task,
+                event_log, call, full_text, result, self.arrived - self.started, task,
                 repeat=dropped or (scoring and full_text == previous),
                 kind="backend_discarded" if dropped else "backend_call", **extra,
             )

@@ -308,7 +308,7 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
         elif interaction and (record.speaker, record.listener) not in dyad:
             speaker, listener = json.dumps(record.speaker), json.dumps(record.listener)
             problem = f"'speaker': {speaker} and 'listener': {listener}, not the run's agents {ids}"
-        elif not (problem := _record_problem(record, initial)):
+        elif not (problem := _record_problem(record, initial, run_config)):
             records.setdefault((kind, None if interaction else agent), []).append(record)
             continue
         raise PersistenceError(f"{events_path}: a {kind!r} record has {problem}")
@@ -349,17 +349,21 @@ _FAILURE_MODES = {
 }
 
 
-def _record_problem(record, initial: Vocabulary) -> str:
+def _record_problem(record, initial: Vocabulary, config: RunConfig) -> str:
     """What a block record's fields contradict, or "". A failed label keeps
     its ``truth`` as ``produced``; a failed testing record has no signal and
     is not ``extrapolated``, and an extrapolated one is of a stimulus
     outside the initial language, whose every stimulus the agent stores. A
     guess or interaction has a ``failure_mode`` of its kind; an
-    interaction's signal is empty exactly on a failed production; ``chosen``
-    is -1 or a position among the candidates, -1 exactly when
+    interaction's signal is empty exactly on a failed production;
+    ``chosen`` is -1 or a position among the candidates, -1 exactly when
     ``failure_mode`` is not "none", and ``success`` (``correct``) says
     whether the chosen candidate is the stimulus (the initial language's
-    signal for it, which a guess's stimulus must have)."""
+    signal for it, which a guess's stimulus must have). An interaction's
+    candidates are ``candidate_count`` distinct training stimuli (the
+    initial language's) among them its stimulus; a guess's are
+    ``guessing_distractors`` + 1 signals among them its stimulus's (a
+    collapsed language repeats signals, so they need not be distinct)."""
     if isinstance(record, LabellingRecord):
         if record.failed and record.produced != record.truth:
             produced, truth = json.dumps(record.produced), json.dumps(record.truth)
@@ -397,6 +401,17 @@ def _record_problem(record, initial: Vocabulary) -> str:
     given = getattr(record, name)
     if given != (chosen != -1 and candidates[chosen] == target):
         return f"{name!r}: {json.dumps(given)}, not {json.dumps(not given)} for 'chosen': {chosen}"
+    if isinstance(record, InteractionRecord):
+        count = config.candidate_count
+        if not (len(set(candidates)) == len(candidates) == count and target in candidates
+                and all(candidate in initial for candidate in candidates)):
+            return (f"'candidates': {json.dumps(candidates)}, not {count} distinct training stimuli "
+                    f"among them its 'stimulus' {json.dumps(target)}")
+        return ""
+    count = config.guessing_distractors + 1
+    if not (len(candidates) == count and target in candidates):
+        return (f"'candidates': {json.dumps(candidates)}, not {count} signals among them "
+                f"{json.dumps(target)}, the initial language's for its 'stimulus'")
     return ""
 
 

@@ -226,7 +226,7 @@ class ScriptedBackend(CompletionBackend):
             raise MalformedServiceReply("scripted backend has no completions")
         texts = [self.completions(p) for p in prompts]
         for prompt, text, task in zip(prompts, texts, tasks):
-            self._log(event_log, "complete", prompt.user_text(), text, started, task)
+            self._log(event_log, "complete", prompt.user_text(), text, time.monotonic() - started, task)
         return texts
 
     def _scripted_score(self, prompt: Prompt) -> float:
@@ -243,7 +243,7 @@ class ScriptedBackend(CompletionBackend):
         self._count()
         values = [self._scripted_score(p) for p in prompts]
         for prompt, value, task in zip(prompts, values, tasks):
-            self._log(event_log, "score", prompt.user_text(), value, started, task,
+            self._log(event_log, "score", prompt.user_text(), value, time.monotonic() - started, task,
                       continuation=prompt.continuation)
         return values
 
@@ -310,7 +310,7 @@ class _ScriptedPending:
             dropped = discarded or (kept is not None and position != kept)
             extra = {"continuation": prompt.continuation} if self.call == "score" else {}
             self.backend._log(
-                event_log, self.call, prompt.user_text(), result, self.started, task,
+                event_log, self.call, prompt.user_text(), result, time.monotonic() - self.started, task,
                 repeat=dropped, kind="backend_discarded" if dropped else "backend_call", **extra,
             )
 

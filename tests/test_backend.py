@@ -1,6 +1,7 @@
 import socket
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -472,6 +473,15 @@ class TestConnectionPool:
         assert "prompt" not in discarded
         assert discarded["prompt_sha"] == prompt_digest(apply_chat_template(template, PROMPT))
         assert (discarded["task"], discarded["result"]) == (5, " hanosa'}")
+
+    def test_latency_is_the_round_trip_not_the_wait_to_be_read(self, keepalive_stub_server, event_log):
+        endpoint, _ = keepalive_stub_server
+        pending = http_backend(endpoint).complete_later([PROMPT], [0])
+        assert pending.peek() == [" hanosa'}"]
+        time.sleep(0.2)  # the reply waits, received, until it is read
+        pending.read(event_log)
+        (call,) = logged(event_log, "backend_call")
+        assert 0 < call["latency"] < 0.2
 
     def test_discarded_reply_is_read_before_its_connection_is_reused(self, event_log):
         with wire_service() as endpoint:

@@ -621,6 +621,49 @@ class TestReplayCommand:
                 "a 'testing' record has 'extrapolated': true for 'stimulus': [1, \"blue\", 1], "
                 "in the initial language",
             ),
+            (
+                '{"kind": "interaction", "agent": "B", "round": 1, "task": 0, "speaker": "A", "listener": "B",'
+                ' "stimulus": [1, "blue", 1], "signal": "maluli", "candidates": [[1, "blue", 1], [1, "blue", 2],'
+                ' [2, "green", 1]], "chosen": 0, "success": true}',
+                "a 'interaction' record has 'candidates': [[1, \"blue\", 1], [1, \"blue\", 2], "
+                "[2, \"green\", 1]], not 4 distinct training stimuli among them its 'stimulus' [1, \"blue\", 1]",
+            ),
+            (
+                '{"kind": "interaction", "agent": "B", "round": 1, "task": 0, "speaker": "A", "listener": "B",'
+                ' "stimulus": [1, "blue", 1], "signal": "maluli", "candidates": [[1, "blue", 1], [1, "blue", 2],'
+                ' [2, "green", 1], [1, "blue", 2]], "chosen": 0, "success": true}',
+                "a 'interaction' record has 'candidates': [[1, \"blue\", 1], [1, \"blue\", 2], "
+                "[2, \"green\", 1], [1, \"blue\", 2]], not 4 distinct training stimuli among them its "
+                "'stimulus' [1, \"blue\", 1]",
+            ),
+            (
+                '{"kind": "interaction", "agent": "B", "round": 1, "task": 0, "speaker": "A", "listener": "B",'
+                ' "stimulus": [1, "blue", 1], "signal": "maluli", "candidates": [[1, "blue", 1], [1, "blue", 2],'
+                ' [2, "green", 1], [1, "green", 2]], "chosen": 0, "success": true}',
+                "a 'interaction' record has 'candidates': [[1, \"blue\", 1], [1, \"blue\", 2], "
+                "[2, \"green\", 1], [1, \"green\", 2]], not 4 distinct training stimuli among them its "
+                "'stimulus' [1, \"blue\", 1]",
+            ),
+            (
+                '{"kind": "interaction", "agent": "B", "round": 1, "task": 0, "speaker": "A", "listener": "B",'
+                ' "stimulus": [1, "blue", 1], "signal": "maluli", "candidates": [[1, "blue", 2], [2, "green", 1],'
+                ' [2, "orange", 1], [2, "green", 3]], "chosen": 0, "success": false}',
+                "a 'interaction' record has 'candidates': [[1, \"blue\", 2], [2, \"green\", 1], "
+                "[2, \"orange\", 1], [2, \"green\", 3]], not 4 distinct training stimuli among them its "
+                "'stimulus' [1, \"blue\", 1]",
+            ),
+            (
+                '{"kind": "guess", "agent": "A", "stimulus": [1, "blue", 1], "candidates": ["maluli", "mapi"],'
+                ' "chosen": 0, "correct": true}',
+                "a 'guess' record has 'candidates': [\"maluli\", \"mapi\"], not 4 signals among them "
+                "\"maluli\", the initial language's for its 'stimulus'",
+            ),
+            (
+                '{"kind": "guess", "agent": "A", "stimulus": [1, "blue", 1], "candidates": ["mapi", "kagi", "wopa",'
+                ' "kehu"], "chosen": 0, "correct": false}',
+                "a 'guess' record has 'candidates': [\"mapi\", \"kagi\", \"wopa\", \"kehu\"], not 4 signals "
+                "among them \"maluli\", the initial language's for its 'stimulus'",
+            ),
         ],
         ids=[
             "testing-of-another-agent", "interaction-of-round-9", "interaction-of-another-speaker",
@@ -631,7 +674,9 @@ class TestReplayCommand:
             "interaction-success-without-a-choice", "interaction-of-an-unknown-failure-mode",
             "guess-of-a-failed-production", "failed-production-with-a-signal", "production-without-a-signal",
             "failed-label-unlike-its-truth", "failed-testing-with-a-signal", "failed-testing-extrapolated",
-            "testing-extrapolated-in-the-language",
+            "testing-extrapolated-in-the-language", "interaction-of-too-few-candidates",
+            "interaction-of-a-repeated-candidate", "interaction-of-a-candidate-outside-training",
+            "interaction-without-its-stimulus", "guess-of-too-few-candidates", "guess-without-its-signal",
         ],
     )
     def test_foreign_block_record_refused(self, tmp_path, capsys, line, message):

@@ -24,8 +24,8 @@ CHAIN = ("chain", "--seed", "0", "--chains", "1", "--generations", "2", "--permu
 
 
 def test_corpus_is_present():
-    # one simulation and a chain of two generations
-    assert len(COMPLETE) == 3
+    # an oracle simulation, a chain of two generations and a wire simulation
+    assert len(COMPLETE) == 4
 
 
 @pytest.mark.parametrize("run_dir", COMPLETE, ids=[p.relative_to(CORPUS).as_posix() for p in COMPLETE])

@@ -441,6 +441,17 @@ class TestSpeakingAhead:
         # each drop costs the two requests sent on it, each retry the speaking request sent ahead
         assert backend.requests - in_turn_backend.requests == 2 * len(dropped) + len(retried)
 
+    @pytest.mark.parametrize("name, seed", [("in-context", 0), ("unparseable", 2)])
+    def test_speaking_request_sent_just_before_its_listening_request(self, tmp_path, name, seed):
+        # speaking replies are the block's critical chain, so each overlap
+        # sends its speaking request for t+1 first, then listening request t
+        backend, *_ = self.communicate(tmp_path, name, seed, SpeakingAheadBackend, rounds=2)
+        timeline = backend.timeline
+        listening = [i for i, entry in enumerate(timeline) if entry[:2] == ("sent", "score")]
+        assert listening
+        for i in listening:
+            assert timeline[i - 1] == ("sent", "complete", timeline[i][2] + 1)
+
     def test_listening_sent_before_the_record_it_predicts(self, tmp_path):
         backend, result, _, _ = self.communicate(tmp_path, "in-context", 0, SpeakingAheadBackend)
         timeline = backend.timeline

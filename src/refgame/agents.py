@@ -185,9 +185,9 @@ class LLMAgent(Agent):
     choice list's prompts and returns the function that sends them, and
     speak_ahead() builds one speaking task's prompt over each of several
     vocabularies and sends them as one request; each request's ``Reply``
-    is what the answer is read from. The engine keeps at most four of an
-    agent's requests in flight: its listening and next speaking requests,
-    and the two it is discarding.
+    is what the answer is read from. The engine keeps at most five of an
+    agent's requests in flight: its guessing request, beside its listening
+    and next speaking requests and the two it is discarding.
     """
 
     def __init__(self, agent_id: str, backend: CompletionBackend):

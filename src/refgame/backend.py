@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Collection, Sequence
-from urllib.parse import urlsplit
+from urllib.parse import urlsplit, urlunsplit
 
 from .prompts import Prompt
 
@@ -95,6 +95,21 @@ class BackendDescriptor:
                     f"endpoint {self.endpoint!r} is not an http:// or https:// URL with a host"
                 )
 
+    def service(self) -> dict:
+        """The settings that shape the service's replies, as a run's manifest
+        records them. The endpoint loses what may hold a credential, its
+        user info and query; neither ``api_key_env`` nor its value is kept."""
+        url = urlsplit(self.endpoint)
+        endpoint = urlunsplit((url.scheme, url.netloc.rpartition("@")[2], url.path, "", ""))
+        return {
+            "model": self.model,
+            "endpoint": endpoint,
+            "template": self.template,
+            "temperature": self.temperature,
+            "max_output_tokens": self.max_output_tokens,
+            "context_budget_tokens": self.context_budget_tokens,
+        }
+
 
 def load_chat_template(name_or_path: str) -> str:
     """A format string with {system} and {user} placeholders."""
@@ -138,15 +153,19 @@ class EventLog:
     ``fork()`` is a log held in memory, starting from a copy of this one's
     context, for a block whose records belong after those this log gets
     meanwhile, beside them or after them. ``join(fork)`` writes the fork's
-    lines after everything this log holds and takes the fork's context, so
-    the file and the context end as if the forked block had run after the
-    other. A fork never joined is dropped.
+    lines after everything this log holds and gives the two logs one
+    context, the fork's; from then on the fork writes through, so whatever
+    it appends later, and whatever is joined into it, goes where this log's
+    lines go. The file and the context thus end as if the forked block had
+    run after the other, and it keeps growing while the forked block runs
+    on. A fork never joined is dropped. A log and its forks share one lock.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = None if path is None else Path(path)  # None: held in memory
-        self.context: dict = {}
+        self._context: dict = {}
         self._lock = threading.Lock()
+        self._into: EventLog | None = None  # the log a joined fork writes through to
         if self.path is None:
             self._file = io.StringIO()
         else:
@@ -162,25 +181,42 @@ class EventLog:
     def close(self) -> None:
         self._file.close()
 
+    def _target(self) -> EventLog:
+        """The log whose lines and context this one's are: itself, or for a
+        joined fork what it was joined into writes through to."""
+        log = self
+        while log._into is not None:
+            log = log._into
+        return log
+
+    @property
+    def context(self) -> dict:
+        return self._target()._context
+
     def set_context(self, **fields) -> None:
         self.context.update(fields)
 
     def append(self, kind: str, **fields) -> None:
         line = json.dumps({"kind": kind, **self.context, **fields}) + "\n"
         with self._lock:
-            self._file.write(line)
-            self._file.flush()
+            target = self._target()
+            target._file.write(line)
+            target._file.flush()
 
     def fork(self) -> EventLog:
         fork = EventLog()
-        fork.context = dict(self.context)
+        fork._context = dict(self.context)
+        fork._lock = self._lock
         return fork
 
     def join(self, fork: EventLog) -> None:
         with self._lock:
-            self._file.write(fork._file.getvalue())
-            self._file.flush()
-        self.context = fork.context
+            target = self._target()
+            target._file.write(fork._file.getvalue())
+            target._file.flush()
+            fork._file.close()  # frees the lines copied; the fork writes through from now on
+            target._context = fork._context
+            fork._into = self
 
     @staticmethod
     def read(path: str | Path, kinds: Collection[str] | None = None) -> list[dict]:
@@ -233,7 +269,7 @@ class CompletionBackend:
     handle to read it with later, as ``HttpBackend`` does: its handle is the
     ``PendingCompletion`` that each of its requests is, a score or a
     completion. An ``LLMAgent`` speaks and listens ahead only over a backend
-    with both, and then has up to four requests in flight.
+    with both, and then has up to five requests in flight.
     """
 
     def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int],
@@ -298,11 +334,13 @@ class HttpBackend(CompletionBackend):
     the endpoint's scheme says so, to the endpoint's path followed by
     ``/v1/completions``. Each request takes an idle connection from a pool,
     or opens one when none is idle, and gives it back once its reply is
-    read; the pool keeps at most ``POOL_SIZE`` idle connections, so a
-    backend with at most four requests in flight at once, as an llm
-    agent's (its listening and speaking requests, and the two of a wrong
-    prediction it discards), never opens more than four. Calls may come
-    from several threads at once. When the service has closed a connection
+    read; the pool keeps at most ``POOL_SIZE`` idle connections. An llm
+    agent has at most five requests in flight at once: its guessing
+    request, beside its listening and speaking requests and the two of a
+    wrong prediction it discards. Its backend then opens at most five
+    connections, the fifth only while guessing is still in flight, and
+    closes one when five are given back. Calls may come from several
+    threads at once. When the service has closed a connection
     while it was idle, the request is sent once more on a new one; that is
     not a retry. Every request, a completion, a score or one made ahead, is
     one ``PendingCompletion``, sent with ``_send`` and read through one

@@ -198,6 +198,7 @@ def run_chain(
     out_dir: str | Path,
     agent_factory: Callable[[], tuple[Agent, Agent]],
     agent_specs: list[str] | None = None,
+    service: dict | None = None,
 ) -> list[GenerationRecord]:
     """Run chain ``chain_index`` into ``chain_dir(out_dir, chain_index)``,
     resuming after the generations already finished there; returns the
@@ -206,7 +207,8 @@ def run_chain(
     ``agent_factory()`` builds a fresh dyad for each generation; when
     ``agent_specs`` names the specs it builds from (``make_agent``'s), each
     generation's manifest, finished or aborted, records them and a resume
-    checks them.
+    checks them; ``service``, the settings of an llm agent's service
+    (``BackendDescriptor.service``), is recorded beside them.
     Each generation is saved, and ``chain.csv`` rewritten, as soon as it
     finishes; one that aborts, or whose dyad has no complete testing output
     to transmit, is saved as incomplete before its ``SimulationAborted``
@@ -230,6 +232,8 @@ def run_chain(
             )
         gen_dir = directory / f"gen{generation:02d}"
         specs = {} if agent_specs is None else {"agent_specs": agent_specs}
+        if service is not None:
+            specs["service"] = service
         agents = agent_factory()
         with EventLog(gen_dir / "events.jsonl") as event_log:
             event_log.set_context(generation=generation)

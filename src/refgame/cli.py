@@ -91,11 +91,18 @@ def _build_agents(config: ExperimentConfig):
     )
 
 
+def _service(config: ExperimentConfig) -> dict | None:
+    """The service settings a run's manifest records when an agent is an llm."""
+    return config.backend.service() if "llm" in config.agents else None
+
+
 def _run_one_simulation(config: ExperimentConfig, run_seed: int, run_dir: Path):
     agents = _build_agents(config)
     with EventLog(run_dir / "events.jsonl") as event_log:  # creates run_dir
         run_config = replace(config.run, master_seed=run_seed)
         extra = {"agent_specs": config.agents}
+        if service := _service(config):
+            extra["service"] = service
         started = time.time()
         try:
             result = run_simulation(run_config, agents, event_log=event_log)
@@ -143,7 +150,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
     for chain_index in range(settings.chains):
         records = run_chain(
             settings, config.run, config.master_seed, chain_index, config.output_dir, agent_factory,
-            agent_specs=config.agents,
+            agent_specs=config.agents, service=_service(config),
         )
         # an imported generation 0 is not a resume
         finished = settings.generations - len(records)

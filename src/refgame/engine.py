@@ -13,6 +13,7 @@ it block by block, persistence saves it (complete, or as the ``partial`` of
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
@@ -296,40 +297,56 @@ class SimulationResult:
     metric_rows: list[MetricRow] = field(default_factory=list)
 
 
-def _side_by_side(event_log: EventLog, agents: tuple[Agent, Agent], block: Callable) -> dict:
-    """``block(agent, log)`` for both agents, keyed by agent id: the first's
-    with ``event_log``, the second's with a fork of it joined after the
-    first's records, so the log reads as if the blocks ran in turn. When
-    either agent ``speaks_ahead`` (its requests wait on a server), the
-    second's block runs on a worker thread beside the first's; otherwise it
-    runs after the first's on this thread. Either way, when the first
-    raises, its exception propagates and the second's records are dropped,
-    as if it had never run; when only the second raises, its records are
-    written and then its exception is raised here."""
-    first, second = agents
+def _beside(event_log: EventLog, first: Callable, second: Callable, threaded: bool) -> tuple:
+    """``(first(event_log), second(fork))``, ``fork`` a fork of ``event_log``
+    joined once ``first`` returns, so the log reads as if ``second`` ran
+    after ``first``. With ``threaded``, ``second`` runs on a worker thread
+    beside ``first``, which runs on this thread, and the joined fork writes
+    through while ``second`` runs on; otherwise ``second`` runs after
+    ``first`` on this thread. Either way, when ``first`` raises, its
+    exception propagates and ``second``'s records are dropped, as if it
+    had never run; when only ``second`` raises, its records are written
+    and then its exception is raised here. No worker outlives the call."""
     fork = event_log.fork()
     outcome: dict = {}
 
     def run_second() -> None:
         try:
-            outcome["answer"] = block(second, fork)
+            outcome["answer"] = second(fork)
         except BaseException as err:  # raised again once the fork is joined
             outcome["error"] = err
 
-    if first.speaks_ahead or second.speaks_ahead:
-        worker = threading.Thread(target=run_second)
+    worker = threading.Thread(target=run_second) if threaded else None
+    if worker is not None:
         worker.start()
-        try:
-            mine = block(first, event_log)
-        finally:
+    try:
+        mine = first(event_log)
+        event_log.join(fork)
+    finally:
+        if worker is not None:
             worker.join()
-    else:
-        mine = block(first, event_log)
+    if worker is None:
         run_second()
-    event_log.join(fork)
     if "error" in outcome:
         raise outcome["error"]
-    return {first.agent_id: mine, second.agent_id: outcome["answer"]}
+    return mine, outcome["answer"]
+
+
+def _speaks_ahead(agents: tuple[Agent, Agent]) -> bool:
+    """Whether a dyad's requests wait on a server, so that its work overlaps."""
+    return agents[0].speaks_ahead or agents[1].speaks_ahead
+
+
+def _side_by_side(event_log: EventLog, agents: tuple[Agent, Agent], block: Callable) -> dict:
+    """``block(agent, log)`` for both agents, keyed by agent id, ``_beside``
+    each other: the first's with ``event_log``, the second's with the fork,
+    on a worker thread when either agent ``speaks_ahead``."""
+    first, second = agents
+    mine, theirs = _beside(
+        event_log, functools.partial(block, first), functools.partial(block, second),
+        _speaks_ahead(agents),
+    )
+    return {first.agent_id: mine, second.agent_id: theirs}
 
 
 def _alone(ask: Callable, item: tuple, prompt_task: PromptTask, rng: Random, attempts: int,
@@ -707,6 +724,36 @@ def run_testing_block(
     return TestingResult(records=records)
 
 
+def block_record_keys(
+    config: RunConfig, agent_ids: tuple[str, str], initial_language: Vocabulary
+) -> list[tuple]:
+    """``(kind, block, round, task, agent)`` of each block record a complete
+    run writes, in the order a run in turn writes them; an interaction's
+    agent is its speaker. The counts are the blocks': guessing and
+    labelling ask each stimulus of the initial language once per agent,
+    each communication round asks ``schedule_round``'s tasks, and testing
+    asks each stimulus of the space once per agent."""
+    train = initial_language.stimuli()
+    keys = [
+        (kind, block, None, task, agent)
+        for kind, block in ((GuessingRecord.KIND, "guessing"), (LabellingRecord.KIND, "labelling"))
+        for agent in agent_ids
+        for task in range(len(train))
+    ]
+    for round_number in range(1, config.rounds + 1):
+        tasks = schedule_round(train, Random(0), agent_ids)  # speakers do not depend on the rng
+        keys += [
+            (InteractionRecord.KIND, "communication", round_number, task, speaker)
+            for task, (speaker, _) in enumerate(tasks)
+        ]
+    keys += [
+        (TestingRecord.KIND, "testing", None, task, agent)
+        for agent in agent_ids
+        for task in range(len(enumerate_stimuli()))
+    ]
+    return keys
+
+
 def compute_metric_rows(result: SimulationResult) -> list[MetricRow]:
     """All metric rows of a run. TopSim seeds derive from the master seed and
     the row context, so recomputation (replay) is reproducible. Signal
@@ -789,6 +836,16 @@ def run_simulation(
     Without an explicit initial language a fresh balanced split and random
     holistic language are generated from the master seed. An exception in a
     block raises ``SimulationAborted`` carrying the result filled so far.
+
+    Nothing after guessing reads its result, so guessing and the rest of
+    the run (labelling, communication, testing) are ``_beside`` each other:
+    when either agent ``speaks_ahead`` the rest runs on a worker thread
+    while guessing runs on this one, otherwise in turn. Guessing asks
+    copies of the agents that hold the initial language, which labelling
+    and communication replace and update in the agents themselves. When
+    guessing raises, the rest's records are dropped and the partial result
+    holds no block; when the rest raises, the log holds guessing's records,
+    then the rest's, then ``run_aborted``.
     """
     config.validate()
     agent_a, agent_b = agents
@@ -806,32 +863,40 @@ def run_simulation(
         agent_ids=(agent_a.agent_id, agent_b.agent_id),
         initial_language=initial_language,
     )
-    for agent in agents:
+    guessers = tuple(copy.copy(agent) for agent in agents)
+    for agent in agents + guessers:
         agent.set_vocabulary(initial_language.copy())
 
-    def side_by_side(label: str, block: Callable, *inputs) -> dict:
-        return _side_by_side(event_log, agents, lambda agent, log: block(
-            agent, *inputs, Random(derive_seed(seed, f"{label}:{agent.agent_id}")), config, log
+    def side_by_side(log: EventLog, dyad: tuple, label: str, block: Callable, *inputs) -> dict:
+        return _side_by_side(log, dyad, lambda agent, fork: block(
+            agent, *inputs, Random(derive_seed(seed, f"{label}:{agent.agent_id}")), config, fork
         ))
 
-    # each block field is assigned once both agents have finished the block;
-    # in guessing, labelling and testing an agent reads only its own rng and
-    # vocabulary, so the two agents run those blocks side by side
-    try:
-        result.guessing = side_by_side("guessing", run_guessing_block, initial_language)
-        result.labelling = side_by_side("labelling", run_labelling_block, initial_language)
+    def guessing(log: EventLog) -> None:
+        result.guessing = side_by_side(log, guessers, "guessing", run_guessing_block, initial_language)
+
+    def rest(log: EventLog) -> None:
+        result.labelling = side_by_side(log, agents, "labelling", run_labelling_block, initial_language)
         result.communication = run_communication_block(
             agent_a,
             agent_b,
             Random(derive_seed(seed, "communication")),
             config,
-            event_log,
+            log,
         )
-        result.testing = side_by_side("testing", run_testing_block)
+        result.testing = side_by_side(log, agents, "testing", run_testing_block)
+
+    # each block field is assigned once both agents have finished the block;
+    # in guessing, labelling and testing an agent reads only its own rng and
+    # vocabulary, so the two agents run those blocks side by side
+    try:
+        _beside(event_log, guessing, rest, _speaks_ahead(agents))
     except Exception as err:
         # a failed task is a record, not an exception: what lands here is a
         # guessing draw from a collapsed language (too few distinct signals,
         # a ValueError) or a programming error; both keep the partial result
+        if not result.guessing:  # the rest's blocks go with its records
+            result.labelling, result.communication, result.testing = {}, None, {}
         event_log.append("run_aborted", error=str(err))
         raise SimulationAborted(str(err), result) from err
 

@@ -38,6 +38,7 @@ from .engine import (
     SimulationResult,
     TestingRecord,
     TestingResult,
+    block_record_keys,
     compute_metric_rows,
     decode_fields,
 )
@@ -245,8 +246,10 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     cannot be read back raises ``PersistenceError``, and so does a file
     read here that the manifest does not digest, a block record of another
     agent than the manifest's, an interaction outside the run's rounds or
-    of another dyad, or a record whose fields contradict each other (see
-    ``_record_problem``)."""
+    of another dyad, a record whose fields contradict each other (see
+    ``_record_problem``), and the first block record that is missing,
+    repeated or not one a complete run of the manifest's configuration
+    writes (``block_record_keys``)."""
     base = Path(run_dir)
     manifest = RunManifest.load(base)
     if manifest.status != "complete":
@@ -293,6 +296,9 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     # each block record decoded once and filed under its kind and agent; the
     # interactions of both agents stay one list, in log order
     dyad, ids = {tuple(agent_ids), tuple(reversed(agent_ids))}, json.dumps(agent_ids)
+    # each record a complete run writes, once: the keys not yet seen, in log order
+    expected = block_record_keys(run_config, tuple(agent_ids), initial)
+    unseen = dict.fromkeys(expected)
     records: dict[tuple[str, str | None], list] = {}
     for event in events:
         kind, agent = event["kind"], event.get("agent")
@@ -309,6 +315,14 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
             speaker, listener = json.dumps(record.speaker), json.dumps(record.listener)
             problem = f"'speaker': {speaker} and 'listener': {listener}, not the run's agents {ids}"
         elif not (problem := _record_problem(record, initial, run_config)):
+            key = (kind, event.get("block"), event.get("round"), event.get("task"),
+                   record.speaker if interaction else agent)
+            # a bool, a float or a list read from the log is no key's value, though it may equal one
+            keyed = set(map(type, key)) <= _KEY_TYPES
+            if not (keyed and key in unseen):
+                which = "a second" if keyed and key in expected else "an unexpected"
+                raise PersistenceError(f"{events_path}: {which} {_described(key)}")
+            del unseen[key]
             records.setdefault((kind, None if interaction else agent), []).append(record)
             continue
         raise PersistenceError(f"{events_path}: a {kind!r} record has {problem}")
@@ -331,6 +345,8 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     for round_number in range(1, rounds + 1):
         if not any(r.round == round_number for r in interactions):
             raise PersistenceError(f"no interactions logged for round {round_number}")
+    if unseen:
+        raise PersistenceError(f"{events_path}: no {_described(next(iter(unseen)))}")
     round_vocabs = {
         agent_id: [
             Vocabulary.load(_vocab_path(base, f"round{n}", agent_id))
@@ -340,6 +356,17 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     }
     result.communication = CommunicationResult(records=interactions, round_vocabs=round_vocabs)
     return manifest, result
+
+
+# the types of the values of a block record's key
+_KEY_TYPES = {str, int, type(None)}
+
+
+def _described(key: tuple) -> str:
+    kind, block, round_number, task, agent = key
+    who = "speaker" if kind == InteractionRecord.KIND else "agent"
+    return (f"{kind!r} record of 'block': {json.dumps(block)}, 'round': {json.dumps(round_number)}, "
+            f"'task': {json.dumps(task)} and {who} {json.dumps(agent)}")
 
 
 # the failure modes a record of each kind can have

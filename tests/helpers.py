@@ -569,12 +569,13 @@ def _faulty_handler(base: type, counters) -> type:
 
 
 @contextmanager
-def wire_service(faults: bool = False):
-    """``perfbench/stub.py``'s service in this process, with no injected
-    latency, and with ``faults`` those of ``_faulty_handler``; yields its
-    endpoint, whose ``/stats`` counts its connections and requests."""
+def wire_service(faults: bool = False, latency: tuple[float, float] = (0.0, 0.0)):
+    """``perfbench/stub.py``'s service in this process, with ``latency``
+    (seconds per request and per prompt) injected into each reply, and with
+    ``faults`` those of ``_faulty_handler``, which answers at once; yields
+    its endpoint, whose ``/stats`` counts its connections and requests."""
     counters = perfbench_stub.Counters()
-    handler = perfbench_stub.make_handler(counters, 0.0, 0.0)
+    handler = perfbench_stub.make_handler(counters, *latency)
     if faults:
         handler = _faulty_handler(handler, counters)
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)

@@ -692,6 +692,37 @@ class TestReplayCommand:
         assert run_cli("replay", str(run_dir)) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {events}: {message}\n"
 
+    @pytest.mark.parametrize("kind", ["guess", "label", "interaction", "testing"])
+    @pytest.mark.parametrize("edit", ["deleted", "repeated", "re-keyed"])
+    def test_missing_or_repeated_block_record_refused(self, tmp_path, capsys, kind, edit):
+        # the first record of a kind deleted, written twice, or moved to a
+        # task the run does not have: the log is not the one the manifest's
+        # configuration writes, however little the metric rows move
+        run_dir = self._simulate(tmp_path)
+        events = run_dir / "events.jsonl"
+        lines = events.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+        record = json.loads(lines[first])
+        if edit == "deleted":
+            del lines[first]
+            which = "no"
+        elif edit == "repeated":
+            lines.insert(first, lines[first])
+            which = "a second"
+        else:
+            record["task"] = 99
+            lines[first] = json.dumps(record) + "\n"
+            which = "an unexpected"
+        events.write_text("".join(lines))
+        manifest = RunManifest.load(run_dir)
+        manifest.files["events.jsonl"] = file_digest(events)
+        manifest.save(run_dir)
+        capsys.readouterr()
+        assert run_cli("replay", str(run_dir)) == EXIT_VALIDATION
+        who = f"speaker \"{record['speaker']}\"" if kind == "interaction" else f"agent \"{record['agent']}\""
+        key = ", ".join(f"'{name}': {json.dumps(record[name])}" for name in ("block", "round", "task"))
+        assert capsys.readouterr().err == f"error: {events}: {which} '{kind}' record of {key} and {who}\n"
+
     @pytest.mark.parametrize(
         "kind, outcome, flippable",
         [
@@ -1234,7 +1265,7 @@ class TestEventLogLifecycle:
             (("chain", "--chains", "1", "--generations", "2"), EXIT_OK, 2),
             # lookup oracles collapse the language by gen06, which aborts
             (("chain", "--seed", "4", "--chains", "1", "--generations", "7"), EXIT_RUNTIME, 7),
-            # against the keep-alive stub: four connections per llm agent
+            # against the keep-alive stub: at most five connections per llm agent
             (("simulate", "--config", "wire"), EXIT_OK, 1),
         ],
         ids=["simulate", "chain", "aborted-chain", "llm-dyad"],
@@ -1265,9 +1296,10 @@ class TestEventLogLifecycle:
             assert run_cli(*argv, "--permutations", "60", "--out", str(out)) == code
             gc.collect()
         assert [str(u.exc_value) for u in unraisable] == []
-        # four keep-alive connections per llm agent: its listening and
-        # speaking requests, and the two of a wrong prediction it discards
-        assert len(connections) == (8 if "--config" in argv else 0)
+        # at most five keep-alive connections per llm agent: its guessing
+        # request beside its listening and speaking requests and the two of
+        # a wrong prediction it discards
+        assert len(connections) <= (10 if "--config" in argv else 0)
         assert all(connection.sock is None for connection in connections)  # closed
         run_dirs = [path.parent for path in sorted(out.rglob("manifest.json"))]
         assert len(run_dirs) == runs
@@ -1338,10 +1370,14 @@ class TestWireRun:
         # predictions, whose 4 listening prompts are discarded
         wrong = sum(r["kind"] == "backend_discarded" and r["call"] == "score" for r in records) / 4
         assert (len(handler.seen), wrong) == (66 + 2 * 11, 11)
-        # at most four keep-alive connections per llm agent: its listening
-        # and speaking requests, and the two of a wrong prediction
-        assert handler.connections <= 8
-        assert [len(body["prompt"]) for body in handler.seen[:4]] == [60, 60, 15, 15]
+        # at most five keep-alive connections per llm agent: its guessing
+        # request beside its listening and speaking requests and the two of
+        # a wrong prediction
+        assert handler.connections <= 10
+        # guessing runs beside labelling, so their requests go out in no fixed
+        # order: one 60-prompt guessing and one 15-prompt labelling request each
+        sizes = [len(body["prompt"]) for body in handler.seen]
+        assert (sizes.count(60), sizes.count(15)) == (2, 2)
         assert [len(body["prompt"]) for body in handler.seen[-2:]] == [27, 27]
         for block, kind, tasks, prompts_per_task in (
             ("guessing", "guess", 15, 4), ("labelling", "label", 15, 1), ("testing", "testing", 27, 1)
@@ -1358,17 +1394,45 @@ class TestWireRun:
         assert run_cli("replay", str(out / "sim-00")) == EXIT_OK
 
     def test_agents_lists_in_flight_at_once(self, keepalive_stub_server, tmp_path):
-        # the first two requests, the two agents' guessing lists, each wait
-        # for the other at the stub; sent one after the other, the first
-        # would be answered only after the barrier's timeout, alone
+        # the first four requests, the two agents' guessing and labelling
+        # lists in no fixed order, each wait for the others at the stub;
+        # sent one after the other, the first would be answered only after
+        # the barrier's timeout, alone
         endpoint, handler = keepalive_stub_server
-        handler.rendezvous = threading.Barrier(2, timeout=2)
+        handler.rendezvous = threading.Barrier(4, timeout=2)
         out = tmp_path / "runs"
         assert run_cli("simulate", "--config", wire_config(tmp_path, endpoint), "--out", str(out)) == EXIT_OK
-        guessing = [span for body, span in zip(handler.seen, handler.spans) if len(body["prompt"]) == 60]
-        assert len(guessing) == 2
-        (a_start, a_end), (b_start, b_end) = guessing
-        assert max(a_start, b_start) < min(a_end, b_end)
+        for size in (60, 15):  # guessing, labelling
+            spans = [span for body, span in zip(handler.seen, handler.spans) if len(body["prompt"]) == size]
+            assert len(spans) == 2
+            (a_start, a_end), (b_start, b_end) = spans
+            assert max(a_start, b_start) < min(a_end, b_end)
+
+    def test_manifest_names_the_service_and_no_credential(self, keepalive_stub_server, tmp_path, monkeypatch):
+        # the settings that shape replies, from the config file; the key, the
+        # name of its variable, and a credential in the endpoint stay out
+        endpoint, _ = keepalive_stub_server
+        monkeypatch.setenv("REFGAME_TEST_KEY", "sk-secret-value")
+        config = yaml.safe_load(Path(wire_config(tmp_path, endpoint)).read_text())
+        host = endpoint.removeprefix("http://")
+        config["backend"].update(
+            endpoint=f"http://user:pass-word@{host}/api?key=query-secret", api_key_env="REFGAME_TEST_KEY",
+            model="llama-3-70b-instruct", temperature=0.0, max_output_tokens=12,
+        )
+        path = tmp_path / "named.yaml"
+        path.write_text(yaml.safe_dump(config))
+        out = tmp_path / "runs"
+        assert run_cli("simulate", "--config", str(path), "--out", str(out)) == EXIT_OK
+        assert run_cli("chain", "--config", str(path), "--generations", "1", "--out", str(tmp_path / "chain")) == EXIT_OK
+        service = {
+            "model": "llama-3-70b-instruct", "endpoint": f"http://{host}/api", "template": "plain",
+            "temperature": 0.0, "max_output_tokens": 12, "context_budget_tokens": 8192,
+        }
+        for run_dir in (out / "sim-00", tmp_path / "chain" / "chain-00" / "gen00"):
+            assert RunManifest.load(run_dir).extra["service"] == service
+            text = (run_dir / "manifest.json").read_text()
+            for secret in ("sk-secret-value", "REFGAME_TEST_KEY", "pass-word", "query-secret"):
+                assert secret not in text
 
     def test_null_completion_text_is_a_failed_production(self, keepalive_stub_server, tmp_path):
         # a service that completes with "text": null answers no production;

@@ -7,7 +7,7 @@ from functools import partial
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import refgame.engine as engine
@@ -28,7 +28,7 @@ from refgame.agents import (
     LookupOracle,
     RandomChooser,
 )
-from refgame.backend import BackendDescriptor, BackendError, EventLog
+from refgame.backend import BackendDescriptor, BackendError, EventLog, TransportFailure
 from refgame.chains import ChainConfig
 from refgame.config import ExperimentConfig
 from refgame.domain import DomainError, Stimulus, enumerate_stimuli, generate_language, sample_training_set
@@ -51,7 +51,14 @@ from refgame.persistence import (
     load_run_for_replay,
     save_simulation,
 )
-from refgame.prompts import PromptTask, completion_stem, listener_stem
+from refgame.prompts import (
+    LABELLING_INSTRUCTION,
+    SPEAKING_INSTRUCTION,
+    PromptTask,
+    completion_stem,
+    listener_stem,
+    render_entry,
+)
 
 FULL_STACK_METRICS_SHA256 = "4259787a5e92f8441850d98c716becd0f5b946d0360c667a4232cae3b2b870ec"
 FLAKY_ORACLE_EVENTS_SHA256 = "9df8aaaf8095707e23ad34f95c61cac4c4e3d9299c1f5573c2ca63ab6f9a00fb"
@@ -407,6 +414,8 @@ class TestSpeakingAhead:
         seed=st.integers(0, 2**16),
         name=st.sampled_from(["unparseable", "doomed-listening", "doomed-speaking"]),
     )
+    # a stale pair discarded after a failed production, under its sender
+    @example(seed=0, name="unparseable")
     def test_same_run_as_in_turn(self, tmp_path_factory, seed, name):
         path = tmp_path_factory.mktemp("ahead")
         in_turn_backend, in_turn, state, records = self.communicate(path, name, seed, InTurnBackend, rounds=2)
@@ -883,6 +892,126 @@ class TestSideBySide:
         assert outcome("A") == outcome("AB") == ("agent A broke", a[:2])
         # only the second raises: its records are written, then it raises
         assert outcome("B") == ("agent B broke", a + b[:2])
+
+
+def guessing_prompt(prompt) -> bool:
+    """Whether a scored prompt is a guessing task's: labelling-shaped, prefilled."""
+    return prompt.system_instruction == LABELLING_INSTRUCTION and prompt.continuation is not None
+
+
+class TestGuessingBesideTheRest:
+    """When an agent speaks ahead, guessing runs on the calling thread
+    beside the rest of the run (labelling, communication and testing) on a
+    worker; the log, the result and an aborted run's partial result are
+    those of the run in turn, and guessing is prompted over the initial
+    language however late it asks."""
+
+    SEED = 5
+
+    def run(self, monkeypatch, in_turn: bool, breaks: str = "") -> tuple:
+        """Two llm agents over in-context learners that speak ahead, one
+        backend each; with ``breaks`` "guessing", B's guessing request
+        raises, with "communication", B's first speaking request for a
+        training stimulus. Returns the log's records without their
+        wall-clock keys, the abort's message, the blocks the result holds,
+        and the threads that asked each kind of task."""
+        initial = training_vocab(self.SEED)[0]
+        doomed = completion_stem(initial.stimuli()[3])
+        threads = {}
+
+        def backend(agent_id):
+            learner = in_context_learner(SpeakingAheadBackend)
+
+            def completions(prompt):
+                threads.setdefault(prompt.system_instruction, set()).add(threading.current_thread())
+                if (agent_id, breaks) == ("B", "communication") and prompt.stem == doomed \
+                        and prompt.system_instruction == SPEAKING_INSTRUCTION:
+                    raise RuntimeError("B broke in communication")
+                return learner.completions(prompt)
+
+            def scores(prompt):
+                if guessing_prompt(prompt):
+                    threads.setdefault("guessing", set()).add(threading.current_thread())
+                    if (agent_id, breaks) == ("B", "guessing"):
+                        raise RuntimeError("B broke in guessing")
+                return learner.scores(prompt)
+
+            return SpeakingAheadBackend(completions=completions, scores=scores)
+
+        agents = (LLMAgent("A", backend("A")), LLMAgent("B", backend("B")))
+        config = RunConfig(master_seed=self.SEED, rounds=2, mantel_permutations=10)
+        log = EventLog()
+        with monkeypatch.context() as patch:
+            if in_turn:
+                patch.setattr(engine, "_speaks_ahead", lambda dyad: False)
+            try:
+                result, error = run_simulation(config, agents, log, initial), ""
+            except SimulationAborted as err:
+                result, error = err.partial, str(err)
+        records = [
+            {key: value for key, value in json.loads(line).items() if key not in ("latency", "timestamp")}
+            for line in log._file.getvalue().splitlines()
+        ]
+        blocks = (result.guessing, result.labelling, result.communication, result.testing)
+        return records, error, blocks, threads
+
+    @pytest.mark.parametrize("breaks", ["", "guessing", "communication"])
+    def test_same_log_and_result_as_in_turn(self, monkeypatch, breaks):
+        records, error, blocks, threads = self.run(monkeypatch, in_turn=False, breaks=breaks)
+        assert (records, error, blocks) == self.run(monkeypatch, in_turn=True, breaks=breaks)[:3]
+        # this thread guessed, and a worker labelled meanwhile
+        caller = threading.current_thread()
+        assert caller in threads["guessing"] and caller not in threads[LABELLING_INSTRUCTION]
+        kinds = [record["kind"] for record in records]
+        if breaks == "guessing":
+            # A's guesses, and no record of B's nor of the rest's
+            assert error == "B broke in guessing"
+            assert {r.get("agent") for r in records[1:-1]} == {"A"} and "label" not in kinds
+            assert blocks == ({}, {}, None, {})
+        elif breaks == "communication":
+            assert error == "B broke in communication"
+            assert records[-1]["block"] == "communication" and "interaction" in kinds
+            assert (set(blocks[0]), set(blocks[1]), blocks[2:]) == ({"A", "B"}, {"A", "B"}, (None, {}))
+        else:
+            assert kinds[-1] == "run_end" and kinds.count("guess") == 30
+        assert kinds[-1] == ("run_end" if not breaks else "run_aborted")
+
+    def test_guessing_asked_again_after_labelling_is_prompted_over_the_initial_language(self):
+        # each agent's batched guessing request waits until communication has
+        # begun and then fails, so every guessing task is asked again alone
+        # after labelling replaced the agents' vocabularies with "zuzu"s
+        initial = training_vocab(self.SEED)[0]
+        communicating = threading.Event()
+        waited, late_lines = [], []
+
+        def backend():
+            learner, failed = in_context_learner(SpeakingAheadBackend), []
+
+            def completions(prompt):
+                if prompt.system_instruction == SPEAKING_INSTRUCTION:
+                    communicating.set()
+                if prompt.system_instruction == LABELLING_INSTRUCTION:
+                    return "zuzu'}"
+                return learner.completions(prompt)
+
+            def scores(prompt):
+                if guessing_prompt(prompt):
+                    if not failed:
+                        failed.append(prompt)
+                        waited.append(communicating.wait(timeout=10))
+                        raise TransportFailure("service error 503")
+                    late_lines.append(prompt.vocabulary_lines)
+                return learner.scores(prompt)
+
+            return SpeakingAheadBackend(completions=completions, scores=scores)
+
+        agents = (LLMAgent("A", backend()), LLMAgent("B", backend()))
+        config = RunConfig(master_seed=self.SEED, rounds=1, mantel_permutations=10)
+        result = run_simulation(config, agents, EventLog(), initial)
+        assert waited == [True, True]
+        assert all(r.learned.signals() == ["zuzu"] * 15 for r in result.labelling.values())
+        assert len(late_lines) == 2 * 15 * 4
+        assert {frozenset(lines) for lines in late_lines} == {frozenset(render_entry(e) for e in initial)}
 
 
 class FlakyOracle(CompositionalOracle):

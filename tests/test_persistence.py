@@ -1,10 +1,13 @@
 import json
 import shutil
+import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import YAML_LOADERS, wire_service
 from refgame import engine
@@ -17,6 +20,7 @@ from refgame.engine import MetricRow, RunConfig, compute_metric_rows, run_simula
 from refgame.persistence import (
     ChainRow,
     DigestMismatch,
+    PersistenceError,
     RunManifest,
     SchemaVersionError,
     file_digest,
@@ -241,10 +245,59 @@ def assert_records_of_full_parse(run_dir: Path) -> None:
     assert loaded.communication.records == records(engine.InteractionRecord) != []
 
 
+@pytest.fixture(scope="module")
+def oracle_run(tmp_path_factory) -> Path:
+    """A finished lookup-oracle simulation of two rounds."""
+    run_dir = tmp_path_factory.mktemp("oracle") / "run"
+    run_dir.mkdir()
+    config = RunConfig(master_seed=8, rounds=2, mantel_permutations=10)
+    with EventLog(run_dir / "events.jsonl") as event_log:
+        result = run_simulation(config, (LookupOracle("A"), LookupOracle("B")), event_log=event_log)
+    save_simulation(result, run_dir)
+    return run_dir
+
+
+BLOCK_KINDS = ("guess", "label", "interaction", "testing")
+
+
 class TestBlockRecordRead:
     @pytest.mark.parametrize("run_dir", CORPUS_RUNS, ids=[p.relative_to(CORPUS).as_posix() for p in CORPUS_RUNS])
     def test_corpus_runs(self, run_dir):
         assert_records_of_full_parse(run_dir)
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_any_block_record_missing_repeated_or_re_keyed_is_refused(self, oracle_run, data):
+        # one block record, of any kind, deleted, written twice or moved to
+        # a task, block or round the run does not write, under a re-digested
+        # manifest: replay refuses it, naming the record
+        lines = (oracle_run / "events.jsonl").read_text().splitlines(keepends=True)
+        blocks = [i for i, line in enumerate(lines) if json.loads(line)["kind"] in BLOCK_KINDS]
+        index = data.draw(st.sampled_from(blocks))
+        record = json.loads(lines[index])
+        edit = data.draw(st.sampled_from(["deleted", "repeated", "task", "float task", "block", "round"]))
+        if edit == "deleted":
+            del lines[index]
+        elif edit == "repeated":
+            lines.insert(index, lines[index])
+        else:
+            # a float task equals the int it was, but is not what a run writes
+            changed = {"task": 99, "float task": float(record["task"]), "block": "elsewhere", "round": 3}[edit]
+            record[edit.split()[-1]] = changed
+            lines[index] = json.dumps(record) + "\n"
+        with tempfile.TemporaryDirectory() as scratch:
+            run_dir = Path(scratch) / "run"
+            shutil.copytree(oracle_run, run_dir)
+            (run_dir / "events.jsonl").write_text("".join(lines))
+            manifest = RunManifest.load(run_dir)
+            manifest.files["events.jsonl"] = file_digest(run_dir / "events.jsonl")
+            manifest.save(run_dir)
+            # an interaction's round and task are its own fields, checked first
+            refusal = {"round": "has 'round': 3", "float task": "has 'task': .*, not of type int"}.get(edit)
+            if refusal is None or record["kind"] != "interaction":
+                refusal = f"(no|a second|an unexpected) '{record['kind']}' record of 'block': "
+            with pytest.raises(PersistenceError, match=refusal):
+                load_run_for_replay(run_dir)
 
     def test_wire_run(self, wire_run):
         kinds = {e["kind"] for e in EventLog.read(wire_run / "events.jsonl")}

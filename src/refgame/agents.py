@@ -7,8 +7,10 @@ directly; the model-backed agent renders prompts and talks to a backend.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice
 from random import Random
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from . import prompts
@@ -25,14 +27,15 @@ class AgentError(Exception):
 class Agent:
     """Base contract: answer a list of tasks of one kind.
 
-    ``produce_signals`` takes ``(task index, stimulus)`` items and returns
-    signals; ``choose_many`` takes ``(task index, probe, candidates,
-    exclude)`` items and returns candidate positions. The probe is a
+    ``produce_signals`` takes ``(task index, stimulus)`` items, whose answers
+    are signals; ``choose_many`` takes ``(task index, probe, candidates,
+    exclude)`` items, whose answers are candidate positions. The probe is a
     stimulus with signal candidates (guessing block) or a signal with
     stimulus candidates (listening); ``exclude`` names the entry the prompt
     context must omit, which only the engine knows for listening tasks.
-    Both return the answers of the leading tasks answered (the engine asks
-    every later task alone, as a list of one) and log requests to ``event_log``.
+    Both make the list's draws when called and return a ``Reply``, which
+    gives the answers of the leading tasks answered (the engine asks every
+    later task alone, as a list of one) and logs the requests when read.
 
     An agent whose ``speaks_ahead`` is true also offers ``listen_ahead`` and
     ``speak_ahead`` (see ``LLMAgent``), with which the engine overlaps a
@@ -49,12 +52,10 @@ class Agent:
     def set_vocabulary(self, vocab: Vocabulary) -> None:
         self.vocabulary = vocab
 
-    def produce_signals(self, items, task: PromptTask, rng: Random,
-                        event_log: EventLog) -> list[Signal]:
+    def produce_signals(self, items, task: PromptTask, rng: Random) -> Reply:
         raise NotImplementedError
 
-    def choose_many(self, items, task: PromptTask, rng: Random,
-                    event_log: EventLog) -> list[int]:
+    def choose_many(self, items, task: PromptTask, rng: Random) -> Reply:
         raise NotImplementedError
 
     def extrapolated(self, stimulus: Stimulus) -> bool:
@@ -86,14 +87,14 @@ class _Oracle(Agent):
     task by task. A choice takes the candidate closest, by edit distance,
     to the oracle's own production."""
 
-    def produce_signals(self, items, task, rng, event_log) -> list[Signal]:
-        return [self.produce_signal(stimulus, task, rng) for _, stimulus in islice(items, 1)]
+    def produce_signals(self, items, task, rng) -> Reply:
+        return Reply.held([self.produce_signal(stimulus, task, rng) for _, stimulus in islice(items, 1)])
 
-    def choose_many(self, items, task, rng, event_log) -> list[int]:
-        return [
+    def choose_many(self, items, task, rng) -> Reply:
+        return Reply.held([
             self.choose(probe, candidates, task, rng, exclude)
             for _, probe, candidates, exclude in islice(items, 1)
-        ]
+        ])
 
     def choose(self, probe, candidates, task, rng, exclude=None) -> int:
         if isinstance(probe, Stimulus):  # guessing: candidates are signals
@@ -173,21 +174,22 @@ class RandomChooser(LookupOracle):
 class LLMAgent(Agent):
     """Prompt-driven agent over a completion backend.
 
-    Both list methods build every task's prompts in task order and send them
-    in one backend call. A production renders the task's prompt and parses
+    Both list methods build every task's prompts in task order and ask
+    them as one request. A production renders the task's prompt and parses
     the greedy completion; a choice scores all candidate continuations and
     takes the argmax of total log-probability, ties broken by lowest
     position in the shuffled candidate order. The answers stop at the first
-    reply that does not parse, and there are none when the call fails.
+    reply that does not parse, and there are none when the request fails.
 
     Over a backend with ``complete_later`` and ``score_later``
-    (``HttpBackend``) the agent speaks ahead: listen_ahead() builds a
-    choice list's prompts and returns the function that sends them, and
-    speak_ahead() builds one speaking task's prompt over each of several
-    vocabularies and sends them as one request; each request's ``Reply``
-    is what the answer is read from. The engine keeps at most five of an
-    agent's requests in flight: its guessing request, beside its listening
-    and next speaking requests and the two it is discarding.
+    (``HttpBackend``) a list's request is sent when it is asked, over
+    another when its ``Reply`` is read, and the agent speaks ahead:
+    listen_ahead() builds a choice list's prompts and returns the function
+    that sends them, and speak_ahead() builds one speaking task's prompt
+    over each of several vocabularies and sends them as one request. The
+    engine keeps at most five of an agent's requests in flight: its
+    guessing request, beside its listening and next speaking requests and
+    the two it is discarding.
     """
 
     def __init__(self, agent_id: str, backend: CompletionBackend):
@@ -213,20 +215,29 @@ class LLMAgent(Agent):
             return prompts.build_guessing_prompt(self.vocabulary, probe, candidates, fork)
         return prompts.build_listener_prompt(self.vocabulary, probe, candidates, fork, exclude=exclude)
 
-    def produce_signals(self, items, task, rng, event_log) -> list[Signal]:
+    def _sender(self, scoring: bool, built: list, tasks: list[int]) -> Callable:
+        """The function that sends ``built`` as one request, or over a backend
+        without ``*_later`` makes it when read, and gives its handle."""
+        if self.speaks_ahead:
+            return partial(self.backend.score_later if scoring else self.backend.complete_later, built, tasks)
+        call = self.backend.score if scoring else self.backend.complete
+        return lambda: SimpleNamespace(read=lambda event_log, kept=None: call(built, tasks, event_log))
+
+    def produce_signals(self, items, task, rng) -> Reply:
         tasks, built = [], []
         for task_index, stimulus in items:
             tasks.append(task_index)
             built.append(self._build_production_prompt(stimulus, task, rng))
-        try:
-            replies = self.backend.complete(built, tasks, event_log)
-        except BackendError:
-            return []
-        return _parsed(replies)
+        return Reply(self._sender(False, built, tasks), lambda replies, kept: _parsed(replies), [])
 
-    def _choice_list(self, items, task, rng) -> tuple[list, list[int], Callable]:
-        """A choice list's prompts, their task indices, and the function from
-        their scores to the chosen positions."""
+    def choose_many(self, items, task, rng) -> Reply:
+        return self.listen_ahead(items, task, rng)()
+
+    def listen_ahead(self, items, task, rng) -> Callable[[], Reply]:
+        """choose_many(), with the prompts built (and their draws made) now
+        and the request sent by the returned function, which gives the
+        ``Reply``. The engine sends the speaking request built after it
+        first: speaking replies are the communication block's critical chain."""
         tasks, built, sizes = [], [], []
         for task_index, probe, candidates, exclude in items:
             candidate_prompts = self._candidate_prompts(probe, candidates, task, rng, exclude)
@@ -241,23 +252,7 @@ class LLMAgent(Agent):
                 start += size
             return positions
 
-        return built, tasks, chosen
-
-    def choose_many(self, items, task, rng, event_log) -> list[int]:
-        built, tasks, chosen = self._choice_list(items, task, rng)
-        try:
-            return chosen(self.backend.score(built, tasks, event_log))
-        except BackendError:
-            return []
-
-    def listen_ahead(self, items, task, rng) -> Callable[[], Reply]:
-        """choose_many(), with the prompts built (and their draws made) now
-        and the request sent by the returned function, which gives the
-        ``Reply`` to read the answer from, [] when the request fails. The
-        engine sends the speaking request built after it first: speaking
-        replies are the communication block's critical chain."""
-        built, tasks, chosen = self._choice_list(items, task, rng)
-        return lambda: Reply(lambda: self.backend.score_later(built, tasks), chosen, [])
+        return lambda: Reply(self._sender(True, built, tasks), chosen, [])
 
     def speak_ahead(self, task_index: int, stimulus: Stimulus, vocabularies: Sequence[Vocabulary],
                     rng: Random) -> Reply:
@@ -282,10 +277,11 @@ class LLMAgent(Agent):
 
 
 class Reply:
-    """An agent's request sent ahead, and its reading of the answer: what
-    ``answer(results, kept)`` makes of the backend's results, or ``failed``
-    when the request failed or was refused before it was sent. Read it
-    once, with read() or discard(), after peek() if wanted."""
+    """A list an agent asked, and its reading of the answer: what
+    ``answer(results, kept)`` makes of the results of the request that
+    ``send()`` sends, or ``failed`` when the request failed or was refused
+    before it was sent. Read it once, with read() or discard(), after
+    peek() if wanted."""
 
     def __init__(self, send: Callable, answer: Callable, failed):
         try:
@@ -293,6 +289,11 @@ class Reply:
         except BackendError:  # refused before it was sent: nothing to read or log
             self._pending = None
         self._answer, self._failed = answer, failed
+
+    @classmethod
+    def held(cls, answers: list) -> Reply:
+        """The Reply of a list answered without a request (an oracle's)."""
+        return cls(lambda: None, None, answers)
 
     def peek(self, kept: int | None = None):
         """The answer, from a reply received now and logged by nothing."""

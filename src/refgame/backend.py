@@ -152,20 +152,17 @@ class EventLog:
 
     ``fork()`` is a log held in memory, starting from a copy of this one's
     context, for a block whose records belong after those this log gets
-    meanwhile, beside them or after them. ``join(fork)`` writes the fork's
-    lines after everything this log holds and gives the two logs one
-    context, the fork's; from then on the fork writes through, so whatever
-    it appends later, and whatever is joined into it, goes where this log's
-    lines go. The file and the context thus end as if the forked block had
-    run after the other, and it keeps growing while the forked block runs
-    on. A fork never joined is dropped. A log and its forks share one lock.
+    meanwhile. ``join(fork)``, once the forked block has finished, writes
+    the fork's lines after everything this log holds and takes the fork's
+    context, so the file and the context end as if the forked block had
+    run after the other. A fork never joined is dropped. A log and its
+    forks share one lock.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = None if path is None else Path(path)  # None: held in memory
-        self._context: dict = {}
+        self.context: dict = {}
         self._lock = threading.Lock()
-        self._into: EventLog | None = None  # the log a joined fork writes through to
         if self.path is None:
             self._file = io.StringIO()
         else:
@@ -181,42 +178,27 @@ class EventLog:
     def close(self) -> None:
         self._file.close()
 
-    def _target(self) -> EventLog:
-        """The log whose lines and context this one's are: itself, or for a
-        joined fork what it was joined into writes through to."""
-        log = self
-        while log._into is not None:
-            log = log._into
-        return log
-
-    @property
-    def context(self) -> dict:
-        return self._target()._context
-
     def set_context(self, **fields) -> None:
         self.context.update(fields)
 
     def append(self, kind: str, **fields) -> None:
         line = json.dumps({"kind": kind, **self.context, **fields}) + "\n"
         with self._lock:
-            target = self._target()
-            target._file.write(line)
-            target._file.flush()
+            self._file.write(line)
+            self._file.flush()
 
     def fork(self) -> EventLog:
         fork = EventLog()
-        fork._context = dict(self.context)
+        fork.context = dict(self.context)
         fork._lock = self._lock
         return fork
 
     def join(self, fork: EventLog) -> None:
         with self._lock:
-            target = self._target()
-            target._file.write(fork._file.getvalue())
-            target._file.flush()
-            fork._file.close()  # frees the lines copied; the fork writes through from now on
-            target._context = fork._context
-            fork._into = self
+            self._file.write(fork._file.getvalue())
+            self._file.flush()
+            fork._file.close()  # frees the lines copied
+            self.context = fork.context
 
     @staticmethod
     def read(path: str | Path, kinds: Collection[str] | None = None) -> list[dict]:
@@ -262,14 +244,14 @@ class CompletionBackend:
     in place of the log's context ``task``, so a call that answers several
     tasks says which record is whose.
 
-    Two calls may be in flight at once, from two threads: the two agents of
-    an in-process dyad may share one backend. A backend may also offer
-    ``complete_later(prompts, tasks)`` and ``score_later(prompts, tasks)``,
-    which send a request, its task indices fixed with it, and return a
-    handle to read it with later, as ``HttpBackend`` does: its handle is the
-    ``PendingCompletion`` that each of its requests is, a score or a
-    completion. An ``LLMAgent`` speaks and listens ahead only over a backend
-    with both, and then has up to five requests in flight.
+    The two agents of an in-process dyad may share one backend. A backend
+    may also offer ``complete_later(prompts, tasks)`` and
+    ``score_later(prompts, tasks)``, which send a request, its task indices
+    fixed with it, and return a handle to read it with later, as
+    ``HttpBackend`` does: its handle is the ``PendingCompletion`` that each
+    of its requests is, a score or a completion. An ``LLMAgent`` sends its
+    lists ahead of reading them only over a backend with both, and then
+    has up to five requests in flight.
     """
 
     def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int],

@@ -17,11 +17,10 @@ import copy
 import functools
 import hashlib
 import json
-import threading
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from random import Random
 from types import UnionType
-from typing import Callable, Iterator, NamedTuple, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Generator, Iterator, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 from .agents import Agent, Reply
 from .backend import EventLog
@@ -297,56 +296,42 @@ class SimulationResult:
     metric_rows: list[MetricRow] = field(default_factory=list)
 
 
-def _beside(event_log: EventLog, first: Callable, second: Callable, threaded: bool) -> tuple:
-    """``(first(event_log), second(fork))``, ``fork`` a fork of ``event_log``
-    joined once ``first`` returns, so the log reads as if ``second`` ran
-    after ``first``. With ``threaded``, ``second`` runs on a worker thread
-    beside ``first``, which runs on this thread, and the joined fork writes
-    through while ``second`` runs on; otherwise ``second`` runs after
-    ``first`` on this thread. Either way, when ``first`` raises, its
-    exception propagates and ``second``'s records are dropped, as if it
-    had never run; when only ``second`` raises, its records are written
-    and then its exception is raised here. No worker outlives the call."""
-    fork = event_log.fork()
-    outcome: dict = {}
-
-    def run_second() -> None:
-        try:
-            outcome["answer"] = second(fork)
-        except BaseException as err:  # raised again once the fork is joined
-            outcome["error"] = err
-
-    worker = threading.Thread(target=run_second) if threaded else None
-    if worker is not None:
-        worker.start()
+def _run(block: Generator):
+    """What ``block`` returns, run on to its end. A block is a generator that
+    makes its draws and sends its requests, yields once, and then reads
+    them, writes its records and returns its result."""
     try:
-        mine = first(event_log)
+        while True:
+            next(block)
+    except StopIteration as stop:
+        return stop.value
+
+
+def _beside(event_log: EventLog, first: Callable, second: Callable) -> Generator:
+    """The block of ``(first(event_log), second(fork))``, ``fork`` a fork of
+    ``event_log`` joined after ``first``'s records, so the log reads as if
+    ``second`` ran after ``first``: ``first`` is started, then ``second``,
+    the block yields, ``first`` is read, then ``second``. When ``first``
+    raises, ``second``'s records are dropped; when only ``second`` raises,
+    ``first`` is read, ``second``'s records are written, and its exception
+    is raised, before the yield when ``second`` raised before it."""
+    fork = event_log.fork()
+    first_block = first(event_log)
+    next(first_block)
+    try:
+        second_block = second(fork)
+        next(second_block)
+    except BaseException:  # first's records, then second's, then its error
+        _run(first_block)
         event_log.join(fork)
+        raise
+    yield
+    mine = _run(first_block)
+    try:
+        theirs = _run(second_block)
     finally:
-        if worker is not None:
-            worker.join()
-    if worker is None:
-        run_second()
-    if "error" in outcome:
-        raise outcome["error"]
-    return mine, outcome["answer"]
-
-
-def _speaks_ahead(agents: tuple[Agent, Agent]) -> bool:
-    """Whether a dyad's requests wait on a server, so that its work overlaps."""
-    return agents[0].speaks_ahead or agents[1].speaks_ahead
-
-
-def _side_by_side(event_log: EventLog, agents: tuple[Agent, Agent], block: Callable) -> dict:
-    """``block(agent, log)`` for both agents, keyed by agent id, ``_beside``
-    each other: the first's with ``event_log``, the second's with the fork,
-    on a worker thread when either agent ``speaks_ahead``."""
-    first, second = agents
-    mine, theirs = _beside(
-        event_log, functools.partial(block, first), functools.partial(block, second),
-        _speaks_ahead(agents),
-    )
-    return {first.agent_id: mine, second.agent_id: theirs}
+        event_log.join(fork)
+    return mine, theirs
 
 
 def _alone(ask: Callable, item: tuple, prompt_task: PromptTask, rng: Random, attempts: int,
@@ -354,14 +339,14 @@ def _alone(ask: Callable, item: tuple, prompt_task: PromptTask, rng: Random, att
     """The answer to one task, asked as a list of one (``ask`` is an agent's
     list method) up to ``attempts`` times; ``None`` when no attempt answers."""
     for _ in range(attempts):
-        answers = ask([item], prompt_task, rng, event_log)
+        answers = ask([item], prompt_task, rng).read(event_log)
         if answers:
             return answers[0]
     return None
 
 
 def _batched(
-    ask: Callable[[Iterator, PromptTask, Random, EventLog], list],
+    ask: Callable[[Iterator, PromptTask, Random], Reply],
     prompt_task: PromptTask,
     draw: Callable,
     count: int,
@@ -373,13 +358,13 @@ def _batched(
     event log's context ``task`` set to the task's index; ``answer`` is
     ``None`` for a failed task.
 
-    ``ask`` (an agent's list method) is first handed a generator of the
-    tasks ``draw(task_index)`` makes, which sets the context ``task`` and keeps
-    the rng state before each draw, so the draws interleave with the
+    ``ask`` (an agent's list method) is handed, now, a generator of the
+    tasks ``draw(task_index)`` makes, which sets the context ``task`` and
+    keeps the rng state before each draw, so the draws interleave with the
     agent's own as they do task by task, and sets ``task`` back to ``None``
-    once exhausted. From the first task the list left unanswered on, the
-    rng goes back to where that task began, and each task is drawn anew
-    and asked ``_alone``."""
+    once exhausted; its ``Reply`` is read for the first pair. From the
+    first task the list left unanswered on, the rng goes back to where that
+    task began, and each task is drawn anew and asked ``_alone``."""
     states, drawn = [], []
 
     def tasks():
@@ -390,16 +375,21 @@ def _batched(
             yield drawn[-1]
         event_log.set_context(task=None)
 
-    answers = ask(tasks(), prompt_task, rng, event_log)
-    if len(answers) < len(states):
-        rng.setstate(states[len(answers)])
-    for task_index in range(count):
-        event_log.set_context(task=task_index)
-        if task_index < len(answers):
-            yield drawn[task_index], answers[task_index]
-        else:
-            item = draw(task_index)
-            yield item, _alone(ask, item, prompt_task, rng, attempts, event_log)
+    reply = ask(tasks(), prompt_task, rng)
+
+    def answered():
+        answers = reply.read(event_log)
+        if len(answers) < len(states):
+            rng.setstate(states[len(answers)])
+        for task_index in range(count):
+            event_log.set_context(task=task_index)
+            if task_index < len(answers):
+                yield drawn[task_index], answers[task_index]
+            else:
+                item = draw(task_index)
+                yield item, _alone(ask, item, prompt_task, rng, attempts, event_log)
+
+    return answered()
 
 
 def run_guessing_block(
@@ -408,10 +398,10 @@ def run_guessing_block(
     rng: Random,
     config: RunConfig,
     event_log: EventLog,
-) -> GuessingResult:
-    """Each training stimulus once, in random order: pick the true signal out
-    of ``config.guessing_distractors`` + 1 candidates drawn from other
-    entries. The context vocabulary includes the current stimulus."""
+) -> Generator[None, None, GuessingResult]:
+    """A block (see ``_run``): each training stimulus once, in random order,
+    pick the true signal out of ``config.guessing_distractors`` + 1
+    candidates drawn from other entries, the current stimulus in context."""
     order = list(vocab.stimuli())
     rng.shuffle(order)
 
@@ -429,6 +419,7 @@ def run_guessing_block(
         agent.choose_many, PromptTask.GUESSING, draw, len(order), rng, config.max_agent_retries,
         event_log,
     )
+    yield
     for (_, stimulus, candidates, _), chosen in tasks:
         truth = vocab.signal_for(stimulus)
         failure_mode = "none"
@@ -452,11 +443,11 @@ def run_labelling_block(
     rng: Random,
     config: RunConfig,
     event_log: EventLog,
-) -> LabellingResult:
-    """Produce a signal for every training stimulus with the full vocabulary
-    (current stimulus included) in context. The productions replace the
-    agent's entries and become its learned vocabulary; failed productions
-    retain the ground-truth signal."""
+) -> Generator[None, None, LabellingResult]:
+    """A block (see ``_run``): produce a signal for every training stimulus
+    with the full vocabulary (current stimulus included) in context. The
+    productions replace the agent's entries and become its learned
+    vocabulary; failed productions retain the ground-truth signal."""
     order = list(vocab.stimuli())
     rng.shuffle(order)
     learned = vocab.copy()
@@ -466,6 +457,7 @@ def run_labelling_block(
         agent.produce_signals, PromptTask.LABELLING, lambda i: (i, order[i]), len(order), rng,
         config.max_agent_retries, event_log,
     )
+    yield
     for (_, stimulus), produced in tasks:
         truth = vocab.signal_for(stimulus)
         failed = produced is None
@@ -698,10 +690,11 @@ def run_testing_block(
     rng: Random,
     config: RunConfig,
     event_log: EventLog,
-) -> TestingResult:
-    """Produce a signal for all 27 stimuli, the context being the agent's
-    train vocabulary minus the current stimulus; test stimuli never appear
-    in context. Failed productions are flagged for exclusion from metrics."""
+) -> Generator[None, None, TestingResult]:
+    """A block (see ``_run``): produce a signal for all 27 stimuli, the
+    context being the agent's train vocabulary minus the current stimulus;
+    test stimuli never appear in context. Failed productions are flagged
+    for exclusion from metrics."""
     assert agent.vocabulary is not None
     stimuli = enumerate_stimuli()
     records = []
@@ -710,6 +703,7 @@ def run_testing_block(
         agent.produce_signals, PromptTask.SPEAKING, lambda i: (i, stimuli[i]), len(stimuli), rng,
         config.max_agent_retries, event_log,
     )
+    yield
     for (_, stimulus), signal in tasks:
         if signal is None:
             record = TestingRecord(stimulus=stimulus, signal="", failed=True)
@@ -837,15 +831,17 @@ def run_simulation(
     holistic language are generated from the master seed. An exception in a
     block raises ``SimulationAborted`` carrying the result filled so far.
 
-    Nothing after guessing reads its result, so guessing and the rest of
-    the run (labelling, communication, testing) are ``_beside`` each other:
-    when either agent ``speaks_ahead`` the rest runs on a worker thread
-    while guessing runs on this one, otherwise in turn. Guessing asks
-    copies of the agents that hold the initial language, which labelling
-    and communication replace and update in the agents themselves. When
-    guessing raises, the rest's records are dropped and the partial result
-    holds no block; when the rest raises, the log holds guessing's records,
-    then the rest's, then ``run_aborted``.
+    The two agents' lists of a block are ``_beside`` each other, both sent
+    before either is read, and so are guessing and the rest of the run
+    (labelling, communication, testing), since nothing after guessing reads
+    its result: guessing's lists go out first and are read once the rest
+    has sent testing's. The records keep protocol order, so the rest's
+    reach the log once guessing is read. Guessing asks copies of the agents
+    that hold the initial language, which labelling and communication
+    replace and update in the agents themselves. When guessing raises (a
+    draw before the rest sends anything), the rest's records are dropped
+    and the partial result holds no block; when the rest raises, the log
+    holds guessing's records, then the rest's, then ``run_aborted``.
     """
     config.validate()
     agent_a, agent_b = agents
@@ -867,30 +863,30 @@ def run_simulation(
     for agent in agents + guessers:
         agent.set_vocabulary(initial_language.copy())
 
-    def side_by_side(log: EventLog, dyad: tuple, label: str, block: Callable, *inputs) -> dict:
-        return _side_by_side(log, dyad, lambda agent, fork: block(
-            agent, *inputs, Random(derive_seed(seed, f"{label}:{agent.agent_id}")), config, fork
-        ))
+    def side_by_side(log: EventLog, dyad: tuple, label: str, block: Callable, *inputs) -> Generator:
+        # in these blocks an agent reads only its own rng and vocabulary
+        def run(agent: Agent, fork: EventLog) -> Generator:
+            rng = Random(derive_seed(seed, f"{label}:{agent.agent_id}"))
+            return block(agent, *inputs, rng, config, fork)
 
-    def guessing(log: EventLog) -> None:
-        result.guessing = side_by_side(log, guessers, "guessing", run_guessing_block, initial_language)
+        first, second = (functools.partial(run, agent) for agent in dyad)
+        mine, theirs = yield from _beside(log, first, second)
+        return {dyad[0].agent_id: mine, dyad[1].agent_id: theirs}
 
-    def rest(log: EventLog) -> None:
-        result.labelling = side_by_side(log, agents, "labelling", run_labelling_block, initial_language)
-        result.communication = run_communication_block(
-            agent_a,
-            agent_b,
-            Random(derive_seed(seed, "communication")),
-            config,
-            log,
-        )
-        result.testing = side_by_side(log, agents, "testing", run_testing_block)
+    def guessing(log: EventLog) -> Generator:
+        blocks = side_by_side(log, guessers, "guessing", run_guessing_block, initial_language)
+        result.guessing = yield from blocks
 
-    # each block field is assigned once both agents have finished the block;
-    # in guessing, labelling and testing an agent reads only its own rng and
-    # vocabulary, so the two agents run those blocks side by side
+    def rest(log: EventLog) -> Generator:
+        blocks = side_by_side(log, agents, "labelling", run_labelling_block, initial_language)
+        result.labelling = _run(blocks)
+        rng = Random(derive_seed(seed, "communication"))
+        result.communication = run_communication_block(agent_a, agent_b, rng, config, log)
+        result.testing = yield from side_by_side(log, agents, "testing", run_testing_block)
+
+    # each block field is assigned once both agents have finished the block
     try:
-        _beside(event_log, guessing, rest, _speaks_ahead(agents))
+        _run(_beside(event_log, guessing, rest))
     except Exception as err:
         # a failed task is a record, not an exception: what lands here is a
         # guessing draw from a collapsed language (too few distinct signals,

@@ -143,11 +143,31 @@ def paired_t_test(x: Sequence[float], y: Sequence[float]) -> PairedTTestResult:
         raise DegenerateVarianceError("zero-variance differences")
     t = float(diffs.mean() / (sd / math.sqrt(n)))
     df = n - 1
-    # imported here: scipy.stats is most of the import time of refgame.cli
-    from scipy import stats as scipy_stats
+    return PairedTTestResult(statistic=t, p_value=t_two_sided_p(t, df), df=df)
 
-    p = float(2.0 * scipy_stats.t.sf(abs(t), df))
-    return PairedTTestResult(statistic=t, p_value=p, df=df)
+
+def t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with integer ``df`` >= 1. With x =
+    df / (df + t²) = cos²θ, Abramowitz & Stegun 26.7.3-4 write P(|T| < |t|)
+    as (2θ/π for odd df) + c·H, H the first df // 2 terms of a series in x
+    whose full sum makes it 1. The tail, c times the other terms, is summed
+    directly while x <= 0.9 (1 - P would cancel a small p's digits) and is
+    1 - P beyond, where p is not small."""
+    odd, x = df % 2, df / (df + t * t)
+    sin = abs(t) / math.sqrt(df + t * t)
+    scale = 2 / math.pi * sin * math.sqrt(x) if odd else sin
+    head, term = 0.0, 1.0
+    for k in range(1, df // 2 + 1):
+        head += term
+        term *= x * (2 * k - 1 + odd) / (2 * k + odd)
+    if x > 0.9:
+        return 1.0 - 2 / math.pi * math.atan2(abs(t), math.sqrt(df)) * odd - scale * head
+    tail, k = 0.0, df // 2
+    while tail + term != tail:
+        tail += term
+        k += 1
+        term *= x * (2 * k - 1 + odd) / (2 * k + odd)
+    return scale * tail
 
 
 @functools.cache

@@ -200,8 +200,8 @@ class ScriptedBackend(CompletionBackend):
     ``scores`` scoring is CapabilityUnsupported. A callable that raises a
     BackendError fails the whole call, as a service would. ``requests``
     counts the calls, failed ones included; the two agents of a dyad may
-    share one backend and call it from two threads at once, so it counts
-    under a lock.
+    share one backend, and a test may call it from several threads at
+    once, so it counts under a lock.
     """
 
     def __init__(
@@ -250,13 +250,15 @@ class ScriptedBackend(CompletionBackend):
 
 class SpeakingAheadBackend(ScriptedBackend):
     """A ScriptedBackend that also offers ``complete_later`` and
-    ``score_later``, so an ``LLMAgent`` over it speaks ahead; a request is
-    answered when its reply is first received (peeked or read). ``ahead``
-    lists each read of a completion request as (round, task, whether its
-    prompts were all equal, "kept" or "discarded"), ``listened`` each read
-    of a score request as (round, task, "kept" or "discarded"), and
-    ``timeline``, which a test may share with an event log, each send as
-    ("sent", call, task)."""
+    ``score_later``, so an ``LLMAgent`` over it sends every list when it is
+    asked and speaks ahead; a request is answered when its reply is first
+    received (peeked or read). ``ahead`` lists each read of a speaking
+    request sent ahead (read with ``kept``, or discarded) as (round, task,
+    whether its prompts were all equal, "kept" or "discarded"),
+    ``listened`` each read of a score request as (round, task, "kept" or
+    "discarded"), and ``timeline``, which a test may share with an event
+    log, each send as ("sent", call, task) and each read or discard as
+    ("read", call, task, block, agent), the last two from the log's context."""
 
     def __init__(self, completions=None, scores=None):
         super().__init__(completions, scores)
@@ -297,13 +299,14 @@ class _ScriptedPending:
             raise self.outcome
         return self.outcome
 
-    def _note(self, event_log: EventLog, how: str) -> None:
-        round_, task = event_log.context["round"], self.tasks[0]
+    def _note(self, event_log: EventLog, how: str, ahead: bool = True) -> None:
+        context, task = event_log.context, self.tasks[0]
+        self.backend.timeline.append(("read", self.call, task, context["block"], context["agent"]))
         if self.call == "score":
-            self.backend.listened.append((round_, task, how))
-        else:
+            self.backend.listened.append((context["round"], task, how))
+        elif ahead:
             equal = all(prompt == self.prompts[0] for prompt in self.prompts)
-            self.backend.ahead.append((round_, task, equal, how))
+            self.backend.ahead.append((context["round"], task, equal, how))
 
     def _log(self, event_log: EventLog, results: list, kept: int | None, discarded: bool) -> None:
         for position, (prompt, result, task) in enumerate(zip(self.prompts, results, self.tasks)):
@@ -315,7 +318,7 @@ class _ScriptedPending:
             )
 
     def read(self, event_log: EventLog, kept: int | None = None) -> list:
-        self._note(event_log, "kept")
+        self._note(event_log, "kept", ahead=kept is not None)
         results = self._receive()
         self._log(event_log, results, kept, discarded=False)
         return results
@@ -434,13 +437,13 @@ class BreakingOracle(LookupOracle):
             if self.calls == self.breaks_at:
                 raise RuntimeError(f"agent {self.agent_id} broke")
 
-    def produce_signals(self, items, task, rng, event_log):
+    def produce_signals(self, items, task, rng):
         self._break(task)
-        return super().produce_signals(items, task, rng, event_log)
+        return super().produce_signals(items, task, rng)
 
-    def choose_many(self, items, task, rng, event_log):
+    def choose_many(self, items, task, rng):
         self._break(task)
-        return super().choose_many(items, task, rng, event_log)
+        return super().choose_many(items, task, rng)
 
 
 class TruncatingOracle(_Oracle):

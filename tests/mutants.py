@@ -57,19 +57,64 @@ MUTANTS = (
     ),
     Mutant(
         "second-fork-joined-before-the-first-runs", ENGINE,
-        (("        mine = first(event_log)\n        event_log.join(fork)\n",
-          "        event_log.join(fork)\n        mine = first(event_log)\n"),),
-        "the rest's fork (and a second agent's) is joined before guessing (the first agent's "
-        "block) has written its records, so the two write into one log and one context at once",
+        (("        second_block = second(fork)\n", "        second_block = second(event_log)\n"),),
+        "the second block (the rest, or a second agent's) writes into the log itself, as if its "
+        "fork were joined before the first ran, so the two write into one log and one context",
         (f"{SIDE_BY_SIDE}::test_error_contract", f"{BESIDE}::test_same_log_and_result_as_in_turn"),
     ),
     Mutant(
         "second-records-kept-when-the-first-raises", ENGINE,
-        (("        mine = first(event_log)\n        event_log.join(fork)\n    finally:\n",
-          "        mine = first(event_log)\n    finally:\n        event_log.join(fork)\n"),),
+        (("    yield\n    mine = _run(first_block)\n    try:\n        theirs",
+          "    yield\n    try:\n        mine = _run(first_block)\n        theirs"),),
         "when guessing (or the first agent's block) raises, the rest's records are written "
         "anyway, where a run in turn would never have started the rest",
         (f"{SIDE_BY_SIDE}::test_error_contract", f"{BESIDE}::test_same_log_and_result_as_in_turn"),
+    ),
+    Mutant(
+        "fork-joined-before-the-first-is-read", ENGINE,
+        (("    yield\n    mine = _run(first_block)\n    try:\n        theirs = _run(second_block)\n"
+          "    finally:\n        event_log.join(fork)\n",
+          "    yield\n    event_log.join(fork)\n    mine = _run(first_block)\n    theirs = _run(second_block)\n"),),
+        "the fork is joined once both blocks are sent, before the first is read: the rest's "
+        "records so far land before guessing's, and its later ones go to a closed fork",
+        (f"{SIDE_BY_SIDE}::test_paths_agree", f"{BESIDE}::test_same_log_and_result_as_in_turn"),
+    ),
+    Mutant(
+        "first-dropped-when-the-second-raises-unsent", ENGINE,
+        (("        _run(first_block)\n        event_log.join(fork)\n        raise\n",
+          "        event_log.join(fork)\n        raise\n"),),
+        "when the rest raises before testing's lists are sent (in labelling or communication), "
+        "guessing is never read, so its records are missing before the rest's",
+        (f"{SIDE_BY_SIDE}::test_error_contract", f"{BESIDE}::test_same_log_and_result_as_in_turn"),
+    ),
+    Mutant(
+        "a-list-read-before-the-other-is-sent", ENGINE,
+        (("    first_block = first(event_log)\n    next(first_block)\n",
+          "    first_block = first(event_log)\n    next(first_block)\n    mine = _run(first_block)\n"),
+         ("    yield\n    mine = _run(first_block)\n", "    yield\n")),
+        "the first block is read before the second is sent: A's list is read before B's goes "
+        "out, and guessing before the rest starts, so no two lists are in flight at once",
+        (f"{SIDE_BY_SIDE}::test_error_contract", f"{BESIDE}::test_lists_sent_before_they_are_read"),
+    ),
+    Mutant(
+        "guessing-read-before-the-rest-starts", ENGINE,
+        (("        result.guessing = yield from blocks\n",
+          "        result.guessing = _run(blocks)\n        yield\n"),),
+        "guessing is sent and read whole before the rest starts, as in a run in turn: its "
+        "requests overlap nothing, and each agent opens one connection fewer",
+        (f"{BESIDE}::test_lists_sent_before_they_are_read",
+         "tests/test_cli.py::TestWireRun::test_one_request_per_agent_per_block"),
+    ),
+    Mutant(
+        "guessing-drawn-when-read", ENGINE,
+        (('    event_log.set_context(block="guessing", round=None, task=None, agent=agent.agent_id)\n',
+          '    event_log.set_context(block="guessing", round=None, task=None, agent=agent.agent_id)\n    yield\n'),
+         ("        event_log,\n    )\n    yield\n    for (_, stimulus, candidates, _), chosen in tasks:",
+          "        event_log,\n    )\n    for (_, stimulus, candidates, _), chosen in tasks:")),
+        "guessing's draws are made and its lists sent when it is read, after the rest: a collapsed "
+        "language's draw raises only once the rest has sent every request",
+        (f"{BESIDE}::test_collapsed_language_aborts_before_any_request",
+         f"{BESIDE}::test_lists_sent_before_they_are_read"),
     ),
     Mutant(
         "partial-result-keeps-the-rest-when-guessing-raises", ENGINE,

@@ -134,7 +134,7 @@ class TestLLMAgent:
         agent = LLMAgent("A", backend)
         agent.set_vocabulary(training_vocab())
         target = agent.vocabulary.stimuli()[0]
-        produced = agent.produce_signals([(0, target)], PromptTask.LABELLING, Random(0), EventLog())
+        produced = agent.produce_signals([(0, target)], PromptTask.LABELLING, Random(0)).read(EventLog())
         assert produced == ["hanosa"]
 
     def test_argmax_scoring(self):
@@ -145,7 +145,7 @@ class TestLLMAgent:
         agent.set_vocabulary(vocab)
         candidates = vocab.stimuli()[:4]
         items = [(0, "hanosa", candidates, vocab.stimuli()[5])]
-        assert agent.choose_many(items, PromptTask.LISTENING, Random(0), EventLog()) == [1]
+        assert agent.choose_many(items, PromptTask.LISTENING, Random(0)).read(EventLog()) == [1]
 
     def test_tie_breaks_to_first(self):
         backend = ScriptedBackend(scores=lambda prompt: -1.0)
@@ -153,7 +153,7 @@ class TestLLMAgent:
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
         items = [(0, "hanosa", vocab.stimuli()[:4], None)]
-        assert agent.choose_many(items, PromptTask.LISTENING, Random(0), EventLog()) == [0]
+        assert agent.choose_many(items, PromptTask.LISTENING, Random(0)).read(EventLog()) == [0]
 
     @pytest.mark.parametrize("failures", [0, 1, 2])
     def test_one_score_call_per_attempt(self, failures):
@@ -228,7 +228,7 @@ class TestLLMAgent:
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
         items = [(0, "hanosa", vocab.stimuli()[:4], None)]
-        agent.choose_many(items, PromptTask.LISTENING, Random(3), EventLog())
+        agent.choose_many(items, PromptTask.LISTENING, Random(3)).read(EventLog())
         assert len(seen) == 4
         assert len(set(seen)) == 1
 
@@ -246,7 +246,7 @@ class TestBatches:
         agent = LLMAgent("A", CountingBackend(completions=lambda prompt: next(replies)))
         agent.set_vocabulary(training_vocab())
         items = list(enumerate(agent.vocabulary.stimuli()[:4]))
-        produced = agent.produce_signals(iter(items), PromptTask.LABELLING, Random(0), EventLog())
+        produced = agent.produce_signals(iter(items), PromptTask.LABELLING, Random(0)).read(EventLog())
         assert produced == ["gali", "nemo"]
         assert batches == [[0, 1, 2, 3]]
 
@@ -263,7 +263,7 @@ class TestBatches:
         stimuli = vocab.stimuli()
         items = [(0, stimuli[0], ["gali", "nemo", "tupa"], None), (1, stimuli[1], ["nemo", "sira"], None)]
         rng = Random(0)
-        assert agent.choose_many(iter(items), PromptTask.GUESSING, rng, EventLog()) == [1, 0]
+        assert agent.choose_many(iter(items), PromptTask.GUESSING, rng).read(EventLog()) == [1, 0]
         assert len(batches) == 5 and len(set(batches[:3])) == 1 and len(set(batches[3:])) == 1
         expected = Random(0)
         expected.getrandbits(64)
@@ -278,9 +278,9 @@ class TestBatches:
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
         stimuli = vocab.stimuli()
-        assert agent.produce_signals(enumerate(stimuli), PromptTask.LABELLING, Random(0), EventLog()) == []
+        assert agent.produce_signals(enumerate(stimuli), PromptTask.LABELLING, Random(0)).read(EventLog()) == []
         items = [(0, stimuli[0], ["gali", "nemo"], None)]
-        assert agent.choose_many(iter(items), PromptTask.GUESSING, Random(0), EventLog()) == []
+        assert agent.choose_many(iter(items), PromptTask.GUESSING, Random(0)).read(EventLog()) == []
 
     @pytest.mark.parametrize("agent_cls", [LookupOracle, CompositionalOracle, RandomChooser])
     def test_oracles_answer_task_by_task(self, agent_cls):
@@ -290,15 +290,15 @@ class TestBatches:
         agent.set_vocabulary(vocab)
         stimuli = vocab.stimuli()
         tasks = iter([(0, stimuli[0]), (1, stimuli[1])])
-        produced = agent.produce_signals(tasks, PromptTask.LABELLING, Random(0), EventLog())
+        produced = agent.produce_signals(tasks, PromptTask.LABELLING, Random(0)).read(EventLog())
         assert produced == [agent.produce_signal(stimuli[0], PromptTask.LABELLING, Random(0))]
         assert next(tasks)[0] == 1
         signals = [vocab.signal_for(s) for s in stimuli[:3]]
         choices = iter([(0, stimuli[2], signals, None), (1, stimuli[0], signals, None)])
-        chosen = agent.choose_many(choices, PromptTask.GUESSING, Random(0), EventLog())
+        chosen = agent.choose_many(choices, PromptTask.GUESSING, Random(0)).read(EventLog())
         assert chosen == [agent.choose(stimuli[2], signals, PromptTask.GUESSING, Random(0))]
         assert next(choices)[0] == 1
-        assert agent.produce_signals(iter([]), PromptTask.LABELLING, Random(0), EventLog()) == []
+        assert agent.produce_signals(iter([]), PromptTask.LABELLING, Random(0)).read(EventLog()) == []
 
 
 class TestFactory:

@@ -127,49 +127,6 @@ class TestEventLog:
             ("sim-1", agent, n) for agent in ("main", "w0", "w1", "w2", "w3") for n in range(300)
         ]
 
-    def test_a_joined_fork_writes_through_while_its_writer_runs_on(self, tmp_path):
-        # as run_simulation does: this thread joins a fork while a worker
-        # still appends to it, and the worker joins forks of its own while
-        # their writers run on; every line lands once, in the order of the
-        # run in turn, whenever each join happens
-        with EventLog(tmp_path / "events.jsonl") as log:
-            log.set_context(simulation="sim-1", agent="main")
-            fork = log.fork()
-
-            def part(sub, name):
-                sub.set_context(agent=name)
-                for n in range(100):
-                    sub.append("backend_call", n=n)
-
-            def work():
-                for number in range(3):
-                    sub = fork.fork()
-                    helper = threading.Thread(target=part, args=(sub, f"s{number}"))
-                    helper.start()
-                    part(fork, f"w{number}")
-                    fork.join(sub)
-                    helper.join(timeout=30)
-                    assert not helper.is_alive()
-
-            worker = threading.Thread(target=work)
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                worker.start()
-                for n in range(150):
-                    log.append("backend_call", n=n)
-                log.join(fork)
-                worker.join(timeout=30)
-            finally:
-                sys.setswitchinterval(interval)
-            assert not worker.is_alive()
-            assert log.context == {"simulation": "sim-1", "agent": "s2"}
-        records = EventLog.read(tmp_path / "events.jsonl")
-        parts = [f"{who}{number}" for number in range(3) for who in "ws"]
-        assert [(r["agent"], r["n"]) for r in records] == [("main", n) for n in range(150)] + [
-            (agent, n) for agent in parts for n in range(100)
-        ]
-
     def test_backend_logs_before_returning(self, event_log):
         backend = ScriptedBackend(completions=lambda p: "ok")
         backend.complete([PROMPT], [0], event_log)

@@ -21,7 +21,7 @@ from helpers import service
 from refgame.agents import LLMAgent
 from refgame.backend import EventLog
 from refgame.domain import generate_language, sample_training_set
-from refgame.engine import RunConfig, run_guessing_block, run_labelling_block, run_testing_block
+from refgame.engine import RunConfig, _run, run_guessing_block, run_labelling_block, run_testing_block
 from refgame.prompts import completion_stem
 
 SEEDS = range(30)
@@ -31,11 +31,11 @@ PLACEMENTS = ("none", "unparseable", "call-error", "always-overflow", "always-un
 
 
 class PerTaskAgent(LLMAgent):
-    def produce_signals(self, items, task, rng, event_log):
-        return super().produce_signals(islice(items, 1), task, rng, event_log)
+    def produce_signals(self, items, task, rng):
+        return super().produce_signals(islice(items, 1), task, rng)
 
-    def choose_many(self, items, task, rng, event_log):
-        return super().choose_many(islice(items, 1), task, rng, event_log)
+    def choose_many(self, items, task, rng):
+        return super().choose_many(islice(items, 1), task, rng)
 
 
 class CountingAgent(LLMAgent):
@@ -45,15 +45,22 @@ class CountingAgent(LLMAgent):
         super().__init__(*args, **kwargs)
         self.answered = answered
 
-    def produce_signals(self, items, task, rng, event_log):
-        signals = super().produce_signals(items, task, rng, event_log)
-        self.answered.append(len(signals))
-        return signals
+    def _counted(self, reply):
+        read = reply.read
 
-    def choose_many(self, items, task, rng, event_log):
-        chosen = super().choose_many(items, task, rng, event_log)
-        self.answered.append(len(chosen))
-        return chosen
+        def counted(event_log, kept=None):
+            answers = read(event_log, kept)
+            self.answered.append(len(answers))
+            return answers
+
+        reply.read = counted
+        return reply
+
+    def produce_signals(self, items, task, rng):
+        return self._counted(super().produce_signals(items, task, rng))
+
+    def choose_many(self, items, task, rng):
+        return self._counted(super().choose_many(items, task, rng))
 
 
 @lru_cache(maxsize=None)
@@ -75,11 +82,11 @@ def run_block(block: str, agent_cls, seed: int, placement: str, **agent_kwargs):
     with tempfile.TemporaryDirectory() as tmp:
         with EventLog(Path(tmp) / "events.jsonl") as log:
             if block == "guessing":
-                result = run_guessing_block(agent, vocab, rng, config, log)
+                result = _run(run_guessing_block(agent, vocab, rng, config, log))
             elif block == "labelling":
-                result = run_labelling_block(agent, vocab, rng, config, log)
+                result = _run(run_labelling_block(agent, vocab, rng, config, log))
             else:
-                result = run_testing_block(agent, rng, config, log)
+                result = _run(run_testing_block(agent, rng, config, log))
         # backend_call records differ by batch: one call per list or per task
         events = [e for e in EventLog.read(log.path) if e["kind"] != "backend_call"]
     return result, events, rng.getstate(), agent.vocabulary, backend.requests

@@ -15,7 +15,7 @@ import yaml
 import refgame
 from helpers import YAML_LOADERS, BreakingOracle
 from refgame import cli
-from refgame.agents import LookupOracle
+from refgame.agents import LookupOracle, Reply
 from refgame.backend import EventLog
 from refgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from refgame.domain import Vocabulary, enumerate_stimuli
@@ -1011,11 +1011,11 @@ class TestChainCommand:
         last = enumerate_stimuli()[-1]
 
         class FailingLast(LookupOracle):
-            def produce_signals(self, items, task, rng, event_log):
+            def produce_signals(self, items, task, rng):
                 item = next(iter(items))
                 if item[1] == last and task is PromptTask.SPEAKING:
-                    return []  # no signal
-                return super().produce_signals([item], task, rng, event_log)
+                    return Reply.held([])  # no signal
+                return super().produce_signals([item], task, rng)
 
         build_agents = cli._build_agents
         built = []
@@ -1157,11 +1157,11 @@ class TestChainCommand:
         last = enumerate_stimuli()[-1]
 
         class FailingLast(LookupOracle):
-            def produce_signals(self, items, task, rng, event_log):
+            def produce_signals(self, items, task, rng):
                 item = next(iter(items))
                 if item[1] == last and task is PromptTask.SPEAKING:
-                    return []  # no signal
-                return super().produce_signals([item], task, rng, event_log)
+                    return Reply.held([])  # no signal
+                return super().produce_signals([item], task, rng)
 
         build_agents = cli._build_agents
         def failing_a(config):
@@ -1265,7 +1265,7 @@ class TestEventLogLifecycle:
             (("chain", "--chains", "1", "--generations", "2"), EXIT_OK, 2),
             # lookup oracles collapse the language by gen06, which aborts
             (("chain", "--seed", "4", "--chains", "1", "--generations", "7"), EXIT_RUNTIME, 7),
-            # against the keep-alive stub: at most five connections per llm agent
+            # against the keep-alive stub: five connections per llm agent
             (("simulate", "--config", "wire"), EXIT_OK, 1),
         ],
         ids=["simulate", "chain", "aborted-chain", "llm-dyad"],
@@ -1296,10 +1296,10 @@ class TestEventLogLifecycle:
             assert run_cli(*argv, "--permutations", "60", "--out", str(out)) == code
             gc.collect()
         assert [str(u.exc_value) for u in unraisable] == []
-        # at most five keep-alive connections per llm agent: its guessing
-        # request beside its listening and speaking requests and the two of
-        # a wrong prediction it discards
-        assert len(connections) <= (10 if "--config" in argv else 0)
+        # five keep-alive connections per llm agent: its guessing request
+        # beside its listening and speaking requests and the two of a wrong
+        # prediction it discards
+        assert len(connections) == (10 if "--config" in argv else 0)
         assert all(connection.sock is None for connection in connections)  # closed
         run_dirs = [path.parent for path in sorted(out.rglob("manifest.json"))]
         assert len(run_dirs) == runs
@@ -1370,14 +1370,12 @@ class TestWireRun:
         # predictions, whose 4 listening prompts are discarded
         wrong = sum(r["kind"] == "backend_discarded" and r["call"] == "score" for r in records) / 4
         assert (len(handler.seen), wrong) == (66 + 2 * 11, 11)
-        # at most five keep-alive connections per llm agent: its guessing
-        # request beside its listening and speaking requests and the two of
-        # a wrong prediction
-        assert handler.connections <= 10
-        # guessing runs beside labelling, so their requests go out in no fixed
-        # order: one 60-prompt guessing and one 15-prompt labelling request each
-        sizes = [len(body["prompt"]) for body in handler.seen]
-        assert (sizes.count(60), sizes.count(15)) == (2, 2)
+        # five keep-alive connections per llm agent: its guessing request
+        # beside its listening and speaking requests and the two of a wrong
+        # prediction
+        assert handler.connections == 10
+        # both guessing lists go out first, then both labelling lists
+        assert [len(body["prompt"]) for body in handler.seen[:4]] == [60, 60, 15, 15]
         assert [len(body["prompt"]) for body in handler.seen[-2:]] == [27, 27]
         for block, kind, tasks, prompts_per_task in (
             ("guessing", "guess", 15, 4), ("labelling", "label", 15, 1), ("testing", "testing", 27, 1)
@@ -1394,8 +1392,8 @@ class TestWireRun:
         assert run_cli("replay", str(out / "sim-00")) == EXIT_OK
 
     def test_agents_lists_in_flight_at_once(self, keepalive_stub_server, tmp_path):
-        # the first four requests, the two agents' guessing and labelling
-        # lists in no fixed order, each wait for the others at the stub;
+        # the first four requests, the two agents' guessing lists and then
+        # their labelling lists, each wait for the others at the stub;
         # sent one after the other, the first would be answered only after
         # the barrier's timeout, alone
         endpoint, handler = keepalive_stub_server
@@ -1530,10 +1528,13 @@ def fresh_python(code: str) -> str:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the import time of refgame.cli; only the
-    # paired t-test needs it, and it imports it itself
-    loaded = fresh_python("import sys, refgame.cli; print('scipy.stats' in sys.modules)")
-    assert loaded == "False"
+    # no scipy module at all: the package depends on numpy and PyYAML only,
+    # and the paired t-test's p-value is in closed form
+    code = (
+        "import sys, refgame.cli, refgame.metrics; refgame.metrics.paired_t_test([1, 2, 4], [0, 1, 2]);"
+        " print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
+    )
+    assert fresh_python(code) == "[]"
 
 
 def test_cli_import_leaves_requests_unloaded():

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import re
 import threading
 import traceback
 from dataclasses import asdict, fields
 from functools import partial
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -18,15 +20,18 @@ from helpers import (
     RepairOracle,
     ScriptedBackend,
     SpeakingAheadBackend,
+    http_backend,
     in_context_learner,
     logged,
     service,
+    wire_service,
 )
 from refgame.agents import (
     CompositionalOracle,
     LLMAgent,
     LookupOracle,
     RandomChooser,
+    Reply,
 )
 from refgame.backend import BackendDescriptor, BackendError, EventLog, TransportFailure
 from refgame.chains import ChainConfig
@@ -126,7 +131,7 @@ class TestGuessingBlock:
         vocab, _ = training_vocab()
         agent = LookupOracle("A")
         agent.set_vocabulary(vocab.copy())
-        result = run_guessing_block(agent, vocab, Random(0), RunConfig(), EventLog())
+        result = engine._run(run_guessing_block(agent, vocab, Random(0), RunConfig(), EventLog()))
         assert result.accuracy == 1.0
         assert len(result.records) == 15
 
@@ -134,7 +139,7 @@ class TestGuessingBlock:
         vocab, _ = training_vocab()
         agent = LookupOracle("A")
         agent.set_vocabulary(vocab.copy())
-        result = run_guessing_block(agent, vocab, Random(3), RunConfig(guessing_distractors=3), EventLog())
+        result = engine._run(run_guessing_block(agent, vocab, Random(3), RunConfig(guessing_distractors=3), EventLog()))
         signals = set(vocab.signals())
         for record in result.records:
             truth = vocab.signal_for(record.stimulus)
@@ -148,7 +153,7 @@ class TestGuessingBlock:
         agent.set_vocabulary(vocab.copy())
         correct = total = 0
         for seed in range(40):
-            result = run_guessing_block(agent, vocab, Random(seed), RunConfig(), EventLog())
+            result = engine._run(run_guessing_block(agent, vocab, Random(seed), RunConfig(), EventLog()))
             correct += sum(r.correct for r in result.records)
             total += len(result.records)
         assert abs(correct / total - 0.25) < 0.06
@@ -159,7 +164,7 @@ class TestLabellingBlock:
         vocab, _ = training_vocab()
         agent = LookupOracle("A")
         agent.set_vocabulary(vocab.copy())
-        result = run_labelling_block(agent, vocab, Random(0), RunConfig(), EventLog())
+        result = engine._run(run_labelling_block(agent, vocab, Random(0), RunConfig(), EventLog()))
         assert result.mean_distance == 0.0
         assert result.learned == vocab
         assert agent.vocabulary == result.learned
@@ -169,7 +174,7 @@ class TestLabellingBlock:
         backend = ScriptedBackend(completions=lambda p: "gigi")
         agent = LLMAgent("A", backend)
         agent.set_vocabulary(vocab.copy())
-        result = run_labelling_block(agent, vocab, Random(0), RunConfig(), EventLog())
+        result = engine._run(run_labelling_block(agent, vocab, Random(0), RunConfig(), EventLog()))
         assert all(e.signal == "gigi" for e in result.learned)
         assert len(set(result.learned.signals())) == 1
         assert result.mean_distance > 0
@@ -188,7 +193,7 @@ class TestLabellingBlock:
 
         agent = LLMAgent("A", ScriptedBackend(completions=flaky))
         agent.set_vocabulary(vocab.copy())
-        result = run_labelling_block(agent, vocab, Random(0), RunConfig(max_agent_retries=2), EventLog())
+        result = engine._run(run_labelling_block(agent, vocab, Random(0), RunConfig(max_agent_retries=2), EventLog()))
         failed = [r for r in result.records if r.failed]
         assert len(failed) == 1
         assert failed[0].stimulus == target
@@ -308,7 +313,7 @@ def speculative_sends(timeline) -> list[tuple]:
         if entry[0] == "sent":
             if entry[1] == "score" and entry[2] > 0 and (round_, entry[2] - 1) not in written:
                 sends.append((round_, entry[2]))
-        else:
+        elif entry[0] != "read":
             round_ = entry[1]
             if entry[0] == "interaction":
                 written.add((entry[1], entry[2]))
@@ -456,7 +461,16 @@ class TestSpeakingAhead:
         # sends its speaking request for t+1 first, then listening request t
         backend, *_ = self.communicate(tmp_path, name, seed, SpeakingAheadBackend, rounds=2)
         timeline = backend.timeline
-        listening = [i for i, entry in enumerate(timeline) if entry[:2] == ("sent", "score")]
+        # in turn go the round's last listening request and each second
+        # attempt, sent once the first attempt's reply was read
+        listening, read, round_ = [], set(), None
+        for i, entry in enumerate(timeline):
+            if entry[0] == "read":
+                read.add((round_, entry[1], entry[2]))
+            elif entry[0] != "sent":
+                round_ = entry[1]
+            elif entry[1] == "score" and entry[2] < 29 and (round_, "score", entry[2]) not in read:
+                listening.append(i)
         assert listening
         for i in listening:
             assert timeline[i - 1] == ("sent", "complete", timeline[i][2] + 1)
@@ -500,7 +514,7 @@ class TestTestingBlock:
         vocab, split = training_vocab()
         agent = CompositionalOracle("A")
         agent.set_vocabulary(vocab.copy())
-        result = run_testing_block(agent, Random(0), RunConfig(), EventLog())
+        result = engine._run(run_testing_block(agent, Random(0), RunConfig(), EventLog()))
         assert len(result.records) == 27
         assert [r.stimulus for r in result.records] == enumerate_stimuli()
         train = set(split.train)
@@ -515,7 +529,7 @@ class TestTestingBlock:
         vocab, split = training_vocab()
         agent = agent_cls("A")
         agent.set_vocabulary(vocab.copy())
-        result = run_testing_block(agent, Random(0), RunConfig(), EventLog())
+        result = engine._run(run_testing_block(agent, Random(0), RunConfig(), EventLog()))
         flagged = {r.stimulus for r in result.records if r.extrapolated}
         assert flagged == set(split.test)
 
@@ -526,7 +540,7 @@ class TestTestingBlock:
             backend = ScriptedBackend(completions=lambda p: "gigi")
             agent = LLMAgent("A", backend)
             agent.set_vocabulary(vocab.copy())
-            run_testing_block(agent, Random(0), RunConfig(), log)
+            engine._run(run_testing_block(agent, Random(0), RunConfig(), log))
         train = set(split.train)
         calls = logged(log, "backend_call")
         assert len(calls) == 27
@@ -633,7 +647,7 @@ class TestRunSimulation:
 
     @pytest.mark.parametrize("breaking", ["A", "B", "AB"])
     def test_abort_in_shared_block_keeps_cause_and_partial(self, breaking, tmp_path):
-        # the two agents label side by side, oracles in turn on one thread;
+        # the two agents label side by side, both lists asked before either is read;
         # the agent error that wins (A's when both break) is the cause, with
         # the traceback of the block that raised it
         agents = tuple(
@@ -825,73 +839,113 @@ def field_slots(cls: type, where: str):
                 yield f.name, g.name, g.type, f"section {f.name!r}"
 
 
-class WaitingOracle(LookupOracle):
-    """A lookup oracle that says it speaks ahead, so its dyad's blocks take
-    the worker thread."""
-
-    speaks_ahead = True
-
-
 def no_threads(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a thread was started")
+    """Refuses to start a thread whose target (or ``run``) is defined under
+    ``src/refgame``; the in-process service keeps its own threads."""
+    package = Path(engine.__file__).resolve().parent
+    start = threading.Thread.start
 
-    monkeypatch.setattr(threading, "Thread", refuse)
+    def checked(thread):
+        target = thread._target or thread.run
+        target = getattr(target, "func", target)  # a partial's function
+        code = getattr(getattr(target, "__func__", target), "__code__", None)
+        if code is not None and Path(code.co_filename).resolve().is_relative_to(package):
+            raise AssertionError(f"a thread was started on {target.__qualname__}")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", checked)
 
 
 class TestSideBySide:
-    """``_side_by_side`` runs a dyad's blocks in turn on the calling thread
-    unless an agent speaks ahead; both paths write the same log and keep
-    one error contract."""
+    """``_beside`` starts the first block, then the second against a fork,
+    and reads them in that order; its answer, log and context are those of
+    the two blocks run whole, one after the other, and no dyad starts a
+    thread."""
 
-    DYADS = {"in turn": LookupOracle, "worker thread": WaitingOracle}
+    RAISING_STEP = {"when sent": 0, "when read": 1}
 
-    def side_by_side(self, kind, failing=""):
+    def beside(self, failing="", raises="when read", in_turn=False):
+        """Two blocks, A's and B's, each appending steps 0-2 and yielding
+        after step 0, run ``_beside`` (or with ``in_turn`` whole, one after
+        the other); an agent in ``failing`` raises after step
+        ``RAISING_STEP[raises]``. Returns the answer or the error's message,
+        the records, the log's context and the order of sends and reads."""
         log = EventLog()
         log.set_context(simulation="s", block=None)
+        order = []
 
-        def block(agent, event_log):
+        def block(agent_id, event_log):
             # a context key only this agent sets: the other's block must not see it
-            event_log.set_context(block=f"block-{agent.agent_id}", **{agent.agent_id: True})
+            event_log.set_context(block=f"block-{agent_id}", **{agent_id: True})
             for step in range(3):
-                event_log.append("step", agent=agent.agent_id, step=step)
-                if step == 1 and agent.agent_id in failing:
-                    raise RuntimeError(f"agent {agent.agent_id} broke")
-            return agent.agent_id.lower()
+                if step == 1:
+                    order.append((agent_id, "sent"))
+                    yield
+                event_log.append("step", agent=agent_id, step=step)
+                if step == self.RAISING_STEP[raises] and agent_id in failing:
+                    raise RuntimeError(f"agent {agent_id} broke")
+            order.append((agent_id, "read"))
+            return agent_id.lower()
 
-        agents = (self.DYADS[kind]("A"), self.DYADS[kind]("B"))
+        first, second = partial(block, "A"), partial(block, "B")
         try:
-            answer = engine._side_by_side(log, agents, block)
+            if in_turn:
+                fork = log.fork()
+                mine = engine._run(first(log))
+                try:
+                    answer = mine, engine._run(second(fork))
+                finally:
+                    log.join(fork)
+            else:
+                blocks = engine._beside(log, first, second)
+                next(blocks)
+                order.append("both sent")
+                answer = engine._run(blocks)
         except RuntimeError as err:
             answer = str(err)
-        return answer, [json.loads(line) for line in log._file.getvalue().splitlines()], log.context
+        return answer, [json.loads(line) for line in log._file.getvalue().splitlines()], log.context, order
 
-    def test_oracle_dyad_starts_no_thread(self, monkeypatch):
+    @pytest.mark.parametrize("dyad", ["oracle", "llm", "wire"])
+    def test_no_dyad_starts_a_thread(self, monkeypatch, dyad):
         no_threads(monkeypatch)
-        config = RunConfig(master_seed=3, mantel_permutations=10)
-        run_simulation(config, (LookupOracle("A"), CompositionalOracle("B")), EventLog())
-        with pytest.raises(AssertionError, match="a thread was started"):
-            self.side_by_side("worker thread")
+        config = RunConfig(master_seed=3, rounds=1, mantel_permutations=10)
+        if dyad == "oracle":
+            run_simulation(config, (LookupOracle("A"), CompositionalOracle("B")), EventLog())
+        elif dyad == "llm":
+            backend = in_context_learner(SpeakingAheadBackend)
+            run_simulation(config, (LLMAgent("A", backend), LLMAgent("B", backend)), EventLog())
+        else:
+            with wire_service() as endpoint:
+                agents = (LLMAgent("A", http_backend(endpoint)), LLMAgent("B", http_backend(endpoint)))
+                run_simulation(config, agents, EventLog())
+        with pytest.raises(AssertionError, match="a thread was started on _run"):
+            threading.Thread(target=engine._run, args=(iter(()),)).start()
 
     @pytest.mark.parametrize("failing", ["", "A", "B", "AB"])
-    def test_paths_agree(self, failing, monkeypatch):
-        threaded = self.side_by_side("worker thread", failing)
-        no_threads(monkeypatch)
-        assert self.side_by_side("in turn", failing) == threaded
+    def test_paths_agree(self, failing):
+        for raises in self.RAISING_STEP:
+            assert self.beside(failing, raises)[:3] == self.beside(failing, raises, in_turn=True)[:3]
 
-    @pytest.mark.parametrize("kind", sorted(DYADS))
-    def test_error_contract(self, kind):
+    @pytest.mark.parametrize("raises", sorted(RAISING_STEP))
+    def test_error_contract(self, raises):
         def outcome(failing=""):
-            answer, records, _ = self.side_by_side(kind, failing)
-            return answer, [(r["agent"], r["step"], r["block"], "A" in r, "B" in r) for r in records]
+            answer, records, _, order = self.beside(failing, raises)
+            return answer, [(r["agent"], r["step"], r["block"], "A" in r, "B" in r) for r in records], order
 
         a = [("A", step, "block-A", True, False) for step in range(3)]
         b = [("B", step, "block-B", False, True) for step in range(3)]
-        assert outcome() == ({"A": "a", "B": "b"}, a + b)
+        sent, read = [("A", "sent"), ("B", "sent"), "both sent"], [("A", "read"), ("B", "read")]
+        assert outcome() == (("a", "b"), a + b, sent + read)
+        kept = self.RAISING_STEP[raises] + 1
         # the first raises: the second's records are dropped
-        assert outcome("A") == outcome("AB") == ("agent A broke", a[:2])
-        # only the second raises: its records are written, then it raises
-        assert outcome("B") == ("agent B broke", a + b[:2])
+        assert outcome("A")[:2] == outcome("AB")[:2] == ("agent A broke", a[:kept])
+        # only the second raises: its records are written after the first's, then it raises
+        answer, records, order = outcome("B")
+        assert (answer, records) == ("agent B broke", a + b[:kept])
+        if raises == "when sent":  # before its sends: the first is read at once, with no yield
+            assert order == [("A", "sent"), ("A", "read")]
+        else:
+            assert order == sent + [("A", "read")]
 
 
 def guessing_prompt(prompt) -> bool:
@@ -900,68 +954,68 @@ def guessing_prompt(prompt) -> bool:
 
 
 class TestGuessingBesideTheRest:
-    """When an agent speaks ahead, guessing runs on the calling thread
-    beside the rest of the run (labelling, communication and testing) on a
-    worker; the log, the result and an aborted run's partial result are
-    those of the run in turn, and guessing is prompted over the initial
-    language however late it asks."""
+    """Guessing's two lists go out first and are read once the rest of the
+    run (labelling, communication and testing) has sent testing's lists;
+    the log, the result and an aborted run's partial result are those of
+    the run in turn, and guessing is prompted over the initial language
+    however late it asks."""
 
     SEED = 5
+    # sha256 of ``run``'s records as the run with every block in turn wrote
+    # them, before guessing overlapped the rest
+    IN_TURN_SHA256 = {
+        "": "06b5f6a41e9527f35062b853035dc63111ede59bcbd787179cb9644d968131aa",
+        "guessing": "9b8c51ee6045cc55e4cd2561dddd936c78a73c22ff0988fdd14200dafbb8ef60",
+        "communication": "a6190139dee03584504cb2e7d6848160d8a9735f77d072cb0abb119674ffea5c",
+    }
 
-    def run(self, monkeypatch, in_turn: bool, breaks: str = "") -> tuple:
+    def run(self, breaks: str = "", initial=None) -> tuple:
         """Two llm agents over in-context learners that speak ahead, one
-        backend each; with ``breaks`` "guessing", B's guessing request
-        raises, with "communication", B's first speaking request for a
-        training stimulus. Returns the log's records without their
-        wall-clock keys, the abort's message, the blocks the result holds,
-        and the threads that asked each kind of task."""
-        initial = training_vocab(self.SEED)[0]
+        backend each, both noting in one timeline; with ``breaks``
+        "guessing", B's guessing reply raises when read, with
+        "communication", B's first speaking request for a training stimulus.
+        Returns the log's records without their wall-clock keys, the abort's
+        message, the blocks the result holds, and the timeline."""
+        initial = initial or training_vocab(self.SEED)[0]
         doomed = completion_stem(initial.stimuli()[3])
-        threads = {}
+        timeline = []
 
         def backend(agent_id):
             learner = in_context_learner(SpeakingAheadBackend)
 
             def completions(prompt):
-                threads.setdefault(prompt.system_instruction, set()).add(threading.current_thread())
                 if (agent_id, breaks) == ("B", "communication") and prompt.stem == doomed \
                         and prompt.system_instruction == SPEAKING_INSTRUCTION:
                     raise RuntimeError("B broke in communication")
                 return learner.completions(prompt)
 
             def scores(prompt):
-                if guessing_prompt(prompt):
-                    threads.setdefault("guessing", set()).add(threading.current_thread())
-                    if (agent_id, breaks) == ("B", "guessing"):
-                        raise RuntimeError("B broke in guessing")
+                if guessing_prompt(prompt) and (agent_id, breaks) == ("B", "guessing"):
+                    raise RuntimeError("B broke in guessing")
                 return learner.scores(prompt)
 
-            return SpeakingAheadBackend(completions=completions, scores=scores)
+            noted = SpeakingAheadBackend(completions=completions, scores=scores)
+            noted.timeline = timeline
+            return noted
 
         agents = (LLMAgent("A", backend("A")), LLMAgent("B", backend("B")))
         config = RunConfig(master_seed=self.SEED, rounds=2, mantel_permutations=10)
         log = EventLog()
-        with monkeypatch.context() as patch:
-            if in_turn:
-                patch.setattr(engine, "_speaks_ahead", lambda dyad: False)
-            try:
-                result, error = run_simulation(config, agents, log, initial), ""
-            except SimulationAborted as err:
-                result, error = err.partial, str(err)
+        try:
+            result, error = run_simulation(config, agents, log, initial), ""
+        except SimulationAborted as err:
+            result, error = err.partial, str(err)
         records = [
             {key: value for key, value in json.loads(line).items() if key not in ("latency", "timestamp")}
             for line in log._file.getvalue().splitlines()
         ]
         blocks = (result.guessing, result.labelling, result.communication, result.testing)
-        return records, error, blocks, threads
+        return records, error, blocks, timeline
 
     @pytest.mark.parametrize("breaks", ["", "guessing", "communication"])
-    def test_same_log_and_result_as_in_turn(self, monkeypatch, breaks):
-        records, error, blocks, threads = self.run(monkeypatch, in_turn=False, breaks=breaks)
-        assert (records, error, blocks) == self.run(monkeypatch, in_turn=True, breaks=breaks)[:3]
-        # this thread guessed, and a worker labelled meanwhile
-        caller = threading.current_thread()
-        assert caller in threads["guessing"] and caller not in threads[LABELLING_INSTRUCTION]
+    def test_same_log_and_result_as_in_turn(self, breaks):
+        records, error, blocks, _ = self.run(breaks)
+        assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == self.IN_TURN_SHA256[breaks]
         kinds = [record["kind"] for record in records]
         if breaks == "guessing":
             # A's guesses, and no record of B's nor of the rest's
@@ -976,12 +1030,42 @@ class TestGuessingBesideTheRest:
             assert kinds[-1] == "run_end" and kinds.count("guess") == 30
         assert kinds[-1] == ("run_end" if not breaks else "run_aborted")
 
+    def test_lists_sent_before_they_are_read(self):
+        *_, timeline = self.run()
+        # both guessing lists, then both labelling lists, before any read
+        first_read = next(i for i, entry in enumerate(timeline) if entry[0] == "read")
+        assert [entry[:2] for entry in timeline[:first_read]] == (
+            [("sent", "score")] * 2 + [("sent", "complete")] * 2
+        )
+        reads = [entry[3:] for entry in timeline if entry[0] == "read"]
+        assert reads[:2] == [("labelling", "A"), ("labelling", "B")]
+        # once communication is read, testing's two lists are sent, then
+        # guessing is read, then testing
+        communicated = max(i for i, entry in enumerate(timeline) if entry[3:4] == ("communication",))
+        after = timeline[communicated + 1:]
+        assert [entry[:2] for entry in after[:2]] == [("sent", "complete")] * 2
+        assert [entry[3:] for entry in after[2:]] == [
+            ("guessing", "A"), ("guessing", "B"), ("testing", "A"), ("testing", "B")
+        ]
+
+    def test_collapsed_language_aborts_before_any_request(self):
+        # two distinct signals, one of them on a single stimulus: a guessing
+        # task for any other stimulus has one distractor to draw three from
+        initial = training_vocab(self.SEED)[0].copy()
+        for stimulus in initial.stimuli():
+            initial.update(stimulus, "gaga" if stimulus != initial.stimuli()[0] else "lolo", 0)
+        records, error, blocks, timeline = self.run(initial=initial)
+        assert error.startswith("Sample larger than population")
+        assert [record["kind"] for record in records] == ["run_start", "run_aborted"]
+        assert blocks == ({}, {}, None, {})
+        assert timeline == []  # no guessing, labelling or speaking request was sent
+
     def test_guessing_asked_again_after_labelling_is_prompted_over_the_initial_language(self):
-        # each agent's batched guessing request waits until communication has
-        # begun and then fails, so every guessing task is asked again alone
-        # after labelling replaced the agents' vocabularies with "zuzu"s
+        # each agent's batched guessing request fails when it is read, after
+        # communication, so every guessing task is asked again alone after
+        # labelling replaced the agents' vocabularies with "zuzu"s
         initial = training_vocab(self.SEED)[0]
-        communicating = threading.Event()
+        communicating = []
         waited, late_lines = [], []
 
         def backend():
@@ -989,7 +1073,7 @@ class TestGuessingBesideTheRest:
 
             def completions(prompt):
                 if prompt.system_instruction == SPEAKING_INSTRUCTION:
-                    communicating.set()
+                    communicating.append(prompt)
                 if prompt.system_instruction == LABELLING_INSTRUCTION:
                     return "zuzu'}"
                 return learner.completions(prompt)
@@ -998,7 +1082,7 @@ class TestGuessingBesideTheRest:
                 if guessing_prompt(prompt):
                     if not failed:
                         failed.append(prompt)
-                        waited.append(communicating.wait(timeout=10))
+                        waited.append(bool(communicating))
                         raise TransportFailure("service error 503")
                     late_lines.append(prompt.vocabulary_lines)
                 return learner.scores(prompt)
@@ -1018,20 +1102,20 @@ class FlakyOracle(CompositionalOracle):
     """Answers no production for shape 1 at amount 3, no guess for a green
     stimulus, and no listening choice for a signal ending in 'a'."""
 
-    def produce_signals(self, items, task, rng, event_log):
+    def produce_signals(self, items, task, rng):
         item = next(iter(items))
         if item[1].shape == 1 and item[1].amount == 3:
-            return []
-        return super().produce_signals([item], task, rng, event_log)
+            return Reply.held([])
+        return super().produce_signals([item], task, rng)
 
-    def choose_many(self, items, task, rng, event_log):
+    def choose_many(self, items, task, rng):
         item = next(iter(items))
         probe = item[1]
         if task is PromptTask.GUESSING and probe.colour == "green":
-            return []
+            return Reply.held([])
         if task is PromptTask.LISTENING and probe.endswith("a"):
-            return []
-        return super().choose_many([item], task, rng, event_log)
+            return Reply.held([])
+        return super().choose_many([item], task, rng)
 
 
 class TestBlockEvents:
@@ -1139,7 +1223,7 @@ class TestExclusionInvariant:
             a.set_vocabulary(vocab.copy())
             b.set_vocabulary(vocab.copy())
             run_communication_block(a, b, Random(derive_seed(1, "communication")), config, log)
-            run_testing_block(a, Random(0), config, log)
+            engine._run(run_testing_block(a, Random(0), config, log))
 
         interactions = {
             (e["round"], e["task"]): Stimulus(*e["stimulus"])
@@ -1175,9 +1259,9 @@ class TestExclusionInvariant:
             backend = ScriptedBackend(completions=lambda p: "gigi", scores=lambda p: -1.0)
             agent = LLMAgent("A", backend)
             agent.set_vocabulary(vocab.copy())
-            run_labelling_block(agent, vocab, Random(0), RunConfig(), log)
+            engine._run(run_labelling_block(agent, vocab, Random(0), RunConfig(), log))
             agent.set_vocabulary(vocab.copy())
-            run_guessing_block(agent, vocab, Random(0), RunConfig(), log)
+            engine._run(run_guessing_block(agent, vocab, Random(0), RunConfig(), log))
         for call in logged(log, "backend_call"):
             lines = call["prompt"].split("\n")
             body, stem = lines[:-1], lines[-1]

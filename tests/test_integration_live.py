@@ -20,7 +20,7 @@ import pytest
 from refgame.agents import LLMAgent
 from refgame.backend import BackendDescriptor, EventLog, HttpBackend
 from refgame.domain import generate_language, sample_training_set
-from refgame.engine import RunConfig, run_guessing_block, run_labelling_block
+from refgame.engine import RunConfig, _run, run_guessing_block, run_labelling_block
 
 ENDPOINT = os.environ.get("REFGAME_LIVE_ENDPOINT")
 
@@ -45,13 +45,13 @@ def live_agent():
 
 def test_live_guessing_block(live_agent):
     vocab = live_agent.vocabulary.copy()
-    result = run_guessing_block(live_agent, vocab, Random(1), RunConfig(), EventLog())
+    result = _run(run_guessing_block(live_agent, vocab, Random(1), RunConfig(), EventLog()))
     print(f"\nlive guessing accuracy: {result.accuracy:.3f} (published reference ~0.973)")
 
 
 def test_live_labelling_block(live_agent):
     vocab = live_agent.vocabulary.copy()
-    result = run_labelling_block(live_agent, vocab, Random(2), RunConfig(), EventLog())
+    result = _run(run_labelling_block(live_agent, vocab, Random(2), RunConfig(), EventLog()))
     exact = sum(1 for r in result.records if r.distance == 0) / len(result.records)
     print(
         f"\nlive labelling: exact-reproduction rate {exact:.3f} "

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import integrate
 
 from helpers import dp_levenshtein, exhaustive_mantel_oracle, recursive_levenshtein
 from refgame.agents import CompositionalOracle
@@ -31,6 +30,7 @@ from refgame.metrics import (
     ngram_diversity,
     normalized_levenshtein,
     paired_t_test,
+    t_two_sided_p,
     pearson,
     semantic_distance,
     semantic_distance_matrix,
@@ -164,14 +164,23 @@ class TestPearson:
             pearson([1, 1, 1], [1, 2, 3])
 
 
-def t_density(x: float, df: int) -> float:
-    # hand-written Student-t density, independent of scipy.stats
+def t_density(x, df: int):
+    # hand-written Student-t density (of a float or an array)
     log_norm = (
         math.lgamma((df + 1) / 2)
         - math.lgamma(df / 2)
         - 0.5 * math.log(df * math.pi)
     )
     return math.exp(log_norm) * (1 + x * x / df) ** (-(df + 1) / 2)
+
+
+def t_tail_by_quadrature(t: float, df: int, nodes: int = 400) -> float:
+    """2 x the integral of ``t_density`` from |t| to infinity, by
+    Gauss-Legendre quadrature over v = |t| + tan(phi), phi in [0, pi/2)."""
+    x, weights = np.polynomial.legendre.leggauss(nodes)
+    phi = (x + 1) * math.pi / 4
+    integrand = t_density(abs(t) + np.tan(phi), df) / np.cos(phi) ** 2
+    return 2 * math.pi / 4 * float(np.sum(weights * integrand))
 
 
 class TestPairedTTest:
@@ -189,8 +198,21 @@ class TestPairedTTest:
         y = [0.0] * 6
         result = paired_t_test(x, y)
         assert result.statistic == pytest.approx(7.0, abs=1e-12)
-        tail, _ = integrate.quad(lambda v: t_density(v, result.df), result.statistic, np.inf)
-        assert result.p_value == pytest.approx(2 * tail, rel=1e-8)
+        assert result.p_value == pytest.approx(t_tail_by_quadrature(result.statistic, result.df), rel=1e-8)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0, -2.5, 10.0, 1e3])
+    def test_exact_tails_of_one_and_two_degrees_of_freedom(self, t):
+        # df = 1 is the Cauchy tail 1 - 2 atan(t)/pi = 2 atan(1/t)/pi, and
+        # df = 2 is 1 - t/sqrt(2 + t²) = 2 / (s (s + t)) with s = sqrt(2 + t²),
+        # each written in its second form so that a small tail keeps its digits
+        a, s = abs(t), math.sqrt(2 + t * t)
+        assert t_two_sided_p(t, 1) == pytest.approx(2 * math.atan2(1, a) / math.pi, rel=1e-13)
+        assert t_two_sided_p(t, 2) == pytest.approx(2 / (s * (s + a)), rel=1e-13)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 9, 10, 30, 59])
+    def test_tail_against_quadrature(self, df):
+        for t in (0.0, 0.3, 1.5, 2.4, 7.0, 30.0):
+            assert t_two_sided_p(t, df) == pytest.approx(t_tail_by_quadrature(t, df), rel=1e-10), t
 
 
 class TestNgramDiversity:

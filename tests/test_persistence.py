@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import YAML_LOADERS, wire_service
 from refgame import engine
-from refgame.agents import CompositionalOracle, LookupOracle
+from refgame.agents import CompositionalOracle, LookupOracle, Reply
 from refgame.backend import EventLog
 from refgame.cli import EXIT_OK, main
 from refgame.config import ConfigError, ExperimentConfig, config_from_dict, load_config, validate_config
@@ -148,11 +148,11 @@ class TestReplay:
         kept_stimuli = set(enumerate_stimuli()[:kept])
 
         class FailingSpeaker(LookupOracle):
-            def produce_signals(self, items, task, rng, event_log):
+            def produce_signals(self, items, task, rng):
                 item = next(iter(items))
                 if task is PromptTask.SPEAKING and item[1] not in kept_stimuli:
-                    return []  # no signal
-                return super().produce_signals([item], task, rng, event_log)
+                    return Reply.held([])  # no signal
+                return super().produce_signals([item], task, rng)
 
         run_dir, _ = persisted_run(tmp_path, agents=(FailingSpeaker("A"), LookupOracle("B")))
         rows = read_rows(run_dir / "metrics.csv", MetricRow)

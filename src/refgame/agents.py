@@ -221,7 +221,8 @@ class LLMAgent(Agent):
         if self.speaks_ahead:
             return partial(self.backend.score_later if scoring else self.backend.complete_later, built, tasks)
         call = self.backend.score if scoring else self.backend.complete
-        return lambda: SimpleNamespace(read=lambda event_log, kept=None: call(built, tasks, event_log))
+        return lambda: SimpleNamespace(read=lambda event_log, kept=None: call(built, tasks, event_log),
+                                       close=lambda: None)
 
     def produce_signals(self, items, task, rng) -> Reply:
         tasks, built = [], []
@@ -281,7 +282,7 @@ class Reply:
     ``answer(results, kept)`` makes of the results of the request that
     ``send()`` sends, or ``failed`` when the request failed or was refused
     before it was sent. Read it once, with read() or discard(), after
-    peek() if wanted."""
+    peek() if wanted, or close() it unread."""
 
     def __init__(self, send: Callable, answer: Callable, failed):
         try:
@@ -315,6 +316,11 @@ class Reply:
         """Reads the reply and logs every prompt as ``backend_discarded``."""
         if self._pending is not None:
             self._pending.discard(event_log)
+
+    def close(self) -> None:
+        """Drops the request unread, its connection closed, and logs nothing."""
+        if self._pending is not None:
+            self._pending.close()
 
 
 def _parsed(replies: Sequence[str]) -> list[Signal]:

@@ -247,8 +247,8 @@ class CompletionBackend:
     The two agents of an in-process dyad may share one backend. A backend
     may also offer ``complete_later(prompts, tasks)`` and
     ``score_later(prompts, tasks)``, which send a request, its task indices
-    fixed with it, and return a handle to read it with later, as
-    ``HttpBackend`` does: its handle is the ``PendingCompletion`` that each
+    fixed with it, and return a handle to read it with later (or close
+    unread), as ``HttpBackend`` does: its handle is the ``PendingCompletion`` that each
     of its requests is, a score or a completion. An ``LLMAgent`` sends its
     lists ahead of reading them only over a backend with both, and then
     has up to five requests in flight.
@@ -529,8 +529,8 @@ class PendingCompletion:
     earlier request, the send's error (raised again by the read), the
     attempt's start time and, once received, its outcome and arrival time.
     ``complete_later`` and ``score_later`` return it unread: read it once,
-    with read() or discard(), after peek() if wanted; until then it holds
-    one of the backend's connections."""
+    with read() or discard(), after peek() if wanted, or close() it unread;
+    until then it holds one of the backend's connections."""
 
     def __init__(self, backend: HttpBackend, body: bytes, full_texts: list[str], tasks: Sequence[int],
                  continuations: list[str] | None = None):
@@ -630,6 +630,12 @@ class PendingCompletion:
             return self._results(self._receive())
         except BackendError:
             return None
+
+    def close(self) -> None:
+        """Closes the connection of a request that will not be read."""
+        if self.outcome is None:
+            self.connection.close()
+            self.outcome = TransportFailure("closed unread")
 
     def discard(self, event_log: EventLog) -> None:
         """Reads the reply, once and without a retry, and logs every prompt

@@ -296,50 +296,81 @@ class SimulationResult:
     metric_rows: list[MetricRow] = field(default_factory=list)
 
 
-def _run(block: Generator):
-    """What ``block`` returns, run on to its end. A block is a generator that
-    makes its draws and sends its requests, yields once, and then reads
-    them, writes its records and returns its result."""
+_SENT = object()  # what ``_step`` gives for a block that yielded
+
+
+def _step(block: Generator):
+    """``block`` run on to its next yield (``_SENT``) or its end (its result)."""
     try:
-        while True:
-            next(block)
+        next(block)
     except StopIteration as stop:
         return stop.value
+    return _SENT
+
+
+def _run(block: Generator):
+    """What ``block`` returns, run on to its end. A block is a generator that
+    makes its draws and sends its requests, yields each time it has sent
+    requests it reads next, and, once they are all read and its records
+    written, returns its result."""
+    while (result := _step(block)) is _SENT:
+        pass
+    return result
 
 
 def _beside(event_log: EventLog, first: Callable, second: Callable) -> Generator:
     """The block of ``(first(event_log), second(fork))``, ``fork`` a fork of
     ``event_log`` joined after ``first``'s records, so the log reads as if
-    ``second`` ran after ``first``: ``first`` is started, then ``second``,
-    the block yields, ``first`` is read, then ``second``. When ``first``
-    raises, ``second``'s records are dropped; when only ``second`` raises,
-    ``first`` is read, ``second``'s records are written, and its exception
-    is raised, before the yield when ``second`` raised before it."""
+    ``second`` ran after ``first``. The two take turns, a step each, then
+    the block yields, until both have returned: a step reads what the
+    block sent at its last yield and sends what it asks next, so both
+    first lists go out before either is read, and so do the two blocks'
+    tasks asked again alone. When ``first`` raises, ``second`` is closed,
+    its requests unread and its records dropped; when only ``second``
+    raises, ``first`` is run on to its end, then ``second``'s records are
+    written and its exception raised."""
     fork = event_log.fork()
-    first_block = first(event_log)
-    next(first_block)
+    first_block, second_block = first(event_log), second(fork)
+    mine = theirs = _SENT
     try:
-        second_block = second(fork)
-        next(second_block)
-    except BaseException:  # first's records, then second's, then its error
-        _run(first_block)
-        event_log.join(fork)
-        raise
-    yield
-    mine = _run(first_block)
-    try:
-        theirs = _run(second_block)
-    finally:
-        event_log.join(fork)
+        while True:
+            if mine is _SENT:
+                mine = _step(first_block)
+            if theirs is _SENT:
+                try:
+                    theirs = _step(second_block)
+                except BaseException:  # first's records, then second's, then its error
+                    _run(first_block)
+                    event_log.join(fork)
+                    raise
+            if mine is not _SENT and theirs is not _SENT:
+                break
+            yield
+    finally:  # a block left waiting closes its requests unread
+        first_block.close()
+        second_block.close()
+    event_log.join(fork)
     return mine, theirs
 
 
+def _read(reply: Reply, event_log: EventLog) -> Generator:
+    """``reply``'s answer, read after one yield (see ``_run``); a block
+    closed at that yield closes the request unread."""
+    try:
+        yield
+    except GeneratorExit:
+        reply.close()
+        raise
+    return reply.read(event_log)
+
+
 def _alone(ask: Callable, item: tuple, prompt_task: PromptTask, rng: Random, attempts: int,
-           event_log: EventLog):
+           event_log: EventLog) -> Generator:
     """The answer to one task, asked as a list of one (``ask`` is an agent's
-    list method) up to ``attempts`` times; ``None`` when no attempt answers."""
+    list method) up to ``attempts`` times; ``None`` when no attempt answers.
+    A block (see ``_run``) that yields once per attempt."""
     for _ in range(attempts):
-        answers = ask([item], prompt_task, rng).read(event_log)
+        answers = yield from _read(ask([item], prompt_task, rng), event_log)
         if answers:
             return answers[0]
     return None
@@ -353,16 +384,18 @@ def _batched(
     rng: Random,
     attempts: int,
     event_log: EventLog,
-) -> Iterator:
-    """``(task, answer)`` for each of ``count`` tasks, in order, with the
-    event log's context ``task`` set to the task's index; ``answer`` is
-    ``None`` for a failed task.
+    write: Callable,
+) -> Generator:
+    """A block (see ``_run``) that calls ``write(task, answer)`` for each of
+    ``count`` tasks, in order, with the event log's context ``task`` set to
+    the task's index; ``answer`` is ``None`` for a failed task.
 
-    ``ask`` (an agent's list method) is handed, now, a generator of the
-    tasks ``draw(task_index)`` makes, which sets the context ``task`` and
-    keeps the rng state before each draw, so the draws interleave with the
-    agent's own as they do task by task, and sets ``task`` back to ``None``
-    once exhausted; its ``Reply`` is read for the first pair. From the
+    ``ask`` (an agent's list method) is handed, at the first step, a
+    generator of the tasks ``draw(task_index)`` makes, which sets the
+    context ``task`` and keeps the rng state before each draw, so the draws
+    interleave with the agent's own as they do task by task, and sets
+    ``task`` back to ``None`` once exhausted; its ``Reply`` is read after
+    the first yield. From the
     first task the list left unanswered on, the rng goes back to where that
     task began, and each task is drawn anew and asked ``_alone``."""
     states, drawn = [], []
@@ -375,21 +408,16 @@ def _batched(
             yield drawn[-1]
         event_log.set_context(task=None)
 
-    reply = ask(tasks(), prompt_task, rng)
-
-    def answered():
-        answers = reply.read(event_log)
-        if len(answers) < len(states):
-            rng.setstate(states[len(answers)])
-        for task_index in range(count):
-            event_log.set_context(task=task_index)
-            if task_index < len(answers):
-                yield drawn[task_index], answers[task_index]
-            else:
-                item = draw(task_index)
-                yield item, _alone(ask, item, prompt_task, rng, attempts, event_log)
-
-    return answered()
+    answers = yield from _read(ask(tasks(), prompt_task, rng), event_log)
+    if len(answers) < len(states):
+        rng.setstate(states[len(answers)])
+    for task_index in range(count):
+        event_log.set_context(task=task_index)
+        if task_index < len(answers):
+            write(drawn[task_index], answers[task_index])
+        else:
+            item = draw(task_index)
+            write(item, (yield from _alone(ask, item, prompt_task, rng, attempts, event_log)))
 
 
 def run_guessing_block(
@@ -414,13 +442,9 @@ def run_guessing_block(
         return task_index, stimulus, candidates, None
 
     records = []
-    event_log.set_context(block="guessing", round=None, task=None, agent=agent.agent_id)
-    tasks = _batched(
-        agent.choose_many, PromptTask.GUESSING, draw, len(order), rng, config.max_agent_retries,
-        event_log,
-    )
-    yield
-    for (_, stimulus, candidates, _), chosen in tasks:
+
+    def write(task, chosen):
+        _, stimulus, candidates, _ = task
         truth = vocab.signal_for(stimulus)
         failure_mode = "none"
         if chosen is None:
@@ -434,6 +458,12 @@ def run_guessing_block(
         )
         records.append(record)
         event_log.append(record.KIND, **record.event())
+
+    event_log.set_context(block="guessing", round=None, task=None, agent=agent.agent_id)
+    yield from _batched(
+        agent.choose_many, PromptTask.GUESSING, draw, len(order), rng, config.max_agent_retries,
+        event_log, write,
+    )
     return GuessingResult(records=records)
 
 
@@ -452,13 +482,9 @@ def run_labelling_block(
     rng.shuffle(order)
     learned = vocab.copy()
     records = []
-    event_log.set_context(block="labelling", round=None, task=None, agent=agent.agent_id)
-    tasks = _batched(
-        agent.produce_signals, PromptTask.LABELLING, lambda i: (i, order[i]), len(order), rng,
-        config.max_agent_retries, event_log,
-    )
-    yield
-    for (_, stimulus), produced in tasks:
+
+    def write(task, produced):
+        _, stimulus = task
         truth = vocab.signal_for(stimulus)
         failed = produced is None
         if failed:
@@ -472,6 +498,12 @@ def run_labelling_block(
         )
         records.append(record)
         event_log.append(record.KIND, **record.event())
+
+    event_log.set_context(block="labelling", round=None, task=None, agent=agent.agent_id)
+    yield from _batched(
+        agent.produce_signals, PromptTask.LABELLING, lambda i: (i, order[i]), len(order), rng,
+        config.max_agent_retries, event_log, write,
+    )
     # a copy: communication updates the agent's vocabulary, not the learned snapshot
     agent.set_vocabulary(learned.copy())
     return LabellingResult(records=records, learned=learned)
@@ -608,14 +640,14 @@ def run_communication_block(
             sent = None
             if ahead is None:
                 candidates = draw_candidates(stimulus)
-                signal = _alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng, attempts,
-                                event_log)
+                signal = _run(_alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng, attempts,
+                                event_log))
             else:
                 candidates, speaking, flag, sent = ahead
                 signal = speaking.read(event_log, flag)
                 if signal is None:  # that reply was the first attempt
-                    signal = _alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng,
-                                    attempts - 1, event_log)
+                    signal = _run(_alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng,
+                                    attempts - 1, event_log))
             ahead = None
             chosen = None
             if signal is not None:
@@ -648,11 +680,11 @@ def run_communication_block(
                     if next_sent is not None:
                         discard(speaker_id, [next_sent.listening, next_sent.speaking])
                     rng.setstate(sent.before)
-                    chosen = _alone(listener.choose_many, heard, PromptTask.LISTENING, rng,
-                                    attempts - 1, event_log)
+                    chosen = _run(_alone(listener.choose_many, heard, PromptTask.LISTENING, rng,
+                                    attempts - 1, event_log))
             elif signal is not None:
-                chosen = _alone(listener.choose_many, heard, PromptTask.LISTENING, rng, attempts,
-                                event_log)
+                chosen = _run(_alone(listener.choose_many, heard, PromptTask.LISTENING, rng, attempts,
+                                event_log))
             success = chosen is not None and candidates[chosen] == stimulus
 
             record = InteractionRecord(
@@ -698,13 +730,9 @@ def run_testing_block(
     assert agent.vocabulary is not None
     stimuli = enumerate_stimuli()
     records = []
-    event_log.set_context(block="testing", round=None, task=None, agent=agent.agent_id)
-    tasks = _batched(
-        agent.produce_signals, PromptTask.SPEAKING, lambda i: (i, stimuli[i]), len(stimuli), rng,
-        config.max_agent_retries, event_log,
-    )
-    yield
-    for (_, stimulus), signal in tasks:
+
+    def write(task, signal):
+        _, stimulus = task
         if signal is None:
             record = TestingRecord(stimulus=stimulus, signal="", failed=True)
         else:
@@ -715,6 +743,12 @@ def run_testing_block(
             )
         records.append(record)
         event_log.append(record.KIND, **record.event())
+
+    event_log.set_context(block="testing", round=None, task=None, agent=agent.agent_id)
+    yield from _batched(
+        agent.produce_signals, PromptTask.SPEAKING, lambda i: (i, stimuli[i]), len(stimuli), rng,
+        config.max_agent_retries, event_log, write,
+    )
     return TestingResult(records=records)
 
 
@@ -832,10 +866,11 @@ def run_simulation(
     block raises ``SimulationAborted`` carrying the result filled so far.
 
     The two agents' lists of a block are ``_beside`` each other, both sent
-    before either is read, and so are guessing and the rest of the run
-    (labelling, communication, testing), since nothing after guessing reads
-    its result: guessing's lists go out first and are read once the rest
-    has sent testing's. The records keep protocol order, so the rest's
+    before either is read, and then the tasks each asks again alone, in
+    turns; so are guessing and the rest of the run (labelling,
+    communication, testing), since nothing after guessing reads its
+    result: guessing's lists go out first and are read once the rest has
+    sent testing's. The records keep protocol order, so the rest's
     reach the log once guessing is read. Guessing asks copies of the agents
     that hold the initial language, which labelling and communication
     replace and update in the agents themselves. When guessing raises (a

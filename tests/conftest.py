@@ -28,8 +28,9 @@ def golden_test() -> Vocabulary:
 class _StubHandler(BaseHTTPRequestHandler):
     """A local ``/v1/completions`` service for HttpBackend tests. Each
     server gets its own subclass, which records every request body in
-    ``seen``, its path in ``paths`` and its server-side (start, end)
-    monotonic times in ``spans``, counts accepted connections in
+    ``seen`` and its path in ``paths`` as it arrives, and once answered the
+    body (None if unread) with its server-side (start, end) monotonic times
+    in ``spans``, counts accepted connections in
     ``connections``, and answers with 503 the first ``failures_left``
     requests and, once each, a request whose first prompt is in
     ``fail_once``. With a ``rendezvous`` barrier, the first
@@ -66,11 +67,11 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.close_connection = True
 
     def do_POST(self):
-        started = time.monotonic()
+        started, self.body = time.monotonic(), None
         try:
             self._answer()
         finally:
-            type(self).spans.append((started, time.monotonic()))
+            type(self).spans.append((self.body, (started, time.monotonic())))
 
     def _fails(self, body) -> bool:
         handler = type(self)
@@ -85,7 +86,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         return False
 
     def _answer(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        body = self.body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         with type(self).lock:
             type(self).seen.append(body)
             type(self).paths.append(self.path)

@@ -257,8 +257,9 @@ class SpeakingAheadBackend(ScriptedBackend):
     whether its prompts were all equal, "kept" or "discarded"),
     ``listened`` each read of a score request as (round, task, "kept" or
     "discarded"), and ``timeline``, which a test may share with an event
-    log, each send as ("sent", call, task) and each read or discard as
-    ("read", call, task, block, agent), the last two from the log's context."""
+    log, each send as ("sent", call, task), each read or discard as
+    ("read", call, task, block, agent), the last two from the log's context,
+    and each request closed unread as ("closed", call, task)."""
 
     def __init__(self, completions=None, scores=None):
         super().__init__(completions, scores)
@@ -336,6 +337,9 @@ class _ScriptedPending:
         except BackendError:
             results = [None] * len(self.prompts)
         self._log(event_log, results, None, discarded=True)
+
+    def close(self) -> None:
+        self.backend.timeline.append(("closed", self.call, self.tasks[0]))
 
 
 def _context_entries(prompt: Prompt) -> list[VocabularyEntry]:

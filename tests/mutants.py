@@ -57,41 +57,43 @@ MUTANTS = (
     ),
     Mutant(
         "second-fork-joined-before-the-first-runs", ENGINE,
-        (("        second_block = second(fork)\n", "        second_block = second(event_log)\n"),),
+        (("first_block, second_block = first(event_log), second(fork)",
+          "first_block, second_block = first(event_log), second(event_log)"),),
         "the second block (the rest, or a second agent's) writes into the log itself, as if its "
         "fork were joined before the first ran, so the two write into one log and one context",
         (f"{SIDE_BY_SIDE}::test_error_contract", f"{BESIDE}::test_same_log_and_result_as_in_turn"),
     ),
     Mutant(
         "second-records-kept-when-the-first-raises", ENGINE,
-        (("    yield\n    mine = _run(first_block)\n    try:\n        theirs",
-          "    yield\n    try:\n        mine = _run(first_block)\n        theirs"),),
+        (("                mine = _step(first_block)\n",
+          "                try:\n                    mine = _step(first_block)\n"
+          "                except BaseException:\n                    event_log.join(fork)\n"
+          "                    raise\n"),),
         "when guessing (or the first agent's block) raises, the rest's records are written "
         "anyway, where a run in turn would never have started the rest",
         (f"{SIDE_BY_SIDE}::test_error_contract", f"{BESIDE}::test_same_log_and_result_as_in_turn"),
     ),
     Mutant(
         "fork-joined-before-the-first-is-read", ENGINE,
-        (("    yield\n    mine = _run(first_block)\n    try:\n        theirs = _run(second_block)\n"
-          "    finally:\n        event_log.join(fork)\n",
-          "    yield\n    event_log.join(fork)\n    mine = _run(first_block)\n    theirs = _run(second_block)\n"),),
+        (("            yield\n    finally:",
+          "            if not fork._file.closed:\n                event_log.join(fork)\n"
+          "            yield\n    finally:"),
+         ("        second_block.close()\n    event_log.join(fork)\n", "        second_block.close()\n")),
         "the fork is joined once both blocks are sent, before the first is read: the rest's "
         "records so far land before guessing's, and its later ones go to a closed fork",
         (f"{SIDE_BY_SIDE}::test_paths_agree", f"{BESIDE}::test_same_log_and_result_as_in_turn"),
     ),
     Mutant(
         "first-dropped-when-the-second-raises-unsent", ENGINE,
-        (("        _run(first_block)\n        event_log.join(fork)\n        raise\n",
-          "        event_log.join(fork)\n        raise\n"),),
-        "when the rest raises before testing's lists are sent (in labelling or communication), "
+        (("                    _run(first_block)\n                    event_log.join(fork)\n",
+          "                    event_log.join(fork)\n"),),
+        "when the rest raises, in labelling or communication, before testing's lists are sent, "
         "guessing is never read, so its records are missing before the rest's",
         (f"{SIDE_BY_SIDE}::test_error_contract", f"{BESIDE}::test_same_log_and_result_as_in_turn"),
     ),
     Mutant(
         "a-list-read-before-the-other-is-sent", ENGINE,
-        (("    first_block = first(event_log)\n    next(first_block)\n",
-          "    first_block = first(event_log)\n    next(first_block)\n    mine = _run(first_block)\n"),
-         ("    yield\n    mine = _run(first_block)\n", "    yield\n")),
+        (("                mine = _step(first_block)\n", "                mine = _run(first_block)\n"),),
         "the first block is read before the second is sent: A's list is read before B's goes "
         "out, and guessing before the rest starts, so no two lists are in flight at once",
         (f"{SIDE_BY_SIDE}::test_error_contract", f"{BESIDE}::test_lists_sent_before_they_are_read"),
@@ -108,13 +110,36 @@ MUTANTS = (
     Mutant(
         "guessing-drawn-when-read", ENGINE,
         (('    event_log.set_context(block="guessing", round=None, task=None, agent=agent.agent_id)\n',
-          '    event_log.set_context(block="guessing", round=None, task=None, agent=agent.agent_id)\n    yield\n'),
-         ("        event_log,\n    )\n    yield\n    for (_, stimulus, candidates, _), chosen in tasks:",
-          "        event_log,\n    )\n    for (_, stimulus, candidates, _), chosen in tasks:")),
+          '    event_log.set_context(block="guessing", round=None, task=None, agent=agent.agent_id)\n    yield\n'),),
         "guessing's draws are made and its lists sent when it is read, after the rest: a collapsed "
         "language's draw raises only once the rest has sent every request",
         (f"{BESIDE}::test_collapsed_language_aborts_before_any_request",
          f"{BESIDE}::test_lists_sent_before_they_are_read"),
+    ),
+    Mutant(
+        "tasks-asked-again-in-turn", ENGINE,
+        (("write(item, (yield from _alone(ask, item, prompt_task, rng, attempts, event_log)))",
+          "write(item, _run(_alone(ask, item, prompt_task, rng, attempts, event_log)))"),),
+        "a block reads each task it asks again alone before it yields, so one agent's retries "
+        "wait on each other and on nothing else, where worker threads overlapped the two "
+        "agents' and guessing's with testing's (found in review of the thread-free engine)",
+        (f"{BESIDE}::test_tasks_asked_again_overlap",),
+    ),
+    Mutant(
+        "request-left-open-when-the-block-beside-raises", ENGINE,
+        (("        reply.close()\n        raise\n", "        raise\n"),),
+        "when guessing raises, testing's lists, sent and never to be read, keep their "
+        "connections open until the garbage collector finds them (found in review of the "
+        "thread-free engine)",
+        (f"{BESIDE}::test_same_log_and_result_as_in_turn",
+         f"{BESIDE}::test_requests_in_flight_closed_when_guessing_raises"),
+    ),
+    Mutant(
+        "second-left-waiting-when-the-first-raises", ENGINE,
+        (("        first_block.close()\n        second_block.close()\n", "        pass\n"),),
+        "a block left waiting beside one that raised is closed only when its traceback is "
+        "collected, so its requests stay open while the abort is handled",
+        (f"{BESIDE}::test_requests_in_flight_closed_when_guessing_raises",),
     ),
     Mutant(
         "partial-result-keeps-the-rest-when-guessing-raises", ENGINE,

@@ -17,7 +17,7 @@ from refgame.agents import (
 )
 from refgame.backend import EventLog, TransportFailure
 from refgame.domain import Stimulus, Vocabulary, VocabularyEntry, generate_language, sample_training_set
-from refgame.engine import RunConfig, _alone, run_communication_block
+from refgame.engine import RunConfig, _alone, _run, run_communication_block
 from refgame.metrics import normalized_levenshtein
 from refgame.prompts import PromptTask
 
@@ -177,7 +177,7 @@ class TestLLMAgent:
         candidates = vocab.stimuli()[:4]
         rng = Random(0)
         item = (0, "hanosa", candidates, None)
-        assert _alone(agent.choose_many, item, PromptTask.LISTENING, rng, 3, EventLog()) == 0
+        assert _run(_alone(agent.choose_many, item, PromptTask.LISTENING, rng, 3, EventLog())) == 0
         assert len(batches) == failures + 1
         assert all(len(batch) == 4 and len(set(batch)) == 4 for batch in batches)
         # one shared-shuffle seed is drawn per attempt

@@ -1360,8 +1360,16 @@ class TestWireRun:
     """An llm dyad through HttpBackend against the keep-alive test stub,
     which completes every prompt with the same word."""
 
-    def test_one_request_per_agent_per_block(self, keepalive_stub_server, tmp_path):
+    def test_one_request_per_agent_per_block(self, keepalive_stub_server, tmp_path, monkeypatch):
         endpoint, handler = keepalive_stub_server
+        sent = []  # prompts per request, in the order the client sends them
+        send = cli.HttpBackend._send
+
+        def noted(backend, request):
+            sent.append(len(json.loads(request.body)["prompt"]))
+            return send(backend, request)
+
+        monkeypatch.setattr(cli.HttpBackend, "_send", noted)
         out = tmp_path / "runs"
         assert run_cli("simulate", "--config", wire_config(tmp_path, endpoint), "--out", str(out)) == EXIT_OK
         records = EventLog.read(out / "sim-00" / "events.jsonl")
@@ -1374,9 +1382,12 @@ class TestWireRun:
         # beside its listening and speaking requests and the two of a wrong
         # prediction
         assert handler.connections == 10
-        # both guessing lists go out first, then both labelling lists
-        assert [len(body["prompt"]) for body in handler.seen[:4]] == [60, 60, 15, 15]
-        assert [len(body["prompt"]) for body in handler.seen[-2:]] == [27, 27]
+        # both guessing lists go out first, then both labelling lists; the
+        # order is the client's, as the stub's threads may read two bodies
+        # sent together in either order
+        assert len(sent) == len(handler.seen)
+        assert sent[:4] == [60, 60, 15, 15]
+        assert sent[-2:] == [27, 27]
         for block, kind, tasks, prompts_per_task in (
             ("guessing", "guess", 15, 4), ("labelling", "label", 15, 1), ("testing", "testing", 27, 1)
         ):
@@ -1401,7 +1412,8 @@ class TestWireRun:
         out = tmp_path / "runs"
         assert run_cli("simulate", "--config", wire_config(tmp_path, endpoint), "--out", str(out)) == EXIT_OK
         for size in (60, 15):  # guessing, labelling
-            spans = [span for body, span in zip(handler.seen, handler.spans) if len(body["prompt"]) == size]
+            # spans are kept in the order answered, each with its body
+            spans = [span for body, span in handler.spans if len(body["prompt"]) == size]
             assert len(spans) == 2
             (a_start, a_end), (b_start, b_end) = spans
             assert max(a_start, b_start) < min(a_end, b_end)

@@ -1,12 +1,17 @@
+import gc
 import hashlib
 import json
 import re
+import sys
 import threading
+import time
 import traceback
+import warnings
 from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -839,9 +844,10 @@ def field_slots(cls: type, where: str):
                 yield f.name, g.name, g.type, f"section {f.name!r}"
 
 
-def no_threads(monkeypatch):
+def no_threads(monkeypatch, every: bool = False):
     """Refuses to start a thread whose target (or ``run``) is defined under
-    ``src/refgame``; the in-process service keeps its own threads."""
+    ``src/refgame``, or with ``every`` any thread; without it the in-process
+    service keeps its own threads."""
     package = Path(engine.__file__).resolve().parent
     start = threading.Thread.start
 
@@ -849,8 +855,8 @@ def no_threads(monkeypatch):
         target = thread._target or thread.run
         target = getattr(target, "func", target)  # a partial's function
         code = getattr(getattr(target, "__func__", target), "__code__", None)
-        if code is not None and Path(code.co_filename).resolve().is_relative_to(package):
-            raise AssertionError(f"a thread was started on {target.__qualname__}")
+        if every or code is not None and Path(code.co_filename).resolve().is_relative_to(package):
+            raise AssertionError(f"a thread was started on {getattr(target, '__qualname__', target)}")
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", checked)
@@ -907,7 +913,8 @@ class TestSideBySide:
 
     @pytest.mark.parametrize("dyad", ["oracle", "llm", "wire"])
     def test_no_dyad_starts_a_thread(self, monkeypatch, dyad):
-        no_threads(monkeypatch)
+        # an oracle dyad starts no service, so it may start no thread at all
+        no_threads(monkeypatch, every=dyad == "oracle")
         config = RunConfig(master_seed=3, rounds=1, mantel_permutations=10)
         if dyad == "oracle":
             run_simulation(config, (LookupOracle("A"), CompositionalOracle("B")), EventLog())
@@ -920,11 +927,48 @@ class TestSideBySide:
                 run_simulation(config, agents, EventLog())
         with pytest.raises(AssertionError, match="a thread was started on _run"):
             threading.Thread(target=engine._run, args=(iter(()),)).start()
+        if dyad == "oracle":
+            with pytest.raises(AssertionError, match="a thread was started on sleep"):
+                threading.Thread(target=time.sleep, args=(0,)).start()
 
     @pytest.mark.parametrize("failing", ["", "A", "B", "AB"])
     def test_paths_agree(self, failing):
         for raises in self.RAISING_STEP:
             assert self.beside(failing, raises)[:3] == self.beside(failing, raises, in_turn=True)[:3]
+
+    @pytest.mark.parametrize("sends", [(3, 1), (1, 3)])
+    def test_blocks_take_turns_until_both_return(self, sends):
+        # a block that sends again once it has read (a task asked again
+        # alone) sends while the other's requests are still in flight
+        log, order = EventLog(), []
+
+        def block(agent_id, count, event_log):
+            for step in range(count):
+                order.append((agent_id, "sent", step))
+                yield
+                order.append((agent_id, "read", step))
+                event_log.append("step", agent=agent_id, step=step)
+            return agent_id.lower()
+
+        blocks = engine._beside(log, partial(block, "A", sends[0]), partial(block, "B", sends[1]))
+        yields = 0
+        while (answer := engine._step(blocks)) is engine._SENT:
+            yields += 1
+        assert (answer, yields) == (("a", "b"), max(sends))
+        if sends == (3, 1):
+            assert order == [("A", "sent", 0), ("B", "sent", 0)] + [
+                ("A", "read", 0), ("A", "sent", 1), ("B", "read", 0),
+                ("A", "read", 1), ("A", "sent", 2), ("A", "read", 2),
+            ]
+        else:
+            assert order == [("A", "sent", 0), ("B", "sent", 0)] + [
+                ("A", "read", 0), ("B", "read", 0), ("B", "sent", 1),
+                ("B", "read", 1), ("B", "sent", 2), ("B", "read", 2),
+            ]
+        records = [json.loads(line) for line in log._file.getvalue().splitlines()]
+        assert [(r["agent"], r["step"]) for r in records] == (
+            [("A", step) for step in range(sends[0])] + [("B", step) for step in range(sends[1])]
+        )
 
     @pytest.mark.parametrize("raises", sorted(RAISING_STEP))
     def test_error_contract(self, raises):
@@ -1014,7 +1058,7 @@ class TestGuessingBesideTheRest:
 
     @pytest.mark.parametrize("breaks", ["", "guessing", "communication"])
     def test_same_log_and_result_as_in_turn(self, breaks):
-        records, error, blocks, _ = self.run(breaks)
+        records, error, blocks, timeline = self.run(breaks)
         assert hashlib.sha256(json.dumps(records).encode()).hexdigest() == self.IN_TURN_SHA256[breaks]
         kinds = [record["kind"] for record in records]
         if breaks == "guessing":
@@ -1022,6 +1066,8 @@ class TestGuessingBesideTheRest:
             assert error == "B broke in guessing"
             assert {r.get("agent") for r in records[1:-1]} == {"A"} and "label" not in kinds
             assert blocks == ({}, {}, None, {})
+            # testing's two lists, sent before guessing was read, are closed unread
+            assert timeline[-2:] == [("closed", "complete", 0)] * 2
         elif breaks == "communication":
             assert error == "B broke in communication"
             assert records[-1]["block"] == "communication" and "interaction" in kinds
@@ -1047,6 +1093,97 @@ class TestGuessingBesideTheRest:
         assert [entry[3:] for entry in after[2:]] == [
             ("guessing", "A"), ("guessing", "B"), ("testing", "A"), ("testing", "B")
         ]
+
+    def test_tasks_asked_again_overlap(self):
+        # every labelling prompt for one stimulus does not parse, and each
+        # agent's guessing list fails: the tasks each agent asks again alone
+        # go out while the other agent's, or testing's, are in flight
+        initial = training_vocab(self.SEED)[0]
+        doomed = completion_stem(initial.stimuli()[3])
+        timeline = []
+
+        def backend():
+            learner, failed = in_context_learner(SpeakingAheadBackend), []
+
+            def completions(prompt):
+                if prompt.system_instruction == LABELLING_INSTRUCTION and prompt.stem == doomed:
+                    return "???"
+                return learner.completions(prompt)
+
+            def scores(prompt):
+                if guessing_prompt(prompt) and not failed:
+                    failed.append(prompt)
+                    raise TransportFailure("service error 503")
+                return learner.scores(prompt)
+
+            noted = SpeakingAheadBackend(completions=completions, scores=scores)
+            noted.timeline = timeline
+            return noted
+
+        agents = (LLMAgent("A", backend()), LLMAgent("B", backend()))
+        config = RunConfig(master_seed=self.SEED, rounds=1, mantel_permutations=10)
+        result = run_simulation(config, agents, EventLog(), initial)
+        reads = [entry[3:] for entry in timeline if entry[0] == "read"]
+        # the two labelling lists, then the tasks each asks again, in turns
+        labelling = [agent for block, agent in reads if block == "labelling"]
+        assert labelling[:6] == ["A", "B"] * 3 and len(labelling) > 2 + 2 * 3
+        # guessing's failed lists, testing's lists, then guessing's tasks
+        # asked alone, in turns
+        communicated = max(i for i, entry in enumerate(reads) if entry[0] == "communication")
+        assert reads[communicated + 1:communicated + 7] == [
+            ("guessing", "A"), ("guessing", "B"), ("testing", "A"), ("testing", "B"),
+            ("guessing", "A"), ("guessing", "B"),
+        ]
+        assert len(reads) == communicated + 1 + 4 + 2 * 15
+        for agent in ("A", "B"):
+            assert [r.failure_mode for r in result.guessing[agent].records] == ["none"] * 15
+            assert sum(r.failed for r in result.labelling[agent].records) == 1
+
+    def test_requests_in_flight_closed_when_guessing_raises(self, monkeypatch):
+        # over the wire, B's guessing reply raises when read, once the rest
+        # has sent testing's lists: those are closed unread, so the only
+        # connections still open are those idle in the backends' pools
+        unraisable = []  # a ResourceWarning raised in a finalizer lands here
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        connections = []
+
+        class Breaking(LLMAgent):
+            def choose_many(self, items, task, rng):
+                reply = super().choose_many(items, task, rng)
+                if (self.agent_id, task) != ("B", PromptTask.GUESSING):
+                    return reply
+
+                def read(event_log, kept=None):
+                    reply.read(event_log)
+                    raise RuntimeError("B broke in guessing")
+
+                return SimpleNamespace(read=read, close=reply.close)
+
+        def recorded(endpoint):
+            backend = http_backend(endpoint)
+            connect = backend._connect
+
+            def connected():
+                connections.append(connect())
+                return connections[-1]
+
+            backend._connect = connected
+            return backend
+
+        config = RunConfig(master_seed=3, rounds=1, mantel_permutations=10)
+        with wire_service() as endpoint, warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            backends = [recorded(endpoint), recorded(endpoint)]
+            agents = (Breaking("A", backends[0]), Breaking("B", backends[1]))
+            with pytest.raises(SimulationAborted, match="B broke in guessing") as aborted:
+                run_simulation(config, agents, EventLog())
+            # closed when the run raises, not once its traceback is collected
+            idle = [connection for backend in backends for connection in backend._idle]
+            assert all(connection.sock is None or connection in idle for connection in connections)
+            del aborted, agents, backends, idle
+            gc.collect()
+        assert [str(u.exc_value) for u in unraisable] == []
+        assert connections and all(connection.sock is None for connection in connections)
 
     def test_collapsed_language_aborts_before_any_request(self):
         # two distinct signals, one of them on a single stimulus: a guessing

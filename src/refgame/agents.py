@@ -7,10 +7,8 @@ directly; the model-backed agent renders prompts and talks to a backend.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import islice
 from random import Random
-from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from . import prompts
@@ -174,31 +172,27 @@ class RandomChooser(LookupOracle):
 class LLMAgent(Agent):
     """Prompt-driven agent over a completion backend.
 
-    Both list methods build every task's prompts in task order and ask
-    them as one request. A production renders the task's prompt and parses
-    the greedy completion; a choice scores all candidate continuations and
-    takes the argmax of total log-probability, ties broken by lowest
-    position in the shuffled candidate order. The answers stop at the first
-    reply that does not parse, and there are none when the request fails.
+    Both list methods build every task's prompts in task order and send
+    them as one request when the list is asked; its ``Reply`` reads it
+    later. A production renders the task's prompt and parses the greedy
+    completion; a choice scores all candidate continuations and takes the
+    argmax of total log-probability, ties broken by lowest position in the
+    shuffled candidate order. The answers stop at the first reply that
+    does not parse, and there are none when the request fails.
 
-    Over a backend with ``complete_later`` and ``score_later``
-    (``HttpBackend``) a list's request is sent when it is asked, over
-    another when its ``Reply`` is read, and the agent speaks ahead:
-    listen_ahead() builds a choice list's prompts and returns the function
-    that sends them, and speak_ahead() builds one speaking task's prompt
-    over each of several vocabularies and sends them as one request. The
-    engine keeps at most five of an agent's requests in flight: its
-    guessing request, beside its listening and next speaking requests and
-    the two it is discarding.
+    The agent speaks ahead: listen_ahead() builds a choice list's prompts
+    and returns the function that sends them, and speak_ahead() builds one
+    speaking task's prompt over each of several vocabularies and sends
+    them as one request. The engine keeps at most five of an agent's
+    requests in flight: its guessing request, beside its listening and
+    next speaking requests and the two it is discarding.
     """
+
+    speaks_ahead = True
 
     def __init__(self, agent_id: str, backend: CompletionBackend):
         super().__init__(agent_id)
         self.backend = backend
-
-    @property
-    def speaks_ahead(self) -> bool:
-        return hasattr(self.backend, "complete_later") and hasattr(self.backend, "score_later")
 
     def _build_production_prompt(self, stimulus: Stimulus, task: PromptTask, rng: Random):
         assert self.vocabulary is not None
@@ -215,21 +209,12 @@ class LLMAgent(Agent):
             return prompts.build_guessing_prompt(self.vocabulary, probe, candidates, fork)
         return prompts.build_listener_prompt(self.vocabulary, probe, candidates, fork, exclude=exclude)
 
-    def _sender(self, scoring: bool, built: list, tasks: list[int]) -> Callable:
-        """The function that sends ``built`` as one request, or over a backend
-        without ``*_later`` makes it when read, and gives its handle."""
-        if self.speaks_ahead:
-            return partial(self.backend.score_later if scoring else self.backend.complete_later, built, tasks)
-        call = self.backend.score if scoring else self.backend.complete
-        return lambda: SimpleNamespace(read=lambda event_log, kept=None: call(built, tasks, event_log),
-                                       close=lambda: None)
-
     def produce_signals(self, items, task, rng) -> Reply:
         tasks, built = [], []
         for task_index, stimulus in items:
             tasks.append(task_index)
             built.append(self._build_production_prompt(stimulus, task, rng))
-        return Reply(self._sender(False, built, tasks), lambda replies, kept: _parsed(replies), [])
+        return Reply(lambda: self.backend.complete(built, tasks), lambda replies, kept: _parsed(replies), [])
 
     def choose_many(self, items, task, rng) -> Reply:
         return self.listen_ahead(items, task, rng)()
@@ -253,7 +238,7 @@ class LLMAgent(Agent):
                 start += size
             return positions
 
-        return lambda: Reply(self._sender(True, built, tasks), chosen, [])
+        return lambda: Reply(lambda: self.backend.score(built, tasks), chosen, [])
 
     def speak_ahead(self, task_index: int, stimulus: Stimulus, vocabularies: Sequence[Vocabulary],
                     rng: Random) -> Reply:
@@ -274,7 +259,7 @@ class LLMAgent(Agent):
             signals = _parsed([replies[kept]])
             return signals[0] if signals else None
 
-        return Reply(lambda: self.backend.complete_later(built, [task_index] * len(built)), signal, None)
+        return Reply(lambda: self.backend.complete(built, [task_index] * len(built)), signal, None)
 
 
 class Reply:

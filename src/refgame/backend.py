@@ -2,10 +2,11 @@
 
 ``CompletionBackend`` is the contract and ``HttpBackend``, a client for an
 external completion-style service, implements it. Completion and scoring
-both take a list of prompts and answer them in one call, so the client sends
-one request per call, and it retries its own transport failures and
-timeouts. Every call appends one record per prompt to the event log it is
-given, in the order given, before the results are returned.
+both take a list of prompts and send it at once as one request, whose
+handle reads the answer later; the client retries its own transport
+failures and timeouts. Reading a request appends one record per prompt to
+the event log it is given, in the order given, before the results are
+returned.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class TransportFailure(BackendError):
 
 
 class ContextOverflow(BackendError):
-    """Pre-flight estimate exceeds the model context budget; no call is made."""
+    """Pre-flight estimate exceeds the model context budget; no request is sent."""
 
 
 class MalformedServiceReply(BackendError):
@@ -233,33 +234,34 @@ class CompletionBackend:
     """What an agent asks of a language-model service; ``HttpBackend``
     implements it.
 
-    complete() returns, in the order given, the greedy continuation text of
-    each prompt; score() takes prompts that each carry a ``continuation`` and
-    returns, in the same order, the total log-probability of each
-    continuation under the model. A call succeeds or fails as a whole. Only
-    (text, log-probability, error) ever crosses this boundary.
+    complete() asks, in the order given, the greedy continuation text of
+    each prompt; score() takes prompts that each carry a ``continuation``
+    and asks, in the same order, the total log-probability of each
+    continuation under the model. Each sends its prompts at once as one
+    request, with ``tasks``, one task index per prompt, and returns the
+    request's handle (``HttpBackend``'s is a ``PendingCompletion``), so
+    the backend can carry other requests meanwhile. The handle is read
+    once, with ``read(event_log, kept=None)`` or ``discard(event_log)``,
+    after ``peek()`` if wanted, or closed unread with ``close()``, which
+    logs nothing. A request succeeds or fails as a whole: a failure raises
+    a ``BackendError``, from the send when it is refused before it goes
+    out, else from the read. Only (text, log-probability, error) ever
+    crosses this boundary.
 
-    A call appends a ``backend_call`` record per prompt to ``event_log``.
-    ``tasks`` holds one task index per prompt; each record carries its own
-    in place of the log's context ``task``, so a call that answers several
-    tasks says which record is whose.
-
-    The two agents of an in-process dyad may share one backend. A backend
-    may also offer ``complete_later(prompts, tasks)`` and
-    ``score_later(prompts, tasks)``, which send a request, its task indices
-    fixed with it, and return a handle to read it with later (or close
-    unread), as ``HttpBackend`` does: its handle is the ``PendingCompletion`` that each
-    of its requests is, a score or a completion. An ``LLMAgent`` sends its
-    lists ahead of reading them only over a backend with both, and then
-    has up to five requests in flight.
+    read() appends a ``backend_call`` record per prompt to ``event_log``
+    (with ``kept`` only for that prompt, the others' being
+    ``backend_discarded``) and returns the results; discard() reads the
+    reply and logs every prompt as ``backend_discarded``; peek() returns
+    the results, or None when the request failed, and logs nothing. Each
+    record carries its prompt's task index in place of the log's context
+    ``task``, so a request that answers several tasks says which record
+    is whose. The two agents of an in-process dyad may share one backend.
     """
 
-    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int],
-                 event_log: EventLog) -> list[str]:
+    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int]):
         raise NotImplementedError
 
-    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int],
-              event_log: EventLog) -> list[float]:
+    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int]):
         raise NotImplementedError
 
     @staticmethod
@@ -300,17 +302,17 @@ def _close_all(connections: list) -> None:
 class HttpBackend(CompletionBackend):
     """Client for an OpenAI-style completion service.
 
-    Both calls check every templated prompt against the context budget,
-    then post them all as one list ``prompt`` and match the returned choices
-    by ``index``: complete() asks for greedy continuations, score() for
+    Both request methods check every templated prompt against the context
+    budget, raising ContextOverflow before anything is sent, then post them
+    all at once as one list ``prompt`` and return the ``PendingCompletion``
+    that reads the reply, matching its choices by ``index``: complete()
+    asks for greedy continuations, score() for
     direct scoring (echo + logprobs with no new tokens), summing each
     choice's continuation log-probabilities while the reply is parsed, so
     its token lists are never all held at once. Services that
     reject echo-scoring surface CapabilityUnsupported; a reply without one
     indexed choice per prompt, as from a service that rejects list prompts,
-    is a MalformedServiceReply. complete_later() and score_later() send a
-    request at once and read its reply when asked, so the same backend can
-    carry other requests meanwhile.
+    is a MalformedServiceReply.
 
     Requests go out on keep-alive ``http.client`` connections, HTTPS when
     the endpoint's scheme says so, to the endpoint's path followed by
@@ -324,18 +326,18 @@ class HttpBackend(CompletionBackend):
     closes one when five are given back. Calls may come from several
     threads at once. When the service has closed a connection
     while it was idle, the request is sent once more on a new one; that is
-    not a retry. Every request, a completion, a score or one made ahead, is
-    one ``PendingCompletion``, sent with ``_send`` and read through one
+    not a retry. Every request, a completion or a score, is one
+    ``PendingCompletion``, sent with ``_send`` and read through one
     retrying read, which sends the same body again after a transport
-    failure or timeout, up to ``descriptor.max_retries`` times; a call is
-    retried as a whole, and ``descriptor.timeout`` bounds each attempt at
+    failure or timeout, up to ``descriptor.max_retries`` times; a request
+    is retried as a whole, and ``descriptor.timeout`` bounds each attempt at
     the whole list.
-    Each retry appends a ``backend_retry`` record before the call's
+    Each retry appends a ``backend_retry`` record before the request's
     ``backend_call`` records, whose ``latency`` is the answering attempt's
     round trip: from its send to its reply's arrival, however much later
     the reply is read.
     ContextOverflow, capability and malformed-reply errors are not retried.
-    The records of a score call carry the templated prompt text only where
+    The records of a score request carry the templated prompt text only where
     it differs from the previous record's; each keeps its ``prompt_sha``.
     """
 
@@ -446,13 +448,7 @@ class HttpBackend(CompletionBackend):
             )
         return [by_index[i] for i in range(count)]
 
-    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int],
-                 event_log: EventLog) -> list[str]:
-        return self.complete_later(prompts, tasks).read(event_log)
-
-    def complete_later(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> PendingCompletion:
-        """complete(), with the request sent now and its reply read by the
-        returned ``PendingCompletion``."""
+    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> PendingCompletion:
         full_texts = [apply_chat_template(self.template, p) for p in prompts]
         for text in full_texts:
             self._check_budget(text, self.descriptor.max_output_tokens)
@@ -465,13 +461,7 @@ class HttpBackend(CompletionBackend):
         }
         return self._send(PendingCompletion(self, json.dumps(payload).encode(), full_texts, tasks))
 
-    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int],
-              event_log: EventLog) -> list[float]:
-        return self.score_later(prompts, tasks).read(event_log)
-
-    def score_later(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> PendingCompletion:
-        """score(), with the request sent now and its reply read by the
-        returned ``PendingCompletion``."""
+    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> PendingCompletion:
         full_texts = []
         for prompt in prompts:
             if not prompt.continuation:
@@ -528,9 +518,9 @@ class PendingCompletion:
     connection it went out on, whether that connection had carried an
     earlier request, the send's error (raised again by the read), the
     attempt's start time and, once received, its outcome and arrival time.
-    ``complete_later`` and ``score_later`` return it unread: read it once,
-    with read() or discard(), after peek() if wanted, or close() it unread;
-    until then it holds one of the backend's connections."""
+    ``HttpBackend.complete`` and ``score`` return it sent and unread: read
+    it once, with read() or discard(), after peek() if wanted, or close()
+    it unread; until then it holds one of the backend's connections."""
 
     def __init__(self, backend: HttpBackend, body: bytes, full_texts: list[str], tasks: Sequence[int],
                  continuations: list[str] | None = None):
@@ -616,8 +606,9 @@ class PendingCompletion:
             previous = full_text
 
     def read(self, event_log: EventLog, kept: int | None = None) -> list:
-        """What complete() or score() returns and logs, retried as they are,
-        with ``kept`` logged as ``_log`` says."""
+        """The completion texts or score totals, in prompt order, their
+        records logged as ``_log`` says; a transport failure or timeout is
+        retried as ``_reply`` says."""
         results = self._results(self._reply(event_log))
         self._log(event_log, results, kept)
         return results

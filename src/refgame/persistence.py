@@ -195,32 +195,37 @@ def save_simulation(
 ) -> RunManifest:
     """Persist a simulation: every vocab snapshot the result holds, the
     metrics CSV when it has metric rows, then the manifest with a digest of
-    every file; ``extra`` adds manifest fields.
+    each file this save wrote and of the events file; ``extra`` adds
+    manifest fields. A file an earlier run left in ``run_dir`` is neither
+    removed nor digested.
 
     With ``error`` set the result is an aborted run's partial one: the
     manifest is marked ``incomplete`` and records the ``error`` and the
     ``completed_blocks``. The events file must already live at
     run_dir/events.jsonl (the engine writes it live through the EventLog);
-    it is digested like every other artifact.
+    when it does, it is digested like every other artifact.
     """
     base = Path(run_dir)
     (base / "vocab").mkdir(parents=True, exist_ok=True)
-    result.initial_language.save(_vocab_path(base, "initial"))
+    snapshots = {_vocab_path(base, "initial"): result.initial_language}
     for agent_id, labelling in result.labelling.items():
-        labelling.learned.save(_vocab_path(base, "learned", agent_id))
+        snapshots[_vocab_path(base, "learned", agent_id)] = labelling.learned
     if result.communication is not None:
         for agent_id, vocabs in result.communication.round_vocabs.items():
             for round_number, vocab in enumerate(vocabs, start=1):
-                vocab.save(_vocab_path(base, f"round{round_number}", agent_id))
+                snapshots[_vocab_path(base, f"round{round_number}", agent_id)] = vocab
     for agent_id, testing in result.testing.items():
         produced = Vocabulary(VocabularyEntry(s, w) for s, w in testing.pairs())
-        produced.save(_vocab_path(base, "testing", agent_id))
+        snapshots[_vocab_path(base, "testing", agent_id)] = produced
+    for path, vocab in snapshots.items():
+        vocab.save(path)
+    written = list(snapshots)
     if result.metric_rows:
         write_rows(base / "metrics.csv", result.metric_rows)
-    files = {}
-    for path in sorted(base.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            files[path.relative_to(base).as_posix()] = file_digest(path)
+        written.append(base / "metrics.csv")
+    if (base / "events.jsonl").is_file():
+        written.append(base / "events.jsonl")
+    files = {path.relative_to(base).as_posix(): file_digest(path) for path in sorted(written)}
     extra = {"agent_ids": list(result.agent_ids), **(extra or {})}
     if error is not None:
         blocks = ("guessing", "labelling", "communication", "testing")

@@ -1,4 +1,4 @@
-"""Test doubles: scripted backends, test-only agents, and independent oracles."""
+"""Test doubles: a scripted backend, test-only agents, and independent oracles."""
 
 import hashlib
 import importlib.util
@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import yaml
 
-from refgame.agents import CompositionalOracle, LookupOracle, _argmin, _Oracle
+from refgame.agents import CompositionalOracle, LLMAgent, LookupOracle, _argmin, _Oracle
 from refgame.backend import (
     BackendDescriptor,
     BackendError,
@@ -198,11 +198,22 @@ class ScriptedBackend(CompletionBackend):
     Prompt, which carries its continuation, to its log-probability. Without
     ``completions`` every completion is a MalformedServiceReply; without
     ``scores`` scoring is CapabilityUnsupported. A callable that raises a
-    BackendError fails the whole call, as a service would. ``requests``
-    counts the calls, failed ones included; the two agents of a dyad may
-    share one backend, and a test may call it from several threads at
-    once, so it counts under a lock.
-    """
+    BackendError fails the whole request, as a service would.
+
+    complete() and score() return a ``_ScriptedPending``, the handle the
+    contract asks for; a request is answered when its reply is first
+    received (peeked, read or discarded), so a closed one never is.
+    ``requests`` counts the requests answered, failed ones included; the
+    two agents of a dyad may share one backend, and a test may read from
+    several threads at once, so it counts under a lock. ``ahead`` lists
+    each read of a completion request read with ``kept`` or discarded (a
+    speaking request sent ahead) as (round, task, whether its prompts were
+    all equal, "kept" or "discarded"), ``listened`` each read of a score
+    request as (round, task, "kept" or "discarded"), and ``timeline``,
+    which a test may share with an event log, each send as ("sent", call,
+    task), each read or discard as ("read", call, task, block, agent), the
+    last two from the log's context, and each request closed unread as
+    ("closed", call, task)."""
 
     def __init__(
         self,
@@ -213,21 +224,24 @@ class ScriptedBackend(CompletionBackend):
         self.scores = scores
         self.requests = 0
         self._lock = threading.Lock()
+        self.ahead: list[tuple] = []
+        self.listened: list[tuple] = []
+        self.timeline: list[tuple] = []
 
-    def _count(self) -> None:
+    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> "_ScriptedPending":
+        return _ScriptedPending(self, list(prompts), list(tasks), "complete")
+
+    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> "_ScriptedPending":
+        return _ScriptedPending(self, list(prompts), list(tasks), "score")
+
+    def _answer(self, call: str, prompts: list[Prompt]) -> list:
         with self._lock:
             self.requests += 1
-
-    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int],
-                 event_log: EventLog) -> list[str]:
-        started = time.monotonic()
-        self._count()
+        if call == "score":
+            return [self._scripted_score(p) for p in prompts]
         if self.completions is None:
             raise MalformedServiceReply("scripted backend has no completions")
-        texts = [self.completions(p) for p in prompts]
-        for prompt, text, task in zip(prompts, texts, tasks):
-            self._log(event_log, "complete", prompt.user_text(), text, time.monotonic() - started, task)
-        return texts
+        return [self.completions(p) for p in prompts]
 
     def _scripted_score(self, prompt: Prompt) -> float:
         if self.scores is None:
@@ -237,45 +251,9 @@ class ScriptedBackend(CompletionBackend):
             raise MalformedServiceReply(f"log-probability must be <= 0, got {value}")
         return float(value)
 
-    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int],
-              event_log: EventLog) -> list[float]:
-        started = time.monotonic()
-        self._count()
-        values = [self._scripted_score(p) for p in prompts]
-        for prompt, value, task in zip(prompts, values, tasks):
-            self._log(event_log, "score", prompt.user_text(), value, time.monotonic() - started, task,
-                      continuation=prompt.continuation)
-        return values
-
-
-class SpeakingAheadBackend(ScriptedBackend):
-    """A ScriptedBackend that also offers ``complete_later`` and
-    ``score_later``, so an ``LLMAgent`` over it sends every list when it is
-    asked and speaks ahead; a request is answered when its reply is first
-    received (peeked or read). ``ahead`` lists each read of a speaking
-    request sent ahead (read with ``kept``, or discarded) as (round, task,
-    whether its prompts were all equal, "kept" or "discarded"),
-    ``listened`` each read of a score request as (round, task, "kept" or
-    "discarded"), and ``timeline``, which a test may share with an event
-    log, each send as ("sent", call, task), each read or discard as
-    ("read", call, task, block, agent), the last two from the log's context,
-    and each request closed unread as ("closed", call, task)."""
-
-    def __init__(self, completions=None, scores=None):
-        super().__init__(completions, scores)
-        self.ahead: list[tuple] = []
-        self.listened: list[tuple] = []
-        self.timeline: list[tuple] = []
-
-    def complete_later(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> "_ScriptedPending":
-        return _ScriptedPending(self, list(prompts), list(tasks), "complete")
-
-    def score_later(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> "_ScriptedPending":
-        return _ScriptedPending(self, list(prompts), list(tasks), "score")
-
 
 class _ScriptedPending:
-    def __init__(self, backend: SpeakingAheadBackend, prompts: list[Prompt], tasks: list[int], call: str):
+    def __init__(self, backend: ScriptedBackend, prompts: list[Prompt], tasks: list[int], call: str):
         self.backend = backend
         self.prompts = prompts
         self.tasks = tasks
@@ -286,28 +264,22 @@ class _ScriptedPending:
 
     def _receive(self) -> list:
         if self.outcome is None:
-            self.backend._count()
             try:
-                if self.call == "score":
-                    self.outcome = [self.backend._scripted_score(p) for p in self.prompts]
-                else:
-                    if self.backend.completions is None:
-                        raise MalformedServiceReply("scripted backend has no completions")
-                    self.outcome = [self.backend.completions(p) for p in self.prompts]
+                self.outcome = self.backend._answer(self.call, self.prompts)
             except BackendError as err:
                 self.outcome = err
         if isinstance(self.outcome, BackendError):
             raise self.outcome
         return self.outcome
 
-    def _note(self, event_log: EventLog, how: str, ahead: bool = True) -> None:
+    def _note(self, event_log: EventLog, how: str, ahead: bool) -> None:
         context, task = event_log.context, self.tasks[0]
-        self.backend.timeline.append(("read", self.call, task, context["block"], context["agent"]))
+        self.backend.timeline.append(("read", self.call, task, context.get("block"), context.get("agent")))
         if self.call == "score":
-            self.backend.listened.append((context["round"], task, how))
+            self.backend.listened.append((context.get("round"), task, how))
         elif ahead:
             equal = all(prompt == self.prompts[0] for prompt in self.prompts)
-            self.backend.ahead.append((context["round"], task, equal, how))
+            self.backend.ahead.append((context.get("round"), task, equal, how))
 
     def _log(self, event_log: EventLog, results: list, kept: int | None, discarded: bool) -> None:
         for position, (prompt, result, task) in enumerate(zip(self.prompts, results, self.tasks)):
@@ -331,7 +303,7 @@ class _ScriptedPending:
             return None
 
     def discard(self, event_log: EventLog) -> None:
-        self._note(event_log, "discarded")
+        self._note(event_log, "discarded", ahead=True)
         try:
             results = self._receive()
         except BackendError:
@@ -339,7 +311,17 @@ class _ScriptedPending:
         self._log(event_log, results, None, discarded=True)
 
     def close(self) -> None:
+        if self.outcome is None:
+            self.outcome = TransportFailure("closed unread")
         self.backend.timeline.append(("closed", self.call, self.tasks[0]))
+
+
+class InTurnAgent(LLMAgent):
+    """An ``LLMAgent`` that does not speak ahead: the engine runs its
+    communication tasks in turn, the schedule that speaking ahead must
+    reproduce record for record."""
+
+    speaks_ahead = False
 
 
 def _context_entries(prompt: Prompt) -> list[VocabularyEntry]:
@@ -371,23 +353,21 @@ def _similarity(prompt: Prompt) -> float:
     return -normalized_levenshtein(prompt.continuation, expected)
 
 
-def in_context_learner(backend: type = ScriptedBackend) -> ScriptedBackend:
+def in_context_learner() -> ScriptedBackend:
     """A backend that answers purely from the rendered prompt text.
 
     Behaves like an ideal in-context learner: completions retrieve the word
     of the context entry closest in meaning to the stem's attributes, and
     continuation scores reward similarity to the retrieved answer. Exercises
-    the whole prompt/agent/engine stack without a model. ``backend`` is the
-    class built: ScriptedBackend or SpeakingAheadBackend.
+    the whole prompt/agent/engine stack without a model.
     """
-    return backend(completions=_retrieve, scores=_similarity)
+    return ScriptedBackend(completions=_retrieve, scores=_similarity)
 
 
 SERVICE_WORDS = ("gali", "nemo", "tupa", "sira", "hoke", "mupi")
 
 
-def service(seed: int, placement: str, doomed_stem: str = "",
-            backend: type = ScriptedBackend) -> ScriptedBackend:
+def service(seed: int, placement: str, doomed_stem: str = "") -> ScriptedBackend:
     """A scripted service whose replies and failures depend only on the text
     of the prompt (and on ``seed``, which varies the service per example).
 
@@ -396,8 +376,7 @@ def service(seed: int, placement: str, doomed_stem: str = "",
     parse, or a positive score, which fails the call); ``call-error``, a
     ``TransportFailure`` of the whole call for about one prompt in 17; and
     ``always-overflow``/``always-unparseable``, every prompt whose stem is
-    ``doomed_stem``, so that stimulus's task exhausts its attempts.
-    ``backend`` is the class built, as for ``in_context_learner``."""
+    ``doomed_stem``, so that stimulus's task exhausts its attempts."""
 
     def digest(prompt) -> int:
         text = f"{seed}|{prompt.user_text()}|{prompt.continuation}"
@@ -421,7 +400,7 @@ def service(seed: int, placement: str, doomed_stem: str = "",
         # a positive log-probability is a malformed reply, which fails the call
         return 0.5 if fail(prompt) else -float(digest(prompt) % 1000) / 100.0
 
-    return backend(completions=complete, scores=score)
+    return ScriptedBackend(completions=complete, scores=score)
 
 
 class BreakingOracle(LookupOracle):

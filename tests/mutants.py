@@ -193,11 +193,49 @@ MUTANTS = (
         ("tests/test_agents.py",),
     ),
     Mutant(
+        "llm-agent-runs-in-turn", AGENTS,
+        (("    speaks_ahead = True\n", "    speaks_ahead = False\n"),),
+        "an llm agent runs communication in turn, as it did over a backend that could not keep "
+        "a request in flight: nothing is listened or spoken ahead",
+        ("tests/test_cli.py::TestWireRun::test_one_request_per_agent_per_block",),
+    ),
+    Mutant(
+        "list-sent-when-read", AGENTS,
+        (("        try:\n            self._pending = send()\n"
+          "        except BackendError:  # refused before it was sent: nothing to read or log\n"
+          "            self._pending = None\n        self._answer, self._failed = answer, failed\n",
+          "        self._send, self._pending = send, None\n        self._answer, self._failed = answer, failed\n\n"
+          "    def _sent(self):\n"
+          "        if self._send is not None:\n"
+          "            send, self._send = self._send, None\n"
+          "            try:\n                self._pending = send()\n"
+          "            except BackendError:\n                self._pending = None\n"
+          "        return self._pending\n"),
+         ("results = None if self._pending is None else", "results = None if self._sent() is None else"),
+         ("        if self._pending is None:\n            return self._failed\n",
+          "        if self._sent() is None:\n            return self._failed\n"),
+         ("        if self._pending is not None:\n            self._pending.discard(",
+          "        if self._sent() is not None:\n            self._pending.discard(")),
+        "a list's request is sent when its reply is first read or peeked, as over a backend "
+        "without a request form that sends at once: no two lists are in flight together",
+        (f"{BESIDE}::test_lists_sent_before_they_are_read",
+         "tests/test_cli.py::TestWireRun::test_agents_lists_in_flight_at_once"),
+    ),
+    Mutant(
         "missing-block-record-replays", PERSISTENCE,
         (("    if unseen:\n        raise PersistenceError", "    if False:\n        raise PersistenceError"),),
         "replay accepts a log that lacks a block record whenever no metric moves (ROADMAP "
         "item 20, step 1)",
         ("tests/test_cli.py::TestReplayCommand::test_missing_or_repeated_block_record_refused",),
+    ),
+    Mutant(
+        "manifest-digests-leftovers", PERSISTENCE,
+        (("for path in sorted(written)}",
+          'for path in sorted(base.rglob("*")) if path.is_file() and path.name != "manifest.json"}'),),
+        "the manifest digests every file in the run directory, so files an earlier run left "
+        "there are listed as this run's (found by saving a run of fewer rounds over another)",
+        ("tests/test_persistence.py::TestSaveAndManifest::test_files_an_earlier_run_left_are_not_digested",
+         "tests/test_persistence.py::TestPartialPersist::test_incomplete_manifest_lists_no_file_of_an_earlier_run"),
     ),
     Mutant(
         "manifest-keeps-a-credential-in-the-endpoint", BACKEND,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import ScriptedBackend
+from helpers import InTurnAgent, ScriptedBackend
 from refgame.agents import (
     AgentError,
     _argmin,
@@ -27,9 +27,9 @@ def training_vocab(seed=0):
     return generate_language(Random(seed), split.train)
 
 
-def communication_round(backend, max_agent_retries):
-    """One communication round of an llm dyad over ``backend``."""
-    agents = LLMAgent("A", backend), LLMAgent("B", backend)
+def communication_round(backend, max_agent_retries, agent=LLMAgent):
+    """One communication round of a dyad of ``agent``s over ``backend``."""
+    agents = agent("A", backend), agent("B", backend)
     for agent in agents:
         agent.set_vocabulary(training_vocab())
     config = RunConfig(rounds=1, max_agent_retries=max_agent_retries)
@@ -161,9 +161,9 @@ class TestLLMAgent:
         batches = []
 
         class CountingBackend(ScriptedBackend):
-            def score(self, prompts, tasks, event_log):
+            def score(self, prompts, tasks):
                 batches.append([p.continuation for p in prompts])
-                return super().score(prompts, tasks, event_log)
+                return super().score(prompts, tasks)
 
         def scores(prompt):
             if len(batches) <= failures:
@@ -212,7 +212,9 @@ class TestLLMAgent:
             raise TransportFailure("down")
 
         backend = ScriptedBackend(completions=lambda prompt: "hanosa'}", scores=broken)
-        result = communication_round(backend, max_agent_retries=2)
+        # in turn: an agent that speaks ahead also sends listening requests
+        # on a predicted outcome, which are discarded
+        result = communication_round(backend, max_agent_retries=2, agent=InTurnAgent)
         assert all(r.failure_mode == "failed-choice" and r.chosen == -1 for r in result.records)
         assert len(scored) == 2 * len(result.records)  # the first prompt of each attempt
 
@@ -239,9 +241,9 @@ class TestBatches:
         batches = []
 
         class CountingBackend(ScriptedBackend):
-            def complete(self, prompts, tasks, event_log):
+            def complete(self, prompts, tasks):
                 batches.append(list(tasks))
-                return super().complete(prompts, tasks, event_log)
+                return super().complete(prompts, tasks)
 
         agent = LLMAgent("A", CountingBackend(completions=lambda prompt: next(replies)))
         agent.set_vocabulary(training_vocab())

@@ -32,26 +32,53 @@ SCORED = CANDIDATES[0]
 OTHER = replace(PROMPT, stem="{'shape':2,'colour':'blue','amount':2,'word':'")
 
 
+@pytest.mark.parametrize("kind", ["http", "scripted"])
+def test_one_request_form(kind, tmp_path):
+    # HttpBackend and the tests' ScriptedBackend keep one contract: a request
+    # is sent when asked, and its handle is peeked, read, discarded or closed
+    with wire_service() as endpoint:
+        if kind == "http":
+            backend = http_backend(endpoint)
+        else:
+            backend = ScriptedBackend(completions=lambda p: f"{p.stem[-8:]}'}}", scores=lambda p: -1.0)
+        with EventLog(tmp_path / "events.jsonl") as event_log:
+            completion = backend.complete([PROMPT, OTHER], [1, 2])
+            scoring = backend.score(CANDIDATES, [3] * 4)  # both in flight, neither read
+            peeked = completion.peek()
+            assert peeked is not None and len(peeked) == 2
+            assert completion.read(event_log, kept=1) == peeked
+            scoring.discard(event_log)
+            backend.complete([PROMPT], [4]).close()
+            assert backend.complete([OTHER], [5]).read(event_log) == peeked[1:]
+    kinds = {}
+    for record in EventLog.read(tmp_path / "events.jsonl"):
+        kinds.setdefault(record["task"], []).append(record["kind"])
+    # a closed request (task 4) logs nothing
+    assert kinds == {
+        1: ["backend_discarded"], 2: ["backend_call"], 3: ["backend_discarded"] * 4, 5: ["backend_call"]
+    }
+
+
 class TestScriptedBackend:
     def test_score_determinism(self):
         backend = ScriptedBackend(scores=lambda p: -float(len(p.continuation)))
-        first = backend.score(CANDIDATES, [0] * 4, EventLog())
-        assert first == backend.score(CANDIDATES, [0] * 4, EventLog()) == [-6.0] * 4
+        first = backend.score(CANDIDATES, [0] * 4).read(EventLog())
+        assert first == backend.score(CANDIDATES, [0] * 4).read(EventLog()) == [-6.0] * 4
 
     def test_positive_logprob_rejected(self):
         backend = ScriptedBackend(scores=lambda p: 0.5)
         with pytest.raises(MalformedServiceReply):
-            backend.score([SCORED], [0], EventLog())
+            backend.score([SCORED], [0]).read(EventLog())
 
     def test_missing_entry(self):
         backend = ScriptedBackend()
         with pytest.raises(MalformedServiceReply):
-            backend.complete([PROMPT], [0], EventLog())
+            backend.complete([PROMPT], [0]).read(EventLog())
 
     def test_no_score_capability(self):
         backend = ScriptedBackend(completions=lambda p: "ok")
         with pytest.raises(CapabilityUnsupported):
-            backend.score([SCORED], [0], EventLog())
+            backend.score([SCORED], [0]).read(EventLog())
 
     def test_request_count_from_threads(self):
         # both agents of a dyad may call one backend at once; a lost update
@@ -59,7 +86,7 @@ class TestScriptedBackend:
         backend = ScriptedBackend(completions=lambda p: "ok")
         threads = [
             threading.Thread(
-                target=lambda: [backend.complete([PROMPT], [0], EventLog()) for _ in range(500)]
+                target=lambda: [backend.complete([PROMPT], [0]).read(EventLog()) for _ in range(500)]
             )
             for _ in range(8)
         ]
@@ -129,7 +156,7 @@ class TestEventLog:
 
     def test_backend_logs_before_returning(self, event_log):
         backend = ScriptedBackend(completions=lambda p: "ok")
-        backend.complete([PROMPT], [0], event_log)
+        backend.complete([PROMPT], [0]).read(event_log)
         calls = logged(event_log, "backend_call")
         assert len(calls) == 1
         assert calls[0]["call"] == "complete"
@@ -143,7 +170,7 @@ class TestRetrying:
         endpoint, handler = stub_server
         handler.failures_left = 1
         backend = http_backend(endpoint)
-        assert backend.complete([PROMPT], [0], event_log) == [" hanosa'}"]
+        assert backend.complete([PROMPT], [0]).read(event_log) == [" hanosa'}"]
         records = EventLog.read(event_log.path)
         assert [r["kind"] for r in records] == ["backend_retry", "backend_call"]
         assert (records[0]["attempt"], records[0]["error"]) == (1, "service error 503")
@@ -155,7 +182,7 @@ class TestRetrying:
         handler.failures_left = 10
         backend = http_backend(endpoint, max_retries=2)
         with pytest.raises(TransportFailure):
-            backend.complete([PROMPT], [0], event_log)
+            backend.complete([PROMPT], [0]).read(event_log)
         assert len(handler.seen) == 2 + 1  # the first attempt and max_retries retries
         assert [r["attempt"] for r in logged(event_log, "backend_retry")] == [1, 2]
         assert logged(event_log, "backend_call") == []
@@ -164,7 +191,7 @@ class TestRetrying:
         endpoint, handler = stub_server
         handler.failures_left = 3
         backend = http_backend(endpoint, max_retries=3, backoff_base=0.5)
-        backend.complete([PROMPT], [0], EventLog())
+        backend.complete([PROMPT], [0]).read(EventLog())
         assert waits == [0.5, 1.0, 2.0]
 
 
@@ -196,7 +223,7 @@ class TestHttpBackend:
     def test_complete(self, stub_server, event_log):
         endpoint, handler = stub_server
         backend = http_backend(endpoint)
-        assert backend.complete([PROMPT], [0], event_log) == [" hanosa'}"]
+        assert backend.complete([PROMPT], [0]).read(event_log) == [" hanosa'}"]
         request = handler.seen[-1]
         assert request["temperature"] == 0.0
         assert request["stop"] == ["\n", "'}"]
@@ -207,7 +234,7 @@ class TestHttpBackend:
         endpoint, handler = stub_server
         backend = http_backend(endpoint)
         event_log.set_context(block="testing", task=None, agent="A")
-        assert backend.complete([PROMPT, OTHER], [3, 4], event_log) == [" hanosa'}"] * 2
+        assert backend.complete([PROMPT, OTHER], [3, 4]).read(event_log) == [" hanosa'}"] * 2
         assert len(handler.seen) == 1
         template = load_chat_template("plain")
         assert handler.seen[0]["prompt"] == [apply_chat_template(template, p) for p in (PROMPT, OTHER)]
@@ -222,7 +249,7 @@ class TestHttpBackend:
         handler.behaviour = behaviour
         backend = http_backend(endpoint)
         with pytest.raises(MalformedServiceReply):
-            backend.complete([PROMPT, OTHER], [0, 1], event_log)
+            backend.complete([PROMPT, OTHER], [0, 1]).read(event_log)
         assert len(handler.seen) == 1  # not retried
         assert logged(event_log, "backend_call") == []
 
@@ -230,21 +257,21 @@ class TestHttpBackend:
         endpoint, handler = stub_server
         long_one = replace(PROMPT, stem=PROMPT.stem + "x" * 200)
         backend = http_backend(endpoint, context_budget_tokens=64)
-        assert len(backend.complete([PROMPT, OTHER], [0, 1], EventLog())) == 2
+        assert len(backend.complete([PROMPT, OTHER], [0, 1]).read(EventLog())) == 2
         handler.seen.clear()
         with pytest.raises(ContextOverflow):
-            backend.complete([PROMPT, long_one], [0, 1], EventLog())
+            backend.complete([PROMPT, long_one], [0, 1]).read(EventLog())
         assert handler.seen == []  # no request was sent
 
     def test_score_echo_path(self, stub_server):
         endpoint, _ = stub_server
         backend = http_backend(endpoint)
-        assert backend.score([SCORED], [0], EventLog()) == [pytest.approx(-1.5)]
+        assert backend.score([SCORED], [0]).read(EventLog()) == [pytest.approx(-1.5)]
 
     def test_score_one_request_per_call(self, stub_server, event_log):
         endpoint, handler = stub_server
         backend = http_backend(endpoint)
-        scores = backend.score(CANDIDATES, [0] * 4, event_log)
+        scores = backend.score(CANDIDATES, [0] * 4).read(event_log)
         assert scores == pytest.approx([-1.5, -3.0, -4.5, -6.0])
         assert len(handler.seen) == 1
         request = handler.seen[0]
@@ -262,7 +289,7 @@ class TestHttpBackend:
         backend = http_backend(endpoint)
         other = replace(OTHER, continuation="gali'}")
         prompts = CANDIDATES[:2] + [other, CANDIDATES[2]]
-        backend.score(prompts, [0] * 4, event_log)
+        backend.score(prompts, [0] * 4).read(event_log)
         texts = [apply_chat_template(load_chat_template("plain"), p) for p in prompts]
         calls = logged(event_log, "backend_call")
         assert [c["prompt_sha"] for c in calls] == [prompt_digest(t) for t in texts]
@@ -272,14 +299,14 @@ class TestHttpBackend:
         endpoint, handler = stub_server
         handler.behaviour = "reversed"
         backend = http_backend(endpoint)
-        assert backend.score(CANDIDATES, [0] * 4, EventLog()) == pytest.approx([-1.5, -3.0, -4.5, -6.0])
+        assert backend.score(CANDIDATES, [0] * 4).read(EventLog()) == pytest.approx([-1.5, -3.0, -4.5, -6.0])
 
     def test_score_wrong_choice_count(self, stub_server, event_log):
         endpoint, handler = stub_server
         handler.behaviour = "drop_choice"
         backend = http_backend(endpoint)
         with pytest.raises(MalformedServiceReply):
-            backend.score(CANDIDATES, [0] * 4, event_log)
+            backend.score(CANDIDATES, [0] * 4).read(event_log)
         assert logged(event_log, "backend_call") == []
 
     def test_score_preflight_covers_every_candidate(self, stub_server):
@@ -288,10 +315,10 @@ class TestHttpBackend:
         budget = estimate_tokens(plain + CANDIDATES[0].continuation) + 2
         long_one = replace(PROMPT, continuation="x" * 40 + "'}")
         backend = http_backend(endpoint, context_budget_tokens=budget)
-        assert len(backend.score(CANDIDATES, [0] * 4, EventLog())) == 4
+        assert len(backend.score(CANDIDATES, [0] * 4).read(EventLog())) == 4
         handler.seen.clear()
         with pytest.raises(ContextOverflow):
-            backend.score(CANDIDATES[:3] + [long_one], [0] * 4, EventLog())
+            backend.score(CANDIDATES[:3] + [long_one], [0] * 4).read(EventLog())
         assert handler.seen == []  # no request was sent
 
     def test_score_capability_unsupported(self, stub_server):
@@ -299,7 +326,7 @@ class TestHttpBackend:
         handler.behaviour = "no_logprobs"
         backend = http_backend(endpoint)
         with pytest.raises(CapabilityUnsupported):
-            backend.score(CANDIDATES, [0] * 4, EventLog())
+            backend.score(CANDIDATES, [0] * 4).read(EventLog())
 
     @pytest.mark.parametrize(
         "logprobs",
@@ -317,13 +344,13 @@ class TestHttpBackend:
         endpoint, handler = stub_server
         handler.echo_logprobs = logprobs
         with pytest.raises(MalformedServiceReply):
-            http_backend(endpoint).score(CANDIDATES, [0] * 4, EventLog())
+            http_backend(endpoint).score(CANDIDATES, [0] * 4).read(EventLog())
 
     def test_score_batch_retried_as_a_whole(self, stub_server, event_log, waits):
         endpoint, handler = stub_server
         handler.failures_left = 1
         backend = http_backend(endpoint)
-        assert backend.score(CANDIDATES, [0] * 4, event_log) == pytest.approx([-1.5, -3.0, -4.5, -6.0])
+        assert backend.score(CANDIDATES, [0] * 4).read(event_log) == pytest.approx([-1.5, -3.0, -4.5, -6.0])
         assert len(handler.seen) == 2
         assert handler.seen[1] == handler.seen[0]  # the retry re-sends the same body
         records = EventLog.read(event_log.path)
@@ -334,7 +361,7 @@ class TestHttpBackend:
         endpoint, handler = stub_server
         backend = http_backend(endpoint, context_budget_tokens=8)
         with pytest.raises(ContextOverflow):
-            backend.complete([PROMPT], [0], EventLog())
+            backend.complete([PROMPT], [0]).read(EventLog())
         assert handler.seen == []  # no network call was made
 
     def test_server_error_is_transport_failure(self, stub_server):
@@ -342,33 +369,33 @@ class TestHttpBackend:
         handler.failures_left = 1
         backend = http_backend(endpoint, max_retries=0)
         with pytest.raises(TransportFailure):
-            backend.complete([PROMPT], [0], EventLog())
+            backend.complete([PROMPT], [0]).read(EventLog())
 
     def test_retry_recovers_from_5xx(self, stub_server, waits):
         endpoint, handler = stub_server
         handler.failures_left = 1
         backend = http_backend(endpoint)
-        assert backend.complete([PROMPT], [0], EventLog()) == [" hanosa'}"]
+        assert backend.complete([PROMPT], [0]).read(EventLog()) == [" hanosa'}"]
 
     def test_bad_json_reply(self, stub_server):
         endpoint, handler = stub_server
         handler.behaviour = "bad_json"
         backend = http_backend(endpoint)
         with pytest.raises(MalformedServiceReply):
-            backend.complete([PROMPT], [0], EventLog())
+            backend.complete([PROMPT], [0]).read(EventLog())
 
     def test_timeout(self, stub_server):
         endpoint, handler = stub_server
         handler.behaviour = "slow"
         backend = http_backend(endpoint, timeout=0.1, max_retries=0)
         with pytest.raises(BackendTimeout):
-            backend.complete([PROMPT], [0], EventLog())
+            backend.complete([PROMPT], [0]).read(EventLog())
 
     def test_credential_header(self, stub_server, monkeypatch):
         endpoint, handler = stub_server
         monkeypatch.setenv("REFGAME_API_KEY", "sekrit")
         backend = http_backend(endpoint)
-        backend.complete([PROMPT], [0], EventLog())
+        backend.complete([PROMPT], [0]).read(EventLog())
         # the handler does not expose headers; check via the backend's own builder
         assert backend._headers()["Authorization"] == "Bearer sekrit"
 
@@ -387,8 +414,8 @@ class TestWireConnection:
         endpoint, handler = keepalive_stub_server
         backend = http_backend(endpoint)
         for _ in range(3):
-            assert backend.complete([PROMPT], [0], EventLog()) == [" hanosa'}"]
-        backend.score(CANDIDATES, [0] * 4, EventLog())
+            assert backend.complete([PROMPT], [0]).read(EventLog()) == [" hanosa'}"]
+        backend.score(CANDIDATES, [0] * 4).read(EventLog())
         assert len(handler.seen) == 4
         assert handler.connections == 1
 
@@ -396,7 +423,7 @@ class TestWireConnection:
         endpoint, handler = keepalive_stub_server
         handler.behaviour = "close"
         backend = http_backend(endpoint)
-        assert [backend.complete([PROMPT], [0], event_log) for _ in range(3)] == [[" hanosa'}"]] * 3
+        assert [backend.complete([PROMPT], [0]).read(event_log) for _ in range(3)] == [[" hanosa'}"]] * 3
         assert len(handler.seen) == 3 and handler.connections == 3
         assert logged(event_log, "backend_retry") == []
         assert waits == []
@@ -404,7 +431,7 @@ class TestWireConnection:
     def test_refused_connection_fails_after_retries(self, event_log, waits):
         backend = http_backend(_refused_endpoint(), max_retries=2)
         with pytest.raises(TransportFailure, match="ConnectionRefusedError"):
-            backend.complete([PROMPT], [0], event_log)
+            backend.complete([PROMPT], [0]).read(event_log)
         assert [r["attempt"] for r in logged(event_log, "backend_retry")] == [1, 2]
         assert waits == [0.5, 1.0]
         assert logged(event_log, "backend_call") == []
@@ -413,14 +440,14 @@ class TestWireConnection:
     def test_path_prefix_kept(self, keepalive_stub_server, prefix):
         endpoint, handler = keepalive_stub_server
         backend = http_backend(endpoint + prefix)
-        backend.complete([PROMPT], [0], EventLog())
+        backend.complete([PROMPT], [0]).read(EventLog())
         assert handler.paths == ["/api/v1/completions"]
 
     def test_https_against_plain_service_is_transport_failure(self, keepalive_stub_server):
         endpoint, _ = keepalive_stub_server
         backend = http_backend(endpoint.replace("http://", "https://"), max_retries=0)
         with pytest.raises(TransportFailure):
-            backend.complete([PROMPT], [0], EventLog())
+            backend.complete([PROMPT], [0]).read(EventLog())
 
     def test_timed_out_connection_is_replaced(self, keepalive_stub_server):
         # the late reply must not be read as the answer to the next request
@@ -428,10 +455,10 @@ class TestWireConnection:
         handler.behaviour = "slow"
         backend = http_backend(endpoint, timeout=0.1, max_retries=0)
         with pytest.raises(BackendTimeout):
-            backend.complete([PROMPT], [0], EventLog())
+            backend.complete([PROMPT], [0]).read(EventLog())
         handler.behaviour = "complete"
         backend.descriptor.timeout = 5.0
-        assert backend.score([SCORED], [0], EventLog()) == [pytest.approx(-1.5)]
+        assert backend.score([SCORED], [0]).read(EventLog()) == [pytest.approx(-1.5)]
         assert handler.connections == 2
 
     @pytest.mark.parametrize(
@@ -443,21 +470,21 @@ class TestWireConnection:
         handler.behaviour = behaviour
         backend = http_backend(endpoint)
         with pytest.raises(MalformedServiceReply) as info:
-            backend.complete([PROMPT], [0], EventLog())
+            backend.complete([PROMPT], [0]).read(EventLog())
         assert str(info.value) == message
         assert len(handler.seen) == 1  # not retried
 
 
 class TestConnectionPool:
-    """complete_later() keeps a request in flight while the backend carries
+    """complete() keeps a request in flight while the backend carries
     another, as an llm agent does when it speaks ahead while it listens."""
 
     def test_two_calls_in_flight_open_two_connections(self):
         with wire_service() as endpoint:
             backend = http_backend(endpoint)
             for _ in range(10):
-                pending = backend.complete_later([PROMPT, OTHER], [0, 0])
-                backend.score(CANDIDATES, [0] * 4, EventLog())
+                pending = backend.complete([PROMPT, OTHER], [0, 0])
+                backend.score(CANDIDATES, [0] * 4).read(EventLog())
                 pending.read(EventLog())
             stats = service_stats(endpoint)
         assert (stats["requests"], stats["connections"]) == (20, 2)
@@ -465,7 +492,7 @@ class TestConnectionPool:
     def test_kept_prompt_is_a_call_and_the_other_discarded(self, keepalive_stub_server, event_log):
         endpoint, _ = keepalive_stub_server
         backend = http_backend(endpoint)
-        assert backend.complete_later([PROMPT, OTHER], [5, 5]).read(event_log, kept=1) == [" hanosa'}"] * 2
+        assert backend.complete([PROMPT, OTHER], [5, 5]).read(event_log, kept=1) == [" hanosa'}"] * 2
         template = load_chat_template("plain")
         (call,) = logged(event_log, "backend_call")
         assert (call["task"], call["prompt"]) == (5, apply_chat_template(template, OTHER))
@@ -476,7 +503,7 @@ class TestConnectionPool:
 
     def test_latency_is_the_round_trip_not_the_wait_to_be_read(self, keepalive_stub_server, event_log):
         endpoint, _ = keepalive_stub_server
-        pending = http_backend(endpoint).complete_later([PROMPT], [0])
+        pending = http_backend(endpoint).complete([PROMPT], [0])
         assert pending.peek() == [" hanosa'}"]
         time.sleep(0.2)  # the reply waits, received, until it is read
         pending.read(event_log)
@@ -486,11 +513,11 @@ class TestConnectionPool:
     def test_discarded_reply_is_read_before_its_connection_is_reused(self, event_log):
         with wire_service() as endpoint:
             backend = http_backend(endpoint)
-            first, other = backend.complete([PROMPT, OTHER], [0, 0], EventLog())
+            first, other = backend.complete([PROMPT, OTHER], [0, 0]).read(EventLog())
             assert first != other
-            backend.complete_later([PROMPT], [3]).discard(event_log)
+            backend.complete([PROMPT], [3]).discard(event_log)
             # the one pooled connection answers the next request, not the discarded one
-            assert backend.complete([OTHER], [0], EventLog()) == [other]
+            assert backend.complete([OTHER], [0]).read(EventLog()) == [other]
             assert service_stats(endpoint)["connections"] == 1
         assert [(r["task"], r["result"]) for r in logged(event_log, "backend_discarded")] == [(3, first)]
         assert logged(event_log, "backend_call") == []
@@ -499,10 +526,10 @@ class TestConnectionPool:
         endpoint, handler = keepalive_stub_server
         handler.failures_left = 1
         backend = http_backend(endpoint)
-        backend.complete_later([PROMPT], [0]).discard(event_log)
+        backend.complete([PROMPT], [0]).discard(event_log)
         assert [r["result"] for r in logged(event_log, "backend_discarded")] == [None]
         assert logged(event_log, "backend_retry") == [] and waits == []  # never retried
-        assert backend.complete([PROMPT], [0], EventLog()) == [" hanosa'}"]
+        assert backend.complete([PROMPT], [0]).read(EventLog()) == [" hanosa'}"]
         assert (len(handler.seen), handler.connections) == (2, 2)
 
     def test_connections_the_service_closed_reopen_without_retry(self, keepalive_stub_server, event_log, waits):
@@ -510,8 +537,8 @@ class TestConnectionPool:
         handler.behaviour = "close"
         backend = http_backend(endpoint)
         for _ in range(3):
-            pending = backend.complete_later([PROMPT], [0])
-            backend.score([SCORED], [0], event_log)
+            pending = backend.complete([PROMPT], [0])
+            backend.score([SCORED], [0]).read(event_log)
             assert pending.read(event_log) == [" hanosa'}"]
         assert (len(handler.seen), handler.connections) == (6, 6)
         assert logged(event_log, "backend_retry") == []

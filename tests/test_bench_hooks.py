@@ -89,7 +89,7 @@ def test_wire_events_the_benchmark_counts(stub_server, event_log, waits):
     handler.failures_left = 1
     backend = http_backend(endpoint)
     prompts = [Prompt("be terse", ("gali",), "word:'", continuation=f"{w}'}}") for w in ("ka", "po")]
-    backend.score(prompts, [0, 0], event_log)
+    backend.score(prompts, [0, 0]).read(event_log)
     records = EventLog.read(event_log.path)
     assert [r["kind"] for r in records] == ["backend_retry", "backend_call", "backend_call"]
     assert all(isinstance(r["latency"], float) for r in records[1:])

@@ -21,10 +21,10 @@ import refgame.engine as engine
 import refgame.metrics as metrics
 from helpers import (
     BreakingOracle,
+    InTurnAgent,
     SERVICE_WORDS,
     RepairOracle,
     ScriptedBackend,
-    SpeakingAheadBackend,
     http_backend,
     in_context_learner,
     logged,
@@ -282,24 +282,33 @@ class TestCommunicationBlock:
         assert 0 < successes < len(result.records)  # partially discriminable
 
 
-class InTurnBackend(ScriptedBackend):
-    """A ScriptedBackend that notes each score call that fails as (round, task)."""
+def noting_failed_scores(backend: ScriptedBackend) -> ScriptedBackend:
+    """``backend``, noting in its ``failed_scores`` each score request that
+    fails when read, as (round, task)."""
+    backend.failed_scores = []
+    score = backend.score
 
-    def __init__(self, completions=None, scores=None):
-        super().__init__(completions, scores)
-        self.failed_scores: list[tuple] = []
+    def noted(prompts, tasks):
+        pending = score(prompts, tasks)
+        read = pending.read
 
-    def score(self, prompts, tasks, event_log):
-        try:
-            return super().score(prompts, tasks, event_log)
-        except BackendError:
-            self.failed_scores.append((event_log.context["round"], tasks[0]))
-            raise
+        def failing(event_log, kept=None):
+            try:
+                return read(event_log, kept)
+            except BackendError:
+                backend.failed_scores.append((event_log.context["round"], tasks[0]))
+                raise
+
+        pending.read = failing
+        return pending
+
+    backend.score = noted
+    return backend
 
 
 class TimelineLog(EventLog):
     """An event log that notes each record in ``timeline`` as (kind, round,
-    task), beside the sends a ``SpeakingAheadBackend`` notes there."""
+    task), beside the sends a ``ScriptedBackend`` notes there."""
 
     def __init__(self, path, timeline: list):
         super().__init__(path)
@@ -326,38 +335,36 @@ def speculative_sends(timeline) -> list[tuple]:
 
 
 class TestSpeakingAhead:
-    """Over a backend with ``complete_later`` and ``score_later`` the
-    listener of task t sends its speaking request for t+1 while it listens,
-    and on the prediction that t fails the speaker of t sends t+1's
-    listening request and its speaking request for t+2; every block record
-    and ``backend_call`` record stays that of the run in turn."""
+    """The listener of task t sends its speaking request for t+1 while it
+    listens, and on the prediction that t fails the speaker of t sends
+    t+1's listening request and its speaking request for t+2; every block
+    record and ``backend_call`` record stays that of the run in turn, whose
+    agents are ``InTurnAgent``s."""
 
     BACKENDS = {
-        "in-context": lambda seed, backend: in_context_learner(backend),
+        "in-context": lambda seed: in_context_learner(),
         # unparseable replies, and listener calls that fail, which discard the request
-        "unparseable": lambda seed, backend: service(seed, "unparseable", backend=backend),
+        "unparseable": lambda seed: service(seed, "unparseable"),
         # every listening request of a heard word fails: failed choices
-        "doomed-listening": lambda seed, backend: service(
-            seed, "always-unparseable", listener_stem(SERVICE_WORDS[seed % 6]), backend
+        "doomed-listening": lambda seed: service(
+            seed, "always-unparseable", listener_stem(SERVICE_WORDS[seed % 6])
         ),
         # every speaking request for one stimulus fails: failed productions
-        "doomed-speaking": lambda seed, backend: service(
+        "doomed-speaking": lambda seed: service(
             seed, "always-unparseable", completion_stem(training_vocab(seed)[0].stimuli()[seed % 15]),
-            backend,
         ),
     }
 
-    def communicate(self, path, name, seed, backend_class, rounds=1):
-        backend = self.BACKENDS[name](seed, backend_class)
+    def communicate(self, path, name, seed, agent_class, rounds=1):
+        backend = noting_failed_scores(self.BACKENDS[name](seed))
         vocab, _ = training_vocab(seed)
-        a, b = LLMAgent("A", backend), LLMAgent("B", backend)
+        a, b = agent_class("A", backend), agent_class("B", backend)
         a.set_vocabulary(vocab.copy())
         b.set_vocabulary(vocab.copy())
-        path = path / f"{backend_class.__name__}.jsonl"
+        path = path / f"{agent_class.__name__}.jsonl"
         config = RunConfig(rounds=rounds, max_agent_retries=2)
         rng = Random(seed)
-        timeline = getattr(backend, "timeline", [])
-        with TimelineLog(path, timeline) as log:
+        with TimelineLog(path, backend.timeline) as log:
             result = run_communication_block(a, b, rng, config, log)
         records = [
             {key: value for key, value in r.items() if key not in ("latency", "timestamp")}
@@ -376,10 +383,8 @@ class TestSpeakingAhead:
 
     @pytest.mark.parametrize("name, seed", [("in-context", 0), ("unparseable", 0), ("unparseable", 2)])
     def test_same_records_as_in_turn(self, tmp_path, name, seed):
-        _, in_turn, state, records = self.communicate(tmp_path, name, seed, ScriptedBackend)
-        backend, ahead, ahead_state, ahead_records = self.communicate(
-            tmp_path, name, seed, SpeakingAheadBackend
-        )
+        _, in_turn, state, records = self.communicate(tmp_path, name, seed, InTurnAgent)
+        backend, ahead, ahead_state, ahead_records = self.communicate(tmp_path, name, seed, LLMAgent)
         assert ahead.records == in_turn.records
         assert ahead.round_vocabs == in_turn.round_vocabs and ahead_state == state
         assert [r for r in ahead_records if r["kind"] != "backend_discarded"] == records
@@ -401,13 +406,13 @@ class TestSpeakingAhead:
     @pytest.mark.parametrize("speaking_ahead", ["A", "B"])
     def test_dyad_with_an_oracle_runs_in_turn_beside_it(self, tmp_path, speaking_ahead):
         # only the llm agent asks ahead, and only when it listens
-        def communicate(backend_class):
-            llm = LLMAgent(speaking_ahead, service(3, "unparseable", backend=backend_class))
+        def communicate(agent_class):
+            llm = agent_class(speaking_ahead, service(3, "unparseable"))
             oracle = LookupOracle("B" if speaking_ahead == "A" else "A")
             vocab, _ = training_vocab(3)
             for agent in (llm, oracle):
                 agent.set_vocabulary(vocab.copy())
-            path = tmp_path / f"{backend_class.__name__}.jsonl"
+            path = tmp_path / f"{agent_class.__name__}.jsonl"
             dyad = (llm, oracle) if speaking_ahead == "A" else (oracle, llm)
             with EventLog(path) as log:
                 config = RunConfig(rounds=2, max_agent_retries=2)
@@ -415,8 +420,8 @@ class TestSpeakingAhead:
             kept = [r for r in EventLog.read(path) if r["kind"] != "backend_discarded"]
             return result, [{k: v for k, v in r.items() if k not in ("latency", "timestamp")} for r in kept]
 
-        in_turn, records = communicate(ScriptedBackend)
-        ahead, ahead_records = communicate(SpeakingAheadBackend)
+        in_turn, records = communicate(InTurnAgent)
+        ahead, ahead_records = communicate(LLMAgent)
         assert ahead.records == in_turn.records and ahead_records == records
 
     @settings(max_examples=20, deadline=None)
@@ -428,10 +433,8 @@ class TestSpeakingAhead:
     @example(seed=0, name="unparseable")
     def test_same_run_as_in_turn(self, tmp_path_factory, seed, name):
         path = tmp_path_factory.mktemp("ahead")
-        in_turn_backend, in_turn, state, records = self.communicate(path, name, seed, InTurnBackend, rounds=2)
-        backend, ahead, ahead_state, ahead_records = self.communicate(
-            path, name, seed, SpeakingAheadBackend, rounds=2
-        )
+        in_turn_backend, in_turn, state, records = self.communicate(path, name, seed, InTurnAgent, rounds=2)
+        backend, ahead, ahead_state, ahead_records = self.communicate(path, name, seed, LLMAgent, rounds=2)
         # the block records, backend_call records, rng and vocabularies of the run in turn
         assert ahead.records == in_turn.records
         assert ahead.round_vocabs == in_turn.round_vocabs and ahead_state == state
@@ -464,7 +467,7 @@ class TestSpeakingAhead:
     def test_speaking_request_sent_just_before_its_listening_request(self, tmp_path, name, seed):
         # speaking replies are the block's critical chain, so each overlap
         # sends its speaking request for t+1 first, then listening request t
-        backend, *_ = self.communicate(tmp_path, name, seed, SpeakingAheadBackend, rounds=2)
+        backend, *_ = self.communicate(tmp_path, name, seed, LLMAgent, rounds=2)
         timeline = backend.timeline
         # in turn go the round's last listening request and each second
         # attempt, sent once the first attempt's reply was read
@@ -481,7 +484,7 @@ class TestSpeakingAhead:
             assert timeline[i - 1] == ("sent", "complete", timeline[i][2] + 1)
 
     def test_listening_sent_before_the_record_it_predicts(self, tmp_path):
-        backend, result, _, _ = self.communicate(tmp_path, "in-context", 0, SpeakingAheadBackend)
+        backend, result, _, _ = self.communicate(tmp_path, "in-context", 0, LLMAgent)
         timeline = backend.timeline
         right = [task for _, task in speculative_sends(timeline) if not result.records[task - 1].success]
         assert right
@@ -493,7 +496,7 @@ class TestSpeakingAhead:
             assert {how for _, t, how in backend.listened if t == task} == {"kept"}
 
     def test_which_tasks_are_asked_ahead(self, tmp_path):
-        backend, result, _, _ = self.communicate(tmp_path, "in-context", 0, SpeakingAheadBackend, rounds=2)
+        backend, result, _, _ = self.communicate(tmp_path, "in-context", 0, LLMAgent, rounds=2)
         # with no failures every listener asks the next task ahead, except
         # across the round boundary: task 0 of each round runs in turn
         kept = [(round_, task) for round_, task, _, how in backend.ahead if how == "kept"]
@@ -919,7 +922,7 @@ class TestSideBySide:
         if dyad == "oracle":
             run_simulation(config, (LookupOracle("A"), CompositionalOracle("B")), EventLog())
         elif dyad == "llm":
-            backend = in_context_learner(SpeakingAheadBackend)
+            backend = in_context_learner()
             run_simulation(config, (LLMAgent("A", backend), LLMAgent("B", backend)), EventLog())
         else:
             with wire_service() as endpoint:
@@ -1025,7 +1028,7 @@ class TestGuessingBesideTheRest:
         timeline = []
 
         def backend(agent_id):
-            learner = in_context_learner(SpeakingAheadBackend)
+            learner = in_context_learner()
 
             def completions(prompt):
                 if (agent_id, breaks) == ("B", "communication") and prompt.stem == doomed \
@@ -1038,7 +1041,7 @@ class TestGuessingBesideTheRest:
                     raise RuntimeError("B broke in guessing")
                 return learner.scores(prompt)
 
-            noted = SpeakingAheadBackend(completions=completions, scores=scores)
+            noted = ScriptedBackend(completions=completions, scores=scores)
             noted.timeline = timeline
             return noted
 
@@ -1103,7 +1106,7 @@ class TestGuessingBesideTheRest:
         timeline = []
 
         def backend():
-            learner, failed = in_context_learner(SpeakingAheadBackend), []
+            learner, failed = in_context_learner(), []
 
             def completions(prompt):
                 if prompt.system_instruction == LABELLING_INSTRUCTION and prompt.stem == doomed:
@@ -1116,7 +1119,7 @@ class TestGuessingBesideTheRest:
                     raise TransportFailure("service error 503")
                 return learner.scores(prompt)
 
-            noted = SpeakingAheadBackend(completions=completions, scores=scores)
+            noted = ScriptedBackend(completions=completions, scores=scores)
             noted.timeline = timeline
             return noted
 
@@ -1206,7 +1209,7 @@ class TestGuessingBesideTheRest:
         waited, late_lines = [], []
 
         def backend():
-            learner, failed = in_context_learner(SpeakingAheadBackend), []
+            learner, failed = in_context_learner(), []
 
             def completions(prompt):
                 if prompt.system_instruction == SPEAKING_INSTRUCTION:
@@ -1224,7 +1227,7 @@ class TestGuessingBesideTheRest:
                     late_lines.append(prompt.vocabulary_lines)
                 return learner.scores(prompt)
 
-            return SpeakingAheadBackend(completions=completions, scores=scores)
+            return ScriptedBackend(completions=completions, scores=scores)
 
         agents = (LLMAgent("A", backend()), LLMAgent("B", backend()))
         config = RunConfig(master_seed=self.SEED, rounds=1, mantel_permutations=10)

@@ -31,8 +31,7 @@ from pathlib import Path
 
 import yaml
 
-from helpers import in_context_learner, service, service_stats, wire_service
-from refgame.agents import LLMAgent
+from helpers import InTurnAgent, in_context_learner, service, service_stats, wire_service
 from refgame.backend import EventLog
 from refgame.cli import EXIT_OK, EXIT_RUNTIME, main
 from refgame.engine import RunConfig, run_simulation
@@ -51,7 +50,9 @@ SIMULATE_SEEDS = (0, 1, 2)
 CHAIN_SEEDS = (0, 1)
 FAST = ("--permutations", "60")
 # llm dyads reach communication's failed productions and choices, and
-# guessing's failed choices, through the engine's per-task attempts
+# guessing's failed choices, through the engine's per-task attempts. Their
+# agents are InTurnAgents: speaking ahead writes the same records and the
+# discarded ones beside them (test_engine.py's TestSpeakingAhead checks it)
 LLM_BACKENDS = {
     "in-context": lambda seed: in_context_learner(),
     "unparseable": lambda seed: service(seed, "unparseable"),
@@ -117,7 +118,7 @@ def run_matrix(root: Path) -> dict[str, int]:
             backend = make_backend(seed)
             config = RunConfig(master_seed=seed, mantel_permutations=60, max_agent_retries=2)
             with EventLog(out / "events.jsonl") as event_log:
-                agents = (LLMAgent("A", backend), LLMAgent("B", backend))
+                agents = (InTurnAgent("A", backend), InTurnAgent("B", backend))
                 result = run_simulation(config, agents, event_log=event_log)
             save_simulation(result, out)
     return codes

@@ -74,6 +74,24 @@ class TestSaveAndManifest:
         with pytest.raises(DigestMismatch, match="missing"):
             RunManifest.load(run_dir).verify_digests(run_dir)
 
+    def test_files_an_earlier_run_left_are_not_digested(self, tmp_path):
+        # a run of two rounds saved where one of four was: the manifest
+        # lists what this run wrote, and the earlier rounds 3 and 4 stay on disk
+        run_dir = tmp_path / "out"
+        for rounds in ("4", "2"):
+            argv = ["simulate", "--seed", "1", "--rounds", rounds, "--permutations", "20", "--out", str(run_dir)]
+            assert main(argv) == EXIT_OK
+        sim = run_dir / "sim-00"
+        files = RunManifest.load(sim).files
+        assert sorted(files) == ["events.jsonl", "metrics.csv"] + [
+            f"vocab/{name}.vocab" for name in (
+                "initial", "learned_A", "learned_B", "round1_A", "round1_B", "round2_A", "round2_B",
+                "testing_A", "testing_B",
+            )
+        ]
+        assert (sim / "vocab" / "round4_B.vocab").exists()
+        assert main(["replay", str(sim)]) == EXIT_OK
+
     def test_round_snapshots_carry_success_flags(self, tmp_path):
         run_dir, _ = persisted_run(tmp_path)
         text = (run_dir / "vocab" / "round1_A.vocab").read_text()
@@ -332,7 +350,7 @@ class TestBlockRecordRead:
 
 
 class TestPartialPersist:
-    def _abort(self, tmp_path):
+    def _abort(self, tmp_path, earlier: bool = False):
         from refgame.engine import SimulationAborted
         from refgame.persistence import save_simulation
         from refgame.prompts import PromptTask
@@ -344,8 +362,11 @@ class TestPartialPersist:
                 return super().produce_signal(stimulus, task, rng)
 
         run_dir = tmp_path / "aborted"
-        run_dir.mkdir()
         config = RunConfig(master_seed=2, mantel_permutations=20)
+        if earlier:  # a complete run saved there first
+            persisted_run(tmp_path, seed=2)
+            (tmp_path / "run").rename(run_dir)
+        run_dir.mkdir(exist_ok=True)
         with EventLog(run_dir / "events.jsonl") as event_log, pytest.raises(SimulationAborted) as info:
             run_simulation(config, (Exploding("A"), LookupOracle("B")), event_log=event_log)
         save_simulation(info.value.partial, run_dir, error=str(info.value))
@@ -362,6 +383,16 @@ class TestPartialPersist:
         assert (run_dir / "vocab" / "initial.vocab").exists()
         assert (run_dir / "vocab" / "learned_A.vocab").exists()
         assert not (run_dir / "vocab" / "round1_A.vocab").exists()
+
+    def test_incomplete_manifest_lists_no_file_of_an_earlier_run(self, tmp_path):
+        run_dir = self._abort(tmp_path, earlier=True)
+        manifest = RunManifest.load(run_dir)
+        assert manifest.status == "incomplete"
+        assert sorted(manifest.files) == [
+            "events.jsonl", "vocab/initial.vocab", "vocab/learned_A.vocab", "vocab/learned_B.vocab"
+        ]
+        assert (run_dir / "metrics.csv").exists() and (run_dir / "vocab" / "round1_A.vocab").exists()
+        manifest.verify_digests(run_dir)
 
     def test_incomplete_run_refuses_replay(self, tmp_path):
         from refgame.persistence import PersistenceError

@@ -384,20 +384,17 @@ def _batched(
     rng: Random,
     attempts: int,
     event_log: EventLog,
-    write: Callable,
+    make_record: Callable,
 ) -> Generator:
-    """A block (see ``_run``) that calls ``write(task, answer)`` for each of
-    ``count`` tasks, in order, with the event log's context ``task`` set to
-    the task's index; ``answer`` is ``None`` for a failed task.
+    """A block (see ``_run``) that returns ``make_record(task, answer)`` for
+    each of ``count`` tasks, appended to the log as it is made; ``answer``
+    is ``None`` for a failed task.
 
-    ``ask`` (an agent's list method) is handed, at the first step, a
-    generator of the tasks ``draw(task_index)`` makes, which sets the
-    context ``task`` and keeps the rng state before each draw, so the draws
-    interleave with the agent's own as they do task by task, and sets
-    ``task`` back to ``None`` once exhausted; its ``Reply`` is read after
-    the first yield. From the
-    first task the list left unanswered on, the rng goes back to where that
-    task began, and each task is drawn anew and asked ``_alone``."""
+    ``ask`` is handed one list of every task, drawn as the agent reads it,
+    so the task draws interleave with the agent's own as they do task by
+    task. From the first task the list left unanswered on, the rng goes
+    back to where that task began, and each task is drawn anew and asked
+    ``_alone``."""
     states, drawn = [], []
 
     def tasks():
@@ -411,13 +408,18 @@ def _batched(
     answers = yield from _read(ask(tasks(), prompt_task, rng), event_log)
     if len(answers) < len(states):
         rng.setstate(states[len(answers)])
+    records = []
     for task_index in range(count):
         event_log.set_context(task=task_index)
         if task_index < len(answers):
-            write(drawn[task_index], answers[task_index])
+            item, answer = drawn[task_index], answers[task_index]
         else:
             item = draw(task_index)
-            write(item, (yield from _alone(ask, item, prompt_task, rng, attempts, event_log)))
+            answer = yield from _alone(ask, item, prompt_task, rng, attempts, event_log)
+        record = make_record(item, answer)
+        records.append(record)
+        event_log.append(record.KIND, **record.event())
+    return records
 
 
 def run_guessing_block(
@@ -441,28 +443,24 @@ def run_guessing_block(
         rng.shuffle(candidates)
         return task_index, stimulus, candidates, None
 
-    records = []
-
-    def write(task, chosen):
+    def record(task, chosen):
         _, stimulus, candidates, _ = task
         truth = vocab.signal_for(stimulus)
         failure_mode = "none"
         if chosen is None:
             chosen, failure_mode = -1, "failed-choice"
-        record = GuessingRecord(
+        return GuessingRecord(
             stimulus=stimulus,
             candidates=tuple(candidates),
             chosen=chosen,
             correct=failure_mode == "none" and candidates[chosen] == truth,
             failure_mode=failure_mode,
         )
-        records.append(record)
-        event_log.append(record.KIND, **record.event())
 
     event_log.set_context(block="guessing", round=None, task=None, agent=agent.agent_id)
-    yield from _batched(
+    records = yield from _batched(
         agent.choose_many, PromptTask.GUESSING, draw, len(order), rng, config.max_agent_retries,
-        event_log, write,
+        event_log, record,
     )
     return GuessingResult(records=records)
 
@@ -481,28 +479,25 @@ def run_labelling_block(
     order = list(vocab.stimuli())
     rng.shuffle(order)
     learned = vocab.copy()
-    records = []
 
-    def write(task, produced):
+    def record(task, produced):
         _, stimulus = task
         truth = vocab.signal_for(stimulus)
         failed = produced is None
         if failed:
             produced = truth
         learned.update(stimulus, produced, 0)
-        record = LabellingRecord(
+        return LabellingRecord(
             stimulus=stimulus,
             truth=truth,
             produced=produced,
             failed=failed,
         )
-        records.append(record)
-        event_log.append(record.KIND, **record.event())
 
     event_log.set_context(block="labelling", round=None, task=None, agent=agent.agent_id)
-    yield from _batched(
+    records = yield from _batched(
         agent.produce_signals, PromptTask.LABELLING, lambda i: (i, order[i]), len(order), rng,
-        config.max_agent_retries, event_log, write,
+        config.max_agent_retries, event_log, record,
     )
     # a copy: communication updates the agent's vocabulary, not the learned snapshot
     agent.set_vocabulary(learned.copy())
@@ -563,11 +558,8 @@ def run_communication_block(
     t+1's first speaking attempt, the other prompt's record a
     ``backend_discarded`` one. The speaking request goes out first because
     speaking replies are the block's critical chain: t+1's listening
-    request and t+2's speaking prompt both wait on the reply to it. A
-    service that answers requests in arrival order then answers the chain
-    first; against ``perfbench/stub.py`` the median speaking round trip
-    fell from 14.6 to 10.4 ms when it stopped queuing behind the score's,
-    which went from 17.6 to 18.6 ms. Second, while t's listening request
+    request and t+2's speaking prompt both wait on the reply to it (README
+    gives the round trips measured). Second, while t's listening request
     is in flight, the engine predicts that t fails and reads t+1's
     speaking reply under that flag; when it parses, the speaker of t takes
     t's update as a failure and makes t+1's overlap at once: its listening
@@ -578,12 +570,12 @@ def run_communication_block(
     discarded, under the speaker of t that sent them. Records are written
     where the run in turn writes them, after these sends.
 
-    The fall-backs: when t's listener needs a second attempt, whatever was
-    sent ahead is discarded at once, under the agent that sent it, the rng
-    goes back to before t+1's draws, and t+1 runs in turn; a speaking reply
-    read ahead that fails or does not parse is t+1's first attempt, and no
-    prediction is made on it. Nothing is asked ahead across a round
-    boundary or after a failed production."""
+    A request sent ahead is its task's first attempt. When t's listener
+    needs a second attempt, whatever was sent ahead is discarded at once,
+    under the agent that sent it, the rng goes back to before t+1's draws,
+    and t+1 runs in turn; no prediction is made on a speaking reply read
+    ahead that fails or does not parse. Nothing is asked ahead across a
+    round boundary or after a failed production."""
     assert agent_a.vocabulary is not None and agent_b.vocabulary is not None
     agent_a.vocabulary.track_success = True
     agent_b.vocabulary.track_success = True
@@ -639,17 +631,15 @@ def run_communication_block(
             said = (task_index, stimulus)
             sent = None
             if ahead is None:
-                candidates = draw_candidates(stimulus)
-                signal = _run(_alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng, attempts,
-                                event_log))
-            else:
+                candidates, signal, read_ahead = draw_candidates(stimulus), None, 0
+            else:  # the speaking reply read ahead is t's first attempt
                 candidates, speaking, flag, sent = ahead
-                signal = speaking.read(event_log, flag)
-                if signal is None:  # that reply was the first attempt
-                    signal = _run(_alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng,
-                                    attempts - 1, event_log))
+                signal, read_ahead = speaking.read(event_log, flag), 1
+            if signal is None:
+                signal = _run(_alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng,
+                                     attempts - read_ahead, event_log))
             ahead = None
-            chosen = None
+            chosen, listened = None, 0
             if signal is not None:
                 event_log.set_context(agent=listener.agent_id)
                 heard = (task_index, signal, candidates, stimulus)
@@ -667,7 +657,7 @@ def run_communication_block(
                         speaker.vocabulary.update(stimulus, signal, 0)  # t's record updates it again
                         next_task = (task_index + 1, next_signal, sent.next_candidates, tasks[task_index + 1][1])
                         next_sent = overlap(speaker, next_task, task_index + 2)
-                answers = sent.listening.read(event_log)
+                answers, listened = sent.listening.read(event_log), 1  # t's first listening attempt
                 if answers:
                     chosen = answers[0]
                     flag = int(candidates[chosen] == stimulus)
@@ -680,11 +670,9 @@ def run_communication_block(
                     if next_sent is not None:
                         discard(speaker_id, [next_sent.listening, next_sent.speaking])
                     rng.setstate(sent.before)
-                    chosen = _run(_alone(listener.choose_many, heard, PromptTask.LISTENING, rng,
-                                    attempts - 1, event_log))
-            elif signal is not None:
-                chosen = _run(_alone(listener.choose_many, heard, PromptTask.LISTENING, rng, attempts,
-                                event_log))
+            if signal is not None and chosen is None:
+                chosen = _run(_alone(listener.choose_many, heard, PromptTask.LISTENING, rng,
+                                     attempts - listened, event_log))
             success = chosen is not None and candidates[chosen] == stimulus
 
             record = InteractionRecord(
@@ -729,25 +717,21 @@ def run_testing_block(
     for exclusion from metrics."""
     assert agent.vocabulary is not None
     stimuli = enumerate_stimuli()
-    records = []
 
-    def write(task, signal):
+    def record(task, signal):
         _, stimulus = task
         if signal is None:
-            record = TestingRecord(stimulus=stimulus, signal="", failed=True)
-        else:
-            record = TestingRecord(
-                stimulus=stimulus,
-                signal=signal,
-                extrapolated=agent.extrapolated(stimulus),
-            )
-        records.append(record)
-        event_log.append(record.KIND, **record.event())
+            return TestingRecord(stimulus=stimulus, signal="", failed=True)
+        return TestingRecord(
+            stimulus=stimulus,
+            signal=signal,
+            extrapolated=agent.extrapolated(stimulus),
+        )
 
     event_log.set_context(block="testing", round=None, task=None, agent=agent.agent_id)
-    yield from _batched(
+    records = yield from _batched(
         agent.produce_signals, PromptTask.SPEAKING, lambda i: (i, stimuli[i]), len(stimuli), rng,
-        config.max_agent_retries, event_log, write,
+        config.max_agent_retries, event_log, record,
     )
     return TestingResult(records=records)
 

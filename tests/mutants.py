@@ -118,8 +118,8 @@ MUTANTS = (
     ),
     Mutant(
         "tasks-asked-again-in-turn", ENGINE,
-        (("write(item, (yield from _alone(ask, item, prompt_task, rng, attempts, event_log)))",
-          "write(item, _run(_alone(ask, item, prompt_task, rng, attempts, event_log)))"),),
+        (("answer = yield from _alone(ask, item, prompt_task, rng, attempts, event_log)",
+          "answer = _run(_alone(ask, item, prompt_task, rng, attempts, event_log))"),),
         "a block reads each task it asks again alone before it yields, so one agent's retries "
         "wait on each other and on nothing else, where worker threads overlapped the two "
         "agents' and guessing's with testing's (found in review of the thread-free engine)",

@@ -265,15 +265,12 @@ class LLMAgent(Agent):
 class Reply:
     """A list an agent asked, and its reading of the answer: what
     ``answer(results, kept)`` makes of the results of the request that
-    ``send()`` sends, or ``failed`` when the request failed or was refused
-    before it was sent. Read it once, with read() or discard(), after
-    peek() if wanted, or close() it unread."""
+    ``send()`` sends, or ``failed`` when reading the request fails. Read it
+    once, with read() or discard(), after peek() if wanted, or close() it
+    unread."""
 
     def __init__(self, send: Callable, answer: Callable, failed):
-        try:
-            self._pending = send()
-        except BackendError:  # refused before it was sent: nothing to read or log
-            self._pending = None
+        self._pending = send()
         self._answer, self._failed = answer, failed
 
     @classmethod

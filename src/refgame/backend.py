@@ -6,7 +6,7 @@ both take a list of prompts and send it at once as one request, whose
 handle reads the answer later; the client retries its own transport
 failures and timeouts. Reading a request appends one record per prompt to
 the event log it is given, in the order given, before the results are
-returned.
+returned, or one ``backend_failed`` record before its error is raised.
 """
 
 from __future__ import annotations
@@ -243,19 +243,21 @@ class CompletionBackend:
     the backend can carry other requests meanwhile. The handle is read
     once, with ``read(event_log, kept=None)`` or ``discard(event_log)``,
     after ``peek()`` if wanted, or closed unread with ``close()``, which
-    logs nothing. A request succeeds or fails as a whole: a failure raises
-    a ``BackendError``, from the send when it is refused before it goes
-    out, else from the read. Only (text, log-probability, error) ever
-    crosses this boundary.
+    logs nothing. A request succeeds or fails as a whole, and fails at its
+    read: a request refused before it goes out is a handle that sends
+    nothing. Only (text, log-probability, error) ever crosses this
+    boundary.
 
     read() appends a ``backend_call`` record per prompt to ``event_log``
     (with ``kept`` only for that prompt, the others' being
-    ``backend_discarded``) and returns the results; discard() reads the
-    reply and logs every prompt as ``backend_discarded``; peek() returns
-    the results, or None when the request failed, and logs nothing. Each
-    record carries its prompt's task index in place of the log's context
-    ``task``, so a request that answers several tasks says which record
-    is whose. The two agents of an in-process dyad may share one backend.
+    ``backend_discarded``) and returns the results, or, when the request
+    failed, appends one ``backend_failed`` record (``_log_failed``) and
+    raises its ``BackendError``; discard() reads the reply and logs every
+    prompt as ``backend_discarded``; peek() returns the results, or None
+    when the request failed, and logs nothing. Each record carries its
+    prompt's task index in place of the log's context ``task``, so a
+    request that answers several tasks says which record is whose. The
+    two agents of an in-process dyad may share one backend.
     """
 
     def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int]):
@@ -293,6 +295,15 @@ class CompletionBackend:
             task=task,
         )
 
+    @staticmethod
+    def _log_failed(event_log: EventLog, call: str, error: BackendError, tasks: Sequence[int]) -> None:
+        """Append the ``backend_failed`` record of a request whose read
+        raises ``error``: its ``call``, the error's type and text, and the
+        request's task index per prompt."""
+        event_log.append(
+            "backend_failed", call=call, error=f"{type(error).__name__}: {error}", tasks=list(tasks)
+        )
+
 
 def _close_all(connections: list) -> None:
     for connection in connections:
@@ -303,9 +314,10 @@ class HttpBackend(CompletionBackend):
     """Client for an OpenAI-style completion service.
 
     Both request methods check every templated prompt against the context
-    budget, raising ContextOverflow before anything is sent, then post them
-    all at once as one list ``prompt`` and return the ``PendingCompletion``
-    that reads the reply, matching its choices by ``index``: complete()
+    budget, then post them all at once as one list ``prompt`` and return
+    the ``PendingCompletion`` that reads the reply, matching its choices by
+    ``index``; a request with a prompt over the budget is not sent, and its
+    read raises ContextOverflow: complete()
     asks for greedy continuations, score() for
     direct scoring (echo + logprobs with no new tokens), summing each
     choice's continuation log-probabilities while the reply is parsed, so
@@ -427,12 +439,19 @@ class HttpBackend(CompletionBackend):
                 return
         connection.close()
 
-    def _check_budget(self, text: str, extra_tokens: int) -> None:
-        needed = estimate_tokens(text) + extra_tokens
-        if needed > self.descriptor.context_budget_tokens:
-            raise ContextOverflow(
-                f"estimated {needed} tokens exceeds budget {self.descriptor.context_budget_tokens}"
-            )
+    def _sent(self, request: PendingCompletion, texts: Sequence[str],
+              extra_tokens: int = 0) -> PendingCompletion:
+        """``request`` sent, or left unsent when one of ``texts`` with
+        ``extra_tokens`` is estimated over the context budget: its read
+        then raises ContextOverflow."""
+        budget = self.descriptor.context_budget_tokens
+        for text in texts:
+            needed = estimate_tokens(text) + extra_tokens
+            if needed > budget:
+                request.outcome = ContextOverflow(f"estimated {needed} tokens exceeds budget {budget}")
+                request.started = request.arrived = time.monotonic()
+                return request
+        return self._send(request)
 
     @staticmethod
     def _choices(reply: dict, count: int) -> list[dict]:
@@ -450,8 +469,6 @@ class HttpBackend(CompletionBackend):
 
     def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> PendingCompletion:
         full_texts = [apply_chat_template(self.template, p) for p in prompts]
-        for text in full_texts:
-            self._check_budget(text, self.descriptor.max_output_tokens)
         payload = {
             "model": self.descriptor.model,
             "prompt": full_texts,
@@ -459,16 +476,15 @@ class HttpBackend(CompletionBackend):
             "temperature": self.descriptor.temperature,
             "stop": list(COMPLETION_STOP_SEQUENCES),
         }
-        return self._send(PendingCompletion(self, json.dumps(payload).encode(), full_texts, tasks))
+        request = PendingCompletion(self, json.dumps(payload).encode(), full_texts, tasks)
+        return self._sent(request, full_texts, self.descriptor.max_output_tokens)
 
     def score(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> PendingCompletion:
         full_texts = []
         for prompt in prompts:
             if not prompt.continuation:
                 raise ValueError("continuation must be non-empty")
-            full_text = apply_chat_template(self.template, prompt)
-            self._check_budget(full_text + prompt.continuation, 0)
-            full_texts.append(full_text)
+            full_texts.append(apply_chat_template(self.template, prompt))
         payload = {
             "model": self.descriptor.model,
             "prompt": [text + p.continuation for text, p in zip(full_texts, prompts)],
@@ -478,7 +494,8 @@ class HttpBackend(CompletionBackend):
             "logprobs": 0,
         }
         body, continuations = json.dumps(payload).encode(), [p.continuation for p in prompts]
-        return self._send(PendingCompletion(self, body, full_texts, tasks, continuations))
+        request = PendingCompletion(self, body, full_texts, tasks, continuations)
+        return self._sent(request, payload["prompt"])
 
     @staticmethod
     def _continuation_logprob(logprobs: dict | None, boundary: int) -> float:
@@ -518,9 +535,11 @@ class PendingCompletion:
     connection it went out on, whether that connection had carried an
     earlier request, the send's error (raised again by the read), the
     attempt's start time and, once received, its outcome and arrival time.
-    ``HttpBackend.complete`` and ``score`` return it sent and unread: read
-    it once, with read() or discard(), after peek() if wanted, or close()
-    it unread; until then it holds one of the backend's connections."""
+    ``HttpBackend.complete`` and ``score`` return it sent and unread (or,
+    over the context budget, unsent, its outcome the ContextOverflow its
+    read raises): read it once, with read() or discard(), after peek() if
+    wanted, or close() it unread; until then a sent one holds one of the
+    backend's connections."""
 
     def __init__(self, backend: HttpBackend, body: bytes, full_texts: list[str], tasks: Sequence[int],
                  continuations: list[str] | None = None):
@@ -608,8 +627,14 @@ class PendingCompletion:
     def read(self, event_log: EventLog, kept: int | None = None) -> list:
         """The completion texts or score totals, in prompt order, their
         records logged as ``_log`` says; a transport failure or timeout is
-        retried as ``_reply`` says."""
-        results = self._results(self._reply(event_log))
+        retried as ``_reply`` says, and a request that fails is logged as
+        ``backend_failed`` before its error is raised."""
+        try:
+            results = self._results(self._reply(event_log))
+        except BackendError as err:
+            self._backend._log_failed(event_log, "complete" if self.continuations is None else "score",
+                                      err, self.tasks)
+            raise
         self._log(event_log, results, kept)
         return results
 

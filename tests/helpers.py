@@ -198,7 +198,10 @@ class ScriptedBackend(CompletionBackend):
     Prompt, which carries its continuation, to its log-probability. Without
     ``completions`` every completion is a MalformedServiceReply; without
     ``scores`` scoring is CapabilityUnsupported. A callable that raises a
-    BackendError fails the whole request, as a service would.
+    BackendError fails the whole request, as a service would, and the
+    request's read logs it as ``backend_failed``. A read asks a request
+    that failed with a ``TransportFailure`` again, up to ``max_retries``
+    times, each time after a ``backend_retry`` record, as HttpBackend does.
 
     complete() and score() return a ``_ScriptedPending``, the handle the
     contract asks for; a request is answered when its reply is first
@@ -219,9 +222,11 @@ class ScriptedBackend(CompletionBackend):
         self,
         completions: Callable[[Prompt], str] | None = None,
         scores: Callable[[Prompt], float] | None = None,
+        max_retries: int = 0,
     ):
         self.completions = completions
         self.scores = scores
+        self.max_retries = max_retries
         self.requests = 0
         self._lock = threading.Lock()
         self.ahead: list[tuple] = []
@@ -272,6 +277,15 @@ class _ScriptedPending:
             raise self.outcome
         return self.outcome
 
+    def _reply(self, event_log: EventLog) -> list:
+        for attempt in range(1, self.backend.max_retries + 1):
+            try:
+                return self._receive()
+            except TransportFailure as err:
+                event_log.append("backend_retry", attempt=attempt, error=str(err))
+                self.outcome = None
+        return self._receive()
+
     def _note(self, event_log: EventLog, how: str, ahead: bool) -> None:
         context, task = event_log.context, self.tasks[0]
         self.backend.timeline.append(("read", self.call, task, context.get("block"), context.get("agent")))
@@ -292,7 +306,11 @@ class _ScriptedPending:
 
     def read(self, event_log: EventLog, kept: int | None = None) -> list:
         self._note(event_log, "kept", ahead=kept is not None)
-        results = self._receive()
+        try:
+            results = self._reply(event_log)
+        except BackendError as err:
+            self.backend._log_failed(event_log, self.call, err, self.tasks)
+            raise
         self._log(event_log, results, kept, discarded=False)
         return results
 

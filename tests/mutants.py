@@ -185,6 +185,16 @@ MUTANTS = (
         (f"{AHEAD}::test_same_run_as_in_turn",),
     ),
     Mutant(
+        "failed-read-leaves-no-record", BACKEND,
+        (('            self._backend._log_failed(event_log, "complete" if self.continuations is None else "score",\n'
+          "                                      err, self.tasks)\n", "            pass\n"),),
+        "a request that fails leaves no trace in the event log: a run against a service that "
+        "answers every request with 404, or whose prompts are all over the context budget, "
+        "logs only failed block records",
+        ("tests/test_cli.py::TestWireRun::test_every_failed_read_leaves_a_record",
+         "tests/test_backend.py::test_one_request_form"),
+    ),
+    Mutant(
         "argmax-keeps-the-last-greatest", AGENTS,
         (("return max(range(len(values)), key=values.__getitem__)",
           "return max(reversed(range(len(values))), key=values.__getitem__)"),),
@@ -201,15 +211,12 @@ MUTANTS = (
     ),
     Mutant(
         "list-sent-when-read", AGENTS,
-        (("        try:\n            self._pending = send()\n"
-          "        except BackendError:  # refused before it was sent: nothing to read or log\n"
-          "            self._pending = None\n        self._answer, self._failed = answer, failed\n",
+        (("        self._pending = send()\n        self._answer, self._failed = answer, failed\n",
           "        self._send, self._pending = send, None\n        self._answer, self._failed = answer, failed\n\n"
           "    def _sent(self):\n"
           "        if self._send is not None:\n"
           "            send, self._send = self._send, None\n"
-          "            try:\n                self._pending = send()\n"
-          "            except BackendError:\n                self._pending = None\n"
+          "            self._pending = send()\n"
           "        return self._pending\n"),
          ("results = None if self._pending is None else", "results = None if self._sent() is None else"),
          ("        if self._pending is None:\n            return self._failed\n",

@@ -87,8 +87,8 @@ def run_block(block: str, agent_cls, seed: int, placement: str, **agent_kwargs):
                 result = _run(run_labelling_block(agent, vocab, rng, config, log))
             else:
                 result = _run(run_testing_block(agent, rng, config, log))
-        # backend_call records differ by batch: one call per list or per task
-        events = [e for e in EventLog.read(log.path) if e["kind"] != "backend_call"]
+        # backend_call and backend_failed records differ by batch: one request per list or per task
+        events = [e for e in EventLog.read(log.path) if e["kind"] not in ("backend_call", "backend_failed")]
     return result, events, rng.getstate(), agent.vocabulary, backend.requests
 
 

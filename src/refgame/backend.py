@@ -297,9 +297,7 @@ class CompletionBackend:
 
     @staticmethod
     def _log_failed(event_log: EventLog, call: str, error: BackendError, tasks: Sequence[int]) -> None:
-        """Append the ``backend_failed`` record of a request whose read
-        raises ``error``: its ``call``, the error's type and text, and the
-        request's task index per prompt."""
+        """The ``backend_failed`` record of a request whose read raises ``error``."""
         event_log.append(
             "backend_failed", call=call, error=f"{type(error).__name__}: {error}", tasks=list(tasks)
         )
@@ -654,11 +652,7 @@ class PendingCompletion:
             self.outcome = TransportFailure("closed unread")
 
     def discard(self, event_log: EventLog) -> None:
-        """Reads the reply, once and without a retry, and logs every prompt
-        as ``backend_discarded``, with a ``result`` of None when no usable
-        reply came."""
-        try:
-            results = self._results(self._receive())
-        except BackendError:
-            results = [None] * len(self.full_texts)
-        self._log(event_log, results, discarded=True)
+        """Reads the reply as peek() does, once and without a retry, and
+        logs every prompt as ``backend_discarded``, with a ``result`` of
+        None when no usable reply came."""
+        self._log(event_log, self.peek() or [None] * len(self.full_texts), discarded=True)

@@ -322,11 +322,7 @@ class _ScriptedPending:
 
     def discard(self, event_log: EventLog) -> None:
         self._note(event_log, "discarded", ahead=True)
-        try:
-            results = self._receive()
-        except BackendError:
-            results = [None] * len(self.prompts)
-        self._log(event_log, results, None, discarded=True)
+        self._log(event_log, self.peek() or [None] * len(self.prompts), None, discarded=True)
 
     def close(self) -> None:
         if self.outcome is None:

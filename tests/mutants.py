@@ -185,6 +185,23 @@ MUTANTS = (
         (f"{AHEAD}::test_same_run_as_in_turn",),
     ),
     Mutant(
+        "reply-sent-ahead-not-an-attempt", ENGINE,
+        (("attempts - read_ahead, event_log))", "attempts, event_log))"),),
+        "a speaking reply read ahead that does not parse is not counted as the task's first "
+        "attempt, so the speaker is asked once more than in turn (found while asking each "
+        "production through one call)",
+        (f"{AHEAD}::test_dyad_with_an_oracle_runs_in_turn_beside_it", f"{AHEAD}::test_same_run_as_in_turn",
+         "tests/test_identity.py::test_wire_outputs_are_byte_identical"),
+    ),
+    Mutant(
+        "listening-sent-ahead-not-an-attempt", ENGINE,
+        (("attempts - listened, event_log))", "attempts, event_log))"),),
+        "a listening request sent ahead that fails is not counted as the choice's first attempt, "
+        "so the listener is asked once more than in turn (found while asking each choice "
+        "through one call)",
+        (f"{AHEAD}::test_same_records_as_in_turn", f"{AHEAD}::test_dyad_with_an_oracle_runs_in_turn_beside_it"),
+    ),
+    Mutant(
         "failed-read-leaves-no-record", BACKEND,
         (('            self._backend._log_failed(event_log, "complete" if self.continuations is None else "score",\n'
           "                                      err, self.tasks)\n", "            pass\n"),),

@@ -773,20 +773,55 @@ class TestReplayCommand:
             expected = f"the manifest has 'files' entry {json.dumps(name)}, outside the run directory\n"
             assert captured.err == f"error: {run_dir / 'manifest.json'}: {expected}"
 
-    def test_malformed_metrics_cell_names_file_row_and_column(self, tmp_path, capsys):
-        run_dir = self._simulate(tmp_path)
+    def _edit_metrics(self, run_dir, edit) -> None:
+        """``metrics.csv``'s lines edited in place by ``edit``, under a re-digested manifest."""
         csv_path = run_dir / "metrics.csv"
         lines = csv_path.read_text().splitlines()
-        cells = lines[3].split(",")
-        cells[lines[0].split(",").index("ngram_diversity")] = "n/a"
-        lines[3] = ",".join(cells)
+        edit(lines)
         csv_path.write_text("\n".join(lines) + "\n")
         manifest = RunManifest.load(run_dir)
         manifest.files["metrics.csv"] = file_digest(csv_path)
         manifest.save(run_dir)
+
+    def test_edited_metric_cell_reported(self, tmp_path, capsys):
+        run_dir = self._simulate(tmp_path)
+        stored = {}
+
+        def edit(lines):
+            columns = lines[0].split(",")
+            cells = lines[4].split(",")  # labelling, agent A
+            stored.update(zip(columns, cells))
+            cells[columns.index("mean_levenshtein")] = "0.5"
+            lines[4] = ",".join(cells)
+
+        self._edit_metrics(run_dir, edit)
+        capsys.readouterr()
+        assert run_cli("replay", str(run_dir)) == EXIT_MISMATCH
+        assert (stored["block"], stored["agent"]) == ("labelling", "A")
+        assert capsys.readouterr().err == (
+            f"mismatch block=labelling round=- agent=A mean_levenshtein: stored=0.5 "
+            f"recomputed={stored['mean_levenshtein']}\n"
+        )
+
+    def test_missing_metric_row_reported(self, tmp_path, capsys):
+        run_dir = self._simulate(tmp_path)
+        self._edit_metrics(run_dir, lambda lines: lines.pop())
+        capsys.readouterr()
+        assert run_cli("replay", str(run_dir)) == EXIT_MISMATCH
+        assert capsys.readouterr().err == "mismatch block=* round=- agent=- row_count: stored=14 recomputed=15\n"
+
+    def test_malformed_metrics_cell_names_file_row_and_column(self, tmp_path, capsys):
+        run_dir = self._simulate(tmp_path)
+
+        def edit(lines):
+            cells = lines[3].split(",")
+            cells[lines[0].split(",").index("ngram_diversity")] = "n/a"
+            lines[3] = ",".join(cells)
+
+        self._edit_metrics(run_dir, edit)
         assert run_cli("replay", str(run_dir)) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {csv_path}: row 3, column ngram_diversity:")
+        assert err.startswith(f"error: {run_dir / 'metrics.csv'}: row 3, column ngram_diversity:")
 
 
 class TestChainCommand:

@@ -412,7 +412,8 @@ def _batched(
     for task_index in range(count):
         event_log.set_context(task=task_index)
         if task_index < len(answers):
-            item, answer = drawn[task_index], answers[task_index]
+            item = drawn[task_index]
+            answer = answers[task_index]
         else:
             item = draw(task_index)
             answer = yield from _alone(ask, item, prompt_task, rng, attempts, event_log)
@@ -630,16 +631,17 @@ def run_communication_block(
             )
             said = (task_index, stimulus)
             sent = None
+            signal = None
             if ahead is None:
-                candidates, signal, read_ahead = draw_candidates(stimulus), None, 0
+                candidates = draw_candidates(stimulus)
             else:  # the speaking reply read ahead is t's first attempt
                 candidates, speaking, flag, sent = ahead
-                signal, read_ahead = speaking.read(event_log, flag), 1
+                signal = speaking.read(event_log, flag)
             if signal is None:
                 signal = _run(_alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng,
-                                     attempts - read_ahead, event_log))
+                                     attempts - (ahead is not None), event_log))
             ahead = None
-            chosen, listened = None, 0
+            chosen = None
             if signal is not None:
                 event_log.set_context(agent=listener.agent_id)
                 heard = (task_index, signal, candidates, stimulus)
@@ -657,7 +659,7 @@ def run_communication_block(
                         speaker.vocabulary.update(stimulus, signal, 0)  # t's record updates it again
                         next_task = (task_index + 1, next_signal, sent.next_candidates, tasks[task_index + 1][1])
                         next_sent = overlap(speaker, next_task, task_index + 2)
-                answers, listened = sent.listening.read(event_log), 1  # t's first listening attempt
+                answers = sent.listening.read(event_log)
                 if answers:
                     chosen = answers[0]
                     flag = int(candidates[chosen] == stimulus)
@@ -670,9 +672,9 @@ def run_communication_block(
                     if next_sent is not None:
                         discard(speaker_id, [next_sent.listening, next_sent.speaking])
                     rng.setstate(sent.before)
-            if signal is not None and chosen is None:
+            if signal is not None and chosen is None:  # a listening request sent is t's first attempt
                 chosen = _run(_alone(listener.choose_many, heard, PromptTask.LISTENING, rng,
-                                     attempts - listened, event_log))
+                                     attempts - (sent is not None), event_log))
             success = chosen is not None and candidates[chosen] == stimulus
 
             record = InteractionRecord(

@@ -186,7 +186,7 @@ MUTANTS = (
     ),
     Mutant(
         "reply-sent-ahead-not-an-attempt", ENGINE,
-        (("attempts - read_ahead, event_log))", "attempts, event_log))"),),
+        (("attempts - (ahead is not None), event_log))", "attempts, event_log))"),),
         "a speaking reply read ahead that does not parse is not counted as the task's first "
         "attempt, so the speaker is asked once more than in turn (found while asking each "
         "production through one call)",
@@ -195,7 +195,7 @@ MUTANTS = (
     ),
     Mutant(
         "listening-sent-ahead-not-an-attempt", ENGINE,
-        (("attempts - listened, event_log))", "attempts, event_log))"),),
+        (("attempts - (sent is not None), event_log))", "attempts, event_log))"),),
         "a listening request sent ahead that fails is not counted as the choice's first attempt, "
         "so the listener is asked once more than in turn (found while asking each choice "
         "through one call)",
@@ -203,13 +203,20 @@ MUTANTS = (
     ),
     Mutant(
         "failed-read-leaves-no-record", BACKEND,
-        (('            self._backend._log_failed(event_log, "complete" if self.continuations is None else "score",\n'
-          "                                      err, self.tasks)\n", "            pass\n"),),
+        (("            self._backend._log_failed(event_log, self.call, err, self.tasks)\n", "            pass\n"),),
         "a request that fails leaves no trace in the event log: a run against a service that "
         "answers every request with 404, or whose prompts are all over the context budget, "
         "logs only failed block records",
         ("tests/test_cli.py::TestWireRun::test_every_failed_read_leaves_a_record",
-         "tests/test_backend.py::test_one_request_form"),
+         "tests/test_backend.py::test_a_request_fails_at_its_read"),
+    ),
+    Mutant(
+        "unsent-request-discard-logged", BACKEND,
+        (("        if not isinstance(self.outcome, ContextOverflow):\n            self._log(",
+          "        if True:\n            self._log("),),
+        "a request left unsent over the context budget and then discarded is logged as "
+        "discarded, as if it had gone out (found in review of the failed-read records)",
+        ("tests/test_backend.py::test_a_request_fails_at_its_read",),
     ),
     Mutant(
         "argmax-keeps-the-last-greatest", AGENTS,

@@ -253,7 +253,8 @@ class CompletionBackend:
     ``backend_discarded``) and returns the results, or, when the request
     failed, appends one ``backend_failed`` record (``_log_failed``) and
     raises its ``BackendError``; discard() reads the reply and logs every
-    prompt as ``backend_discarded``; peek() returns the results, or None
+    prompt as ``backend_discarded``, or nothing for a request refused
+    unsent; peek() returns the results, or None
     when the request failed, and logs nothing. Each record carries its
     prompt's task index in place of the log's context ``task``, so a
     request that answers several tasks says which record is whose. The
@@ -528,7 +529,7 @@ class HttpBackend(CompletionBackend):
 
 class PendingCompletion:
     """One request of an ``HttpBackend``, a completion or (with
-    ``continuations``) a score: its body, the templated texts of its prompts
+    ``continuations``) a score, as its ``call`` says: its body, the templated texts of its prompts
     and their task indices, and, once ``_send`` has posted it, the
     connection it went out on, whether that connection had carried an
     earlier request, the send's error (raised again by the read), the
@@ -546,6 +547,7 @@ class PendingCompletion:
         self.full_texts = full_texts
         self.tasks = tasks
         self.continuations = continuations
+        self.call = "complete" if continuations is None else "score"
         self._summed: dict[int, float] = {}
 
     def _sum_choice(self, obj: dict) -> dict:
@@ -611,12 +613,12 @@ class PendingCompletion:
         a ``backend_discarded`` record without its text. A score's records
         carry the text only where it differs from the previous record's."""
         scoring = self.continuations is not None
-        call, previous = "score" if scoring else "complete", None
+        previous = None
         for position, (full_text, result, task) in enumerate(zip(self.full_texts, results, self.tasks)):
             dropped = discarded or (kept is not None and position != kept)
             extra = {"continuation": self.continuations[position]} if scoring else {}
             self._backend._log(
-                event_log, call, full_text, result, self.arrived - self.started, task,
+                event_log, self.call, full_text, result, self.arrived - self.started, task,
                 repeat=dropped or (scoring and full_text == previous),
                 kind="backend_discarded" if dropped else "backend_call", **extra,
             )
@@ -630,8 +632,7 @@ class PendingCompletion:
         try:
             results = self._results(self._reply(event_log))
         except BackendError as err:
-            self._backend._log_failed(event_log, "complete" if self.continuations is None else "score",
-                                      err, self.tasks)
+            self._backend._log_failed(event_log, self.call, err, self.tasks)
             raise
         self._log(event_log, results, kept)
         return results
@@ -654,5 +655,8 @@ class PendingCompletion:
     def discard(self, event_log: EventLog) -> None:
         """Reads the reply as peek() does, once and without a retry, and
         logs every prompt as ``backend_discarded``, with a ``result`` of
-        None when no usable reply came."""
-        self._log(event_log, self.peek() or [None] * len(self.full_texts), discarded=True)
+        None when no usable reply came; a request left unsent over the
+        budget logs nothing, as nothing went out."""
+        results = self.peek()
+        if not isinstance(self.outcome, ContextOverflow):
+            self._log(event_log, results or [None] * len(self.full_texts), discarded=True)

@@ -199,7 +199,8 @@ class ScriptedBackend(CompletionBackend):
     ``completions`` every completion is a MalformedServiceReply; without
     ``scores`` scoring is CapabilityUnsupported. A callable that raises a
     BackendError fails the whole request, as a service would, and the
-    request's read logs it as ``backend_failed``. A read asks a request
+    request's read logs it as ``backend_failed``; a ContextOverflow is a
+    request refused unsent, whose discard logs nothing. A read asks a request
     that failed with a ``TransportFailure`` again, up to ``max_retries``
     times, each time after a ``backend_retry`` record, as HttpBackend does.
 
@@ -322,7 +323,9 @@ class _ScriptedPending:
 
     def discard(self, event_log: EventLog) -> None:
         self._note(event_log, "discarded", ahead=True)
-        self._log(event_log, self.peek() or [None] * len(self.prompts), None, discarded=True)
+        results = self.peek()
+        if not isinstance(self.outcome, ContextOverflow):  # refused unsent: nothing went out
+            self._log(event_log, results or [None] * len(self.prompts), None, discarded=True)
 
     def close(self) -> None:
         if self.outcome is None:

@@ -33,10 +33,38 @@ OTHER = replace(PROMPT, stem="{'shape':2,'colour':'blue','amount':2,'word':'")
 
 
 @pytest.mark.parametrize("kind", ["http", "scripted"])
-def test_one_request_form(kind, keepalive_stub_server, tmp_path, waits):
+def test_one_request_form(kind, tmp_path):
     # HttpBackend and the tests' ScriptedBackend keep one contract: a request
-    # is sent when asked, and its handle is peeked, read, discarded or
-    # closed; a request fails at its read, which logs why
+    # is sent when asked, and its handle is peeked, read, discarded or closed
+    with wire_service() as endpoint:
+        if kind == "http":
+            backend = http_backend(endpoint)
+        else:
+            backend = ScriptedBackend(completions=lambda p: f"{p.stem[-8:]}'}}", scores=lambda p: -1.0)
+        with EventLog(tmp_path / "events.jsonl") as event_log:
+            completion = backend.complete([PROMPT, OTHER], [1, 2])
+            scoring = backend.score(CANDIDATES, [3] * 4)  # both in flight, neither read
+            peeked = completion.peek()
+            assert peeked is not None and len(peeked) == 2
+            assert completion.read(event_log, kept=1) == peeked
+            scoring.discard(event_log)
+            backend.complete([PROMPT], [4]).close()
+            assert backend.complete([OTHER], [5]).read(event_log) == peeked[1:]
+    kinds = {}
+    for record in EventLog.read(tmp_path / "events.jsonl"):
+        kinds.setdefault(record["task"], []).append(record["kind"])
+    # a closed request (task 4) logs nothing
+    assert kinds == {
+        1: ["backend_discarded"], 2: ["backend_call"], 3: ["backend_discarded"] * 4, 5: ["backend_call"]
+    }
+
+
+@pytest.mark.parametrize("kind", ["http", "scripted"])
+def test_a_request_fails_at_its_read(kind, keepalive_stub_server, tmp_path, waits):
+    # under the same contract a request fails at its read, which logs why: a
+    # failed attempt peeks as None and logs nothing, and the read retries it;
+    # a request over the budget is not sent, its read logs the refusal and its
+    # discard logs nothing
     endpoint, handler = keepalive_stub_server
     long_one = replace(PROMPT, stem=PROMPT.stem + "x" * 40_000)  # over the default budget
     if kind == "http":
@@ -64,38 +92,20 @@ def test_one_request_form(kind, keepalive_stub_server, tmp_path, waits):
             failures.append("service error 503")
     path = tmp_path / "events.jsonl"
     with EventLog(path) as event_log:
-        completion = backend.complete([PROMPT, OTHER], [1, 2])
-        scoring = backend.score(CANDIDATES, [3] * 4)  # both in flight, neither read
-        peeked = completion.peek()
-        assert peeked is not None and len(peeked) == 2
-        assert completion.read(event_log, kept=1) == peeked
-        scoring.discard(event_log)
-        backend.complete([PROMPT], [4]).close()
-        assert backend.complete([OTHER], [5]).read(event_log) == peeked[1:]
-        # a failed attempt peeks as None and logs nothing; the read retries it once
         fail_once()
         retried = backend.score(CANDIDATES, [6] * 4)
-        logged_before = len(EventLog.read(path))
         assert retried.peek() is None
-        assert len(EventLog.read(path)) == logged_before
+        assert EventLog.read(path) == []
         assert len(retried.read(event_log)) == 4
-        # a request over the budget: the service is not asked, and the read logs the refusal
-        sent = len(handler.seen)
         with pytest.raises(ContextOverflow):
             backend.complete([long_one, PROMPT], [7, 8]).read(event_log)
-        assert len(handler.seen) == sent
+        backend.complete([long_one], [9]).discard(event_log)
+    if kind == "http":
+        assert len(handler.seen) == 2  # the score request's two attempts
     records = EventLog.read(path)
-    kinds = {}
-    for record in records:
-        kinds.setdefault(record.get("task"), []).append(record["kind"])
-    # a closed request (task 4) logs nothing; a retry and a failure carry the context's task
-    assert kinds == {
-        1: ["backend_discarded"], 2: ["backend_call"], 3: ["backend_discarded"] * 4, 5: ["backend_call"],
-        None: ["backend_retry", "backend_failed"], 6: ["backend_call"] * 4,
-    }
-    assert [r for r in records if r["kind"] == "backend_retry"] == [
-        {"kind": "backend_retry", "attempt": 1, "error": "service error 503"}
-    ]
+    assert [r["kind"] for r in records] == ["backend_retry"] + ["backend_call"] * 4 + ["backend_failed"]
+    assert records[0] == {"kind": "backend_retry", "attempt": 1, "error": "service error 503"}
+    assert [r["task"] for r in records[1:5]] == [6] * 4
     failed = records[-1]
     assert failed == {"kind": "backend_failed", "call": "complete", "error": failed["error"], "tasks": [7, 8]}
     assert failed["error"].startswith("ContextOverflow: estimated ")

@@ -12,7 +12,7 @@ from random import Random
 from typing import Callable, Sequence
 
 from . import prompts
-from .backend import BackendError, CompletionBackend, EventLog
+from .backend import BackendError, CompletionBackend, EventLog, ServiceRefused
 from .domain import Signal, Stimulus, Vocabulary, enumerate_stimuli
 from .metrics import normalized_levenshtein, semantic_distance
 from .prompts import PromptTask, UnparseableResponseError
@@ -285,11 +285,14 @@ class Reply:
 
     def read(self, event_log: EventLog, kept: int | None = None):
         """The answer, its request's records logged (with ``kept`` only that
-        prompt's as a ``backend_call``)."""
+        prompt's as a ``backend_call``). A request the service refused raises
+        its ``ServiceRefused``: no answer of the model is to be had."""
         if self._pending is None:
             return self._failed
         try:
             results = self._pending.read(event_log, kept)
+        except ServiceRefused:
+            raise
         except BackendError:
             return self._failed
         return self._answer(results, kept)

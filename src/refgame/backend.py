@@ -48,6 +48,11 @@ class MalformedServiceReply(BackendError):
     pass
 
 
+class ServiceRefused(BackendError):
+    """The service refused the request (a 4xx other than 408 and 429):
+    asked again, it would refuse again."""
+
+
 class CapabilityUnsupported(BackendError):
     """The service cannot return continuation token log-probabilities."""
 
@@ -239,69 +244,25 @@ class CompletionBackend:
     and asks, in the same order, the total log-probability of each
     continuation under the model. Each sends its prompts at once as one
     request, with ``tasks``, one task index per prompt, and returns the
-    request's handle (``HttpBackend``'s is a ``PendingCompletion``), so
-    the backend can carry other requests meanwhile. The handle is read
-    once, with ``read(event_log, kept=None)`` or ``discard(event_log)``,
-    after ``peek()`` if wanted, or closed unread with ``close()``, which
-    logs nothing. A request succeeds or fails as a whole, and fails at its
-    read: a request refused before it goes out is a handle that sends
-    nothing. Only (text, log-probability, error) ever crosses this
-    boundary.
-
-    read() appends a ``backend_call`` record per prompt to ``event_log``
-    (with ``kept`` only for that prompt, the others' being
-    ``backend_discarded``) and returns the results, or, when the request
-    failed, appends one ``backend_failed`` record (``_log_failed``) and
-    raises its ``BackendError``; discard() reads the reply and logs every
-    prompt as ``backend_discarded``, or nothing for a request refused
-    unsent; peek() returns the results, or None
-    when the request failed, and logs nothing. Each record carries its
-    prompt's task index in place of the log's context ``task``, so a
-    request that answers several tasks says which record is whose. The
-    two agents of an in-process dyad may share one backend.
+    request's ``PendingCompletion``, so the backend can carry other
+    requests meanwhile. That one handle reads, retries and logs a request
+    for every backend; a backend supplies only its transport and the
+    ``descriptor`` whose ``max_retries`` and ``backoff_base`` rule the
+    retries: ``_send(request)`` posts the request's body,
+    ``_receive(request)`` returns its results in prompt order (completion
+    texts or score totals) or raises a ``BackendError``, and
+    ``_close(request)`` drops a request that will not be read. Only (text,
+    log-probability, error) ever crosses this boundary. The two agents of
+    an in-process dyad may share one backend.
     """
 
-    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int]):
+    descriptor: BackendDescriptor
+
+    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> PendingCompletion:
         raise NotImplementedError
 
-    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int]):
+    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> PendingCompletion:
         raise NotImplementedError
-
-    @staticmethod
-    def _log(
-        event_log: EventLog,
-        call: str,
-        prompt_text: str,
-        result,
-        latency: float,
-        task: int,
-        repeat: bool = False,
-        kind: str = "backend_call",
-        **extra,
-    ) -> None:
-        """Append a ``kind`` record to ``event_log``, with ``task`` over the
-        context's and ``latency`` the request's round trip in seconds; with
-        ``repeat`` it keeps the prompt's ``prompt_sha`` but leaves its text
-        out."""
-        text = {} if repeat else {"prompt": prompt_text}
-        event_log.append(
-            kind,
-            call=call,
-            prompt_sha=prompt_digest(prompt_text),
-            **text,
-            result=result,
-            latency=latency,
-            timestamp=time.time(),
-            **extra,
-            task=task,
-        )
-
-    @staticmethod
-    def _log_failed(event_log: EventLog, call: str, error: BackendError, tasks: Sequence[int]) -> None:
-        """The ``backend_failed`` record of a request whose read raises ``error``."""
-        event_log.append(
-            "backend_failed", call=call, error=f"{type(error).__name__}: {error}", tasks=list(tasks)
-        )
 
 
 def _close_all(connections: list) -> None:
@@ -310,20 +271,22 @@ def _close_all(connections: list) -> None:
 
 
 class HttpBackend(CompletionBackend):
-    """Client for an OpenAI-style completion service.
+    """Client for an OpenAI-style completion service, the transport under
+    ``PendingCompletion``.
 
     Both request methods check every templated prompt against the context
-    budget, then post them all at once as one list ``prompt`` and return
-    the ``PendingCompletion`` that reads the reply, matching its choices by
-    ``index``; a request with a prompt over the budget is not sent, and its
-    read raises ContextOverflow: complete()
-    asks for greedy continuations, score() for
-    direct scoring (echo + logprobs with no new tokens), summing each
-    choice's continuation log-probabilities while the reply is parsed, so
-    its token lists are never all held at once. Services that
-    reject echo-scoring surface CapabilityUnsupported; a reply without one
-    indexed choice per prompt, as from a service that rejects list prompts,
-    is a MalformedServiceReply.
+    budget, then post them all at once as one list ``prompt``; a request
+    with a prompt over the budget is not sent, and its read raises
+    ContextOverflow. complete() asks for greedy continuations, score() for
+    direct scoring (echo + logprobs with no new tokens). ``_send`` posts a
+    request's body and ``_receive`` reads its reply, matching choices by
+    ``index`` and summing each choice's continuation log-probabilities
+    while the reply is parsed, so its token lists are never all held at
+    once. Services that reject echo-scoring surface CapabilityUnsupported;
+    a reply without one indexed choice per prompt, as from a service that
+    rejects list prompts, is a MalformedServiceReply. A 5xx, 408 or 429
+    reply is a TransportFailure, which the handle retries; any other 4xx is
+    ServiceRefused: the same request would be refused again.
 
     Requests go out on keep-alive ``http.client`` connections, HTTPS when
     the endpoint's scheme says so, to the endpoint's path followed by
@@ -337,19 +300,8 @@ class HttpBackend(CompletionBackend):
     closes one when five are given back. Calls may come from several
     threads at once. When the service has closed a connection
     while it was idle, the request is sent once more on a new one; that is
-    not a retry. Every request, a completion or a score, is one
-    ``PendingCompletion``, sent with ``_send`` and read through one
-    retrying read, which sends the same body again after a transport
-    failure or timeout, up to ``descriptor.max_retries`` times; a request
-    is retried as a whole, and ``descriptor.timeout`` bounds each attempt at
-    the whole list.
-    Each retry appends a ``backend_retry`` record before the request's
-    ``backend_call`` records, whose ``latency`` is the answering attempt's
-    round trip: from its send to its reply's arrival, however much later
-    the reply is read.
-    ContextOverflow, capability and malformed-reply errors are not retried.
-    The records of a score request carry the templated prompt text only where
-    it differs from the previous record's; each keeps its ``prompt_sha``.
+    not a retry. ``descriptor.timeout`` bounds each attempt at the whole
+    list. A record carries the templated prompt text.
     """
 
     POOL_SIZE = 4
@@ -376,21 +328,24 @@ class HttpBackend(CompletionBackend):
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def _send(self, request: PendingCompletion) -> PendingCompletion:
-        """``request`` with its body posted on a pooled connection and its
-        reply left unread; a send that fails raises when the reply is read."""
+    def _send(self, request: PendingCompletion) -> None:
+        """Posts ``request``'s body on a pooled connection, noted on the
+        request with whether it had carried an earlier request and the
+        send's error, which ``_receive`` raises again."""
         with self._pool_lock:
             connection = self._idle.pop() if self._idle else self._connect()
-        request.connection, request.reused = connection, connection.sock is not None
-        request.error, request.outcome, request.started = None, None, time.monotonic()
+        request.connection = connection
+        request.reused = connection.sock is not None
+        request.error = None
         try:
             connection.request("POST", self._path, request.body, self._headers())
         except OSError as err:
             request.error = err
-        return request
 
-    def _receive(self, request: PendingCompletion,
-                 object_hook: Callable[[dict], dict] | None = None) -> dict:
+    def _close(self, request: PendingCompletion) -> None:
+        request.connection.close()
+
+    def _reply(self, request: PendingCompletion, object_hook: Callable[[dict], dict] | None) -> dict:
         """The parsed reply to a ``_send``; the connection goes back to the
         pool, closed when the exchange failed."""
         from http.client import HTTPException  # loaded by __init__, not with this module
@@ -409,12 +364,11 @@ class HttpBackend(CompletionBackend):
                 connection.request("POST", self._path, request.body, self._headers())
                 response = connection.getresponse()
             status, data = response.status, response.read()
-            if status >= 500:
+            if status >= 500 or status in (408, 429):
                 raise TransportFailure(f"service error {status}")
             if status != 200:
-                raise MalformedServiceReply(
-                    f"service returned {status}: {data[:200].decode(errors='replace')}"
-                )
+                refused = ServiceRefused if status >= 400 else MalformedServiceReply
+                raise refused(f"service returned {status}: {data[:200].decode(errors='replace')}")
             try:
                 return json.loads(data, object_hook=object_hook)
             except ValueError as err:
@@ -430,6 +384,35 @@ class HttpBackend(CompletionBackend):
             raise
         finally:
             self._give_back(connection)
+
+    def _receive(self, request: PendingCompletion) -> list:
+        """A completion's texts or a score's totals, in prompt order, parsed
+        from the reply once its connection is back in the pool."""
+        count = len(request.texts)
+        summed: dict[int, float] = {}
+
+        def sum_choice(obj: dict) -> dict:
+            # the token lists go as soon as a choice is parsed: the two agents'
+            # guessing replies, each several MB decoded, arrive together
+            index = obj.get("index")
+            if "logprobs" in obj and type(index) is int and 0 <= index < count:
+                boundary = len(request.texts[index])
+                summed[index] = self._continuation_logprob(obj.pop("logprobs"), boundary)
+            return obj
+
+        reply = self._reply(request, None if request.continuations is None else sum_choice)
+        choices = self._choices(reply, count)
+        if request.continuations is not None:
+            if len(summed) < count:  # a choice without log-probabilities
+                raise CapabilityUnsupported("service does not return echoed token log-probabilities")
+            return [summed[i] for i in range(count)]
+        try:
+            texts = [choice["text"] for choice in choices]
+        except (KeyError, TypeError) as err:
+            raise MalformedServiceReply(f"missing completion text: {reply!r}") from err
+        if not all(isinstance(text, str) for text in texts):
+            raise MalformedServiceReply(f"completion text is not a string: {reply!r}")
+        return texts
 
     def _give_back(self, connection) -> None:
         with self._pool_lock:
@@ -448,9 +431,8 @@ class HttpBackend(CompletionBackend):
             needed = estimate_tokens(text) + extra_tokens
             if needed > budget:
                 request.outcome = ContextOverflow(f"estimated {needed} tokens exceeds budget {budget}")
-                request.started = request.arrived = time.monotonic()
                 return request
-        return self._send(request)
+        return request.send()
 
     @staticmethod
     def _choices(reply: dict, count: int) -> list[dict]:
@@ -528,44 +510,56 @@ class HttpBackend(CompletionBackend):
 
 
 class PendingCompletion:
-    """One request of an ``HttpBackend``, a completion or (with
-    ``continuations``) a score, as its ``call`` says: its body, the templated texts of its prompts
-    and their task indices, and, once ``_send`` has posted it, the
-    connection it went out on, whether that connection had carried an
-    earlier request, the send's error (raised again by the read), the
-    attempt's start time and, once received, its outcome and arrival time.
-    ``HttpBackend.complete`` and ``score`` return it sent and unread (or,
-    over the context budget, unsent, its outcome the ContextOverflow its
-    read raises): read it once, with read() or discard(), after peek() if
-    wanted, or close() it unread; until then a sent one holds one of the
-    backend's connections."""
+    """One request of a ``CompletionBackend``, a completion or (with
+    ``continuations``) a score, as its ``call`` says: the body its
+    backend's transport sends, the texts its records show, one per prompt,
+    and their task indices; once sent, the attempt's monotonic start time
+    and, once received, its ``outcome`` (the results or the
+    ``BackendError`` its read raises) and arrival time. complete() and
+    score() return it sent and unread, or unsent with a refusal for its
+    outcome. Read it once, with read(event_log, kept=None) or
+    discard(event_log), after peek() if wanted, or close() it unread. A
+    request succeeds or fails as a whole, and fails at its read.
 
-    def __init__(self, backend: HttpBackend, body: bytes, full_texts: list[str], tasks: Sequence[int],
+    read() appends a ``backend_call`` record per prompt to ``event_log``
+    (with ``kept`` only for that prompt, the others' being
+    ``backend_discarded``) and returns the results, or, when the request
+    failed, appends one ``backend_failed`` record and raises its error. A
+    transport failure or timeout is retried as a whole, the same body sent
+    again up to ``descriptor.max_retries`` times: retry k waits
+    ``backoff_base * 2**(k-1)`` and appends a ``backend_retry`` record
+    first. Other errors are not retried. Each record carries its prompt's
+    task index in place of the log's context ``task``, so a request that
+    answers several tasks says which record is whose; its ``latency`` is
+    the answering attempt's round trip, from its send to its reply's
+    arrival, however much later the reply is read. The records of a score
+    carry the text only where it differs from the previous record's; each
+    keeps its ``prompt_sha``."""
+
+    def __init__(self, backend: CompletionBackend, body, texts: list[str], tasks: Sequence[int],
                  continuations: list[str] | None = None):
         self._backend = backend
         self.body = body
-        self.full_texts = full_texts
+        self.texts = texts
         self.tasks = tasks
         self.continuations = continuations
         self.call = "complete" if continuations is None else "score"
-        self._summed: dict[int, float] = {}
+        self.outcome = None
 
-    def _sum_choice(self, obj: dict) -> dict:
-        # the token lists go as soon as a choice is parsed: the two agents'
-        # guessing replies, each several MB decoded, arrive together
-        index = obj.get("index")
-        if "logprobs" in obj and type(index) is int and 0 <= index < len(self.full_texts):
-            boundary = len(self.full_texts[index])
-            self._summed[index] = self._backend._continuation_logprob(obj.pop("logprobs"), boundary)
-        return obj
+    def send(self) -> PendingCompletion:
+        """Sends the body through the backend's transport, forgetting the
+        outcome of an earlier attempt."""
+        self.outcome = None
+        self.started = time.monotonic()
+        self._backend._send(self)
+        return self
 
-    def _receive(self) -> dict:
-        """The reply to the attempt in flight, received at the first call
-        only: a later one returns it, or raises its error, again."""
+    def _received(self) -> list:
+        """The results of the attempt in flight, received at the first call
+        only: a later one returns them, or raises their error, again."""
         if self.outcome is None:
             try:
-                hook = None if self.continuations is None else self._sum_choice
-                self.outcome = self._backend._receive(self, hook)
+                self.outcome = self._backend._receive(self)
             except BackendError as err:
                 self.outcome = err
             self.arrived = time.monotonic()
@@ -573,66 +567,53 @@ class PendingCompletion:
             raise self.outcome
         return self.outcome
 
-    def _reply(self, event_log: EventLog) -> dict:
-        """The reply; ``started`` and ``arrived`` are then the monotonic send
-        and arrival times of the attempt that got it. After a transport
-        failure or timeout the same body is sent again: retry k waits
-        ``backoff_base * 2**(k-1)`` and is logged to ``event_log``."""
+    def _retried(self, event_log: EventLog) -> list:
+        """The results, the body sent again after each transport failure or
+        timeout the descriptor allows, each retry logged to ``event_log``."""
         descriptor = self._backend.descriptor
         attempt = 0
         while True:
             try:
-                return self._receive()
+                return self._received()
             except (TransportFailure, BackendTimeout) as err:
                 attempt += 1
                 if attempt > descriptor.max_retries:
                     raise
                 event_log.append("backend_retry", attempt=attempt, error=str(err))
                 time.sleep(descriptor.backoff_base * 2 ** (attempt - 1))
-                self._backend._send(self)
-
-    def _results(self, reply: dict) -> list:
-        """A completion's texts or a score's totals, in prompt order."""
-        choices = self._backend._choices(reply, len(self.full_texts))
-        if self.continuations is not None:
-            if len(self._summed) < len(choices):  # a choice without log-probabilities
-                raise CapabilityUnsupported("service does not return echoed token log-probabilities")
-            return [self._summed[i] for i in range(len(choices))]
-        try:
-            texts = [choice["text"] for choice in choices]
-        except (KeyError, TypeError) as err:
-            raise MalformedServiceReply(f"missing completion text: {reply!r}") from err
-        if not all(isinstance(text, str) for text in texts):
-            raise MalformedServiceReply(f"completion text is not a string: {reply!r}")
-        return texts
+                self.send()
 
     def _log(self, event_log: EventLog, results: list, kept: int | None = None,
              discarded: bool = False) -> None:
         """A ``backend_call`` record per prompt, or with ``kept`` for that
         prompt only, every other (and with ``discarded`` every one) getting
-        a ``backend_discarded`` record without its text. A score's records
-        carry the text only where it differs from the previous record's."""
+        a ``backend_discarded`` record without its text."""
         scoring = self.continuations is not None
         previous = None
-        for position, (full_text, result, task) in enumerate(zip(self.full_texts, results, self.tasks)):
+        for position, (text, result, task) in enumerate(zip(self.texts, results, self.tasks)):
             dropped = discarded or (kept is not None and position != kept)
-            extra = {"continuation": self.continuations[position]} if scoring else {}
-            self._backend._log(
-                event_log, self.call, full_text, result, self.arrived - self.started, task,
-                repeat=dropped or (scoring and full_text == previous),
-                kind="backend_discarded" if dropped else "backend_call", **extra,
+            shown = {} if dropped or (scoring and text == previous) else {"prompt": text}
+            event_log.append(
+                "backend_discarded" if dropped else "backend_call",
+                call=self.call,
+                prompt_sha=prompt_digest(text),
+                **shown,
+                result=result,
+                latency=self.arrived - self.started,
+                timestamp=time.time(),
+                **({"continuation": self.continuations[position]} if scoring else {}),
+                task=task,
             )
-            previous = full_text
+            previous = text
 
     def read(self, event_log: EventLog, kept: int | None = None) -> list:
-        """The completion texts or score totals, in prompt order, their
-        records logged as ``_log`` says; a transport failure or timeout is
-        retried as ``_reply`` says, and a request that fails is logged as
-        ``backend_failed`` before its error is raised."""
+        """The results, retried and logged as the class says."""
         try:
-            results = self._results(self._reply(event_log))
+            results = self._retried(event_log)
         except BackendError as err:
-            self._backend._log_failed(event_log, self.call, err, self.tasks)
+            event_log.append(
+                "backend_failed", call=self.call, error=f"{type(err).__name__}: {err}", tasks=list(self.tasks)
+            )
             raise
         self._log(event_log, results, kept)
         return results
@@ -642,14 +623,14 @@ class PendingCompletion:
         and logged by nothing; None when that attempt failed. A later read()
         or discard() starts from this attempt, as it would have."""
         try:
-            return self._results(self._receive())
+            return self._received()
         except BackendError:
             return None
 
     def close(self) -> None:
-        """Closes the connection of a request that will not be read."""
+        """Drops a request that will not be read, through the transport."""
         if self.outcome is None:
-            self.connection.close()
+            self._backend._close(self)
             self.outcome = TransportFailure("closed unread")
 
     def discard(self, event_log: EventLog) -> None:
@@ -659,4 +640,4 @@ class PendingCompletion:
         budget logs nothing, as nothing went out."""
         results = self.peek()
         if not isinstance(self.outcome, ContextOverflow):
-            self._log(event_log, results or [None] * len(self.full_texts), discarded=True)
+            self._log(event_log, results or [None] * len(self.texts), discarded=True)

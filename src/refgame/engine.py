@@ -911,7 +911,8 @@ def run_simulation(
     except Exception as err:
         # a failed task is a record, not an exception: what lands here is a
         # guessing draw from a collapsed language (too few distinct signals,
-        # a ValueError) or a programming error; both keep the partial result
+        # a ValueError), a request the service refused (ServiceRefused) or a
+        # programming error; each keeps the partial result
         if not result.guessing:  # the rest's blocks go with its records
             result.labelling, result.communication, result.testing = {}, None, {}
         event_log.append("run_aborted", error=str(err))

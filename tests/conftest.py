@@ -31,9 +31,11 @@ class _StubHandler(BaseHTTPRequestHandler):
     ``seen`` and its path in ``paths`` as it arrives, and once answered the
     body (None if unread) with its server-side (start, end) monotonic times
     in ``spans``, counts accepted connections in
-    ``connections``, and answers with 503 the first ``failures_left``
-    requests and, once each, a request whose first prompt is in
-    ``fail_once``. With a ``rendezvous`` barrier, the first
+    ``connections``, and answers with ``failure_status`` (503) the first
+    ``failures_left`` requests and, once each, a request whose first prompt
+    is in ``fail_once``; it answers the first ``late_left`` requests after
+    0.5 s, as it does every request with ``behaviour`` "slow". With a
+    ``rendezvous`` barrier, the first
     ``rendezvous.parties`` requests each wait at it (until its timeout)
     before they are answered. Every reply has a Content-Length, so an
     HTTP/1.1 server keeps the connection open; ``behaviour`` "close" drops
@@ -44,7 +46,9 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     behaviour = "complete"
     echo_logprobs = None
+    failure_status = 503
     failures_left = 0
+    late_left = 0
     rendezvous = None
     timeout = 2  # a connection idle this long is closed
 
@@ -98,11 +102,14 @@ class _StubHandler(BaseHTTPRequestHandler):
             except threading.BrokenBarrierError:
                 pass  # no company within the timeout
         if self._fails(body):
-            self._reply(503)
+            self._reply(type(self).failure_status)
             return
         behaviour = type(self).behaviour
-        if behaviour == "slow":
-            time.sleep(0.5)
+        with type(self).lock:
+            late = type(self).late_left > 0
+            type(self).late_left -= late
+        if behaviour == "slow" or late:
+            threading.Event().wait(0.5)  # not time.sleep, which ``waits`` records
         if behaviour == "bad_json":
             self._reply(200, b"not json")
             return

@@ -7,7 +7,6 @@ import json
 import math
 import re
 import threading
-import time
 import urllib.request
 from contextlib import contextmanager
 from dataclasses import make_dataclass
@@ -21,13 +20,13 @@ import yaml
 from refgame.agents import CompositionalOracle, LLMAgent, LookupOracle, _argmin, _Oracle
 from refgame.backend import (
     BackendDescriptor,
-    BackendError,
     CapabilityUnsupported,
     CompletionBackend,
     ContextOverflow,
     EventLog,
     HttpBackend,
     MalformedServiceReply,
+    PendingCompletion,
     TransportFailure,
 )
 from refgame.domain import (
@@ -55,6 +54,8 @@ from refgame.prompts import (
 )
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the keys of an llm run's records that hold wall-clock time, left out wherever records are compared
+WALL_CLOCK_KEYS = ("latency", "timestamp")
 # the pure-Python YAML loader, and libyaml's when it is installed, which
 # refgame.config then uses: tests that read config files run under each
 YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
@@ -192,145 +193,94 @@ def logged(log: EventLog, kind: str) -> list[dict]:
 
 
 class ScriptedBackend(CompletionBackend):
-    """Deterministic in-process backend driven by callables.
+    """Deterministic in-process backend driven by callables: a transport
+    under the client's own ``PendingCompletion``, which reads, retries and
+    logs its requests as it does ``HttpBackend``'s, at no backoff; a
+    record's text is its prompt's ``user_text()``.
 
     ``completions`` maps a Prompt to its continuation text; ``scores`` maps a
     Prompt, which carries its continuation, to its log-probability. Without
     ``completions`` every completion is a MalformedServiceReply; without
     ``scores`` scoring is CapabilityUnsupported. A callable that raises a
-    BackendError fails the whole request, as a service would, and the
-    request's read logs it as ``backend_failed``; a ContextOverflow is a
-    request refused unsent, whose discard logs nothing. A read asks a request
-    that failed with a ``TransportFailure`` again, up to ``max_retries``
-    times, each time after a ``backend_retry`` record, as HttpBackend does.
+    BackendError fails the whole request, as a service would; a
+    ContextOverflow stands for a request refused unsent.
 
-    complete() and score() return a ``_ScriptedPending``, the handle the
-    contract asks for; a request is answered when its reply is first
-    received (peeked, read or discarded), so a closed one never is.
-    ``requests`` counts the requests answered, failed ones included; the
-    two agents of a dyad may share one backend, and a test may read from
-    several threads at once, so it counts under a lock. ``ahead`` lists
-    each read of a completion request read with ``kept`` or discarded (a
-    speaking request sent ahead) as (round, task, whether its prompts were
-    all equal, "kept" or "discarded"), ``listened`` each read of a score
-    request as (round, task, "kept" or "discarded"), and ``timeline``,
-    which a test may share with an event log, each send as ("sent", call,
-    task), each read or discard as ("read", call, task, block, agent), the
-    last two from the log's context, and each request closed unread as
-    ("closed", call, task)."""
+    ``requests`` counts the requests the handle received (a closed one never
+    is), failed ones included; the two agents of a dyad may share one
+    backend, and a test may read from several threads at once, so it counts
+    under a lock. ``ahead`` lists each read of a completion request read
+    with ``kept`` or discarded (a speaking request sent ahead) as (round,
+    task, whether its prompts were all equal, "kept" or "discarded"),
+    ``listened`` each read of a score request as (round, task, "kept" or
+    "discarded"), and ``timeline``, which a test may share with an event
+    log, each send (a retry's too) as ("sent", call, task), each read or
+    discard as ("read", call, task, block, agent), the last two from the
+    log's context, and each request closed unread as ("closed", call,
+    task)."""
 
-    def __init__(
-        self,
-        completions: Callable[[Prompt], str] | None = None,
-        scores: Callable[[Prompt], float] | None = None,
-        max_retries: int = 0,
-    ):
+    def __init__(self, completions: Callable[[Prompt], str] | None = None,
+                 scores: Callable[[Prompt], float] | None = None, max_retries: int = 0):
         self.completions = completions
         self.scores = scores
-        self.max_retries = max_retries
+        self.descriptor = BackendDescriptor(max_retries=max_retries, backoff_base=0.0)
         self.requests = 0
         self._lock = threading.Lock()
         self.ahead: list[tuple] = []
         self.listened: list[tuple] = []
         self.timeline: list[tuple] = []
 
-    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> "_ScriptedPending":
-        return _ScriptedPending(self, list(prompts), list(tasks), "complete")
+    def complete(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> PendingCompletion:
+        return _NotedRequest(self, list(prompts), [p.user_text() for p in prompts], list(tasks)).send()
 
-    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> "_ScriptedPending":
-        return _ScriptedPending(self, list(prompts), list(tasks), "score")
+    def score(self, prompts: Sequence[Prompt], tasks: Sequence[int]) -> PendingCompletion:
+        texts = [p.user_text() for p in prompts]
+        return _NotedRequest(self, list(prompts), texts, list(tasks), [p.continuation for p in prompts]).send()
 
-    def _answer(self, call: str, prompts: list[Prompt]) -> list:
+    def _send(self, request: PendingCompletion) -> None:
+        self.timeline.append(("sent", request.call, request.tasks[0]))
+
+    def _receive(self, request: PendingCompletion) -> list:
         with self._lock:
             self.requests += 1
-        if call == "score":
-            return [self._scripted_score(p) for p in prompts]
-        if self.completions is None:
-            raise MalformedServiceReply("scripted backend has no completions")
-        return [self.completions(p) for p in prompts]
-
-    def _scripted_score(self, prompt: Prompt) -> float:
+        if request.call == "complete":
+            if self.completions is None:
+                raise MalformedServiceReply("scripted backend has no completions")
+            return [self.completions(p) for p in request.body]
         if self.scores is None:
             raise CapabilityUnsupported("scripted backend has no scores")
-        value = self.scores(prompt)
-        if value > 0:
-            raise MalformedServiceReply(f"log-probability must be <= 0, got {value}")
-        return float(value)
+        values = []
+        for prompt in request.body:
+            value = self.scores(prompt)
+            if value > 0:
+                raise MalformedServiceReply(f"log-probability must be <= 0, got {value}")
+            values.append(float(value))
+        return values
+
+    def _close(self, request: PendingCompletion) -> None:
+        self.timeline.append(("closed", request.call, request.tasks[0]))
 
 
-class _ScriptedPending:
-    def __init__(self, backend: ScriptedBackend, prompts: list[Prompt], tasks: list[int], call: str):
-        self.backend = backend
-        self.prompts = prompts
-        self.tasks = tasks
-        self.call = call
-        self.started = time.monotonic()
-        self.outcome = None
-        backend.timeline.append(("sent", call, tasks[0]))
-
-    def _receive(self) -> list:
-        if self.outcome is None:
-            try:
-                self.outcome = self.backend._answer(self.call, self.prompts)
-            except BackendError as err:
-                self.outcome = err
-        if isinstance(self.outcome, BackendError):
-            raise self.outcome
-        return self.outcome
-
-    def _reply(self, event_log: EventLog) -> list:
-        for attempt in range(1, self.backend.max_retries + 1):
-            try:
-                return self._receive()
-            except TransportFailure as err:
-                event_log.append("backend_retry", attempt=attempt, error=str(err))
-                self.outcome = None
-        return self._receive()
+class _NotedRequest(PendingCompletion):
+    """The client's handle, noting each read and discard in its
+    ``ScriptedBackend``'s ``timeline``, ``ahead`` and ``listened``."""
 
     def _note(self, event_log: EventLog, how: str, ahead: bool) -> None:
+        backend = self._backend
         context, task = event_log.context, self.tasks[0]
-        self.backend.timeline.append(("read", self.call, task, context.get("block"), context.get("agent")))
+        backend.timeline.append(("read", self.call, task, context.get("block"), context.get("agent")))
         if self.call == "score":
-            self.backend.listened.append((context.get("round"), task, how))
+            backend.listened.append((context.get("round"), task, how))
         elif ahead:
-            equal = all(prompt == self.prompts[0] for prompt in self.prompts)
-            self.backend.ahead.append((context.get("round"), task, equal, how))
-
-    def _log(self, event_log: EventLog, results: list, kept: int | None, discarded: bool) -> None:
-        for position, (prompt, result, task) in enumerate(zip(self.prompts, results, self.tasks)):
-            dropped = discarded or (kept is not None and position != kept)
-            extra = {"continuation": prompt.continuation} if self.call == "score" else {}
-            self.backend._log(
-                event_log, self.call, prompt.user_text(), result, time.monotonic() - self.started, task,
-                repeat=dropped, kind="backend_discarded" if dropped else "backend_call", **extra,
-            )
+            equal = all(prompt == self.body[0] for prompt in self.body)
+            backend.ahead.append((context.get("round"), task, equal, how))
 
     def read(self, event_log: EventLog, kept: int | None = None) -> list:
         self._note(event_log, "kept", ahead=kept is not None)
-        try:
-            results = self._reply(event_log)
-        except BackendError as err:
-            self.backend._log_failed(event_log, self.call, err, self.tasks)
-            raise
-        self._log(event_log, results, kept, discarded=False)
-        return results
-
-    def peek(self) -> list | None:
-        try:
-            return self._receive()
-        except BackendError:
-            return None
+        return super().read(event_log, kept)
 
     def discard(self, event_log: EventLog) -> None:
         self._note(event_log, "discarded", ahead=True)
-        results = self.peek()
-        if not isinstance(self.outcome, ContextOverflow):  # refused unsent: nothing went out
-            self._log(event_log, results or [None] * len(self.prompts), None, discarded=True)
-
-    def close(self) -> None:
-        if self.outcome is None:
-            self.outcome = TransportFailure("closed unread")
-        self.backend.timeline.append(("closed", self.call, self.tasks[0]))
+        super().discard(event_log)
 
 
 class InTurnAgent(LLMAgent):

@@ -203,7 +203,8 @@ MUTANTS = (
     ),
     Mutant(
         "failed-read-leaves-no-record", BACKEND,
-        (("            self._backend._log_failed(event_log, self.call, err, self.tasks)\n", "            pass\n"),),
+        (("            event_log.append(\n                \"backend_failed\", call=self.call, error=f\"{type(err).__name__}: {err}\", "
+          "tasks=list(self.tasks)\n            )\n", "            pass\n"),),
         "a request that fails leaves no trace in the event log: a run against a service that "
         "answers every request with 404, or whose prompts are all over the context budget, "
         "logs only failed block records",
@@ -217,6 +218,23 @@ MUTANTS = (
         "a request left unsent over the context budget and then discarded is logged as "
         "discarded, as if it had gone out (found in review of the failed-read records)",
         ("tests/test_backend.py::test_a_request_fails_at_its_read",),
+    ),
+    Mutant(
+        "timeout-not-retried", BACKEND,
+        (("            except (TransportFailure, BackendTimeout) as err:",
+          "            except TransportFailure as err:"),),
+        "a request whose attempt times out is not sent again, though the descriptor allows "
+        "retries; the tests' scripted backend once retried a TransportFailure only (found while "
+        "giving both backends one request handle)",
+        ("tests/test_backend.py::test_a_request_fails_at_its_read",),
+    ),
+    Mutant(
+        "refusal-read-as-no-answers", AGENTS,
+        (("        except ServiceRefused:\n            raise\n", ""),),
+        "a request the service refused (a 404) is read as a list with no answers, so each task "
+        "is asked again alone and a run of refused requests completes with every task failed "
+        "(ROADMAP item 28)",
+        ("tests/test_cli.py::TestWireRun::test_every_failed_read_leaves_a_record",),
     ),
     Mutant(
         "argmax-keeps-the-last-greatest", AGENTS,

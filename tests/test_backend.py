@@ -13,6 +13,8 @@ from refgame.backend import (
     ContextOverflow,
     EventLog,
     MalformedServiceReply,
+    PendingCompletion,
+    ServiceRefused,
     TransportFailure,
     apply_chat_template,
     estimate_tokens,
@@ -44,6 +46,8 @@ def test_one_request_form(kind, tmp_path):
         with EventLog(tmp_path / "events.jsonl") as event_log:
             completion = backend.complete([PROMPT, OTHER], [1, 2])
             scoring = backend.score(CANDIDATES, [3] * 4)  # both in flight, neither read
+            # both kinds run the client's one handle; the scripted one only notes its reads
+            assert isinstance(completion, PendingCompletion) and isinstance(scoring, PendingCompletion)
             peeked = completion.peek()
             assert peeked is not None and len(peeked) == 2
             assert completion.read(event_log, kept=1) == peeked
@@ -62,23 +66,26 @@ def test_one_request_form(kind, tmp_path):
 @pytest.mark.parametrize("kind", ["http", "scripted"])
 def test_a_request_fails_at_its_read(kind, keepalive_stub_server, tmp_path, waits):
     # under the same contract a request fails at its read, which logs why: a
-    # failed attempt peeks as None and logs nothing, and the read retries it;
-    # a request over the budget is not sent, its read logs the refusal and its
-    # discard logs nothing
+    # failed attempt peeks as None and logs nothing, and the read retries it,
+    # as it does an attempt that times out; a request over the budget is not
+    # sent, its read logs the refusal and its discard logs nothing
     endpoint, handler = keepalive_stub_server
     long_one = replace(PROMPT, stem=PROMPT.stem + "x" * 40_000)  # over the default budget
     if kind == "http":
-        backend = http_backend(endpoint, max_retries=1)
+        backend = http_backend(endpoint, max_retries=1, timeout=0.2)
 
         def fail_once():
             handler.failures_left = 1
+
+        def time_out_once():
+            handler.late_left = 1
     else:
-        failures = []  # each a 503 the next completion or score request gets
+        failures = []  # each the error the next completion or score request gets
 
         def reply(answer):
             def scripted(prompt):
                 if failures:
-                    raise TransportFailure(failures.pop())
+                    raise failures.pop()
                 if prompt.stem == long_one.stem:
                     raise ContextOverflow("estimated 10013 tokens exceeds budget 8192")
                 return answer(prompt)
@@ -89,7 +96,10 @@ def test_a_request_fails_at_its_read(kind, keepalive_stub_server, tmp_path, wait
         )
 
         def fail_once():
-            failures.append("service error 503")
+            failures.append(TransportFailure("service error 503"))
+
+        def time_out_once():
+            failures.append(BackendTimeout("no reply within 0.2 s"))
     path = tmp_path / "events.jsonl"
     with EventLog(path) as event_log:
         fail_once()
@@ -97,15 +107,21 @@ def test_a_request_fails_at_its_read(kind, keepalive_stub_server, tmp_path, wait
         assert retried.peek() is None
         assert EventLog.read(path) == []
         assert len(retried.read(event_log)) == 4
+        time_out_once()
+        assert len(backend.complete([PROMPT, OTHER], [10, 11]).read(event_log)) == 2
         with pytest.raises(ContextOverflow):
             backend.complete([long_one, PROMPT], [7, 8]).read(event_log)
         backend.complete([long_one], [9]).discard(event_log)
     if kind == "http":
-        assert len(handler.seen) == 2  # the score request's two attempts
+        assert len(handler.seen) == 4  # the two attempts of the score and of the completion
     records = EventLog.read(path)
-    assert [r["kind"] for r in records] == ["backend_retry"] + ["backend_call"] * 4 + ["backend_failed"]
+    assert [r["kind"] for r in records] == (
+        ["backend_retry"] + ["backend_call"] * 4 + ["backend_retry"] + ["backend_call"] * 2 + ["backend_failed"]
+    )
     assert records[0] == {"kind": "backend_retry", "attempt": 1, "error": "service error 503"}
     assert [r["task"] for r in records[1:5]] == [6] * 4
+    assert records[5] == {"kind": "backend_retry", "attempt": 1, "error": "no reply within 0.2 s"}
+    assert [r["task"] for r in records[6:8]] == [10, 11]
     failed = records[-1]
     assert failed == {"kind": "backend_failed", "call": "complete", "error": failed["error"], "tasks": [7, 8]}
     assert failed["error"].startswith("ContextOverflow: estimated ")
@@ -513,10 +529,7 @@ class TestWireConnection:
         assert backend.score([SCORED], [0]).read(EventLog()) == [pytest.approx(-1.5)]
         assert handler.connections == 2
 
-    @pytest.mark.parametrize(
-        "behaviour, message",
-        [("bad_json", "response body is not JSON"), ("not_found", "service returned 404: no such model")],
-    )
+    @pytest.mark.parametrize("behaviour, message", [("bad_json", "response body is not JSON")])
     def test_unusable_reply_is_malformed(self, keepalive_stub_server, behaviour, message):
         endpoint, handler = keepalive_stub_server
         handler.behaviour = behaviour
@@ -525,6 +538,28 @@ class TestWireConnection:
             backend.complete([PROMPT], [0]).read(EventLog())
         assert str(info.value) == message
         assert len(handler.seen) == 1  # not retried
+
+    @pytest.mark.parametrize("status", [400, 401, 404])
+    def test_refused_request_is_not_retried(self, keepalive_stub_server, event_log, status):
+        # a 4xx says the request is wrong: asked again, it would be refused again
+        endpoint, handler = keepalive_stub_server
+        handler.failures_left = 1
+        handler.failure_status = status
+        with pytest.raises(ServiceRefused, match=f"^service returned {status}: $"):
+            http_backend(endpoint).complete([PROMPT], [0]).read(event_log)
+        assert len(handler.seen) == 1
+        (failed,) = logged(event_log, "backend_failed")
+        assert failed["error"] == f"ServiceRefused: service returned {status}: "
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_timed_out_or_throttled_request_is_retried(self, keepalive_stub_server, event_log, waits, status):
+        # 408 (request timeout) and 429 (too many requests) invite the same request again
+        endpoint, handler = keepalive_stub_server
+        handler.failures_left = 1
+        handler.failure_status = status
+        assert http_backend(endpoint).complete([PROMPT], [0]).read(event_log) == [" hanosa'}"]
+        assert [r["error"] for r in logged(event_log, "backend_retry")] == [f"service error {status}"]
+        assert len(handler.seen) == 2 and waits == [0.5]
 
 
 class TestConnectionPool:

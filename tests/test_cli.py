@@ -1510,9 +1510,10 @@ class TestWireRun:
 
     @pytest.mark.parametrize("refusal", ["not-found", "over-budget"])
     def test_every_failed_read_leaves_a_record(self, keepalive_stub_server, tmp_path, refusal):
-        # a service that answers every request with 404, or a budget that no
-        # prompt fits, so the client sends nothing: every task fails, the run
-        # completes and replays, and each read that failed says why
+        # a service that answers every request with 404 refuses the run: its
+        # first read aborts it, and only the requests already in flight went
+        # out. A budget that no prompt fits sends nothing: every task fails,
+        # the run completes and replays. Each read that failed says why
         endpoint, handler = keepalive_stub_server
         config = yaml.safe_load(Path(wire_config(tmp_path, endpoint)).read_text())
         config["run"]["max_agent_retries"] = 1
@@ -1523,20 +1524,24 @@ class TestWireRun:
         path = tmp_path / "refused.yaml"
         path.write_text(yaml.safe_dump(config))
         out = tmp_path / "runs"
-        assert run_cli("simulate", "--config", str(path), "--out", str(out)) == EXIT_OK
+        code = run_cli("simulate", "--config", str(path), "--out", str(out))
         records = EventLog.read(out / "sim-00" / "events.jsonl")
         assert not any(r["kind"] in ("backend_call", "backend_discarded") for r in records)
         errors = [r["error"] for r in records if r["kind"] == "backend_failed"]
+        if refusal == "not-found":
+            assert code == EXIT_RUNTIME and records[-1]["kind"] == "run_aborted"
+            # both guessing lists, then both labelling lists, sent before the first read
+            assert len(handler.seen) == 4
+            assert errors == ["ServiceRefused: service returned 404: no such model"]
+            assert run_cli("replay", str(out / "sim-00")) == EXIT_VALIDATION
+            return
+        assert code == EXIT_OK
         # per agent, a list and then each task alone in guessing (15),
         # labelling (15) and testing (27), and 15 productions in communication
         assert len(errors) == 2 * (3 + 15 + 15 + 27 + 15)
-        if refusal == "not-found":
-            assert len(handler.seen) == len(errors)
-            assert set(errors) == {"MalformedServiceReply: service returned 404: no such model"}
-        else:
-            assert handler.seen == []
-            refused = r"ContextOverflow: estimated \d+ tokens exceeds budget 100"
-            assert all(re.fullmatch(refused, error) for error in errors)
+        assert handler.seen == []
+        refused = r"ContextOverflow: estimated \d+ tokens exceeds budget 100"
+        assert all(re.fullmatch(refused, error) for error in errors)
         assert run_cli("replay", str(out / "sim-00")) == EXIT_OK
 
     def test_retried_list_request_has_no_task(self, keepalive_stub_server, tmp_path, waits):

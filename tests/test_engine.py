@@ -23,6 +23,7 @@ from helpers import (
     BreakingOracle,
     InTurnAgent,
     SERVICE_WORDS,
+    WALL_CLOCK_KEYS,
     RepairOracle,
     ScriptedBackend,
     http_backend,
@@ -367,7 +368,7 @@ class TestSpeakingAhead:
         with TimelineLog(path, backend.timeline) as log:
             result = run_communication_block(a, b, rng, config, log)
         records = [
-            {key: value for key, value in r.items() if key not in ("latency", "timestamp")}
+            {key: value for key, value in r.items() if key not in WALL_CLOCK_KEYS}
             for r in EventLog.read(path)
         ]
         return backend, result, (a.vocabulary, b.vocabulary, rng.getstate()), records
@@ -418,7 +419,7 @@ class TestSpeakingAhead:
                 config = RunConfig(rounds=2, max_agent_retries=2)
                 result = run_communication_block(*dyad, Random(3), config, log)
             kept = [r for r in EventLog.read(path) if r["kind"] != "backend_discarded"]
-            return result, [{k: v for k, v in r.items() if k not in ("latency", "timestamp")} for r in kept]
+            return result, [{k: v for k, v in r.items() if k not in WALL_CLOCK_KEYS} for r in kept]
 
         in_turn, records = communicate(InTurnAgent)
         ahead, ahead_records = communicate(LLMAgent)
@@ -1011,9 +1012,9 @@ class TestGuessingBesideTheRest:
     # sha256 of ``run``'s records as the run with every block in turn wrote
     # them, before guessing overlapped the rest
     IN_TURN_SHA256 = {
-        "": "06b5f6a41e9527f35062b853035dc63111ede59bcbd787179cb9644d968131aa",
-        "guessing": "9b8c51ee6045cc55e4cd2561dddd936c78a73c22ff0988fdd14200dafbb8ef60",
-        "communication": "a6190139dee03584504cb2e7d6848160d8a9735f77d072cb0abb119674ffea5c",
+        "": "5fe75a161971dfb09a7406bdf4c95d29263eb959f3c014eae9f8aed37b2c7a1c",
+        "guessing": "011b33dd6770793119c686d36c426fcb1f41322cf741f2bb26ec07d67f3fe43c",
+        "communication": "538425c974d638c9f1f02a8efdc063cb49cbe20c2db3d80aa4a8de87b9222327",
     }
 
     def run(self, breaks: str = "", initial=None) -> tuple:
@@ -1053,7 +1054,7 @@ class TestGuessingBesideTheRest:
         except SimulationAborted as err:
             result, error = err.partial, str(err)
         records = [
-            {key: value for key, value in json.loads(line).items() if key not in ("latency", "timestamp")}
+            {key: value for key, value in json.loads(line).items() if key not in WALL_CLOCK_KEYS}
             for line in log._file.getvalue().splitlines()
         ]
         blocks = (result.guessing, result.labelling, result.communication, result.testing)
@@ -1353,6 +1354,15 @@ class TestBlockEvents:
         assert loaded.communication.perc_com == result.communication.perc_com
 
 
+def prompted_calls(log: EventLog) -> list[dict]:
+    """The log's ``backend_call`` records, each with its ``prompt``: a score
+    record leaves out a text equal to the previous record's."""
+    calls, previous = logged(log, "backend_call"), None
+    for call in calls:
+        previous = call.setdefault("prompt", previous)
+    return calls
+
+
 class TestExclusionInvariant:
     def test_no_communication_or_testing_prompt_contains_target(self, tmp_path):
         vocab, split = training_vocab(7)
@@ -1370,7 +1380,7 @@ class TestExclusionInvariant:
             for e in logged(log, "interaction")
         }
         checked_speak = checked_listen = checked_test = 0
-        for call in logged(log, "backend_call"):
+        for call in prompted_calls(log):
             lines = call["prompt"].split("\n")
             body, stem = lines[:-1], lines[-1]
             if call["block"] == "communication" and call["call"] == "complete":
@@ -1402,7 +1412,7 @@ class TestExclusionInvariant:
             engine._run(run_labelling_block(agent, vocab, Random(0), RunConfig(), log))
             agent.set_vocabulary(vocab.copy())
             engine._run(run_guessing_block(agent, vocab, Random(0), RunConfig(), log))
-        for call in logged(log, "backend_call"):
+        for call in prompted_calls(log):
             lines = call["prompt"].split("\n")
             body, stem = lines[:-1], lines[-1]
             prefix = stem[: stem.index("'word':'")]

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import yaml
 
-from helpers import InTurnAgent, in_context_learner, service, service_stats, wire_service
+from helpers import WALL_CLOCK_KEYS, InTurnAgent, in_context_learner, service, service_stats, wire_service
 from refgame.backend import EventLog
 from refgame.cli import EXIT_OK, EXIT_RUNTIME, main
 from refgame.engine import RunConfig, run_simulation
@@ -59,7 +59,6 @@ LLM_BACKENDS = {
     "call-error": lambda seed: service(seed, "call-error"),
 }
 LLM_SEEDS = (0, 1)
-WALL_CLOCK_KEYS = ("latency", "timestamp")
 # name -> (command, whether the service injects faults). Scoring replies
 # echo every token, so a round costs about 0.4 s even at no latency: the
 # runs keep to one round. Seed 33's faults exhaust the retries of task 12's

@@ -1533,6 +1533,7 @@ class TestWireRun:
             # both guessing lists, then both labelling lists, sent before the first read
             assert len(handler.seen) == 4
             assert errors == ["ServiceRefused: service returned 404: no such model"]
+            assert RunManifest.load(out / "sim-00").status == "incomplete"
             assert run_cli("replay", str(out / "sim-00")) == EXIT_VALIDATION
             return
         assert code == EXIT_OK

@@ -22,6 +22,7 @@ import weakref
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from time import sleep  # the backoff's own name, replaceable without touching time.sleep
 from typing import Callable, Collection, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
@@ -207,15 +208,19 @@ class EventLog:
             self.context = fork.context
 
     @staticmethod
-    def read(path: str | Path, kinds: Collection[str] | None = None) -> list[dict]:
-        """Every record of the log at ``path``, or with ``kinds`` only those
-        of these kinds. ``append`` writes a record's kind first, so a line of
-        another kind is skipped without being parsed; a line that does not
-        start ``{"kind": "`` (a log not written by ``append``) is parsed to
-        learn its kind. A parsed line that is not a JSON object with a string
-        kind raises ``ValueError``."""
+    def read(source: str | Path | bytes, kinds: Collection[str] | None = None) -> list[dict]:
+        """Every record of a log, read from the path ``source`` or given as
+        its bytes, or with ``kinds`` only those of these kinds. The bytes are
+        decoded as UTF-8 in one strict step (an undecodable byte anywhere
+        raises ``UnicodeDecodeError``, a ``ValueError``) and cut into lines
+        by ``str.splitlines``, so any line ending serves. ``append`` writes
+        a record's kind first, so a line of another kind is skipped without
+        being parsed; a line that does not start ``{"kind": "`` (a log not
+        written by ``append``) is parsed to learn its kind. A parsed line
+        that is not a JSON object with a string kind raises ``ValueError``."""
         records = []
-        for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        data = source if isinstance(source, bytes) else Path(source).read_bytes()
+        for number, line in enumerate(data.decode().splitlines(), start=1):
             if not line:
                 continue
             if kinds is not None and line.startswith(_KIND_PREFIX):
@@ -580,7 +585,7 @@ class PendingCompletion:
                 if attempt > descriptor.max_retries:
                     raise
                 event_log.append("backend_retry", attempt=attempt, error=str(err))
-                time.sleep(descriptor.backoff_base * 2 ** (attempt - 1))
+                sleep(descriptor.backoff_base * 2 ** (attempt - 1))
                 self.send()
 
     def _log(self, event_log: EventLog, results: list, kept: int | None = None,

@@ -57,7 +57,8 @@ class Stimulus(namedtuple("Stimulus", ("shape", "colour", "amount"))):
     of its fields), ``json.dumps`` writes it as ``[shape, colour, amount]``,
     and the repr is ``Stimulus(shape=1, colour='blue', amount=1)``.
     Constructing one outside the space raises ``DomainError``, also through
-    ``_make`` and so ``_replace`` and ``copy.replace``.
+    ``_make`` and so ``_replace`` and ``copy.replace``. ``_make`` of an
+    int, a str and an int gives the space's own Stimulus, not a new one.
     """
 
     __slots__ = ()
@@ -73,7 +74,12 @@ class Stimulus(namedtuple("Stimulus", ("shape", "colour", "amount"))):
 
     @classmethod
     def _make(cls, iterable) -> Stimulus:
-        return cls(*iterable)
+        fields = tuple(iterable)
+        canonical = _CANONICAL.get(fields)
+        # a field that only equals a canonical one (True for 1) is kept as given
+        if canonical is not None and tuple(map(type, fields)) == (int, str, int):
+            return canonical
+        return cls(*fields)
 
 
 # Signals are plain strings. Freshly generated ones are 2-4 CV syllables over
@@ -85,6 +91,7 @@ Signal = str
 _STIMULUS_SPACE = tuple(
     Stimulus(shape, colour, amount) for shape in SHAPES for colour in COLOURS for amount in AMOUNTS
 )
+_CANONICAL = {stimulus: stimulus for stimulus in _STIMULUS_SPACE}
 
 
 def enumerate_stimuli() -> list[Stimulus]:
@@ -183,12 +190,15 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         lines = [format_vocab_line(e, include_success=self.track_success) for e in self.entries]
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
-    def load(cls, path: str | Path) -> "Vocabulary":
+    def load(cls, path: str | Path, data: bytes | None = None) -> "Vocabulary":
+        """The vocabulary of the file at ``path`` or, given its bytes as
+        ``data``, of those; a file that is not UTF-8 or has a line that
+        does not parse raises ``VocabularyFormatError``."""
         try:
-            text = Path(path).read_text()
+            text = (Path(path).read_bytes() if data is None else data).decode()
         except UnicodeDecodeError as err:
             raise VocabularyFormatError(f"{path} cannot be decoded: {err}") from None
         entries: list[VocabularyEntry] = []

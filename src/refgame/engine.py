@@ -35,6 +35,7 @@ from .domain import (
 )
 from .metrics import (
     MetricError,
+    SignalMemo,
     communicative_success_rate,
     normalized_levenshtein,
     generalization_score,
@@ -770,10 +771,11 @@ def block_record_keys(
 
 def compute_metric_rows(result: SimulationResult) -> list[MetricRow]:
     """All metric rows of a run. TopSim seeds derive from the master seed and
-    the row context, so recomputation (replay) is reproducible. Signal
-    distances are memoised for this call only."""
+    the row context, so recomputation (replay) is reproducible. Each signal
+    pair and each distinct signal list is measured once, for this call
+    only."""
     config = result.config
-    distances: dict[tuple[str, str], float] = {}
+    memo = SignalMemo()
 
     def row(block, pairs, round=None, agent="", **measured) -> MetricRow:
         label = block if block == "initial" else f"{block}:{round or ''}:{agent}"
@@ -781,7 +783,7 @@ def compute_metric_rows(result: SimulationResult) -> list[MetricRow]:
             pairs,
             permutations=config.mantel_permutations,
             rng=derive_seed(config.master_seed, f"metrics:{label}"),
-            memo=distances,
+            memo=memo,
         )
         topsim = report.topsim
         if topsim is not None:
@@ -829,7 +831,7 @@ def compute_metric_rows(result: SimulationResult) -> list[MetricRow]:
         if len(pairs) >= 3 and train_pairs and test_pairs:
             try:
                 testing.gen_score = generalization_score(
-                    train_pairs, test_pairs, pairs="cross", memo=distances
+                    train_pairs, test_pairs, pairs="cross", memo=memo.distances
                 )
                 testing.gen_score_pairs = "cross"
             except MetricError:

@@ -190,9 +190,10 @@ def semantic_distance_matrix(stimuli: Sequence[Stimulus]) -> np.ndarray:
 def signal_distance_matrix(
     signals: Sequence[Signal], memo: dict[tuple[Signal, Signal], float] | None = None
 ) -> np.ndarray:
-    """Pairwise normalized Levenshtein distances. ``memo`` maps an ordered
-    signal pair to its distance; a pair is measured only when it is missing,
-    so one memo shared by several matrices measures each pair once."""
+    """Pairwise normalized Levenshtein distances. ``memo`` maps a signal
+    pair, in sorted order, to its distance; a pair is measured only when it
+    is missing, so one memo shared by several matrices measures each
+    unordered pair once."""
     n = len(signals)
     rows, cols = _upper_triangle(n)  # row-major, as the pairs below
     m = np.zeros((n, n))
@@ -216,13 +217,53 @@ def _distances(
     pairs: Sequence[tuple[Signal, Signal]], memo: dict[tuple[Signal, Signal], float] | None
 ) -> list[float]:
     """``normalized_levenshtein`` of each signal pair, measured only when
-    it is missing from ``memo`` and then added there."""
+    the pair in sorted order is missing from ``memo`` and then added there
+    under that key: the distance is symmetric, to the last bit."""
     if memo is None:
         memo = {}
-    for pair in pairs:
-        if pair not in memo:
-            memo[pair] = normalized_levenshtein(*pair)
-    return [memo[pair] for pair in pairs]
+    distances = []
+    for a, b in pairs:
+        key = (a, b) if a <= b else (b, a)
+        distance = memo.get(key)
+        if distance is None:
+            distance = memo[key] = normalized_levenshtein(*key)
+        distances.append(distance)
+    return distances
+
+
+@dataclass(frozen=True)
+class SignalListMeasures:
+    """What a signal list's metrics take from its signals alone: the
+    distance matrix (read-only, as it may be shared) and three figures."""
+
+    matrix: np.ndarray
+    ngram_diversity: float
+    mean_signal_length: float
+    unique_signal_ratio: float
+
+
+class SignalMemo:
+    """Signal measurements kept for one caller, so that each is made once:
+    ``distances`` maps a signal pair, in sorted order, to its normalized
+    Levenshtein distance (a ``signal_distance_matrix`` memo), and
+    ``measures`` gives each distinct signal list's ``SignalListMeasures``.
+    It keeps everything it measured, so keep it only as long as the same
+    signals are measured again, e.g. for one ``compute_metric_rows`` call."""
+
+    def __init__(self):
+        self.distances: dict[tuple[Signal, Signal], float] = {}
+        self.lists: dict[tuple[Signal, ...], SignalListMeasures] = {}
+
+    def measures(self, signals: Sequence[Signal]) -> SignalListMeasures:
+        key = tuple(signals)
+        measures = self.lists.get(key)
+        if measures is None:
+            matrix = signal_distance_matrix(key, self.distances)
+            matrix.flags.writeable = False
+            measures = self.lists[key] = SignalListMeasures(
+                matrix, ngram_diversity(key), mean_signal_length(key), unique_signal_ratio(key)
+            )
+        return measures
 
 
 @dataclass(frozen=True)
@@ -358,18 +399,17 @@ def topsim_mantel(
     permutations: int = DEFAULT_PERMUTATIONS,
     rng=None,
     method: str = "auto",
-    memo: dict[tuple[Signal, Signal], float] | None = None,
 ) -> TopSimResult:
     """TopSim of a vocabulary (or iterable of (stimulus, signal) pairs).
 
     rng may be a numpy Generator or an integer seed; it only matters in
-    sampled mode. memo is passed to signal_distance_matrix.
+    sampled mode.
     """
     pairs = _as_pairs(vocab)
     if len(pairs) < 3:
         raise ValueError("topsim needs at least 3 entries")
     sem = semantic_distance_matrix([s for s, _ in pairs])
-    sig = signal_distance_matrix([w for _, w in pairs], memo)
+    sig = signal_distance_matrix([w for _, w in pairs])
     return mantel_test(sem, sig, permutations=permutations, rng=rng, method=method)
 
 
@@ -449,25 +489,27 @@ def vocabulary_report(
     pairs: Sequence[tuple[Stimulus, Signal]],
     permutations: int = DEFAULT_PERMUTATIONS,
     rng=None,
-    memo: dict[tuple[Signal, Signal], float] | None = None,
+    memo: SignalMemo | None = None,
 ) -> MetricReport:
     """MetricReport over (stimulus, signal) pairs; degenerate TopSim is flagged,
     not raised, so reporting never aborts a run. Fewer than 3 pairs (failed
     testing productions) give a degenerate report with no measurements.
-    memo is passed to signal_distance_matrix."""
+    The signals' measures come from ``memo``, measured there when missing;
+    the Mantel test runs on every call."""
     if len(pairs) < 3:
         return MetricReport(topsim=None, degenerate=True)
-    signals = [w for _, w in pairs]
+    signals = (memo or SignalMemo()).measures([w for _, w in pairs])
+    semantic = semantic_distance_matrix([s for s, _ in pairs])
     try:
-        topsim = topsim_mantel(pairs, permutations=permutations, rng=rng, memo=memo)
+        topsim = mantel_test(semantic, signals.matrix, permutations=permutations, rng=rng)
         degenerate = False
     except DegenerateMatrixError:
         topsim = None
         degenerate = True
     return MetricReport(
         topsim=topsim,
-        ngram_diversity=ngram_diversity(signals),
-        mean_signal_length=mean_signal_length(signals),
-        unique_signal_ratio=unique_signal_ratio(signals),
+        ngram_diversity=signals.ngram_diversity,
+        mean_signal_length=signals.mean_signal_length,
+        unique_signal_ratio=signals.unique_signal_ratio,
         degenerate=degenerate,
     )

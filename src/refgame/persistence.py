@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -90,21 +91,22 @@ def write_rows(path: str | Path, rows: list) -> None:
     """Write rows of one dataclass as a CSV: ``schema_version``, then one
     column per field, in field order."""
     columns = [f.name for f in fields(rows[0])]
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["schema_version"] + columns)
         for row in rows:
             writer.writerow([SCHEMA_VERSION] + [_fmt(getattr(row, c)) for c in columns])
 
 
-def read_rows(path: str | Path, row_type: type) -> list:
-    """The rows of a CSV written by ``write_rows``, decoded as ``row_type``;
-    a file that is missing or cannot be read or parsed raises
+def read_rows(path: str | Path, row_type: type, data: bytes | None = None) -> list:
+    """The rows of a CSV written by ``write_rows``, decoded as ``row_type``,
+    from the file at ``path`` or, given its bytes as ``data``, from those; a
+    file that is missing or cannot be decoded as UTF-8 or parsed raises
     ``PersistenceError``."""
     parsers = _cell_parsers(row_type)
     try:
-        with Path(path).open(newline="") as fh:
-            cell_rows = list(csv.DictReader(fh))
+        text = (Path(path).read_bytes() if data is None else data).decode()
+        cell_rows = list(csv.DictReader(io.StringIO(text, newline="")))
     except (FileNotFoundError, UnicodeDecodeError, csv.Error) as err:
         raise PersistenceError(f"{path} cannot be read: {err}") from None
     rows = []
@@ -168,15 +170,23 @@ class RunManifest:
                 )
         return manifest
 
-    def verify_digests(self, run_dir: str | Path) -> None:
+    def verify_digests(self, run_dir: str | Path) -> dict[str, bytes]:
+        """The bytes of each file the manifest digests, by its name, each
+        file read once and checked against its digest: a caller that parses
+        these parses what was checked. A missing file or another digest
+        raises ``DigestMismatch``."""
         base = Path(run_dir)
+        contents = {}
         for name, digest in self.files.items():
             target = base / name
             if not target.exists():
                 raise DigestMismatch(f"missing file {name}")
-            actual = file_digest(target)
+            data = target.read_bytes()
+            actual = hashlib.sha256(data).hexdigest()
             if actual != digest:
                 raise DigestMismatch(f"digest mismatch for {name}: {actual} != {digest}")
+            contents[name] = data
+        return contents
 
 
 def _vocab_path(run_dir: Path, snapshot: str, agent_id: str = "") -> Path:
@@ -245,7 +255,8 @@ def save_simulation(
 
 def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationResult]:
     """Rebuild the result of a completed run from its directory alone,
-    after checking every file digest: the blocks from the event log, each
+    after checking every file digest, from the bytes checked (each file is
+    read once): the blocks from the event log, each
     block record decoded once by its type's ``from_event``, the snapshots,
     and ``metric_rows`` as stored in ``metrics.csv``. A directory that
     cannot be read back raises ``PersistenceError``, and so does a file
@@ -261,7 +272,7 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
         raise PersistenceError(
             f"run is marked {manifest.status!r}; only completed runs replay"
         )
-    manifest.verify_digests(base)
+    contents = manifest.verify_digests(base)
     # older manifests name the fixed tasks_per_round, which is no longer a setting
     config = {key: value for key, value in manifest.config.items() if key != "tasks_per_round"}
     try:
@@ -287,16 +298,21 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
         _vocab_path(Path(), snapshot, agent_id)
         for agent_id in agent_ids for snapshot in ["learned", *(f"round{n}" for n in range(1, rounds + 1))]
     ]
-    for path in read:  # every file read below is one whose digest was checked above
-        if path.as_posix() not in manifest.files:
+    for path in read:  # every file parsed below is one whose digest was checked above
+        if path.as_posix() not in contents:
             raise PersistenceError(f"the manifest of {run_dir} has no digest of {path.as_posix()}")
-    initial = Vocabulary.load(_vocab_path(base, "initial"))
+
+    def snapshot(name: str, agent_id: str = "") -> Vocabulary:
+        path = _vocab_path(base, name, agent_id)
+        return Vocabulary.load(path, contents[path.relative_to(base).as_posix()])
+
+    initial = snapshot("initial")
     events_path = base / "events.jsonl"
     # the digests above cover every line; only block records are decoded
     record_types = {t.KIND: t for t in (GuessingRecord, LabellingRecord, InteractionRecord, TestingRecord)}
     try:
-        events = EventLog.read(events_path, kinds=record_types.keys())
-    except (FileNotFoundError, ValueError) as err:  # no log, a line that is no record, bad text
+        events = EventLog.read(contents["events.jsonl"], kinds=record_types.keys())
+    except ValueError as err:  # a line that is no record, bytes that are not UTF-8
         raise PersistenceError(f"{events_path} cannot be read: {err}") from None
     # each block record decoded once and filed under its kind and agent; the
     # interactions of both agents stay one list, in log order
@@ -335,14 +351,14 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
         config=run_config,
         agent_ids=tuple(agent_ids),
         initial_language=initial,
-        metric_rows=read_rows(base / "metrics.csv", MetricRow),
+        metric_rows=read_rows(base / "metrics.csv", MetricRow, contents["metrics.csv"]),
     )
 
     for agent_id in result.agent_ids:
         result.guessing[agent_id] = GuessingResult(records=records.get((GuessingRecord.KIND, agent_id), []))
         result.labelling[agent_id] = LabellingResult(
             records=records.get((LabellingRecord.KIND, agent_id), []),
-            learned=Vocabulary.load(_vocab_path(base, "learned", agent_id)),
+            learned=snapshot("learned", agent_id),
         )
         result.testing[agent_id] = TestingResult(records=records.get((TestingRecord.KIND, agent_id), []))
 
@@ -350,10 +366,7 @@ def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationRes
     if unseen:
         raise PersistenceError(f"{events_path}: no {_described(next(iter(unseen)))}")
     round_vocabs = {
-        agent_id: [
-            Vocabulary.load(_vocab_path(base, f"round{n}", agent_id))
-            for n in range(1, rounds + 1)
-        ]
+        agent_id: [snapshot(f"round{n}", agent_id) for n in range(1, rounds + 1)]
         for agent_id in result.agent_ids
     }
     result.communication = CommunicationResult(records=interactions, round_vocabs=round_vocabs)

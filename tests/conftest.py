@@ -109,7 +109,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             late = type(self).late_left > 0
             type(self).late_left -= late
         if behaviour == "slow" or late:
-            threading.Event().wait(0.5)  # not time.sleep, which ``waits`` records
+            time.sleep(0.5)
         if behaviour == "bad_json":
             self._reply(200, b"not json")
             return
@@ -184,7 +184,8 @@ def event_log(tmp_path):
 
 @pytest.fixture()
 def waits(monkeypatch) -> list[float]:
-    """The backoff waits HttpBackend asks for, recorded instead of slept."""
+    """The backoff waits HttpBackend asks for, recorded instead of slept;
+    every other ``time.sleep`` in the process still sleeps."""
     recorded: list[float] = []
-    monkeypatch.setattr("refgame.backend.time.sleep", recorded.append)
+    monkeypatch.setattr("refgame.backend.sleep", recorded.append)
     return recorded

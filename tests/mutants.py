@@ -39,8 +39,8 @@ class Mutant:
     tests: tuple[str, ...]  # pytest node ids, relative to the root
 
 
-ENGINE, BACKEND, AGENTS, PERSISTENCE = (
-    f"src/refgame/{name}.py" for name in ("engine", "backend", "agents", "persistence")
+ENGINE, BACKEND, AGENTS, PERSISTENCE, METRICS, DOMAIN = (
+    f"src/refgame/{name}.py" for name in ("engine", "backend", "agents", "persistence", "metrics", "domain")
 )
 BESIDE = "tests/test_engine.py::TestGuessingBesideTheRest"
 SIDE_BY_SIDE = "tests/test_engine.py::TestSideBySide"
@@ -291,6 +291,29 @@ MUTANTS = (
         (('url.netloc.rpartition("@")[2]', "url.netloc"),),
         "the manifest records the endpoint with the user info it may carry a password in",
         ("tests/test_cli.py::TestWireRun::test_manifest_names_the_service_and_no_credential",),
+    ),
+    Mutant(
+        "replay-parses-from-disk-again", PERSISTENCE,
+        (('EventLog.read(contents["events.jsonl"], kinds=', "EventLog.read(events_path, kinds="),),
+        "replay parses the event log from a second read of the file, not from the bytes whose "
+        "digest it checked, so what it parses need not be what it checked",
+        ("tests/test_persistence.py::TestBlockRecordRead::test_each_digested_file_is_read_once",),
+    ),
+    Mutant(
+        "signal-list-cache-outlives-call", METRICS,
+        (("    def __init__(self):\n", "    def __init__(self, lists={}):\n"),
+         ("        self.lists: dict[tuple[Signal, ...], SignalListMeasures] = {}\n", "        self.lists = lists\n")),
+        "every SignalMemo shares one store of signal lists (a mutable default argument), so "
+        "a list's measures are kept from one compute_metric_rows call to the next",
+        ("tests/test_engine.py::TestRunSimulation::test_metric_rows_measure_each_signal_pair_once_per_call",),
+    ),
+    Mutant(
+        "stimulus-lookup-ignores-field-types", DOMAIN,
+        (("if canonical is not None and tuple(map(type, fields)) == (int, str, int):",
+          "if canonical is not None:"),),
+        "Stimulus._make hands out the space's own stimulus for fields that only equal its "
+        "fields, so (True, \"blue\", 1) loses the True that the constructor keeps",
+        ("tests/test_domain.py::TestStimulus::test_make_gives_the_space_s_own_stimulus",),
     ),
 )
 

@@ -262,6 +262,16 @@ class TestRetrying:
         backend.complete([PROMPT], [0]).read(EventLog())
         assert waits == [0.5, 1.0, 2.0]
 
+    def test_waits_leaves_other_sleeps_alone(self, stub_server, waits):
+        # the fixture replaces the backoff only, not time.sleep process-wide
+        started = time.monotonic()
+        time.sleep(0.05)
+        assert time.monotonic() - started >= 0.05
+        endpoint, handler = stub_server
+        handler.failures_left = 1
+        http_backend(endpoint, max_retries=1, backoff_base=30.0).complete([PROMPT], [0]).read(EventLog())
+        assert waits == [30.0]
+
 
 class TestTemplates:
     def test_llama3_framing(self):

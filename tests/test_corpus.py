@@ -24,8 +24,9 @@ CHAIN = ("chain", "--seed", "0", "--chains", "1", "--generations", "2", "--permu
 
 
 def test_corpus_is_present():
-    # an oracle simulation, a chain of two generations and a wire simulation
-    assert len(COMPLETE) == 4
+    # an oracle simulation, a chain of two generations and two wire
+    # simulations, one against a service that fails some requests
+    assert len(COMPLETE) == 5
 
 
 @pytest.mark.parametrize("run_dir", COMPLETE, ids=[p.relative_to(CORPUS).as_posix() for p in COMPLETE])

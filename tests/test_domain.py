@@ -83,6 +83,15 @@ class TestStimulus:
                 copy.replace(s, amount=0)
         assert copy.copy(s) == copy.deepcopy(s) == s
 
+    def test_make_gives_the_space_s_own_stimulus(self):
+        space = enumerate_stimuli()
+        assert all(Stimulus._make(list(s)) is s for s in space)
+        assert space[0]._replace(amount=2) is space[1]
+        # a field that only equals an int is kept, as the constructor keeps it
+        odd = Stimulus._make([True, "blue", 1])
+        assert odd == space[0] and odd is not space[0]
+        assert repr(odd) == "Stimulus(shape=True, colour='blue', amount=1)"
+
     def test_pickle_round_trip(self):
         for s in enumerate_stimuli():
             back = pickle.loads(pickle.dumps(s))

@@ -733,8 +733,15 @@ class TestRunSimulation:
         monkeypatch.setattr(metrics, "signal_distance_matrix", recording_matrix)
         monkeypatch.setattr(metrics, "levenshtein", counting_levenshtein)
         engine.compute_metric_rows(result)
-        pairs = {(s[i], s[j]) for s in matrices for i in range(len(s)) for j in range(i + 1, len(s))}
-        assert len(matrices) == len(result.metric_rows)
+        # one matrix per distinct signal list: the guessing rows repeat the initial language
+        lists = [result.initial_language.signals()]
+        lists += [result.labelling[a].learned.signals() for a in result.agent_ids]
+        lists += [v.signals() for vocabs in result.communication.round_vocabs.values() for v in vocabs]
+        lists += [[w for _, w in result.testing[a].pairs()] for a in result.agent_ids]
+        assert sorted(map(tuple, matrices)) == sorted(set(map(tuple, lists)))
+        assert len(matrices) < len(result.metric_rows)
+        # each unordered pair measured once, in sorted order
+        pairs = {tuple(sorted((s[i], s[j]))) for s in matrices for i in range(len(s)) for j in range(i + 1, len(s))}
         assert sorted(matrix_calls) == sorted(pairs)
         # nothing is remembered from one call to the next
         first = len(calls)

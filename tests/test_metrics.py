@@ -21,6 +21,7 @@ from refgame.metrics import (
     DegenerateMatrixError,
     DegenerateVarianceError,
     EmptyInputError,
+    SignalMemo,
     TopSimResult,
     communicative_success_rate,
     generalization_score,
@@ -106,10 +107,24 @@ class TestSignalDistanceMatrix:
         memo = {}
         with_memo = signal_distance_matrix(self.SIGNALS, memo)
         assert np.array_equal(with_memo, signal_distance_matrix(self.SIGNALS))
-        assert memo[("wipi", "suka")] == normalized_levenshtein("wipi", "suka")
-        # a memo entry is trusted, not measured again
-        memo[("wipi", "suka")] = 0.5
+        # each unordered pair is kept once, in sorted order
+        assert memo[("suka", "wipi")] == normalized_levenshtein("wipi", "suka")
+        assert all(a <= b for a, b in memo) and len(memo) == 7
+        # a memo entry is trusted, not measured again, whichever way round the pair is asked
+        memo[("suka", "wipi")] = 0.5
         assert signal_distance_matrix(["wipi", "suka"], memo)[0, 1] == 0.5
+
+    def test_signal_memo_measures_a_list_once_and_shares_it_read_only(self):
+        memo = SignalMemo()
+        measures = memo.measures(self.SIGNALS)
+        assert memo.measures(tuple(self.SIGNALS)) is measures
+        assert np.array_equal(measures.matrix, signal_distance_matrix(self.SIGNALS))
+        assert not measures.matrix.flags.writeable
+        figures = (measures.ngram_diversity, measures.mean_signal_length, measures.unique_signal_ratio)
+        assert figures == (
+            ngram_diversity(self.SIGNALS), mean_signal_length(self.SIGNALS), unique_signal_ratio(self.SIGNALS)
+        )
+        assert len(memo.distances) == 7
 
 
 class TestSemanticSimilarity:

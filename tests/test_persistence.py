@@ -1,3 +1,5 @@
+import builtins
+import io
 import json
 import shutil
 import tempfile
@@ -13,7 +15,7 @@ from helpers import YAML_LOADERS, wire_service
 from refgame import engine
 from refgame.agents import CompositionalOracle, LookupOracle, Reply
 from refgame.backend import EventLog
-from refgame.cli import EXIT_OK, main
+from refgame.cli import EXIT_OK, EXIT_VALIDATION, main
 from refgame.config import ConfigError, ExperimentConfig, config_from_dict, load_config, validate_config
 from refgame.domain import Vocabulary, enumerate_stimuli
 from refgame.engine import MetricRow, RunConfig, compute_metric_rows, run_simulation
@@ -347,6 +349,49 @@ class TestBlockRecordRead:
         assert_records_of_full_parse(run_dir)
         assert main(["replay", str(run_dir)]) == EXIT_OK
         assert "replay OK" in capsys.readouterr().out
+
+    def test_each_digested_file_is_read_once(self, wire_run, monkeypatch):
+        # what replay parses is the bytes whose digest it checked, not a second read
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file).resolve())
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        load_run_for_replay(wire_run)
+        digested = [(wire_run / name).resolve() for name in RunManifest.load(wire_run).files]
+        # parsed: events.jsonl, metrics.csv and 5 snapshots; digested only: the 2 testing snapshots
+        assert len(digested) == 9
+        assert {path: opened.count(path) for path in digested} == dict.fromkeys(digested, 1)
+
+    def test_log_with_crlf_line_endings_replays(self, wire_run, tmp_path, capsys):
+        run_dir = tmp_path / "crlf"
+        shutil.copytree(wire_run, run_dir)
+        events = run_dir / "events.jsonl"
+        events.write_bytes(events.read_bytes().replace(b"\n", b"\r\n"))
+        manifest = RunManifest.load(run_dir)
+        manifest.files["events.jsonl"] = file_digest(events)
+        manifest.save(run_dir)
+        assert main(["replay", str(run_dir)]) == EXIT_OK
+        assert "replay OK" in capsys.readouterr().out
+
+    def test_undecodable_byte_in_a_request_record_refused(self, wire_run, tmp_path, capsys):
+        # replay decodes block records only, but the whole log must be UTF-8
+        run_dir = tmp_path / "undecodable"
+        shutil.copytree(wire_run, run_dir)
+        events = run_dir / "events.jsonl"
+        lines = events.read_bytes().splitlines(keepends=True)
+        index = next(i for i, line in enumerate(lines) if line.startswith(b'{"kind": "backend_call"'))
+        lines[index] = lines[index].replace(b'"prompt": "', b'"prompt": "\xff', 1)
+        events.write_bytes(b"".join(lines))
+        manifest = RunManifest.load(run_dir)
+        manifest.files["events.jsonl"] = file_digest(events)
+        manifest.save(run_dir)
+        assert main(["replay", str(run_dir)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {events} cannot be read: 'utf-8' codec can't decode")
 
 
 class TestPartialPersist:

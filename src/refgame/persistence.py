@@ -256,9 +256,9 @@ def save_simulation(
 def load_run_for_replay(run_dir: str | Path) -> tuple[RunManifest, SimulationResult]:
     """Rebuild the result of a completed run from its directory alone,
     after checking every file digest, from the bytes checked (each file is
-    read once): the blocks from the event log, each
-    block record decoded once by its type's ``from_event``, the snapshots,
-    and ``metric_rows`` as stored in ``metrics.csv``. A directory that
+    read once): the blocks from the event log, each block record decoded
+    once by its type's ``from_event``, the snapshots, and ``metric_rows``
+    as stored in ``metrics.csv``. A directory that
     cannot be read back raises ``PersistenceError``, and so does a file
     read here that the manifest does not digest, a block record of another
     agent than the manifest's, an interaction outside the run's rounds or

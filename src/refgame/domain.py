@@ -188,9 +188,13 @@ class Vocabulary:
             track_success=self.track_success,
         )
 
-    def save(self, path: str | Path) -> None:
+    def save(self, path: str | Path) -> bytes:
+        """Write the vocabulary to ``path``, one line per entry, and return
+        the bytes written."""
         lines = [format_vocab_line(e, include_success=self.track_success) for e in self.entries]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        data = ("\n".join(lines) + "\n").encode()
+        Path(path).write_bytes(data)
+        return data
 
     @classmethod
     def load(cls, path: str | Path, data: bytes | None = None) -> "Vocabulary":

@@ -769,11 +769,11 @@ def block_record_keys(
     return keys
 
 
-def compute_metric_rows(result: SimulationResult) -> list[MetricRow]:
+def compute_metric_rows(result: SimulationResult, exact: bool = False) -> list[MetricRow]:
     """All metric rows of a run. TopSim seeds derive from the master seed and
-    the row context, so recomputation (replay) is reproducible. Each signal
-    pair and each distinct signal list is measured once, for this call
-    only."""
+    the row context, so recomputation (replay) is reproducible; ``exact``
+    is ``vocabulary_report``'s. Each signal pair and each distinct signal
+    list is measured once, for this call only."""
     config = result.config
     memo = SignalMemo()
 
@@ -784,6 +784,7 @@ def compute_metric_rows(result: SimulationResult) -> list[MetricRow]:
             permutations=config.mantel_permutations,
             rng=derive_seed(config.master_seed, f"metrics:{label}"),
             memo=memo,
+            exact=exact,
         )
         topsim = report.topsim
         if topsim is not None:

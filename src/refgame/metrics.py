@@ -30,6 +30,9 @@ DEFAULT_PERMUTATIONS = 10_000
 # permutations), widths 255, 257 and 1170 changed the last bits of 6, 3 and
 # 1 results, while 64, 100, 128, 200, 256, 512, 1024 and 4096 changed none.
 MANTEL_BLOCK_ROWS = 256
+# Permutations gathered at a time by the exact kernel, whose sums are exact in
+# any order.
+EXACT_MANTEL_BLOCK_COLUMNS = 256
 NGRAM_ORDERS = (1, 2, 3, 4, 5)
 
 
@@ -281,20 +284,11 @@ def _as_pairs(vocab) -> list[tuple[Stimulus, Signal]]:
     return [(s, w) for s, w in vocab]
 
 
-def mantel_test(
-    semantic: np.ndarray,
-    signal: np.ndarray,
-    permutations: int = DEFAULT_PERMUTATIONS,
-    rng=None,
-    method: str = "auto",
-) -> TopSimResult:
-    """Mantel permutation test between two symmetric distance matrices.
-
-    The observed statistic is the Pearson correlation of the upper-triangle
-    entries. One matrix is permuted by joint row/column relabelings; the
-    Z-score standardizes the observed r against the permutation distribution.
-    For "auto", enumeration is exhaustive up to n=7 and sampled above.
-    """
+def _semantic_triangle(semantic: np.ndarray, signal: np.ndarray) -> np.ndarray:
+    """The upper triangle of the semantic matrix, row-major, once both
+    matrices are checked: matrices that are not square and equal in size,
+    or of fewer than 3 items, raise ``ValueError``, and one whose triangle
+    is constant raises ``DegenerateMatrixError``."""
     n = semantic.shape[0]
     if semantic.shape != (n, n) or signal.shape != (n, n):
         raise ValueError("matrices must be square and equally sized")
@@ -307,18 +301,16 @@ def mantel_test(
         raise DegenerateMatrixError("signal distance matrix has zero variance")
     if np.ptp(sem_vec) == 0.0:
         raise DegenerateMatrixError("semantic distance matrix has zero variance")
+    return sem_vec
 
-    sem_centered = sem_vec - sem_vec.mean()
-    sem_norm = math.sqrt(float(sem_centered @ sem_centered))
-    pairs = len(sem_vec)
 
-    def corr_with_sem(vectors: np.ndarray) -> np.ndarray:
-        centered = vectors - np.add.reduce(vectors, axis=1, keepdims=True) / pairs
-        norms = np.sqrt((centered * centered).sum(axis=1))
-        return (centered @ sem_centered) / (norms * sem_norm)
-
-    observed_r = float(corr_with_sem(sig_vec[None, :])[0])
-
+def _drawn_permutations(n: int, permutations: int, rng, method: str) -> tuple[np.ndarray, str]:
+    """The relabellings a Mantel test of ``n`` items runs over, and its
+    method ("auto" resolved: exhaustive up to ``EXHAUSTIVE_MANTEL_MAX_N``
+    items, sampled above). Column c of the ``n x count`` array is
+    permutation c, in the narrowest unsigned type that holds every gather
+    index n*p_i + p_j < n*n (uint8 up to n = 15). Both kernels draw here,
+    so they run over the same permutations."""
     if method == "auto":
         method = "exact" if n <= EXHAUSTIVE_MANTEL_MAX_N else "sampled"
     # row c of rows is permutation c
@@ -334,10 +326,61 @@ def mantel_test(
         gen.permuted(rows, axis=1, out=rows)
     else:
         raise ValueError(f"unknown method {method!r}")
-    # column c of perms is permutation c, in the narrowest type that holds
-    # every gather index n*p_i + p_j < n*n (uint8 up to n = 15)
-    perms = rows.T.astype(np.min_scalar_type(n * n), order="C")
-    del rows
+    return rows.T.astype(np.min_scalar_type(n * n), order="C"), method
+
+
+def _topsim_result(z: float, observed_r: float, permuted_r: np.ndarray, method: str) -> TopSimResult:
+    """The result of a Mantel test; p counts the permuted r at least the
+    observed one, less 1e-12."""
+    count = permuted_r.size
+    at_least = int((permuted_r >= observed_r - 1e-12).sum())
+    if method == "exact":
+        # the identity permutation is part of the enumeration
+        p = at_least / count
+    else:
+        p = (1 + at_least) / (count + 1)
+    return TopSimResult(
+        z_score=float(z),
+        p_value=float(p),
+        observed_r=observed_r,
+        permutations=count,
+        method=method,
+    )
+
+
+def mantel_test(
+    semantic: np.ndarray,
+    signal: np.ndarray,
+    permutations: int = DEFAULT_PERMUTATIONS,
+    rng=None,
+    method: str = "auto",
+) -> TopSimResult:
+    """Mantel permutation test between two symmetric distance matrices.
+
+    The observed statistic is the Pearson correlation of the upper-triangle
+    entries. One matrix is permuted by joint row/column relabelings; the
+    Z-score standardizes the observed r against the permutation distribution.
+    For "auto", enumeration is exhaustive up to n=7 and sampled above.
+    """
+    sem_vec = _semantic_triangle(semantic, signal)
+    perms, method = _drawn_permutations(semantic.shape[0], permutations, rng, method)
+    return _float_mantel(sem_vec, signal, perms, method)
+
+
+def _float_mantel(sem_vec: np.ndarray, signal: np.ndarray, perms: np.ndarray, method: str) -> TopSimResult:
+    """``mantel_test`` over the drawn permutations ``perms``, in float64."""
+    n = signal.shape[0]
+    iu = _upper_triangle(n)
+    sem_centered = sem_vec - sem_vec.mean()
+    sem_norm = math.sqrt(float(sem_centered @ sem_centered))
+    pairs = len(sem_vec)
+
+    def corr_with_sem(vectors: np.ndarray) -> np.ndarray:
+        centered = vectors - np.add.reduce(vectors, axis=1, keepdims=True) / pairs
+        norms = np.sqrt((centered * centered).sum(axis=1))
+        return (centered @ sem_centered) / (norms * sem_norm)
+
+    observed_r = float(corr_with_sem(signal[iu][None, :])[0])
 
     # Each permutation's r is computed from its column alone, so blocks give
     # the bits of one gather of all columns, with one exception: BLAS sums a
@@ -378,20 +421,79 @@ def mantel_test(
     if spread == 0.0:
         raise DegenerateMatrixError("permutation distribution has zero variance")
     z = (observed_r - float(permuted_r.mean())) / spread
+    return _topsim_result(z, observed_r, permuted_r, method)
 
-    at_least = int((permuted_r >= observed_r - 1e-12).sum())
-    if method == "exact":
-        # the identity permutation is part of the enumeration
-        p = at_least / count
-    else:
-        p = (1 + at_least) / (count + 1)
-    return TopSimResult(
-        z_score=float(z),
-        p_value=float(p),
-        observed_r=observed_r,
-        permutations=count,
-        method=method,
-    )
+
+def exact_mantel_test(
+    semantic: np.ndarray,
+    signal: np.ndarray,
+    lengths: Sequence[int],
+    permutations: int = DEFAULT_PERMUTATIONS,
+    rng=None,
+    method: str = "auto",
+) -> TopSimResult:
+    """``mantel_test`` over the same permutations, in integers: Z and the
+    observed r agree with it to rounding, p is the same. ``semantic`` holds
+    integer distances; ``signal`` holds normalized Levenshtein distances of
+    signals of ``lengths``, each an integer over its pair's longer length,
+    so scaled by L, the lcm of those lengths, it is an integer matrix X.
+
+    A relabelling only rearranges the upper triangle, so Σx and Σx² are the
+    same for every permutation and only the dot Σ y·x_π moves. With m the
+    commonest semantic distance, dot_π = m·Σx + Σ_{y≠m} (y − m)·x_π, and
+    only the second term is computed: one float64 gemv per block over the
+    pairs with y ≠ m, exact because every partial sum is an integer below
+    2^53. Z = (N·d_obs − Σd) / √(N·Σd² − (Σd)²) over those N offsets d,
+    from exact integer sums (the scale of r cancels), and p applies the
+    float kernel's rule to each r_π, computed in float64 from its exact
+    dot. Two cases go to the float kernel, over the same permutations: a
+    scale at which the integer sums could leave int64, and a permutation
+    distribution that is constant, where the float kernel's Z is its
+    rounding noise."""
+    sem_vec = _semantic_triangle(semantic, signal)
+    n = semantic.shape[0]
+    perms, method = _drawn_permutations(n, permutations, rng, method)
+    count = perms.shape[1]
+    rows, cols = _upper_triangle(n)
+    lengths = np.asarray(lengths)
+    scale = math.lcm(*set(np.maximum(lengths[rows], lengths[cols]).tolist()) - {0})
+    scaled = np.rint(signal * scale)  # exact while scale < 2^50
+    y = sem_vec.astype(np.intp)
+    modal = int(np.bincount(y).argmax())
+    offset_pairs = np.flatnonzero(y != modal)
+    weights = sem_vec[offset_pairs] - modal
+    bound = int(scaled.max()) * int(np.abs(weights).sum())  # of any offset
+    if scale >= 2**50 or bound * bound * count >= 2**63:
+        return _float_mantel(sem_vec, signal, perms, method)
+
+    # the offset Σ_{y≠m} (y − m)·x_π of each permutation, a block at a time
+    flat = scaled.ravel()
+    offset_rows, offset_cols = rows[offset_pairs], cols[offset_pairs]
+    offsets = np.empty(count)
+    for start in range(0, count, EXACT_MANTEL_BLOCK_COLUMNS):
+        block = perms[:, start : start + EXACT_MANTEL_BLOCK_COLUMNS]
+        index = block[offset_rows] * n
+        index += block[offset_cols]
+        offsets[start : start + block.shape[1]] = np.take(flat, index).T @ weights
+    ints = offsets.astype(np.int64)
+    sum_d, sum_dd = int(ints.sum()), int((ints * ints).sum())
+    spread = count * sum_dd - sum_d * sum_d
+    if spread == 0:
+        return _float_mantel(sem_vec, signal, perms, method)
+
+    # observed r from exact sums over every pair, in Python ints
+    x = scaled[rows, cols].astype(np.int64)
+    offset_obs = int(x[offset_pairs] @ (y[offset_pairs] - modal))  # below 2^61
+    x, y = x.tolist(), y.tolist()
+    pairs, sum_x, sum_y = len(x), sum(x), sum(y)
+    dot_obs = modal * sum_x + offset_obs
+    variance_x = pairs * sum(v * v for v in x) - sum_x * sum_x
+    variance_y = pairs * sum(v * v for v in y) - sum_y * sum_y
+    root = math.sqrt(variance_x * variance_y)
+    observed_r = (pairs * dot_obs - sum_x * sum_y) / root
+    permuted_r = observed_r + (offsets - offset_obs) * (pairs / root)
+    z = (count * offset_obs - sum_d) / math.sqrt(spread)
+    return _topsim_result(z, observed_r, permuted_r, method)
 
 
 def topsim_mantel(
@@ -490,18 +592,26 @@ def vocabulary_report(
     permutations: int = DEFAULT_PERMUTATIONS,
     rng=None,
     memo: SignalMemo | None = None,
+    exact: bool = False,
 ) -> MetricReport:
     """MetricReport over (stimulus, signal) pairs; degenerate TopSim is flagged,
     not raised, so reporting never aborts a run. Fewer than 3 pairs (failed
     testing productions) give a degenerate report with no measurements.
     The signals' measures come from ``memo``, measured there when missing;
-    the Mantel test runs on every call."""
+    the Mantel test runs on every call, through ``exact_mantel_test`` when
+    ``exact`` is set (its Z and r agree with ``mantel_test``'s to rounding,
+    not to the bit) and through ``mantel_test`` otherwise."""
     if len(pairs) < 3:
         return MetricReport(topsim=None, degenerate=True)
-    signals = (memo or SignalMemo()).measures([w for _, w in pairs])
+    words = [w for _, w in pairs]
+    signals = (memo or SignalMemo()).measures(words)
     semantic = semantic_distance_matrix([s for s, _ in pairs])
     try:
-        topsim = mantel_test(semantic, signals.matrix, permutations=permutations, rng=rng)
+        if exact:
+            lengths = [len(w) for w in words]
+            topsim = exact_mantel_test(semantic, signals.matrix, lengths, permutations=permutations, rng=rng)
+        else:
+            topsim = mantel_test(semantic, signals.matrix, permutations=permutations, rng=rng)
         degenerate = False
     except DegenerateMatrixError:
         topsim = None

@@ -87,15 +87,18 @@ def _cell_parsers(row_type: type) -> dict:
     return {f.name: _cell_parser(f.type) for f in fields(row_type)}
 
 
-def write_rows(path: str | Path, rows: list) -> None:
+def write_rows(path: str | Path, rows: list) -> bytes:
     """Write rows of one dataclass as a CSV: ``schema_version``, then one
-    column per field, in field order."""
+    column per field, in field order; return the bytes written."""
     columns = [f.name for f in fields(rows[0])]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["schema_version"] + columns)
-        for row in rows:
-            writer.writerow([SCHEMA_VERSION] + [_fmt(getattr(row, c)) for c in columns])
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["schema_version"] + columns)
+    for row in rows:
+        writer.writerow([SCHEMA_VERSION] + [_fmt(getattr(row, c)) for c in columns])
+    data = text.getvalue().encode()
+    Path(path).write_bytes(data)
+    return data
 
 
 def read_rows(path: str | Path, row_type: type, data: bytes | None = None) -> list:
@@ -227,15 +230,14 @@ def save_simulation(
     for agent_id, testing in result.testing.items():
         produced = Vocabulary(VocabularyEntry(s, w) for s, w in testing.pairs())
         snapshots[_vocab_path(base, "testing", agent_id)] = produced
-    for path, vocab in snapshots.items():
-        vocab.save(path)
-    written = list(snapshots)
+    # a file written here is digested from the bytes written, not read back
+    digests = {path: hashlib.sha256(vocab.save(path)).hexdigest() for path, vocab in snapshots.items()}
     if result.metric_rows:
-        write_rows(base / "metrics.csv", result.metric_rows)
-        written.append(base / "metrics.csv")
+        data = write_rows(base / "metrics.csv", result.metric_rows)
+        digests[base / "metrics.csv"] = hashlib.sha256(data).hexdigest()
     if (base / "events.jsonl").is_file():
-        written.append(base / "events.jsonl")
-    files = {path.relative_to(base).as_posix(): file_digest(path) for path in sorted(written)}
+        digests[base / "events.jsonl"] = file_digest(base / "events.jsonl")
+    files = {path.relative_to(base).as_posix(): digests[path] for path in sorted(digests)}
     extra = {"agent_ids": list(result.agent_ids), **(extra or {})}
     if error is not None:
         blocks = ("guessing", "labelling", "communication", "testing")
@@ -476,9 +478,12 @@ class ReplayReport:
 
 def replay_run(run_dir: str | Path, tolerance: float = 1e-9) -> ReplayReport:
     """Offline verification: digests, then metric recomputation from the
-    event log and vocabulary snapshots, compared against the stored CSV."""
+    event log and vocabulary snapshots, compared against the stored CSV
+    within ``tolerance``. TopSim is recomputed by the exact integer Mantel
+    kernel, over the permutations the run drew: its Z and r agree with the
+    stored ones to rounding, and its p is the same."""
     _, result = load_run_for_replay(run_dir)
-    stored, recomputed = result.metric_rows, compute_metric_rows(result)
+    stored, recomputed = result.metric_rows, compute_metric_rows(result, exact=True)
     mismatches: list[ReplayMismatch] = []
     if len(stored) != len(recomputed):
         mismatches.append(

@@ -279,8 +279,8 @@ MUTANTS = (
     ),
     Mutant(
         "manifest-digests-leftovers", PERSISTENCE,
-        (("for path in sorted(written)}",
-          'for path in sorted(base.rglob("*")) if path.is_file() and path.name != "manifest.json"}'),),
+        (("digests[path] for path in sorted(digests)}",
+          'file_digest(path) for path in sorted(base.rglob("*")) if path.is_file() and path.name != "manifest.json"}'),),
         "the manifest digests every file in the run directory, so files an earlier run left "
         "there are listed as this run's (found by saving a run of fewer rounds over another)",
         ("tests/test_persistence.py::TestSaveAndManifest::test_files_an_earlier_run_left_are_not_digested",
@@ -306,6 +306,23 @@ MUTANTS = (
         "every SignalMemo shares one store of signal lists (a mutable default argument), so "
         "a list's measures are kept from one compute_metric_rows call to the next",
         ("tests/test_engine.py::TestRunSimulation::test_metric_rows_measure_each_signal_pair_once_per_call",),
+    ),
+    Mutant(
+        "exact-fallback-dropped", METRICS,
+        (("    if spread == 0:\n        return _float_mantel(sem_vec, signal, perms, method)\n", ""),),
+        "the exact Mantel kernel keeps a row whose permutation distribution is constant, where "
+        "the stored Z is the float kernel's rounding noise: a testing output of 26 equal signals "
+        "and one odd one divides by a zero spread, and its replay fails (found while sizing the "
+        "exact kernel)",
+        ("tests/test_persistence.py::TestReplay::test_testing_output_with_one_odd_signal_replays",),
+    ),
+    Mutant(
+        "exact-kernel-draws-its-own-permutations", METRICS,
+        (("perms, method = _drawn_permutations(n, permutations, rng, method)",
+          "perms, method = _drawn_permutations(n, permutations, np.random.default_rng(rng).integers(2**63), method)"),),
+        "the exact Mantel kernel draws its sampled permutations from a stream of its own, so "
+        "replay compares the stored Z with a Z over other permutations",
+        ("tests/test_metrics.py::TestExactMantel::test_agrees_with_the_float_kernel",),
     ),
     Mutant(
         "stimulus-lookup-ignores-field-types", DOMAIN,

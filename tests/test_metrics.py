@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import dp_levenshtein, exhaustive_mantel_oracle, recursive_levenshtein
+from refgame import metrics
 from refgame.agents import CompositionalOracle
 from refgame.domain import Stimulus, enumerate_stimuli, generate_language, random_signal, sample_training_set
 from refgame.metrics import (
@@ -24,6 +25,7 @@ from refgame.metrics import (
     SignalMemo,
     TopSimResult,
     communicative_success_rate,
+    exact_mantel_test,
     generalization_score,
     levenshtein,
     mantel_test,
@@ -554,6 +556,134 @@ def test_mantel_peak_memory_flat_in_permutations():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def exact_kernel_case(rng: Random, kind: str) -> tuple[list, list[str]]:
+    """Stimuli and signals of one exact-kernel case: n of 3-27 items,
+    exhaustive (n <= 7) as often as sampled; ``kind`` is "cv" (signals of
+    1-4 CV syllables), "random" (strings of length 1-32, some stimuli
+    repeated), "collapsed" (2-3 distinct signals) or "odd-one-out" (one
+    signal differs from all the others, every stimulus once)."""
+    n = rng.randint(3, EXHAUSTIVE_MANTEL_MAX_N) if rng.random() < 0.5 else rng.randint(8, 27)
+    stimuli = rng.sample(enumerate_stimuli(), n)
+    if kind == "cv":
+        signals = ["".join(rng.choice("ghklmnpw") + rng.choice("aeiou") for _ in range(rng.randint(1, 4)))
+                   for _ in range(n)]
+    elif kind == "random":
+        stimuli = [rng.choice(stimuli) if rng.random() < 0.2 else s for s in stimuli]
+        signals = ["".join(rng.choice("abkmpt") for _ in range(rng.randint(1, 32))) for _ in range(n)]
+    elif kind == "collapsed":
+        words = [random_signal(rng) for _ in range(rng.randint(2, 3))]
+        signals = [rng.choice(words) for _ in range(n)]
+    else:
+        word, odd = rng.sample(["kapo", "mimi", "tutuka", "ge", "lonaweki"], 2)
+        signals = [word] * n
+        signals[rng.randrange(n)] = odd
+    return stimuli, signals
+
+
+def mantel_or_degenerate(kernel, *args, **kwargs) -> TopSimResult | None:
+    try:
+        return kernel(*args, **kwargs)
+    except DegenerateMatrixError:
+        return None
+
+
+def handed_to_the_float_kernel(monkeypatch) -> list:
+    """The calls of the float kernel from now on, which it still answers."""
+    handed = []
+    float_mantel = metrics._float_mantel
+    monkeypatch.setattr(metrics, "_float_mantel", lambda *args: handed.append(args) or float_mantel(*args))
+    return handed
+
+
+class TestExactMantel:
+    """``exact_mantel_test`` against ``mantel_test``: the same permutations,
+    Z and r equal to rounding, the same p and the same degenerate cases."""
+
+    # 4 kinds x 80 seeded cases; every 20th at the paper's 10,000 permutations
+    @pytest.mark.parametrize("kind", ["cv", "random", "collapsed", "odd-one-out"])
+    def test_agrees_with_the_float_kernel(self, kind):
+        rng = Random(f"exact-{kind}")
+        bit_equal = set()
+        for case in range(80):
+            stimuli, signals = exact_kernel_case(rng, kind)
+            sem, sig = semantic_distance_matrix(stimuli), signal_distance_matrix(signals)
+            permutations = 10_000 if case % 20 == 0 else rng.randint(1, 600)
+            theirs = mantel_or_degenerate(mantel_test, sem, sig, permutations=permutations, rng=case)
+            ours = mantel_or_degenerate(
+                exact_mantel_test, sem, sig, [len(w) for w in signals], permutations=permutations, rng=case
+            )
+            where = f"case {case}: {signals}"
+            assert (ours is None) == (theirs is None), where
+            if theirs is None:
+                continue
+            bit_equal.add(ours == theirs)
+            assert abs(ours.z_score - theirs.z_score) <= 1e-12 * max(1.0, abs(theirs.z_score)), where
+            assert abs(ours.observed_r - theirs.observed_r) <= 1e-12, where
+            assert (ours.p_value, ours.permutations, ours.method) == (
+                theirs.p_value, theirs.permutations, theirs.method), where
+        # some results differ in their last bits: the integers ran, not only the float kernel
+        assert False in bit_equal
+
+    def test_one_odd_signal_in_the_full_space_gives_a_constant_distribution(self, monkeypatch):
+        # every stimulus is at the same summed semantic distance from the
+        # rest, so wherever a relabelling puts the odd signal the dot is the
+        # same; mantel_test's Z there is rounding noise, which only the float
+        # kernel reproduces, so the exact kernel hands it the row
+        stimuli = enumerate_stimuli()
+        sem = semantic_distance_matrix(stimuli)
+        assert len(set(sem.sum(axis=1))) == 1
+        cases = {}
+        for odd in (0, 5, 13, 26):
+            pairs = [(s, "mimi" if i == odd else "kapo") for i, s in enumerate(stimuli)]
+            theirs = mantel_test(sem, signal_distance_matrix([w for _, w in pairs]), rng=odd)
+            assert abs(theirs.observed_r) < 1e-15 and theirs.p_value == 1.0
+            cases[odd] = pairs, theirs, vocabulary_report(pairs, rng=odd)
+        assert len({theirs.z_score for _, theirs, _ in cases.values()}) == 4  # noise, by position
+        handed = handed_to_the_float_kernel(monkeypatch)
+        for odd, (pairs, theirs, report) in cases.items():
+            signal = signal_distance_matrix([w for _, w in pairs])
+            assert exact_mantel_test(sem, signal, [4] * 27, rng=odd) == theirs
+            assert vocabulary_report(pairs, rng=odd, exact=True) == report
+        assert len(handed) == 2 * len(cases)
+
+    def test_scale_beyond_int64_goes_to_the_float_kernel(self, monkeypatch):
+        # lengths 25-32 give L = lcm(25..32), about 1.8e9: the sums of the
+        # squared offsets of 500 permutations could pass 2^63
+        stimuli = enumerate_stimuli()[:16]
+        signals = ["".join(Random(i).choice("abkm") for _ in range(25 + i % 8)) for i in range(16)]
+        lengths = [len(w) for w in signals]
+        assert math.lcm(*set(lengths)) ** 2 * 500 >= 2**63
+        sem, sig = semantic_distance_matrix(stimuli), signal_distance_matrix(signals)
+        theirs = mantel_test(sem, sig, permutations=500, rng=3)
+        handed = handed_to_the_float_kernel(monkeypatch)
+        assert exact_mantel_test(sem, sig, lengths, permutations=500, rng=3) == theirs
+        assert len(handed) == 1
+
+    def test_same_errors_as_the_float_kernel(self):
+        sem, sig = mantel_matrices(8, seed=2)
+        with pytest.raises(ValueError, match="at least 1 permutation"):
+            exact_mantel_test(sem, sig, [4] * 8, permutations=0, rng=0)
+        with pytest.raises(ValueError, match="unknown method"):
+            exact_mantel_test(sem, sig, [4] * 8, method="moments")
+        with pytest.raises(ValueError, match="square"):
+            exact_mantel_test(sem, sig[:7, :7], [4] * 8)
+        with pytest.raises(DegenerateMatrixError, match="^signal"):
+            exact_mantel_test(sem, np.ones((8, 8)) - np.eye(8), [4] * 8)
+
+    def test_peak_memory_flat_in_permutations(self):
+        # as for mantel_test: the permutation table and one block
+        pairs = generate_language(Random(0), enumerate_stimuli()).pairs()
+        sem = semantic_distance_matrix([s for s, _ in pairs])
+        sig = signal_distance_matrix([w for _, w in pairs])
+        tracemalloc.start()
+        try:
+            exact_mantel_test(sem, sig, [len(w) for _, w in pairs], permutations=10_000, rng=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestGeneralizationScore:

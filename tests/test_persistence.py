@@ -94,6 +94,32 @@ class TestSaveAndManifest:
         assert (sim / "vocab" / "round4_B.vocab").exists()
         assert main(["replay", str(sim)]) == EXIT_OK
 
+    def test_save_reads_only_the_event_log(self, tmp_path, monkeypatch):
+        # each snapshot and metrics.csv is digested from the bytes written;
+        # the event log, written by the engine, is read once
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        with EventLog(run_dir / "events.jsonl") as event_log:
+            result = run_simulation(
+                RunConfig(master_seed=13, mantel_permutations=150), (LookupOracle("A"), LookupOracle("B")),
+                event_log=event_log,
+            )
+        reads = []
+        real_open = io.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if not set(mode) & set("wax+"):
+                reads.append(Path(file).relative_to(run_dir).as_posix())
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        manifest = save_simulation(result, run_dir)
+        monkeypatch.undo()
+        assert reads == ["events.jsonl"]
+        assert len(manifest.files) == 15  # 4 rounds: 13 snapshots, metrics.csv and the log
+        assert manifest.files == {name: file_digest(run_dir / name) for name in manifest.files}
+
     def test_round_snapshots_carry_success_flags(self, tmp_path):
         run_dir, _ = persisted_run(tmp_path)
         text = (run_dir / "vocab" / "round1_A.vocab").read_text()
@@ -182,6 +208,21 @@ class TestReplay:
             assert getattr(testing["A"], column) is None
         assert not testing["B"].degenerate
         assert replay_run(run_dir).ok
+
+    def test_testing_output_with_one_odd_signal_replays(self, tmp_path, capsys):
+        # every relabelling of A's testing output has the same dot, so its
+        # Z is the float kernel's rounding noise, which replay reproduces
+        class OddOneOut(LookupOracle):
+            def produce_signal(self, stimulus, task, rng):
+                if task is PromptTask.SPEAKING:
+                    return "mimi" if stimulus == enumerate_stimuli()[0] else "kapo"
+                return super().produce_signal(stimulus, task, rng)
+
+        run_dir, result = persisted_run(tmp_path, agents=(OddOneOut("A"), LookupOracle("B")))
+        testing_a = next(row for row in result.metric_rows if row.block == "testing" and row.agent == "A")
+        assert not testing_a.degenerate and testing_a.topsim_p == 1.0 and abs(testing_a.topsim_r) < 1e-15
+        assert main(["replay", str(run_dir)]) == EXIT_OK
+        assert "replay OK" in capsys.readouterr().out
 
     def test_edited_event_log_fails_digest(self, tmp_path):
         run_dir, _ = persisted_run(tmp_path)

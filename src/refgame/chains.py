@@ -29,7 +29,7 @@ from .domain import (
     sample_training_set,
 )
 from .engine import RunConfig, SimulationAborted, SimulationResult, derive_seed, run_simulation
-from .metrics import DegenerateMatrixError, topsim_mantel
+from .metrics import vocabulary_report
 from .persistence import (
     ChainRow,
     PersistenceError,
@@ -85,19 +85,16 @@ def select_donor(
     permutations: int,
     rng,
 ) -> DonorSelection:
-    """The testing vocabulary with the higher TopSim Z wins. A degenerate
-    vocabulary ranks below every real Z, ties go to the first agent, and
-    ``degenerate`` flags a degenerate vocabulary on either side."""
+    """The testing vocabulary whose ``vocabulary_report`` has the higher TopSim
+    Z wins. A degenerate vocabulary ranks below every real Z, ties go to the
+    first agent, and ``degenerate`` flags a degenerate vocabulary on either side."""
     outputs = {agent_ids[0]: list(test_a), agent_ids[1]: list(test_b)}
+    z_scores: dict[str, float] = {}
     for agent_id, pairs in outputs.items():
         if len(pairs) != len(enumerate_stimuli()):
             raise ChainError(f"incomplete testing output for agent {agent_id}")
-    z_scores: dict[str, float] = {}
-    for agent_id, pairs in outputs.items():
-        try:
-            z_scores[agent_id] = topsim_mantel(pairs, permutations=permutations, rng=rng).z_score
-        except DegenerateMatrixError:
-            z_scores[agent_id] = -math.inf
+        topsim = vocabulary_report(pairs, permutations, rng).topsim
+        z_scores[agent_id] = -math.inf if topsim is None else topsim.z_score
     donor = max(agent_ids, key=z_scores.__getitem__)
     return DonorSelection(donor, outputs[donor], degenerate=-math.inf in z_scores.values())
 

@@ -32,9 +32,7 @@ from .metrics import (
     DEFAULT_PERMUTATIONS,
     MetricError,
     generalization_score,
-    ngram_diversity,
-    topsim_mantel,
-    unique_signal_ratio,
+    vocabulary_report,
 )
 from .persistence import (
     DigestMismatch,
@@ -167,16 +165,16 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
     train = Vocabulary.load(args.train)
-    if len(train) < 3:
-        raise MetricError(f"{args.train} has {len(train)} entries, need at least 3")
-    result = topsim_mantel(train.pairs(), permutations=args.permutations, rng=args.seed)
+    report = vocabulary_report(train.pairs(), permutations=args.permutations, rng=args.seed)
+    if (result := report.topsim) is None:  # under 3 entries, or constant distances or permutations
+        raise MetricError(f"{args.train} is degenerate: no TopSim over its {len(train)} entries")
     print(f"entries: {len(train)}")
     print(f"topsim_z: {result.z_score:.4f}")
     print(f"topsim_p: {result.p_value:.6f}")
     print(f"observed_r: {result.observed_r:.4f}")
     print(f"permutations: {result.permutations} ({result.method})")
-    print(f"ngram_diversity: {ngram_diversity(train.signals()):.4f}")
-    print(f"unique_signal_ratio: {unique_signal_ratio(train.signals()):.4f}")
+    print(f"ngram_diversity: {report.ngram_diversity:.4f}")
+    print(f"unique_signal_ratio: {report.unique_signal_ratio:.4f}")
     if args.test:
         test = Vocabulary.load(args.test)
         score = generalization_score(train.pairs(), test.pairs(), pairs=args.gen_pairs)

@@ -577,7 +577,8 @@ def run_communication_block(
     under the agent that sent it, the rng goes back to before t+1's draws,
     and t+1 runs in turn; no prediction is made on a speaking reply read
     ahead that fails or does not parse. Nothing is asked ahead across a
-    round boundary or after a failed production."""
+    round boundary or after a failed production. An abort closes every
+    request sent ahead and not read."""
     assert agent_a.vocabulary is not None and agent_b.vocabulary is not None
     agent_a.vocabulary.track_success = True
     agent_b.vocabulary.track_success = True
@@ -614,96 +615,106 @@ def run_communication_block(
             reply.discard(event_log)
         event_log.set_context(agent=agent)
 
-    for round_number in range(1, config.rounds + 1):
-        tasks = schedule_round(train, rng, (agent_a.agent_id, agent_b.agent_id))
-        # this task's candidates, speaking reply and the flag to read it
-        # under, and its overlap when that was made on a right prediction
-        ahead = None
-        # a wrong prediction's requests and their sender, discarded once the right ones are sent
-        stale: tuple[str, list[Reply]] | None = None
-        for task_index, (speaker_id, stimulus) in enumerate(tasks):
-            speaker = agents[speaker_id]
-            listener = agents[[i for i in agents if i != speaker_id][0]]
-            event_log.set_context(
-                block="communication",
-                round=round_number,
-                task=task_index,
-                agent=speaker_id,
-            )
-            said = (task_index, stimulus)
-            sent = None
-            signal = None
-            if ahead is None:
-                candidates = draw_candidates(stimulus)
-            else:  # the speaking reply read ahead is t's first attempt
-                candidates, speaking, flag, sent = ahead
-                signal = speaking.read(event_log, flag)
-            if signal is None:
-                signal = _run(_alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng,
-                                     attempts - (ahead is not None), event_log))
+    ahead = sent = next_sent = stale = None
+    try:
+        for round_number in range(1, config.rounds + 1):
+            tasks = schedule_round(train, rng, (agent_a.agent_id, agent_b.agent_id))
+            # this task's candidates, speaking reply and the flag to read it
+            # under, and its overlap when that was made on a right prediction
             ahead = None
-            chosen = None
-            if signal is not None:
-                event_log.set_context(agent=listener.agent_id)
-                heard = (task_index, signal, candidates, stimulus)
-                if sent is None and listener.speaks_ahead and task_index + 1 < len(tasks):
-                    sent = overlap(listener, heard, task_index + 1)
-            if stale is not None:
-                discard(*stale)
-                stale = None
-            if sent is not None:
-                next_sent = None
-                if speaker.speaks_ahead and task_index + 2 < len(tasks):
-                    next_signal = sent.speaking.peek(0)  # t predicted to fail
-                    if next_signal is not None:
-                        mark = rng.getstate()
-                        speaker.vocabulary.update(stimulus, signal, 0)  # t's record updates it again
-                        next_task = (task_index + 1, next_signal, sent.next_candidates, tasks[task_index + 1][1])
-                        next_sent = overlap(speaker, next_task, task_index + 2)
-                answers = sent.listening.read(event_log)
-                if answers:
-                    chosen = answers[0]
-                    flag = int(candidates[chosen] == stimulus)
-                    if next_sent is not None and flag:  # t succeeded: t+1's overlap is made anew
-                        rng.setstate(mark)
-                        stale, next_sent = (speaker_id, [next_sent.listening, next_sent.speaking]), None
-                    ahead = (sent.next_candidates, sent.speaking, flag, next_sent)
-                else:  # the listener needs another attempt: t+1 runs in turn
-                    discard(listener.agent_id, [sent.speaking])
-                    if next_sent is not None:
-                        discard(speaker_id, [next_sent.listening, next_sent.speaking])
-                    rng.setstate(sent.before)
-            if signal is not None and chosen is None:  # a listening request sent is t's first attempt
-                chosen = _run(_alone(listener.choose_many, heard, PromptTask.LISTENING, rng,
-                                     attempts - (sent is not None), event_log))
-            success = chosen is not None and candidates[chosen] == stimulus
+            # a wrong prediction's requests and their sender, discarded once the right ones are sent
+            stale: tuple[str, list[Reply]] | None = None
+            for task_index, (speaker_id, stimulus) in enumerate(tasks):
+                speaker = agents[speaker_id]
+                listener = agents[[i for i in agents if i != speaker_id][0]]
+                event_log.set_context(
+                    block="communication",
+                    round=round_number,
+                    task=task_index,
+                    agent=speaker_id,
+                )
+                said = (task_index, stimulus)
+                sent = None
+                signal = None
+                if ahead is None:
+                    candidates = draw_candidates(stimulus)
+                else:  # the speaking reply read ahead is t's first attempt
+                    candidates, speaking, flag, sent = ahead
+                    signal = speaking.read(event_log, flag)
+                if signal is None:
+                    signal = _run(_alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng,
+                                         attempts - (ahead is not None), event_log))
+                ahead = None
+                chosen = None
+                if signal is not None:
+                    event_log.set_context(agent=listener.agent_id)
+                    heard = (task_index, signal, candidates, stimulus)
+                    if sent is None and listener.speaks_ahead and task_index + 1 < len(tasks):
+                        sent = overlap(listener, heard, task_index + 1)
+                if stale is not None:
+                    discard(*stale)
+                    stale = None
+                if sent is not None:
+                    next_sent = None
+                    if speaker.speaks_ahead and task_index + 2 < len(tasks):
+                        next_signal = sent.speaking.peek(0)  # t predicted to fail
+                        if next_signal is not None:
+                            mark = rng.getstate()
+                            speaker.vocabulary.update(stimulus, signal, 0)  # t's record updates it again
+                            next_task = (task_index + 1, next_signal, sent.next_candidates,
+                                         tasks[task_index + 1][1])
+                            next_sent = overlap(speaker, next_task, task_index + 2)
+                    answers = sent.listening.read(event_log)
+                    if answers:
+                        chosen = answers[0]
+                        flag = int(candidates[chosen] == stimulus)
+                        if next_sent is not None and flag:  # t succeeded: t+1's overlap is made anew
+                            rng.setstate(mark)
+                            stale, next_sent = (speaker_id, [next_sent.listening, next_sent.speaking]), None
+                        ahead = (sent.next_candidates, sent.speaking, flag, next_sent)
+                    else:  # the listener needs another attempt: t+1 runs in turn
+                        discard(listener.agent_id, [sent.speaking])
+                        if next_sent is not None:
+                            discard(speaker_id, [next_sent.listening, next_sent.speaking])
+                        rng.setstate(sent.before)
+                if signal is not None and chosen is None:  # a listening request sent is t's first attempt
+                    chosen = _run(_alone(listener.choose_many, heard, PromptTask.LISTENING, rng,
+                                         attempts - (sent is not None), event_log))
+                success = chosen is not None and candidates[chosen] == stimulus
 
-            record = InteractionRecord(
-                round=round_number,
-                task=task_index,
-                speaker=speaker_id,
-                listener=listener.agent_id,
-                stimulus=stimulus,
-                signal="" if signal is None else signal,
-                candidates=tuple(candidates),
-                chosen=-1 if chosen is None else chosen,
-                success=success,
-                failure_mode=(
-                    "failed-production" if signal is None
-                    else "failed-choice" if chosen is None else "none"
-                ),
-            )
-            records.append(record)
-            event_log.append(record.KIND, **record.event())
+                record = InteractionRecord(
+                    round=round_number,
+                    task=task_index,
+                    speaker=speaker_id,
+                    listener=listener.agent_id,
+                    stimulus=stimulus,
+                    signal="" if signal is None else signal,
+                    candidates=tuple(candidates),
+                    chosen=-1 if chosen is None else chosen,
+                    success=success,
+                    failure_mode=(
+                        "failed-production" if signal is None
+                        else "failed-choice" if chosen is None else "none"
+                    ),
+                )
+                records.append(record)
+                event_log.append(record.KIND, **record.event())
 
-            # both vocabularies adopt the produced signal, flag = outcome
-            if signal is not None:
-                flag = 1 if success else 0
-                agent_a.vocabulary.update(stimulus, signal, flag)
-                agent_b.vocabulary.update(stimulus, signal, flag)
+                # both vocabularies adopt the produced signal, flag = outcome
+                if signal is not None:
+                    flag = 1 if success else 0
+                    agent_a.vocabulary.update(stimulus, signal, flag)
+                    agent_b.vocabulary.update(stimulus, signal, flag)
 
-        round_vocabs[agent_a.agent_id].append(agent_a.vocabulary.copy())
-        round_vocabs[agent_b.agent_id].append(agent_b.vocabulary.copy())
+            round_vocabs[agent_a.agent_id].append(agent_a.vocabulary.copy())
+            round_vocabs[agent_b.agent_id].append(agent_b.vocabulary.copy())
+    except BaseException:  # an abort closes what was sent ahead and is unread; a read request stays as it is
+        overlaps = [made for made in (sent, next_sent, ahead and ahead[3]) if made is not None]
+        unread = [request for made in overlaps for request in (made.listening, made.speaking)]
+        unread += ([ahead[1]] if ahead else []) + (stale[1] if stale else [])
+        for request in unread:
+            request.close()
+        raise
 
     return CommunicationResult(records=records, round_vocabs=round_vocabs)
 

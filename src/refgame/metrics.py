@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .domain import Signal, Stimulus, Vocabulary, enumerate_stimuli
+from .domain import Signal, Stimulus, enumerate_stimuli
 
 # Exhaustive Mantel enumeration is used at or below this size (7! = 5040).
 EXHAUSTIVE_MANTEL_MAX_N = 7
@@ -278,12 +278,6 @@ class TopSimResult:
     method: str  # "exact" or "sampled"
 
 
-def _as_pairs(vocab) -> list[tuple[Stimulus, Signal]]:
-    if isinstance(vocab, Vocabulary):
-        return vocab.pairs()
-    return [(s, w) for s, w in vocab]
-
-
 def _semantic_triangle(semantic: np.ndarray, signal: np.ndarray) -> np.ndarray:
     """The upper triangle of the semantic matrix, row-major, once both
     matrices are checked: matrices that are not square and equal in size,
@@ -496,33 +490,14 @@ def exact_mantel_test(
     return _topsim_result(z, observed_r, permuted_r, method)
 
 
-def topsim_mantel(
-    vocab,
-    permutations: int = DEFAULT_PERMUTATIONS,
-    rng=None,
-    method: str = "auto",
-) -> TopSimResult:
-    """TopSim of a vocabulary (or iterable of (stimulus, signal) pairs).
-
-    rng may be a numpy Generator or an integer seed; it only matters in
-    sampled mode.
-    """
-    pairs = _as_pairs(vocab)
-    if len(pairs) < 3:
-        raise ValueError("topsim needs at least 3 entries")
-    sem = semantic_distance_matrix([s for s, _ in pairs])
-    sig = signal_distance_matrix([w for _, w in pairs])
-    return mantel_test(sem, sig, permutations=permutations, rng=rng, method=method)
-
-
-def ngram_diversity(signals: Sequence[str], orders: Sequence[int] = NGRAM_ORDERS) -> float:
+def ngram_diversity(signals: Sequence[str]) -> float:
     """Mean over N of distinct/total character N-grams pooled across signals.
 
     Orders with no grams at all (every signal shorter than N) are excluded
     from the mean.
     """
     fractions = []
-    for n in orders:
+    for n in NGRAM_ORDERS:
         grams = [signal[i : i + n] for signal in signals for i in range(len(signal) - n + 1)]
         if grams:
             fractions.append(len(set(grams)) / len(grams))
@@ -594,9 +569,11 @@ def vocabulary_report(
     memo: SignalMemo | None = None,
     exact: bool = False,
 ) -> MetricReport:
-    """MetricReport over (stimulus, signal) pairs; degenerate TopSim is flagged,
-    not raised, so reporting never aborts a run. Fewer than 3 pairs (failed
-    testing productions) give a degenerate report with no measurements.
+    """MetricReport over (stimulus, signal) pairs, the one measure of a
+    vocabulary (metric rows, replay, donor selection, ``refgame metrics``);
+    degenerate TopSim is flagged, not raised, so reporting never aborts a
+    run. Fewer than 3 pairs (failed testing productions) give a degenerate
+    report with no measurements. ``rng`` is a numpy Generator or an integer seed.
     The signals' measures come from ``memo``, measured there when missing;
     the Mantel test runs on every call, through ``exact_mantel_test`` when
     ``exact`` is set (its Z and r agree with ``mantel_test``'s to rounding,

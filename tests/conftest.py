@@ -139,6 +139,12 @@ class _StubHandler(BaseHTTPRequestHandler):
         elif behaviour == "null_text" and not body.get("echo"):
             for choice in choices:
                 choice["text"] = None
+        elif behaviour == "no_text" and not body.get("echo"):
+            for choice in choices:
+                del choice["text"]
+        elif behaviour == "null_logprobs" and body.get("echo"):
+            for choice in choices:
+                choice["logprobs"] = None
         self._reply(200, json.dumps({"choices": choices}).encode())
 
 

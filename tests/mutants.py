@@ -332,6 +332,15 @@ MUTANTS = (
         "fields, so (True, \"blue\", 1) loses the True that the constructor keeps",
         ("tests/test_domain.py::TestStimulus::test_make_gives_the_space_s_own_stimulus",),
     ),
+    Mutant(
+        "communication-leaves-requests-open", ENGINE,
+        (("        for request in unread:\n            request.close()\n", ""),),
+        "when a read in the communication block raises (a refused listening request), the "
+        "speaking request sent ahead for the next task and a prediction's two requests keep "
+        "their connections open until the garbage collector finds them",
+        ("tests/test_cli.py::TestEventLogLifecycle::"
+         "test_refused_listening_request_closes_the_requests_in_flight",),
+    ),
 )
 
 

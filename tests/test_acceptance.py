@@ -26,8 +26,10 @@ from refgame.metrics import (
     communicative_success_rate,
     generalization_score,
     levenshtein,
+    mantel_test,
     paired_t_test,
-    topsim_mantel,
+    semantic_distance_matrix,
+    signal_distance_matrix,
 )
 from refgame.persistence import ChainRow, read_rows
 from tests_paths import GOLDEN_TRAIN_PATH, GOLDEN_TEST_PATH
@@ -47,7 +49,8 @@ def test_criterion_01_golden_topsim(golden_vocabularies):
     """The bundled golden train vocabulary reproduces the published TopSim Z."""
     train, _ = golden_vocabularies
     started = time.monotonic()
-    result = topsim_mantel(train.pairs(), permutations=10_000, rng=0, method="sampled")
+    sem, sig = semantic_distance_matrix(train.stimuli()), signal_distance_matrix(train.signals())
+    result = mantel_test(sem, sig, permutations=10_000, rng=0, method="sampled")
     elapsed = time.monotonic() - started
     ok = abs(result.z_score - 7.13) <= 0.5 and result.p_value < 0.001 and elapsed < 5.0
     report(1, ok, f"z={result.z_score:.3f} (target 7.13±0.5) p={result.p_value:.6f} in {elapsed:.2f}s")
@@ -105,7 +108,9 @@ def _toy_pairs():
 def test_criterion_04_mantel_oracle_equivalence():
     """Sampled Mantel statistics agree with exhaustive 4! enumeration."""
     pairs = _toy_pairs()
-    exact = topsim_mantel(pairs, method="exact")
+    sem = semantic_distance_matrix([s for s, _ in pairs])
+    sig = signal_distance_matrix([w for _, w in pairs])
+    exact = mantel_test(sem, sig, method="exact")
 
     # independent exhaustive oracle over plain-python permutations
     oracle_r, oracle_z, _, _, _ = exhaustive_mantel_oracle(pairs)
@@ -116,7 +121,7 @@ def test_criterion_04_mantel_oracle_equivalence():
 
     zs, ps = [], []
     for trial in range(50):
-        sampled = topsim_mantel(pairs, permutations=2000, rng=trial, method="sampled")
+        sampled = mantel_test(sem, sig, permutations=2000, rng=trial, method="sampled")
         zs.append(sampled.z_score)
         ps.append(sampled.p_value)
     z_se = float(np.std(zs, ddof=1)) / math.sqrt(50)
@@ -145,7 +150,8 @@ def test_criterion_05_null_calibration():
     for trial in range(400):
         split = sample_training_set(rng)
         vocab = generate_language(rng, split.train)
-        result = topsim_mantel(vocab, permutations=999, rng=5000 + trial, method="sampled")
+        sem, sig = semantic_distance_matrix(vocab.stimuli()), signal_distance_matrix(vocab.signals())
+        result = mantel_test(sem, sig, permutations=999, rng=5000 + trial, method="sampled")
         z_values.append(result.z_score)
         significant += result.p_value < 0.05
     rate = significant / 400

@@ -321,7 +321,7 @@ class TestHttpBackend:
         assert [c["prompt"] for c in calls] == handler.seen[0]["prompt"]
         assert list(calls[0])[:5] == ["kind", "block", "task", "agent", "call"]
 
-    @pytest.mark.parametrize("behaviour", ["drop_choice", "no_index", "null_text"])
+    @pytest.mark.parametrize("behaviour", ["drop_choice", "no_index", "null_text", "no_text"])
     def test_complete_list_reply_without_a_choice_per_prompt(self, keepalive_stub_server, event_log, behaviour):
         endpoint, handler = keepalive_stub_server
         handler.behaviour = behaviour
@@ -400,11 +400,19 @@ class TestHttpBackend:
         assert handler.seen == []  # no request was sent
 
     def test_score_capability_unsupported(self, stub_server):
+        # echoed choices without log-probabilities, or with null ones
         endpoint, handler = stub_server
-        handler.behaviour = "no_logprobs"
         backend = http_backend(endpoint)
-        with pytest.raises(CapabilityUnsupported):
-            backend.score(CANDIDATES, [0] * 4).read(EventLog())
+        for behaviour in ("no_logprobs", "null_logprobs"):
+            handler.behaviour = behaviour
+            with pytest.raises(CapabilityUnsupported):
+                backend.score(CANDIDATES, [0] * 4).read(EventLog())
+
+    def test_score_needs_a_continuation(self, stub_server):
+        endpoint, handler = stub_server
+        with pytest.raises(ValueError, match="^continuation must be non-empty$"):
+            http_backend(endpoint).score([replace(SCORED, continuation="")], [0])
+        assert handler.seen == []  # nothing was sent
 
     @pytest.mark.parametrize(
         "logprobs",
@@ -414,8 +422,12 @@ class TestHttpBackend:
             {"token_logprobs": [None, -1.0], "text_offset": [0, "1000000"]},
             {"token_logprobs": "x", "text_offset": [10**6]},
             {"token_logprobs": [None, -1.0], "text_offset": 0},
+            {"token_logprobs": [None, -1.0], "text_offset": [0, 1]},
         ],
-        ids=["string-logprob", "true-logprob", "string-offset", "logprobs-not-a-list", "offsets-not-a-list"],
+        ids=[
+            "string-logprob", "true-logprob", "string-offset", "logprobs-not-a-list", "offsets-not-a-list",
+            "no-continuation-token",
+        ],
     )
     def test_malformed_echo_reply(self, stub_server, logprobs):
         # each of these used to raise TypeError or be summed as a number

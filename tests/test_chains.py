@@ -16,7 +16,7 @@ from refgame.chains import (
 )
 from refgame.domain import SHAPES, COLOURS, AMOUNTS, enumerate_stimuli, generate_language
 from refgame.engine import RunConfig, SimulationAborted
-from refgame.metrics import topsim_mantel
+from refgame.metrics import vocabulary_report
 from refgame.persistence import ChainRow, RunManifest, chain_row, read_rows
 from refgame.prompts import PromptTask
 
@@ -153,11 +153,10 @@ class TestRunChain:
 
         config = fast_chain_config(generations=3, donor_permutations=300)
         records = run_chain(config, RunConfig(mantel_permutations=300), 5, 0, tmp_path, factory)
-        gen0_language_z = topsim_mantel(
-            records[0].result.initial_language, permutations=300, rng=0
-        ).z_score
+        gen0_language = records[0].result.initial_language.pairs()
+        gen0_language_z = vocabulary_report(gen0_language, permutations=300, rng=0).topsim.z_score
         for record in records[1:]:
-            donor_z = topsim_mantel(transmitted(record), permutations=300, rng=0).z_score
+            donor_z = vocabulary_report(transmitted(record), permutations=300, rng=0).topsim.z_score
             assert donor_z >= gen0_language_z
 
     def test_truncating_learner_improves_learnability(self, tmp_path):

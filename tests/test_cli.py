@@ -18,10 +18,10 @@ from refgame import cli
 from refgame.agents import LookupOracle, Reply
 from refgame.backend import EventLog
 from refgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
-from refgame.domain import Vocabulary, enumerate_stimuli
+from refgame.domain import Vocabulary, VocabularyEntry, enumerate_stimuli
 from refgame.engine import MetricRow
 from refgame.persistence import ChainRow, RunManifest, file_digest, read_rows
-from refgame.prompts import PromptTask
+from refgame.prompts import LISTENING_INSTRUCTION, PromptTask
 from tests_paths import GOLDEN_TRAIN_PATH, GOLDEN_TEST_PATH
 
 
@@ -202,6 +202,25 @@ class TestSimulate:
         assert f"error: run: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("simulate", "--count", "0"), "count must be >= 1"),
+            (("simulate", "--agents", "oracle:lookup"), "exactly two agents are required"),
+            (("chain", "--chains", "0"), "chain: chains must be >= 1"),
+            (("chain", "--generations", "0"), "chain: generations must be >= 1"),
+            (("simulate", "--config", "distractors.yaml"), "run: guessing_distractors must be between 1 and 14"),
+        ],
+        ids=["count", "one-agent", "chains", "generations", "guessing-distractors"],
+    )
+    def test_out_of_range_setting_rejected_before_writing(self, tmp_path, capsys, argv, message):
+        (tmp_path / "distractors.yaml").write_text(yaml.safe_dump({"run": {"guessing_distractors": 15}}))
+        argv = [str(tmp_path / arg) if arg.endswith(".yaml") else arg for arg in argv]
+        out = tmp_path / "runs"
+        assert run_cli(*argv, "--out", str(out)) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("retries", [0, -1])
     def test_agent_retries_below_one_rejected_before_writing(self, tmp_path, capsys, retries):
         # with no attempt a task could only fail
@@ -231,6 +250,26 @@ class TestMetricsCommand:
         z_line = next(line for line in out.splitlines() if line.startswith("topsim_z:"))
         assert abs(float(z_line.split(":")[1]) - 7.13) < 0.5
 
+    def test_golden_stdout_pinned(self, capsys):
+        assert run_cli("metrics", GOLDEN_TRAIN_PATH, "--permutations", "2000", "--seed", "0") == EXIT_OK
+        assert capsys.readouterr().out == (
+            "entries: 15\n"
+            "topsim_z: 6.9709\n"
+            "topsim_p: 0.000500\n"
+            "observed_r: 0.7288\n"
+            "permutations: 2000 (sampled)\n"
+            "ngram_diversity: 0.2931\n"
+            "unique_signal_ratio: 0.7333\n"
+        )
+
+    def test_degenerate_vocabulary_rejected(self, tmp_path, capsys):
+        path = tmp_path / "same.vocab"
+        Vocabulary(VocabularyEntry(s, "gali", 0) for s in enumerate_stimuli()[:5]).save(path)
+        assert run_cli("metrics", str(path)) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path} is degenerate: no TopSim over its 5 entries\n"
+        assert captured.out == ""
+
     def test_train_and_test_gives_gen_score(self, capsys):
         code = run_cli(
             "metrics", GOLDEN_TRAIN_PATH, GOLDEN_TEST_PATH, "--permutations", "500"
@@ -255,6 +294,7 @@ class TestMetricsCommand:
         path = tmp_path / "one.vocab"
         path.write_text("{'shape':1,'colour':'blue','amount':1,'word':'gali'}\n")
         assert run_cli("metrics", str(path)) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {path} is degenerate: no TopSim over its 1 entries\n")
 
     def test_parse_error_identifies_line(self, tmp_path, capsys):
         path = tmp_path / "bad.vocab"
@@ -1293,22 +1333,12 @@ class TestEventLogLifecycle:
     """Each events.jsonl a command opens is closed again, whether its run
     completes or aborts, and its manifest digests the file on disk."""
 
-    @pytest.mark.parametrize(
-        "argv, code, runs",
-        [
-            (("simulate", "--count", "2"), EXIT_OK, 2),
-            (("chain", "--chains", "1", "--generations", "2"), EXIT_OK, 2),
-            # lookup oracles collapse the language by gen06, which aborts
-            (("chain", "--seed", "4", "--chains", "1", "--generations", "7"), EXIT_RUNTIME, 7),
-            # against the keep-alive stub: five connections per llm agent
-            (("simulate", "--config", "wire"), EXIT_OK, 1),
-        ],
-        ids=["simulate", "chain", "aborted-chain", "llm-dyad"],
-    )
-    def test_every_handle_closed(self, tmp_path, monkeypatch, request, argv, code, runs):
-        unraisable = []  # a ResourceWarning raised in a finalizer lands here
+    @staticmethod
+    def recorded(monkeypatch) -> tuple[list, list]:
+        """The connections every backend the CLI builds opens, and the
+        exceptions raised in finalizers (a ResourceWarning lands there)."""
+        unraisable, connections = [], []
         monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-        connections = []
 
         class Recorded(cli.HttpBackend):
             def __init__(self, *args):
@@ -1322,6 +1352,22 @@ class TestEventLogLifecycle:
                 self._connect = recorded
 
         monkeypatch.setattr(cli, "HttpBackend", Recorded)
+        return unraisable, connections
+
+    @pytest.mark.parametrize(
+        "argv, code, runs",
+        [
+            (("simulate", "--count", "2"), EXIT_OK, 2),
+            (("chain", "--chains", "1", "--generations", "2"), EXIT_OK, 2),
+            # lookup oracles collapse the language by gen06, which aborts
+            (("chain", "--seed", "4", "--chains", "1", "--generations", "7"), EXIT_RUNTIME, 7),
+            # against the keep-alive stub: five connections per llm agent
+            (("simulate", "--config", "wire"), EXIT_OK, 1),
+        ],
+        ids=["simulate", "chain", "aborted-chain", "llm-dyad"],
+    )
+    def test_every_handle_closed(self, tmp_path, monkeypatch, request, argv, code, runs):
+        unraisable, connections = self.recorded(monkeypatch)
         if "wire" in argv:
             endpoint, _ = request.getfixturevalue("keepalive_stub_server")
             argv = [wire_config(tmp_path, endpoint) if arg == "wire" else arg for arg in argv]
@@ -1341,6 +1387,38 @@ class TestEventLogLifecycle:
         for run_dir in run_dirs:
             digest = RunManifest.load(run_dir).files["events.jsonl"]
             assert digest == file_digest(run_dir / "events.jsonl")
+
+    @pytest.mark.parametrize("refused", [1, 3])
+    def test_refused_listening_request_closes_the_requests_in_flight(
+        self, tmp_path, monkeypatch, keepalive_stub_server, refused
+    ):
+        # the service refuses the communication block's listening requests from
+        # the first or the third on: the run aborts at the first refused read,
+        # and the requests it had sent ahead (a speaking request, and a
+        # prediction's two) are closed unread
+        unraisable, connections = self.recorded(monkeypatch)
+        endpoint, handler = keepalive_stub_server
+        handler.failure_status, listening = 403, []
+
+        def fails(self, body):
+            if body.get("echo") and LISTENING_INSTRUCTION in body["prompt"][0]:
+                with handler.lock:
+                    listening.append(body)
+                    return len(listening) >= refused
+            return False
+
+        handler._fails = fails
+        out = tmp_path / "runs"
+        config = wire_config(tmp_path, endpoint)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            code = run_cli("simulate", "--config", config, "--seed", "5", "--out", str(out))
+            gc.collect()
+        assert code == EXIT_RUNTIME
+        records = EventLog.read(out / "sim-00" / "events.jsonl")
+        assert records[-1]["kind"] == "run_aborted" and records[-1]["block"] == "communication"
+        assert [str(u.exc_value) for u in unraisable] == []
+        assert connections and all(connection.sock is None for connection in connections)
 
 
 class TestAbortInASharedBlock:

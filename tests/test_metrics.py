@@ -39,7 +39,6 @@ from refgame.metrics import (
     semantic_distance_matrix,
     semantic_similarity,
     signal_distance_matrix,
-    topsim_mantel,
     unique_signal_ratio,
     vocabulary_report,
 )
@@ -261,10 +260,17 @@ TOY_PAIRS = [
 ]
 
 
+TOY_SEMANTIC = semantic_distance_matrix([s for s, _ in TOY_PAIRS])
+TOY_SIGNAL = signal_distance_matrix([w for _, w in TOY_PAIRS])
+
+
 class TestTopSimMantel:
+    """TopSim as the program measures it (``vocabulary_report``), and the
+    Mantel test on distance matrices where a test forces its method."""
+
     def test_exhaustive_matches_oracle(self):
         observed, z, p, mean, std = exhaustive_mantel_oracle(TOY_PAIRS)
-        result = topsim_mantel(TOY_PAIRS, method="exact")
+        result = mantel_test(TOY_SEMANTIC, TOY_SIGNAL, method="exact")
         assert result.method == "exact"
         assert result.permutations == 24
         assert result.observed_r == pytest.approx(observed, abs=1e-12)
@@ -272,34 +278,34 @@ class TestTopSimMantel:
         assert result.p_value == pytest.approx(p, abs=1e-12)
 
     def test_auto_uses_exact_for_small_n(self):
-        assert topsim_mantel(TOY_PAIRS).method == "exact"
+        assert vocabulary_report(TOY_PAIRS).topsim.method == "exact"
         train = sample_training_set(Random(0)).train
         vocab = generate_language(Random(0), train)
-        assert topsim_mantel(vocab, permutations=100, rng=0).method == "sampled"
+        assert vocabulary_report(vocab.pairs(), permutations=100, rng=0).topsim.method == "sampled"
 
     def test_degenerate_identical_signals(self):
-        pairs = [(s, "gigi") for s in enumerate_stimuli()[:5]]
+        stimuli = enumerate_stimuli()[:5]
         with pytest.raises(DegenerateMatrixError):
-            topsim_mantel(pairs)
+            mantel_test(semantic_distance_matrix(stimuli), signal_distance_matrix(["gigi"] * 5))
 
     def test_degenerate_semantics(self):
         # three stimuli pairwise differing in exactly two attributes
-        pairs = [
-            (Stimulus(1, "blue", 1), "gali"),
-            (Stimulus(2, "green", 1), "hopu"),
-            (Stimulus(3, "orange", 1), "nuwa"),
-        ]
+        stimuli = [Stimulus(1, "blue", 1), Stimulus(2, "green", 1), Stimulus(3, "orange", 1)]
+        signals = ["gali", "hopu", "nuwa"]
         with pytest.raises(DegenerateMatrixError):
-            topsim_mantel(pairs)
+            mantel_test(semantic_distance_matrix(stimuli), signal_distance_matrix(signals))
 
     def test_needs_three_entries(self):
-        with pytest.raises(ValueError):
-            topsim_mantel(TOY_PAIRS[:2])
+        with pytest.raises(ValueError, match="at least 3 items"):
+            mantel_test(TOY_SEMANTIC[:2, :2], TOY_SIGNAL[:2, :2])
+        report = vocabulary_report(TOY_PAIRS[:2])
+        assert report.degenerate and report.topsim is None and report.ngram_diversity is None
 
     def test_sampled_needs_a_permutation(self):
         train = sample_training_set(Random(0)).train
+        pairs = generate_language(Random(0), train).pairs()
         with pytest.raises(ValueError, match="at least 1 permutation"):
-            topsim_mantel(generate_language(Random(0), train), permutations=0, rng=0)
+            vocabulary_report(pairs, permutations=0, rng=0)
 
     def test_relabeling_invariance(self):
         # applying one relabeling to both sides leaves observed r unchanged
@@ -307,11 +313,11 @@ class TestTopSimMantel:
         train = sample_training_set(rng).train
         vocab = generate_language(rng, train)
         pairs = vocab.pairs()
-        base = topsim_mantel(pairs, permutations=10, rng=0).observed_r
+        base = vocabulary_report(pairs, permutations=10, rng=0).topsim.observed_r
         perm = list(range(len(pairs)))
         Random(5).shuffle(perm)
         shuffled = [pairs[i] for i in perm]
-        assert topsim_mantel(shuffled, permutations=10, rng=0).observed_r == pytest.approx(
+        assert vocabulary_report(shuffled, permutations=10, rng=0).topsim.observed_r == pytest.approx(
             base, abs=1e-12
         )
 
@@ -319,14 +325,13 @@ class TestTopSimMantel:
         oracle = CompositionalOracle("X")
         train = sample_training_set(Random(21)).train
         pairs = [(s, oracle.rule_signal(s)) for s in train]
-        result = topsim_mantel(pairs, permutations=1000, rng=7)
-        assert result.p_value < 0.05
+        assert vocabulary_report(pairs, permutations=1000, rng=7).topsim.p_value < 0.05
 
     def test_seed_stability(self):
         train = sample_training_set(Random(2)).train
-        vocab = generate_language(Random(2), train)
-        a = topsim_mantel(vocab, permutations=500, rng=42)
-        b = topsim_mantel(vocab, permutations=500, rng=42)
+        pairs = generate_language(Random(2), train).pairs()
+        a = vocabulary_report(pairs, permutations=500, rng=42)
+        b = vocabulary_report(pairs, permutations=500, rng=42)
         assert a == b
 
 
@@ -538,7 +543,9 @@ class TestMantelBitIdentity:
         assert result == full_gather_mantel_reference(sem, sig, perms, "exact")
 
     def test_golden_topsim_pinned(self, golden_train):
-        result = topsim_mantel(golden_train.pairs(), permutations=10_000, rng=0, method="sampled")
+        sem = semantic_distance_matrix(golden_train.stimuli())
+        sig = signal_distance_matrix(golden_train.signals())
+        result = mantel_test(sem, sig, permutations=10_000, rng=0, method="sampled")
         assert repr(result.z_score) == "7.159796628675282"
         assert repr(result.p_value) == "9.999000099990002e-05"
         assert repr(result.observed_r) == "0.7288486986723643"
@@ -775,9 +782,39 @@ class TestReportHelpers:
         assert report.topsim is None
         assert report.unique_signal_ratio == pytest.approx(0.2)
 
+    def test_report_topsim_is_mantel_test_over_fresh_matrices(self):
+        # 300 seeded vocabularies: CV languages, 1-4 distinct signals, random
+        # strings of 1-32 letters. The report's Z is mantel_test's to the bit,
+        # and it has no TopSim exactly where mantel_test finds a degenerate input
+        rng = Random(45)
+        degenerate = 0
+        for case in range(300):
+            stimuli = rng.sample(enumerate_stimuli(), rng.choice([3, 5, 7, 8, 15, 27]))
+            if case % 3 == 0:
+                signals = generate_language(rng, stimuli).signals()
+            elif case % 3 == 1:
+                words = [random_signal(rng) for _ in range(rng.randint(1, 4))]
+                signals = [rng.choice(words) for _ in stimuli]
+            else:
+                letters = "abcdefghijklmnopqrstuvwxyz"
+                signals = ["".join(rng.choices(letters, k=rng.randint(1, 32))) for _ in stimuli]
+            permutations, seed = rng.choice([30, 100, 1000]), rng.randrange(2**32)
+            report = vocabulary_report(list(zip(stimuli, signals)), permutations, seed)
+            sem, sig = semantic_distance_matrix(stimuli), signal_distance_matrix(signals)
+            try:
+                expected = mantel_test(sem, sig, permutations, seed)
+            except DegenerateMatrixError:
+                assert report.degenerate and report.topsim is None
+                degenerate += 1
+                continue
+            assert not report.degenerate
+            assert repr(report.topsim.z_score) == repr(expected.z_score)
+            assert report.topsim == expected
+        assert 0 < degenerate < 300
+
     def test_random_languages_mean_z_near_zero(self):
         zs = []
         for seed in range(20):
             vocab = generate_language(Random(100 + seed), enumerate_stimuli())
-            zs.append(topsim_mantel(vocab, permutations=300, rng=seed).z_score)
+            zs.append(vocabulary_report(vocab.pairs(), permutations=300, rng=seed).topsim.z_score)
         assert -1.0 < float(np.mean(zs)) < 1.0

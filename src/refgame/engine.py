@@ -311,9 +311,9 @@ def _step(block: Generator):
 
 def _run(block: Generator):
     """What ``block`` returns, run on to its end. A block is a generator that
-    makes its draws and sends its requests, yields each time it has sent
-    requests it reads next, and, once they are all read and its records
-    written, returns its result."""
+    makes its draws and sends its requests, yields before each read, and
+    returns its result once all are read and its records written. Closed
+    at a yield, or raising, it closes each request sent and not read."""
     while (result := _step(block)) is _SENT:
         pass
     return result
@@ -354,15 +354,14 @@ def _beside(event_log: EventLog, first: Callable, second: Callable) -> Generator
     return mine, theirs
 
 
-def _read(reply: Reply, event_log: EventLog) -> Generator:
-    """``reply``'s answer, read after one yield (see ``_run``); a block
-    closed at that yield closes the request unread."""
+def _read(reply: Reply, event_log: EventLog, kept: int | None = None) -> Generator:
+    """``reply``'s answer, read after one yield (see ``_run``) with ``kept``
+    as ``Reply.read`` takes it, and closed if the read does not complete."""
     try:
         yield
-    except GeneratorExit:
+        return reply.read(event_log, kept)
+    finally:  # closing a request already read does nothing
         reply.close()
-        raise
-    return reply.read(event_log)
 
 
 def _alone(ask: Callable, item: tuple, prompt_task: PromptTask, rng: Random, attempts: int,
@@ -542,7 +541,7 @@ def run_communication_block(
     rng: Random,
     config: RunConfig,
     event_log: EventLog,
-) -> CommunicationResult:
+) -> Generator[None, None, CommunicationResult]:
     """The referential game: per task the speaker produces a signal for the
     target from its own vocabulary (target excluded from context); the
     listener picks the target out of ``candidate_count`` stimuli by scoring
@@ -577,8 +576,10 @@ def run_communication_block(
     under the agent that sent it, the rng goes back to before t+1's draws,
     and t+1 runs in turn; no prediction is made on a speaking reply read
     ahead that fails or does not parse. Nothing is asked ahead across a
-    round boundary or after a failed production. An abort closes every
-    request sent ahead and not read."""
+    round boundary or after a failed production. As a block (see ``_run``)
+    it yields before each read: of a speaking reply read ahead, the
+    prediction's peek, a listening request, a discard, an attempt asked
+    alone; each request it sends ahead is in ``in_flight`` until read."""
     assert agent_a.vocabulary is not None and agent_b.vocabulary is not None
     agent_a.vocabulary.track_success = True
     agent_b.vocabulary.track_success = True
@@ -587,6 +588,7 @@ def run_communication_block(
     attempts = config.max_agent_retries
     records: list[InteractionRecord] = []
     round_vocabs: dict[str, list[Vocabulary]] = {agent_a.agent_id: [], agent_b.agent_id: []}
+    in_flight: list[Reply] = []  # sent ahead and not yet read
 
     def draw_candidates(stimulus: Stimulus) -> list[Stimulus]:
         distractors = rng.sample([s for s in train if s != stimulus], config.candidate_count - 1)
@@ -604,18 +606,26 @@ def run_communication_block(
         for flag, variant in enumerate(variants):
             variant.update(stimulus, signal, flag)
         speaking = listener.speak_ahead(next_index, next_stimulus, variants, rng)
-        return _Overlap(send_listening(), before, next_candidates, speaking)
+        in_flight.append(speaking)
+        in_flight.append(send_listening())
+        return _Overlap(in_flight[-1], before, next_candidates, speaking)
 
-    def discard(owner: str, replies: list[Reply]) -> None:
-        """Reads ``replies`` and logs them as discarded, under ``owner``, the
-        agent that sent them."""
+    def read(reply: Reply, kept: int | None = None) -> Generator:
+        """``_read``'s answer, its request then out of ``in_flight``."""
+        answer = yield from _read(reply, event_log, kept)
+        in_flight.remove(reply)
+        return answer
+
+    def discard(owner: str, replies: list[Reply]) -> Generator:
+        """Reads ``replies`` after one yield, logged as discarded under ``owner``, who sent them."""
+        yield
         agent = event_log.context["agent"]
         event_log.set_context(agent=owner)
         for reply in replies:
             reply.discard(event_log)
+            in_flight.remove(reply)
         event_log.set_context(agent=agent)
 
-    ahead = sent = next_sent = stale = None
     try:
         for round_number in range(1, config.rounds + 1):
             tasks = schedule_round(train, rng, (agent_a.agent_id, agent_b.agent_id))
@@ -627,23 +637,18 @@ def run_communication_block(
             for task_index, (speaker_id, stimulus) in enumerate(tasks):
                 speaker = agents[speaker_id]
                 listener = agents[[i for i in agents if i != speaker_id][0]]
-                event_log.set_context(
-                    block="communication",
-                    round=round_number,
-                    task=task_index,
-                    agent=speaker_id,
-                )
+                event_log.set_context(block="communication", round=round_number, task=task_index,
+                                      agent=speaker_id)
                 said = (task_index, stimulus)
-                sent = None
-                signal = None
+                sent = signal = None
                 if ahead is None:
                     candidates = draw_candidates(stimulus)
                 else:  # the speaking reply read ahead is t's first attempt
                     candidates, speaking, flag, sent = ahead
-                    signal = speaking.read(event_log, flag)
+                    signal = yield from read(speaking, flag)
                 if signal is None:
-                    signal = _run(_alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng,
-                                         attempts - (ahead is not None), event_log))
+                    signal = yield from _alone(speaker.produce_signals, said, PromptTask.SPEAKING, rng,
+                                               attempts - (ahead is not None), event_log)
                 ahead = None
                 chosen = None
                 if signal is not None:
@@ -652,11 +657,12 @@ def run_communication_block(
                     if sent is None and listener.speaks_ahead and task_index + 1 < len(tasks):
                         sent = overlap(listener, heard, task_index + 1)
                 if stale is not None:
-                    discard(*stale)
+                    yield from discard(*stale)
                     stale = None
                 if sent is not None:
                     next_sent = None
                     if speaker.speaks_ahead and task_index + 2 < len(tasks):
+                        yield
                         next_signal = sent.speaking.peek(0)  # t predicted to fail
                         if next_signal is not None:
                             mark = rng.getstate()
@@ -664,7 +670,7 @@ def run_communication_block(
                             next_task = (task_index + 1, next_signal, sent.next_candidates,
                                          tasks[task_index + 1][1])
                             next_sent = overlap(speaker, next_task, task_index + 2)
-                    answers = sent.listening.read(event_log)
+                    answers = yield from read(sent.listening)
                     if answers:
                         chosen = answers[0]
                         flag = int(candidates[chosen] == stimulus)
@@ -673,13 +679,13 @@ def run_communication_block(
                             stale, next_sent = (speaker_id, [next_sent.listening, next_sent.speaking]), None
                         ahead = (sent.next_candidates, sent.speaking, flag, next_sent)
                     else:  # the listener needs another attempt: t+1 runs in turn
-                        discard(listener.agent_id, [sent.speaking])
+                        yield from discard(listener.agent_id, [sent.speaking])
                         if next_sent is not None:
-                            discard(speaker_id, [next_sent.listening, next_sent.speaking])
+                            yield from discard(speaker_id, [next_sent.listening, next_sent.speaking])
                         rng.setstate(sent.before)
                 if signal is not None and chosen is None:  # a listening request sent is t's first attempt
-                    chosen = _run(_alone(listener.choose_many, heard, PromptTask.LISTENING, rng,
-                                         attempts - (sent is not None), event_log))
+                    chosen = yield from _alone(listener.choose_many, heard, PromptTask.LISTENING, rng,
+                                               attempts - (sent is not None), event_log)
                 success = chosen is not None and candidates[chosen] == stimulus
 
                 record = InteractionRecord(
@@ -700,21 +706,15 @@ def run_communication_block(
                 records.append(record)
                 event_log.append(record.KIND, **record.event())
 
-                # both vocabularies adopt the produced signal, flag = outcome
-                if signal is not None:
-                    flag = 1 if success else 0
-                    agent_a.vocabulary.update(stimulus, signal, flag)
-                    agent_b.vocabulary.update(stimulus, signal, flag)
+                if signal is not None:  # both vocabularies adopt the produced signal, flag = outcome
+                    for agent in (agent_a, agent_b):
+                        agent.vocabulary.update(stimulus, signal, int(success))
 
             round_vocabs[agent_a.agent_id].append(agent_a.vocabulary.copy())
             round_vocabs[agent_b.agent_id].append(agent_b.vocabulary.copy())
-    except BaseException:  # an abort closes what was sent ahead and is unread; a read request stays as it is
-        overlaps = [made for made in (sent, next_sent, ahead and ahead[3]) if made is not None]
-        unread = [request for made in overlaps for request in (made.listening, made.speaking)]
-        unread += ([ahead[1]] if ahead else []) + (stale[1] if stale else [])
-        for request in unread:
-            request.close()
-        raise
+    finally:  # the one close path: closing a request already read does nothing
+        for reply in in_flight:
+            reply.close()
 
     return CommunicationResult(records=records, round_vocabs=round_vocabs)
 
@@ -869,8 +869,9 @@ def run_simulation(
     before either is read, and then the tasks each asks again alone, in
     turns; so are guessing and the rest of the run (labelling,
     communication, testing), since nothing after guessing reads its
-    result: guessing's lists go out first and are read once the rest has
-    sent testing's. The records keep protocol order, so the rest's
+    result. Guessing's lists go out first and are read once the rest has
+    sent testing's, as the rest runs labelling and communication each to
+    its end (``_run``). The records keep protocol order, so the rest's
     reach the log once guessing is read. Guessing asks copies of the agents
     that hold the initial language, which labelling and communication
     replace and update in the agents themselves. When guessing raises (a
@@ -913,10 +914,9 @@ def run_simulation(
         result.guessing = yield from blocks
 
     def rest(log: EventLog) -> Generator:
-        blocks = side_by_side(log, agents, "labelling", run_labelling_block, initial_language)
-        result.labelling = _run(blocks)
+        result.labelling = _run(side_by_side(log, agents, "labelling", run_labelling_block, initial_language))
         rng = Random(derive_seed(seed, "communication"))
-        result.communication = run_communication_block(agent_a, agent_b, rng, config, log)
+        result.communication = _run(run_communication_block(agent_a, agent_b, rng, config, log))
         result.testing = yield from side_by_side(log, agents, "testing", run_testing_block)
 
     # each block field is assigned once both agents have finished the block

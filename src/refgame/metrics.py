@@ -572,15 +572,16 @@ def vocabulary_report(
     """MetricReport over (stimulus, signal) pairs, the one measure of a
     vocabulary (metric rows, replay, donor selection, ``refgame metrics``);
     degenerate TopSim is flagged, not raised, so reporting never aborts a
-    run. Fewer than 3 pairs (failed testing productions) give a degenerate
-    report with no measurements. ``rng`` is a numpy Generator or an integer seed.
-    The signals' measures come from ``memo``, measured there when missing;
-    the Mantel test runs on every call, through ``exact_mantel_test`` when
-    ``exact`` is set (its Z and r agree with ``mantel_test``'s to rounding,
-    not to the bit) and through ``mantel_test`` otherwise."""
-    if len(pairs) < 3:
-        return MetricReport(topsim=None, degenerate=True)
+    run. Fewer than 3 pairs (failed testing productions), or signals that
+    are all empty, give a degenerate report with no measurements. ``rng``
+    is a numpy Generator or an integer seed. The signals' measures come
+    from ``memo``, measured there when missing; the Mantel test runs on
+    every call, through ``exact_mantel_test`` when ``exact`` is set (its Z
+    and r agree with ``mantel_test``'s to rounding, not to the bit) and
+    through ``mantel_test`` otherwise."""
     words = [w for _, w in pairs]
+    if len(pairs) < 3 or not any(words):  # no N-gram in signals that are all empty
+        return MetricReport(topsim=None, degenerate=True)
     signals = (memo or SignalMemo()).measures(words)
     semantic = semantic_distance_matrix([s for s, _ in pairs])
     try:

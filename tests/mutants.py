@@ -127,7 +127,8 @@ MUTANTS = (
     ),
     Mutant(
         "request-left-open-when-the-block-beside-raises", ENGINE,
-        (("        reply.close()\n        raise\n", "        raise\n"),),
+        (("    finally:  # closing a request already read does nothing\n        reply.close()\n",
+          "    finally:\n        pass\n"),),
         "when guessing raises, testing's lists, sent and never to be read, keep their "
         "connections open until the garbage collector finds them (found in review of the "
         "thread-free engine)",
@@ -171,8 +172,7 @@ MUTANTS = (
         "listening-request-sent-first", ENGINE,
         (("send_listening = listener.listen_ahead([heard], PromptTask.LISTENING, rng)",
           "listening = listener.listen_ahead([heard], PromptTask.LISTENING, rng)()"),
-         ("return _Overlap(send_listening(), before, next_candidates, speaking)",
-          "return _Overlap(listening, before, next_candidates, speaking)")),
+         ("in_flight.append(send_listening())", "in_flight.append(listening)")),
         "each overlap posts its listening request before the speaking request for t+1, which "
         "then queues behind it (CHANGES.md, speaking request first)",
         (f"{AHEAD}::test_speaking_request_sent_just_before_its_listening_request",),
@@ -186,7 +186,7 @@ MUTANTS = (
     ),
     Mutant(
         "reply-sent-ahead-not-an-attempt", ENGINE,
-        (("attempts - (ahead is not None), event_log))", "attempts, event_log))"),),
+        (("attempts - (ahead is not None), event_log)", "attempts, event_log)"),),
         "a speaking reply read ahead that does not parse is not counted as the task's first "
         "attempt, so the speaker is asked once more than in turn (found while asking each "
         "production through one call)",
@@ -195,7 +195,7 @@ MUTANTS = (
     ),
     Mutant(
         "listening-sent-ahead-not-an-attempt", ENGINE,
-        (("attempts - (sent is not None), event_log))", "attempts, event_log))"),),
+        (("attempts - (sent is not None), event_log)", "attempts, event_log)"),),
         "a listening request sent ahead that fails is not counted as the choice's first attempt, "
         "so the listener is asked once more than in turn (found while asking each choice "
         "through one call)",
@@ -234,7 +234,8 @@ MUTANTS = (
         "a request the service refused (a 404) is read as a list with no answers, so each task "
         "is asked again alone and a run of refused requests completes with every task failed "
         "(ROADMAP item 28)",
-        ("tests/test_cli.py::TestWireRun::test_every_failed_read_leaves_a_record",),
+        ("tests/test_cli.py::TestWireRun::test_every_failed_read_leaves_a_record",
+         "tests/test_cli.py::TestEventLogLifecycle::test_refused_speaking_request_closes_the_requests_in_flight"),
     ),
     Mutant(
         "argmax-keeps-the-last-greatest", AGENTS,
@@ -334,12 +335,14 @@ MUTANTS = (
     ),
     Mutant(
         "communication-leaves-requests-open", ENGINE,
-        (("        for request in unread:\n            request.close()\n", ""),),
-        "when a read in the communication block raises (a refused listening request), the "
-        "speaking request sent ahead for the next task and a prediction's two requests keep "
-        "their connections open until the garbage collector finds them",
+        (("        for reply in in_flight:\n            reply.close()\n", "        pass\n"),),
+        "when a read in the communication block raises (a refused listening request), or the "
+        "block is closed at a yield, the speaking request sent ahead for the next task and a "
+        "prediction's two requests keep their connections open until the garbage collector "
+        "finds them",
         ("tests/test_cli.py::TestEventLogLifecycle::"
-         "test_refused_listening_request_closes_the_requests_in_flight",),
+         "test_refused_listening_request_closes_the_requests_in_flight",
+         f"{AHEAD}::test_closed_at_a_yield_leaves_no_request_waiting"),
     ),
 )
 

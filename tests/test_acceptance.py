@@ -21,7 +21,7 @@ from refgame.agents import CompositionalOracle, RandomChooser
 from refgame.backend import EventLog
 from refgame.cli import EXIT_OK, main as cli_main
 from refgame.domain import Vocabulary, generate_language, sample_training_set
-from refgame.engine import RunConfig, run_communication_block, run_simulation
+from refgame.engine import RunConfig, _run, run_communication_block, run_simulation
 from refgame.metrics import (
     communicative_success_rate,
     generalization_score,
@@ -86,7 +86,7 @@ def test_criterion_03_chance_calibration():
     a.set_vocabulary(vocab.copy())
     b.set_vocabulary(vocab.copy())
     config = RunConfig(master_seed=30, rounds=34, candidate_count=4)  # 1020 interactions
-    result = run_communication_block(a, b, Random(30), config, EventLog())
+    result = _run(run_communication_block(a, b, Random(30), config, EventLog()))
     rate = communicative_success_rate(result.records)
     ok = abs(rate - 0.25) <= 0.03
     report(3, ok, f"success rate {rate:.4f} over {len(result.records)} interactions (target 0.25±0.03)")

@@ -33,7 +33,7 @@ def communication_round(backend, max_agent_retries, agent=LLMAgent):
     for agent in agents:
         agent.set_vocabulary(training_vocab())
     config = RunConfig(rounds=1, max_agent_retries=max_agent_retries)
-    return run_communication_block(*agents, Random(0), config, EventLog())
+    return _run(run_communication_block(*agents, Random(0), config, EventLog()))
 
 
 class TestLookupOracle:

@@ -21,7 +21,7 @@ from refgame.cli import EXIT_MISMATCH, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, m
 from refgame.domain import Vocabulary, VocabularyEntry, enumerate_stimuli
 from refgame.engine import MetricRow
 from refgame.persistence import ChainRow, RunManifest, file_digest, read_rows
-from refgame.prompts import LISTENING_INSTRUCTION, PromptTask
+from refgame.prompts import LISTENING_INSTRUCTION, SPEAKING_INSTRUCTION, PromptTask
 from tests_paths import GOLDEN_TRAIN_PATH, GOLDEN_TEST_PATH
 
 
@@ -263,12 +263,14 @@ class TestMetricsCommand:
         )
 
     def test_degenerate_vocabulary_rejected(self, tmp_path, capsys):
-        path = tmp_path / "same.vocab"
-        Vocabulary(VocabularyEntry(s, "gali", 0) for s in enumerate_stimuli()[:5]).save(path)
-        assert run_cli("metrics", str(path)) == EXIT_VALIDATION
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {path} is degenerate: no TopSim over its 5 entries\n"
-        assert captured.out == ""
+        # one signal throughout, or signals that are all empty (no N-gram)
+        for word in ("gali", ""):
+            path = tmp_path / f"same-{word}.vocab"
+            Vocabulary(VocabularyEntry(s, word, 0) for s in enumerate_stimuli()[:5]).save(path)
+            assert run_cli("metrics", str(path)) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {path} is degenerate: no TopSim over its 5 entries\n"
+            assert captured.out == ""
 
     def test_train_and_test_gives_gen_score(self, capsys):
         code = run_cli(
@@ -1405,6 +1407,38 @@ class TestEventLogLifecycle:
                 with handler.lock:
                     listening.append(body)
                     return len(listening) >= refused
+            return False
+
+        handler._fails = fails
+        out = tmp_path / "runs"
+        config = wire_config(tmp_path, endpoint)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            code = run_cli("simulate", "--config", config, "--seed", "5", "--out", str(out))
+            gc.collect()
+        assert code == EXIT_RUNTIME
+        records = EventLog.read(out / "sim-00" / "events.jsonl")
+        assert records[-1]["kind"] == "run_aborted" and records[-1]["block"] == "communication"
+        assert [str(u.exc_value) for u in unraisable] == []
+        assert connections and all(connection.sock is None for connection in connections)
+
+    @pytest.mark.parametrize("refused", [1, 3])
+    def test_refused_speaking_request_closes_the_requests_in_flight(
+        self, tmp_path, monkeypatch, keepalive_stub_server, refused
+    ):
+        # the service refuses the communication block's speaking requests (the
+        # first completions of the speaking instruction; testing's come later)
+        # from the first or the third on: the run aborts at the first refused
+        # read, and the requests sent ahead and not yet read are closed unread
+        unraisable, connections = self.recorded(monkeypatch)
+        endpoint, handler = keepalive_stub_server
+        handler.failure_status, speaking = 403, []
+
+        def fails(self, body):
+            if not body.get("echo") and SPEAKING_INSTRUCTION in body["prompt"][0]:
+                with handler.lock:
+                    speaking.append(body)
+                    return len(speaking) >= refused
             return False
 
         handler._fails = fails

@@ -210,14 +210,14 @@ class TestCommunicationBlock:
     def test_lookup_dyad_fully_successful(self):
         vocab, _ = training_vocab()
         a, b = lookup_pair(vocab)
-        result = run_communication_block(a, b, Random(0), RunConfig(), EventLog())
+        result = engine._run(run_communication_block(a, b, Random(0), RunConfig(), EventLog()))
         assert result.perc_com == [1.0, 1.0, 1.0, 1.0]
         assert len(result.records) == 120
 
     def test_candidate_invariants(self):
         vocab, split = training_vocab()
         a, b = lookup_pair(vocab)
-        result = run_communication_block(a, b, Random(1), RunConfig(rounds=1), EventLog())
+        result = engine._run(run_communication_block(a, b, Random(1), RunConfig(rounds=1), EventLog()))
         train = set(split.train)
         for record in result.records:
             assert record.candidates.count(record.stimulus) == 1
@@ -229,13 +229,13 @@ class TestCommunicationBlock:
         vocab, _ = training_vocab()
         a, b = lookup_pair(vocab)
         config = RunConfig(rounds=1, candidate_count=5)
-        result = run_communication_block(a, b, Random(1), config, EventLog())
+        result = engine._run(run_communication_block(a, b, Random(1), config, EventLog()))
         assert all(len(r.candidates) == 5 for r in result.records)
 
     def test_vocabulary_sync_and_flags(self):
         vocab, _ = training_vocab()
         a, b = lookup_pair(vocab)
-        result = run_communication_block(a, b, Random(2), RunConfig(rounds=1), EventLog())
+        result = engine._run(run_communication_block(a, b, Random(2), RunConfig(rounds=1), EventLog()))
         for record in result.records:
             if record.failure_mode == "none":
                 assert a.vocabulary.signal_for(record.stimulus) == b.vocabulary.signal_for(
@@ -252,7 +252,7 @@ class TestCommunicationBlock:
     def test_success_definition(self):
         vocab, _ = training_vocab()
         a, b = lookup_pair(vocab)
-        result = run_communication_block(a, b, Random(3), RunConfig(rounds=1), EventLog())
+        result = engine._run(run_communication_block(a, b, Random(3), RunConfig(rounds=1), EventLog()))
         for record in result.records:
             if record.failure_mode == "none":
                 assert record.success == (record.candidates[record.chosen] == record.stimulus)
@@ -266,7 +266,7 @@ class TestCommunicationBlock:
         vocab, _ = training_vocab()
         a.set_vocabulary(vocab.copy())
         b.set_vocabulary(vocab.copy())
-        result = run_communication_block(a, b, Random(4), RunConfig(rounds=2), EventLog())
+        result = engine._run(run_communication_block(a, b, Random(4), RunConfig(rounds=2), EventLog()))
         oracles = {"A": a, "B": b}
         successes = 0
         for record in result.records:
@@ -366,7 +366,7 @@ class TestSpeakingAhead:
         config = RunConfig(rounds=rounds, max_agent_retries=2)
         rng = Random(seed)
         with TimelineLog(path, backend.timeline) as log:
-            result = run_communication_block(a, b, rng, config, log)
+            result = engine._run(run_communication_block(a, b, rng, config, log))
         records = [
             {key: value for key, value in r.items() if key not in WALL_CLOCK_KEYS}
             for r in EventLog.read(path)
@@ -417,7 +417,7 @@ class TestSpeakingAhead:
             dyad = (llm, oracle) if speaking_ahead == "A" else (oracle, llm)
             with EventLog(path) as log:
                 config = RunConfig(rounds=2, max_agent_retries=2)
-                result = run_communication_block(*dyad, Random(3), config, log)
+                result = engine._run(run_communication_block(*dyad, Random(3), config, log))
             kept = [r for r in EventLog.read(path) if r["kind"] != "backend_discarded"]
             return result, [{k: v for k, v in r.items() if k not in WALL_CLOCK_KEYS} for r in kept]
 
@@ -483,6 +483,27 @@ class TestSpeakingAhead:
         assert listening
         for i in listening:
             assert timeline[i - 1] == ("sent", "complete", timeline[i][2] + 1)
+
+    def test_closed_at_a_yield_leaves_no_request_waiting(self):
+        # the block closed at each of its first yields: every request it sent
+        # has been read, peeked or closed unread, and some were in flight
+        closed = 0
+        for steps in range(1, 41):
+            backend, sent = in_context_learner(), []
+            for call in ("complete", "score"):
+                send = getattr(backend, call)
+                setattr(backend, call, lambda *args, send=send: sent.append(send(*args)) or sent[-1])
+            vocab, _ = training_vocab(0)
+            a, b = LLMAgent("A", backend), LLMAgent("B", backend)
+            a.set_vocabulary(vocab.copy())
+            b.set_vocabulary(vocab.copy())
+            block = run_communication_block(a, b, Random(0), RunConfig(rounds=1), EventLog())
+            for _ in range(steps):
+                assert engine._step(block) is engine._SENT
+            block.close()
+            assert sent and all(request.outcome is not None for request in sent)
+            closed += sum(entry[0] == "closed" for entry in backend.timeline)
+        assert closed
 
     def test_listening_sent_before_the_record_it_predicts(self, tmp_path):
         backend, result, _, _ = self.communicate(tmp_path, "in-context", 0, LLMAgent)
@@ -1379,7 +1400,7 @@ class TestExclusionInvariant:
             a, b = LLMAgent("A", backend), LLMAgent("B", backend)
             a.set_vocabulary(vocab.copy())
             b.set_vocabulary(vocab.copy())
-            run_communication_block(a, b, Random(derive_seed(1, "communication")), config, log)
+            engine._run(run_communication_block(a, b, Random(derive_seed(1, "communication")), config, log))
             engine._run(run_testing_block(a, Random(0), config, log))
 
         interactions = {

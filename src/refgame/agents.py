@@ -31,14 +31,13 @@ class Agent:
     stimulus with signal candidates (guessing block) or a signal with
     stimulus candidates (listening); ``exclude`` names the entry the prompt
     context must omit, which only the engine knows for listening tasks.
-    Both make the list's draws when called and return a ``Reply``, which
-    gives the answers of the leading tasks answered (the engine asks every
-    later task alone, as a list of one) and logs the requests when read.
+    Both make the list's draws when called and return an unsent ``Reply``,
+    which gives the answers of the leading tasks answered (the engine asks
+    every later task alone, as a list of one) and logs the requests when read.
 
-    An agent whose ``speaks_ahead`` is true also offers ``listen_ahead`` and
-    ``speak_ahead`` (see ``LLMAgent``), with which the engine overlaps a
-    listening task with the next speaking one, and with the next
-    interaction's listening on a predicted outcome.
+    An agent whose ``speaks_ahead`` is true also offers ``speak_ahead`` (see
+    ``LLMAgent``), with which the engine overlaps listening with the next
+    speaking task, and with the next interaction's listening on a prediction.
     """
 
     speaks_ahead = False
@@ -172,20 +171,17 @@ class RandomChooser(LookupOracle):
 class LLMAgent(Agent):
     """Prompt-driven agent over a completion backend.
 
-    Both list methods build every task's prompts in task order and send
-    them as one request when the list is asked; its ``Reply`` reads it
-    later. A production renders the task's prompt and parses the greedy
-    completion; a choice scores all candidate continuations and takes the
-    argmax of total log-probability, ties broken by lowest position in the
-    shuffled candidate order. The answers stop at the first reply that
-    does not parse, and there are none when the request fails.
+    Both list methods build every task's prompts in task order as one
+    request, which their ``Reply`` sends. A production renders the task's
+    prompt and parses the greedy completion; a choice scores all candidate
+    continuations and takes the argmax of total log-probability, ties broken
+    by lowest position in the shuffled candidate order. The answers stop at
+    the first reply that does not parse, and are none when the request fails.
 
-    The agent speaks ahead: listen_ahead() builds a choice list's prompts
-    and returns the function that sends them, and speak_ahead() builds one
-    speaking task's prompt over each of several vocabularies and sends
-    them as one request. The engine keeps at most five of an agent's
-    requests in flight: its guessing request, beside its listening and
-    next speaking requests and the two it is discarding.
+    The agent speaks ahead: speak_ahead() builds one speaking task's prompt
+    over each of several vocabularies, as one request. The engine keeps at
+    most five of an agent's requests in flight: its guessing request, beside
+    its listening and next speaking requests and the two it is discarding.
     """
 
     speaks_ahead = True
@@ -217,13 +213,6 @@ class LLMAgent(Agent):
         return Reply(lambda: self.backend.complete(built, tasks), lambda replies, kept: _parsed(replies), [])
 
     def choose_many(self, items, task, rng) -> Reply:
-        return self.listen_ahead(items, task, rng)()
-
-    def listen_ahead(self, items, task, rng) -> Callable[[], Reply]:
-        """choose_many(), with the prompts built (and their draws made) now
-        and the request sent by the returned function, which gives the
-        ``Reply``. The engine sends the speaking request built after it
-        first: speaking replies are the communication block's critical chain."""
         tasks, built, sizes = [], [], []
         for task_index, probe, candidates, exclude in items:
             candidate_prompts = self._candidate_prompts(probe, candidates, task, rng, exclude)
@@ -238,15 +227,15 @@ class LLMAgent(Agent):
                 start += size
             return positions
 
-        return lambda: Reply(lambda: self.backend.score(built, tasks), chosen, [])
+        return Reply(lambda: self.backend.score(built, tasks), chosen, [])
 
     def speak_ahead(self, task_index: int, stimulus: Stimulus, vocabularies: Sequence[Vocabulary],
                     rng: Random) -> Reply:
         """Builds the speaking prompt for ``stimulus`` over each of
         ``vocabularies`` from one state of ``rng``, which ends where one
-        build leaves it, and sends them as one completion request. Read with
-        ``kept`` the position of one vocabulary, the returned ``Reply`` gives
-        the signal of the reply to the prompt over it, whose record is a
+        build leaves it, as one completion request. Read with ``kept`` the
+        position of one vocabulary, the returned ``Reply`` gives the signal
+        of the reply to the prompt over it, whose record is a
         ``backend_call`` (the others' are discarded), or None when the
         request failed or that reply does not parse."""
         state = rng.getstate()
@@ -265,29 +254,39 @@ class LLMAgent(Agent):
 class Reply:
     """A list an agent asked, and its reading of the answer: what
     ``answer(results, kept)`` makes of the results of the request that
-    ``send()`` sends, or ``failed`` when reading the request fails. Read it
-    once, with read() or discard(), after peek() if wanted, or close() it
-    unread."""
+    ``send`` sends, or ``failed`` when reading the request fails. Nothing
+    goes out until send(); then read it once, with read() or discard(),
+    after peek() if wanted, or close() it unread."""
 
-    def __init__(self, send: Callable, answer: Callable, failed):
-        self._pending = send()
+    def __init__(self, send: Callable | None, answer: Callable | None, failed):
+        self._send, self._pending = send, None
         self._answer, self._failed = answer, failed
 
     @classmethod
     def held(cls, answers: list) -> Reply:
         """The Reply of a list answered without a request (an oracle's)."""
-        return cls(lambda: None, None, answers)
+        return cls(None, None, answers)
+
+    def send(self) -> Reply:
+        """Sends the request, once, and returns this reply."""
+        if self._send is not None:
+            self._pending, self._send = self._send(), None
+        return self
+
+    def _sent(self):
+        assert self._send is None, "a reply is read only after its request is sent"
+        return self._pending
 
     def peek(self, kept: int | None = None):
         """The answer, from a reply received now and logged by nothing."""
-        results = None if self._pending is None else self._pending.peek()
+        results = None if self._sent() is None else self._pending.peek()
         return self._failed if results is None else self._answer(results, kept)
 
     def read(self, event_log: EventLog, kept: int | None = None):
         """The answer, its request's records logged (with ``kept`` only that
         prompt's as a ``backend_call``). A request the service refused raises
         its ``ServiceRefused``: no answer of the model is to be had."""
-        if self._pending is None:
+        if self._sent() is None:
             return self._failed
         try:
             results = self._pending.read(event_log, kept)
@@ -299,7 +298,7 @@ class Reply:
 
     def discard(self, event_log: EventLog) -> None:
         """Reads the reply and logs every prompt as ``backend_discarded``."""
-        if self._pending is not None:
+        if self._sent() is not None:
             self._pending.discard(event_log)
 
     def close(self) -> None:

@@ -152,10 +152,12 @@ class EventLog:
 
     The engine sets contextual fields (simulation id, block, round, task);
     backends and blocks append records tagged with the current context.
-    The file is opened (and emptied) once and flushed after every record,
-    so it can be read or digested while the log is open. Use it in a
-    ``with`` block, which closes it. ``EventLog()``, with no path, is held
-    in memory and needs no closing: a caller that wants no file passes one.
+    The file is opened (and emptied) once and flushed after every record
+    appended or joined; a simulation's labelling, communication and testing
+    write into a fork joined once they end, so until guessing is read its
+    file holds ``run_start`` only. Use it in a ``with`` block, which closes
+    it. ``EventLog()``, with no path, is held in memory and needs no
+    closing: a caller that wants no file passes one.
 
     ``fork()`` is a log held in memory, starting from a copy of this one's
     context, for a block whose records belong after those this log gets

@@ -47,34 +47,25 @@ EXIT_RUNTIME = 2
 EXIT_MISMATCH = 3
 
 
+# flag -> (config section, None for the root, and field) that the flag overrides when given
+_OVERRIDES = {
+    "seed": (None, "master_seed"), "count": (None, "count"), "out": (None, "output_dir"),
+    "permutations": ("run", "mantel_permutations"), "rounds": ("run", "rounds"),
+    "chains": ("chain", "chains"), "generations": ("chain", "generations"), "seed_from": ("chain", "seed_from"),
+}
+
+
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "seed", None) is not None:
-        config.master_seed = args.seed
-    if getattr(args, "count", None) is not None:
-        config.count = args.count
+    for flag, (section, name) in _OVERRIDES.items():
+        if getattr(args, flag, None) not in (None, ""):
+            setattr(getattr(config, section) if section else config, name, getattr(args, flag))
     if getattr(args, "agents", None):
         config.agents = [s.strip() for s in args.agents.split(",")]
-    if getattr(args, "out", None):
-        config.output_dir = args.out
-    if getattr(args, "permutations", None) is not None:
-        config.run.mantel_permutations = args.permutations
-    if getattr(args, "rounds", None) is not None:
-        config.run.rounds = args.rounds
-    if getattr(args, "chains", None) is not None:
-        config.chain.chains = args.chains
-    if getattr(args, "generations", None) is not None:
-        config.chain.generations = args.generations
-    if getattr(args, "seed_from", None):
-        config.chain.seed_from = args.seed_from
     return config
 
 
 def _load_or_default(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = ExperimentConfig()
-    config = _apply_overrides(config, args)
+    config = _apply_overrides(load_config(args.config) if args.config else ExperimentConfig(), args)
     validate_config(config)  # the file and the flags together, before any directory is made
     check_backend_credentials(config)
     return config
@@ -126,11 +117,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_base = Path(config.output_dir)
     print(f"running {config.count} simulation(s), master seed {config.master_seed}")
     for index in range(config.count):
-        run_seed = (
-            config.master_seed
-            if config.count == 1
-            else derive_seed(config.master_seed, f"sim:{index}")
-        )
+        run_seed = config.master_seed if config.count == 1 else derive_seed(config.master_seed, f"sim:{index}")
         run_dir = out_base / f"sim-{index:02d}"
         result = _run_one_simulation(config, run_seed, run_dir)
         print(_summary_line(run_dir.as_posix(), result))
@@ -168,6 +155,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     report = vocabulary_report(train.pairs(), permutations=args.permutations, rng=args.seed)
     if (result := report.topsim) is None:  # under 3 entries, or constant distances or permutations
         raise MetricError(f"{args.train} is degenerate: no TopSim over its {len(train)} entries")
+    if args.test:  # refused before anything is printed
+        test = Vocabulary.load(args.test)
+        try:
+            score = generalization_score(train.pairs(), test.pairs(), pairs=args.gen_pairs)
+        except MetricError as err:
+            raise MetricError(f"{args.test}: no gen_score: {err}") from None
     print(f"entries: {len(train)}")
     print(f"topsim_z: {result.z_score:.4f}")
     print(f"topsim_p: {result.p_value:.6f}")
@@ -176,8 +169,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     print(f"ngram_diversity: {report.ngram_diversity:.4f}")
     print(f"unique_signal_ratio: {report.unique_signal_ratio:.4f}")
     if args.test:
-        test = Vocabulary.load(args.test)
-        score = generalization_score(train.pairs(), test.pairs(), pairs=args.gen_pairs)
         print(f"gen_score[{args.gen_pairs}]: {score:.4f}")
     return EXIT_OK
 

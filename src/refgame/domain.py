@@ -199,8 +199,8 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path, data: bytes | None = None) -> "Vocabulary":
         """The vocabulary of the file at ``path`` or, given its bytes as
-        ``data``, of those; a file that is not UTF-8 or has a line that
-        does not parse raises ``VocabularyFormatError``."""
+        ``data``, of those; a file that is not UTF-8, has a line that does
+        not parse or gives a stimulus twice raises ``VocabularyFormatError``."""
         try:
             text = (Path(path).read_bytes() if data is None else data).decode()
         except UnicodeDecodeError as err:
@@ -214,8 +214,11 @@ class Vocabulary:
             entries.append(entry)
             flags.append(had_success)
         if flags and any(f != flags[0] for f in flags):
-            raise VocabularyFormatError("inconsistent communicativeSuccess keys across lines")
-        return cls(entries, track_success=bool(flags and flags[0]))
+            raise VocabularyFormatError(f"{path}: inconsistent communicativeSuccess keys across lines")
+        try:
+            return cls(entries, track_success=bool(flags and flags[0]))
+        except DomainError as err:  # a stimulus given twice
+            raise VocabularyFormatError(f"{path}: {err}") from None
 
 
 _VOCAB_LINE_RE = re.compile(

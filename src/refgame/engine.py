@@ -370,7 +370,7 @@ def _alone(ask: Callable, item: tuple, prompt_task: PromptTask, rng: Random, att
     list method) up to ``attempts`` times; ``None`` when no attempt answers.
     A block (see ``_run``) that yields once per attempt."""
     for _ in range(attempts):
-        answers = yield from _read(ask([item], prompt_task, rng), event_log)
+        answers = yield from _read(ask([item], prompt_task, rng).send(), event_log)
         if answers:
             return answers[0]
     return None
@@ -405,7 +405,7 @@ def _batched(
             yield drawn[-1]
         event_log.set_context(task=None)
 
-    answers = yield from _read(ask(tasks(), prompt_task, rng), event_log)
+    answers = yield from _read(ask(tasks(), prompt_task, rng).send(), event_log)
     if len(answers) < len(states):
         rng.setstate(states[len(answers)])
     records = []
@@ -552,15 +552,14 @@ def run_communication_block(
     when the listener ``speaks_ahead``. First, the listener of task t speaks
     task t+1, and its prompt there differs from its vocabulary now only in
     the line of t's stimulus, by t's signal and success flag. So once its
-    listening prompts are built, t+1's candidates are drawn and its
-    speaking prompt is built under both flags from one rng state
-    (``_shuffled`` draws by line count only) and sent, and then the
-    listening request is sent: the reply for the flag that came true is
-    t+1's first speaking attempt, the other prompt's record a
-    ``backend_discarded`` one. The speaking request goes out first because
-    speaking replies are the block's critical chain: t+1's listening
-    request and t+2's speaking prompt both wait on the reply to it (README
-    gives the round trips measured). Second, while t's listening request
+    listening prompts are built, t+1's candidates are drawn, its speaking
+    prompt is built under both flags from one rng state (``_shuffled``
+    draws by line count only), and the engine sends that speaking request,
+    then the listening one: speaking replies are the block's critical
+    chain, as t+1's listening request and t+2's speaking prompt both wait
+    on them (README gives the round trips measured). The reply for the flag
+    that came true is t+1's first speaking attempt, the other's record a
+    ``backend_discarded`` one. Second, while t's listening request
     is in flight, the engine predicts that t fails and reads t+1's
     speaking reply under that flag; when it parses, the speaker of t takes
     t's update as a failure and makes t+1's overlap at once: its listening
@@ -577,9 +576,8 @@ def run_communication_block(
     and t+1 runs in turn; no prediction is made on a speaking reply read
     ahead that fails or does not parse. Nothing is asked ahead across a
     round boundary or after a failed production. As a block (see ``_run``)
-    it yields before each read: of a speaking reply read ahead, the
-    prediction's peek, a listening request, a discard, an attempt asked
-    alone; each request it sends ahead is in ``in_flight`` until read."""
+    it yields before each read, and each request it sends ahead is in
+    ``in_flight`` until read."""
     assert agent_a.vocabulary is not None and agent_b.vocabulary is not None
     agent_a.vocabulary.track_success = True
     agent_b.vocabulary.track_success = True
@@ -597,7 +595,7 @@ def run_communication_block(
         return candidates
 
     def overlap(listener: Agent, heard: tuple, next_index: int) -> _Overlap:
-        send_listening = listener.listen_ahead([heard], PromptTask.LISTENING, rng)
+        listening = listener.choose_many([heard], PromptTask.LISTENING, rng)
         before = rng.getstate()
         next_stimulus = tasks[next_index][1]
         next_candidates = draw_candidates(next_stimulus)
@@ -606,9 +604,8 @@ def run_communication_block(
         for flag, variant in enumerate(variants):
             variant.update(stimulus, signal, flag)
         speaking = listener.speak_ahead(next_index, next_stimulus, variants, rng)
-        in_flight.append(speaking)
-        in_flight.append(send_listening())
-        return _Overlap(in_flight[-1], before, next_candidates, speaking)
+        in_flight.extend((speaking.send(), listening.send()))
+        return _Overlap(listening, before, next_candidates, speaking)
 
     def read(reply: Reply, kept: int | None = None) -> Generator:
         """``_read``'s answer, its request then out of ``in_flight``."""

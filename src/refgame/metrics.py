@@ -132,11 +132,14 @@ class PairedTTestResult:
 
 
 def paired_t_test(x: Sequence[float], y: Sequence[float]) -> PairedTTestResult:
-    """Two-sided paired t-test on the differences x - y, df = n - 1."""
+    """Two-sided paired t-test on the differences x - y, df = n - 1; a value
+    that is not finite (None reads as NaN) raises ValueError."""
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.shape != ya.shape or xa.ndim != 1:
         raise ValueError("paired_t_test needs two equal-length vectors")
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise ValueError("paired_t_test needs finite values")
     n = xa.size
     if n < 2:
         raise ValueError("paired_t_test needs at least 2 pairs")
@@ -155,7 +158,11 @@ def t_two_sided_p(t: float, df: int) -> float:
     as (2θ/π for odd df) + c·H, H the first df // 2 terms of a series in x
     whose full sum makes it 1. The tail, c times the other terms, is summed
     directly while x <= 0.9 (1 - P would cancel a small p's digits) and is
-    1 - P beyond, where p is not small."""
+    1 - P beyond, where p is not small. An infinite t gives 0.0, a NaN raises."""
+    if math.isnan(t):
+        raise ValueError("t is NaN")
+    if math.isinf(t):
+        return 0.0
     odd, x = df % 2, df / (df + t * t)
     sin = abs(t) / math.sqrt(df + t * t)
     scale = 2 / math.pi * sin * math.sqrt(x) if odd else sin

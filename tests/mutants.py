@@ -170,9 +170,8 @@ MUTANTS = (
     ),
     Mutant(
         "listening-request-sent-first", ENGINE,
-        (("send_listening = listener.listen_ahead([heard], PromptTask.LISTENING, rng)",
-          "listening = listener.listen_ahead([heard], PromptTask.LISTENING, rng)()"),
-         ("in_flight.append(send_listening())", "in_flight.append(listening)")),
+        (("in_flight.extend((speaking.send(), listening.send()))",
+          "in_flight.extend((listening.send(), speaking.send()))"),),
         "each overlap posts its listening request before the speaking request for t+1, which "
         "then queues behind it (CHANGES.md, speaking request first)",
         (f"{AHEAD}::test_speaking_request_sent_just_before_its_listening_request",),
@@ -254,20 +253,11 @@ MUTANTS = (
     ),
     Mutant(
         "list-sent-when-read", AGENTS,
-        (("        self._pending = send()\n        self._answer, self._failed = answer, failed\n",
-          "        self._send, self._pending = send, None\n        self._answer, self._failed = answer, failed\n\n"
-          "    def _sent(self):\n"
-          "        if self._send is not None:\n"
-          "            send, self._send = self._send, None\n"
-          "            self._pending = send()\n"
-          "        return self._pending\n"),
-         ("results = None if self._pending is None else", "results = None if self._sent() is None else"),
-         ("        if self._pending is None:\n            return self._failed\n",
-          "        if self._sent() is None:\n            return self._failed\n"),
-         ("        if self._pending is not None:\n            self._pending.discard(",
-          "        if self._sent() is not None:\n            self._pending.discard(")),
-        "a list's request is sent when its reply is first read or peeked, as over a backend "
-        "without a request form that sends at once: no two lists are in flight together",
+        (("        \"\"\"Sends the request, once, and returns this reply.\"\"\"\n",
+          "        return self\n\n    def _send_now(self) -> Reply:\n"),
+         ('assert self._send is None, "a reply is read only after its request is sent"', "self._send_now()")),
+        "a list's request is sent when its reply is first read or peeked, not when the engine "
+        "sends it: no two lists are in flight together",
         (f"{BESIDE}::test_lists_sent_before_they_are_read",
          "tests/test_cli.py::TestWireRun::test_agents_lists_in_flight_at_once"),
     ),
@@ -343,6 +333,16 @@ MUTANTS = (
         ("tests/test_cli.py::TestEventLogLifecycle::"
          "test_refused_listening_request_closes_the_requests_in_flight",
          f"{AHEAD}::test_closed_at_a_yield_leaves_no_request_waiting"),
+    ),
+    Mutant(
+        "list-sent-at-its-read", ENGINE,
+        (("_read(ask(tasks(), prompt_task, rng).send(), event_log)",
+          "_read(ask(tasks(), prompt_task, rng), event_log)"),),
+        "a block's list is not sent before the block yields, so it would go out only at its read, "
+        "after the other agent's list and guessing's were read; Reply refuses to read a request "
+        "never sent, and the run aborts (found while moving every send into the engine)",
+        ("tests/test_cli.py::TestWireRun::test_one_request_per_agent_per_block",
+         "tests/test_cli.py::TestWireRun::test_agents_lists_in_flight_at_once"),
     ),
 )
 

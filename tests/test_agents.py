@@ -134,8 +134,20 @@ class TestLLMAgent:
         agent = LLMAgent("A", backend)
         agent.set_vocabulary(training_vocab())
         target = agent.vocabulary.stimuli()[0]
-        produced = agent.produce_signals([(0, target)], PromptTask.LABELLING, Random(0)).read(EventLog())
+        produced = agent.produce_signals([(0, target)], PromptTask.LABELLING, Random(0)).send().read(EventLog())
         assert produced == ["hanosa"]
+
+    def test_reply_sends_once_and_only_when_sent(self):
+        backend = ScriptedBackend(completions=lambda prompt: "hanosa'}")
+        agent = LLMAgent("A", backend)
+        agent.set_vocabulary(training_vocab())
+        reply = agent.produce_signals([(0, agent.vocabulary.stimuli()[0])], PromptTask.LABELLING, Random(0))
+        assert backend.timeline == []  # built, not sent
+        with pytest.raises(AssertionError, match="only after its request is sent"):
+            reply.read(EventLog())
+        assert reply.send() is reply and reply.send() is reply
+        assert backend.timeline == [("sent", "complete", 0)]
+        assert reply.read(EventLog()) == ["hanosa"]
 
     def test_argmax_scoring(self):
         values = iter([-1.0, -0.5, -2.0, -3.0])
@@ -145,7 +157,7 @@ class TestLLMAgent:
         agent.set_vocabulary(vocab)
         candidates = vocab.stimuli()[:4]
         items = [(0, "hanosa", candidates, vocab.stimuli()[5])]
-        assert agent.choose_many(items, PromptTask.LISTENING, Random(0)).read(EventLog()) == [1]
+        assert agent.choose_many(items, PromptTask.LISTENING, Random(0)).send().read(EventLog()) == [1]
 
     def test_tie_breaks_to_first(self):
         backend = ScriptedBackend(scores=lambda prompt: -1.0)
@@ -153,7 +165,7 @@ class TestLLMAgent:
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
         items = [(0, "hanosa", vocab.stimuli()[:4], None)]
-        assert agent.choose_many(items, PromptTask.LISTENING, Random(0)).read(EventLog()) == [0]
+        assert agent.choose_many(items, PromptTask.LISTENING, Random(0)).send().read(EventLog()) == [0]
 
     @pytest.mark.parametrize("failures", [0, 1, 2])
     def test_one_score_call_per_attempt(self, failures):
@@ -230,7 +242,7 @@ class TestLLMAgent:
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
         items = [(0, "hanosa", vocab.stimuli()[:4], None)]
-        agent.choose_many(items, PromptTask.LISTENING, Random(3)).read(EventLog())
+        agent.choose_many(items, PromptTask.LISTENING, Random(3)).send().read(EventLog())
         assert len(seen) == 4
         assert len(set(seen)) == 1
 
@@ -248,7 +260,7 @@ class TestBatches:
         agent = LLMAgent("A", CountingBackend(completions=lambda prompt: next(replies)))
         agent.set_vocabulary(training_vocab())
         items = list(enumerate(agent.vocabulary.stimuli()[:4]))
-        produced = agent.produce_signals(iter(items), PromptTask.LABELLING, Random(0)).read(EventLog())
+        produced = agent.produce_signals(iter(items), PromptTask.LABELLING, Random(0)).send().read(EventLog())
         assert produced == ["gali", "nemo"]
         assert batches == [[0, 1, 2, 3]]
 
@@ -265,7 +277,7 @@ class TestBatches:
         stimuli = vocab.stimuli()
         items = [(0, stimuli[0], ["gali", "nemo", "tupa"], None), (1, stimuli[1], ["nemo", "sira"], None)]
         rng = Random(0)
-        assert agent.choose_many(iter(items), PromptTask.GUESSING, rng).read(EventLog()) == [1, 0]
+        assert agent.choose_many(iter(items), PromptTask.GUESSING, rng).send().read(EventLog()) == [1, 0]
         assert len(batches) == 5 and len(set(batches[:3])) == 1 and len(set(batches[3:])) == 1
         expected = Random(0)
         expected.getrandbits(64)
@@ -280,9 +292,9 @@ class TestBatches:
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
         stimuli = vocab.stimuli()
-        assert agent.produce_signals(enumerate(stimuli), PromptTask.LABELLING, Random(0)).read(EventLog()) == []
+        assert agent.produce_signals(enumerate(stimuli), PromptTask.LABELLING, Random(0)).send().read(EventLog()) == []
         items = [(0, stimuli[0], ["gali", "nemo"], None)]
-        assert agent.choose_many(iter(items), PromptTask.GUESSING, Random(0)).read(EventLog()) == []
+        assert agent.choose_many(iter(items), PromptTask.GUESSING, Random(0)).send().read(EventLog()) == []
 
     @pytest.mark.parametrize("agent_cls", [LookupOracle, CompositionalOracle, RandomChooser])
     def test_oracles_answer_task_by_task(self, agent_cls):
@@ -292,15 +304,15 @@ class TestBatches:
         agent.set_vocabulary(vocab)
         stimuli = vocab.stimuli()
         tasks = iter([(0, stimuli[0]), (1, stimuli[1])])
-        produced = agent.produce_signals(tasks, PromptTask.LABELLING, Random(0)).read(EventLog())
+        produced = agent.produce_signals(tasks, PromptTask.LABELLING, Random(0)).send().read(EventLog())
         assert produced == [agent.produce_signal(stimuli[0], PromptTask.LABELLING, Random(0))]
         assert next(tasks)[0] == 1
         signals = [vocab.signal_for(s) for s in stimuli[:3]]
         choices = iter([(0, stimuli[2], signals, None), (1, stimuli[0], signals, None)])
-        chosen = agent.choose_many(choices, PromptTask.GUESSING, Random(0)).read(EventLog())
+        chosen = agent.choose_many(choices, PromptTask.GUESSING, Random(0)).send().read(EventLog())
         assert chosen == [agent.choose(stimuli[2], signals, PromptTask.GUESSING, Random(0))]
         assert next(choices)[0] == 1
-        assert agent.produce_signals(iter([]), PromptTask.LABELLING, Random(0)).read(EventLog()) == []
+        assert agent.produce_signals(iter([]), PromptTask.LABELLING, Random(0)).send().read(EventLog()) == []
 
 
 class TestFactory:

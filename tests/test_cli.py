@@ -272,12 +272,19 @@ class TestMetricsCommand:
             assert captured.err == f"error: {path} is degenerate: no TopSim over its 5 entries\n"
             assert captured.out == ""
 
-    def test_train_and_test_gives_gen_score(self, capsys):
+    def test_train_and_test_gives_gen_score(self, tmp_path, capsys):
         code = run_cli(
             "metrics", GOLDEN_TRAIN_PATH, GOLDEN_TEST_PATH, "--permutations", "500"
         )
         assert code == EXIT_OK
         assert "gen_score[cross]:" in capsys.readouterr().out
+        # an empty test file is refused, by name, before train's figures are printed
+        empty = tmp_path / "empty.vocab"
+        empty.write_text("")
+        assert run_cli("metrics", GOLDEN_TRAIN_PATH, str(empty), "--permutations", "500") == EXIT_VALIDATION
+        assert capsys.readouterr() == (
+            "", f"error: {empty}: no gen_score: train and test must be non-empty\n"
+        )
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_non_positive_permutations_rejected(self, capsys, count):
@@ -305,6 +312,12 @@ class TestMetricsCommand:
         )
         assert run_cli("metrics", str(path)) == EXIT_VALIDATION
         assert "line 2" in capsys.readouterr().err
+        # a stimulus given twice parses line by line; the file is named
+        path.write_text("{'shape':1,'colour':'blue','amount':1,'word':'gali'}\n" * 2)
+        assert run_cli("metrics", str(path)) == EXIT_VALIDATION
+        assert capsys.readouterr() == (
+            "", f"error: {path}: duplicate stimulus Stimulus(shape=1, colour='blue', amount=1)\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 from random import Random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -1185,11 +1184,14 @@ class TestGuessingBesideTheRest:
                 if (self.agent_id, task) != ("B", PromptTask.GUESSING):
                     return reply
 
-                def read(event_log, kept=None):
-                    reply.read(event_log)
+                read = reply.read
+
+                def broken(event_log, kept=None):
+                    read(event_log)
                     raise RuntimeError("B broke in guessing")
 
-                return SimpleNamespace(read=read, close=reply.close)
+                reply.read = broken
+                return reply
 
         def recorded(endpoint):
             backend = http_backend(endpoint)

@@ -230,6 +230,20 @@ class TestPairedTTest:
         for t in (0.0, 0.3, 1.5, 2.4, 7.0, 30.0):
             assert t_two_sided_p(t, df) == pytest.approx(t_tail_by_quadrature(t, df), rel=1e-10), t
 
+    @pytest.mark.parametrize("df", [1, 2, 3, 4])
+    def test_infinite_t_has_no_tail_and_nan_raises(self, df):
+        # a NaN once spun the tail's loop forever
+        assert t_two_sided_p(math.inf, df) == t_two_sided_p(-math.inf, df) == 0.0
+        with pytest.raises(ValueError, match="NaN"):
+            t_two_sided_p(math.nan, df)
+
+    @pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf])
+    def test_missing_or_infinite_value_refused(self, bad):
+        # chain.csv reads a degenerate TopSim's empty cell as None
+        for x, y in (([1.0, bad, 3.0], [0.0, 1.0, 1.0]), ([1.0, 2.0, 3.0], [bad, 1.0, 1.0])):
+            with pytest.raises(ValueError, match="finite"):
+                paired_t_test(x, y)
+
 
 class TestNgramDiversity:
     def test_single_aa(self):

@@ -70,11 +70,11 @@ def _argmax(values: Sequence[float]) -> int:
     return max(range(len(values)), key=values.__getitem__)
 
 
-def _nearest_vocab_entry(vocab: Vocabulary, stimulus: Stimulus):
-    """Entry of the semantically closest stored stimulus; ties resolve to the
+def _nearest_vocab_signal(vocab: Vocabulary, stimulus: Stimulus) -> Signal:
+    """Signal of the semantically closest stored stimulus; ties resolve to the
     first in canonical stimulus order."""
     ordered = [s for s in enumerate_stimuli() if s in vocab]
-    return vocab.entry_for(min(ordered, key=lambda s: semantic_distance(stimulus, s)))
+    return vocab.signal_for(min(ordered, key=lambda s: semantic_distance(stimulus, s)))
 
 
 class _Oracle(Agent):
@@ -123,7 +123,7 @@ class LookupOracle(_Oracle):
         assert self.vocabulary is not None, "agent has no vocabulary"
         if stimulus in self.vocabulary:
             return self.vocabulary.signal_for(stimulus)
-        return _nearest_vocab_entry(self.vocabulary, stimulus).signal
+        return _nearest_vocab_signal(self.vocabulary, stimulus)
 
     def extrapolated(self, stimulus: Stimulus) -> bool:
         return self.vocabulary is not None and stimulus not in self.vocabulary
@@ -131,29 +131,18 @@ class LookupOracle(_Oracle):
 
 class CompositionalOracle(_Oracle):
     """Builds signals by concatenating per-attribute syllables, ignoring its
-    vocabulary entirely; the fully rule-governed reference agent."""
+    vocabulary entirely; the fully rule-governed reference agent. The
+    syllables are the class's SHAPE, COLOUR and AMOUNT tables."""
 
-    DEFAULT_SHAPE = {1: "ga", 2: "he", 3: "ki"}
-    DEFAULT_COLOUR = {"blue": "lo", "green": "mu", "orange": "na"}
-    DEFAULT_AMOUNT = {1: "pa", 2: "pe", 3: "pi"}
-
-    def __init__(
-        self,
-        agent_id: str,
-        shape_table: dict[int, str] | None = None,
-        colour_table: dict[str, str] | None = None,
-        amount_table: dict[int, str] | None = None,
-    ):
-        super().__init__(agent_id)
-        self.shape_table = dict(shape_table or self.DEFAULT_SHAPE)
-        self.colour_table = dict(colour_table or self.DEFAULT_COLOUR)
-        self.amount_table = dict(amount_table or self.DEFAULT_AMOUNT)
+    SHAPE = {1: "ga", 2: "he", 3: "ki"}
+    COLOUR = {"blue": "lo", "green": "mu", "orange": "na"}
+    AMOUNT = {1: "pa", 2: "pe", 3: "pi"}
 
     def rule_signal(self, stimulus: Stimulus) -> Signal:
         return (
-            self.shape_table[stimulus.shape]
-            + self.colour_table[stimulus.colour]
-            + self.amount_table[stimulus.amount]
+            self.SHAPE[stimulus.shape]
+            + self.COLOUR[stimulus.colour]
+            + self.AMOUNT[stimulus.amount]
         )
 
     def produce_signal(self, stimulus, task, rng) -> Signal:

@@ -121,77 +121,61 @@ class VocabularyEntry:
 
 
 class Vocabulary:
-    """Ordered signal-meaning entries, at most one entry per stimulus.
+    """Ordered signal-meaning entries, at most one entry per stimulus: one
+    mapping from each stimulus to its entry, in entry order.
 
-    ``track_success`` records whether the brace-format serialization carries
-    the communicativeSuccess key; it is enabled once a vocabulary enters the
-    communication block and preserved by load/save round trips.
+    The file format is decided by whoever saves: ``save`` writes the
+    communicativeSuccess key only when asked (``save_simulation`` asks for
+    the round snapshots), and ``load`` reads either form.
     """
 
-    def __init__(self, entries: Iterable[VocabularyEntry] = (), track_success: bool = False):
-        self.entries: list[VocabularyEntry] = list(entries)
-        self.track_success = track_success
-        # stimulus -> its entry, the same objects as in ``entries``
-        self._by_stimulus: dict[Stimulus, VocabularyEntry] = {}
-        for entry in self.entries:
-            if entry.stimulus in self._by_stimulus:
+    def __init__(self, entries: Iterable[VocabularyEntry] = ()):
+        self._entries: dict[Stimulus, VocabularyEntry] = {}
+        for entry in entries:
+            if entry.stimulus in self._entries:
                 raise DomainError(f"duplicate stimulus {entry.stimulus}")
-            self._by_stimulus[entry.stimulus] = entry
-        if len(self.entries) > STIMULUS_SPACE_SIZE:
-            raise DomainError(f"vocabulary has {len(self.entries)} entries, max {STIMULUS_SPACE_SIZE}")
+            self._entries[entry.stimulus] = entry
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._entries)
 
     def __iter__(self) -> Iterator[VocabularyEntry]:
-        return iter(self.entries)
+        return iter(self._entries.values())
 
     def __contains__(self, stimulus: Stimulus) -> bool:
-        return stimulus in self._by_stimulus
+        return stimulus in self._entries
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vocabulary):
             return NotImplemented
-        return self.entries == other.entries and self.track_success == other.track_success
+        return list(self) == list(other)
 
     def stimuli(self) -> list[Stimulus]:
-        return [e.stimulus for e in self.entries]
-
-    def signals(self) -> list[Signal]:
-        return [e.signal for e in self.entries]
+        return list(self._entries)
 
     def pairs(self) -> list[tuple[Stimulus, Signal]]:
-        return [(e.stimulus, e.signal) for e in self.entries]
-
-    def entry_for(self, stimulus: Stimulus) -> VocabularyEntry:
-        return self._by_stimulus[stimulus]
+        return [(e.stimulus, e.signal) for e in self]
 
     def signal_for(self, stimulus: Stimulus) -> Signal:
-        return self._by_stimulus[stimulus].signal
+        return self._entries[stimulus].signal
 
     def update(self, stimulus: Stimulus, signal: Signal, communicative_success: int) -> None:
         """Set the entry for stimulus to (signal, flag), appending if absent."""
-        entry = self._by_stimulus.get(stimulus)
+        entry = self._entries.get(stimulus)
         if entry is not None:
             entry.signal = signal
             entry.communicative_success = communicative_success
             return
-        if len(self.entries) >= STIMULUS_SPACE_SIZE:
-            raise DomainError("vocabulary full")
-        entry = VocabularyEntry(stimulus, signal, communicative_success)
-        self.entries.append(entry)
-        self._by_stimulus[stimulus] = entry
+        self._entries[stimulus] = VocabularyEntry(stimulus, signal, communicative_success)
 
     def copy(self) -> "Vocabulary":
-        return Vocabulary(
-            (VocabularyEntry(e.stimulus, e.signal, e.communicative_success) for e in self.entries),
-            track_success=self.track_success,
-        )
+        return Vocabulary(VocabularyEntry(e.stimulus, e.signal, e.communicative_success) for e in self)
 
-    def save(self, path: str | Path) -> bytes:
-        """Write the vocabulary to ``path``, one line per entry, and return
+    def save(self, path: str | Path, include_success: bool = False) -> bytes:
+        """Write the vocabulary to ``path``, one line per entry, each with
+        the communicativeSuccess key when ``include_success``, and return
         the bytes written."""
-        lines = [format_vocab_line(e, include_success=self.track_success) for e in self.entries]
+        lines = [format_vocab_line(e, include_success) for e in self]
         data = ("\n".join(lines) + "\n").encode()
         Path(path).write_bytes(data)
         return data
@@ -199,24 +183,26 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path, data: bytes | None = None) -> "Vocabulary":
         """The vocabulary of the file at ``path`` or, given its bytes as
-        ``data``, of those; a file that is not UTF-8, has a line that does
-        not parse or gives a stimulus twice raises ``VocabularyFormatError``."""
+        ``data``, of those, with or without the communicativeSuccess key; a
+        file that is not UTF-8, has a line that does not parse, mixes lines
+        with and without the key or gives a stimulus twice raises
+        ``VocabularyFormatError``, whose message starts with ``path``."""
         try:
             text = (Path(path).read_bytes() if data is None else data).decode()
         except UnicodeDecodeError as err:
             raise VocabularyFormatError(f"{path} cannot be decoded: {err}") from None
-        entries: list[VocabularyEntry] = []
-        flags: list[bool] = []
-        for number, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            entry, had_success = parse_vocab_line(line, line_number=number)
-            entries.append(entry)
-            flags.append(had_success)
-        if flags and any(f != flags[0] for f in flags):
+        try:
+            parsed = [
+                parse_vocab_line(line, line_number=number)
+                for number, line in enumerate(text.splitlines(), start=1)
+                if line.strip()
+            ]
+        except VocabularyFormatError as err:
+            raise VocabularyFormatError(f"{path}: {err}") from None
+        if len({had_success for _, had_success in parsed}) > 1:
             raise VocabularyFormatError(f"{path}: inconsistent communicativeSuccess keys across lines")
         try:
-            return cls(entries, track_success=bool(flags and flags[0]))
+            return cls(entry for entry, _ in parsed)
         except DomainError as err:  # a stimulus given twice
             raise VocabularyFormatError(f"{path}: {err}") from None
 

@@ -579,8 +579,6 @@ def run_communication_block(
     it yields before each read, and each request it sends ahead is in
     ``in_flight`` until read."""
     assert agent_a.vocabulary is not None and agent_b.vocabulary is not None
-    agent_a.vocabulary.track_success = True
-    agent_b.vocabulary.track_success = True
     agents = {agent_a.agent_id: agent_a, agent_b.agent_id: agent_b}
     train = list(agent_a.vocabulary.stimuli())
     attempts = config.max_agent_retries

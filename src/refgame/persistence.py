@@ -210,7 +210,8 @@ def save_simulation(
     metrics CSV when it has metric rows, then the manifest with a digest of
     each file this save wrote and of the events file; ``extra`` adds
     manifest fields. A file an earlier run left in ``run_dir`` is neither
-    removed nor digested.
+    removed nor digested. The round snapshots are written with each entry's
+    communicativeSuccess key, the initial, learned and testing ones without.
 
     With ``error`` set the result is an aborted run's partial one: the
     manifest is marked ``incomplete`` and records the ``error`` and the
@@ -220,18 +221,22 @@ def save_simulation(
     """
     base = Path(run_dir)
     (base / "vocab").mkdir(parents=True, exist_ok=True)
-    snapshots = {_vocab_path(base, "initial"): result.initial_language}
+    # path -> (snapshot, whether its lines carry communicativeSuccess)
+    snapshots = {_vocab_path(base, "initial"): (result.initial_language, False)}
     for agent_id, labelling in result.labelling.items():
-        snapshots[_vocab_path(base, "learned", agent_id)] = labelling.learned
+        snapshots[_vocab_path(base, "learned", agent_id)] = (labelling.learned, False)
     if result.communication is not None:
         for agent_id, vocabs in result.communication.round_vocabs.items():
             for round_number, vocab in enumerate(vocabs, start=1):
-                snapshots[_vocab_path(base, f"round{round_number}", agent_id)] = vocab
+                snapshots[_vocab_path(base, f"round{round_number}", agent_id)] = (vocab, True)
     for agent_id, testing in result.testing.items():
         produced = Vocabulary(VocabularyEntry(s, w) for s, w in testing.pairs())
-        snapshots[_vocab_path(base, "testing", agent_id)] = produced
+        snapshots[_vocab_path(base, "testing", agent_id)] = (produced, False)
     # a file written here is digested from the bytes written, not read back
-    digests = {path: hashlib.sha256(vocab.save(path)).hexdigest() for path, vocab in snapshots.items()}
+    digests = {
+        path: hashlib.sha256(vocab.save(path, include_success)).hexdigest()
+        for path, (vocab, include_success) in snapshots.items()
+    }
     if result.metric_rows:
         data = write_rows(base / "metrics.csv", result.metric_rows)
         digests[base / "metrics.csv"] = hashlib.sha256(data).hexdigest()

@@ -344,6 +344,16 @@ MUTANTS = (
         ("tests/test_cli.py::TestWireRun::test_one_request_per_agent_per_block",
          "tests/test_cli.py::TestWireRun::test_agents_lists_in_flight_at_once"),
     ),
+    Mutant(
+        "round-snapshots-without-flags", PERSISTENCE,
+        (('snapshots[_vocab_path(base, f"round{round_number}", agent_id)] = (vocab, True)',
+          'snapshots[_vocab_path(base, f"round{round_number}", agent_id)] = (vocab, False)'),),
+        "save_simulation writes every snapshot without the communicativeSuccess key, so the "
+        "round snapshots lose each entry's outcome (found while moving the file format out of "
+        "Vocabulary)",
+        ("tests/test_identity.py::test_fixed_seed_outputs_are_byte_identical",
+         "tests/test_persistence.py::TestSaveAndManifest::test_round_snapshots_carry_success_flags"),
+    ),
 )
 
 

@@ -49,7 +49,7 @@ def test_criterion_01_golden_topsim(golden_vocabularies):
     """The bundled golden train vocabulary reproduces the published TopSim Z."""
     train, _ = golden_vocabularies
     started = time.monotonic()
-    sem, sig = semantic_distance_matrix(train.stimuli()), signal_distance_matrix(train.signals())
+    sem, sig = semantic_distance_matrix(train.stimuli()), signal_distance_matrix([e.signal for e in train])
     result = mantel_test(sem, sig, permutations=10_000, rng=0, method="sampled")
     elapsed = time.monotonic() - started
     ok = abs(result.z_score - 7.13) <= 0.5 and result.p_value < 0.001 and elapsed < 5.0
@@ -150,7 +150,7 @@ def test_criterion_05_null_calibration():
     for trial in range(400):
         split = sample_training_set(rng)
         vocab = generate_language(rng, split.train)
-        sem, sig = semantic_distance_matrix(vocab.stimuli()), signal_distance_matrix(vocab.signals())
+        sem, sig = semantic_distance_matrix(vocab.stimuli()), signal_distance_matrix([e.signal for e in vocab])
         result = mantel_test(sem, sig, permutations=999, rng=5000 + trial, method="sampled")
         z_values.append(result.z_score)
         significant += result.p_value < 0.05

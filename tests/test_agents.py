@@ -73,7 +73,8 @@ class TestLookupOracle:
         oracle.set_vocabulary(vocab.copy())
         target = vocab.stimuli()[0]
         truth = vocab.signal_for(target)
-        candidates = [vocab.signals()[5], truth, vocab.signals()[9]]
+        signals = [signal for _, signal in vocab.pairs()]
+        candidates = [signals[5], truth, signals[9]]
         assert oracle.choose(target, candidates, PromptTask.GUESSING, Random(0)) == 1
 
     def test_listening_choice(self):
@@ -97,12 +98,12 @@ def test_closest_is_the_argmin_of_edit_distances(signal, others):
 
 class TestCompositionalOracle:
     def test_spec_concatenation_example(self):
-        oracle = CompositionalOracle(
-            "A",
-            shape_table={1: "su", 2: "gi", 3: "wi"},
-            colour_table={"blue": "nu", "green": "ne", "orange": "na"},
-            amount_table={1: "su", 2: "pepi", 3: "pitite"},
-        )
+        class Spec(CompositionalOracle):
+            SHAPE = {1: "su", 2: "gi", 3: "wi"}
+            COLOUR = {"blue": "nu", "green": "ne", "orange": "na"}
+            AMOUNT = {1: "su", 2: "pepi", 3: "pitite"}
+
+        oracle = Spec("A")
         assert oracle.rule_signal(Stimulus(1, "green", 3)) == "sunepitite"
         assert (
             oracle.produce_signal(Stimulus(1, "green", 3), PromptTask.SPEAKING, Random(0))

@@ -310,8 +310,12 @@ class TestMetricsCommand:
         path.write_text(
             "{'shape':1,'colour':'blue','amount':1,'word':'gali'}\nnot an entry\n"
         )
+        refusal = f"error: {path}: line 2: unparseable vocabulary entry: 'not an entry'\n"
         assert run_cli("metrics", str(path)) == EXIT_VALIDATION
-        assert "line 2" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", refusal)
+        # of two files, the one refused is named
+        assert run_cli("metrics", str(GOLDEN_TRAIN_PATH), str(path)) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", refusal)
         # a stimulus given twice parses line by line; the file is named
         path.write_text("{'shape':1,'colour':'blue','amount':1,'word':'gali'}\n" * 2)
         assert run_cli("metrics", str(path)) == EXIT_VALIDATION

@@ -197,7 +197,7 @@ class TestGenerateLanguage:
     def test_distinct_signals_and_zero_flags(self):
         vocab = generate_language(Random(2), enumerate_stimuli())
         assert len(vocab) == 27
-        assert len(set(vocab.signals())) == 27
+        assert len({e.signal for e in vocab}) == 27
         assert all(e.communicative_success == 0 for e in vocab)
 
     def test_deterministic(self):
@@ -207,7 +207,7 @@ class TestGenerateLanguage:
 
     def test_signals_wellformed(self):
         vocab = generate_language(Random(4), enumerate_stimuli())
-        assert all(is_cv_signal(w) for w in vocab.signals())
+        assert all(is_cv_signal(w) for _, w in vocab.pairs())
 
 
 class TestVocabulary:
@@ -224,7 +224,7 @@ class TestVocabulary:
         vocab = Vocabulary([VocabularyEntry(Stimulus(1, "blue", 1), "nafa")])
         vocab.update(Stimulus(1, "blue", 1), "watopo", 1)
         assert vocab.signal_for(Stimulus(1, "blue", 1)) == "watopo"
-        assert vocab.entry_for(Stimulus(1, "blue", 1)).communicative_success == 1
+        assert list(vocab)[0].communicative_success == 1
         vocab.update(Stimulus(2, "green", 2), "gigi", 0)
         assert len(vocab) == 2
 
@@ -263,14 +263,11 @@ class TestVocabularyIndex:
         # every copy still answers from its own entries
         for each in seen:
             for stimulus in space:
-                scan = [e for e in each.entries if e.stimulus == stimulus]
+                scan = [e for e in each if e.stimulus == stimulus]
                 assert (stimulus in each) == bool(scan)
                 if scan:
-                    assert each.entry_for(stimulus) is scan[0]
                     assert each.signal_for(stimulus) == scan[0].signal
                 else:
-                    with pytest.raises(KeyError):
-                        each.entry_for(stimulus)
                     with pytest.raises(KeyError):
                         each.signal_for(stimulus)
 
@@ -317,23 +314,21 @@ class TestVocabularyFile:
 
         rng = Random(seed)
         vocab = generate_language(rng, rng.sample(enumerate_stimuli(), 9))
-        vocab.track_success = with_flags
         if with_flags:
-            vocab.update(vocab.stimuli()[0], vocab.signals()[0], 1)
+            vocab.update(vocab.stimuli()[0], vocab.pairs()[0][1], 1)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "v.vocab"
-            vocab.save(path)
+            vocab.save(path, include_success=with_flags)
             assert Vocabulary.load(path) == vocab
 
     def test_roundtrip_with_success_flags(self, tmp_path):
         vocab = generate_language(Random(3), enumerate_stimuli()[:5])
-        vocab.track_success = True
-        vocab.update(vocab.stimuli()[0], vocab.signals()[0], 1)
+        vocab.update(vocab.stimuli()[0], vocab.pairs()[0][1], 1)
         path = tmp_path / "flags.vocab"
-        vocab.save(path)
+        first = vocab.save(path, include_success=True)
         loaded = Vocabulary.load(path)
         assert loaded == vocab
-        loaded.save(path)
+        assert loaded.save(path, include_success=True) == first
         assert Vocabulary.load(path) == vocab
 
     def test_malformed_line_reports_position(self, tmp_path):

@@ -145,7 +145,7 @@ class TestGuessingBlock:
         agent = LookupOracle("A")
         agent.set_vocabulary(vocab.copy())
         result = engine._run(run_guessing_block(agent, vocab, Random(3), RunConfig(guessing_distractors=3), EventLog()))
-        signals = set(vocab.signals())
+        signals = {e.signal for e in vocab}
         for record in result.records:
             truth = vocab.signal_for(record.stimulus)
             assert len(record.candidates) == 4
@@ -181,7 +181,7 @@ class TestLabellingBlock:
         agent.set_vocabulary(vocab.copy())
         result = engine._run(run_labelling_block(agent, vocab, Random(0), RunConfig(), EventLog()))
         assert all(e.signal == "gigi" for e in result.learned)
-        assert len(set(result.learned.signals())) == 1
+        assert len({e.signal for e in result.learned}) == 1
         assert result.mean_distance > 0
 
     def test_failed_production_retains_truth(self):
@@ -244,7 +244,7 @@ class TestCommunicationBlock:
         for record in result.records:
             last_by_stimulus[record.stimulus] = record
         for stimulus, record in last_by_stimulus.items():
-            entry = a.vocabulary.entry_for(stimulus)
+            entry = next(e for e in a.vocabulary if e.stimulus == stimulus)
             assert entry.signal == record.signal
             assert entry.communicative_success == (1 if record.success else 0)
 
@@ -259,9 +259,11 @@ class TestCommunicationBlock:
     def test_differing_tables_match_bruteforce_replay(self):
         # speaker and listener share shape/colour syllables but not amounts;
         # replay every interaction independently and compare outcomes
-        amount_b = {1: "pi", 2: "pa", 3: "pu"}
+        class OtherAmounts(CompositionalOracle):
+            AMOUNT = {1: "pi", 2: "pa", 3: "pu"}
+
         a = CompositionalOracle("A")
-        b = CompositionalOracle("B", amount_table=amount_b)
+        b = OtherAmounts("B")
         vocab, _ = training_vocab()
         a.set_vocabulary(vocab.copy())
         b.set_vocabulary(vocab.copy())
@@ -754,9 +756,9 @@ class TestRunSimulation:
         monkeypatch.setattr(metrics, "levenshtein", counting_levenshtein)
         engine.compute_metric_rows(result)
         # one matrix per distinct signal list: the guessing rows repeat the initial language
-        lists = [result.initial_language.signals()]
-        lists += [result.labelling[a].learned.signals() for a in result.agent_ids]
-        lists += [v.signals() for vocabs in result.communication.round_vocabs.values() for v in vocabs]
+        lists = [[e.signal for e in result.initial_language]]
+        lists += [[e.signal for e in result.labelling[a].learned] for a in result.agent_ids]
+        lists += [[e.signal for e in v] for vocabs in result.communication.round_vocabs.values() for v in vocabs]
         lists += [[w for _, w in result.testing[a].pairs()] for a in result.agent_ids]
         assert sorted(map(tuple, matrices)) == sorted(set(map(tuple, lists)))
         assert len(matrices) < len(result.metric_rows)
@@ -1264,7 +1266,7 @@ class TestGuessingBesideTheRest:
         config = RunConfig(master_seed=self.SEED, rounds=1, mantel_permutations=10)
         result = run_simulation(config, agents, EventLog(), initial)
         assert waited == [True, True]
-        assert all(r.learned.signals() == ["zuzu"] * 15 for r in result.labelling.values())
+        assert all([e.signal for e in r.learned] == ["zuzu"] * 15 for r in result.labelling.values())
         assert len(late_lines) == 2 * 15 * 4
         assert {frozenset(lines) for lines in late_lines} == {frozenset(render_entry(e) for e in initial)}
 

@@ -255,7 +255,7 @@ class TestNgramDiversity:
 
     def test_identical_vs_golden(self, golden_train):
         identical = ["wipisu"] * 15
-        assert ngram_diversity(identical) < ngram_diversity(golden_train.signals())
+        assert ngram_diversity(identical) < ngram_diversity([e.signal for e in golden_train])
 
     def test_empty_input(self):
         with pytest.raises(EmptyInputError):
@@ -558,7 +558,7 @@ class TestMantelBitIdentity:
 
     def test_golden_topsim_pinned(self, golden_train):
         sem = semantic_distance_matrix(golden_train.stimuli())
-        sig = signal_distance_matrix(golden_train.signals())
+        sig = signal_distance_matrix([e.signal for e in golden_train])
         result = mantel_test(sem, sig, permutations=10_000, rng=0, method="sampled")
         assert repr(result.z_score) == "7.159796628675282"
         assert repr(result.p_value) == "9.999000099990002e-05"
@@ -805,7 +805,7 @@ class TestReportHelpers:
         for case in range(300):
             stimuli = rng.sample(enumerate_stimuli(), rng.choice([3, 5, 7, 8, 15, 27]))
             if case % 3 == 0:
-                signals = generate_language(rng, stimuli).signals()
+                signals = [e.signal for e in generate_language(rng, stimuli)]
             elif case % 3 == 1:
                 words = [random_signal(rng) for _ in range(rng.randint(1, 4))]
                 signals = [rng.choice(words) for _ in stimuli]

@@ -1,6 +1,7 @@
 import builtins
 import io
 import json
+import re
 import shutil
 import tempfile
 from dataclasses import asdict, fields
@@ -17,7 +18,7 @@ from refgame.agents import CompositionalOracle, LookupOracle, Reply
 from refgame.backend import EventLog
 from refgame.cli import EXIT_OK, EXIT_VALIDATION, main
 from refgame.config import ConfigError, ExperimentConfig, config_from_dict, load_config, validate_config
-from refgame.domain import Vocabulary, enumerate_stimuli
+from refgame.domain import enumerate_stimuli
 from refgame.engine import MetricRow, RunConfig, compute_metric_rows, run_simulation
 from refgame.persistence import (
     ChainRow,
@@ -122,10 +123,13 @@ class TestSaveAndManifest:
 
     def test_round_snapshots_carry_success_flags(self, tmp_path):
         run_dir, _ = persisted_run(tmp_path)
-        text = (run_dir / "vocab" / "round1_A.vocab").read_text()
-        assert "'communicativeSuccess':" in text
-        vocab = Vocabulary.load(run_dir / "vocab" / "round1_A.vocab")
-        assert vocab.track_success
+        # every line of a round snapshot ends with the key, no line of the others has it
+        for name, carries in [("round1_A", True), ("initial", False), ("learned_A", False), ("testing_A", False)]:
+            lines = (run_dir / "vocab" / f"{name}.vocab").read_bytes().splitlines()
+            assert lines, name
+            keyed = [re.search(rb",'communicativeSuccess':[01]\}$", line) is not None for line in lines]
+            assert keyed == [carries] * len(lines), name
+            assert all(line.count(b"communicativeSuccess") == carries for line in lines), name
 
 
 class TestMetricsCsv:

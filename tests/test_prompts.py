@@ -70,7 +70,7 @@ class TestLabellingPrompt:
         target = vocab.stimuli()[3]
         prompt = build_labelling_prompt(vocab, target, Random(1))
         assert len(prompt.vocabulary_lines) == 15
-        target_line = render_entry(vocab.entry_for(target))
+        target_line = render_entry(VocabularyEntry(target, vocab.signal_for(target)))
         assert target_line in prompt.vocabulary_lines
 
     def test_missing_stimulus_rejected(self):
@@ -110,10 +110,11 @@ class TestLabellingPrompt:
 class TestSpeakerPrompt:
     def test_success_field_rendered(self):
         vocab = sample_vocab()
-        vocab.entries[1].communicative_success = 1
+        stimulus, signal = vocab.pairs()[1]
+        vocab.update(stimulus, signal, 1)
         target = vocab.stimuli()[0]
         prompt = build_speaker_prompt(vocab, target, Random(1))
-        flagged = render_entry(vocab.entries[1], include_success=True)
+        flagged = render_entry(list(vocab)[1], include_success=True)
         assert flagged in prompt.vocabulary_lines
         assert "'communicativeSuccess':1" in flagged
 

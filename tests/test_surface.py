@@ -28,35 +28,39 @@ def imported(module: ast.Module) -> list[str]:
 
 
 def defined(module: ast.Module) -> list[str]:
-    """Module-level function and class names, and the non-dunder method
-    names of module-level classes."""
-    names = []
-    for node in module.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.append(node.name)
-        if isinstance(node, ast.ClassDef):
-            names += [
-                item.name for item in node.body
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
-            ]
-    return names
+    """Module-level function and class names."""
+    return [node.name for node in module.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def methods(module: ast.Module) -> list[tuple[str, str]]:
+    """``(class, method)`` for each non-dunder method of a module-level class."""
+    return [
+        (node.name, item.name)
+        for node in module.body if isinstance(node, ast.ClassDef)
+        for item in node.body if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+    ]
+
+
+def attributes(modules: list[ast.Module]) -> set[str]:
+    """The names the modules refer to as attributes (``x.name``)."""
+    return {node.attr for module in modules for node in ast.walk(module) if isinstance(node, ast.Attribute)}
 
 
 def referenced(modules: list[ast.Module]) -> set[str]:
-    names = set()
-    for module in modules:
-        for node in ast.walk(module):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+    names = {node.id for module in modules for node in ast.walk(module) if isinstance(node, ast.Name)}
+    return names | attributes(modules)
 
 
 def test_every_definition_is_used():
+    """A function or class counts as used when package or scripts/ code
+    names it, a method only when that code refers to it as an attribute:
+    a local variable that shares a method's name does not use it."""
     package = parsed(PACKAGE)
-    used = referenced(package + parsed(SCRIPTS))
-    unused = sorted({name for module in package for name in defined(module)} - used)
+    code = package + parsed(SCRIPTS)
+    unused = sorted({name for module in package for name in defined(module)} - referenced(code))
+    unused += sorted(
+        f"{cls}.{name}" for module in package for cls, name in methods(module) if name not in attributes(code)
+    )
     assert unused == []
 
 

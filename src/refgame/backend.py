@@ -15,6 +15,7 @@ import hashlib
 import importlib.resources
 import io
 import json
+import math
 import os
 import threading
 import time
@@ -80,12 +81,14 @@ class BackendDescriptor:
     backoff_base: float = 0.5
 
     def validate(self) -> None:
-        if self.timeout <= 0:
-            raise BackendError("timeout must be > 0")
+        if not 0 < self.timeout < math.inf:  # false for nan too
+            raise BackendError("timeout must be > 0 and finite")
         if self.max_retries < 0:
             raise BackendError("max_retries must be >= 0")
-        if self.backoff_base < 0:
-            raise BackendError("backoff_base must be >= 0")
+        if not 0 <= self.backoff_base < math.inf:
+            raise BackendError("backoff_base must be >= 0 and finite")
+        if not math.isfinite(self.temperature):  # a request body carries no nan or infinity
+            raise BackendError("temperature must be finite")
         # no signal fits a completion of no tokens, and no prompt a budget of none
         if self.max_output_tokens < 1:
             raise BackendError("max_output_tokens must be >= 1")

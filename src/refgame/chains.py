@@ -137,7 +137,7 @@ def _select_generation_donor(
 
 def _finished_generations(
     config: ChainConfig, run: RunConfig, chain_seed: int, chain_index: int, directory: Path,
-    agent_specs: list[str] | None,
+    provenance: dict,
 ) -> tuple[list[ChainRow], list[tuple[Stimulus, Signal]] | None]:
     """chain.csv rows of the finished generations and the last donor's
     testing output (None when nothing is finished): the ``seed_from`` import
@@ -146,11 +146,12 @@ def _finished_generations(
     donor, each row rebuilt from that generation's digest-checked metric
     rows (rows ``chain_row`` refuses end the prefix); a stored
     ``chain.csv`` is never read.
-    A finished generation run with another RunConfig than this chain's,
-    or whose manifest records other ``agent_specs``, raises
-    ``PersistenceError``: a resume never splices in another
-    configuration's trace. A manifest that records no specs is not
-    checked for them."""
+    A finished generation is checked field by field, in order: the run
+    settings this chain would use for it (derived seed included), from its
+    decoded config, then each ``provenance`` field, from its manifest's
+    ``extra``. The first that differs raises ``PersistenceError`` naming
+    it: a resume never splices in another configuration's trace. A field
+    the manifest does not record is not checked."""
     rows: list[ChainRow] = []
     transmitted = None
     if config.seed_from:
@@ -171,14 +172,14 @@ def _finished_generations(
         donor_id = manifest.extra.get("donor_id")
         if donor_id not in result.agent_ids:
             break
-        if result.config != _generation_run_config(run, chain_seed, generation):
-            raise PersistenceError(f"{gen_dir} was run with another configuration")
-        recorded = manifest.extra.get("agent_specs", agent_specs)
-        if agent_specs is not None and recorded != agent_specs:
-            raise PersistenceError(
-                f"{gen_dir} was run with another configuration: "
-                f"agent_specs {recorded}, not {agent_specs}"
-            )
+        expected_run = vars(_generation_run_config(run, chain_seed, generation))
+        for recorded, expected in ((vars(result.config), expected_run), (manifest.extra, provenance)):
+            for field, value in expected.items():
+                if field in recorded and recorded[field] != value:
+                    raise PersistenceError(
+                        f"{gen_dir} was run with another configuration: "
+                        f"{field} {recorded[field]}, not {value}"
+                    )
         try:
             rows.append(chain_row(chain_index, generation, donor_id, result.metric_rows))
         except PersistenceError:
@@ -194,18 +195,17 @@ def run_chain(
     chain_index: int,
     out_dir: str | Path,
     agent_factory: Callable[[], tuple[Agent, Agent]],
-    agent_specs: list[str] | None = None,
-    service: dict | None = None,
+    provenance: dict | None = None,
 ) -> list[GenerationRecord]:
     """Run chain ``chain_index`` into ``chain_dir(out_dir, chain_index)``,
     resuming after the generations already finished there; returns the
     records of the generations this call ran.
 
-    ``agent_factory()`` builds a fresh dyad for each generation; when
-    ``agent_specs`` names the specs it builds from (``make_agent``'s), each
-    generation's manifest, finished or aborted, records them and a resume
-    checks them; ``service``, the settings of an llm agent's service
-    (``BackendDescriptor.service``), is recorded beside them.
+    ``agent_factory()`` builds a fresh dyad for each generation.
+    ``provenance`` names how it builds them (the caller's: the agent specs,
+    and an llm agent's service settings); with ``donor_permutations``
+    added, each generation's manifest, finished or aborted, records it in
+    ``extra``, and a resume checks it (``_finished_generations``).
     Each generation is saved, and ``chain.csv`` rewritten, as soon as it
     finishes; one that aborts, or whose dyad has no complete testing output
     to transmit, is saved as incomplete before its ``SimulationAborted``
@@ -215,8 +215,9 @@ def run_chain(
     config.validate()
     chain_seed = derive_seed(master_seed, f"chain:{chain_index}")
     directory = chain_dir(out_dir, chain_index)
+    provenance = {**(provenance or {}), "donor_permutations": config.donor_permutations}
     rows, transmitted = _finished_generations(
-        config, run, chain_seed, chain_index, directory, agent_specs
+        config, run, chain_seed, chain_index, directory, provenance
     )
     # made after the seed loads, so a refused seed leaves no directory behind
     directory.mkdir(parents=True, exist_ok=True)
@@ -228,9 +229,6 @@ def run_chain(
                 transmitted, Random(derive_seed(chain_seed, f"portion:{generation}"))
             )
         gen_dir = directory / f"gen{generation:02d}"
-        specs = {} if agent_specs is None else {"agent_specs": agent_specs}
-        if service is not None:
-            specs["service"] = service
         agents = agent_factory()
         with EventLog(gen_dir / "events.jsonl") as event_log:
             event_log.set_context(generation=generation)
@@ -247,7 +245,7 @@ def run_chain(
                 except ChainError as err:  # nothing complete to transmit
                     raise SimulationAborted(str(err), result) from err
             except SimulationAborted as err:
-                save_simulation(err.partial, gen_dir, started=started, error=str(err), extra=specs)
+                save_simulation(err.partial, gen_dir, started=started, error=str(err), extra=provenance)
                 raise
         save_simulation(
             result,
@@ -257,7 +255,7 @@ def run_chain(
                 "donor_id": selection.donor_id,
                 "donor_degenerate": selection.degenerate,
                 "generation": generation,
-                **specs,
+                **provenance,
             },
         )
         rows.append(chain_row(chain_index, generation, selection.donor_id, result.metric_rows))

@@ -80,25 +80,24 @@ def _build_agents(config: ExperimentConfig):
     )
 
 
-def _service(config: ExperimentConfig) -> dict | None:
-    """The service settings a run's manifest records when an agent is an llm."""
-    return config.backend.service() if "llm" in config.agents else None
+def _provenance(config: ExperimentConfig) -> dict:
+    """What a run's manifest records of how its agents were made: their
+    specs and, when an agent is an llm, its service settings."""
+    service = {"service": config.backend.service()} if "llm" in config.agents else {}
+    return {"agent_specs": config.agents, **service}
 
 
 def _run_one_simulation(config: ExperimentConfig, run_seed: int, run_dir: Path):
     agents = _build_agents(config)
     with EventLog(run_dir / "events.jsonl") as event_log:  # creates run_dir
         run_config = replace(config.run, master_seed=run_seed)
-        extra = {"agent_specs": config.agents}
-        if service := _service(config):
-            extra["service"] = service
         started = time.time()
         try:
             result = run_simulation(run_config, agents, event_log=event_log)
         except SimulationAborted as err:
-            save_simulation(err.partial, run_dir, started=started, extra=extra, error=str(err))
+            save_simulation(err.partial, run_dir, started=started, extra=_provenance(config), error=str(err))
             raise
-    save_simulation(result, run_dir, started=started, extra=extra)
+    save_simulation(result, run_dir, started=started, extra=_provenance(config))
     return result
 
 
@@ -135,7 +134,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
     for chain_index in range(settings.chains):
         records = run_chain(
             settings, config.run, config.master_seed, chain_index, config.output_dir, agent_factory,
-            agent_specs=config.agents, service=_service(config),
+            provenance=_provenance(config),
         )
         # an imported generation 0 is not a resume
         finished = settings.generations - len(records)
@@ -241,8 +240,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"verification failed: {err}", file=sys.stderr)
         return EXIT_MISMATCH
     except (
-        ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError, DomainError,
-        MetricError, PersistenceError,
+        ConfigError, FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+        DomainError, MetricError, PersistenceError,
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -42,12 +42,6 @@ class DomainError(Exception):
 class VocabularyFormatError(DomainError):
     """A vocabulary file line does not parse."""
 
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
-
 
 class Stimulus(namedtuple("Stimulus", ("shape", "colour", "amount"))):
     """A ``(shape, colour, amount)`` triple from the 3x3x3 space.
@@ -191,14 +185,13 @@ class Vocabulary:
             text = (Path(path).read_bytes() if data is None else data).decode()
         except UnicodeDecodeError as err:
             raise VocabularyFormatError(f"{path} cannot be decoded: {err}") from None
-        try:
-            parsed = [
-                parse_vocab_line(line, line_number=number)
-                for number, line in enumerate(text.splitlines(), start=1)
-                if line.strip()
-            ]
-        except VocabularyFormatError as err:
-            raise VocabularyFormatError(f"{path}: {err}") from None
+        parsed = []
+        for number, line in enumerate(text.splitlines(), start=1):
+            if line.strip():
+                try:
+                    parsed.append(parse_vocab_line(line))
+                except VocabularyFormatError as err:
+                    raise VocabularyFormatError(f"{path}: line {number}: {err}") from None
         if len({had_success for _, had_success in parsed}) > 1:
             raise VocabularyFormatError(f"{path}: inconsistent communicativeSuccess keys across lines")
         try:
@@ -223,10 +216,10 @@ def format_vocab_line(entry: VocabularyEntry, include_success: bool = False) -> 
     return line + "}"
 
 
-def parse_vocab_line(line: str, line_number: int | None = None) -> tuple[VocabularyEntry, bool]:
+def parse_vocab_line(line: str) -> tuple[VocabularyEntry, bool]:
     match = _VOCAB_LINE_RE.match(line.strip())
     if not match:
-        raise VocabularyFormatError(f"unparseable vocabulary entry: {line!r}", line_number)
+        raise VocabularyFormatError(f"unparseable vocabulary entry: {line!r}")
     stimulus = Stimulus(
         shape=int(match["shape"]), colour=match["colour"], amount=int(match["amount"])
     )

@@ -585,6 +585,9 @@ def run_communication_block(
     records: list[InteractionRecord] = []
     round_vocabs: dict[str, list[Vocabulary]] = {agent_a.agent_id: [], agent_b.agent_id: []}
     in_flight: list[Reply] = []  # sent ahead and not yet read
+    # t's outcome while its listening request is in flight is predicted to be a
+    # failure: most interactions fail on the only traffic measured (README)
+    predicted_flag = 0
 
     def draw_candidates(stimulus: Stimulus) -> list[Stimulus]:
         distractors = rng.sample([s for s in train if s != stimulus], config.candidate_count - 1)
@@ -658,10 +661,10 @@ def run_communication_block(
                     next_sent = None
                     if speaker.speaks_ahead and task_index + 2 < len(tasks):
                         yield
-                        next_signal = sent.speaking.peek(0)  # t predicted to fail
+                        next_signal = sent.speaking.peek(predicted_flag)
                         if next_signal is not None:
                             mark = rng.getstate()
-                            speaker.vocabulary.update(stimulus, signal, 0)  # t's record updates it again
+                            speaker.vocabulary.update(stimulus, signal, predicted_flag)  # t's record updates it again
                             next_task = (task_index + 1, next_signal, sent.next_candidates,
                                          tasks[task_index + 1][1])
                             next_sent = overlap(speaker, next_task, task_index + 2)
@@ -669,7 +672,7 @@ def run_communication_block(
                     if answers:
                         chosen = answers[0]
                         flag = int(candidates[chosen] == stimulus)
-                        if next_sent is not None and flag:  # t succeeded: t+1's overlap is made anew
+                        if next_sent is not None and flag != predicted_flag:  # t+1's overlap is made anew
                             rng.setstate(mark)
                             stale, next_sent = (speaker_id, [next_sent.listening, next_sent.speaking]), None
                         ahead = (sent.next_candidates, sent.speaking, flag, next_sent)

@@ -39,8 +39,9 @@ class Mutant:
     tests: tuple[str, ...]  # pytest node ids, relative to the root
 
 
-ENGINE, BACKEND, AGENTS, PERSISTENCE, METRICS, DOMAIN = (
-    f"src/refgame/{name}.py" for name in ("engine", "backend", "agents", "persistence", "metrics", "domain")
+ENGINE, BACKEND, AGENTS, PERSISTENCE, METRICS, DOMAIN, CHAINS, CLI = (
+    f"src/refgame/{name}.py"
+    for name in ("engine", "backend", "agents", "persistence", "metrics", "domain", "chains", "cli")
 )
 BESIDE = "tests/test_engine.py::TestGuessingBesideTheRest"
 SIDE_BY_SIDE = "tests/test_engine.py::TestSideBySide"
@@ -151,11 +152,7 @@ MUTANTS = (
     ),
     Mutant(
         "success-predicted", ENGINE,
-        (("next_signal = sent.speaking.peek(0)  # t predicted to fail",
-          "next_signal = sent.speaking.peek(1)  # t predicted to fail"),
-         ("speaker.vocabulary.update(stimulus, signal, 0)  # t's record updates it again",
-          "speaker.vocabulary.update(stimulus, signal, 1)  # t's record updates it again"),
-         ("if next_sent is not None and flag:", "if next_sent is not None and not flag:")),
+        (("    predicted_flag = 0\n", "    predicted_flag = 1\n"),),
         "listening ahead on the prediction that t succeeds, which against the benchmark stub "
         "is wrong in most interactions and sends more requests (CHANGES.md, listening ahead)",
         ("tests/test_cli.py::TestWireRun::test_one_request_per_agent_per_block",
@@ -353,6 +350,33 @@ MUTANTS = (
         "Vocabulary)",
         ("tests/test_identity.py::test_fixed_seed_outputs_are_byte_identical",
          "tests/test_persistence.py::TestSaveAndManifest::test_round_snapshots_carry_success_flags"),
+    ),
+    Mutant(
+        "resume-compares-run-settings-only", CHAINS,
+        (("((vars(result.config), expected_run), (manifest.extra, provenance))",
+          "((vars(result.config), expected_run),)"),),
+        "a chain resume compares only the run settings, so it splices in generations made with "
+        "other agent specs, another llm service or another donor_permutations (found while "
+        "making the chain's provenance one mapping)",
+        ("tests/test_cli.py::TestChainCommand::test_resume_with_another_configuration_refused",
+         "tests/test_cli.py::TestChainCommand::test_llm_resume_with_another_service_refused"),
+    ),
+    Mutant(
+        "backend-accepts-non-finite", BACKEND,
+        (("if not 0 < self.timeout < math.inf:", "if self.timeout <= 0:"),
+         ("if not 0 <= self.backoff_base < math.inf:", "if self.backoff_base < 0:"),
+         ("        if not math.isfinite(self.temperature):", "        if False:")),
+        "a backend timeout, backoff_base or temperature of nan or infinity passes validation: "
+        "the run aborts at its first request or retry, or writes nan into request bodies and "
+        "the manifest",
+        ("tests/test_cli.py::TestSimulate::test_bad_backend_setting_rejected_before_writing",),
+    ),
+    Mutant(
+        "run-directory-collision-uncaught", CLI,
+        (("FileNotFoundError, FileExistsError,", "FileNotFoundError,"),),
+        "a run directory path that is an existing file ends the command with a traceback, "
+        "not an error: line and exit 1",
+        ("tests/test_cli.py::TestSimulate::test_run_directory_that_is_a_file_refused",),
     ),
 )
 

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import refgame
-from helpers import YAML_LOADERS, BreakingOracle
+from helpers import YAML_LOADERS, BreakingOracle, wire_service
 from refgame import cli
 from refgame.agents import LookupOracle, Reply
 from refgame.backend import EventLog
@@ -100,6 +100,15 @@ class TestSimulate:
         assert "llm agents need backend.endpoint" in capsys.readouterr().err
         assert not (out / run_dir).exists()
 
+    @pytest.mark.parametrize("command, run_dir", [("simulate", "sim-00"), ("chain", "chain-00/gen00")])
+    def test_run_directory_that_is_a_file_refused(self, tmp_path, capsys, command, run_dir):
+        path = tmp_path / "runs" / run_dir
+        path.parent.mkdir(parents=True)
+        path.write_text("not a directory\n")
+        assert run_cli(command, "--out", str(tmp_path / "runs"), "--permutations", "60") == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: {str(path)!r}\n"
+        assert path.read_text() == "not a directory\n"
+
     @pytest.mark.parametrize(
         "backend, message",
         [
@@ -115,6 +124,10 @@ class TestSimulate:
             ({"context_budget_tokens": 0}, "context_budget_tokens must be >= 1"),
             ({"context_budget_tokens": -8}, "context_budget_tokens must be >= 1"),
             ({"endpoint": "http://[::1"}, "endpoint 'http://[::1': Invalid IPv6 URL"),
+            ({"timeout": float("nan")}, "timeout must be > 0 and finite"),
+            ({"timeout": float("inf")}, "timeout must be > 0 and finite"),
+            ({"temperature": float("nan")}, "temperature must be finite"),
+            ({"backoff_base": float("nan")}, "backoff_base must be >= 0 and finite"),
         ],
     )
     def test_bad_backend_setting_rejected_before_writing(self, tmp_path, capsys, backend, message):
@@ -1094,7 +1107,7 @@ class TestChainCommand:
         assert manifest.status == "incomplete"
         assert manifest.extra == {
             "agent_ids": ["A", "B"], "error": "agent A broke", "completed_blocks": ["guessing"],
-            "agent_specs": ["oracle:lookup", "oracle:lookup"],
+            "agent_specs": ["oracle:lookup", "oracle:lookup"], "donor_permutations": 1000,
         }
 
     def test_incomplete_testing_output_aborts_generation_and_resumes(
@@ -1330,22 +1343,58 @@ class TestChainCommand:
         assert [(chain_dir / g / "manifest.json").stat().st_mtime_ns for g in ("gen01", "gen02")] == stamps
 
     @pytest.mark.parametrize(
-        "changed",
-        [["--seed", "2"], ["--permutations", "100"], ["--agents", "oracle:random,oracle:random"]],
-        ids=["seed", "permutations", "agents"],
+        "changed, field",
+        [
+            (["--seed", "2"], "master_seed"),
+            (["--permutations", "100"], "mantel_permutations"),
+            (["--agents", "oracle:random,oracle:random"], "agent_specs"),
+            ({"chain": {"donor_permutations": 1000}}, "donor_permutations"),
+        ],
+        ids=["seed", "permutations", "agents", "donor_permutations"],
     )
-    def test_resume_with_another_configuration_refused(self, tmp_path, capsys, changed):
-        shared = ["chain", "--chains", "1", "--seed", "1", "--permutations", "60"]
+    def test_resume_with_another_configuration_refused(self, tmp_path, capsys, changed, field):
+        config = tmp_path / "chain.yaml"
+        config.write_text(yaml.safe_dump({"chain": {"donor_permutations": 60}}))
+        shared = ["chain", "--config", str(config), "--chains", "1", "--seed", "1", "--permutations", "60"]
         out = tmp_path / "chains"
         assert run_cli(*shared, "--generations", "2", "--out", str(out)) == EXIT_OK
-        stamps = {path: path.stat().st_mtime_ns for path in out.rglob("*") if path.is_file()}
+        stamps = file_stamps(out)
+        if isinstance(changed, dict):  # a setting only a config file gives
+            config.write_text(yaml.safe_dump(changed))
+            changed = []
         capsys.readouterr()
         code = run_cli(*shared, *changed, "--generations", "3", "--out", str(out))
         assert code == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "gen00" in err and "another configuration" in err
-        assert {path: path.stat().st_mtime_ns for path in out.rglob("*") if path.is_file()} == stamps
+        gen_dir = out / "chain-00" / "gen00"
+        assert capsys.readouterr().err.startswith(f"error: {gen_dir} was run with another configuration: {field} ")
+        assert file_stamps(out) == stamps
         assert not (out / "chain-00" / "gen02").exists()
+
+    @pytest.mark.parametrize("changed", [{"max_output_tokens": 12}, {"template": "plain"}], ids=["tokens", "template"])
+    def test_llm_resume_with_another_service_refused(self, tmp_path, capsys, changed):
+        config, out = tmp_path / "wire.yaml", tmp_path / "chains"
+        argv = ["chain", "--config", str(config), "--chains", "1", "--seed", "1", "--out", str(out)]
+        with wire_service() as endpoint:
+            def write_config(**backend):
+                backend = {"endpoint": endpoint, "api_key_env": "", "max_output_tokens": 16, **backend}
+                run = {"rounds": 1, "mantel_permutations": 60}
+                config.write_text(yaml.safe_dump({"agents": ["llm", "llm"], "backend": backend, "run": run}))
+
+            write_config()
+            assert run_cli(*argv, "--generations", "1") == EXIT_OK
+            stamps = file_stamps(out)
+            write_config(**changed)
+            capsys.readouterr()
+            assert run_cli(*argv, "--generations", "2") == EXIT_VALIDATION
+        gen_dir = out / "chain-00" / "gen00"
+        assert capsys.readouterr().err.startswith(f"error: {gen_dir} was run with another configuration: service {{")
+        assert file_stamps(out) == stamps
+        assert not (out / "chain-00" / "gen01").exists()
+
+
+def file_stamps(root: Path) -> dict:
+    """The modification time of each file under ``root``."""
+    return {path: path.stat().st_mtime_ns for path in root.rglob("*") if path.is_file()}
 
 
 class TestEventLogLifecycle:

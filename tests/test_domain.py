@@ -294,10 +294,6 @@ class TestVocabularyFile:
         )
         assert had and entry.communicative_success == 1
 
-    def test_parse_error_carries_line_number(self):
-        with pytest.raises(VocabularyFormatError, match="line 4"):
-            raise VocabularyFormatError("bad entry", line_number=4)
-
     def test_roundtrip_bit_exact(self, tmp_path):
         vocab = generate_language(Random(3), enumerate_stimuli()[:15])
         path = tmp_path / "plain.vocab"

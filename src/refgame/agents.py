@@ -7,7 +7,6 @@ directly; the model-backed agent renders prompts and talks to a backend.
 
 from __future__ import annotations
 
-from itertools import islice
 from random import Random
 from typing import Callable, Sequence
 
@@ -16,10 +15,6 @@ from .backend import BackendError, CompletionBackend, EventLog, ServiceRefused
 from .domain import Signal, Stimulus, Vocabulary, enumerate_stimuli
 from .metrics import normalized_levenshtein, semantic_distance
 from .prompts import PromptTask, UnparseableResponseError
-
-
-class AgentError(Exception):
-    pass
 
 
 class Agent:
@@ -31,9 +26,9 @@ class Agent:
     stimulus with signal candidates (guessing block) or a signal with
     stimulus candidates (listening); ``exclude`` names the entry the prompt
     context must omit, which only the engine knows for listening tasks.
-    Both make the list's draws when called and return an unsent ``Reply``,
-    which gives the answers of the leading tasks answered (the engine asks
-    every later task alone, as a list of one) and logs the requests when read.
+    Both read the whole list, making its draws, and return an unsent
+    ``Reply``, which gives the answers of the leading tasks answered (the
+    engine asks every later task alone) and logs the requests when read.
 
     An agent whose ``speaks_ahead`` is true also offers ``speak_ahead`` (see
     ``LLMAgent``), with which the engine overlaps listening with the next
@@ -79,18 +74,19 @@ def _nearest_vocab_signal(vocab: Vocabulary, stimulus: Stimulus) -> Signal:
 
 class _Oracle(Agent):
     """An agent that applies its production rule directly, through
-    ``produce_signal`` and ``choose``. It answers the first task of a list
-    only, so every task's draws and the oracle's own take turns as they do
-    task by task. A choice takes the candidate closest, by edit distance,
-    to the oracle's own production."""
+    ``produce_signal`` and ``choose``, to every task of a list as it reads
+    it: the engine draws a task only when the oracle reads it, so the task
+    draws and the oracle's own take turns as they do task by task. A choice
+    takes the candidate closest, by edit distance, to the oracle's own
+    production."""
 
     def produce_signals(self, items, task, rng) -> Reply:
-        return Reply.held([self.produce_signal(stimulus, task, rng) for _, stimulus in islice(items, 1)])
+        return Reply.held([self.produce_signal(stimulus, task, rng) for _, stimulus in items])
 
     def choose_many(self, items, task, rng) -> Reply:
         return Reply.held([
             self.choose(probe, candidates, task, rng, exclude)
-            for _, probe, candidates, exclude in islice(items, 1)
+            for _, probe, candidates, exclude in items
         ])
 
     def choose(self, probe, candidates, task, rng, exclude=None) -> int:
@@ -307,23 +303,17 @@ def _parsed(replies: Sequence[str]) -> list[Signal]:
     return signals
 
 
-ORACLE_KINDS = {
-    "lookup": LookupOracle,
-    "compositional": CompositionalOracle,
-    "random": RandomChooser,
+# every agent spec a config may name, in the order validate_config lists them
+AGENT_SPECS = {
+    "llm": LLMAgent,
+    "oracle:lookup": LookupOracle,
+    "oracle:compositional": CompositionalOracle,
+    "oracle:random": RandomChooser,
 }
 
 
 def make_agent(spec: str, agent_id: str, backend: CompletionBackend | None = None) -> Agent:
-    """Build an agent from a config string: ``oracle:lookup``,
-    ``oracle:compositional``, ``oracle:random``, or ``llm``."""
+    """The agent of a spec in ``AGENT_SPECS``; an ``llm`` agent talks to ``backend``."""
     if spec == "llm":
-        if backend is None:
-            raise AgentError("llm agent requires a backend")
         return LLMAgent(agent_id, backend)
-    if spec.startswith("oracle:"):
-        kind = spec.split(":", 1)[1]
-        if kind not in ORACLE_KINDS:
-            raise AgentError(f"unknown oracle kind {kind!r}")
-        return ORACLE_KINDS[kind](agent_id)
-    raise AgentError(f"unknown agent spec {spec!r}")
+    return AGENT_SPECS[spec](agent_id)

@@ -83,6 +83,8 @@ class BackendDescriptor:
     def validate(self) -> None:
         if not 0 < self.timeout < math.inf:  # false for nan too
             raise BackendError("timeout must be > 0 and finite")
+        if self.timeout > threading.TIMEOUT_MAX:  # a socket timeout beyond it overflows
+            raise BackendError(f"timeout must be <= {threading.TIMEOUT_MAX}")
         if self.max_retries < 0:
             raise BackendError("max_retries must be >= 0")
         if not 0 <= self.backoff_base < math.inf:
@@ -95,6 +97,8 @@ class BackendDescriptor:
         if self.context_budget_tokens < 1:
             raise BackendError("context_budget_tokens must be >= 1")
         if self.endpoint:  # an llm run without one fails its pre-flight
+            if any(c <= " " or c == "\x7f" for c in self.endpoint):  # http.client sends none of them
+                raise BackendError(f"endpoint {self.endpoint!r} holds a space or a control character")
             try:
                 url = urlsplit(self.endpoint)  # raises on a malformed IPv6 host
                 url.port  # raises on a port that is not a number below 65536

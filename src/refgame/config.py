@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .agents import ORACLE_KINDS
+from .agents import AGENT_SPECS
 from .backend import BackendDescriptor, BackendError, load_chat_template
 from .chains import ChainConfig, ChainError
 from .domain import DomainError
@@ -54,10 +54,9 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("count must be >= 1")
     if len(config.agents) != 2:
         raise ConfigError("exactly two agents are required")
-    known = ["llm"] + [f"oracle:{kind}" for kind in ORACLE_KINDS]
     for spec in config.agents:
-        if spec not in known:
-            raise ConfigError(f"unknown agent spec {spec!r}; known: {', '.join(known)}")
+        if spec not in AGENT_SPECS:
+            raise ConfigError(f"unknown agent spec {spec!r}; known: {', '.join(AGENT_SPECS)}")
     for section in ("run", "chain", "backend"):
         try:
             getattr(config, section).validate()
@@ -67,7 +66,8 @@ def validate_config(config: ExperimentConfig) -> None:
 
 def check_backend_credentials(config: ExperimentConfig) -> None:
     """Pre-flight for live runs: an llm agent needs an endpoint, its
-    credential environment variable set and a chat template that loads."""
+    credential environment variable set to printable ASCII, which the
+    message never repeats, and a chat template that loads."""
     if not any(spec == "llm" for spec in config.agents):
         return
     if not config.backend.endpoint:
@@ -78,6 +78,9 @@ def check_backend_credentials(config: ExperimentConfig) -> None:
             f"credential environment variable {env} is not set "
             f"(export it or change backend.api_key_env)"
         )
+    key = os.environ.get(env, "")
+    if not (key.isascii() and key.isprintable()):  # an HTTP header carries nothing else
+        raise ConfigError(f"credential environment variable {env} holds a character that is not printable ASCII")
     try:
         load_chat_template(config.backend.template)
     except BackendError as err:

@@ -392,9 +392,10 @@ def _batched(
 
     ``ask`` is handed one list of every task, drawn as the agent reads it,
     so the task draws interleave with the agent's own as they do task by
-    task. From the first task the list left unanswered on, the rng goes
-    back to where that task began, and each task is drawn anew and asked
-    ``_alone``."""
+    task; every agent reads the whole list, and a draw that raises ends the
+    block before any answer. From the first task the list left unanswered
+    on, the rng goes back to where that task began, and each task is drawn
+    anew and asked ``_alone``."""
     states, drawn = [], []
 
     def tasks():

@@ -371,29 +371,34 @@ def service(seed: int, placement: str, doomed_stem: str = "") -> ScriptedBackend
 
 
 class BreakingOracle(LookupOracle):
-    """A lookup oracle whose ``breaks_at``-th list of ``task`` tasks,
-    batched or asked alone, raises ``RuntimeError("agent <id> broke")``
+    """A lookup oracle that answers its first ``breaks_at - 1`` tasks of
+    ``task``, batched or asked alone, and ends a list before the next one;
+    asked a list after those, it raises ``RuntimeError("agent <id> broke")``
     before it draws a task: an agent fault that aborts the run."""
 
     def __init__(self, agent_id: str, task: PromptTask, breaks_at: int = 3):
         super().__init__(agent_id)
         self.task = task
         self.breaks_at = breaks_at
-        self.calls = 0
+        self.answered = 0
 
-    def _break(self, task: PromptTask) -> None:
-        if task is self.task:
-            self.calls += 1
-            if self.calls == self.breaks_at:
-                raise RuntimeError(f"agent {self.agent_id} broke")
+    def _break(self, items, task: PromptTask):
+        if task is not self.task:
+            return items
+        if self.answered == self.breaks_at - 1:
+            raise RuntimeError(f"agent {self.agent_id} broke")
+        return self._counted(itertools.islice(items, self.breaks_at - 1 - self.answered))
+
+    def _counted(self, items):
+        for item in items:
+            self.answered += 1
+            yield item
 
     def produce_signals(self, items, task, rng):
-        self._break(task)
-        return super().produce_signals(items, task, rng)
+        return super().produce_signals(self._break(items, task), task, rng)
 
     def choose_many(self, items, task, rng):
-        self._break(task)
-        return super().choose_many(items, task, rng)
+        return super().choose_many(self._break(items, task), task, rng)
 
 
 class TruncatingOracle(_Oracle):

@@ -39,9 +39,9 @@ class Mutant:
     tests: tuple[str, ...]  # pytest node ids, relative to the root
 
 
-ENGINE, BACKEND, AGENTS, PERSISTENCE, METRICS, DOMAIN, CHAINS, CLI = (
+ENGINE, BACKEND, AGENTS, PERSISTENCE, METRICS, DOMAIN, CHAINS, CLI, CONFIG = (
     f"src/refgame/{name}.py"
-    for name in ("engine", "backend", "agents", "persistence", "metrics", "domain", "chains", "cli")
+    for name in ("engine", "backend", "agents", "persistence", "metrics", "domain", "chains", "cli", "config")
 )
 BESIDE = "tests/test_engine.py::TestGuessingBesideTheRest"
 SIDE_BY_SIDE = "tests/test_engine.py::TestSideBySide"
@@ -377,6 +377,39 @@ MUTANTS = (
         "a run directory path that is an existing file ends the command with a traceback, "
         "not an error: line and exit 1",
         ("tests/test_cli.py::TestSimulate::test_run_directory_that_is_a_file_refused",),
+    ),
+    Mutant(
+        "oracle-answers-first-task", AGENTS,
+        (("from random import Random\n", "from itertools import islice\nfrom random import Random\n"),
+         ("for _, stimulus in items])", "for _, stimulus in islice(items, 1)])"),
+         ("for _, probe, candidates, exclude in items\n", "for _, probe, candidates, exclude in islice(items, 1)\n")),
+        "an oracle answers only the first task of a list, so the engine asks every other task "
+        "alone and the oracle takes another path than an llm agent; no digest moves, since its "
+        "draws take turns with the task draws either way (found while making every agent "
+        "answer its whole list)",
+        ("tests/test_agents.py::TestBatches::test_oracles_answer_task_by_task",),
+    ),
+    Mutant(
+        "endpoint-control-characters-accepted", BACKEND,
+        (("            if any(c <= \" \" or c == \"\\x7f\" for c in self.endpoint):", "            if False:"),),
+        "an endpoint holding a space or a control character passes validation; http.client "
+        "refuses the URL at the first request, and the run aborts after its directory is written",
+        ("tests/test_cli.py::TestSimulate::test_bad_backend_setting_rejected_before_writing",),
+    ),
+    Mutant(
+        "timeout-unbounded", BACKEND,
+        (("        if self.timeout > threading.TIMEOUT_MAX:", "        if False:"),),
+        "a finite backend timeout above threading.TIMEOUT_MAX passes validation; the socket "
+        "refuses it with an OverflowError at the first request, and the run aborts after its "
+        "directory is written",
+        ("tests/test_cli.py::TestSimulate::test_bad_backend_setting_rejected_before_writing",),
+    ),
+    Mutant(
+        "credential-unsendable-accepted", CONFIG,
+        (("    if not (key.isascii() and key.isprintable()):", "    if False:"),),
+        "a credential that an HTTP header cannot carry passes the pre-flight; the run aborts at "
+        "its first request, and a key with a newline is written into the manifest and the log",
+        ("tests/test_cli.py::TestSimulate::test_unsendable_credential_refused_and_never_stored",),
     ),
 )
 

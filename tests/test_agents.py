@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from helpers import InTurnAgent, ScriptedBackend
 from refgame.agents import (
-    AgentError,
     _argmin,
     _closest,
     CompositionalOracle,
@@ -299,20 +298,33 @@ class TestBatches:
 
     @pytest.mark.parametrize("agent_cls", [LookupOracle, CompositionalOracle, RandomChooser])
     def test_oracles_answer_task_by_task(self, agent_cls):
-        # an oracle's list methods answer the first task and pull no other
+        # an oracle's list methods answer every task, reading each as it
+        # answers the one before, so its rng ends where answering the tasks
+        # one by one leaves it
         agent = agent_cls("A")
         vocab = training_vocab()
         agent.set_vocabulary(vocab)
         stimuli = vocab.stimuli()
-        tasks = iter([(0, stimuli[0]), (1, stimuli[1])])
-        produced = agent.produce_signals(tasks, PromptTask.LABELLING, Random(0)).send().read(EventLog())
-        assert produced == [agent.produce_signal(stimuli[0], PromptTask.LABELLING, Random(0))]
-        assert next(tasks)[0] == 1
+        rng, one_by_one = Random(0), Random(0)
+        produced = agent.produce_signals(enumerate(stimuli[:3]), PromptTask.LABELLING, rng).send().read(EventLog())
+        assert produced == [agent.produce_signal(s, PromptTask.LABELLING, one_by_one) for s in stimuli[:3]]
+        assert rng.getstate() == one_by_one.getstate()
         signals = [vocab.signal_for(s) for s in stimuli[:3]]
-        choices = iter([(0, stimuli[2], signals, None), (1, stimuli[0], signals, None)])
-        chosen = agent.choose_many(choices, PromptTask.GUESSING, Random(0)).send().read(EventLog())
-        assert chosen == [agent.choose(stimuli[2], signals, PromptTask.GUESSING, Random(0))]
-        assert next(choices)[0] == 1
+        probes = [stimuli[2], stimuli[0], stimuli[1], stimuli[2]]
+        read = []
+
+        def choices():
+            for index, probe in enumerate(probes):
+                read.append(rng.random())  # a task draw, between the oracle's own
+                yield index, probe, signals, None
+
+        chosen = agent.choose_many(choices(), PromptTask.GUESSING, rng).send().read(EventLog())
+        expected = []
+        for probe in probes:
+            one_by_one.random()
+            expected.append(agent.choose(probe, signals, PromptTask.GUESSING, one_by_one))
+        assert chosen == expected and len(read) == len(probes)
+        assert rng.getstate() == one_by_one.getstate()
         assert agent.produce_signals(iter([]), PromptTask.LABELLING, Random(0)).send().read(EventLog()) == []
 
 
@@ -322,14 +334,7 @@ class TestFactory:
         assert isinstance(make_agent("oracle:compositional", "A"), CompositionalOracle)
         assert isinstance(make_agent("oracle:random", "A"), RandomChooser)
 
-    def test_llm_requires_backend(self):
-        with pytest.raises(AgentError):
-            make_agent("llm", "A")
-        agent = make_agent("llm", "A", backend=ScriptedBackend())
-        assert isinstance(agent, LLMAgent)
-
-    def test_unknown_specs(self):
-        with pytest.raises(AgentError):
-            make_agent("oracle:psychic", "A")
-        with pytest.raises(AgentError):
-            make_agent("human", "A")
+    def test_llm_spec_gets_the_backend(self):
+        backend = ScriptedBackend()
+        agent = make_agent("llm", "A", backend=backend)
+        assert isinstance(agent, LLMAgent) and agent.backend is backend

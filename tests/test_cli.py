@@ -93,6 +93,21 @@ class TestSimulate:
         code = run_cli("simulate", "--config", str(path))
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("key, secret", [("secret\n", "secret"), ("sk-秘密", "秘密")], ids=["newline", "non-ascii"])
+    def test_unsendable_credential_refused_and_never_stored(self, tmp_path, capsys, monkeypatch, key, secret):
+        # a key an HTTP header cannot carry is refused by the name of its
+        # variable, before anything is written
+        monkeypatch.setenv("REFGAME_API_KEY", key)
+        config = {"agents": ["llm", "llm"], "backend": {"endpoint": "http://127.0.0.1:9", "max_retries": 0}}
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run_cli("simulate", "--config", str(path), "--out", str(tmp_path / "runs")) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: credential environment variable REFGAME_API_KEY holds a character that is not printable ASCII\n"
+        )
+        assert [p.name for p in tmp_path.rglob("*")] == ["config.yaml"]
+        assert secret not in path.read_text()
+
     @pytest.mark.parametrize("command, run_dir", [("simulate", "sim-00"), ("chain", "chain-00")])
     def test_llm_without_endpoint_writes_nothing(self, tmp_path, capsys, command, run_dir):
         out = tmp_path / "runs"
@@ -128,14 +143,19 @@ class TestSimulate:
             ({"timeout": float("inf")}, "timeout must be > 0 and finite"),
             ({"temperature": float("nan")}, "temperature must be finite"),
             ({"backoff_base": float("nan")}, "backoff_base must be >= 0 and finite"),
+            ({"timeout": threading.TIMEOUT_MAX * 2}, f"timeout must be <= {threading.TIMEOUT_MAX}"),
+            ({"endpoint": "http://127.0.0.1:9/a b"}, "endpoint 'http://127.0.0.1:9/a b' holds a space or a control"),
+            ({"endpoint": "http://127.0.0.1:9/a\x7f"}, "endpoint 'http://127.0.0.1:9/a\\x7f' holds a space or a control"),
         ],
     )
     def test_bad_backend_setting_rejected_before_writing(self, tmp_path, capsys, backend, message):
         # an endpoint with nothing listening: a setting that got past
-        # validation would fail only at the first request
+        # validation would fail only at the first request, which is not
+        # retried, so the run ends at once
         config = {
             "agents": ["llm", "llm"],
-            "backend": {"endpoint": "http://127.0.0.1:9", "api_key_env": "", **backend},
+            "backend": {"endpoint": "http://127.0.0.1:9", "api_key_env": "", "max_retries": 0, "backoff_base": 0,
+                        **backend},
         }
         path = tmp_path / "backend.yaml"
         path.write_text(yaml.safe_dump(config))
@@ -249,7 +269,8 @@ class TestSimulate:
         out = tmp_path / "runs"
         code = run_cli(command, "--agents", "oracle:bogus,oracle:lookup", "--out", str(out))
         assert code == EXIT_VALIDATION
-        assert "error: unknown agent spec 'oracle:bogus'" in capsys.readouterr().err
+        assert ("error: unknown agent spec 'oracle:bogus'; known: llm, oracle:lookup, oracle:compositional, "
+                "oracle:random\n") in capsys.readouterr().err
         assert not out.exists()
 
 

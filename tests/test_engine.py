@@ -1221,17 +1221,32 @@ class TestGuessingBesideTheRest:
         assert [str(u.exc_value) for u in unraisable] == []
         assert connections and all(connection.sock is None for connection in connections)
 
-    def test_collapsed_language_aborts_before_any_request(self):
+    def collapsed_language(self):
         # two distinct signals, one of them on a single stimulus: a guessing
         # task for any other stimulus has one distractor to draw three from
         initial = training_vocab(self.SEED)[0].copy()
         for stimulus in initial.stimuli():
             initial.update(stimulus, "gaga" if stimulus != initial.stimuli()[0] else "lolo", 0)
-        records, error, blocks, timeline = self.run(initial=initial)
+        return initial
+
+    def test_collapsed_language_aborts_before_any_request(self):
+        records, error, blocks, timeline = self.run(initial=self.collapsed_language())
         assert error.startswith("Sample larger than population")
         assert [record["kind"] for record in records] == ["run_start", "run_aborted"]
         assert blocks == ({}, {}, None, {})
         assert timeline == []  # no guessing, labelling or speaking request was sent
+
+    @pytest.mark.parametrize("oracle", [LookupOracle, CompositionalOracle, RandomChooser])
+    def test_collapsed_language_aborts_oracles_as_llm_agents(self, oracle):
+        # an oracle takes its whole guessing list too, so the draw that fails
+        # ends the block before any task of it is answered or recorded
+        log = EventLog()
+        config = RunConfig(master_seed=self.SEED, rounds=2, mantel_permutations=10)
+        with pytest.raises(SimulationAborted, match="^Sample larger than population") as aborted:
+            run_simulation(config, (oracle("A"), oracle("B")), log, self.collapsed_language())
+        assert [json.loads(line)["kind"] for line in log._file.getvalue().splitlines()] == ["run_start", "run_aborted"]
+        partial = aborted.value.partial
+        assert (partial.guessing, partial.labelling, partial.communication, partial.testing) == ({}, {}, None, {})
 
     def test_guessing_asked_again_after_labelling_is_prompted_over_the_initial_language(self):
         # each agent's batched guessing request fails when it is read, after
